@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .quadratic import QuadraticModel
 
 # Directional curvatures at or below this value terminate with
@@ -45,6 +45,14 @@ class CgConfig:
             raise ValidationError(
                 f"unsupported negcurv_policy {self.negcurv_policy!r}"
             )
+
+
+def _check_finite(solver: str, p: int, **values: float) -> None:
+    """Raise NumericalError naming the iteration unless every value is
+    finite; a NaN curvature would otherwise pass the curvature floor test."""
+    bad = {name: v for name, v in values.items() if not np.isfinite(v)}
+    if bad:
+        raise NumericalError(f"{solver}: non-finite {bad} at iteration {p}")
 
 
 @dataclass
@@ -101,11 +109,13 @@ def cg_minimize(q: QuadraticModel, config: CgConfig) -> CgTrace:
         d = s / s_norm
         t = q.curvature.matvec(d)
         curv = float(d @ t)
+        slope = float(d @ r)
+        _check_finite("cg_minimize", p, curvature=curv, slope=slope)
         if curv <= CURVATURE_FLOOR:
             termination = "negative_curvature"
             break
-        slope = float(d @ r)
         tau = -slope / curv
+        _check_finite("cg_minimize", p, step=tau)
 
         theta = theta + tau * d  # keeps the reconstruction identity exact
         iterates.append(theta.copy())
@@ -168,13 +178,16 @@ def _rebuild_magnitudes(q_bt: QuadraticModel, dir_trace: CgTrace) -> CgTrace:
     termination = dir_trace.termination
     directions = []
 
-    for d in dir_trace.directions:
+    for p, d in enumerate(dir_trace.directions):
         h_d = q_bt.curvature.matvec(d)
         curv = float(d @ h_d)
+        slope = float(d @ grad)
+        _check_finite("debiased_cg", p, curvature=curv, slope=slope)
         if curv <= CURVATURE_FLOOR:
             termination = "negative_curvature"
             break
-        tau = -float(d @ grad) / curv
+        tau = -slope / curv
+        _check_finite("debiased_cg", p, step=tau)
         theta = theta + tau * d
         grad = grad + tau * h_d
         iterates.append(theta.copy())
@@ -219,6 +232,8 @@ def _interleaved(q_b: QuadraticModel, q_bt: QuadraticModel, config: CgConfig):
         d = s / s_norm
         t = q_b.curvature.matvec(d)
         curv = float(d @ t)
+        slope = float(d @ r)
+        _check_finite("debiased_cg", p, curvature=curv, slope=slope)
         if curv <= CURVATURE_FLOOR:
             termination = "negative_curvature"
             break
@@ -226,13 +241,17 @@ def _interleaved(q_b: QuadraticModel, q_bt: QuadraticModel, config: CgConfig):
         # debiased magnitude on the second batch, one matvec
         h_d = q_bt.curvature.matvec(d)
         deb_curv = float(d @ h_d)
+        deb_slope = float(d @ deb_grad)
+        _check_finite("debiased_cg", p, magnitude_curvature=deb_curv,
+                      magnitude_slope=deb_slope)
         if deb_curv <= CURVATURE_FLOOR:
             termination = "negative_curvature"
             deb_termination = "negative_curvature"
             break
 
-        slope = float(d @ r)
         tau = -slope / curv
+        deb_tau = -deb_slope / deb_curv
+        _check_finite("debiased_cg", p, step=tau, magnitude_step=deb_tau)
         theta = theta + tau * d
         dir_iterates.append(theta.copy())
         dir_directions.append(d)
@@ -244,7 +263,6 @@ def _interleaved(q_b: QuadraticModel, q_bt: QuadraticModel, config: CgConfig):
         r = r_new
         dir_residuals.append(float(np.linalg.norm(r)))
 
-        deb_tau = -float(d @ deb_grad) / deb_curv
         deb_theta = deb_theta + deb_tau * d
         deb_grad = deb_grad + deb_tau * h_d
         deb_iterates.append(deb_theta.copy())

@@ -21,6 +21,7 @@ from .quadratic import (
     QuadraticModel,
     build_quadratic,
     directional_curvature,
+    directional_curvatures,
     fullbatch_quadratic,
     grad_at,
 )
@@ -190,7 +191,7 @@ def eigendirection_scan(
     reports = []
     for m in sources:
         eig = top_k_eigenpairs(
-            quads[m].curvature.matvec, theta_star.n_params, k, rng.split(m)
+            quads[m].curvature, theta_star.n_params, k, rng.split(m)
         )
         dset = DirectionSet(
             kind="eigen",
@@ -198,17 +199,11 @@ def eigendirection_scan(
             directions=eig.basis,
             eigenvalues=eig.eigenvalues,
         )
-        slopes = np.empty((k, len(batches)))
-        curvs = np.empty((k, len(batches)))
-        full_s = np.empty(k)
-        full_c = np.empty(k)
-        for i in range(k):
-            d = eig.basis[:, i]
-            for j, q in enumerate(quads):
-                slopes[i, j] = float(d @ q.gradient)
-                curvs[i, j] = directional_curvature(q, d)
-            full_s[i] = float(d @ q_full.gradient)
-            full_c[i] = directional_curvature(q_full, d)
+        d = eig.basis
+        slopes = np.column_stack([d.T @ q.gradient for q in quads])
+        curvs = np.column_stack([directional_curvatures(q, d) for q in quads])
+        full_s = d.T @ q_full.gradient
+        full_c = directional_curvatures(q_full, d)
         reports.append(
             ScanReport(
                 source_batch=m,

@@ -368,8 +368,8 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     rows = []
     nll_at_min_beta = {}
     min_beta = min(cfg.la_grid)
+    map_metrics = _predictive_metrics(mlp, theta, dataset, cfg, map_mode=True)
     for beta in cfg.la_grid:
-        map_metrics = _predictive_metrics(mlp, theta, dataset, cfg, map_mode=True)
         for metric, value in map_metrics.items():
             rows.append(["map", beta, metric, value, -1])
 

@@ -197,17 +197,16 @@ def predictive(
 
     Draws S parameter samples with per-sample derived seeds, pushes each
     through f_lin(x) = f(x; theta*) + grad f(x; theta*) (theta_s - theta*),
-    applies the softmax, and averages in sample order.
+    applies the softmax, and averages in sample order. The network is
+    linearized at theta* once for all S samples.
     """
     from .model import softmax
 
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     base = Rng(cfg.seed)
-    map_logits = mlp.forward(post.mean, inputs)
-    probs = np.zeros_like(map_logits)
+    lin = mlp.linearize(post.mean, inputs)
+    probs = np.zeros_like(lin.logits)
     for s in range(cfg.s_samples):
         theta_s = sample_params(post, base.split(s))
         delta = theta_s.values - post.mean.values
-        logits = map_logits + mlp.jvp_batch(post.mean, inputs, delta)
-        probs += softmax(logits)
+        probs += softmax(lin.logits + lin.jvp_mm(delta[:, None])[0])
     return probs / cfg.s_samples

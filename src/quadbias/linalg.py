@@ -187,13 +187,20 @@ def sym_eigh(m: DenseSymMatrix | np.ndarray) -> EigenDecomposition:
 
 
 def materialize_operator(op: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Apply op to the identity columns; symmetrize to absorb roundoff."""
-    cols = np.empty((dim, dim))
-    e = np.zeros(dim)
-    for j in range(dim):
-        e[j] = 1.0
-        cols[:, j] = op(e)
-        e[j] = 0.0
+    """Apply op to the identity columns; symmetrize to absorb roundoff.
+
+    An op with a ``matmat`` method (a CurvatureOperator) gets the identity as
+    one block; a plain callable gets one column at a time.
+    """
+    if hasattr(op, "matmat"):
+        cols = op.matmat(np.eye(dim))
+    else:
+        cols = np.empty((dim, dim))
+        e = np.zeros(dim)
+        for j in range(dim):
+            e[j] = 1.0
+            cols[:, j] = op(e)
+            e[j] = 0.0
     return 0.5 * (cols + cols.T)
 
 
@@ -241,7 +248,8 @@ def top_k_eigenpairs(
 
 
 def kron_matvec(u_a: np.ndarray, u_b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Apply the Kronecker product (u_a otimes u_b) to a vector of length m*n.
+    """Apply the Kronecker product (u_a otimes u_b) to a vector of length m*n,
+    or to every column of an (m*n, k) block.
 
     The vec convention is fixed: w is the column-stacking of the n x m matrix
     W, equivalently the row-major flattening of its m x n transpose. With that
@@ -255,12 +263,16 @@ def kron_matvec(u_a: np.ndarray, u_b: np.ndarray, w: np.ndarray) -> np.ndarray:
     n = u_b.shape[1]
     if u_a.ndim != 2 or u_b.ndim != 2:
         raise ValidationError("factors must be 2-d arrays")
-    if w.shape != (m * n,):
+    if w.ndim not in (1, 2) or w.shape[0] != m * n:
         raise ValidationError(
             f"vector length {w.shape} does not match factor dims {m}*{n}"
         )
-    w_mat = w.reshape(m, n)  # row-major view of the column-stacked n x m W
-    return (u_a @ w_mat @ u_b.T).reshape(-1)
+    if w.ndim == 1:
+        w_mat = w.reshape(m, n)  # row-major view of the column-stacked n x m W
+        return (u_a @ w_mat @ u_b.T).reshape(-1)
+    k = w.shape[1]
+    w_mats = w.T.reshape(k, m, n)
+    return (u_a @ w_mats @ u_b.T).reshape(k, m * n).T
 
 
 def haar_orthogonal(rng: Rng, n: int) -> np.ndarray:

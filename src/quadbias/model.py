@@ -21,6 +21,7 @@ parameters (reg_mode="all").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,11 @@ from .linalg import DenseSymMatrix, Rng
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 LOSSES = ("cross_entropy", "mse")
+
+# Rows x columns one block pass of a Linearization may hold. A single-vector
+# pass over one 512-row chunk held this much before block products existed;
+# passes of max(1, BLOCK_BUDGET // rows) columns keep peak memory there.
+BLOCK_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -79,13 +85,14 @@ class LayoutEntry:
     role: str  # "weight" | "bias"
     shape: tuple
     offset: int
+    size: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
+    def __post_init__(self):
+        object.__setattr__(self, "size", int(np.prod(self.shape)))
 
 
 def build_layout(arch: MlpArchitecture) -> tuple:
+    """Entry 2 l is layer l's weight and entry 2 l + 1 its bias."""
     entries = []
     offset = 0
     for l in range(arch.n_layers):
@@ -128,7 +135,9 @@ class ParamVector:
         return self.values.size
 
     def view(self, layer: int, role: str) -> np.ndarray:
-        for e in self.layout:
+        i = 2 * layer + (role == "bias")  # the build_layout order
+        if 0 <= i < len(self.layout):
+            e = self.layout[i]
             if e.layer == layer and e.role == role:
                 return self.values[e.offset : e.offset + e.size].reshape(e.shape)
         raise KeyError((layer, role))
@@ -213,9 +222,10 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _act_d(name: str, z: np.ndarray) -> np.ndarray:
-    # relu derivative at exactly 0 is 0 (subgradient choice)
+    # relu derivative at exactly 0 is 0 (subgradient choice); kept as a bool
+    # mask, an eighth of the memory, which multiplies as exact 0.0 / 1.0
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0
     if name == "tanh":
         t = np.tanh(z)
         return 1.0 - t * t
@@ -227,6 +237,171 @@ def _act_dd(name: str, z: np.ndarray) -> np.ndarray:
         t = np.tanh(z)
         return -2.0 * t * (1.0 - t * t)
     return np.zeros_like(z)
+
+
+class Linearization:
+    """The network at fixed (params, inputs): forward trace, activation
+    derivatives and, for cross entropy, the softmax, computed once.
+
+    Every product reuses them. Products take (P, k) blocks of parameter
+    directions and run in passes of at most ``max(1, BLOCK_BUDGET // rows)``
+    columns; a pass is a few matrix products per layer over all of its
+    columns at once, with R-quantities laid out (columns, rows, width).
+    ``Mlp.ggn_vp``, ``Mlp.hvp`` and ``Mlp.jvp_batch`` are the k = 1 case.
+    Targets are needed by the loss gradient and the Hessian product only.
+    """
+
+    def __init__(self, mlp: "Mlp", params: ParamVector, inputs: np.ndarray,
+                 targets: np.ndarray | None = None):
+        self.mlp = mlp
+        self.params = params
+        self.targets = targets
+        self.wb, self.acts, self.pre = mlp._forward_trace(params, inputs)
+        self.d1 = [_act_d(mlp.arch.activation, z) for z in self.pre[:-1]]
+        self.probs = softmax(self.logits) if mlp.arch.loss == "cross_entropy" else None
+        self.cols_per_pass = max(1, BLOCK_BUDGET // self.size)
+
+    @property
+    def size(self) -> int:
+        """Rows in the trace."""
+        return self.acts[0].shape[0]
+
+    @property
+    def logits(self) -> np.ndarray:
+        return self.pre[-1]
+
+    # -- shared passes ---------------------------------------------------------
+
+    def _by_pass(self, vs: np.ndarray, one_pass) -> np.ndarray:
+        """Stack one_pass over column groups of vs; leading axis = columns."""
+        vs = np.asarray(vs, dtype=np.float64)
+        if vs.ndim != 2 or vs.shape[0] != self.mlp.n_params or vs.shape[1] < 1:
+            raise ValidationError(
+                f"block shape {vs.shape} != ({self.mlp.n_params}, k >= 1)"
+            )
+        out = None
+        step = self.cols_per_pass
+        for start in range(0, vs.shape[1], step):
+            part = one_pass(np.ascontiguousarray(vs[:, start : start + step].T))
+            if out is None:
+                out = np.empty((vs.shape[1],) + part.shape[1:])
+            out[start : start + step] = part
+        return out
+
+    def _split(self, vt: np.ndarray, l: int):
+        """Layer l's weight (k, fan_in, fan_out) and bias (k, fan_out) parts
+        of directions stacked as the rows of vt (k, P)."""
+        ew, eb = self.mlp.layout[2 * l], self.mlp.layout[2 * l + 1]
+        vw = vt[:, ew.offset : ew.offset + ew.size].reshape((vt.shape[0],) + ew.shape)
+        return vw, vt[:, eb.offset : eb.offset + eb.size]
+
+    def _r_forward(self, vt: np.ndarray) -> list:
+        """Forward-mode pass: R[Z_l] for every layer (R[A_0] = 0)."""
+        r_pre = []
+        r_a = None
+        for l, (w, _) in enumerate(self.wb):
+            vw, vb = self._split(vt, l)
+            r_z = self.acts[l] @ vw
+            if r_a is not None:
+                r_z += r_a @ w
+            r_z += vb[:, None, :]
+            r_pre.append(r_z)
+            if l < len(self.wb) - 1:
+                r_a = self.d1[l] * r_z
+        return r_pre
+
+    def _backprop(self, g: np.ndarray) -> np.ndarray:
+        """Parameter gradient from a logits-side seed g, (rows, C) or
+        (k, rows, C); the result is (P,) or (k, P)."""
+        lead = g.shape[:-2]
+        out = np.empty(lead + (self.mlp.n_params,))
+        for l in range(len(self.wb) - 1, -1, -1):
+            ew, eb = self.mlp.layout[2 * l], self.mlp.layout[2 * l + 1]
+            out[..., ew.offset : ew.offset + ew.size] = (
+                self.acts[l].T @ g).reshape(lead + (-1,))
+            out[..., eb.offset : eb.offset + eb.size] = g.sum(axis=-2)
+            if l > 0:
+                g = (g @ self.wb[l][0].T) * self.d1[l - 1]
+        return out
+
+    def loss_grad_logits(self) -> np.ndarray:
+        """d(mean loss)/d logits."""
+        if self.targets is None:
+            raise ValidationError("this product needs the batch targets")
+        if self.probs is not None:
+            return (self.probs - self.targets) / self.size
+        return 2.0 * (self.logits - self.targets) / self.size
+
+    def _loss_hessian(self, r_logits: np.ndarray) -> np.ndarray:
+        """Hessian of the per-sample loss at the logits applied to r_logits."""
+        p = self.probs
+        if p is None:
+            return 2.0 * r_logits
+        return p * r_logits - p * (p * r_logits).sum(axis=-1, keepdims=True)
+
+    @cached_property
+    def _backward_trace(self):
+        """Direction-independent parts of the Hessian product: the loss
+        gradient g_l at each Z_l, and for l > 0 the term s * act''(Z_{l-1})
+        with s = g_l W_l^T."""
+        act = self.mlp.arch.activation
+        g = self.loss_grad_logits()
+        gs = [None] * len(self.wb)
+        s_d2 = [None] * len(self.wb)
+        for l in range(len(self.wb) - 1, -1, -1):
+            gs[l] = g
+            if l > 0:
+                s = g @ self.wb[l][0].T
+                s_d2[l] = s * _act_dd(act, self.pre[l - 1])
+                g = s * self.d1[l - 1]
+        return gs, s_d2
+
+    # -- block products --------------------------------------------------------
+
+    def jvp_mm(self, vs: np.ndarray) -> np.ndarray:
+        """Directional derivatives of the logits, (k, rows, C), one slice per
+        column of vs."""
+        return self._by_pass(vs, lambda vt: self._r_forward(vt)[-1])
+
+    def ggn_mm(self, vs: np.ndarray) -> np.ndarray:
+        """Generalized Gauss-Newton block product G_B vs, (P, k).
+
+        J v (forward mode), the loss Hessian at the logits, then J^T (reverse
+        mode); the per-sample Jacobians are never materialized.
+        """
+        def one_pass(vt):
+            jv = self._r_forward(vt)[-1]
+            return self._backprop(self._loss_hessian(jv) / self.size)
+
+        return self._by_pass(vs, one_pass).T
+
+    def hvp_mm(self, vs: np.ndarray) -> np.ndarray:
+        """Exact Hessian block product of the mean loss, (P, k).
+
+        Forward-over-reverse: the linearized forward pass, then the
+        linearization of the backward pass.
+        """
+        gs, s_d2 = self._backward_trace
+
+        def one_pass(vt):
+            r_pre = self._r_forward(vt)
+            r_g = self._loss_hessian(r_pre[-1]) / self.size
+            out = np.empty((vt.shape[0], self.mlp.n_params))
+            for l in range(len(self.wb) - 1, -1, -1):
+                ew, eb = self.mlp.layout[2 * l], self.mlp.layout[2 * l + 1]
+                w_part = self.acts[l].T @ r_g
+                if l > 0:
+                    r_a = self.d1[l - 1] * r_pre[l - 1]
+                    w_part = r_a.transpose(0, 2, 1) @ gs[l] + w_part
+                out[:, ew.offset : ew.offset + ew.size] = w_part.reshape(vt.shape[0], -1)
+                out[:, eb.offset : eb.offset + eb.size] = r_g.sum(axis=1)
+                if l > 0:
+                    w = self.wb[l][0]
+                    r_s = r_g @ w.T + gs[l] @ self._split(vt, l)[0].transpose(0, 2, 1)
+                    r_g = r_s * self.d1[l - 1] + s_d2[l] * r_pre[l - 1]
+            return out
+
+        return self._by_pass(vs, one_pass).T
 
 
 class Mlp:
@@ -296,6 +471,26 @@ class Mlp:
                 acts.append(a)
         return wb, acts, pre
 
+    def linearize(self, params: ParamVector, inputs: np.ndarray,
+                  targets: np.ndarray | None = None) -> Linearization:
+        """One forward trace at (params, inputs), reused by every block
+        product taken from the result; targets enable loss_and_grad and hvp."""
+        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        if x.shape[1] != self.arch.input_dim:
+            raise ValidationError(
+                f"input width {x.shape[1]} != architecture input dim {self.arch.input_dim}"
+            )
+        return Linearization(self, params, x, targets)
+
+    def _linearized(self, params: ParamVector, data: Batch | Linearization) -> Linearization:
+        """data itself when it is a Linearization at params, else a fresh
+        linearization of the Batch data."""
+        if isinstance(data, Linearization):
+            if data.params is not params:
+                raise ValidationError("linearization was taken at other parameters")
+            return data
+        return self.linearize(params, data.inputs, data.targets)
+
     # -- loss and gradient ---------------------------------------------------
 
     def _loss_value(self, logits: np.ndarray, targets: np.ndarray) -> float:
@@ -308,128 +503,46 @@ class Mlp:
         diff = logits - targets
         return float((diff * diff).sum() / n)
 
-    def _loss_grad_logits(self, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """d(mean loss)/d logits."""
-        n = logits.shape[0]
-        if self.arch.loss == "cross_entropy":
-            return (softmax(logits) - targets) / n
-        return 2.0 * (logits - targets) / n
-
-    def _backprop(self, wb, acts, pre, g_logits: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradient from a logits-side seed."""
-        grad = np.zeros(self.n_params)
-        gview = ParamVector(grad, self.layout)
-        g = g_logits
-        for l in range(len(wb) - 1, -1, -1):
-            w, _ = wb[l]
-            gview.view(l, "weight")[...] = acts[l].T @ g
-            gview.view(l, "bias")[...] = g.sum(axis=0)
-            if l > 0:
-                g = (g @ w.T) * _act_d(self.arch.activation, pre[l - 1])
-        return grad
-
-    def loss_and_grad(self, params: ParamVector, batch: Batch, beta: float):
-        """Regularized mean loss and its exact gradient."""
+    def loss_and_grad(self, params: ParamVector, batch: Batch | Linearization, beta: float):
+        """Regularized mean loss and its exact gradient on a Batch or on its
+        Linearization at params."""
         if beta < 0:
             raise ValidationError(f"beta must be >= 0, got {beta}")
-        wb, acts, pre = self._forward_trace(params, batch.inputs)
-        logits = pre[-1]
+        lin = self._linearized(params, batch)
+        g_logits = lin.loss_grad_logits()
         mask = self.reg_mask(params)
-        loss = self._loss_value(logits, batch.targets)
+        loss = self._loss_value(lin.logits, lin.targets)
         loss += 0.5 * beta * float(params.values[mask] @ params.values[mask])
-        grad = self._backprop(wb, acts, pre, self._loss_grad_logits(logits, batch.targets))
+        grad = lin._backprop(g_logits)
         grad[mask] += beta * params.values[mask]
         return loss, grad
 
     # -- directional derivatives ----------------------------------------------
 
-    def _r_forward(self, wb, acts, pre, v: ParamVector):
-        """Forward-mode pass: returns R[Z_l] for all layers (R[A_0] = 0)."""
-        act = self.arch.activation
-        r_a = np.zeros_like(acts[0])
-        r_pre = []
-        for l, (w, b) in enumerate(wb):
-            r_z = acts[l] @ v.view(l, "weight") + r_a @ w + v.view(l, "bias")
-            r_pre.append(r_z)
-            if l < len(wb) - 1:
-                r_a = _act_d(act, pre[l]) * r_z
-        return r_pre
-
-    def hvp(self, params: ParamVector, batch: Batch, beta: float, v: np.ndarray) -> np.ndarray:
-        """Exact Hessian-vector product of the regularized loss.
-
-        Forward-over-reverse: one linearized forward pass, then the
-        linearization of the backward pass. Linear in v.
-        """
+    def hvp(self, params: ParamVector, batch: Batch | Linearization, beta: float,
+            v: np.ndarray) -> np.ndarray:
+        """Exact Hessian-vector product of the regularized loss on a Batch or
+        on its Linearization at params; the k = 1 case of hvp_mm."""
         v = np.asarray(v, dtype=np.float64)
-        vp = params.with_values(v)
-        wb, acts, pre = self._forward_trace(params, batch.inputs)
-        r_pre = self._r_forward(wb, acts, pre, vp)
-        act = self.arch.activation
-        n = batch.size
-        logits = pre[-1]
-
-        # R of the loss-gradient seed at the logits
-        if self.arch.loss == "cross_entropy":
-            p = softmax(logits)
-            rz = r_pre[-1]
-            r_g = (p * rz - p * (p * rz).sum(axis=1, keepdims=True)) / n
-            g = (p - batch.targets) / n
-        else:
-            r_g = 2.0 * r_pre[-1] / n
-            g = 2.0 * (logits - batch.targets) / n
-
-        # R of activations, needed for R[A^T G] terms
-        r_acts = [np.zeros_like(acts[0])]
-        for l in range(len(wb) - 1):
-            r_acts.append(_act_d(act, pre[l]) * r_pre[l])
-
-        out = np.zeros(self.n_params)
-        oview = ParamVector(out, self.layout)
-        for l in range(len(wb) - 1, -1, -1):
-            w, _ = wb[l]
-            oview.view(l, "weight")[...] = r_acts[l].T @ g + acts[l].T @ r_g
-            oview.view(l, "bias")[...] = r_g.sum(axis=0)
-            if l > 0:
-                s = g @ w.T
-                r_s = r_g @ w.T + g @ vp.view(l, "weight").T
-                d1 = _act_d(act, pre[l - 1])
-                d2 = _act_dd(act, pre[l - 1])
-                r_g = r_s * d1 + s * d2 * r_pre[l - 1]
-                g = s * d1
-
+        out = self._linearized(params, batch).hvp_mm(v[:, None])[:, 0]
         mask = self.reg_mask(params)
         out[mask] += beta * v[mask]
         return out
 
-    def ggn_vp(self, params: ParamVector, batch: Batch, beta: float, v: np.ndarray) -> np.ndarray:
-        """Generalized Gauss-Newton-vector product (G_B + beta * mask) v.
-
-        Computed as J v (forward mode), loss Hessian at the logits, then J^T
-        (reverse mode); the per-sample Jacobians are never materialized.
-        """
+    def ggn_vp(self, params: ParamVector, batch: Batch | Linearization, beta: float,
+               v: np.ndarray) -> np.ndarray:
+        """Generalized Gauss-Newton-vector product (G_B + beta * mask) v on a
+        Batch or on its Linearization at params; the k = 1 case of ggn_mm."""
         v = np.asarray(v, dtype=np.float64)
-        vp = params.with_values(v)
-        wb, acts, pre = self._forward_trace(params, batch.inputs)
-        jv = self._r_forward(wb, acts, pre, vp)[-1]
-
-        if self.arch.loss == "cross_entropy":
-            p = softmax(pre[-1])
-            h_jv = p * jv - p * (p * jv).sum(axis=1, keepdims=True)
-        else:
-            h_jv = 2.0 * jv
-
-        out = self._backprop(wb, acts, pre, h_jv / batch.size)
+        out = self._linearized(params, batch).ggn_mm(v[:, None])[:, 0]
         mask = self.reg_mask(params)
         out[mask] += beta * v[mask]
         return out
 
     def jvp_batch(self, params: ParamVector, inputs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Directional derivative of the logits, grad f(x) . v, for many inputs."""
-        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        vp = params.with_values(np.asarray(v, dtype=np.float64))
-        wb, acts, pre = self._forward_trace(params, x)
-        return self._r_forward(wb, acts, pre, vp)[-1]
+        v = np.asarray(v, dtype=np.float64)
+        return self.linearize(params, inputs).jvp_mm(v[:, None])[0]
 
     def jacobian_vp(self, params: ParamVector, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """grad f(x) . v for a single input, via forward-mode differentiation."""

@@ -23,9 +23,10 @@ CURVATURE_KINDS = ("hessian", "ggn", "kfac")
 class CurvatureOperator:
     """Matrix-free v -> (curvature + beta * mask + delta * I) v.
 
-    Calls are counted in ``matvec_count`` so experiments and tests can verify
-    cost claims. The operator is linear and symmetric; ``kind`` records which
-    curvature proxy backs it.
+    ``matvec`` takes one vector and ``matmat`` a (dim, k) block. Every column
+    counts as one matvec in ``matvec_count``, so experiments and tests can
+    verify cost claims either way. The operator is linear and symmetric;
+    ``kind`` records which curvature proxy backs it.
     """
 
     def __init__(
@@ -37,6 +38,8 @@ class CurvatureOperator:
         delta: float = 0.0,
         mask: np.ndarray | None = None,
         batch_id=None,
+        *,
+        raw_matmat: Callable[[np.ndarray], np.ndarray],
     ):
         if kind not in CURVATURE_KINDS:
             raise ValidationError(f"unknown curvature kind {kind!r}")
@@ -49,6 +52,7 @@ class CurvatureOperator:
         self.mask = np.ones(dim, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         self.batch_id = batch_id
         self._raw_matvec = raw_matvec
+        self._raw_matmat = raw_matmat
         self.matvec_count = 0
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -56,24 +60,37 @@ class CurvatureOperator:
         if v.shape != (self.dim,):
             raise ValidationError(f"vector shape {v.shape} != ({self.dim},)")
         self.matvec_count += 1
-        out = self._raw_matvec(v)
+        return self._shifted(self._raw_matvec(v), v, self.mask)
+
+    __call__ = matvec
+
+    def matmat(self, vs: np.ndarray) -> np.ndarray:
+        """The operator applied to every column of a (dim, k) block."""
+        vs = np.asarray(vs, dtype=np.float64)
+        if vs.ndim != 2 or vs.shape[0] != self.dim or vs.shape[1] < 1:
+            raise ValidationError(f"block shape {vs.shape} != ({self.dim}, k >= 1)")
+        self.matvec_count += vs.shape[1]
+        return self._shifted(self._raw_matmat(vs), vs, self.mask[:, None])
+
+    def _shifted(self, out: np.ndarray, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
         if self.beta:
-            out = out + self.beta * np.where(self.mask, v, 0.0)
+            out = out + self.beta * np.where(mask, v, 0.0)
         if self.delta:
             out = out + self.delta * v
         return out
-
-    __call__ = matvec
 
     @classmethod
     def from_dense(cls, m: np.ndarray, kind: str = "hessian", beta: float = 0.0,
                    delta: float = 0.0, mask=None, batch_id=None) -> "CurvatureOperator":
         m = np.asarray(m, dtype=np.float64)
-        return cls(kind, m.shape[0], lambda v: m @ v, beta, delta, mask, batch_id)
+        product = lambda v: m @ v
+        return cls(kind, m.shape[0], product, beta, delta, mask, batch_id,
+                   raw_matmat=product)
 
 
 def _kfac_matvec(blocks: list, params: ParamVector) -> Callable[[np.ndarray], np.ndarray]:
-    """Block-diagonal Kronecker product on the weight slices; zero on biases."""
+    """Block-diagonal Kronecker product on the weight slices; zero on biases.
+    The product takes a vector or a (P, k) block."""
     weight_entries = [e for e in params.layout if e.role == "weight"]
     if len(weight_entries) != len(blocks):
         raise ValidationError("K-FAC blocks do not match the layer layout")
@@ -88,6 +105,29 @@ def _kfac_matvec(blocks: list, params: ParamVector) -> Callable[[np.ndarray], np
         return out
 
     return mv
+
+
+def _curvature_products(mlp: Mlp, theta0: ParamVector, kind: str, parts: list):
+    """Matvec and matmat of the hessian or ggn curvature, summed over
+    (weight, part) pairs. A part is a Linearization at theta0, reused by
+    every call, or a Batch, linearized afresh on every call so that no trace
+    outlives it."""
+    vector_product = "hvp" if kind == "hessian" else "ggn_vp"
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+        for w, part in parts:
+            out += w * getattr(mlp, vector_product)(theta0, part, 0.0, v)
+        return out
+
+    def matmat(vs: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(vs)
+        for w, part in parts:
+            lin = mlp._linearized(theta0, part)
+            out += w * (lin.hvp_mm(vs) if kind == "hessian" else lin.ggn_mm(vs))
+        return out
+
+    return matvec, matmat
 
 
 @dataclass
@@ -120,24 +160,25 @@ def build_quadratic(
 ) -> QuadraticModel:
     """Quadratic model of the regularized loss on one mini-batch.
 
-    The curvature matvec delegates to the model module; for kind="kfac" the
-    Kronecker factors are computed once here and reused by every matvec.
+    The batch is linearized once here; for kind="hessian"/"ggn" every
+    curvature product reuses that trace, and for kind="kfac" the Kronecker
+    factors are computed once here and reused by every product.
     """
     if kind not in CURVATURE_KINDS:
         raise ValidationError(f"unknown curvature kind {kind!r}")
-    loss, grad = mlp.loss_and_grad(theta0, batch, beta)
+    lin = mlp.linearize(theta0, batch.inputs, batch.targets)
+    loss, grad = mlp.loss_and_grad(theta0, lin, beta)
     mask = mlp.reg_mask(theta0)
     blocks = None
-    if kind == "hessian":
-        raw = lambda v: mlp.hvp(theta0, batch, 0.0, v)
-    elif kind == "ggn":
-        raw = lambda v: mlp.ggn_vp(theta0, batch, 0.0, v)
-    else:
+    if kind == "kfac":
         blocks = mlp.kfac_factors(theta0, batch, fisher_mode, rng)
         if not blocks:
             raise ValidationError("kfac curvature requires at least one dense layer")
-        raw = _kfac_matvec(blocks, theta0)
-    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id)
+        raw = raw_mm = _kfac_matvec(blocks, theta0)
+    else:
+        raw, raw_mm = _curvature_products(mlp, theta0, kind, [(1.0, lin)])
+    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id,
+                           raw_matmat=raw_mm)
     return QuadraticModel(theta0, loss, grad, op, batch_id, kfac_blocks=blocks)
 
 
@@ -191,6 +232,15 @@ def directional_curvature(q: QuadraticModel, d: np.ndarray) -> float:
     """d . H d along a unit direction; independent of theta."""
     d = check_direction(d)
     return float(d @ q.curvature.matvec(d))
+
+
+def directional_curvatures(q: QuadraticModel, directions: np.ndarray) -> np.ndarray:
+    """d_i . H d_i for every unit column d_i of a (P, k) block, from one
+    block product."""
+    d = np.asarray(directions, dtype=np.float64)
+    for col in d.T:
+        check_direction(col)
+    return np.einsum("ij,ij->j", d, q.curvature.matmat(d))
 
 
 def subspace_eval(
@@ -288,10 +338,11 @@ def fullbatch_quadratic(
 ) -> QuadraticModel:
     """Quadratic model over the whole dataset, accumulated in chunks.
 
-    c and g are sample-weighted averages over the chunks. For hessian/ggn the
-    curvature matvec streams the chunks on every call; for kfac the Kronecker
-    factors are averaged across chunks once (factor-level averaging; note this
-    is not the K-FAC of the union batch).
+    c and g are sample-weighted averages over the chunks. For hessian/ggn every
+    curvature product streams the chunks, linearizing one at a time, and keeps
+    no trace between calls; for kfac the Kronecker factors are averaged across
+    chunks once (factor-level averaging; note this is not the K-FAC of the
+    union batch).
     """
     if data.size == 0:
         raise ValidationError("dataset is empty")
@@ -310,18 +361,8 @@ def fullbatch_quadratic(
     grad[mask] += beta * theta0.values[mask]
 
     blocks = None
-    if kind == "hessian":
-        def raw(v, _chunks=chunks, _w=weights):
-            out = np.zeros_like(v)
-            for wi, ci in zip(_w, _chunks):
-                out += wi * mlp.hvp(theta0, ci, 0.0, v)
-            return out
-    elif kind == "ggn":
-        def raw(v, _chunks=chunks, _w=weights):
-            out = np.zeros_like(v)
-            for wi, ci in zip(_w, _chunks):
-                out += wi * mlp.ggn_vp(theta0, ci, 0.0, v)
-            return out
+    if kind in ("hessian", "ggn"):
+        raw, raw_mm = _curvature_products(mlp, theta0, kind, list(zip(weights, chunks)))
     elif kind == "kfac":
         per_chunk = [
             mlp.kfac_factors(theta0, c, fisher_mode,
@@ -329,9 +370,10 @@ def fullbatch_quadratic(
             for i, c in enumerate(chunks)
         ]
         blocks = average_kfac_blocks(per_chunk, weights)
-        raw = _kfac_matvec(blocks, theta0)
+        raw = raw_mm = _kfac_matvec(blocks, theta0)
     else:
         raise ValidationError(f"unknown curvature kind {kind!r}")
 
-    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id="FULL")
+    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id="FULL",
+                           raw_matmat=raw_mm)
     return QuadraticModel(theta0, loss, grad, op, batch_id="FULL", kfac_blocks=blocks)

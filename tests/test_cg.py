@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadbias.cg import CgConfig, cg_minimize, debiased_cg, newton_step
-from quadbias.errors import ValidationError
+from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng, random_spd
 from quadbias.model import ParamVector
 from quadbias.quadratic import (
@@ -108,6 +108,13 @@ class TestCgMinimize:
         trace = cg_minimize(q, CgConfig(epsilon=1e-12, p_max=5))
         assert trace.n_steps == 0
         assert trace.termination == "tolerance"
+
+    def test_nan_curvature_raises_naming_the_iteration(self):
+        # a NaN curvature passes the floor test; left unchecked it yields
+        # all-NaN iterates labelled max_iter
+        q = synthetic_quadratic(np.diag([np.nan, 1.0, 2.0]), np.ones(3))
+        with pytest.raises(NumericalError, match="iteration 0"):
+            cg_minimize(q, CgConfig(epsilon=1e-12, p_max=5))
 
 
 class TestNewtonStep:
@@ -224,6 +231,15 @@ class TestDebiasedCg:
         assert deb.termination == "negative_curvature"
         assert dir_trace.termination == "negative_curvature"
         assert deb.n_steps == 0
+
+    @pytest.mark.parametrize("mode", ["interleaved", "sequential"])
+    def test_inf_magnitude_curvature_raises_naming_the_iteration(self, mode):
+        # left unchecked, an inf magnitude-batch curvature yields NaN
+        # debiased iterates labelled tolerance
+        q_b = synthetic_quadratic(np.diag([1.0, 2.0, 3.0]), np.ones(3))
+        q_bt = synthetic_quadratic(np.diag([np.inf, 1.0, 1.0]), np.ones(3))
+        with pytest.raises(NumericalError, match="iteration 0"):
+            debiased_cg(q_b, q_bt, 3, CgConfig(epsilon=1e-12, p_max=3), mode=mode)
 
     def test_mismatched_anchor_rejected(self):
         q_b = synthetic_quadratic(np.eye(3), np.ones(3))

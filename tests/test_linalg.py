@@ -192,6 +192,7 @@ class TestKronMatvec:
             e = np.zeros(6)
             e[j] = 1.0
             np.testing.assert_allclose(kron_matvec(ua, ub, e), full[:, j], atol=1e-13)
+        np.testing.assert_allclose(kron_matvec(ua, ub, np.eye(6)), full, atol=1e-13)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -213,3 +214,23 @@ def test_materialize_operator_symmetrizes():
     m = random_symmetric(Rng(6), 7)
     out = materialize_operator(lambda v: m @ v, 7)
     np.testing.assert_allclose(out, m, atol=1e-13)
+
+
+def test_materialize_operator_applies_one_block():
+    from quadbias.quadratic import CurvatureOperator
+
+    m = random_symmetric(Rng(7), 7)
+    blocks = []
+
+    def matmat(vs):
+        blocks.append(vs.shape)
+        return m @ vs
+
+    def matvec(v):
+        raise AssertionError("materialized one column at a time")
+
+    op = CurvatureOperator("hessian", 7, matvec, beta=0.5, raw_matmat=matmat)
+    np.testing.assert_allclose(materialize_operator(op, 7), m + 0.5 * np.eye(7),
+                               atol=1e-13)
+    assert blocks == [(7, 7)]
+    assert op.matvec_count == 7

@@ -5,9 +5,14 @@ import pytest
 
 from quadbias.errors import ValidationError
 from quadbias.linalg import Rng
-from quadbias.model import Batch, Mlp, MlpArchitecture, one_hot, softmax
+from quadbias.model import BLOCK_BUDGET, Batch, Mlp, MlpArchitecture, one_hot, softmax
 
+import curvature_oracle as oracle
 from conftest import small_problem
+
+# Block products sum in other orders than the per-vector loops; allow a few
+# hundred float64 roundings relative to the largest entry.
+ORACLE_TOL = 256 * np.finfo(np.float64).eps
 
 
 def finite_diff_grad(mlp, params, batch, beta, h=1e-5):
@@ -364,6 +369,61 @@ class TestKfacFactors:
         blocks = mlp.kfac_factors(p, batch, "empirical")
         assert [b.layer for b in blocks] == [0, 1, 2]
         assert [(b.m, b.n) for b in blocks] == [(5, 7), (7, 6), (6, 3)]
+
+
+def assert_close_to_oracle(got, want):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= ORACLE_TOL * scale
+
+
+class TestLinearization:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+    @pytest.mark.parametrize("n", [3, 70, 600])
+    def test_block_products_match_per_vector_loops(self, activation, loss, n):
+        # n = 70 runs 7 columns per pass, n = 600 one column per pass
+        arch = MlpArchitecture((5, 7, 6, 3), activation, loss)
+        mlp, p, batch = small_problem(seed=44, n=n, arch=arch)
+        k = 9
+        vs = Rng(45).normal(p.n_params * k).reshape(p.n_params, k)
+        lin = mlp.linearize(p, batch.inputs, batch.targets)
+        assert lin.cols_per_pass == max(1, BLOCK_BUDGET // n)
+        ggn, hess, jvp = lin.ggn_mm(vs), lin.hvp_mm(vs), lin.jvp_mm(vs)
+        assert ggn.shape == hess.shape == (p.n_params, k)
+        assert jvp.shape == (k, n, 3)
+        for j in range(k):
+            v = vs[:, j]
+            assert_close_to_oracle(ggn[:, j], oracle.ggn_vp(mlp, p, batch, v))
+            assert_close_to_oracle(hess[:, j], oracle.hvp(mlp, p, batch, v))
+            assert_close_to_oracle(jvp[j], oracle.jvp(mlp, p, batch.inputs, v))
+        v = vs[:, 0]
+        mask = p.weight_mask
+        assert_close_to_oracle(mlp.ggn_vp(p, batch, 0.2, v),
+                               oracle.ggn_vp(mlp, p, batch, v) + 0.2 * mask * v)
+        assert_close_to_oracle(mlp.hvp(p, lin, 0.2, v),
+                               oracle.hvp(mlp, p, batch, v) + 0.2 * mask * v)
+        assert_close_to_oracle(mlp.jvp_batch(p, batch.inputs, v),
+                               oracle.jvp(mlp, p, batch.inputs, v))
+
+    def test_loss_and_grad_on_linearization_equals_batch(self):
+        mlp, p, batch = small_problem(seed=46)
+        lin = mlp.linearize(p, batch.inputs, batch.targets)
+        loss_b, grad_b = mlp.loss_and_grad(p, batch, 0.1)
+        loss_l, grad_l = mlp.loss_and_grad(p, lin, 0.1)
+        assert loss_b == loss_l
+        np.testing.assert_array_equal(grad_b, grad_l)
+
+    def test_rejects_misuse(self):
+        mlp, p, batch = small_problem(seed=47)
+        lin = mlp.linearize(p, batch.inputs, batch.targets)
+        with pytest.raises(ValidationError):
+            mlp.ggn_vp(p.copy(), lin, 0.0, np.ones(p.n_params))
+        with pytest.raises(ValidationError):
+            lin.ggn_mm(np.ones(p.n_params))
+        with pytest.raises(ValidationError):
+            mlp.linearize(p, batch.inputs).hvp_mm(np.ones((p.n_params, 2)))
+        with pytest.raises(ValidationError):
+            mlp.linearize(p, np.ones((2, 4)))
 
 
 class TestBatchValidation:

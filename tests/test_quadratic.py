@@ -3,14 +3,17 @@ evaluation, chunked full-batch accumulation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadbias.errors import ValidationError
 from quadbias.linalg import Rng, random_spd
-from quadbias.model import Batch, ParamVector
+from quadbias.model import Batch, MlpArchitecture, ParamVector
 from quadbias.quadratic import (
     CurvatureOperator,
     build_quadratic,
     directional_curvature,
+    directional_curvatures,
     directional_slope,
     fullbatch_quadratic,
     grad_at,
@@ -20,6 +23,11 @@ from quadbias.quadratic import (
 )
 
 from conftest import small_problem
+
+
+# Block and single-vector products may sum in different orders; allow a few
+# hundred float64 roundings relative to the column's largest entry.
+BLOCK_TOL = 256 * np.finfo(np.float64).eps
 
 
 def unit(v):
@@ -82,6 +90,57 @@ class TestCurvatureOperator:
         op.matvec(np.ones(3))
         op.matvec(np.ones(3))
         assert op.matvec_count == 2
+        op.matmat(np.ones((3, 4)))  # a block counts one matvec per column
+        assert op.matvec_count == 6
+        with pytest.raises(ValidationError):
+            op.matmat(np.ones((3, 0)))
+        with pytest.raises(ValidationError):
+            op.matmat(np.ones(3))
+        assert op.matvec_count == 6
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["hessian", "ggn", "kfac", "dense",
+                              "full-hessian", "full-ggn", "full-kfac"]),
+        activation=st.sampled_from(["relu", "tanh"]),
+        loss=st.sampled_from(["cross_entropy", "mse"]),
+        n=st.integers(1, 300),
+        chunk=st.integers(1, 300),
+        k=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matmat_columns_equal_matvec(self, kind, activation, loss, n, chunk, k, seed):
+        # n up to 300 rows runs blocks in passes of 1 to 9 columns; chunk
+        # sizes that do not divide n leave a ragged last chunk
+        arch = MlpArchitecture((5, 8, 4), activation, loss)
+        mlp, p, batch = small_problem(seed=seed, n=n, arch=arch)
+        if kind == "dense":
+            h = random_spd(Rng(seed), p.n_params)
+            q = synthetic_quadratic(h, np.zeros(p.n_params))
+        elif kind.startswith("full-"):
+            q = fullbatch_quadratic(mlp, p, batch, kind[5:], beta=0.1, delta=0.01,
+                                    chunk_size=chunk, fisher_mode="empirical")
+        else:
+            q = build_quadratic(mlp, p, batch, kind, beta=0.1, delta=0.01,
+                                fisher_mode="empirical")
+        vs = Rng(seed + 1).normal(p.n_params * k).reshape(p.n_params, k)
+        block = q.curvature.matmat(vs)
+        assert block.shape == (p.n_params, k)
+        for j in range(k):
+            col = q.curvature.matvec(vs[:, j])
+            scale = max(1.0, float(np.max(np.abs(col))))
+            assert np.max(np.abs(block[:, j] - col)) <= BLOCK_TOL * scale
+        assert q.curvature.matvec_count == 2 * k
+
+    def test_directional_curvatures_match_single_directions(self, toy_quadratic):
+        _, p, _, q = toy_quadratic
+        d = np.linalg.qr(Rng(72).normal(p.n_params * 5).reshape(p.n_params, 5))[0]
+        curvs = directional_curvatures(q, d)
+        for j in range(5):
+            single = directional_curvature(q, d[:, j])
+            assert abs(curvs[j] - single) <= BLOCK_TOL * max(1.0, abs(single))
+        with pytest.raises(ValidationError):
+            directional_curvatures(q, 2.0 * d)
 
     def test_positive_definite_on_masked_subspace(self):
         mlp, p, batch = small_problem(seed=54)
