@@ -8,7 +8,6 @@ from .linalg import (
     EigenDecomposition,
     Rng,
     kron_matvec,
-    standard_normal,
     sym_eigh,
     top_k_eigenpairs,
 )

@@ -29,22 +29,17 @@ TERMINATIONS = ("max_iter", "tolerance", "negative_curvature")
 
 @dataclass(frozen=True)
 class CgConfig:
-    """Residual tolerance and iteration cap. The negative-curvature policy is
-    fixed: terminate and return the last iterate."""
+    """Residual tolerance and iteration cap. On non-positive curvature CG
+    terminates and returns the last iterate."""
 
     epsilon: float = 1e-10
     p_max: int = 100
-    negcurv_policy: str = "terminate_return_last"
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.p_max < 1:
             raise ValidationError(f"p_max must be >= 1, got {self.p_max}")
-        if self.negcurv_policy != "terminate_return_last":
-            raise ValidationError(
-                f"unsupported negcurv_policy {self.negcurv_policy!r}"
-            )
 
 
 def _check_finite(solver: str, p: int, **values: float) -> None:
@@ -83,204 +78,101 @@ def cg_minimize(q: QuadraticModel, config: CgConfig) -> CgTrace:
     ||r_p|| <= epsilon, or on a direction of non-positive curvature (the last
     iterate is returned in that case).
     """
-    theta = q.theta0.values.copy()
-
-    r = q.gradient.copy()  # r_p = grad q(theta_p); r_0 = g at the anchor
-    s = -r
-    iterates = [theta.copy()]
-    directions = []
-    magnitudes = []
-    residual_norms = [float(np.linalg.norm(r))]
-    betas = []
-    termination = "max_iter"
-
-    for p in range(config.p_max + 1):
-        if residual_norms[-1] <= config.epsilon:
-            termination = "tolerance"
-            break
-        if p == config.p_max:
-            termination = "max_iter"
-            break
-
-        s_norm = float(np.linalg.norm(s))
-        if s_norm == 0.0:
-            termination = "tolerance"
-            break
-        d = s / s_norm
-        t = q.curvature.matvec(d)
-        curv = float(d @ t)
-        slope = float(d @ r)
-        _check_finite("cg_minimize", p, curvature=curv, slope=slope)
-        if curv <= CURVATURE_FLOOR:
-            termination = "negative_curvature"
-            break
-        tau = -slope / curv
-        _check_finite("cg_minimize", p, step=tau)
-
-        theta = theta + tau * d  # keeps the reconstruction identity exact
-        iterates.append(theta.copy())
-        directions.append(d)
-        magnitudes.append(tau)
-
-        r_new = r + tau * t
-        beta = float(r_new @ r_new) / float(r @ r)
-        betas.append(beta)
-        s = -r_new + beta * s
-        r = r_new
-        residual_norms.append(float(np.linalg.norm(r)))
-
-    return CgTrace(iterates, directions, magnitudes, residual_norms, betas, termination)
+    return _cg(q, config)[0]
 
 
-def debiased_cg(
-    q_b: QuadraticModel,
-    q_bt: QuadraticModel,
-    k: int,
-    config: CgConfig,
-    mode: str = "interleaved",
-):
+def debiased_cg(q_b: QuadraticModel, q_bt: QuadraticModel, k: int, config: CgConfig):
     """Two-batch CG: directions from q_b, update magnitudes from q_bt.
 
-    Process (i) runs CG on q_b and collects up to k normalized directions;
-    process (ii) rebuilds the trajectory with magnitudes
-    tau~_p = -slope/curvature measured on q_bt. The numerator gradient is
-    maintained by the recursion grad~_{p+1} = grad~_p + tau~_p H~ d_p, so each
+    Runs at most k CG iterations on q_b and returns (direction trace,
+    debiased trace). The debiased trace takes the same normalized directions
+    with magnitudes tau~_p = -slope/curvature measured on q_bt; its gradient
+    follows the recursion grad~_{p+1} = grad~_p + tau~_p H~ d_p, so each
     iteration costs exactly one matvec on each batch. A non-positive q_bt
-    directional curvature stops both processes with negative_curvature
-    (in sequential mode the direction trace is already complete and is
-    returned in full).
+    directional curvature stops both traces with negative_curvature.
     """
-    if mode not in ("interleaved", "sequential"):
-        raise ValidationError(f"unknown mode {mode!r}")
     if q_b.dim != q_bt.dim:
         raise ValidationError("quadratics live in different dimensions")
     if not np.array_equal(q_b.theta0.values, q_bt.theta0.values):
         raise ValidationError("quadratics must share the anchor point")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-
     dir_config = CgConfig(epsilon=config.epsilon, p_max=min(k, config.p_max))
-
-    if mode == "sequential":
-        dir_trace = cg_minimize(q_b, dir_config)
-        deb_trace = _rebuild_magnitudes(q_bt, dir_trace)
-        return dir_trace, deb_trace
-    return _interleaved(q_b, q_bt, dir_config)
+    return _cg(q_b, dir_config, q_bt)
 
 
-def _rebuild_magnitudes(q_bt: QuadraticModel, dir_trace: CgTrace) -> CgTrace:
-    theta0 = q_bt.theta0.values
-    theta = theta0.copy()
-    grad = q_bt.gradient.copy()
-    iterates = [theta.copy()]
-    magnitudes = []
-    residual_norms = [float(np.linalg.norm(grad))]
-    termination = dir_trace.termination
-    directions = []
+def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None):
+    """The CG recursion on q; returns (trace, magnitude trace or None).
 
-    for p, d in enumerate(dir_trace.directions):
-        h_d = q_bt.curvature.matvec(d)
-        curv = float(d @ h_d)
-        slope = float(d @ grad)
-        _check_finite("debiased_cg", p, curvature=curv, slope=slope)
-        if curv <= CURVATURE_FLOOR:
-            termination = "negative_curvature"
-            break
-        tau = -slope / curv
-        _check_finite("debiased_cg", p, step=tau)
-        theta = theta + tau * d
-        grad = grad + tau * h_d
-        iterates.append(theta.copy())
-        directions.append(d)
-        magnitudes.append(tau)
-        residual_norms.append(float(np.linalg.norm(grad)))
-
-    return CgTrace(iterates, directions, magnitudes, residual_norms, [], termination)
-
-
-def _interleaved(q_b: QuadraticModel, q_bt: QuadraticModel, config: CgConfig):
-    theta = q_b.theta0.values.copy()
-    r = q_b.gradient.copy()
+    With q_mag, every direction is also stepped along with the magnitude
+    measured on q_mag (one more matvec per iteration), and that trajectory
+    is the second trace; both share the directions and the termination.
+    """
+    solver = "cg_minimize" if q_mag is None else "debiased_cg"
+    theta = q.theta0.values.copy()
+    r = q.gradient.copy()  # r_p = grad q(theta_p); r_0 = g at the anchor
     s = -r
-
-    dir_iterates = [theta.copy()]
-    dir_directions = []
-    dir_magnitudes = []
-    dir_residuals = [float(np.linalg.norm(r))]
-    dir_betas = []
-
-    deb_theta = theta.copy()
-    deb_grad = q_bt.gradient.copy()
-    deb_iterates = [theta.copy()]
-    deb_magnitudes = []
-    deb_residuals = [float(np.linalg.norm(deb_grad))]
-
-    termination = "max_iter"
-    deb_termination = None
+    trace = CgTrace([theta.copy()], [], [], [float(np.linalg.norm(r))], [], "max_iter")
+    if q_mag is not None:
+        mag_theta = theta.copy()
+        mag_grad = q_mag.gradient.copy()
+        mag = CgTrace([theta.copy()], [], [], [float(np.linalg.norm(mag_grad))], [],
+                      "max_iter")
 
     for p in range(config.p_max + 1):
-        if dir_residuals[-1] <= config.epsilon:
-            termination = "tolerance"
+        if trace.residual_norms[-1] <= config.epsilon:
+            trace.termination = "tolerance"
             break
         if p == config.p_max:
-            termination = "max_iter"
             break
         s_norm = float(np.linalg.norm(s))
         if s_norm == 0.0:
-            termination = "tolerance"
+            trace.termination = "tolerance"
             break
         d = s / s_norm
-        t = q_b.curvature.matvec(d)
+        t = q.curvature.matvec(d)
         curv = float(d @ t)
         slope = float(d @ r)
-        _check_finite("debiased_cg", p, curvature=curv, slope=slope)
+        _check_finite(solver, p, curvature=curv, slope=slope)
         if curv <= CURVATURE_FLOOR:
-            termination = "negative_curvature"
+            trace.termination = "negative_curvature"
             break
-
-        # debiased magnitude on the second batch, one matvec
-        h_d = q_bt.curvature.matvec(d)
-        deb_curv = float(d @ h_d)
-        deb_slope = float(d @ deb_grad)
-        _check_finite("debiased_cg", p, magnitude_curvature=deb_curv,
-                      magnitude_slope=deb_slope)
-        if deb_curv <= CURVATURE_FLOOR:
-            termination = "negative_curvature"
-            deb_termination = "negative_curvature"
-            break
-
         tau = -slope / curv
-        deb_tau = -deb_slope / deb_curv
-        _check_finite("debiased_cg", p, step=tau, magnitude_step=deb_tau)
-        theta = theta + tau * d
-        dir_iterates.append(theta.copy())
-        dir_directions.append(d)
-        dir_magnitudes.append(tau)
+        _check_finite(solver, p, step=tau)
+
+        if q_mag is not None:
+            h_d = q_mag.curvature.matvec(d)
+            mag_curv = float(d @ h_d)
+            mag_slope = float(d @ mag_grad)
+            _check_finite(solver, p, magnitude_curvature=mag_curv,
+                          magnitude_slope=mag_slope)
+            if mag_curv <= CURVATURE_FLOOR:
+                trace.termination = "negative_curvature"
+                break
+            mag_tau = -mag_slope / mag_curv
+            _check_finite(solver, p, magnitude_step=mag_tau)
+            mag_theta = mag_theta + mag_tau * d
+            mag_grad = mag_grad + mag_tau * h_d
+            mag.iterates.append(mag_theta.copy())
+            mag.magnitudes.append(mag_tau)
+            mag.residual_norms.append(float(np.linalg.norm(mag_grad)))
+
+        theta = theta + tau * d  # keeps the reconstruction identity exact
+        trace.iterates.append(theta.copy())
+        trace.directions.append(d)
+        trace.magnitudes.append(tau)
         r_new = r + tau * t
         beta = float(r_new @ r_new) / float(r @ r)
-        dir_betas.append(beta)
+        trace.cg_betas.append(beta)
         s = -r_new + beta * s
         r = r_new
-        dir_residuals.append(float(np.linalg.norm(r)))
+        trace.residual_norms.append(float(np.linalg.norm(r)))
 
-        deb_theta = deb_theta + deb_tau * d
-        deb_grad = deb_grad + deb_tau * h_d
-        deb_iterates.append(deb_theta.copy())
-        deb_magnitudes.append(deb_tau)
-        deb_residuals.append(float(np.linalg.norm(deb_grad)))
-
-    dir_trace = CgTrace(
-        dir_iterates, dir_directions, dir_magnitudes, dir_residuals, dir_betas, termination
-    )
-    deb_trace = CgTrace(
-        deb_iterates,
-        list(dir_directions[: len(deb_magnitudes)]),
-        deb_magnitudes,
-        deb_residuals,
-        [],
-        deb_termination or termination,
-    )
-    return dir_trace, deb_trace
+    if q_mag is None:
+        return trace, None
+    mag.directions = list(trace.directions)
+    mag.termination = trace.termination
+    return trace, mag
 
 
 def newton_step(q: QuadraticModel, config: CgConfig):

@@ -12,8 +12,14 @@ import sys
 from pathlib import Path
 
 from ..errors import NumericalError, ValidationError
-from .config import load_experiment_config, read_config_file, config_digest
-from .datasets import DatasetSpec, generate_dataset, save_csv
+from .config import (
+    config_digest,
+    load_experiment_config,
+    parse_dataset_spec,
+    read_config_file,
+    with_seed_override,
+)
+from .datasets import generate_dataset, save_csv
 from .experiments import run_experiment
 from .reports import verify_result_dir, write_summary
 from .training import save_checkpoint, train
@@ -58,23 +64,9 @@ def _require_config(args) -> Path:
 
 
 def _cmd_gen_data(args) -> None:
-    sections = read_config_file(_require_config(args))
-    if args.seed_override is not None:
-        sections.setdefault("dataset", {})["seed"] = str(args.seed_override)
-    ds = sections.get("dataset", {})
-    spec = DatasetSpec(
-        generator=ds.get("generator", "gaussian_blobs"),
-        n=int(ds.get("n", 1024)),
-        d=int(ds.get("dim", 2)),
-        c=int(ds.get("classes", 2)),
-        noise=float(ds.get("noise", 0.5)),
-        seed=int(ds.get("seed", 0)),
-        train_frac=float(ds.get("train_frac", 0.8)),
-        ood_translation=float(ds.get("ood_translation", 0.0)),
-        ood_noise_mult=float(ds.get("ood_noise_mult", 1.0)),
-        path=ds.get("path"),
-    )
-    dataset = generate_dataset(spec)
+    sections = with_seed_override(read_config_file(_require_config(args)),
+                                  args.seed_override)
+    dataset = generate_dataset(parse_dataset_spec(sections))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(args.out_dir / "train.csv", dataset.train_inputs, dataset.train_labels)
     save_csv(args.out_dir / "test.csv", dataset.test_inputs, dataset.test_labels)

@@ -119,14 +119,19 @@ class ExperimentConfig:
             raise ValidationError(f"unknown curvature {self.curvature!r}")
 
 
-def parse_experiment_config(sections: dict, seed_override: int | None = None) -> ExperimentConfig:
-    if seed_override is not None:
-        sections = {s: dict(kv) for s, kv in sections.items()}
-        sections.setdefault("dataset", {})["seed"] = str(seed_override)
-    digest = config_digest(sections)
+def with_seed_override(sections: dict, seed_override: int | None) -> dict:
+    """The sections with the dataset seed replaced (a copy), or unchanged."""
+    if seed_override is None:
+        return sections
+    sections = {s: dict(kv) for s, kv in sections.items()}
+    sections.setdefault("dataset", {})["seed"] = str(seed_override)
+    return sections
 
+
+def parse_dataset_spec(sections: dict) -> DatasetSpec:
+    """Typed view of the [dataset] section."""
     ds = sections.get("dataset", {})
-    dataset = DatasetSpec(
+    return DatasetSpec(
         generator=_get(ds, "generator", str, "gaussian_blobs"),
         n=_get(ds, "n", int, 1024),
         d=_get(ds, "dim", int, 2),
@@ -138,6 +143,11 @@ def parse_experiment_config(sections: dict, seed_override: int | None = None) ->
         ood_noise_mult=_get(ds, "ood_noise_mult", float, 1.0),
         path=_get(ds, "path", str, None),
     )
+
+
+def parse_experiment_config(sections: dict, seed_override: int | None = None) -> ExperimentConfig:
+    sections = with_seed_override(sections, seed_override)
+    dataset = parse_dataset_spec(sections)
 
     md = sections.get("model", {})
     arch = MlpArchitecture(
@@ -184,7 +194,7 @@ def parse_experiment_config(sections: dict, seed_override: int | None = None) ->
         widths=_get(ex, "widths", _int_list, (8, 32, 128)),
         chunk_size=_get(ex, "chunk_size", int, 512),
         sections=sections,
-        digest=digest,
+        digest=config_digest(sections),
     )
 
 

@@ -87,10 +87,13 @@ def _scan_at(cfg, dataset, mlp, theta, batch_size, seed):
 
 
 def _summary_rows(reports, batch_size, seed, n_params, epoch=None, width=None):
+    """CSV rows of the slope and curvature summaries, and the median of the
+    curvature relative errors pooled over the source batches."""
     rows = []
     for quantity in ("slope", "curvature"):
-        for summ in bias_summary(reports, quantity, batch_size=batch_size,
-                                 n_params=n_params, epoch=epoch):
+        summaries = bias_summary(reports, quantity, batch_size=batch_size,
+                                 n_params=n_params, epoch=epoch)
+        for summ in summaries:
             rows.append([
                 batch_size, seed,
                 epoch if epoch is not None else "",
@@ -98,7 +101,9 @@ def _summary_rows(reports, batch_size, seed, n_params, epoch=None, width=None):
                 n_params, summ.source_batch, quantity,
                 summ.mean, summ.p25, summ.median, summ.p75, summ.n_excluded,
             ])
-    return rows
+    # summaries holds the loop's last quantity, the curvature
+    errs = np.concatenate([summ.relative_errors for summ in summaries])
+    return rows, float(np.median(errs)) if errs.size else float("nan")
 
 
 _SUMMARY_HEADER = [
@@ -123,7 +128,9 @@ def _run_bias_scan(cfg: ExperimentConfig, out_dir: Path) -> dict:
                     out_dir / f"scan_b{batch_size}_s{seed}_m{rep.source_batch}.csv",
                     SCAN_HEADER, scan_rows(rep), cfg.digest,
                 )
-            summary_rows.extend(_summary_rows(reports, batch_size, seed, n_params))
+            rows, medians[(batch_size, seed)] = _summary_rows(reports, batch_size,
+                                                              seed, n_params)
+            summary_rows.extend(rows)
 
             # same-batch top-eigendirection curvature vs the full-batch value
             ratios = [
@@ -134,12 +141,6 @@ def _run_bias_scan(cfg: ExperimentConfig, out_dir: Path) -> dict:
                 "overestimated_fraction": float(np.mean([r > 1.0 for r in ratios])),
                 "median_ratio": float(np.median(ratios)),
             }
-            errs = np.concatenate([
-                np.abs(rep.curvatures[:, rep.source_column()] - rep.full_curvatures)
-                / np.abs(rep.full_curvatures)
-                for rep in reports
-            ])
-            medians[(batch_size, seed)] = float(np.median(errs))
 
     write_csv(out_dir / "bias_summary.csv", _SUMMARY_HEADER, summary_rows, cfg.digest)
 
@@ -334,12 +335,10 @@ def _predictive_metrics(mlp, post_or_params, dataset, cfg, map_mode=False,
         else:
             ood_probs = predictive(post_or_params, mlp, dataset.ood_inputs,
                                    PredictiveConfig(cfg.mc_samples, pred_seed))
-        ent = [predictive_entropy(row) for row in np.vstack([probs, ood_probs])]
+        ent = predictive_entropy(np.vstack([probs, ood_probs]))
         labels = [False] * probs.shape[0] + [True] * ood_probs.shape[0]
         out["auroc"] = auroc(ent, labels)
-        out["mean_ood_entropy"] = float(
-            np.mean([predictive_entropy(r) for r in ood_probs])
-        )
+        out["mean_ood_entropy"] = float(np.mean(ent[probs.shape[0]:]))
     return out
 
 
@@ -436,14 +435,10 @@ def _run_bias_over_training(cfg: ExperimentConfig, out_dir: Path) -> dict:
     medians = []
     for ckpt in checkpoints:
         reports = _scan_at(cfg, dataset, mlp, ckpt.params, batch_size, seed)
-        rows.extend(_summary_rows(reports, batch_size, seed,
-                                  ckpt.params.n_params, epoch=ckpt.epoch))
-        errs = np.concatenate([
-            s.relative_errors
-            for s in bias_summary(reports, "curvature", batch_size=batch_size,
-                                  epoch=ckpt.epoch)
-        ])
-        medians.append((ckpt.epoch, float(np.median(errs)) if errs.size else float("nan")))
+        ckpt_rows, median = _summary_rows(reports, batch_size, seed,
+                                          ckpt.params.n_params, epoch=ckpt.epoch)
+        rows.extend(ckpt_rows)
+        medians.append((ckpt.epoch, median))
 
     write_csv(out_dir / "bias_over_training.csv", _SUMMARY_HEADER, rows, cfg.digest)
     write_svg_lines(
@@ -480,15 +475,10 @@ def _run_size_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
         mlp = Mlp(arch)
         theta = checkpoints[-1].params
         reports = _scan_at(cfg, dataset, mlp, theta, batch_size, seed)
-        rows.extend(_summary_rows(reports, batch_size, seed, theta.n_params,
-                                  width=width))
-        errs = np.concatenate([
-            s.relative_errors
-            for s in bias_summary(reports, "curvature", batch_size=batch_size,
-                                  n_params=theta.n_params)
-        ])
-        medians.append((width, theta.n_params,
-                        float(np.median(errs)) if errs.size else float("nan")))
+        width_rows, median = _summary_rows(reports, batch_size, seed, theta.n_params,
+                                           width=width)
+        rows.extend(width_rows)
+        medians.append((width, theta.n_params, median))
 
     write_csv(out_dir / "size_sweep.csv", _SUMMARY_HEADER, rows, cfg.digest)
     write_svg_lines(

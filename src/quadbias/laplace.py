@@ -1,6 +1,7 @@
 """Kronecker-factored Laplace posterior: construction, sampling, debiasing,
-full-dataset factor accumulation, and the Monte-Carlo predictive through the
-linearized network.
+and the Monte-Carlo predictive through the linearized network. The
+full-dataset factors come from ``accumulate_kfac``, shared with the
+full-batch K-FAC quadratic.
 
 The posterior covariance per layer block is N^-1 (A otimes B + beta I)^-1 and
 is never materialized: the factor eigendecompositions A = U_A S_A U_A^T,
@@ -18,8 +19,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import DenseSymMatrix, EigenDecomposition, Rng, kron_matvec, sym_eigh
-from .model import Batch, KfacBlock, Mlp, ParamVector
-from .quadratic import average_kfac_blocks, iter_chunks
+from .model import KfacBlock, Mlp, ParamVector
+from .quadratic import accumulate_kfac  # re-exported: the K-FAC of a whole dataset
 
 logger = logging.getLogger(__name__)
 
@@ -153,28 +154,6 @@ def debias_kfac(blocks_b: list, blocks_bt: list) -> list:
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
-
-
-def accumulate_kfac(
-    mlp: Mlp,
-    theta_star: ParamVector,
-    data: Batch,
-    fisher_mode: str = "mc_sample",
-    rng: Rng | None = None,
-    chunk_size: int = 512,
-) -> list:
-    """Sample-count-weighted average of per-chunk Kronecker factors over the
-    whole dataset (the full-batch K-FAC stand-in)."""
-    if data.size == 0:
-        raise ValidationError("dataset is empty")
-    chunks = list(iter_chunks(data, chunk_size))
-    weights = [c.size / data.size for c in chunks]
-    per_chunk = [
-        mlp.kfac_factors(theta_star, c, fisher_mode,
-                         rng.split(i) if rng is not None else None)
-        for i, c in enumerate(chunks)
-    ]
-    return average_kfac_blocks(per_chunk, weights)
 
 
 @dataclass(frozen=True)

@@ -107,11 +107,6 @@ class Rng:
         return rng
 
 
-def standard_normal(rng: Rng, n: int) -> np.ndarray:
-    """n i.i.d. standard normal draws; deterministic given seed and call order."""
-    return rng.normal(n)
-
-
 @dataclass(frozen=True)
 class DenseSymMatrix:
     """Explicit symmetric matrix used for oracle checks and K-FAC factors."""

@@ -99,8 +99,9 @@ def auroc(scores, is_positive) -> float:
     return u / (n_pos * n_neg)
 
 
-def predictive_entropy(row: np.ndarray) -> float:
-    """Entropy -sum p ln p of one probability row, with 0 ln 0 = 0."""
-    p = np.asarray(row, dtype=np.float64)
-    nz = p > 0.0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
+def predictive_entropy(probs: np.ndarray):
+    """Entropy -sum p ln p over the last axis, with 0 ln 0 = 0: a float for
+    one probability row, an array of n values for an (n, C) array."""
+    p = np.asarray(probs, dtype=np.float64)
+    ent = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
+    return float(ent) if ent.ndim == 0 else ent

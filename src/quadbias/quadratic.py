@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import Rng, kron_matvec
+from .linalg import DenseSymMatrix, Rng, kron_matvec
 from .model import Batch, KfacBlock, Mlp, ParamVector
 
 CURVATURE_KINDS = ("hessian", "ggn", "kfac")
@@ -310,17 +310,31 @@ def iter_chunks(data: Batch, chunk_size: int):
         )
 
 
-def average_kfac_blocks(block_lists: list, weights: list) -> list:
-    """Sample-count-weighted average of per-chunk Kronecker factors."""
-    from .linalg import DenseSymMatrix
-
-    n_layers = len(block_lists[0])
+def accumulate_kfac(
+    mlp: Mlp,
+    theta_star: ParamVector,
+    data: Batch,
+    fisher_mode: str = "mc_sample",
+    rng: Rng | None = None,
+    chunk_size: int = 512,
+) -> list:
+    """Sample-count-weighted average of per-chunk Kronecker factors over the
+    whole dataset, the full-batch K-FAC stand-in (factor-level averaging; not
+    the K-FAC of the union batch). Chunk i samples from ``rng.split(i)``."""
+    if data.size == 0:
+        raise ValidationError("dataset is empty")
+    chunks = list(iter_chunks(data, chunk_size))
+    weights = [c.size / data.size for c in chunks]
+    per_chunk = [
+        mlp.kfac_factors(theta_star, c, fisher_mode,
+                         rng.split(i) if rng is not None else None)
+        for i, c in enumerate(chunks)
+    ]
     out = []
-    for l in range(n_layers):
-        a = sum(w * bl[l].factor_a.entries for w, bl in zip(weights, block_lists))
-        b = sum(w * bl[l].factor_b.entries for w, bl in zip(weights, block_lists))
-        out.append(KfacBlock(layer=block_lists[0][l].layer,
-                             factor_a=DenseSymMatrix(a),
+    for l, blk in enumerate(per_chunk[0]):
+        a = sum(w * bl[l].factor_a.entries for w, bl in zip(weights, per_chunk))
+        b = sum(w * bl[l].factor_b.entries for w, bl in zip(weights, per_chunk))
+        out.append(KfacBlock(layer=blk.layer, factor_a=DenseSymMatrix(a),
                              factor_b=DenseSymMatrix(b)))
     return out
 
@@ -341,8 +355,7 @@ def fullbatch_quadratic(
     c and g are sample-weighted averages over the chunks. For hessian/ggn every
     curvature product streams the chunks, linearizing one at a time, and keeps
     no trace between calls; for kfac the Kronecker factors are averaged across
-    chunks once (factor-level averaging; note this is not the K-FAC of the
-    union batch).
+    chunks once by ``accumulate_kfac``.
     """
     if data.size == 0:
         raise ValidationError("dataset is empty")
@@ -364,12 +377,7 @@ def fullbatch_quadratic(
     if kind in ("hessian", "ggn"):
         raw, raw_mm = _curvature_products(mlp, theta0, kind, list(zip(weights, chunks)))
     elif kind == "kfac":
-        per_chunk = [
-            mlp.kfac_factors(theta0, c, fisher_mode,
-                             rng.split(i) if rng is not None else None)
-            for i, c in enumerate(chunks)
-        ]
-        blocks = average_kfac_blocks(per_chunk, weights)
+        blocks = accumulate_kfac(mlp, theta0, data, fisher_mode, rng, chunk_size)
         raw = raw_mm = _kfac_matvec(blocks, theta0)
     else:
         raise ValidationError(f"unknown curvature kind {kind!r}")

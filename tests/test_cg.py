@@ -15,6 +15,7 @@ from quadbias.quadratic import (
     value_at,
 )
 
+from cg_oracle import sequential_debiased_cg
 from conftest import small_problem
 
 
@@ -156,11 +157,10 @@ class TestDebiasedCg:
         )
         return q_b, q_bt
 
-    @pytest.mark.parametrize("mode", ["interleaved", "sequential"])
-    def test_same_batch_congruent_bitwise(self, mode):
+    def test_same_batch_congruent_bitwise(self):
         q_b, q_bt = self._model_quadratic_pair(same=True)
         cfg = CgConfig(epsilon=1e-12, p_max=25)
-        dir_trace, deb_trace = debiased_cg(q_b, q_bt, 25, cfg, mode=mode)
+        dir_trace, deb_trace = debiased_cg(q_b, q_bt, 25, cfg)
         assert deb_trace.termination == dir_trace.termination
         assert len(deb_trace.iterates) == len(dir_trace.iterates)
         for a, b in zip(dir_trace.iterates, deb_trace.iterates):
@@ -214,12 +214,23 @@ class TestDebiasedCg:
         assert total == 2 * deb.n_steps
 
     def test_interleaved_equals_sequential(self):
+        # the one loop against the two-pass reference: CG on q_b first, then
+        # its directions replayed with magnitudes measured on q_bt
         q_b, q_bt = self._model_quadratic_pair()
         cfg = CgConfig(epsilon=1e-14, p_max=15)
-        _, deb_i = debiased_cg(q_b, q_bt, 15, cfg, mode="interleaved")
-        _, deb_s = debiased_cg(q_b, q_bt, 15, cfg, mode="sequential")
-        for a, b in zip(deb_i.iterates, deb_s.iterates):
-            np.testing.assert_array_equal(a, b)
+        for k in (1, 6, 15):
+            dir_trace, deb = debiased_cg(q_b, q_bt, k, cfg)
+            ref_dir, ref_deb = sequential_debiased_cg(q_b, q_bt, k, cfg)
+            for got, ref in ((dir_trace, ref_dir), (deb, ref_deb)):
+                assert got.termination == ref.termination
+                assert len(got.iterates) == len(ref.iterates) == k + 1
+                for a, b in zip(got.iterates, ref.iterates):
+                    np.testing.assert_array_equal(a, b)
+                for a, b in zip(got.directions, ref.directions):
+                    np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(got.magnitudes, ref.magnitudes)
+                np.testing.assert_array_equal(got.residual_norms, ref.residual_norms)
+            np.testing.assert_array_equal(dir_trace.cg_betas, ref_dir.cg_betas)
 
     def test_negative_curvature_on_second_batch_stops_both(self):
         h_b = np.diag([2.0, 1.0])
@@ -232,14 +243,13 @@ class TestDebiasedCg:
         assert dir_trace.termination == "negative_curvature"
         assert deb.n_steps == 0
 
-    @pytest.mark.parametrize("mode", ["interleaved", "sequential"])
-    def test_inf_magnitude_curvature_raises_naming_the_iteration(self, mode):
+    def test_inf_magnitude_curvature_raises_naming_the_iteration(self):
         # left unchecked, an inf magnitude-batch curvature yields NaN
         # debiased iterates labelled tolerance
         q_b = synthetic_quadratic(np.diag([1.0, 2.0, 3.0]), np.ones(3))
         q_bt = synthetic_quadratic(np.diag([np.inf, 1.0, 1.0]), np.ones(3))
         with pytest.raises(NumericalError, match="iteration 0"):
-            debiased_cg(q_b, q_bt, 3, CgConfig(epsilon=1e-12, p_max=3), mode=mode)
+            debiased_cg(q_b, q_bt, 3, CgConfig(epsilon=1e-12, p_max=3))
 
     def test_mismatched_anchor_rejected(self):
         q_b = synthetic_quadratic(np.eye(3), np.ones(3))

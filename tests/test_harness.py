@@ -20,7 +20,7 @@ from quadbias.harness import (
     train,
     verify_result_dir,
 )
-from quadbias.harness.config import config_digest, read_config_text
+from quadbias.harness.config import EXPERIMENT_KINDS, config_digest, read_config_text
 from quadbias.harness.datasets import load_csv, save_csv
 from quadbias.harness.reports import write_csv, write_summary
 from quadbias.harness.training import checkpoint_epochs
@@ -337,15 +337,39 @@ class TestExperiments:
             sections["dataset"][key] = value
         return parse_experiment_config(sections)
 
-    def test_bias_scan_outputs_and_determinism(self, tmp_path):
-        cfg = self._config(tmp_path)
+    # per kind: settings that keep the run small, and files it must write
+    _TINY = {
+        "bias-scan": ({}, ("scan_b16_s0_m0.csv", "bias_summary.csv")),
+        "overlap": ({"batch_sizes": "32", "seeds": "0"}, ("overlap_0_1.csv",)),
+        "cg-compare": ({"cg_iterations": "6", "batch_sizes": "32", "seeds": "0,1"},
+                       ("cg_compare.csv",)),
+        "laplace-sweep": ({"la_grid_points": "2", "mc_samples": "4",
+                           "batch_sizes": "32", "seeds": "0"}, ("la_sweep.csv",)),
+        "bias-over-training": ({"batch_sizes": "32", "seeds": "0"},
+                               ("bias_over_training.csv",)),
+        "size-sweep": ({"batch_sizes": "32", "seeds": "0", "widths": "4,8"},
+                       ("size_sweep.csv",)),
+    }
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_outputs_byte_identical_across_runs(self, tmp_path, kind):
+        extra, expected = self._TINY[kind]
+        # a test split and an OOD split, so laplace-sweep computes every metric
+        cfg = self._config(tmp_path, kind=kind, extra=extra,
+                           dataset={"train_frac": "0.75", "ood_translation": "3.0"})
         out1 = run_experiment(cfg, tmp_path / "r1")
         out2 = run_experiment(cfg, tmp_path / "r2")
-        scan_files = sorted(p.name for p in out1.glob("scan_*.csv"))
-        assert scan_files
-        for name in scan_files + ["bias_summary.csv"]:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        assert (out1 / "summary.json").read_text() == (out2 / "summary.json").read_text()
+
+        def data_files(out):
+            return sorted(p.name for p in out.iterdir()
+                          if p.suffix in (".csv", ".svg") or p.name == "summary.json")
+
+        names = data_files(out1)
+        assert names == data_files(out2)
+        assert set(expected) | {"summary.json"} <= set(names)
+        assert any(name.endswith(".svg") for name in names)
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         assert verify_result_dir(out1)["consistent"]
 
     def test_scan_csv_row_count(self, tmp_path):
@@ -473,6 +497,16 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         res2 = self._run("verify", str(out))
         assert res2.returncode == 0, res2.stderr
+
+    def test_gen_data_malformed_value_is_validation_error(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text(CONFIG_TEXT.replace("n = 128", "n = abc"))
+        res = self._run("--config", str(path), "--out-dir", str(tmp_path / "d"),
+                        "gen-data")
+        assert res.returncode == 1
+        assert res.stderr.startswith("validation error")
+        assert "'n'" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_missing_config_is_validation_error(self, tmp_path):
         res = self._run("--config", str(tmp_path / "nope.ini"), "bias-scan")

@@ -15,7 +15,6 @@ from quadbias.linalg import (
     materialize_operator,
     random_spd,
     random_symmetric,
-    standard_normal,
     sym_eigh,
     top_k_eigenpairs,
 )
@@ -23,11 +22,11 @@ from quadbias.linalg import (
 
 class TestRng:
     def test_empty_draw(self):
-        assert standard_normal(Rng(0), 0).shape == (0,)
+        assert Rng(0).normal(0).shape == (0,)
 
     def test_same_seed_same_stream(self):
-        a = standard_normal(Rng(99), 10)
-        b = standard_normal(Rng(99), 10)
+        a = Rng(99).normal(10)
+        b = Rng(99).normal(10)
         np.testing.assert_array_equal(a, b)
 
     def test_two_calls_are_distinct_but_reproducible(self):
@@ -40,7 +39,7 @@ class TestRng:
 
     def test_moments_large_sample(self):
         n = 10**6
-        x = standard_normal(Rng(7), n)
+        x = Rng(7).normal(n)
         assert abs(x.mean()) < 4.0 / np.sqrt(n)
         assert abs(x.var() - 1.0) < 0.01
 

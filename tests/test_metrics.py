@@ -177,6 +177,22 @@ class TestPredictiveEntropy:
     def test_two_point_uniform(self):
         assert predictive_entropy([0.5, 0.5, 0.0, 0.0]) == pytest.approx(np.log(2.0))
 
+    @pytest.mark.parametrize("c", [3, 10])
+    def test_rows_of_a_2d_array_equal_per_row_calls(self, c):
+        rng = Rng(4)
+        raw = rng.uniform(12 * c).reshape(12, c)
+        raw[rng.uniform(12 * c).reshape(12, c) < 0.3] = 0.0  # rows with zeros
+        raw[0] = 0.0
+        raw[0, 1] = 1.0  # a one-hot row
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        ent = predictive_entropy(probs)
+        assert ent.shape == (12,)
+        for row, value in zip(probs, ent):
+            assert predictive_entropy(row) == value
+            nz = row[row > 0.0]
+            assert value == pytest.approx(-np.sum(nz * np.log(nz)), rel=1e-14, abs=0.0)
+        assert ent[0] == 0.0
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.integers(5, 40))
