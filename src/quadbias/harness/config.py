@@ -87,6 +87,16 @@ def _float_list(raw: str) -> tuple:
     return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _bool(raw: str) -> bool:
+    """true/false, yes/no or 1/0 in any case."""
+    if raw.lower() not in _BOOLS:
+        raise ValueError(raw)
+    return _BOOLS[raw.lower()]
+
+
 @dataclass
 class ExperimentConfig:
     """Typed view of one experiment file; `sections` keeps the raw text values
@@ -109,6 +119,7 @@ class ExperimentConfig:
     n_source_batches: int | None = None
     widths: tuple = ()
     chunk_size: int = 512
+    force_same_batch: bool = False
     sections: dict = field(default_factory=dict)
     digest: str = ""
 
@@ -193,6 +204,7 @@ def parse_experiment_config(sections: dict, seed_override: int | None = None) ->
         n_source_batches=_get(ex, "n_source_batches", int, None),
         widths=_get(ex, "widths", _int_list, (8, 32, 128)),
         chunk_size=_get(ex, "chunk_size", int, 512),
+        force_same_batch=_get(ex, "force_same_batch", _bool, False),
         sections=sections,
         digest=config_digest(sections),
     )

@@ -228,6 +228,8 @@ def load_csv(path) -> tuple:
     """Read the documented dataset format: header x0..x{D-1},label; 0-based
     integer labels."""
     path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"{path}: dataset file not found")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

@@ -73,17 +73,18 @@ def _source_count(cfg: ExperimentConfig, n_batches: int) -> int:
 
 # -- bias-scan -----------------------------------------------------------------
 
-def _scan_at(cfg, dataset, mlp, theta, batch_size, seed):
+def _scan_at(cfg, dataset, mlp, theta, batch_size, seed, sources_only=False):
+    """Direction sets and reports of the eigendirection scan from the first
+    n_source_batches minibatches, across every minibatch or only those."""
     batches = dataset.minibatches(batch_size, seed=seed, drop_last=True)
     n_src = _source_count(cfg, len(batches))
-    _, reports = eigendirection_scan(
-        mlp, theta, batches, dataset.train_batch(),
-        k=min(cfg.n_directions, theta.n_params),
+    return eigendirection_scan(
+        mlp, theta, batches[:n_src] if sources_only else batches,
+        dataset.train_batch(), k=min(cfg.n_directions, theta.n_params),
         kind=cfg.curvature, beta=cfg.beta, delta=cfg.delta,
         rng=Rng(seed).split(7), chunk_size=cfg.chunk_size,
         source_indices=list(range(n_src)), fisher_mode=cfg.fisher_mode,
     )
-    return reports
 
 
 def _summary_rows(reports, batch_size, seed, n_params, epoch=None, width=None):
@@ -122,7 +123,7 @@ def _run_bias_scan(cfg: ExperimentConfig, out_dir: Path) -> dict:
     medians = {}
     for batch_size in cfg.batch_sizes:
         for seed in cfg.seeds:
-            reports = _scan_at(cfg, dataset, mlp, theta, batch_size, seed)
+            _, reports = _scan_at(cfg, dataset, mlp, theta, batch_size, seed)
             for rep in reports:
                 write_csv(
                     out_dir / f"scan_b{batch_size}_s{seed}_m{rep.source_batch}.csv",
@@ -181,15 +182,7 @@ def _run_overlap(cfg: ExperimentConfig, out_dir: Path) -> dict:
     theta = checkpoints[-1].params
     batch_size = cfg.batch_sizes[0]
     seed = cfg.seeds[0]
-    batches = dataset.minibatches(batch_size, seed=seed, drop_last=True)
-    n_src = _source_count(cfg, len(batches))
-    dsets, _ = eigendirection_scan(
-        mlp, theta, batches[:n_src], dataset.train_batch(),
-        k=min(cfg.n_directions, theta.n_params),
-        kind=cfg.curvature, beta=cfg.beta, delta=cfg.delta,
-        rng=Rng(seed).split(7), chunk_size=cfg.chunk_size,
-        fisher_mode=cfg.fisher_mode,
-    )
+    dsets, _ = _scan_at(cfg, dataset, mlp, theta, batch_size, seed, sources_only=True)
     captured = {}
     for a in range(len(dsets)):
         for b in range(len(dsets)):
@@ -228,10 +221,6 @@ def _trajectory_metrics(mlp, dataset, q_full, iterates):
 def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
     dataset, mlp, checkpoints = _prepare(cfg)
     theta = checkpoints[-1].params
-    force_same = cfg.sections.get("experiment", {}).get("force_same_batch", "") in (
-        "true", "1", "yes",
-    )
-
     q_full = fullbatch_quadratic(
         mlp, theta, dataset.train_batch(), cfg.curvature, cfg.beta, cfg.delta,
         cfg.chunk_size, cfg.fisher_mode, Rng(0).split(99),
@@ -259,7 +248,7 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
         terminations[f"single_s{seed}"] = trace.termination
         finals[f"single_s{seed}"] = q_vals[-1]
 
-        if force_same:
+        if cfg.force_same_batch:
             # congruence mode: direction and magnitude processes share the
             # single batch, so the debiased trajectory reproduces the
             # single-batch one exactly
@@ -303,7 +292,7 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "seeds": list(cfg.seeds),
         "single_batch_size": single_size,
         "debiased_batch_size": half,
-        "force_same_batch": force_same,
+        "force_same_batch": cfg.force_same_batch,
         "q_at_anchor": q_anchor,
         "terminations": terminations,
         "final_q_fullbatch": finals,
@@ -314,27 +303,18 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 # -- laplace-sweep -----------------------------------------------------------------
 
-def _predictive_metrics(mlp, post_or_params, dataset, cfg, map_mode=False,
-                        pred_seed=0):
-    """accuracy / nll / ece on the test set, auroc + mean entropy with OOD."""
-    test_x, test_y = dataset.test_inputs, dataset.test_labels
-    if map_mode:
-        probs = softmax(mlp.forward(post_or_params, test_x))
-    else:
-        probs = predictive(post_or_params, mlp, test_x,
-                           PredictiveConfig(cfg.mc_samples, pred_seed))
-    table = ProbTable(probs, test_y)
+def _predictive_metrics(probs_of, dataset):
+    """accuracy / nll / ece on the test set, auroc + mean entropy with OOD;
+    probs_of maps inputs to predictive probabilities."""
+    probs = probs_of(dataset.test_inputs)
+    table = ProbTable(probs, dataset.test_labels)
     out = {
         "accuracy": accuracy(table),
         "nll": nll(table),
         "ece": ece(table),
     }
     if dataset.ood_inputs is not None:
-        if map_mode:
-            ood_probs = softmax(mlp.forward(post_or_params, dataset.ood_inputs))
-        else:
-            ood_probs = predictive(post_or_params, mlp, dataset.ood_inputs,
-                                   PredictiveConfig(cfg.mc_samples, pred_seed))
+        ood_probs = probs_of(dataset.ood_inputs)
         ent = predictive_entropy(np.vstack([probs, ood_probs]))
         labels = [False] * probs.shape[0] + [True] * ood_probs.shape[0]
         out["auroc"] = auroc(ent, labels)
@@ -349,47 +329,37 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     single_size = cfg.batch_sizes[0]
     half = max(1, single_size // 2)
 
-    full_blocks = accumulate_kfac(mlp, theta, dataset.train_batch(),
-                                  cfg.fisher_mode, Rng(0).split(50),
-                                  cfg.chunk_size)
-    factor_cache = {}
+    # (method, seed, K-FAC factors, predictive seed) in row order; seed -1
+    # marks the full-batch factors
+    fits = [("fullbatch", -1, accumulate_kfac(mlp, theta, dataset.train_batch(),
+                                              cfg.fisher_mode, Rng(0).split(50),
+                                              cfg.chunk_size), 1000)]
     for seed in cfg.seeds:
-        batches = dataset.minibatches(single_size, seed=seed, drop_last=True)
+        batch = dataset.minibatches(single_size, seed=seed, drop_last=True)[0]
+        fits.append(("single", seed, mlp.kfac_factors(
+            theta, batch, cfg.fisher_mode, Rng(seed).split(11)), 2000 + seed))
+    for seed in cfg.seeds:
         halves = dataset.minibatches(half, seed=seed, drop_last=True)
-        factor_cache[("single", seed)] = mlp.kfac_factors(
-            theta, batches[0], cfg.fisher_mode, Rng(seed).split(11))
         blocks_dir = mlp.kfac_factors(theta, halves[0], cfg.fisher_mode,
                                       Rng(seed).split(12))
         blocks_mag = mlp.kfac_factors(theta, halves[1], cfg.fisher_mode,
                                       Rng(seed).split(13))
-        factor_cache[("debiased", seed)] = debias_kfac(blocks_dir, blocks_mag)
+        fits.append(("debiased", seed, debias_kfac(blocks_dir, blocks_mag), 2000 + seed))
 
     rows = []
     nll_at_min_beta = {}
     min_beta = min(cfg.la_grid)
-    map_metrics = _predictive_metrics(mlp, theta, dataset, cfg, map_mode=True)
+    map_metrics = _predictive_metrics(lambda x: softmax(mlp.forward(theta, x)), dataset)
     for beta in cfg.la_grid:
-        for metric, value in map_metrics.items():
-            rows.append(["map", beta, metric, value, -1])
-
-        post_full = build_posterior(full_blocks, theta, n_train, beta)
-        full_metrics = _predictive_metrics(mlp, post_full, dataset, cfg,
-                                           pred_seed=1000)
-        for metric, value in full_metrics.items():
-            rows.append(["fullbatch", beta, metric, value, -1])
-        if beta == min_beta:
-            nll_at_min_beta["fullbatch"] = full_metrics["nll"]
-
-        for method in ("single", "debiased"):
-            for seed in cfg.seeds:
-                post = build_posterior(factor_cache[(method, seed)], theta,
-                                       n_train, beta)
-                m = _predictive_metrics(mlp, post, dataset, cfg,
-                                        pred_seed=2000 + seed)
-                for metric, value in m.items():
-                    rows.append([method, beta, metric, value, seed])
-                if beta == min_beta:
-                    nll_at_min_beta[f"{method}_s{seed}"] = m["nll"]
+        rows.extend(["map", beta, metric, value, -1] for metric, value in map_metrics.items())
+        for method, seed, blocks, pred_seed in fits:
+            post = build_posterior(blocks, theta, n_train, beta)
+            m = _predictive_metrics(
+                lambda x: predictive(post, mlp, x, PredictiveConfig(cfg.mc_samples, pred_seed)),
+                dataset)
+            rows.extend([method, beta, metric, value, seed] for metric, value in m.items())
+            if beta == min_beta:
+                nll_at_min_beta[method if seed < 0 else f"{method}_s{seed}"] = m["nll"]
 
     write_csv(out_dir / "la_sweep.csv", LA_SWEEP_HEADER, rows, cfg.digest)
 
@@ -434,7 +404,7 @@ def _run_bias_over_training(cfg: ExperimentConfig, out_dir: Path) -> dict:
     rows = []
     medians = []
     for ckpt in checkpoints:
-        reports = _scan_at(cfg, dataset, mlp, ckpt.params, batch_size, seed)
+        _, reports = _scan_at(cfg, dataset, mlp, ckpt.params, batch_size, seed)
         ckpt_rows, median = _summary_rows(reports, batch_size, seed,
                                           ckpt.params.n_params, epoch=ckpt.epoch)
         rows.extend(ckpt_rows)
@@ -474,7 +444,7 @@ def _run_size_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
         checkpoints = train(arch, dataset, cfg.train)
         mlp = Mlp(arch)
         theta = checkpoints[-1].params
-        reports = _scan_at(cfg, dataset, mlp, theta, batch_size, seed)
+        _, reports = _scan_at(cfg, dataset, mlp, theta, batch_size, seed)
         width_rows, median = _summary_rows(reports, batch_size, seed, theta.n_params,
                                            width=width)
         rows.extend(width_rows)

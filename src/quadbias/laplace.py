@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import DenseSymMatrix, EigenDecomposition, Rng, kron_matvec, sym_eigh
-from .model import KfacBlock, Mlp, ParamVector
+from .model import KfacBlock, Mlp, ParamVector, _sym
 from .quadratic import accumulate_kfac  # re-exported: the K-FAC of a whole dataset
 
 logger = logging.getLogger(__name__)
@@ -150,10 +150,6 @@ def debias_kfac(blocks_b: list, blocks_bt: list) -> list:
         new_b = DenseSymMatrix(_sym(ub @ np.diag(s_b) @ ub.T))
         out.append(KfacBlock(layer=blk.layer, factor_a=new_a, factor_b=new_b))
     return out
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
 
 
 @dataclass(frozen=True)

@@ -262,12 +262,10 @@ def kron_matvec(u_a: np.ndarray, u_b: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"vector length {w.shape} does not match factor dims {m}*{n}"
         )
-    if w.ndim == 1:
-        w_mat = w.reshape(m, n)  # row-major view of the column-stacked n x m W
-        return (u_a @ w_mat @ u_b.T).reshape(-1)
-    k = w.shape[1]
-    w_mats = w.T.reshape(k, m, n)
-    return (u_a @ w_mats @ u_b.T).reshape(k, m * n).T
+    cols = w.reshape(m * n, -1)  # a vector is one column
+    k = cols.shape[1]
+    w_mats = cols.T.reshape(k, m, n)  # row-major views of the column-stacked n x m Ws
+    return (u_a @ w_mats @ u_b.T).reshape(k, m * n).T.reshape(w.shape)
 
 
 def haar_orthogonal(rng: Rng, n: int) -> np.ndarray:

@@ -243,12 +243,13 @@ class Linearization:
     """The network at fixed (params, inputs): forward trace, activation
     derivatives and, for cross entropy, the softmax, computed once.
 
-    Every product reuses them. Products take (P, k) blocks of parameter
-    directions and run in passes of at most ``max(1, BLOCK_BUDGET // rows)``
-    columns; a pass is a few matrix products per layer over all of its
-    columns at once, with R-quantities laid out (columns, rows, width).
-    ``Mlp.ggn_vp``, ``Mlp.hvp`` and ``Mlp.jvp_batch`` are the k = 1 case.
-    Targets are needed by the loss gradient and the Hessian product only.
+    Every product, the loss gradient and the K-FAC factors reuse them, and
+    walk back through the network by one recursion, ``_layer_grads``.
+    Products take (P, k) blocks of parameter directions and run in
+    passes of at most ``max(1, BLOCK_BUDGET // rows)`` columns; a pass is a
+    few matrix products per layer over all of its columns at once, with
+    R-quantities laid out (columns, rows, width). Targets are needed by the
+    loss gradient and the Hessian product only.
     """
 
     def __init__(self, mlp: "Mlp", params: ParamVector, inputs: np.ndarray,
@@ -310,18 +311,24 @@ class Linearization:
                 r_a = self.d1[l] * r_z
         return r_pre
 
+    def _layer_grads(self, g: np.ndarray) -> list:
+        """Gradient at every Z_l from a logits-side seed g, (rows, C) or
+        (k, rows, C): g_L = g and g_{l-1} = (g_l W_l^T) * act'(Z_{l-1})."""
+        gs = [g]
+        for l in range(len(self.wb) - 1, 0, -1):
+            gs.append((gs[-1] @ self.wb[l][0].T) * self.d1[l - 1])
+        return gs[::-1]
+
     def _backprop(self, g: np.ndarray) -> np.ndarray:
         """Parameter gradient from a logits-side seed g, (rows, C) or
         (k, rows, C); the result is (P,) or (k, P)."""
         lead = g.shape[:-2]
         out = np.empty(lead + (self.mlp.n_params,))
-        for l in range(len(self.wb) - 1, -1, -1):
+        for l, g_l in enumerate(self._layer_grads(g)):
             ew, eb = self.mlp.layout[2 * l], self.mlp.layout[2 * l + 1]
             out[..., ew.offset : ew.offset + ew.size] = (
-                self.acts[l].T @ g).reshape(lead + (-1,))
-            out[..., eb.offset : eb.offset + eb.size] = g.sum(axis=-2)
-            if l > 0:
-                g = (g @ self.wb[l][0].T) * self.d1[l - 1]
+                self.acts[l].T @ g_l).reshape(lead + (-1,))
+            out[..., eb.offset : eb.offset + eb.size] = g_l.sum(axis=-2)
         return out
 
     def loss_grad_logits(self) -> np.ndarray:
@@ -345,15 +352,9 @@ class Linearization:
         gradient g_l at each Z_l, and for l > 0 the term s * act''(Z_{l-1})
         with s = g_l W_l^T."""
         act = self.mlp.arch.activation
-        g = self.loss_grad_logits()
-        gs = [None] * len(self.wb)
-        s_d2 = [None] * len(self.wb)
-        for l in range(len(self.wb) - 1, -1, -1):
-            gs[l] = g
-            if l > 0:
-                s = g @ self.wb[l][0].T
-                s_d2[l] = s * _act_dd(act, self.pre[l - 1])
-                g = s * self.d1[l - 1]
+        gs = self._layer_grads(self.loss_grad_logits())
+        s_d2 = [None] + [(gs[l] @ self.wb[l][0].T) * _act_dd(act, self.pre[l - 1])
+                         for l in range(1, len(self.wb))]
         return gs, s_d2
 
     # -- block products --------------------------------------------------------
@@ -443,44 +444,33 @@ class Mlp:
             for l in range(self.arch.n_layers)
         ]
 
-    def forward(self, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
-        """Logits for a batch of inputs (rows); deterministic."""
+    def _inputs(self, inputs: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if x.shape[1] != self.arch.input_dim:
             raise ValidationError(
                 f"input width {x.shape[1]} != architecture input dim {self.arch.input_dim}"
             )
-        a = x
-        wb = self._unpack(params)
-        for l, (w, b) in enumerate(wb):
-            z = a @ w + b
-            a = _act(self.arch.activation, z) if l < len(wb) - 1 else z
-        return a
+        return x
+
+    def forward(self, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
+        """Logits for a batch of inputs (rows); deterministic."""
+        return self._forward_trace(params, self._inputs(inputs))[2][-1]
 
     def _forward_trace(self, params: ParamVector, x: np.ndarray):
         """Activations list [A_0..A_{L-1}] and pre-activations [Z_1..Z_L]."""
         wb = self._unpack(params)
-        acts = [x]
-        pre = []
-        a = x
+        acts, pre = [x], []
         for l, (w, b) in enumerate(wb):
-            z = a @ w + b
-            pre.append(z)
-            a = _act(self.arch.activation, z) if l < len(wb) - 1 else z
+            pre.append(acts[-1] @ w + b)
             if l < len(wb) - 1:
-                acts.append(a)
+                acts.append(_act(self.arch.activation, pre[-1]))
         return wb, acts, pre
 
     def linearize(self, params: ParamVector, inputs: np.ndarray,
                   targets: np.ndarray | None = None) -> Linearization:
         """One forward trace at (params, inputs), reused by every block
         product taken from the result; targets enable loss_and_grad and hvp."""
-        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        if x.shape[1] != self.arch.input_dim:
-            raise ValidationError(
-                f"input width {x.shape[1]} != architecture input dim {self.arch.input_dim}"
-            )
-        return Linearization(self, params, x, targets)
+        return Linearization(self, params, self._inputs(inputs), targets)
 
     def _linearized(self, params: ParamVector, data: Batch | Linearization) -> Linearization:
         """data itself when it is a Linearization at params, else a fresh
@@ -519,25 +509,29 @@ class Mlp:
 
     # -- directional derivatives ----------------------------------------------
 
+    def _product(self, name: str, params: ParamVector, data: Batch | Linearization,
+                 beta: float, v: np.ndarray) -> np.ndarray:
+        """Linearization block product ``name`` plus beta * mask, applied to a
+        vector (P,) or to every column of a block (P, k)."""
+        v = np.asarray(v, dtype=np.float64)
+        out = getattr(self._linearized(params, data), name)(v.reshape(v.shape[0], -1))
+        out = out.reshape(v.shape)
+        if beta:
+            mask = self.reg_mask(params)
+            out[mask] += beta * v[mask]
+        return out
+
     def hvp(self, params: ParamVector, batch: Batch | Linearization, beta: float,
             v: np.ndarray) -> np.ndarray:
-        """Exact Hessian-vector product of the regularized loss on a Batch or
-        on its Linearization at params; the k = 1 case of hvp_mm."""
-        v = np.asarray(v, dtype=np.float64)
-        out = self._linearized(params, batch).hvp_mm(v[:, None])[:, 0]
-        mask = self.reg_mask(params)
-        out[mask] += beta * v[mask]
-        return out
+        """Exact Hessian product of the regularized loss with a vector or a
+        (P, k) block, on a Batch or on its Linearization at params."""
+        return self._product("hvp_mm", params, batch, beta, v)
 
     def ggn_vp(self, params: ParamVector, batch: Batch | Linearization, beta: float,
                v: np.ndarray) -> np.ndarray:
-        """Generalized Gauss-Newton-vector product (G_B + beta * mask) v on a
-        Batch or on its Linearization at params; the k = 1 case of ggn_mm."""
-        v = np.asarray(v, dtype=np.float64)
-        out = self._linearized(params, batch).ggn_mm(v[:, None])[:, 0]
-        mask = self.reg_mask(params)
-        out[mask] += beta * v[mask]
-        return out
+        """Generalized Gauss-Newton product (G_B + beta * mask) v with a vector
+        or a (P, k) block, on a Batch or on its Linearization at params."""
+        return self._product("ggn_mm", params, batch, beta, v)
 
     def jvp_batch(self, params: ParamVector, inputs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Directional derivative of the logits, grad f(x) . v, for many inputs."""
@@ -569,14 +563,14 @@ class Mlp:
             raise ValidationError(f"unknown fisher_mode {fisher_mode!r}")
         if fisher_mode == "mc_sample" and rng is None:
             raise ValidationError("mc_sample mode requires an Rng")
-        wb, acts, pre = self._forward_trace(params, batch.inputs)
-        logits = pre[-1]
+        lin = self.linearize(params, batch.inputs)
+        logits = lin.logits
         n = batch.size
 
         # per-sample gradient seed at the logits (loss summed per sample,
         # the 1/N average lives in the factor normalization)
         if self.arch.loss == "cross_entropy":
-            p = softmax(logits)
+            p = lin.probs
             if fisher_mode == "empirical":
                 seed = p - batch.targets
             else:
@@ -593,20 +587,11 @@ class Mlp:
                 eps = rng.normal(n * logits.shape[1]).reshape(logits.shape)
                 seed = np.sqrt(2.0) * eps
 
-        blocks = []
-        g = seed
-        per_layer_g = [None] * len(wb)
-        for l in range(len(wb) - 1, -1, -1):
-            per_layer_g[l] = g
-            if l > 0:
-                g = (g @ wb[l][0].T) * _act_d(self.arch.activation, pre[l - 1])
-        for l in range(len(wb)):
-            a = acts[l]
-            gl = per_layer_g[l]
-            factor_a = DenseSymMatrix(_sym(a.T @ a / n))
-            factor_b = DenseSymMatrix(_sym(gl.T @ gl / n))
-            blocks.append(KfacBlock(layer=l, factor_a=factor_a, factor_b=factor_b))
-        return blocks
+        return [
+            KfacBlock(layer=l, factor_a=DenseSymMatrix(_sym(a.T @ a / n)),
+                      factor_b=DenseSymMatrix(_sym(g.T @ g / n)))
+            for l, (a, g) in enumerate(zip(lin.acts, lin._layer_grads(seed)))
+        ]
 
 
 def _sym(m: np.ndarray) -> np.ndarray:

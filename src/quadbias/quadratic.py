@@ -23,23 +23,22 @@ CURVATURE_KINDS = ("hessian", "ggn", "kfac")
 class CurvatureOperator:
     """Matrix-free v -> (curvature + beta * mask + delta * I) v.
 
-    ``matvec`` takes one vector and ``matmat`` a (dim, k) block. Every column
-    counts as one matvec in ``matvec_count``, so experiments and tests can
-    verify cost claims either way. The operator is linear and symmetric;
-    ``kind`` records which curvature proxy backs it.
+    ``raw_product`` applies the curvature to a vector or to a (dim, k) block.
+    ``matvec`` takes one vector and ``matmat`` a block; every column counts as
+    one matvec in ``matvec_count``, so experiments and tests can verify cost
+    claims either way. The operator is linear and symmetric; ``kind`` records
+    which curvature proxy backs it.
     """
 
     def __init__(
         self,
         kind: str,
         dim: int,
-        raw_matvec: Callable[[np.ndarray], np.ndarray],
+        raw_product: Callable[[np.ndarray], np.ndarray],
         beta: float = 0.0,
         delta: float = 0.0,
         mask: np.ndarray | None = None,
         batch_id=None,
-        *,
-        raw_matmat: Callable[[np.ndarray], np.ndarray],
     ):
         if kind not in CURVATURE_KINDS:
             raise ValidationError(f"unknown curvature kind {kind!r}")
@@ -51,8 +50,7 @@ class CurvatureOperator:
         self.delta = delta
         self.mask = np.ones(dim, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         self.batch_id = batch_id
-        self._raw_matvec = raw_matvec
-        self._raw_matmat = raw_matmat
+        self._raw_product = raw_product
         self.matvec_count = 0
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -60,7 +58,7 @@ class CurvatureOperator:
         if v.shape != (self.dim,):
             raise ValidationError(f"vector shape {v.shape} != ({self.dim},)")
         self.matvec_count += 1
-        return self._shifted(self._raw_matvec(v), v, self.mask)
+        return self._shifted(self._raw_product(v), v, self.mask)
 
     __call__ = matvec
 
@@ -70,7 +68,7 @@ class CurvatureOperator:
         if vs.ndim != 2 or vs.shape[0] != self.dim or vs.shape[1] < 1:
             raise ValidationError(f"block shape {vs.shape} != ({self.dim}, k >= 1)")
         self.matvec_count += vs.shape[1]
-        return self._shifted(self._raw_matmat(vs), vs, self.mask[:, None])
+        return self._shifted(self._raw_product(vs), vs, self.mask[:, None])
 
     def _shifted(self, out: np.ndarray, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
         if self.beta:
@@ -83,19 +81,17 @@ class CurvatureOperator:
     def from_dense(cls, m: np.ndarray, kind: str = "hessian", beta: float = 0.0,
                    delta: float = 0.0, mask=None, batch_id=None) -> "CurvatureOperator":
         m = np.asarray(m, dtype=np.float64)
-        product = lambda v: m @ v
-        return cls(kind, m.shape[0], product, beta, delta, mask, batch_id,
-                   raw_matmat=product)
+        return cls(kind, m.shape[0], lambda v: m @ v, beta, delta, mask, batch_id)
 
 
-def _kfac_matvec(blocks: list, params: ParamVector) -> Callable[[np.ndarray], np.ndarray]:
+def _kfac_product(blocks: list, params: ParamVector) -> Callable[[np.ndarray], np.ndarray]:
     """Block-diagonal Kronecker product on the weight slices; zero on biases.
     The product takes a vector or a (P, k) block."""
     weight_entries = [e for e in params.layout if e.role == "weight"]
     if len(weight_entries) != len(blocks):
         raise ValidationError("K-FAC blocks do not match the layer layout")
 
-    def mv(v: np.ndarray) -> np.ndarray:
+    def product(v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
         for e, blk in zip(weight_entries, blocks):
             seg = v[e.offset : e.offset + e.size]
@@ -104,30 +100,23 @@ def _kfac_matvec(blocks: list, params: ParamVector) -> Callable[[np.ndarray], np
             )
         return out
 
-    return mv
+    return product
 
 
-def _curvature_products(mlp: Mlp, theta0: ParamVector, kind: str, parts: list):
-    """Matvec and matmat of the hessian or ggn curvature, summed over
-    (weight, part) pairs. A part is a Linearization at theta0, reused by
-    every call, or a Batch, linearized afresh on every call so that no trace
-    outlives it."""
-    vector_product = "hvp" if kind == "hessian" else "ggn_vp"
+def _curvature_product(mlp: Mlp, theta0: ParamVector, kind: str, parts: list):
+    """Product of the hessian or ggn curvature with a vector or a (P, k)
+    block, summed over (weight, part) pairs. A part is a Linearization at
+    theta0, reused by every call, or a Batch, linearized afresh on every call
+    so that no trace outlives it."""
+    name = "hvp" if kind == "hessian" else "ggn_vp"
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for w, part in parts:
-            out += w * getattr(mlp, vector_product)(theta0, part, 0.0, v)
-        return out
-
-    def matmat(vs: np.ndarray) -> np.ndarray:
+    def product(vs: np.ndarray) -> np.ndarray:
         out = np.zeros_like(vs)
         for w, part in parts:
-            lin = mlp._linearized(theta0, part)
-            out += w * (lin.hvp_mm(vs) if kind == "hessian" else lin.ggn_mm(vs))
+            out += w * getattr(mlp, name)(theta0, part, 0.0, vs)
         return out
 
-    return matvec, matmat
+    return product
 
 
 @dataclass
@@ -174,11 +163,10 @@ def build_quadratic(
         blocks = mlp.kfac_factors(theta0, batch, fisher_mode, rng)
         if not blocks:
             raise ValidationError("kfac curvature requires at least one dense layer")
-        raw = raw_mm = _kfac_matvec(blocks, theta0)
+        raw = _kfac_product(blocks, theta0)
     else:
-        raw, raw_mm = _curvature_products(mlp, theta0, kind, [(1.0, lin)])
-    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id,
-                           raw_matmat=raw_mm)
+        raw = _curvature_product(mlp, theta0, kind, [(1.0, lin)])
+    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id)
     return QuadraticModel(theta0, loss, grad, op, batch_id, kfac_blocks=blocks)
 
 
@@ -375,13 +363,12 @@ def fullbatch_quadratic(
 
     blocks = None
     if kind in ("hessian", "ggn"):
-        raw, raw_mm = _curvature_products(mlp, theta0, kind, list(zip(weights, chunks)))
+        raw = _curvature_product(mlp, theta0, kind, list(zip(weights, chunks)))
     elif kind == "kfac":
         blocks = accumulate_kfac(mlp, theta0, data, fisher_mode, rng, chunk_size)
-        raw = raw_mm = _kfac_matvec(blocks, theta0)
+        raw = _kfac_product(blocks, theta0)
     else:
         raise ValidationError(f"unknown curvature kind {kind!r}")
 
-    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id="FULL",
-                           raw_matmat=raw_mm)
+    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id="FULL")
     return QuadraticModel(theta0, loss, grad, op, batch_id="FULL", kfac_blocks=blocks)

@@ -1,10 +1,13 @@
 """Per-vector curvature products as plain loops: every call runs its own
 forward trace and handles one direction. They are the reference that the
-block products of ``quadbias.model.Linearization`` are checked against."""
+block products of ``quadbias.model.Linearization`` are checked against. The
+K-FAC factors here keep their own trace, softmax and backward loop, the
+reference for ``Mlp.kfac_factors``."""
 
 import numpy as np
 
-from quadbias.model import _act, _act_d, _act_dd, softmax
+from quadbias.linalg import DenseSymMatrix
+from quadbias.model import KfacBlock, _act, _act_d, _act_dd, _sym, softmax
 
 
 def _trace(mlp, params, x):
@@ -89,3 +92,38 @@ def hvp(mlp, params, batch, v):
             r_g = r_s * d1 + s * _act_dd(act, pre[l - 1]) * r_pre[l - 1]
             g = s * d1
     return out.values
+
+
+def kfac_factors(mlp, params, batch, fisher_mode, rng=None):
+    """Kronecker factors A^(l), B^(l) per dense layer, with the per-sample
+    gradient seed drawn (mc_sample) or taken from the targets (empirical)."""
+    wb, acts, pre = _trace(mlp, params, batch.inputs)
+    logits = pre[-1]
+    n = batch.size
+    if mlp.arch.loss == "cross_entropy":
+        p = softmax(logits)
+        if fisher_mode == "empirical":
+            seed = p - batch.targets
+        else:
+            u = rng.uniform(n)
+            cdf = np.cumsum(p, axis=1)
+            drawn = np.minimum((u[:, None] > cdf).sum(axis=1), p.shape[1] - 1)
+            y = np.zeros_like(p)
+            y[np.arange(n), drawn] = 1.0
+            seed = p - y
+    elif fisher_mode == "empirical":
+        seed = 2.0 * (logits - batch.targets)
+    else:
+        seed = np.sqrt(2.0) * rng.normal(n * logits.shape[1]).reshape(logits.shape)
+    g = seed
+    per_layer_g = [None] * len(wb)
+    for l in range(len(wb) - 1, -1, -1):
+        per_layer_g[l] = g
+        if l > 0:
+            g = (g @ wb[l][0].T) * _act_d(mlp.arch.activation, pre[l - 1])
+    blocks = []
+    for l in range(len(wb)):
+        a, gl = acts[l], per_layer_g[l]
+        blocks.append(KfacBlock(layer=l, factor_a=DenseSymMatrix(_sym(a.T @ a / n)),
+                                factor_b=DenseSymMatrix(_sym(gl.T @ gl / n))))
+    return blocks

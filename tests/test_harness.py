@@ -288,6 +288,23 @@ class TestConfig:
         with pytest.raises(ValidationError):
             parse_experiment_config(sections)
 
+    @pytest.mark.parametrize("raw,value", [
+        ("true", True), ("True", True), ("YES", True), ("1", True),
+        ("false", False), ("No", False), ("0", False),
+    ])
+    def test_force_same_batch_is_a_strict_boolean(self, raw, value):
+        sections = read_config_text(CONFIG_TEXT)
+        assert parse_experiment_config(sections).force_same_batch is False
+        sections["experiment"]["force_same_batch"] = raw
+        assert parse_experiment_config(sections).force_same_batch is value
+
+    @pytest.mark.parametrize("raw", ["yes please", "", "2", "on"])
+    def test_malformed_force_same_batch_rejected(self, raw):
+        sections = read_config_text(CONFIG_TEXT)
+        sections["experiment"]["force_same_batch"] = raw
+        with pytest.raises(ValidationError, match="force_same_batch"):
+            parse_experiment_config(sections)
+
     def test_missing_kind_rejected(self):
         sections = read_config_text(CONFIG_TEXT)
         del sections["experiment"]["kind"]
@@ -406,6 +423,18 @@ class TestExperiments:
         for s, d in zip(single, debiased):
             assert s[2:] == d[2:]  # identical q and accuracy columns
 
+    def test_cg_compare_capitalized_true_runs_congruence_mode(self, tmp_path):
+        cfg = self._config(
+            tmp_path, kind="cg-compare",
+            extra={"force_same_batch": "True", "cg_iterations": "4",
+                   "batch_sizes": "32", "seeds": "0"},
+        )
+        out = run_experiment(cfg, tmp_path / "r")
+        assert json.loads((out / "summary.json").read_text())["force_same_batch"] is True
+        _, _, rows = read_csv(out / "cg_compare.csv")
+        single = [r[2:] for r in rows if r[0] == "single"]
+        assert single and single == [r[2:] for r in rows if r[0] == "debiased"]
+
     def test_laplace_sweep_grid_shape(self, tmp_path):
         cfg = self._config(
             tmp_path, kind="laplace-sweep",
@@ -506,6 +535,17 @@ class TestCli:
         assert res.returncode == 1
         assert res.stderr.startswith("validation error")
         assert "'n'" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_missing_csv_path_is_validation_error(self, tmp_path):
+        path = tmp_path / "csv.ini"
+        missing = tmp_path / "no_such.csv"
+        path.write_text(f"[dataset]\ngenerator = csv_file\npath = {missing}\n")
+        res = self._run("--config", str(path), "--out-dir", str(tmp_path / "d"),
+                        "gen-data")
+        assert res.returncode == 1
+        assert res.stderr.startswith("validation error")
+        assert str(missing) in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_missing_config_is_validation_error(self, tmp_path):

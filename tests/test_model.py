@@ -363,6 +363,22 @@ class TestKfacFactors:
                                        atol=1e-14)
             offset += size + blk.n  # skip the bias slice
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+    @pytest.mark.parametrize("mode", ["mc_sample", "empirical"])
+    def test_equal_to_own_trace_oracle_bitwise(self, activation, loss, mode):
+        # the factors come from Mlp.linearize's trace, softmax and backward
+        # recursion; the oracle walks the network itself
+        arch = MlpArchitecture((5, 7, 6, 3), activation, loss)
+        mlp, p, batch = small_problem(seed=48, n=33, arch=arch)
+        got = mlp.kfac_factors(p, batch, mode, Rng(49))
+        want = oracle.kfac_factors(mlp, p, batch, mode, Rng(49))
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert g.layer == w.layer
+            np.testing.assert_array_equal(g.factor_a.entries, w.factor_a.entries)
+            np.testing.assert_array_equal(g.factor_b.entries, w.factor_b.entries)
+
     def test_one_block_per_layer_weights_only(self):
         arch = MlpArchitecture((5, 7, 6, 3))
         mlp, p, batch = small_problem(seed=43, arch=arch)
@@ -404,6 +420,15 @@ class TestLinearization:
                                oracle.hvp(mlp, p, batch, v) + 0.2 * mask * v)
         assert_close_to_oracle(mlp.jvp_batch(p, batch.inputs, v),
                                oracle.jvp(mlp, p, batch.inputs, v))
+        # a (P, k) block through Mlp.ggn_vp / Mlp.hvp, beta on every column
+        ggn_b, hess_b = mlp.ggn_vp(p, batch, 0.2, vs), mlp.hvp(p, lin, 0.2, vs)
+        assert ggn_b.shape == hess_b.shape == (p.n_params, k)
+        for j in range(k):
+            v = vs[:, j]
+            assert_close_to_oracle(ggn_b[:, j],
+                                   oracle.ggn_vp(mlp, p, batch, v) + 0.2 * mask * v)
+            assert_close_to_oracle(hess_b[:, j],
+                                   oracle.hvp(mlp, p, batch, v) + 0.2 * mask * v)
 
     def test_loss_and_grad_on_linearization_equals_batch(self):
         mlp, p, batch = small_problem(seed=46)

@@ -322,6 +322,36 @@ class TestFullbatch:
                 np.testing.assert_allclose(out[1], ref[1], atol=1e-12)
                 np.testing.assert_allclose(out[2], ref[2], atol=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["hessian", "ggn"]),
+        activation=st.sampled_from(["relu", "tanh"]),
+        loss=st.sampled_from(["cross_entropy", "mse"]),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_chunk_size_agrees(self, kind, activation, loss, n, seed):
+        # chunk sizes 1..n, ragged last chunks included, against one chunk;
+        # K-FAC is left out, it averages per-chunk factors by design
+        arch = MlpArchitecture((5, 8, 4), activation, loss)
+        mlp, p, batch = small_problem(seed=seed, n=n, arch=arch)
+        vs = Rng(seed + 1).normal(p.n_params * 3).reshape(p.n_params, 3)
+
+        def close(got, want):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= BLOCK_TOL * scale
+
+        ref = fullbatch_quadratic(mlp, p, batch, kind, beta=0.1, delta=0.01,
+                                  chunk_size=n)
+        ref_block, ref_col = ref.curvature.matmat(vs), ref.curvature.matvec(vs[:, 0])
+        for chunk in range(1, n):
+            q = fullbatch_quadratic(mlp, p, batch, kind, beta=0.1, delta=0.01,
+                                    chunk_size=chunk)
+            close(np.array(q.constant), np.array(ref.constant))
+            close(q.gradient, ref.gradient)
+            close(q.curvature.matmat(vs), ref_block)
+            close(q.curvature.matvec(vs[:, 0]), ref_col)
+
     @pytest.mark.parametrize("kind", ["hessian", "ggn"])
     def test_batch_mean_identity(self, kind):
         # mean directional slope/curvature over a disjoint equal partition
