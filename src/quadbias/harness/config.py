@@ -21,6 +21,8 @@ from ..model import MlpArchitecture
 from .datasets import DatasetSpec
 from .training import TrainConfig
 
+_SECTIONS = ("dataset", "model", "train", "experiment")
+
 EXPERIMENT_KINDS = (
     "bias-scan",
     "overlap",
@@ -68,15 +70,27 @@ def write_config(sections: dict, path) -> None:
 
 
 def _get(items: dict, key: str, cast, default=None, required: bool = False):
+    """Remove key from items and return its value cast, or the default; the
+    keys left in items afterwards are the ones no field reads."""
     if key not in items:
         if required:
             raise ValidationError(f"missing required config key {key!r}")
         return default
-    raw = items[key].strip()
+    raw = items.pop(key).strip()
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"config key {key!r}: cannot parse {raw!r}") from exc
+
+
+def _section(sections: dict, name: str) -> dict:
+    """A copy of one section's items, for _get to consume."""
+    return dict(sections.get(name, {}))
+
+
+def _reject_unread(name: str, items: dict) -> None:
+    if items:
+        raise ValidationError(f"unknown config key {sorted(items)[0]!r} in [{name}]")
 
 
 def _int_list(raw: str) -> tuple:
@@ -140,9 +154,10 @@ def with_seed_override(sections: dict, seed_override: int | None) -> dict:
 
 
 def parse_dataset_spec(sections: dict) -> DatasetSpec:
-    """Typed view of the [dataset] section."""
-    ds = sections.get("dataset", {})
-    return DatasetSpec(
+    """Typed view of the [dataset] section; a key it does not read is an
+    error."""
+    ds = _section(sections, "dataset")
+    spec = DatasetSpec(
         generator=_get(ds, "generator", str, "gaussian_blobs"),
         n=_get(ds, "n", int, 1024),
         d=_get(ds, "dim", int, 2),
@@ -154,20 +169,29 @@ def parse_dataset_spec(sections: dict) -> DatasetSpec:
         ood_noise_mult=_get(ds, "ood_noise_mult", float, 1.0),
         path=_get(ds, "path", str, None),
     )
+    _reject_unread("dataset", ds)
+    return spec
 
 
 def parse_experiment_config(sections: dict, seed_override: int | None = None) -> ExperimentConfig:
+    """Typed view of an experiment file; a section or key it does not read
+    is an error."""
     sections = with_seed_override(sections, seed_override)
+    for name in sections:
+        if name not in _SECTIONS:
+            raise ValidationError(f"unknown config section [{name}]")
     dataset = parse_dataset_spec(sections)
 
-    md = sections.get("model", {})
+    md = _section(sections, "model")
     arch = MlpArchitecture(
         layer_sizes=_get(md, "layers", _int_list, (dataset.d, 16, dataset.c)),
         activation=_get(md, "activation", str, "relu"),
         loss=_get(md, "loss", str, "cross_entropy"),
     )
 
-    tr = sections.get("train", {})
+    _reject_unread("model", md)
+
+    tr = _section(sections, "train")
     train = TrainConfig(
         lr=_get(tr, "lr", float, 0.05),
         momentum=_get(tr, "momentum", float, 0.0),
@@ -177,7 +201,9 @@ def parse_experiment_config(sections: dict, seed_override: int | None = None) ->
         seed=_get(tr, "seed", int, 0),
     )
 
-    ex = sections.get("experiment", {})
+    _reject_unread("train", tr)
+
+    ex = _section(sections, "experiment")
     grid_points = _get(ex, "la_grid_points", int, 13)
     grid_min = _get(ex, "la_grid_min", float, 1e-4)
     grid_max = _get(ex, "la_grid_max", float, 1.0)
@@ -186,7 +212,7 @@ def parse_experiment_config(sections: dict, seed_override: int | None = None) ->
         np.logspace(np.log10(grid_min), np.log10(grid_max), grid_points)
     ) + tuple(grid_extra)
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         kind=_get(ex, "kind", str, required=True),
         dataset=dataset,
         arch=arch,
@@ -208,6 +234,8 @@ def parse_experiment_config(sections: dict, seed_override: int | None = None) ->
         sections=sections,
         digest=config_digest(sections),
     )
+    _reject_unread("experiment", ex)
+    return cfg
 
 
 def load_experiment_config(path, seed_override: int | None = None) -> ExperimentConfig:

@@ -186,12 +186,16 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
             raise ValidationError("csv_file generator requires a path")
         x, labels = load_csv(spec.path)
         c = int(labels.max()) + 1 if labels.size else 0
+        # a seeded partition of the rows, so a file sorted by label still
+        # splits into label-mixed halves; each half keeps file order
+        perm = Rng(spec.seed).split(400).permutation(x.shape[0])
         n_train = int(round(spec.train_frac * x.shape[0]))
+        train, test = np.sort(perm[:n_train]), np.sort(perm[n_train:])
         return Dataset(
-            train_inputs=x[:n_train],
-            train_labels=labels[:n_train],
-            test_inputs=x[n_train:],
-            test_labels=labels[n_train:],
+            train_inputs=x[train],
+            train_labels=labels[train],
+            test_inputs=x[test],
+            test_labels=labels[test],
             n_classes=max(c, spec.c),
             spec=spec,
         )

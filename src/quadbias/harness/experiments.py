@@ -24,7 +24,7 @@ from ..laplace import (
 from ..linalg import Rng
 from ..metrics import ProbTable, accuracy, auroc, ece, nll, predictive_entropy
 from ..model import Mlp, MlpArchitecture, softmax
-from ..quadratic import build_quadratic, fullbatch_quadratic, value_at
+from ..quadratic import build_quadratic, fullbatch_quadratic, values_at
 from .config import ExperimentConfig, write_config
 from .datasets import generate_dataset
 from .reports import (
@@ -207,7 +207,7 @@ def _run_overlap(cfg: ExperimentConfig, out_dir: Path) -> dict:
 # -- cg-compare -------------------------------------------------------------------
 
 def _trajectory_metrics(mlp, dataset, q_full, iterates):
-    q_vals = [value_at(q_full, th) for th in iterates]
+    q_vals = values_at(q_full, iterates).tolist()
     if dataset.test_inputs.shape[0] == 0:
         return q_vals, [float("nan")] * len(iterates)
     test_acc = []
@@ -225,7 +225,7 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
         mlp, theta, dataset.train_batch(), cfg.curvature, cfg.beta, cfg.delta,
         cfg.chunk_size, cfg.fisher_mode, Rng(0).split(99),
     )
-    q_anchor = value_at(q_full, theta.values)
+    q_anchor = float(values_at(q_full, [theta])[0])
     cg_cfg = CgConfig(epsilon=1e-12, p_max=cfg.cg_iterations)
 
     header = ["method", "seed", "iteration", "q_fullbatch", "test_accuracy"]
@@ -236,17 +236,21 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
     single_size = cfg.batch_sizes[0]
     half = max(1, single_size // 2)
 
+    def score(method, seed, trace):
+        """Rows, termination and final value of one trajectory; the trace is
+        not kept, so its iterates are freed before the next one runs."""
+        q_vals, acc = _trajectory_metrics(mlp, dataset, q_full, trace.iterates)
+        rows.extend([method, seed, i, qv, a] for i, (qv, a) in enumerate(zip(q_vals, acc)))
+        terminations[f"{method}_s{seed}"] = trace.termination
+        finals[f"{method}_s{seed}"] = q_vals[-1]
+        return q_vals
+
     for seed in cfg.seeds:
         single_batches = dataset.minibatches(single_size, seed=seed, drop_last=True)
         q_b = build_quadratic(mlp, theta, single_batches[0], cfg.curvature,
                               cfg.beta, cfg.delta, batch_id=0,
                               fisher_mode=cfg.fisher_mode, rng=Rng(seed).split(1))
-        trace = cg_minimize(q_b, cg_cfg)
-        q_vals, acc = _trajectory_metrics(mlp, dataset, q_full, trace.iterates)
-        for i, (qv, a) in enumerate(zip(q_vals, acc)):
-            rows.append(["single", seed, i, qv, a])
-        terminations[f"single_s{seed}"] = trace.termination
-        finals[f"single_s{seed}"] = q_vals[-1]
+        score("single", seed, cg_minimize(q_b, cg_cfg))
 
         if cfg.force_same_batch:
             # congruence mode: direction and magnitude processes share the
@@ -264,13 +268,9 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
         q_mag = build_quadratic(mlp, theta, b_mag, cfg.curvature, cfg.beta,
                                 cfg.delta, batch_id="mag",
                                 fisher_mode=cfg.fisher_mode, rng=rng_mag)
-        _, deb_trace = debiased_cg(q_dir, q_mag, cfg.cg_iterations, cg_cfg)
-        q_vals_d, acc_d = _trajectory_metrics(mlp, dataset, q_full,
-                                              deb_trace.iterates)
-        for i, (qv, a) in enumerate(zip(q_vals_d, acc_d)):
-            rows.append(["debiased", seed, i, qv, a])
-        terminations[f"debiased_s{seed}"] = deb_trace.termination
-        finals[f"debiased_s{seed}"] = q_vals_d[-1]
+        # the direction trace (first of the pair) is dropped unscored
+        q_vals_d = score("debiased", seed,
+                         debiased_cg(q_dir, q_mag, cfg.cg_iterations, cg_cfg)[1])
         stable[f"debiased_s{seed}"] = bool(max(q_vals_d) <= q_anchor + 1e-12)
 
     write_csv(out_dir / "cg_compare.csv", header, rows, cfg.digest)

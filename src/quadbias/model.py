@@ -376,6 +376,16 @@ class Linearization:
 
         return self._by_pass(vs, one_pass).T
 
+    def ggn_forms(self, vs: np.ndarray) -> np.ndarray:
+        """Quadratic forms v_j^T G_B v_j, (k,), one per column of vs: the row
+        mean of (J v)^T Lambda (J v). Forward mode only, so no backward pass
+        runs and no (P, k) product is formed."""
+        def one_pass(vt):
+            jv = self._r_forward(vt)[-1]
+            return np.einsum("krc,krc->k", jv, self._loss_hessian(jv)) / self.size
+
+        return self._by_pass(vs, one_pass)
+
     def hvp_mm(self, vs: np.ndarray) -> np.ndarray:
         """Exact Hessian block product of the mean loss, (P, k).
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import DenseSymMatrix, Rng, kron_matvec
 from .model import Batch, KfacBlock, Mlp, ParamVector
 
@@ -24,10 +24,13 @@ class CurvatureOperator:
     """Matrix-free v -> (curvature + beta * mask + delta * I) v.
 
     ``raw_product`` applies the curvature to a vector or to a (dim, k) block.
-    ``matvec`` takes one vector and ``matmat`` a block; every column counts as
-    one matvec in ``matvec_count``, so experiments and tests can verify cost
-    claims either way. The operator is linear and symmetric; ``kind`` records
-    which curvature proxy backs it.
+    ``matvec`` takes one vector and ``matmat`` a block; ``forms`` returns the
+    quadratic form v_j^T (curvature + beta * mask + delta * I) v_j of every
+    column of a block, from ``raw_forms`` when given (it must not need the
+    product) and else from the dot of each column with its product. Every
+    column counts as one matvec in ``matvec_count``, so experiments and tests
+    can verify cost claims either way. The operator is linear and symmetric;
+    ``kind`` records which curvature proxy backs it.
     """
 
     def __init__(
@@ -39,6 +42,7 @@ class CurvatureOperator:
         delta: float = 0.0,
         mask: np.ndarray | None = None,
         batch_id=None,
+        raw_forms: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         if kind not in CURVATURE_KINDS:
             raise ValidationError(f"unknown curvature kind {kind!r}")
@@ -51,6 +55,7 @@ class CurvatureOperator:
         self.mask = np.ones(dim, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         self.batch_id = batch_id
         self._raw_product = raw_product
+        self._raw_forms = raw_forms
         self.matvec_count = 0
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -64,11 +69,30 @@ class CurvatureOperator:
 
     def matmat(self, vs: np.ndarray) -> np.ndarray:
         """The operator applied to every column of a (dim, k) block."""
+        vs = self._block(vs)
+        return self._shifted(self._raw_product(vs), vs, self.mask[:, None])
+
+    def forms(self, vs: np.ndarray) -> np.ndarray:
+        """v_j^T (curvature + beta * mask + delta * I) v_j for every column
+        of a (dim, k) block, (k,); the shift terms read the block in place."""
+        vs = self._block(vs)
+        if self._raw_forms is None:
+            out = np.einsum("ij,ij->j", vs, self._raw_product(vs))
+        else:
+            out = self._raw_forms(vs)
+        if self.beta:
+            out = out + self.beta * np.einsum("ij,ij,i->j", vs, vs, self.mask)
+        if self.delta:
+            out = out + self.delta * np.einsum("ij,ij->j", vs, vs)
+        return out
+
+    def _block(self, vs: np.ndarray) -> np.ndarray:
+        """vs as a float (dim, k >= 1) block, counted as k matvecs."""
         vs = np.asarray(vs, dtype=np.float64)
         if vs.ndim != 2 or vs.shape[0] != self.dim or vs.shape[1] < 1:
             raise ValidationError(f"block shape {vs.shape} != ({self.dim}, k >= 1)")
         self.matvec_count += vs.shape[1]
-        return self._shifted(self._raw_product(vs), vs, self.mask[:, None])
+        return vs
 
     def _shifted(self, out: np.ndarray, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
         if self.beta:
@@ -103,11 +127,13 @@ def _kfac_product(blocks: list, params: ParamVector) -> Callable[[np.ndarray], n
     return product
 
 
-def _curvature_product(mlp: Mlp, theta0: ParamVector, kind: str, parts: list):
-    """Product of the hessian or ggn curvature with a vector or a (P, k)
-    block, summed over (weight, part) pairs. A part is a Linearization at
-    theta0, reused by every call, or a Batch, linearized afresh on every call
-    so that no trace outlives it."""
+def _curvature_products(mlp: Mlp, theta0: ParamVector, kind: str, parts: list):
+    """(product, forms) of the hessian or ggn curvature, summed over
+    (weight, part) pairs. The product takes a vector or a (P, k) block; forms
+    is the ggn's quadratic forms of a block's columns from J v alone, and
+    None for the hessian. A part is a Linearization at theta0, reused by
+    every call, or a Batch, linearized afresh on every call (once for all of
+    a block's columns) so that no trace outlives it."""
     name = "hvp" if kind == "hessian" else "ggn_vp"
 
     def product(vs: np.ndarray) -> np.ndarray:
@@ -116,7 +142,20 @@ def _curvature_product(mlp: Mlp, theta0: ParamVector, kind: str, parts: list):
             out += w * getattr(mlp, name)(theta0, part, 0.0, vs)
         return out
 
-    return product
+    def forms(vs: np.ndarray) -> np.ndarray:
+        out = np.zeros(vs.shape[1])
+        for w, part in parts:
+            out += w * mlp._linearized(theta0, part).ggn_forms(vs)
+        return out
+
+    return product, (forms if kind == "ggn" else None)
+
+
+def _require_finite(stage: str, **values) -> None:
+    """Raise NumericalError naming the stage and the first non-finite value."""
+    for name, v in values.items():
+        if not np.all(np.isfinite(v)):
+            raise NumericalError(f"{stage}: non-finite {name}")
 
 
 @dataclass
@@ -155,18 +194,20 @@ def build_quadratic(
     """
     if kind not in CURVATURE_KINDS:
         raise ValidationError(f"unknown curvature kind {kind!r}")
+    _require_finite("build_quadratic", theta=theta0.values)
     lin = mlp.linearize(theta0, batch.inputs, batch.targets)
     loss, grad = mlp.loss_and_grad(theta0, lin, beta)
+    _require_finite("build_quadratic", loss=loss, gradient=grad)
     mask = mlp.reg_mask(theta0)
     blocks = None
     if kind == "kfac":
         blocks = mlp.kfac_factors(theta0, batch, fisher_mode, rng)
         if not blocks:
             raise ValidationError("kfac curvature requires at least one dense layer")
-        raw = _kfac_product(blocks, theta0)
+        raw, forms = _kfac_product(blocks, theta0), None
     else:
-        raw = _curvature_product(mlp, theta0, kind, [(1.0, lin)])
-    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id)
+        raw, forms = _curvature_products(mlp, theta0, kind, [(1.0, lin)])
+    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id, forms)
     return QuadraticModel(theta0, loss, grad, op, batch_id, kfac_blocks=blocks)
 
 
@@ -203,6 +244,22 @@ def value_at(q: QuadraticModel, theta: ParamVector | np.ndarray) -> float:
     return 0.5 * float(disp @ h_disp) + float(disp @ q.gradient) + q.constant
 
 
+def values_at(q: QuadraticModel, thetas) -> np.ndarray:
+    """q at every point of thetas (ParamVectors or arrays), (k,), from one
+    ``forms`` call on the block of displacements. Points at the anchor take
+    no column and read q.constant exactly."""
+    anchor = q.theta0.values
+    points = [t.values if isinstance(t, ParamVector) else np.asarray(t) for t in thetas]
+    moved = [j for j, v in enumerate(points) if not np.array_equal(v, anchor)]
+    out = np.full(len(points), q.constant)
+    if moved:
+        disp = np.empty((q.dim, len(moved)), order="F")
+        for col, j in enumerate(moved):
+            np.subtract(points[j], anchor, out=disp[:, col])
+        out[moved] += 0.5 * q.curvature.forms(disp) + disp.T @ q.gradient
+    return out
+
+
 def check_direction(d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     if abs(np.linalg.norm(d) - 1.0) > 1e-12:
@@ -224,11 +281,11 @@ def directional_curvature(q: QuadraticModel, d: np.ndarray) -> float:
 
 def directional_curvatures(q: QuadraticModel, directions: np.ndarray) -> np.ndarray:
     """d_i . H d_i for every unit column d_i of a (P, k) block, from one
-    block product."""
+    ``forms`` call."""
     d = np.asarray(directions, dtype=np.float64)
     for col in d.T:
         check_direction(col)
-    return np.einsum("ij,ij->j", d, q.curvature.matmat(d))
+    return q.curvature.forms(d)
 
 
 def subspace_eval(
@@ -347,6 +404,7 @@ def fullbatch_quadratic(
     """
     if data.size == 0:
         raise ValidationError("dataset is empty")
+    _require_finite("fullbatch_quadratic", theta=theta0.values)
     chunks = list(iter_chunks(data, chunk_size))
     n_total = data.size
     weights = [c.size / n_total for c in chunks]
@@ -360,15 +418,16 @@ def fullbatch_quadratic(
     mask = mlp.reg_mask(theta0)
     loss += 0.5 * beta * float(theta0.values[mask] @ theta0.values[mask])
     grad[mask] += beta * theta0.values[mask]
+    _require_finite("fullbatch_quadratic", loss=loss, gradient=grad)
 
     blocks = None
     if kind in ("hessian", "ggn"):
-        raw = _curvature_product(mlp, theta0, kind, list(zip(weights, chunks)))
+        raw, forms = _curvature_products(mlp, theta0, kind, list(zip(weights, chunks)))
     elif kind == "kfac":
         blocks = accumulate_kfac(mlp, theta0, data, fisher_mode, rng, chunk_size)
-        raw = _kfac_product(blocks, theta0)
+        raw, forms = _kfac_product(blocks, theta0), None
     else:
         raise ValidationError(f"unknown curvature kind {kind!r}")
 
-    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id="FULL")
+    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, "FULL", forms)
     return QuadraticModel(theta0, loss, grad, op, batch_id="FULL", kfac_blocks=blocks)

@@ -2,7 +2,8 @@
 forward trace and handles one direction. They are the reference that the
 block products of ``quadbias.model.Linearization`` are checked against. The
 K-FAC factors here keep their own trace, softmax and backward loop, the
-reference for ``Mlp.kfac_factors``."""
+reference for ``Mlp.kfac_factors``; quadratic forms taken as a block product
+and a dot are the reference for ``CurvatureOperator.forms``."""
 
 import numpy as np
 
@@ -127,3 +128,9 @@ def kfac_factors(mlp, params, batch, fisher_mode, rng=None):
         blocks.append(KfacBlock(layer=l, factor_a=DenseSymMatrix(_sym(a.T @ a / n)),
                                 factor_b=DenseSymMatrix(_sym(gl.T @ gl / n))))
     return blocks
+
+
+def operator_forms(op, vs):
+    """v_j^T A v_j for every column of a block, from the operator's block
+    product and a dot: the reference for ``CurvatureOperator.forms``."""
+    return np.einsum("ij,ij->j", vs, op.matmat(vs))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadbias.cg import CgConfig, cg_minimize, debiased_cg, newton_step
 from quadbias.errors import NumericalError, ValidationError
@@ -35,6 +37,19 @@ class TestCgMinimize:
         assert trace.termination == "tolerance"
         np.testing.assert_allclose(trace.final(), b, atol=1e-12)
         assert trace.residual_norms[-1] <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(dim=st.integers(1, 30), cond=st.floats(1.0, 10.0), seed=st.integers(0, 2**16))
+    def test_spd_solve_reaches_epsilon_within_dim_iterations(self, dim, cond, seed):
+        # tolerance fixed at 1e-8 of the starting residual; in floating point
+        # CG loses conjugacy as the condition number grows, so it is capped
+        q, h, g = spd_quadratic(seed, dim, cond)
+        eps = 1e-8 * np.linalg.norm(g)
+        trace = cg_minimize(q, CgConfig(epsilon=eps, p_max=dim))
+        assert trace.termination == "tolerance"
+        assert trace.n_steps <= dim
+        assert trace.residual_norms[-1] <= eps
+        assert np.linalg.norm(h @ trace.final() + g) <= 10 * eps
 
     def test_diagonal_solve(self):
         q = synthetic_quadratic(np.diag([1.0, 2.0]), -np.array([1.0, 1.0]))

@@ -20,7 +20,12 @@ from quadbias.harness import (
     train,
     verify_result_dir,
 )
-from quadbias.harness.config import EXPERIMENT_KINDS, config_digest, read_config_text
+from quadbias.harness.config import (
+    EXPERIMENT_KINDS,
+    config_digest,
+    parse_dataset_spec,
+    read_config_text,
+)
 from quadbias.harness.datasets import load_csv, save_csv
 from quadbias.harness.reports import write_csv, write_summary
 from quadbias.harness.training import checkpoint_epochs
@@ -99,6 +104,27 @@ class TestDatasets:
                            c=3)
         ds = generate_dataset(spec)
         np.testing.assert_array_equal(ds.train_inputs, x)
+
+    def test_csv_split_is_seeded_and_label_mixed(self, tmp_path):
+        # rows sorted by label: a split in file order would leave label 2
+        # out of train and labels 0 and 1 out of test
+        path = tmp_path / "sorted.csv"
+        x = np.arange(120, dtype=np.float64).reshape(60, 2)
+        save_csv(path, x, np.repeat([0, 1, 2], 20))
+        spec = DatasetSpec(generator="csv_file", path=str(path), train_frac=0.75,
+                           c=3, seed=4)
+        ds = generate_dataset(spec)
+        assert ds.n_train == 45 and ds.test_inputs.shape[0] == 15
+        assert set(ds.train_labels) == set(ds.test_labels) == {0, 1, 2}
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([ds.train_inputs[:, 0], ds.test_inputs[:, 0]])),
+            x[:, 0])
+        again = generate_dataset(spec)
+        np.testing.assert_array_equal(again.train_inputs, ds.train_inputs)
+        np.testing.assert_array_equal(again.test_labels, ds.test_labels)
+        other = generate_dataset(DatasetSpec(generator="csv_file", path=str(path),
+                                             train_frac=0.75, c=3, seed=5))
+        assert not np.array_equal(other.test_inputs, ds.test_inputs)
 
     def test_save_csv_exact_roundtrip(self, tmp_path):
         rng = Rng(11)
@@ -304,6 +330,29 @@ class TestConfig:
         sections["experiment"]["force_same_batch"] = raw
         with pytest.raises(ValidationError, match="force_same_batch"):
             parse_experiment_config(sections)
+
+    @pytest.mark.parametrize("section,key", [
+        ("experiment", "force_same_bach"), ("experiment", "chunck_size"),
+        ("dataset", "nosie"), ("model", "activaton"), ("train", "epoch"),
+    ])
+    def test_unknown_key_names_section_and_key(self, section, key):
+        sections = read_config_text(CONFIG_TEXT)
+        sections["experiment"]["kind"] = "cg-compare"
+        sections[section][key] = "7"
+        with pytest.raises(ValidationError, match=rf"'{key}' in \[{section}\]"):
+            parse_experiment_config(sections)
+
+    def test_unknown_section_rejected(self):
+        sections = read_config_text(CONFIG_TEXT + "\n[trian]\nepochs = 2\n")
+        with pytest.raises(ValidationError, match=r"\[trian\]"):
+            parse_experiment_config(sections)
+
+    def test_dataset_spec_reads_only_the_dataset_section(self):
+        sections = read_config_text(CONFIG_TEXT)
+        assert parse_dataset_spec(sections).n == 128
+        sections["dataset"]["size"] = "64"
+        with pytest.raises(ValidationError, match=r"'size' in \[dataset\]"):
+            parse_dataset_spec(sections)
 
     def test_missing_kind_rejected(self):
         sections = read_config_text(CONFIG_TEXT)

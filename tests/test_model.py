@@ -430,6 +430,19 @@ class TestLinearization:
             assert_close_to_oracle(hess_b[:, j],
                                    oracle.hvp(mlp, p, batch, v) + 0.2 * mask * v)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+    @pytest.mark.parametrize("n", [3, 70, 600])
+    def test_ggn_forms_match_per_vector_product_and_dot(self, activation, loss, n):
+        arch = MlpArchitecture((5, 7, 6, 3), activation, loss)
+        mlp, p, batch = small_problem(seed=48, n=n, arch=arch)
+        k = 9
+        vs = Rng(49).normal(p.n_params * k).reshape(p.n_params, k)
+        forms = mlp.linearize(p, batch.inputs).ggn_forms(vs)  # no targets needed
+        assert forms.shape == (k,)
+        want = np.array([v @ oracle.ggn_vp(mlp, p, batch, v) for v in vs.T])
+        assert_close_to_oracle(forms, want)
+
     def test_loss_and_grad_on_linearization_equals_batch(self):
         mlp, p, batch = small_problem(seed=46)
         lin = mlp.linearize(p, batch.inputs, batch.targets)
@@ -445,6 +458,8 @@ class TestLinearization:
             mlp.ggn_vp(p.copy(), lin, 0.0, np.ones(p.n_params))
         with pytest.raises(ValidationError):
             lin.ggn_mm(np.ones(p.n_params))
+        with pytest.raises(ValidationError):
+            lin.ggn_forms(np.ones((p.n_params + 1, 2)))
         with pytest.raises(ValidationError):
             mlp.linearize(p, batch.inputs).hvp_mm(np.ones((p.n_params, 2)))
         with pytest.raises(ValidationError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadbias.errors import ValidationError
+from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng, random_spd
 from quadbias.model import Batch, MlpArchitecture, ParamVector
 from quadbias.quadratic import (
@@ -20,14 +20,48 @@ from quadbias.quadratic import (
     subspace_eval,
     synthetic_quadratic,
     value_at,
+    values_at,
 )
 
+import curvature_oracle as oracle
 from conftest import small_problem
 
 
 # Block and single-vector products may sum in different orders; allow a few
 # hundred float64 roundings relative to the column's largest entry.
 BLOCK_TOL = 256 * np.finfo(np.float64).eps
+
+
+OPERATOR_CASES = given(
+    kind=st.sampled_from(["hessian", "ggn", "kfac", "dense",
+                          "full-hessian", "full-ggn", "full-kfac"]),
+    activation=st.sampled_from(["relu", "tanh"]),
+    loss=st.sampled_from(["cross_entropy", "mse"]),
+    n=st.integers(1, 300),
+    chunk=st.integers(1, 300),
+    k=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+
+
+def operator_problem(kind, activation, loss, n, chunk, k, seed):
+    """A quadratic of one operator kind with beta, delta > 0, and a (P, k)
+    block. n up to 300 rows runs blocks in passes of 1 to 9 columns; chunk
+    sizes that do not divide n leave a ragged last chunk."""
+    arch = MlpArchitecture((5, 8, 4), activation, loss)
+    mlp, p, batch = small_problem(seed=seed, n=n, arch=arch)
+    if kind == "dense":
+        h = random_spd(Rng(seed), p.n_params)
+        op = CurvatureOperator.from_dense(h, beta=0.1, delta=0.01, mask=p.weight_mask)
+        q = synthetic_quadratic(op, Rng(seed + 2).normal(p.n_params), 0.3, p)
+    elif kind.startswith("full-"):
+        q = fullbatch_quadratic(mlp, p, batch, kind[5:], beta=0.1, delta=0.01,
+                                chunk_size=chunk, fisher_mode="empirical")
+    else:
+        q = build_quadratic(mlp, p, batch, kind, beta=0.1, delta=0.01,
+                            fisher_mode="empirical")
+    vs = Rng(seed + 1).normal(p.n_params * k).reshape(p.n_params, k)
+    return q, vs
 
 
 def unit(v):
@@ -70,6 +104,12 @@ class TestBuildQuadratic:
         d = unit(Rng(2).normal(p.n_params))
         assert directional_curvature(q, d) > 0  # PSD blocks + beta on weights
 
+    def test_nan_parameter_raises_naming_the_stage(self):
+        mlp, p, batch = small_problem(seed=52)
+        p.values[3] = np.nan
+        with pytest.raises(NumericalError, match="build_quadratic: non-finite theta"):
+            build_quadratic(mlp, p, batch, "ggn")
+
     def test_unknown_kind(self):
         mlp, p, batch = small_problem(seed=53)
         with pytest.raises(ValidationError):
@@ -99,38 +139,52 @@ class TestCurvatureOperator:
         assert op.matvec_count == 6
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        kind=st.sampled_from(["hessian", "ggn", "kfac", "dense",
-                              "full-hessian", "full-ggn", "full-kfac"]),
-        activation=st.sampled_from(["relu", "tanh"]),
-        loss=st.sampled_from(["cross_entropy", "mse"]),
-        n=st.integers(1, 300),
-        chunk=st.integers(1, 300),
-        k=st.integers(1, 9),
-        seed=st.integers(0, 2**16),
-    )
+    @OPERATOR_CASES
     def test_matmat_columns_equal_matvec(self, kind, activation, loss, n, chunk, k, seed):
-        # n up to 300 rows runs blocks in passes of 1 to 9 columns; chunk
-        # sizes that do not divide n leave a ragged last chunk
-        arch = MlpArchitecture((5, 8, 4), activation, loss)
-        mlp, p, batch = small_problem(seed=seed, n=n, arch=arch)
-        if kind == "dense":
-            h = random_spd(Rng(seed), p.n_params)
-            q = synthetic_quadratic(h, np.zeros(p.n_params))
-        elif kind.startswith("full-"):
-            q = fullbatch_quadratic(mlp, p, batch, kind[5:], beta=0.1, delta=0.01,
-                                    chunk_size=chunk, fisher_mode="empirical")
-        else:
-            q = build_quadratic(mlp, p, batch, kind, beta=0.1, delta=0.01,
-                                fisher_mode="empirical")
-        vs = Rng(seed + 1).normal(p.n_params * k).reshape(p.n_params, k)
+        q, vs = operator_problem(kind, activation, loss, n, chunk, k, seed)
         block = q.curvature.matmat(vs)
-        assert block.shape == (p.n_params, k)
+        assert block.shape == (q.dim, k)
         for j in range(k):
             col = q.curvature.matvec(vs[:, j])
             scale = max(1.0, float(np.max(np.abs(col))))
             assert np.max(np.abs(block[:, j] - col)) <= BLOCK_TOL * scale
         assert q.curvature.matvec_count == 2 * k
+
+    @settings(max_examples=30, deadline=None)
+    @OPERATOR_CASES
+    def test_forms_equal_product_and_dot(self, kind, activation, loss, n, chunk, k, seed):
+        q, vs = operator_problem(kind, activation, loss, n, chunk, k, seed)
+        forms = q.curvature.forms(vs)
+        assert forms.shape == (k,)
+        assert q.curvature.matvec_count == k
+        want = oracle.operator_forms(q.curvature, vs)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(forms - want)) <= BLOCK_TOL * scale
+
+    @settings(max_examples=30, deadline=None)
+    @OPERATOR_CASES
+    def test_values_at_equal_value_at(self, kind, activation, loss, n, chunk, k, seed):
+        # the anchor, as an array and as a ParamVector, sits among k moved
+        # points and reads the constant exactly
+        q, vs = operator_problem(kind, activation, loss, n, chunk, k, seed)
+        anchor = q.theta0.values
+        points = [anchor + 0.1 * v for v in vs.T]
+        points[k // 2:k // 2] = [anchor.copy(), q.theta0]
+        got = values_at(q, points)
+        assert got.shape == (k + 2,)
+        assert q.curvature.matvec_count == k
+        assert got[k // 2] == got[k // 2 + 1] == q.constant
+        want = np.array([value_at(q, th) for th in points])
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= BLOCK_TOL * scale
+
+    def test_forms_validate_the_block(self):
+        op = CurvatureOperator.from_dense(np.eye(3))
+        with pytest.raises(ValidationError):
+            op.forms(np.ones((3, 0)))
+        with pytest.raises(ValidationError):
+            op.forms(np.ones(3))
+        assert op.matvec_count == 0
 
     def test_directional_curvatures_match_single_directions(self, toy_quadratic):
         _, p, _, q = toy_quadratic
@@ -384,6 +438,21 @@ class TestFullbatch:
         for l, blk in enumerate(q.kfac_blocks):
             avg_a = 0.5 * (blocks[0][l].factor_a.entries + blocks[1][l].factor_a.entries)
             np.testing.assert_allclose(blk.factor_a.entries, avg_a, atol=1e-12)
+
+    def test_nan_parameter_raises_naming_the_stage(self):
+        mlp, p, batch = small_problem(seed=58)
+        p.values[-1] = np.nan
+        with pytest.raises(NumericalError, match="fullbatch_quadratic: non-finite theta"):
+            fullbatch_quadratic(mlp, p, batch, "ggn", chunk_size=5)
+
+    def test_inf_input_raises_on_the_loss(self):
+        mlp, p, batch = small_problem(seed=59)
+        x = batch.inputs.copy()
+        x[0, 0] = np.inf
+        bad = Batch(x, batch.targets)
+        for build in (build_quadratic, fullbatch_quadratic):
+            with pytest.raises(NumericalError, match=f"{build.__name__}: non-finite"):
+                build(mlp, p, bad, "ggn")
 
     def test_empty_dataset_rejected(self):
         mlp, p, _ = small_problem(seed=59)
