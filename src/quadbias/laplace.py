@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import DenseSymMatrix, EigenDecomposition, Rng, kron_matvec, sym_eigh
 from .model import KfacBlock, Mlp, ParamVector, _sym
 from .quadratic import accumulate_kfac  # re-exported: the K-FAC of a whole dataset
@@ -37,8 +37,13 @@ DEFAULT_MC_SAMPLES = 40
 
 def clamped_eigh(factor: DenseSymMatrix, context: str = "factor") -> EigenDecomposition:
     """Eigendecomposition with the PSD clamp applied to the spectrum."""
-    eig = sym_eigh(factor)
+    try:
+        eig = sym_eigh(factor)
+    except np.linalg.LinAlgError as exc:  # LAPACK gives up on a factor full of NaN
+        raise NumericalError(f"{context}: eigendecomposition failed: {exc}") from exc
     vals = eig.eigenvalues
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError(f"{context}: non-finite factor eigenvalue")
     if np.any(vals < -NEG_EIG_TOL):
         raise ValidationError(
             f"{context}: eigenvalue {vals.min():.3e} below -{NEG_EIG_TOL:.0e}; "

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import NumericalError, ValidationError
 
@@ -219,6 +218,9 @@ def top_k_eigenpairs(
         return EigenDecomposition(
             basis=full.basis[:, :k].copy(), eigenvalues=full.eigenvalues[:k].copy()
         )
+    # Imported here, so a process that never takes this branch loads no scipy.
+    import scipy.sparse.linalg
+
     linop = scipy.sparse.linalg.LinearOperator(
         (dim, dim), matvec=op, dtype=np.float64
     )

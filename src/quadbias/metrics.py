@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import ValidationError
 
@@ -87,16 +86,27 @@ def ece(t: ProbTable, n_bins: int = DEFAULT_ECE_BINS) -> float:
 
 def auroc(scores, is_positive) -> float:
     """Area under the ROC curve as the tie-aware rank statistic
-    P(score_pos > score_neg) + 1/2 P(tie)."""
+    P(score_pos > score_neg) + 1/2 P(tie). Scores must be finite."""
     scores = np.asarray(scores, dtype=np.float64)
     pos = np.asarray(is_positive, dtype=bool)
     n_pos = int(pos.sum())
     n_neg = int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("need at least one positive and one negative")
-    ranks = scipy.stats.rankdata(scores)
-    u = float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError("scores must be finite")
+    u = float(_average_ranks(scores)[pos].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, ties given the mean of their ranks
+    (scipy's ``rankdata`` with ``method="average"``); exact half-integers."""
+    order = np.argsort(values, kind="stable")
+    _, first, counts = np.unique(values[order], return_index=True, return_counts=True)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
+    return ranks
 
 
 def predictive_entropy(probs: np.ndarray):

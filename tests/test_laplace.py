@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quadbias.errors import ValidationError
+from quadbias.errors import NumericalError, ValidationError
 from quadbias.laplace import (
     DEFAULT_PRIOR_GRID,
     PredictiveConfig,
@@ -102,6 +102,13 @@ class TestBuildPosterior:
     def test_clamps_slightly_negative(self):
         eig = clamped_eigh(DenseSymMatrix(np.diag([1.0, -1e-9])))
         assert eig.eigenvalues.min() == 0.0
+
+    @pytest.mark.parametrize("nan_at", [(1, 1), (slice(None), slice(None))])
+    def test_nan_factor_eigenvalue_raises_naming_the_factor(self, nan_at):
+        factor = np.eye(3)
+        factor[nan_at] = np.nan
+        with pytest.raises(NumericalError, match="layer 1 input factor"):
+            clamped_eigh(DenseSymMatrix(factor), context="layer 1 input factor")
 
     def test_beta_zero_requires_positive_factors(self):
         mean = block_mean(2, 2)

@@ -2,12 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.stats  # the oracle for the numpy ranks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadbias.errors import ValidationError
 from quadbias.linalg import Rng
-from quadbias.metrics import ProbTable, accuracy, auroc, ece, nll, predictive_entropy
+from quadbias.metrics import (
+    ProbTable,
+    _average_ranks,
+    accuracy,
+    auroc,
+    ece,
+    nll,
+    predictive_entropy,
+)
 
 
 def table(probs, labels):
@@ -124,6 +133,14 @@ class TestEce:
         # both correct; bins {12} and {13}: ece = 0.5*0.2 + 0.5*0.19
         assert ece(t, 15) == pytest.approx(0.5 * 0.2 + 0.5 * 0.19, rel=1e-12)
 
+    def test_confidence_on_a_representable_edge_goes_to_lower_bin(self):
+        # 0.5 is exactly the middle edge for n_bins = 2. In the lower bin the
+        # correct row at 0.5 and the wrong row at 0.9 make two gaps
+        # (0.5 * 0.5 + 0.5 * 0.9); in the upper bin they would share one
+        # (|0.5 - 0.7| = 0.2).
+        t = table([[0.5, 0.5], [0.9, 0.1]], [0, 1])
+        assert ece(t, 2) == pytest.approx(0.5 * 0.5 + 0.5 * 0.9, rel=1e-12)
+
     def test_bad_bins(self):
         with pytest.raises(ValidationError):
             ece(table([[1.0, 0.0]], [0]), 0)
@@ -165,6 +182,40 @@ class TestAuroc:
         wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
         expected = wins / (len(pos) * len(neg))
         assert auroc(scores, labels) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            auroc([0.1, bad, 0.3, 0.2], [True, False, True, False])
+
+
+# Scores drawn from a few rounded values, so most arrays carry ties.
+TIED_SCORES = st.lists(
+    st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 2.0, 1e300]), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TIED_SCORES)
+def test_average_ranks_equal_scipy_rankdata(values):
+    values = np.array(values)
+    np.testing.assert_array_equal(_average_ranks(values), scipy.stats.rankdata(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(TIED_SCORES.flatmap(
+    lambda s: st.tuples(st.just(s), st.lists(st.booleans(), min_size=len(s), max_size=len(s)))
+))
+def test_auroc_equals_pairwise_count(case):
+    scores, labels = case
+    if all(labels) or not any(labels):
+        with pytest.raises(ValidationError):
+            auroc(scores, labels)
+        return
+    pos = [s for s, y in zip(scores, labels) if y]
+    neg = [s for s, y in zip(scores, labels) if not y]
+    wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+    assert auroc(scores, labels) == wins / (len(pos) * len(neg))
 
 
 class TestPredictiveEntropy:
