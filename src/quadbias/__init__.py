@@ -31,6 +31,7 @@ from .laplace import (
     accumulate_kfac,
     build_posterior,
     debias_kfac,
+    draw_noise,
     predictive,
     sample_params,
 )

@@ -19,6 +19,7 @@ from ..laplace import (
     accumulate_kfac,
     build_posterior,
     debias_kfac,
+    draw_noise,
     predictive,
 )
 from ..linalg import Rng
@@ -303,34 +304,30 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 # -- laplace-sweep -----------------------------------------------------------------
 
-def _predictive_metrics(probs_of, dataset):
-    """accuracy / nll / ece on the test set, auroc + mean entropy with OOD;
-    probs_of maps inputs to predictive probabilities."""
-    probs = probs_of(dataset.test_inputs)
-    table = ProbTable(probs, dataset.test_labels)
+def _predictive_metrics(probs_of, labels, input_sets):
+    """accuracy / nll / ece on the first input set (the test set), auroc +
+    mean entropy with the second (OOD) set when there is one; probs_of maps
+    an input set to predictive probabilities."""
+    probs = probs_of(input_sets[0])
+    table = ProbTable(probs, labels)
     out = {
         "accuracy": accuracy(table),
         "nll": nll(table),
         "ece": ece(table),
     }
-    if dataset.ood_inputs is not None:
-        ood_probs = probs_of(dataset.ood_inputs)
+    if len(input_sets) > 1:
+        ood_probs = probs_of(input_sets[1])
         ent = predictive_entropy(np.vstack([probs, ood_probs]))
-        labels = [False] * probs.shape[0] + [True] * ood_probs.shape[0]
-        out["auroc"] = auroc(ent, labels)
+        is_ood = [False] * probs.shape[0] + [True] * ood_probs.shape[0]
+        out["auroc"] = auroc(ent, is_ood)
         out["mean_ood_entropy"] = float(np.mean(ent[probs.shape[0]:]))
     return out
 
 
-def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    dataset, mlp, checkpoints = _prepare(cfg)
-    theta = checkpoints[-1].params
-    n_train = dataset.n_train
-    single_size = cfg.batch_sizes[0]
-    half = max(1, single_size // 2)
-
-    # (method, seed, K-FAC factors, predictive seed) in row order; seed -1
-    # marks the full-batch factors
+def _laplace_fits(cfg, dataset, mlp, theta, single_size, half) -> list:
+    """(method, seed, K-FAC factors, predictive seed) in row order; seed -1
+    marks the full-batch factors. Built in a frame of its own, so that the
+    minibatch lists are freed before the sweep runs."""
     fits = [("fullbatch", -1, accumulate_kfac(mlp, theta, dataset.train_batch(),
                                               cfg.fisher_mode, Rng(0).split(50),
                                               cfg.chunk_size), 1000)]
@@ -345,18 +342,51 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
         blocks_mag = mlp.kfac_factors(theta, halves[1], cfg.fisher_mode,
                                       Rng(seed).split(13))
         fits.append(("debiased", seed, debias_kfac(blocks_dir, blocks_mag), 2000 + seed))
+    return fits
+
+
+def _fit_metrics(mlp, post, grid, pred_cfg, labels, lins) -> list:
+    """Predictive metrics of one fit's posterior at every prior precision in
+    grid: one set of draws serves every beta, the posterior's factor
+    eigendecompositions are re-pointed, and lins (one linearization per
+    input set) serve every call."""
+    noise = draw_noise(post, pred_cfg)
+    out = []
+    for beta in grid:
+        post_beta = post.with_beta(beta)
+        out.append(_predictive_metrics(
+            lambda lin: predictive(post_beta, mlp, lin, pred_cfg, noise), labels, lins))
+    return out
+
+
+def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    dataset, mlp, checkpoints = _prepare(cfg)
+    theta = checkpoints[-1].params
+    single_size = cfg.batch_sizes[0]
+    half = max(1, single_size // 2)
+    fits = _laplace_fits(cfg, dataset, mlp, theta, single_size, half)
+    grid = cfg.la_grid
+
+    # the network at theta* on each input set, shared by the MAP metrics and
+    # every posterior
+    lins = [mlp.linearize(theta, x) for x in (dataset.test_inputs, dataset.ood_inputs)
+            if x is not None]
+    labels = dataset.test_labels
+    map_metrics = _predictive_metrics(lambda lin: softmax(lin.logits), labels, lins)
+    # each fit's factors are eigendecomposed once, at the first beta
+    per_fit = [
+        _fit_metrics(mlp, build_posterior(blocks, theta, dataset.n_train, grid[0]),
+                     grid, PredictiveConfig(cfg.mc_samples, pred_seed), labels, lins)
+        for _, _, blocks, pred_seed in fits
+    ]
 
     rows = []
     nll_at_min_beta = {}
-    min_beta = min(cfg.la_grid)
-    map_metrics = _predictive_metrics(lambda x: softmax(mlp.forward(theta, x)), dataset)
-    for beta in cfg.la_grid:
+    min_beta = min(grid)
+    for j, beta in enumerate(grid):
         rows.extend(["map", beta, metric, value, -1] for metric, value in map_metrics.items())
-        for method, seed, blocks, pred_seed in fits:
-            post = build_posterior(blocks, theta, n_train, beta)
-            m = _predictive_metrics(
-                lambda x: predictive(post, mlp, x, PredictiveConfig(cfg.mc_samples, pred_seed)),
-                dataset)
+        for (method, seed, _, _), metrics in zip(fits, per_fit):
+            m = metrics[j]
             rows.extend([method, beta, metric, value, seed] for metric, value in m.items())
             if beta == min_beta:
                 nll_at_min_beta[method if seed < 0 else f"{method}_s{seed}"] = m["nll"]

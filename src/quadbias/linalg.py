@@ -125,10 +125,15 @@ class DenseSymMatrix:
 
 
 def check_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
-    """Raise ValidationError naming the worst (i, j) pair if m is not symmetric."""
-    diff = np.abs(m - m.T)
-    scale = np.maximum(1.0, np.abs(m))
-    rel = diff / scale
+    """Raise ValidationError naming the worst (i, j) pair if m is not symmetric.
+
+    Pairs whose difference is NaN (a NaN entry, or inf against inf) are not
+    compared here: ``sym_eigh`` rejects every non-finite entry by name.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf give NaN
+        diff = np.abs(m - m.T)
+        rel = diff / np.maximum(1.0, np.abs(m))
+    rel[np.isnan(rel)] = 0.0
     worst = np.unravel_index(np.argmax(rel), rel.shape)
     if rel[worst] > tol:
         i, j = int(worst[0]), int(worst[1])
@@ -170,9 +175,18 @@ def _canonical_signs(basis: np.ndarray) -> np.ndarray:
 
 
 def sym_eigh(m: DenseSymMatrix | np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix, descending order."""
+    """Full eigendecomposition of a symmetric matrix, descending order.
+
+    A non-finite entry raises NumericalError naming the first one, before
+    LAPACK sees the matrix.
+    """
     if not isinstance(m, DenseSymMatrix):
         m = DenseSymMatrix(np.asarray(m, dtype=np.float64))
+    if not np.isfinite(m.entries).all():
+        i, j = np.argwhere(~np.isfinite(m.entries))[0]
+        raise NumericalError(
+            f"sym_eigh: non-finite entry M[{i},{j}] = {m.entries[i, j]}"
+        )
     w, v = np.linalg.eigh(m.entries)
     order = np.argsort(w)[::-1]
     return EigenDecomposition(

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import DenseSymMatrix, Rng
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -260,7 +260,7 @@ class Linearization:
         self.wb, self.acts, self.pre = mlp._forward_trace(params, inputs)
         self.d1 = [_act_d(mlp.arch.activation, z) for z in self.pre[:-1]]
         self.probs = softmax(self.logits) if mlp.arch.loss == "cross_entropy" else None
-        self.cols_per_pass = max(1, BLOCK_BUDGET // self.size)
+        self.cols_per_pass = max(1, BLOCK_BUDGET // max(1, self.size))
 
     @property
     def size(self) -> int:
@@ -597,11 +597,16 @@ class Mlp:
                 eps = rng.normal(n * logits.shape[1]).reshape(logits.shape)
                 seed = np.sqrt(2.0) * eps
 
-        return [
-            KfacBlock(layer=l, factor_a=DenseSymMatrix(_sym(a.T @ a / n)),
-                      factor_b=DenseSymMatrix(_sym(g.T @ g / n)))
-            for l, (a, g) in enumerate(zip(lin.acts, lin._layer_grads(seed)))
-        ]
+        blocks = []
+        for l, (a, g) in enumerate(zip(lin.acts, lin._layer_grads(seed))):
+            factors = {"input": _sym(a.T @ a / n), "output": _sym(g.T @ g / n)}
+            for side, f in factors.items():
+                if not np.isfinite(f).all():
+                    raise NumericalError(
+                        f"kfac_factors: non-finite entry in the layer {l} {side} factor")
+            blocks.append(KfacBlock(layer=l, factor_a=DenseSymMatrix(factors["input"]),
+                                    factor_b=DenseSymMatrix(factors["output"])))
+        return blocks
 
 
 def _sym(m: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Datasets, training/checkpoints, configuration, reports, experiments, CLI."""
 
 import json
+import logging
 import subprocess
 import sys
 
@@ -29,8 +30,11 @@ from quadbias.harness.config import (
 from quadbias.harness.datasets import load_csv, save_csv
 from quadbias.harness.reports import write_csv, write_summary
 from quadbias.harness.training import checkpoint_epochs
-from quadbias.linalg import Rng
-from quadbias.model import Mlp, MlpArchitecture
+from quadbias.laplace import PredictiveConfig, build_posterior
+from quadbias.linalg import DenseSymMatrix, Rng
+from quadbias.model import KfacBlock, Mlp, MlpArchitecture
+
+from conftest import small_problem
 
 
 class TestDatasets:
@@ -517,6 +521,87 @@ class TestExperiments:
         aurocs = [float(r[3]) for r in rows if r[2] == "auroc"]
         assert aurocs
         assert all(0.0 <= a <= 1.0 for a in aurocs)
+
+    def _laplace_sweep(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="quadbias.laplace")
+        cfg = self._config(
+            tmp_path, kind="laplace-sweep",
+            extra={"la_grid_points": "2", "mc_samples": "4",
+                   "batch_sizes": "32", "seeds": "0,1"},
+            dataset={"train_frac": "0.75", "ood_translation": "3.0"},
+        )
+        out = run_experiment(cfg, tmp_path / "r")
+        summary = json.loads((out / "summary.json").read_text())
+        return summary, read_csv(out / "la_sweep.csv")[2]
+
+    def test_laplace_sweep_without_test_split_is_validation_error(self, tmp_path):
+        cfg = self._config(tmp_path, kind="laplace-sweep",
+                           extra={"la_grid_points": "2", "mc_samples": "2",
+                                  "batch_sizes": "32", "seeds": "0"})
+        assert cfg.dataset.train_frac == 1.0
+        with pytest.raises(ValidationError, match="empty table"):
+            run_experiment(cfg, tmp_path / "r")
+
+    def test_laplace_sweep_summary_recomputed_from_csv(self, tmp_path, caplog):
+        summary, rows = self._laplace_sweep(tmp_path, caplog)
+        betas = sorted({float(r[1]) for r in rows})
+        nll = {b: {} for b in (betas[0], betas[-1])}
+        for method, beta, metric, value, seed in rows:
+            if metric == "nll" and method != "map" and float(beta) in nll:
+                key = method if seed == "-1" else f"{method}_s{seed}"
+                nll[float(beta)][key] = float(value)
+        at_min = nll[betas[0]]
+        assert summary["nll_at_min_beta"] == at_min
+        # the grid's two ends differ everywhere, so a summary read at another
+        # beta would not pass
+        assert all(at_min[k] != nll[betas[-1]][k] for k in at_min)
+        full = at_min["fullbatch"]
+        closer = sum(abs(at_min[f"debiased_s{s}"] - full) <= abs(at_min[f"single_s{s}"] - full)
+                     for s in (0, 1))
+        assert summary["debiased_closer_to_fullbatch_count"] == closer
+
+    def test_laplace_sweep_logs_at_most_one_clamp_warning_per_fit(self, tmp_path, caplog):
+        self._laplace_sweep(tmp_path, caplog)
+        clamps = [r for r in caplog.records if "clamping" in r.getMessage()]
+        assert 0 < len(clamps) <= 5  # fullbatch, then single and debiased for 2 seeds
+
+    def test_one_clamp_warning_per_fit_over_six_betas(self, caplog):
+        from quadbias.harness.experiments import _fit_metrics
+
+        caplog.set_level(logging.WARNING, logger="quadbias.laplace")
+        mlp, p, batch = small_problem(seed=80, n=20)
+        blocks = [KfacBlock(0, DenseSymMatrix(np.diag([1.0] * 4 + [-1e-9])),
+                            DenseSymMatrix(np.eye(8))),
+                  KfacBlock(1, DenseSymMatrix(np.eye(8)), DenseSymMatrix(np.eye(4)))]
+        grid = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
+        lins = [mlp.linearize(p, batch.inputs)]
+        for fit in range(2):
+            post = build_posterior(blocks, p, 50, grid[0])
+            metrics = _fit_metrics(mlp, post, grid, PredictiveConfig(3, seed=fit),
+                                   batch.labels, lins)
+            assert len(metrics) == len(grid)
+        clamps = [r.getMessage() for r in caplog.records if "clamping" in r.getMessage()]
+        assert clamps == ["clamping 1 slightly negative eigenvalues in 1 of 4 factors "
+                          "(min -1.000e-09) to zero"] * 2
+
+    def test_predictive_metrics_ood_entropy_is_over_the_ood_rows(self):
+        from quadbias.harness.experiments import _predictive_metrics
+
+        probs = {"test": np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]]),
+                 "ood": np.array([[0.5, 0.5], [0.7, 0.3]])}
+        labels = np.array([0, 1, 1])
+
+        def entropy(p):
+            return -np.sum(p * np.log(p), axis=1)
+
+        m = _predictive_metrics(probs.__getitem__, labels, ["test", "ood"])
+        assert m["mean_ood_entropy"] == pytest.approx(np.mean(entropy(probs["ood"])), rel=1e-12)
+        assert m["accuracy"] == pytest.approx(2 / 3)
+        assert m["nll"] == pytest.approx(-np.mean(np.log([0.9, 0.8, 0.4])), rel=1e-12)
+        # OOD entropies ln 2 and 0.61 against test 0.33, 0.50 and 0.67
+        assert m["auroc"] == pytest.approx(5 / 6)
+        assert set(_predictive_metrics(probs.__getitem__, labels, ["test"])) == {
+            "accuracy", "nll", "ece"}
 
     def test_bias_over_training_series(self, tmp_path):
         cfg = self._config(tmp_path, kind="bias-over-training",

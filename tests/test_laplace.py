@@ -1,5 +1,7 @@
 """K-FAC Laplace posterior: construction, sampling, debiasing, predictive."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from quadbias.laplace import (
     build_posterior,
     clamped_eigh,
     debias_kfac,
+    draw_noise,
     predictive,
     sample_params,
 )
@@ -19,11 +22,13 @@ from quadbias.model import (
     Batch,
     KfacBlock,
     LayoutEntry,
+    MlpArchitecture,
     ParamVector,
     softmax,
 )
 from quadbias.quadratic import synthetic_quadratic, value_at
 
+import laplace_oracle as oracle
 from conftest import small_problem
 
 
@@ -314,6 +319,135 @@ class TestPredictive:
         assert DEFAULT_PRIOR_GRID[0] == pytest.approx(1e-4)
         assert DEFAULT_PRIOR_GRID[12] == pytest.approx(1.0)
         assert DEFAULT_PRIOR_GRID[13] == 10.0
+
+
+# Largest |difference| between a sweep probability and the oracle's, fixed
+# before the comparison was first run. The only difference allowed is the
+# rounding of theta_s - theta* in the oracle, about 1e-16 per coordinate,
+# which moves a probability by well under 1e-14.
+ORACLE_ATOL = 1e-12
+
+
+class TestSweepAgainstOracle:
+    """One decomposition, one draw block and one linearization per input
+    set, shared across beta, against everything recomputed per call."""
+
+    GRID = (1e-4, 1e-2, 0.3, 1.0, 10.0)
+
+    def _fit(self, activation, loss, seed=70):
+        arch = MlpArchitecture((5, 7, 6, 4), activation, loss)
+        mlp, p, batch = small_problem(seed=seed, n=40, arch=arch)
+        blocks = mlp.kfac_factors(p, batch, "mc_sample", Rng(seed + 1))
+        rng = Rng(seed + 2)
+        input_sets = [rng.normal(9 * 5).reshape(9, 5), 3.0 + rng.normal(6 * 5).reshape(6, 5)]
+        return mlp, p, blocks, input_sets
+
+    @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_shared_work_equals_per_call_oracle(self, activation, loss):
+        mlp, p, blocks, input_sets = self._fit(activation, loss)
+        cfg = PredictiveConfig(6, seed=2001)
+        post = build_posterior(blocks, p, 150, self.GRID[0])
+        noise = draw_noise(post, cfg)
+        lins = [mlp.linearize(p, x) for x in input_sets]
+        for beta in self.GRID:
+            post_beta = post.with_beta(beta)
+            for x, lin in zip(input_sets, lins):
+                got = predictive(post_beta, mlp, lin, cfg, noise)
+                want = oracle.predictive(blocks, p, 150, beta, mlp, x, 6, 2001)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=ORACLE_ATOL)
+                # its own draws and its own linearization: the same bits
+                np.testing.assert_array_equal(got, predictive(post_beta, mlp, x, cfg))
+
+    def test_draws_are_the_sample_params_draws(self):
+        from quadbias.laplace import _displacement
+
+        mlp, p, blocks, _ = self._fit("tanh", "cross_entropy")
+        cfg = PredictiveConfig(5, seed=7)
+        noise = draw_noise(build_posterior(blocks, p, 150, 1e-4), cfg)
+        for beta in (1e-4, 0.5):
+            post = build_posterior(blocks, p, 150, 1e-4).with_beta(beta)
+            ref = oracle.posterior(blocks, p, 150, beta)
+            for s in range(cfg.s_samples):
+                want = oracle.sample_params(ref, Rng(7).split(s))
+                delta = _displacement(post, noise[s], np.zeros(p.n_params))
+                np.testing.assert_array_equal(p.values + delta, want)
+                np.testing.assert_array_equal(
+                    sample_params(post, Rng(7).split(s)).values, want)
+
+    def test_with_beta_decomposes_nothing(self, monkeypatch):
+        import quadbias.laplace as laplace
+
+        mlp, p, blocks, input_sets = self._fit("relu", "cross_entropy")
+        post = build_posterior(blocks, p, 150, 1e-4)
+
+        def no_eigh(m):
+            raise AssertionError("factor decomposed again")
+
+        monkeypatch.setattr(laplace, "sym_eigh", no_eigh)
+        for beta in self.GRID:
+            post_beta = post.with_beta(beta)
+            assert post_beta.beta == beta and post_beta._eigs is post._eigs
+            predictive(post_beta, mlp, input_sets[0], PredictiveConfig(2, seed=1))
+
+    def test_with_beta_zero_requires_positive_factors(self):
+        post = build_posterior([make_block(np.zeros((2, 2)), np.eye(2))],
+                               block_mean(2, 2), 10, 0.1)
+        with pytest.raises(ValidationError, match="strictly positive"):
+            post.with_beta(0.0)
+        with pytest.raises(ValidationError, match="beta must be >= 0"):
+            post.with_beta(-1.0)
+        assert post.beta == 0.1
+
+    def test_one_clamp_warning_per_posterior(self, caplog):
+        caplog.set_level(logging.WARNING, logger="quadbias.laplace")
+        mlp, p, blocks, input_sets = self._fit("relu", "cross_entropy")
+        blocks = [make_block(b.factor_a.entries + np.eye(b.m), b.factor_b.entries + np.eye(b.n),
+                             b.layer) for b in blocks]
+        blocks[1] = KfacBlock(1, DenseSymMatrix(np.diag([1.0] * 6 + [-1e-9])),
+                              DenseSymMatrix(np.diag([2.0] * 5 + [-3e-9])))
+        post = build_posterior(blocks, p, 150, self.GRID[0])
+        noise = draw_noise(post, PredictiveConfig(2, seed=1))
+        for beta in self.GRID:
+            predictive(post.with_beta(beta), mlp, input_sets[0],
+                       PredictiveConfig(2, seed=1), noise)
+        messages = [r.getMessage() for r in caplog.records if "clamping" in r.getMessage()]
+        assert messages == ["clamping 2 slightly negative eigenvalues in 2 of 6 "
+                            "factors (min -3.000e-09) to zero"]
+
+    def test_noise_and_linearization_must_fit(self):
+        mlp, p, blocks, input_sets = self._fit("relu", "cross_entropy")
+        post = build_posterior(blocks, p, 150, 0.1)
+        cfg = PredictiveConfig(3, seed=1)
+        with pytest.raises(ValidationError, match="noise shape"):
+            predictive(post, mlp, input_sets[0], cfg, draw_noise(post, PredictiveConfig(4)))
+        other = mlp.linearize(p.copy(), input_sets[0])
+        with pytest.raises(ValidationError, match="other parameters"):
+            predictive(post, mlp, other, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestPredictiveFailsLoudly:
+    def _posterior(self):
+        mlp, p, batch = small_problem(seed=71, n=30)
+        return mlp, p, build_posterior(mlp.kfac_factors(p, batch, "empirical"), p, 100, 0.5)
+
+    def test_nan_mean_raises(self):
+        mlp, p, post = self._posterior()
+        bad = p.copy()
+        bad.values[3] = np.nan
+        post = build_posterior(post.blocks, bad, 100, 0.5)
+        x = Rng(72).normal(4 * 5).reshape(4, 5)
+        with pytest.raises(NumericalError, match="predictive: non-finite probability"):
+            predictive(post, mlp, x, PredictiveConfig(3, seed=1))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_input_raises_naming_the_row(self, value):
+        mlp, p, post = self._posterior()
+        x = Rng(73).normal(4 * 5).reshape(4, 5)
+        x[2, 1] = value
+        with pytest.raises(NumericalError, match="non-finite probability at row 2"):
+            predictive(post, mlp, x, PredictiveConfig(3, seed=1))
 
 
 class TestGaussianCorrespondence:

@@ -1,11 +1,13 @@
 """Eigensolvers, Kronecker utilities, and the seeded generator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadbias.errors import ValidationError
+from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import (
     DENSE_FALLBACK_DIM,
     DenseSymMatrix,
@@ -110,6 +112,28 @@ class TestSymEigh:
         with pytest.raises(ValidationError, match=r"\[0,2\]|\[2,0\]"):
             sym_eigh(m)
 
+    def test_asymmetry_found_beside_a_nan(self):
+        m = np.eye(3)
+        m[0, 2] = 1e-3
+        m[1, 1] = np.nan
+        with pytest.raises(ValidationError, match=r"\[0,2\]|\[2,0\]"):
+            DenseSymMatrix(m)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_naming_the_first(self, value):
+        m = np.eye(4)
+        m[1, 2] = m[2, 1] = value
+        m[3, 3] = value
+        with pytest.raises(NumericalError, match=r"non-finite entry M\[1,2\]"):
+            sym_eigh(m)
+
+    def test_all_inf_accepted_without_warning_then_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = DenseSymMatrix(np.full((3, 3), np.inf))
+            with pytest.raises(NumericalError, match=r"M\[0,0\] = inf"):
+                sym_eigh(m)
+
 
 class TestTopK:
     def test_diagonal_operator(self):
@@ -152,6 +176,18 @@ class TestTopK:
         # principal angles between the two top-6 subspaces
         s = np.linalg.svd(dense.basis[:, :6].T @ topk.basis, compute_uv=False)
         assert np.max(np.arccos(np.clip(s, -1, 1))) <= 1e-6
+
+    @pytest.mark.parametrize("where", ["one NaN", "all inf"])
+    def test_dense_path_rejects_a_non_finite_operator(self, where):
+        m = random_spd(Rng(3), 6)
+        if where == "one NaN":
+            m[2, 4] = np.nan
+        else:
+            m[:] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # NaN in op's matmul
+            with pytest.raises(NumericalError, match="non-finite entry"):
+                top_k_eigenpairs(lambda v: m @ v, 6, 2, Rng(0))
 
     def test_bad_k(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quadbias.errors import ValidationError
+from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng
 from quadbias.model import BLOCK_BUDGET, Batch, Mlp, MlpArchitecture, one_hot, softmax
 
@@ -338,6 +338,26 @@ class TestKfacFactors:
             np.testing.assert_array_equal(x.factor_a.entries, y.factor_a.entries)
             np.testing.assert_array_equal(x.factor_b.entries, y.factor_b.entries)
 
+    @pytest.mark.parametrize("mode", ["empirical", "mc_sample"])
+    def test_nan_parameter_raises_naming_layer_and_factor(self, mode):
+        from quadbias.laplace import accumulate_kfac
+
+        mlp, p, batch = small_problem(seed=43)
+        # NaN logits: the backward pass carries NaN to the first factor
+        # checked after the (finite) inputs' factor
+        p.view(1, "weight")[0, 0] = np.nan
+        expected = "kfac_factors: non-finite entry in the layer 0 output factor"
+        with pytest.raises(NumericalError, match=expected):
+            mlp.kfac_factors(p, batch, mode, Rng(44))
+        with pytest.raises(NumericalError, match=expected):
+            accumulate_kfac(mlp, p, batch, mode, Rng(44), chunk_size=5)
+
+    def test_inf_input_raises_naming_the_input_factor(self):
+        mlp, p, batch = small_problem(seed=45)
+        batch.inputs[3, 1] = np.inf
+        with pytest.raises(NumericalError, match="layer 0 input factor"):
+            mlp.kfac_factors(p, batch, "empirical")
+
     def test_mc_sample_requires_rng(self):
         mlp, p, batch = small_problem(seed=42)
         with pytest.raises(ValidationError):
@@ -464,6 +484,12 @@ class TestLinearization:
             mlp.linearize(p, batch.inputs).hvp_mm(np.ones((p.n_params, 2)))
         with pytest.raises(ValidationError):
             mlp.linearize(p, np.ones((2, 4)))
+
+    def test_zero_rows(self):
+        mlp, p, _ = small_problem(seed=48)
+        lin = mlp.linearize(p, np.zeros((0, 5)))
+        assert lin.logits.shape == (0, 4)
+        assert lin.jvp_mm(np.ones((p.n_params, 2))).shape == (2, 0, 4)
 
 
 class TestBatchValidation:
