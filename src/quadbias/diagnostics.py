@@ -2,9 +2,10 @@
 eigenspace overlap matrices, the spectral decomposition of cross-batch
 curvatures, slope-bias analysis, and relative-error summaries.
 
-Raw scan data is stored unnormalized; the display normalization used by the
-report layer (sign flips and reordering so same-batch slopes are positive
-descending) never touches the stored directions.
+Scans score every quadratic on the whole block of directions at once:
+slopes from one product of the point displacements and curvatures from one
+``forms`` call. Scan data is stored raw, in the solver's direction order and
+sign.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .model import Batch, Mlp, ParamVector
 from .quadratic import (
     QuadraticModel,
     build_quadratic,
-    directional_curvature,
     directional_curvatures,
     fullbatch_quadratic,
     grad_at,
@@ -74,8 +74,6 @@ class ScanReport:
     full_curvatures: np.ndarray  # k
     magnitudes: np.ndarray | None = None  # k x M, CG scans only
     full_magnitudes: np.ndarray | None = None
-    sign_flipped: np.ndarray | None = None  # display normalization flags
-    direction_order: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -85,37 +83,12 @@ class ScanReport:
     def source_column(self) -> int:
         return self.batch_ids.index(self.source_batch)
 
-    def display_normalized(self) -> "ScanReport":
-        """Report-layer view: flip signs so same-batch slopes are positive,
-        then order directions by descending same-batch slope."""
-        col = self.source_column()
-        flips = np.where(self.slopes[:, col] < 0.0, -1.0, 1.0)
-        slopes = self.slopes * flips[:, None]
-        full_slopes = self.full_slopes * flips
-        order = np.argsort(slopes[:, col])[::-1]
-        mags = self.magnitudes
-        fmags = self.full_magnitudes
-        return ScanReport(
-            source_batch=self.source_batch,
-            batch_ids=list(self.batch_ids),
-            slopes=slopes[order],
-            curvatures=self.curvatures[order],
-            full_slopes=full_slopes[order],
-            full_curvatures=self.full_curvatures[order],
-            magnitudes=None if mags is None else (mags * flips[:, None])[order],
-            full_magnitudes=None if fmags is None else (fmags * flips)[order],
-            sign_flipped=flips[order] < 0,
-            direction_order=order,
-            meta=dict(self.meta),
-        )
-
 
 @dataclass
 class OverlapMatrix:
     """Squared inner products between two eigenbases, entries in [0, 1]."""
 
     omega: np.ndarray
-    source_ids: tuple = (None, None)
 
     def __post_init__(self):
         om = np.asarray(self.omega, dtype=np.float64)
@@ -169,9 +142,7 @@ def eigendirection_scan(
     """Top-k eigenvectors per source batch, then slopes/curvatures of every
     batch's quadratic and the full-batch quadratic along those directions.
 
-    Returns (direction_sets, reports), one entry per source batch. Directions
-    are stored raw; apply ScanReport.display_normalized() for plot-ready
-    output.
+    Returns (direction_sets, reports), one entry per source batch.
     """
     if k > theta_star.n_params:
         raise ValidationError(f"k={k} exceeds parameter count {theta_star.n_params}")
@@ -231,38 +202,35 @@ def cg_direction_scan(
     Newton magnitude -slope/curvature along each search direction d_p at its
     iterate theta_p, for every batch quadratic and the full-batch one.
 
-    If CG stops early on negative curvature the scan is truncated at the
-    achieved length and flagged in meta.
+    Each quadratic takes one matmat of the displacements theta_p - theta0
+    (for the slopes) and one forms call on the direction block (for the
+    curvatures): 2n matvecs for n directions. If CG stops early on negative
+    curvature the scan is truncated at the achieved length, possibly zero,
+    and flagged in meta.
     """
     config = config or CgConfig(p_max=n_steps)
     trace = cg_minimize(q_b, CgConfig(epsilon=config.epsilon, p_max=n_steps))
     n = trace.n_steps
-    m = len(batch_quads)
-    slopes = np.empty((n, m))
-    curvs = np.empty((n, m))
-    mags = np.empty((n, m))
-    full_s = np.empty(n)
-    full_c = np.empty(n)
-    full_m = np.empty(n)
-    for p in range(n):
-        d = trace.directions[p]
-        theta_p = trace.iterates[p]
-        for j, q in enumerate(batch_quads):
-            slopes[p, j] = float(d @ grad_at(q, theta_p))
-            curvs[p, j] = directional_curvature(q, d)
-            mags[p, j] = -slopes[p, j] / curvs[p, j]
-        full_s[p] = float(d @ grad_at(q_full, theta_p))
-        full_c[p] = directional_curvature(q_full, d)
-        full_m[p] = -full_s[p] / full_c[p]
+    quads = [*batch_quads, q_full]  # the full-batch quadratic is the last column
+    slopes = np.empty((n, len(quads)))
+    curvs = np.empty((n, len(quads)))
+    if n:
+        d = np.column_stack(trace.directions)
+        thetas = np.column_stack(trace.iterates[:n])
+        for j, q in enumerate(quads):
+            grads = q.curvature.matmat(thetas - q.theta0.values[:, None]) + q.gradient[:, None]
+            slopes[:, j] = np.einsum("ij,ij->j", d, grads)
+            curvs[:, j] = directional_curvatures(q, d)
+    mags = -slopes / curvs
     report = ScanReport(
         source_batch=q_b.batch_id,
         batch_ids=[q.batch_id for q in batch_quads],
-        slopes=slopes,
-        curvatures=curvs,
-        full_slopes=full_s,
-        full_curvatures=full_c,
-        magnitudes=mags,
-        full_magnitudes=full_m,
+        slopes=slopes[:, :-1],
+        curvatures=curvs[:, :-1],
+        full_slopes=slopes[:, -1],
+        full_curvatures=curvs[:, -1],
+        magnitudes=mags[:, :-1],
+        full_magnitudes=mags[:, -1],
         meta={
             "direction_kind": "cg",
             "termination": trace.termination,
@@ -280,10 +248,7 @@ def overlap_matrix(u: DirectionSet, u_tilde: DirectionSet) -> OverlapMatrix:
     if u.directions.shape[0] != u_tilde.directions.shape[0]:
         raise ValidationError("direction sets live in different ambient dimensions")
     inner = u.directions.T @ u_tilde.directions
-    return OverlapMatrix(
-        omega=np.clip(inner * inner, 0.0, 1.0 + 1e-12),
-        source_ids=(u.source_batch, u_tilde.source_batch),
-    )
+    return OverlapMatrix(np.clip(inner * inner, 0.0, 1.0 + 1e-12))
 
 
 def spectral_transfer(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -114,28 +114,29 @@ def _bool(raw: str) -> bool:
 @dataclass
 class ExperimentConfig:
     """Typed view of one experiment file; `sections` keeps the raw text values
-    so the digest reflects exactly what was parsed."""
+    so the digest reflects exactly what was parsed. parse_experiment_config
+    sets every field and states the defaults."""
 
     kind: str
     dataset: DatasetSpec
     arch: MlpArchitecture
     train: TrainConfig
-    curvature: str = "ggn"
-    beta: float = 0.0005
-    delta: float = 0.0
-    batch_sizes: tuple = (64,)
-    n_directions: int = 10
-    cg_iterations: int = 30
-    seeds: tuple = (0,)
-    la_grid: tuple = ()
-    mc_samples: int = 40
-    fisher_mode: str = "mc_sample"
-    n_source_batches: int | None = None
-    widths: tuple = ()
-    chunk_size: int = 512
-    force_same_batch: bool = False
-    sections: dict = field(default_factory=dict)
-    digest: str = ""
+    curvature: str
+    beta: float
+    delta: float
+    batch_sizes: tuple
+    n_directions: int
+    cg_iterations: int
+    seeds: tuple
+    la_grid: tuple
+    mc_samples: int
+    fisher_mode: str
+    n_source_batches: int | None
+    widths: tuple
+    chunk_size: int
+    force_same_batch: bool
+    sections: dict
+    digest: str
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:

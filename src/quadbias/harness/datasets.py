@@ -78,13 +78,6 @@ class Dataset:
             np.arange(self.n_train),
         )
 
-    def test_batch(self) -> Batch:
-        return Batch(
-            self.test_inputs,
-            one_hot(self.test_labels, self.n_classes),
-            np.arange(self.test_inputs.shape[0]),
-        )
-
     def minibatches(self, batch_size: int, seed, drop_last: bool = False) -> list:
         """Seeded shuffle, then disjoint sequential slices of the train set.
 

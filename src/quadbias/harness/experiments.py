@@ -14,6 +14,7 @@ import numpy as np
 
 from ..cg import CgConfig, cg_minimize, debiased_cg
 from ..diagnostics import bias_summary, eigendirection_scan, overlap_matrix
+from ..errors import ValidationError
 from ..laplace import (
     PredictiveConfig,
     accumulate_kfac,
@@ -62,6 +63,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
 
 def _prepare(cfg: ExperimentConfig):
     dataset = generate_dataset(cfg.dataset)
+    if cfg.kind == "laplace-sweep" and dataset.test_inputs.shape[0] == 0:
+        raise ValidationError("laplace-sweep needs test rows to score its predictive, "
+                              "but the dataset's test split is empty (train_frac = 1?)")
     checkpoints = train(cfg.arch, dataset, cfg.train)
     return dataset, Mlp(cfg.arch), checkpoints
 

@@ -54,10 +54,6 @@ def write_summary(path, digest: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def read_summary(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def verify_result_dir(out_dir) -> dict:
     """Check that every output file in a result directory carries the same
     config digest; returns {'digest', 'files', 'mismatches'}."""
@@ -74,7 +70,7 @@ def verify_result_dir(out_dir) -> dict:
                 raise ValidationError(f"{p}: missing config digest comment")
             digests[p.name] = first[len("<!-- config=") : -len(" -->")]
         elif p.name == "summary.json":
-            digests[p.name] = read_summary(p).get("config_digest", "")
+            digests[p.name] = json.loads(p.read_text()).get("config_digest", "")
     if not digests:
         raise ValidationError(f"{out_dir}: no result files found")
     values = set(digests.values())

@@ -61,20 +61,14 @@ def checkpoint_epochs(n_epochs: int, n_points: int = 10) -> list:
     return epochs
 
 
-def train(
-    arch: MlpArchitecture,
-    dataset: Dataset,
-    config: TrainConfig,
-    rng: Rng | None = None,
-    reg_mode: str = "weights",
-) -> list:
+def train(arch: MlpArchitecture, dataset: Dataset, config: TrainConfig) -> list:
     """Plain SGD with optional momentum on the regularized loss.
 
     Checkpoints at the log-equidistant epochs plus the final one;
     deterministic given the seed. Non-finite loss raises, naming the epoch.
     """
-    mlp = Mlp(arch, reg_mode=reg_mode)
-    rng = rng if rng is not None else Rng(config.seed)
+    mlp = Mlp(arch)
+    rng = Rng(config.seed)
     params = mlp.init_params(rng.split(0))
     velocity = np.zeros(params.n_params)
     ckpt_at = set(checkpoint_epochs(config.epochs))

@@ -548,10 +548,6 @@ class Mlp:
         v = np.asarray(v, dtype=np.float64)
         return self.linearize(params, inputs).jvp_mm(v[:, None])[0]
 
-    def jacobian_vp(self, params: ParamVector, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """grad f(x) . v for a single input, via forward-mode differentiation."""
-        return self.jvp_batch(params, np.atleast_2d(x), v)[0]
-
     # -- K-FAC factors ---------------------------------------------------------
 
     def kfac_factors(

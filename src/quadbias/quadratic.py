@@ -274,9 +274,9 @@ def directional_slope(q: QuadraticModel, theta, d: np.ndarray) -> float:
 
 
 def directional_curvature(q: QuadraticModel, d: np.ndarray) -> float:
-    """d . H d along a unit direction; independent of theta."""
-    d = check_direction(d)
-    return float(d @ q.curvature.matvec(d))
+    """d . H d along a unit direction; independent of theta. The one-column
+    case of ``directional_curvatures``."""
+    return float(directional_curvatures(q, np.asarray(d, dtype=np.float64)[:, None])[0])
 
 
 def directional_curvatures(q: QuadraticModel, directions: np.ndarray) -> np.ndarray:

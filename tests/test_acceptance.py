@@ -26,7 +26,7 @@ from quadbias.laplace import (
     predictive,
     sample_params,
 )
-from quadbias.linalg import Rng, haar_orthogonal, random_spd, sym_eigh
+from quadbias.linalg import Rng, sym_eigh
 from quadbias.metrics import ProbTable, accuracy, auroc, ece, nll, predictive_entropy
 from quadbias.model import Batch, KfacBlock, LayoutEntry, Mlp, MlpArchitecture, ParamVector, softmax
 from quadbias.linalg import DenseSymMatrix
@@ -40,6 +40,7 @@ from quadbias.quadratic import (
 )
 
 from conftest import TOY_BETA, small_problem
+from random_matrices import haar_orthogonal, random_spd
 
 
 def _report(criterion: int, ok: bool, detail: str):
@@ -400,7 +401,7 @@ def test_criterion_10_derivative_oracles():
         for i in range(p.n_params):
             e = np.zeros(p.n_params)
             e[i] = 1.0
-            jac[:, i] = mlp.jacobian_vp(p, batch.inputs[n], e)
+            jac[:, i] = mlp.jvp_batch(p, batch.inputs[n][None], e)[0]
         logits = mlp.forward(p, batch.inputs[n][None])[0]
         pr = softmax(logits[None])[0]
         g_dense += jac.T @ (np.diag(pr) - np.outer(pr, pr)) @ jac / batch.size

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quadbias.cg import CgConfig, cg_minimize, debiased_cg, newton_step
 from quadbias.errors import NumericalError, ValidationError
-from quadbias.linalg import Rng, random_spd
+from quadbias.linalg import Rng
 from quadbias.model import ParamVector
 from quadbias.quadratic import (
     build_quadratic,
@@ -19,6 +19,7 @@ from quadbias.quadratic import (
 
 from cg_oracle import sequential_debiased_cg
 from conftest import small_problem
+from random_matrices import random_spd
 
 
 def spd_quadratic(seed, dim, cond=10.0, grad_scale=1.0):

@@ -17,18 +17,17 @@ from quadbias.diagnostics import (
     spectral_transfer,
 )
 from quadbias.errors import ValidationError
-from quadbias.linalg import Rng, haar_orthogonal, random_spd, sym_eigh
+from quadbias.linalg import Rng, sym_eigh
 from quadbias.model import Batch
 from quadbias.quadratic import (
     build_quadratic,
-    directional_curvature,
-    directional_slope,
     fullbatch_quadratic,
     grad_at,
     synthetic_quadratic,
 )
 
 from conftest import small_problem
+from random_matrices import haar_orthogonal, random_spd
 
 
 def eigen_set(basis, source=0):
@@ -237,21 +236,6 @@ class TestEigendirectionScan:
                 rep.curvatures.mean(axis=1), rep.full_curvatures, rtol=1e-10
             )
 
-    def test_display_normalization(self):
-        mlp, p, data, batches = self._setup()
-        _, reports = eigendirection_scan(
-            mlp, p, batches, data, k=4, kind="ggn", beta=0.05, rng=Rng(0)
-        )
-        raw = reports[0]
-        disp = raw.display_normalized()
-        col = disp.source_column()
-        assert np.all(disp.slopes[:, col] >= 0.0)
-        assert np.all(np.diff(disp.slopes[:, col]) <= 1e-15)
-        # curvatures are sign-invariant: multiset preserved
-        np.testing.assert_allclose(
-            np.sort(disp.curvatures[:, col]), np.sort(raw.curvatures[:, col])
-        )
-
     def test_source_indices_subset(self):
         mlp, p, data, batches = self._setup()
         dsets, reports = eigendirection_scan(
@@ -303,16 +287,30 @@ class TestCgDirectionScan:
     def test_cross_batch_matches_independent_recomputation(self):
         quads, q_full = self._setup()
         trace, rep = cg_direction_scan(quads[0], quads, q_full, n_steps=5)
-        for p_i in range(rep.k):
-            d = trace.directions[p_i]
-            theta_p = trace.iterates[p_i]
-            for j, q in enumerate(quads):
-                assert rep.slopes[p_i, j] == pytest.approx(
-                    directional_slope(q, theta_p, d), rel=1e-12, abs=1e-14
-                )
-                assert rep.curvatures[p_i, j] == pytest.approx(
-                    directional_curvature(q, d), rel=1e-12
-                )
+        assert rep.k == 5
+        columns = [(q, rep.slopes[:, j], rep.curvatures[:, j], rep.magnitudes[:, j])
+                   for j, q in enumerate(quads)]
+        columns.append((q_full, rep.full_slopes, rep.full_curvatures, rep.full_magnitudes))
+        for q, slopes, curvs, mags in columns:
+            for p_i in range(rep.k):
+                # one product and one dot per number, as before the block scan
+                d = trace.directions[p_i]
+                slope = float(d @ (q.curvature.matvec(trace.iterates[p_i] - q.theta0.values)
+                                   + q.gradient))
+                curv = float(d @ q.curvature.matvec(d))
+                assert slopes[p_i] == pytest.approx(slope, rel=1e-12, abs=1e-14)
+                assert curvs[p_i] == pytest.approx(curv, rel=1e-12)
+                assert mags[p_i] == pytest.approx(-slope / curv, rel=1e-12, abs=1e-14)
+
+    def test_two_matvecs_per_direction_per_quadratic(self):
+        quads, q_full = self._setup()
+        before = [q.curvature.matvec_count for q in [*quads, q_full]]
+        trace, rep = cg_direction_scan(quads[0], quads, q_full, n_steps=5)
+        after = [q.curvature.matvec_count for q in [*quads, q_full]]
+        n = rep.k
+        # quads[0] also runs the CG itself, one matvec per direction
+        assert [a - b for a, b in zip(after, before)] == (
+            [3 * n] + [2 * n] * (len(quads) - 1) + [2 * n])
 
     def test_negative_curvature_truncates_and_flags(self):
         h = np.diag([1.0, -1.0, 2.0])
@@ -321,6 +319,20 @@ class TestCgDirectionScan:
         trace, rep = cg_direction_scan(q_bad, [q_bad], q_full, n_steps=3)
         assert rep.meta["truncated"]
         assert rep.k == trace.n_steps
+
+    def test_stop_on_the_first_direction_gives_an_empty_scan(self):
+        # d_0 = -g/|g| = -e_0 has curvature -1, so CG takes no step
+        q_bad = synthetic_quadratic(np.diag([-1.0, 2.0]), np.array([1.0, 0.0]), batch_id=0)
+        q_other = synthetic_quadratic(np.eye(2), np.ones(2), batch_id=1)
+        q_full = synthetic_quadratic(np.eye(2), np.ones(2), batch_id="FULL")
+        trace, rep = cg_direction_scan(q_bad, [q_bad, q_other], q_full, n_steps=3)
+        assert trace.n_steps == 0
+        assert rep.meta["truncated"]
+        for arr in (rep.slopes, rep.curvatures, rep.magnitudes):
+            assert arr.shape == (0, 2)
+        for arr in (rep.full_slopes, rep.full_curvatures, rep.full_magnitudes):
+            assert arr.shape == (0,)
+        assert rep.batch_ids == [0, 1]
 
 
 class TestBiasSummary:

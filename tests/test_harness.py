@@ -488,6 +488,46 @@ class TestExperiments:
         single = [r[2:] for r in rows if r[0] == "single"]
         assert single and single == [r[2:] for r in rows if r[0] == "debiased"]
 
+    def test_cg_compare_anchor_verdict_recomputed_from_csv(self, tmp_path):
+        extra, _ = self._TINY["cg-compare"]
+        cfg = self._config(tmp_path, kind="cg-compare", extra=extra,
+                           dataset={"train_frac": "0.75", "ood_translation": "3.0"})
+        out = run_experiment(cfg, tmp_path / "r")
+        summary = json.loads((out / "summary.json").read_text())
+        _, _, rows = read_csv(out / "cg_compare.csv")
+        anchor = summary["q_at_anchor"]
+        stable = {}
+        for seed in cfg.seeds:
+            q = [float(r[3]) for r in rows if r[0] == "debiased" and r[1] == str(seed)]
+            assert len(q) > 1
+            stable[f"debiased_s{seed}"] = all(v <= anchor + 1e-12 for v in q)
+            if not stable[f"debiased_s{seed}"]:
+                # rises above the anchor mid-run and ends below it, so a
+                # verdict from the last iterate alone would not pass
+                assert q[-1] <= anchor
+        assert summary["debiased_never_above_anchor"] == stable
+        assert not all(stable.values())
+
+    def test_bias_scan_curvature_ratio_recomputed_from_scan_csvs(self, tmp_path):
+        cfg = self._config(tmp_path)
+        assert cfg.n_directions > 1  # so the FULL row of another direction differs
+        out = run_experiment(cfg, tmp_path / "r")
+        stats = json.loads((out / "summary.json").read_text())["curvature_ratio_stats"]
+        expected = {}
+        for b in cfg.batch_sizes:
+            for seed in cfg.seeds:
+                ratios = []
+                for m in range(cfg.n_source_batches):
+                    _, _, rows = read_csv(out / f"scan_b{b}_s{seed}_m{m}.csv")
+                    # cells are written with 17 digits, so the quotient is exact
+                    curv = {r[1]: float(r[3]) for r in rows if r[0] == "0"}
+                    ratios.append(curv[str(m)] / curv["FULL"])
+                expected[f"b{b}_s{seed}"] = {
+                    "overestimated_fraction": float(np.mean([r > 1.0 for r in ratios])),
+                    "median_ratio": float(np.median(ratios)),
+                }
+        assert stats == expected
+
     def test_laplace_sweep_grid_shape(self, tmp_path):
         cfg = self._config(
             tmp_path, kind="laplace-sweep",
@@ -534,12 +574,19 @@ class TestExperiments:
         summary = json.loads((out / "summary.json").read_text())
         return summary, read_csv(out / "la_sweep.csv")[2]
 
-    def test_laplace_sweep_without_test_split_is_validation_error(self, tmp_path):
+    def test_laplace_sweep_without_test_split_is_validation_error(self, tmp_path,
+                                                                  monkeypatch):
+        from quadbias.harness import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran before the test split was checked")
+
+        monkeypatch.setattr(experiments, "train", no_training)
         cfg = self._config(tmp_path, kind="laplace-sweep",
                            extra={"la_grid_points": "2", "mc_samples": "2",
                                   "batch_sizes": "32", "seeds": "0"})
         assert cfg.dataset.train_frac == 1.0
-        with pytest.raises(ValidationError, match="empty table"):
+        with pytest.raises(ValidationError, match="laplace-sweep .*test split is empty"):
             run_experiment(cfg, tmp_path / "r")
 
     def test_laplace_sweep_summary_recomputed_from_csv(self, tmp_path, caplog):

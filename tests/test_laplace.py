@@ -17,7 +17,7 @@ from quadbias.laplace import (
     predictive,
     sample_params,
 )
-from quadbias.linalg import DenseSymMatrix, Rng, random_spd, sym_eigh
+from quadbias.linalg import DenseSymMatrix, Rng, sym_eigh
 from quadbias.model import (
     Batch,
     KfacBlock,
@@ -30,6 +30,7 @@ from quadbias.quadratic import synthetic_quadratic, value_at
 
 import laplace_oracle as oracle
 from conftest import small_problem
+from random_matrices import random_spd
 
 
 def block_mean(m, n, fill=0.0):

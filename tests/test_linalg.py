@@ -12,14 +12,13 @@ from quadbias.linalg import (
     DENSE_FALLBACK_DIM,
     DenseSymMatrix,
     Rng,
-    haar_orthogonal,
     kron_matvec,
     materialize_operator,
-    random_spd,
-    random_symmetric,
     sym_eigh,
     top_k_eigenpairs,
 )
+
+from random_matrices import haar_orthogonal, random_spd, random_symmetric
 
 
 class TestRng:

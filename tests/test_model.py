@@ -223,7 +223,7 @@ class TestGgnVp:
             for i in range(P):
                 e = np.zeros(P)
                 e[i] = 1.0
-                jac[:, i] = mlp.jacobian_vp(p, batch.inputs[n], e)
+                jac[:, i] = mlp.jvp_batch(p, batch.inputs[n][None], e)[0]
             logits = mlp.forward(p, batch.inputs[n][None])[0]
             pr = softmax(logits[None])[0]
             h_loss = np.diag(pr) - np.outer(pr, pr)
@@ -268,7 +268,7 @@ class TestGgnVp:
             for i in range(P):
                 e = np.zeros(P)
                 e[i] = 1.0
-                jac[:, i] = mlp.jacobian_vp(p, batch.inputs[n], e)
+                jac[:, i] = mlp.jvp_batch(p, batch.inputs[n][None], e)[0]
             logits = mlp.forward(p, batch.inputs[n][None])[0]
             pr = softmax(logits[None])[0]
             u = r.uniform(n_mc)
@@ -283,7 +283,7 @@ class TestJacobianVp:
     def test_zero(self):
         mlp, p, batch = small_problem(seed=29)
         np.testing.assert_array_equal(
-            mlp.jacobian_vp(p, batch.inputs[0], np.zeros(p.n_params)), np.zeros(4)
+            mlp.jvp_batch(p, batch.inputs[0][None], np.zeros(p.n_params))[0], np.zeros(4)
         )
 
     def test_exact_for_linear_network(self):
@@ -294,14 +294,14 @@ class TestJacobianVp:
         x = Rng(32).normal(5)
         f0 = mlp.forward(p, x[None])[0]
         f1 = mlp.forward(p.with_values(p.values + v), x[None])[0]
-        np.testing.assert_allclose(mlp.jacobian_vp(p, x, v), f1 - f0,
+        np.testing.assert_allclose(mlp.jvp_batch(p, x[None], v)[0], f1 - f0,
                                    rtol=1e-13, atol=1e-13)
 
     def test_relu_finite_difference_away_from_kinks(self):
         mlp, p, batch = small_problem(seed=33)
         x = batch.inputs[0]
         v = Rng(34).normal(p.n_params)
-        jv = mlp.jacobian_vp(p, x, v)
+        jv = mlp.jvp_batch(p, x[None], v)[0]
         h = 1e-6
         f_plus = mlp.forward(p.with_values(p.values + h * v), x[None])[0]
         f_minus = mlp.forward(p.with_values(p.values - h * v), x[None])[0]

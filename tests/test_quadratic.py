@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadbias.errors import NumericalError, ValidationError
-from quadbias.linalg import Rng, random_spd
+from quadbias.linalg import Rng
 from quadbias.model import Batch, MlpArchitecture, ParamVector
 from quadbias.quadratic import (
     CurvatureOperator,
@@ -25,6 +25,7 @@ from quadbias.quadratic import (
 
 import curvature_oracle as oracle
 from conftest import small_problem
+from random_matrices import random_spd
 
 
 # Block and single-vector products may sum in different orders; allow a few
@@ -191,8 +192,11 @@ class TestCurvatureOperator:
         d = np.linalg.qr(Rng(72).normal(p.n_params * 5).reshape(p.n_params, 5))[0]
         curvs = directional_curvatures(q, d)
         for j in range(5):
-            single = directional_curvature(q, d[:, j])
+            # product and dot, independent of the forms path both calls take
+            single = float(d[:, j] @ q.curvature.matvec(d[:, j]))
             assert abs(curvs[j] - single) <= BLOCK_TOL * max(1.0, abs(single))
+            one_column = directional_curvature(q, d[:, j])
+            assert abs(one_column - single) <= BLOCK_TOL * max(1.0, abs(single))
         with pytest.raises(ValidationError):
             directional_curvatures(q, 2.0 * d)
 

@@ -1,0 +1,158 @@
+"""Mutation smoke for the numerical core and the harness.
+
+Each mutant is one exact text replacement in one file under src/. For every
+mutant the script copies src/ and tests/ to a temporary directory, applies
+the replacement there, runs the mutant's test subset with ``pytest -x`` and
+records whether a test failed (killed) or all passed (survived). The working
+tree is never modified.
+
+    python3 tools/mutants.py
+
+Exit status 0 when every mutant is killed. It is 1 when a mutant survives,
+when the unmutated copy fails its own subsets, or when a mutant's old text
+no longer occurs exactly once in its file: a refactor must then update the
+entry, never drop it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once
+    new: str
+    description: str
+    tests: tuple  # pytest arguments, relative to the copy's root
+
+
+MUTANTS = (
+    Mutant("src/quadbias/laplace.py",
+           "scale = 1.0 / np.sqrt(post.n_train)",
+           "scale = 1.0 / post.n_train",
+           "K-FAC posterior sample scale 1/N instead of 1/sqrt(N)",
+           ("tests/test_laplace.py",)),
+    Mutant("src/quadbias/laplace.py",
+           "s_b = np.diag(ub.T @ blk_t.factor_b.entries @ ub).copy()",
+           "s_b = np.diag(ub.T @ blk.factor_b.entries @ ub).copy()",
+           "debiased K-FAC B factor measured on the first batch",
+           ("tests/test_laplace.py",)),
+    Mutant("src/quadbias/cg.py",
+           "mag_grad = mag_grad + mag_tau * h_d",
+           "mag_grad = mag_grad + mag_tau * t",
+           "debiased CG magnitude gradient updated with the direction batch's product",
+           ("tests/test_cg.py",)),
+    Mutant("src/quadbias/diagnostics.py",
+           "full_s = d.T @ q_full.gradient",
+           "full_s = d.T @ quads[0].gradient",
+           "eigen scan full-batch slopes taken from batch 0",
+           ("tests/test_diagnostics.py",)),
+    Mutant("src/quadbias/model.py",
+           'np.einsum("krc,krc->k", jv, self._loss_hessian(jv)) / self.size',
+           'np.einsum("krc,krc->k", jv, self._loss_hessian(jv))',
+           "ggn_forms without the row mean",
+           ("tests/test_quadratic.py", "tests/test_model.py")),
+    Mutant("src/quadbias/metrics.py",
+           'np.searchsorted(edges, conf, side="left")',
+           'np.searchsorted(edges, conf, side="right")',
+           "ece puts a confidence on a bin edge in the upper bin",
+           ("tests/test_metrics.py",)),
+    Mutant("src/quadbias/harness/experiments.py",
+           "bool(max(q_vals_d) <= q_anchor + 1e-12)",
+           "bool(q_vals_d[-1] <= q_anchor + 1e-12)",
+           "cg-compare debiased_never_above_anchor from the last iterate only",
+           ("tests/test_harness.py", "-k", "cg_compare")),
+    Mutant("src/quadbias/harness/experiments.py",
+           "rep.curvatures[0, rep.source_column()] / rep.full_curvatures[0]",
+           "rep.curvatures[0, rep.source_column()] / rep.full_curvatures[-1]",
+           "bias-scan curvature ratio against the last direction's full-batch value",
+           ("tests/test_harness.py", "-k", "bias_scan")),
+    Mutant("src/quadbias/harness/experiments.py",
+           "min_beta = min(grid)",
+           "min_beta = max(grid)",
+           "laplace-sweep nll_at_min_beta taken at the largest beta",
+           ("tests/test_harness.py", "-k", "laplace_sweep")),
+    Mutant("src/quadbias/harness/experiments.py",
+           'out["mean_ood_entropy"] = float(np.mean(ent[probs.shape[0]:]))',
+           'out["mean_ood_entropy"] = float(np.mean(ent[:probs.shape[0]]))',
+           "mean_ood_entropy averaged over the test rows",
+           ("tests/test_harness.py", "-k", "predictive_metrics")),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+
+
+def _pytest(copy: Path, tests: tuple) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
+
+
+def _check_texts() -> list:
+    """One line per mutant whose old text does not occur exactly once."""
+    problems = []
+    for m in MUTANTS:
+        count = (ROOT / m.path).read_text().count(m.old)
+        if count != 1:
+            problems.append(f"{m.path}: old text found {count} times: {m.old!r}")
+    return problems
+
+
+def main() -> int:
+    problems = _check_texts()
+    if problems:
+        print("stale mutant list:\n  " + "\n  ".join(problems))
+        return 1
+    with tempfile.TemporaryDirectory(prefix="quadbias-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy_tree(clean)
+        probe = subprocess.run(
+            [sys.executable, "-c", "import quadbias; print(quadbias.__file__)"],
+            env=dict(os.environ, PYTHONPATH=str(clean / "src")),
+            capture_output=True, text=True)
+        if not probe.stdout.strip().startswith(str(clean)):
+            print(f"the copy's package is not the one imported: {probe.stdout}{probe.stderr}")
+            return 1
+        for tests in sorted({m.tests for m in MUTANTS}):
+            run = _pytest(clean, tests)
+            if run.returncode != 0:
+                print(f"unmutated copy fails {' '.join(tests)}:\n{run.stdout[-2000:]}")
+                return 1
+
+        rows = []
+        for i, m in enumerate(MUTANTS):
+            copy = Path(tmp) / f"m{i}"
+            _copy_tree(copy)
+            target = copy / m.path
+            target.write_text(target.read_text().replace(m.old, m.new))
+            start = time.perf_counter()
+            run = _pytest(copy, m.tests)
+            rows.append((m, run.returncode != 0, time.perf_counter() - start))
+            shutil.rmtree(copy)
+
+    width = max(len(m.description) for m, _, _ in rows)
+    print(f"{'mutant':<{width}}  {'file':<36} result    seconds")
+    for m, killed, secs in rows:
+        print(f"{m.description:<{width}}  {m.path[len('src/'):]:<36} "
+              f"{'killed' if killed else 'SURVIVED'}  {secs:7.1f}")
+    survivors = sum(not killed for _, killed, _ in rows)
+    print(f"{len(rows) - survivors} of {len(rows)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
