@@ -293,7 +293,7 @@ class TestCgDirectionScan:
         columns.append((q_full, rep.full_slopes, rep.full_curvatures, rep.full_magnitudes))
         for q, slopes, curvs, mags in columns:
             for p_i in range(rep.k):
-                # one product and one dot per number, as before the block scan
+                # the per-vector oracle: one product and one dot per number
                 d = trace.directions[p_i]
                 slope = float(d @ (q.curvature.matvec(trace.iterates[p_i] - q.theta0.values)
                                    + q.gradient))
