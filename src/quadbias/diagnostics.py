@@ -10,7 +10,7 @@ sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,26 +35,18 @@ OVERLAP_BLACK = 1e-8
 
 @dataclass
 class DirectionSet:
-    """Unit directions from one source batch: top eigenvectors (kind="eigen")
-    or CG search directions with their trajectory anchors (kind="cg")."""
+    """Orthonormal eigen directions from one source batch, with their
+    eigenvalues."""
 
-    kind: str
     source_batch: object
-    directions: np.ndarray  # P x k, columns are unit directions
+    directions: np.ndarray  # P x k, orthonormal columns
     eigenvalues: np.ndarray | None = None
-    anchors: list | None = None  # cg kind: theta_p per direction
 
     def __post_init__(self):
-        if self.kind not in ("eigen", "cg"):
-            raise ValidationError(f"unknown direction kind {self.kind!r}")
         d = np.asarray(self.directions, dtype=np.float64)
         self.directions = d
-        if self.kind == "eigen":
-            gram = d.T @ d
-            if np.max(np.abs(gram - np.eye(d.shape[1]))) > 1e-8:
-                raise ValidationError("eigen directions must be orthonormal within 1e-8")
-        if self.kind == "cg" and self.anchors is None:
-            raise ValidationError("cg directions require their trajectory anchors")
+        if np.max(np.abs(d.T @ d - np.eye(d.shape[1]))) > 1e-8:
+            raise ValidationError("eigen directions must be orthonormal within 1e-8")
 
     @property
     def k(self) -> int:
@@ -74,7 +66,7 @@ class ScanReport:
     full_curvatures: np.ndarray  # k
     magnitudes: np.ndarray | None = None  # k x M, CG scans only
     full_magnitudes: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
+    meta: dict | None = None  # CG scans only: truncated, requested_steps
 
     @property
     def k(self) -> int:
@@ -118,11 +110,7 @@ class BiasSummary:
     median: float
     p75: float
     n_excluded: int
-    batch_size: int | None = None
-    n_params: int | None = None
-    epoch: int | None = None
-    quantity: str = "curvature"
-    source_batch: object = None
+    source_batch: object
 
 
 def eigendirection_scan(
@@ -164,12 +152,6 @@ def eigendirection_scan(
         eig = top_k_eigenpairs(
             quads[m].curvature, theta_star.n_params, k, rng.split(m)
         )
-        dset = DirectionSet(
-            kind="eigen",
-            source_batch=m,
-            directions=eig.basis,
-            eigenvalues=eig.eigenvalues,
-        )
         d = eig.basis
         slopes = np.column_stack([d.T @ q.gradient for q in quads])
         curvs = np.column_stack([directional_curvatures(q, d) for q in quads])
@@ -183,11 +165,9 @@ def eigendirection_scan(
                 curvatures=curvs,
                 full_slopes=full_s,
                 full_curvatures=full_c,
-                meta={"kind": kind, "k": k, "beta": beta, "delta": delta,
-                      "direction_kind": "eigen"},
             )
         )
-        direction_sets.append(dset)
+        direction_sets.append(DirectionSet(m, d, eig.eigenvalues))
     return direction_sets, reports
 
 
@@ -195,12 +175,12 @@ def cg_direction_scan(
     q_b: QuadraticModel,
     batch_quads: list,
     q_full: QuadraticModel,
-    n_steps: int,
-    config: CgConfig | None = None,
+    config: CgConfig,
 ):
-    """Run CG on q_b, then evaluate slope, curvature, and the implied 1D
-    Newton magnitude -slope/curvature along each search direction d_p at its
-    iterate theta_p, for every batch quadratic and the full-batch one.
+    """Run CG on q_b for at most config.p_max steps, then evaluate slope,
+    curvature, and the implied 1D Newton magnitude -slope/curvature along
+    each search direction d_p at its iterate theta_p, for every batch
+    quadratic and the full-batch one.
 
     Each quadratic takes one matmat of the displacements theta_p - theta0
     (for the slopes) and one forms call on the direction block (for the
@@ -208,8 +188,7 @@ def cg_direction_scan(
     curvature the scan is truncated at the achieved length, possibly zero,
     and flagged in meta.
     """
-    config = config or CgConfig(p_max=n_steps)
-    trace = cg_minimize(q_b, CgConfig(epsilon=config.epsilon, p_max=n_steps))
+    trace = cg_minimize(q_b, config)
     n = trace.n_steps
     quads = [*batch_quads, q_full]  # the full-batch quadratic is the last column
     slopes = np.empty((n, len(quads)))
@@ -231,20 +210,14 @@ def cg_direction_scan(
         full_curvatures=curvs[:, -1],
         magnitudes=mags[:, :-1],
         full_magnitudes=mags[:, -1],
-        meta={
-            "direction_kind": "cg",
-            "termination": trace.termination,
-            "truncated": trace.termination == "negative_curvature",
-            "requested_steps": n_steps,
-        },
+        meta={"truncated": trace.termination == "negative_curvature",
+              "requested_steps": config.p_max},
     )
     return trace, report
 
 
 def overlap_matrix(u: DirectionSet, u_tilde: DirectionSet) -> OverlapMatrix:
     """Omega_{i,p} = (u_i . u~_p)^2 between two eigen direction sets."""
-    if u.kind != "eigen" or u_tilde.kind != "eigen":
-        raise ValidationError("overlap matrices are defined for eigen direction sets")
     if u.directions.shape[0] != u_tilde.directions.shape[0]:
         raise ValidationError("direction sets live in different ambient dimensions")
     inner = u.directions.T @ u_tilde.directions
@@ -307,13 +280,7 @@ def relative_errors(measured: np.ndarray, truth: np.ndarray):
     return errs, int(np.sum(~keep))
 
 
-def bias_summary(
-    scans: list,
-    quantity: str = "curvature",
-    batch_size: int | None = None,
-    n_params: int | None = None,
-    epoch: int | None = None,
-) -> list:
+def bias_summary(scans: list, quantity: str) -> list:
     """Per-scan relative errors of the same-batch values against the
     full-batch row, aggregated into mean and quartiles."""
     if quantity not in ("slope", "curvature"):
@@ -341,10 +308,6 @@ def bias_summary(
                 median=float(med),
                 p75=float(p75),
                 n_excluded=n_excl,
-                batch_size=batch_size,
-                n_params=n_params,
-                epoch=epoch,
-                quantity=quantity,
                 source_batch=scan.source_batch,
             )
         )

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ValidationError
-from ..model import MlpArchitecture
+from ..model import FISHER_MODES, MlpArchitecture
+from ..quadratic import CURVATURE_KINDS
 from .datasets import DatasetSpec
 from .training import TrainConfig
 
@@ -141,8 +142,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
-        if self.curvature not in ("hessian", "ggn", "kfac"):
+        if self.curvature not in CURVATURE_KINDS:
             raise ValidationError(f"unknown curvature {self.curvature!r}")
+        if self.fisher_mode not in FISHER_MODES:
+            raise ValidationError(f"unknown fisher_mode {self.fisher_mode!r}")
 
 
 def with_seed_override(sections: dict, seed_override: int | None) -> dict:
@@ -155,20 +158,20 @@ def with_seed_override(sections: dict, seed_override: int | None) -> dict:
 
 
 def parse_dataset_spec(sections: dict) -> DatasetSpec:
-    """Typed view of the [dataset] section; a key it does not read is an
-    error."""
+    """Typed view of the [dataset] section, with DatasetSpec's defaults; a
+    key it does not read is an error."""
     ds = _section(sections, "dataset")
     spec = DatasetSpec(
-        generator=_get(ds, "generator", str, "gaussian_blobs"),
-        n=_get(ds, "n", int, 1024),
-        d=_get(ds, "dim", int, 2),
-        c=_get(ds, "classes", int, 2),
-        noise=_get(ds, "noise", float, 0.5),
-        seed=_get(ds, "seed", int, 0),
-        train_frac=_get(ds, "train_frac", float, 0.8),
-        ood_translation=_get(ds, "ood_translation", float, 0.0),
-        ood_noise_mult=_get(ds, "ood_noise_mult", float, 1.0),
-        path=_get(ds, "path", str, None),
+        generator=_get(ds, "generator", str, DatasetSpec.generator),
+        n=_get(ds, "n", int, DatasetSpec.n),
+        d=_get(ds, "dim", int, DatasetSpec.d),
+        c=_get(ds, "classes", int, DatasetSpec.c),
+        noise=_get(ds, "noise", float, DatasetSpec.noise),
+        seed=_get(ds, "seed", int, DatasetSpec.seed),
+        train_frac=_get(ds, "train_frac", float, DatasetSpec.train_frac),
+        ood_translation=_get(ds, "ood_translation", float, DatasetSpec.ood_translation),
+        ood_noise_mult=_get(ds, "ood_noise_mult", float, DatasetSpec.ood_noise_mult),
+        path=_get(ds, "path", str, DatasetSpec.path),
     )
     _reject_unread("dataset", ds)
     return spec
@@ -176,7 +179,9 @@ def parse_dataset_spec(sections: dict) -> DatasetSpec:
 
 def parse_experiment_config(sections: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Typed view of an experiment file; a section or key it does not read
-    is an error."""
+    is an error. The [dataset], [model] and [train] defaults are the field
+    defaults of DatasetSpec, MlpArchitecture and TrainConfig; the
+    [experiment] defaults are stated here."""
     sections = with_seed_override(sections, seed_override)
     for name in sections:
         if name not in _SECTIONS:
@@ -186,22 +191,20 @@ def parse_experiment_config(sections: dict, seed_override: int | None = None) ->
     md = _section(sections, "model")
     arch = MlpArchitecture(
         layer_sizes=_get(md, "layers", _int_list, (dataset.d, 16, dataset.c)),
-        activation=_get(md, "activation", str, "relu"),
-        loss=_get(md, "loss", str, "cross_entropy"),
+        activation=_get(md, "activation", str, MlpArchitecture.activation),
+        loss=_get(md, "loss", str, MlpArchitecture.loss),
     )
-
     _reject_unread("model", md)
 
     tr = _section(sections, "train")
     train = TrainConfig(
-        lr=_get(tr, "lr", float, 0.05),
-        momentum=_get(tr, "momentum", float, 0.0),
-        epochs=_get(tr, "epochs", int, 50),
-        batch_size=_get(tr, "batch_size", int, 64),
-        beta=_get(tr, "beta", float, 0.0),
-        seed=_get(tr, "seed", int, 0),
+        lr=_get(tr, "lr", float, TrainConfig.lr),
+        momentum=_get(tr, "momentum", float, TrainConfig.momentum),
+        epochs=_get(tr, "epochs", int, TrainConfig.epochs),
+        batch_size=_get(tr, "batch_size", int, TrainConfig.batch_size),
+        beta=_get(tr, "beta", float, TrainConfig.beta),
+        seed=_get(tr, "seed", int, TrainConfig.seed),
     )
-
     _reject_unread("train", tr)
 
     ex = _section(sections, "experiment")

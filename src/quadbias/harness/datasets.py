@@ -61,7 +61,6 @@ class Dataset:
     n_classes: int
     ood_inputs: np.ndarray | None = None
     ood_labels: np.ndarray | None = None
-    spec: DatasetSpec | None = None
 
     @property
     def dim(self) -> int:
@@ -102,11 +101,11 @@ def _balanced_labels(n: int, c: int) -> np.ndarray:
     return np.repeat(np.arange(c), counts)
 
 
-def _blob_means(rng: Rng, d: int, c: int, radius: float = 4.0) -> np.ndarray:
-    """Well-separated class means: random directions pushed apart."""
+def _blob_means(rng: Rng, d: int, c: int) -> np.ndarray:
+    """Well-separated class means: random directions at radius 4."""
     means = rng.normal(c * d).reshape(c, d)
     means /= np.maximum(np.linalg.norm(means, axis=1, keepdims=True), 1e-12)
-    return radius * means
+    return 4.0 * means
 
 
 def _shift_vector(spec: DatasetSpec, translation: float) -> np.ndarray:
@@ -190,7 +189,6 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
             test_inputs=x[test],
             test_labels=labels[test],
             n_classes=max(c, spec.c),
-            spec=spec,
         )
 
     gen = _SYNTH[spec.generator]
@@ -217,7 +215,6 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
         n_classes=spec.c,
         ood_inputs=ood_x,
         ood_labels=ood_y,
-        spec=spec,
     )
 
 

@@ -8,12 +8,13 @@ with the same config reproduces the numeric outputs byte for byte.
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 
 import numpy as np
 
 from ..cg import CgConfig, cg_minimize, debiased_cg
-from ..diagnostics import bias_summary, eigendirection_scan, overlap_matrix
+from ..diagnostics import RELERR_FLOOR, bias_summary, eigendirection_scan, overlap_matrix
 from ..errors import ValidationError
 from ..laplace import (
     PredictiveConfig,
@@ -41,6 +42,8 @@ from .reports import (
     write_svg_lines,
 )
 from .training import train
+
+logger = logging.getLogger(__name__)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
@@ -97,8 +100,7 @@ def _summary_rows(reports, batch_size, seed, n_params, epoch=None, width=None):
     curvature relative errors pooled over the source batches."""
     rows = []
     for quantity in ("slope", "curvature"):
-        summaries = bias_summary(reports, quantity, batch_size=batch_size,
-                                 n_params=n_params, epoch=epoch)
+        summaries = bias_summary(reports, quantity)
         for summ in summaries:
             rows.append([
                 batch_size, seed,
@@ -110,6 +112,25 @@ def _summary_rows(reports, batch_size, seed, n_params, epoch=None, width=None):
     # summaries holds the loop's last quantity, the curvature
     errs = np.concatenate([summ.relative_errors for summ in summaries])
     return rows, float(np.median(errs)) if errs.size else float("nan")
+
+
+def _ratio_stats(reports, batch_size, seed) -> dict:
+    """Same-batch over full-batch curvature along each source batch's top
+    eigendirection. A full-batch value below RELERR_FLOOR in magnitude
+    excludes its report, as in relative_errors; both statistics are NaN when
+    no report is left."""
+    kept = [rep for rep in reports if abs(rep.full_curvatures[0]) >= RELERR_FLOOR]
+    if len(kept) < len(reports):
+        logger.warning("bias-scan batch size %d, seed %d: %d of %d curvature ratios "
+                       "excluded (|full-batch curvature| < %g)", batch_size, seed,
+                       len(reports) - len(kept), len(reports), RELERR_FLOOR)
+    ratios = np.array([
+        rep.curvatures[0, rep.source_column()] / rep.full_curvatures[0] for rep in kept
+    ])
+    if not ratios.size:
+        return {"overestimated_fraction": float("nan"), "median_ratio": float("nan")}
+    return {"overestimated_fraction": float(np.mean(ratios > 1.0)),
+            "median_ratio": float(np.median(ratios))}
 
 
 _SUMMARY_HEADER = [
@@ -137,16 +158,7 @@ def _run_bias_scan(cfg: ExperimentConfig, out_dir: Path) -> dict:
             rows, medians[(batch_size, seed)] = _summary_rows(reports, batch_size,
                                                               seed, n_params)
             summary_rows.extend(rows)
-
-            # same-batch top-eigendirection curvature vs the full-batch value
-            ratios = [
-                rep.curvatures[0, rep.source_column()] / rep.full_curvatures[0]
-                for rep in reports
-            ]
-            ratio_stats[f"b{batch_size}_s{seed}"] = {
-                "overestimated_fraction": float(np.mean([r > 1.0 for r in ratios])),
-                "median_ratio": float(np.median(ratios)),
-            }
+            ratio_stats[f"b{batch_size}_s{seed}"] = _ratio_stats(reports, batch_size, seed)
 
     write_csv(out_dir / "bias_summary.csv", _SUMMARY_HEADER, summary_rows, cfg.digest)
 

@@ -122,9 +122,10 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 
 def write_svg_lines(path, series: dict, title: str = "", logy: bool = False,
-                    width: int = 640, height: int = 420, digest: str = "") -> None:
+                    digest: str = "") -> None:
     """Plot named (x, y) series as polylines. Non-finite or non-positive
     (for logy) points are dropped."""
+    width, height = 640, 420
     cleaned = {}
     for name, (xs, ys) in series.items():
         pts = [
@@ -164,10 +165,10 @@ def write_svg_lines(path, series: dict, title: str = "", logy: bool = False,
 
 
 def write_svg_heatmap(path, values: np.ndarray, title: str = "",
-                      cell: int = 4, digest: str = "") -> None:
+                      digest: str = "") -> None:
     """Grayscale heatmap of values in [0, 1] (1 = white)."""
     k1, k2 = values.shape
-    margin = 30
+    cell, margin = 4, 30  # pixels per entry, border
     width = k2 * cell + 2 * margin
     height = k1 * cell + 2 * margin
     parts = [

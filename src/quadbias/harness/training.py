@@ -8,7 +8,7 @@ the format stays readable from other languages.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +34,6 @@ class TrainConfig:
         if self.lr < 0 or self.epochs < 1 or self.batch_size < 1 or self.beta < 0:
             raise ValidationError(f"invalid training config {self}")
 
-    def digest_dict(self) -> dict:
-        return {
-            "lr": self.lr, "momentum": self.momentum, "epochs": self.epochs,
-            "batch_size": self.batch_size, "beta": self.beta, "seed": self.seed,
-        }
-
 
 @dataclass
 class Checkpoint:
@@ -51,12 +45,12 @@ class Checkpoint:
     format_version: int = CHECKPOINT_FORMAT_VERSION
 
 
-def checkpoint_epochs(n_epochs: int, n_points: int = 10) -> list:
-    """n_points log-equidistant epochs between the first and last, plus the
-    final epoch."""
+def checkpoint_epochs(n_epochs: int) -> list:
+    """Ten log-equidistant epochs between the first and last, plus the final
+    epoch."""
     if n_epochs == 1:
         return [1]
-    raw = np.logspace(0.0, np.log10(n_epochs), n_points)
+    raw = np.logspace(0.0, np.log10(n_epochs), 10)
     epochs = sorted(set(int(round(e)) for e in raw) | {n_epochs})
     return epochs
 
@@ -73,7 +67,7 @@ def train(arch: MlpArchitecture, dataset: Dataset, config: TrainConfig) -> list:
     velocity = np.zeros(params.n_params)
     ckpt_at = set(checkpoint_epochs(config.epochs))
     checkpoints = []
-    digest = json.dumps(config.digest_dict(), sort_keys=True)
+    digest = json.dumps(asdict(config), sort_keys=True)
 
     for epoch in range(1, config.epochs + 1):
         epoch_rng = rng.split(epoch)

@@ -35,12 +35,6 @@ logger = logging.getLogger(__name__)
 # posterior.
 NEG_EIG_TOL = 1e-8
 
-# Prior-precision sweep default: 13 log-equidistant values in [1e-4, 1]
-# plus 10.
-DEFAULT_PRIOR_GRID = tuple(np.logspace(-4.0, 0.0, 13)) + (10.0,)
-
-DEFAULT_MC_SAMPLES = 40
-
 
 def clamped_eigh(factor: DenseSymMatrix, context: str = "factor",
                  clamped: list | None = None) -> EigenDecomposition:
@@ -101,8 +95,9 @@ def _checked_beta(eigs: list, beta: float) -> float:
 
 @dataclass
 class LaplacePosterior:
-    """Gaussian over the weights: mean theta*, per-layer Kronecker blocks,
-    training-set size N, and prior precision beta.
+    """Gaussian over the weights: mean theta*, training-set size N, prior
+    precision beta, and the clamped factor eigendecompositions of every
+    layer's Kronecker block.
 
     Block covariance eigenvalues are 1 / (N (s + beta)) for s in the Kronecker
     product of the factor spectra; bias coordinates are deterministic at the
@@ -110,10 +105,9 @@ class LaplacePosterior:
     """
 
     mean: ParamVector
-    blocks: list
     n_train: int
     beta: float
-    _eigs: list = None
+    _eigs: list
 
     @cached_property
     def weight_entries(self) -> list:
@@ -155,7 +149,7 @@ def build_posterior(
                 f"match the weight shape {entry.shape}"
             )
     eigs = factor_eigs(blocks)
-    return LaplacePosterior(mean, list(blocks), int(n_train), _checked_beta(eigs, beta), eigs)
+    return LaplacePosterior(mean, int(n_train), _checked_beta(eigs, beta), eigs)
 
 
 def _draw(post: LaplacePosterior, rng: Rng, out: np.ndarray) -> np.ndarray:
@@ -217,8 +211,8 @@ def debias_kfac(blocks_b: list, blocks_bt: list) -> list:
 
 @dataclass(frozen=True)
 class PredictiveConfig:
-    s_samples: int = DEFAULT_MC_SAMPLES
-    seed: int = 0
+    s_samples: int
+    seed: int
 
     def __post_init__(self):
         if self.s_samples < 1:

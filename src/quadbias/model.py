@@ -14,8 +14,7 @@ a layer's flat weight slice equals the column-stacked (fan_out x fan_in)
 matrix used by the Kronecker utilities in :mod:`quadbias.linalg`.
 
 The empirical risk is the mean per-sample loss; the regularizer beta/2 ||w||^2
-acts on the weights only by default (reg_mode="weights"), switchable to all
-parameters (reg_mode="all").
+acts on the weights only (``ParamVector.weight_mask``), never on the biases.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .linalg import DenseSymMatrix, Rng
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 LOSSES = ("cross_entropy", "mse")
+FISHER_MODES = ("mc_sample", "empirical")
 
 # Rows x columns one block pass of a Linearization may hold. A single-vector
 # pass over one 512-row chunk held this much before block products existed;
@@ -418,11 +418,8 @@ class Linearization:
 class Mlp:
     """Model context bundling an architecture with its derivative machinery."""
 
-    def __init__(self, arch: MlpArchitecture, reg_mode: str = "weights"):
-        if reg_mode not in ("weights", "all"):
-            raise ValidationError(f"unknown reg_mode {reg_mode!r}")
+    def __init__(self, arch: MlpArchitecture):
         self.arch = arch
-        self.reg_mode = reg_mode
         self.layout = build_layout(arch)
         self.n_params = sum(e.size for e in self.layout)
 
@@ -431,20 +428,13 @@ class Mlp:
     def zero_params(self) -> ParamVector:
         return ParamVector(np.zeros(self.n_params), self.layout)
 
-    def init_params(self, rng: Rng, scale: float | None = None) -> ParamVector:
+    def init_params(self, rng: Rng) -> ParamVector:
         """He-style Gaussian weights, zero biases; deterministic given rng."""
         p = self.zero_params()
         for l in range(self.arch.n_layers):
-            fan_in = self.arch.layer_sizes[l]
             w = p.view(l, "weight")
-            std = scale if scale is not None else np.sqrt(2.0 / fan_in)
-            w[...] = rng.normal(w.size).reshape(w.shape) * std
+            w[...] = rng.normal(w.size).reshape(w.shape) * np.sqrt(2.0 / self.arch.layer_sizes[l])
         return p
-
-    def reg_mask(self, params: ParamVector) -> np.ndarray:
-        if self.reg_mode == "all":
-            return np.ones(params.n_params, dtype=bool)
-        return params.weight_mask
 
     # -- forward ------------------------------------------------------------
 
@@ -510,7 +500,7 @@ class Mlp:
             raise ValidationError(f"beta must be >= 0, got {beta}")
         lin = self._linearized(params, batch)
         g_logits = lin.loss_grad_logits()
-        mask = self.reg_mask(params)
+        mask = params.weight_mask
         loss = self._loss_value(lin.logits, lin.targets)
         loss += 0.5 * beta * float(params.values[mask] @ params.values[mask])
         grad = lin._backprop(g_logits)
@@ -527,7 +517,7 @@ class Mlp:
         out = getattr(self._linearized(params, data), name)(v.reshape(v.shape[0], -1))
         out = out.reshape(v.shape)
         if beta:
-            mask = self.reg_mask(params)
+            mask = params.weight_mask
             out[mask] += beta * v[mask]
         return out
 
@@ -565,7 +555,7 @@ class Mlp:
         (fisher_mode="mc_sample", one draw per datum) or taken from the batch
         (fisher_mode="empirical").
         """
-        if fisher_mode not in ("mc_sample", "empirical"):
+        if fisher_mode not in FISHER_MODES:
             raise ValidationError(f"unknown fisher_mode {fisher_mode!r}")
         if fisher_mode == "mc_sample" and rng is None:
             raise ValidationError("mc_sample mode requires an Rng")

@@ -198,7 +198,6 @@ def build_quadratic(
     lin = mlp.linearize(theta0, batch.inputs, batch.targets)
     loss, grad = mlp.loss_and_grad(theta0, lin, beta)
     _require_finite("build_quadratic", loss=loss, gradient=grad)
-    mask = mlp.reg_mask(theta0)
     blocks = None
     if kind == "kfac":
         blocks = mlp.kfac_factors(theta0, batch, fisher_mode, rng)
@@ -207,7 +206,8 @@ def build_quadratic(
         raw, forms = _kfac_product(blocks, theta0), None
     else:
         raw, forms = _curvature_products(mlp, theta0, kind, [(1.0, lin)])
-    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, batch_id, forms)
+    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, theta0.weight_mask,
+                           batch_id, forms)
     return QuadraticModel(theta0, loss, grad, op, batch_id, kfac_blocks=blocks)
 
 
@@ -415,7 +415,7 @@ def fullbatch_quadratic(
         l_c, g_c = mlp.loss_and_grad(theta0, chunk, 0.0)
         loss += w * l_c
         grad += w * g_c
-    mask = mlp.reg_mask(theta0)
+    mask = theta0.weight_mask
     loss += 0.5 * beta * float(theta0.values[mask] @ theta0.values[mask])
     grad[mask] += beta * theta0.values[mask]
     _require_finite("fullbatch_quadratic", loss=loss, gradient=grad)

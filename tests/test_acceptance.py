@@ -132,8 +132,8 @@ def test_criterion_04_overlap_properties():
     h_bt = random_spd(rng, 48, cond=12.0)
     eig_b, eig_bt = sym_eigh(h_b), sym_eigh(h_bt)
     om = overlap_matrix(
-        DirectionSet("eigen", 0, eig_b.basis),
-        DirectionSet("eigen", 1, eig_bt.basis),
+        DirectionSet(0, eig_b.basis),
+        DirectionSet(1, eig_bt.basis),
     )
     in_range = om.omega.min() >= 0.0 and om.omega.max() <= 1.0 + 1e-12
     rows_ok = np.max(np.abs(om.row_sums() - 1.0)) <= 1e-10

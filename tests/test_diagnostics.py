@@ -31,7 +31,7 @@ from random_matrices import haar_orthogonal, random_spd
 
 
 def eigen_set(basis, source=0):
-    return DirectionSet(kind="eigen", source_batch=source, directions=basis)
+    return DirectionSet(source_batch=source, directions=basis)
 
 
 class TestDirectionSet:
@@ -40,14 +40,6 @@ class TestDirectionSet:
         skewed[0, 1] = 0.5
         with pytest.raises(ValidationError):
             eigen_set(skewed)
-
-    def test_cg_kind_requires_anchors(self):
-        d = haar_orthogonal(Rng(0), 4)[:, :2]
-        with pytest.raises(ValidationError):
-            DirectionSet(kind="cg", source_batch=0, directions=d)
-        anchored = DirectionSet(kind="cg", source_batch=0, directions=d,
-                                anchors=[np.zeros(4), np.ones(4)])
-        assert anchored.k == 2
 
 
 class TestOverlapMatrix:
@@ -276,7 +268,7 @@ class TestCgDirectionScan:
 
     def test_same_batch_columns(self):
         quads, q_full = self._setup()
-        trace, rep = cg_direction_scan(quads[0], quads, q_full, n_steps=6)
+        trace, rep = cg_direction_scan(quads[0], quads, q_full, CgConfig(p_max=6))
         col = rep.batch_ids.index(quads[0].batch_id)
         assert np.all(rep.slopes[:, col] <= 1e-12)
         assert np.all(rep.magnitudes[:, col] > 0.0)
@@ -286,7 +278,7 @@ class TestCgDirectionScan:
 
     def test_cross_batch_matches_independent_recomputation(self):
         quads, q_full = self._setup()
-        trace, rep = cg_direction_scan(quads[0], quads, q_full, n_steps=5)
+        trace, rep = cg_direction_scan(quads[0], quads, q_full, CgConfig(p_max=5))
         assert rep.k == 5
         columns = [(q, rep.slopes[:, j], rep.curvatures[:, j], rep.magnitudes[:, j])
                    for j, q in enumerate(quads)]
@@ -305,7 +297,7 @@ class TestCgDirectionScan:
     def test_two_matvecs_per_direction_per_quadratic(self):
         quads, q_full = self._setup()
         before = [q.curvature.matvec_count for q in [*quads, q_full]]
-        trace, rep = cg_direction_scan(quads[0], quads, q_full, n_steps=5)
+        trace, rep = cg_direction_scan(quads[0], quads, q_full, CgConfig(p_max=5))
         after = [q.curvature.matvec_count for q in [*quads, q_full]]
         n = rep.k
         # quads[0] also runs the CG itself, one matvec per direction
@@ -316,7 +308,7 @@ class TestCgDirectionScan:
         h = np.diag([1.0, -1.0, 2.0])
         q_bad = synthetic_quadratic(h, np.array([1.0, 1.0, 1.0]), batch_id=0)
         q_full = synthetic_quadratic(np.eye(3), np.ones(3), batch_id="FULL")
-        trace, rep = cg_direction_scan(q_bad, [q_bad], q_full, n_steps=3)
+        trace, rep = cg_direction_scan(q_bad, [q_bad], q_full, CgConfig(p_max=3))
         assert rep.meta["truncated"]
         assert rep.k == trace.n_steps
 
@@ -325,7 +317,7 @@ class TestCgDirectionScan:
         q_bad = synthetic_quadratic(np.diag([-1.0, 2.0]), np.array([1.0, 0.0]), batch_id=0)
         q_other = synthetic_quadratic(np.eye(2), np.ones(2), batch_id=1)
         q_full = synthetic_quadratic(np.eye(2), np.ones(2), batch_id="FULL")
-        trace, rep = cg_direction_scan(q_bad, [q_bad, q_other], q_full, n_steps=3)
+        trace, rep = cg_direction_scan(q_bad, [q_bad, q_other], q_full, CgConfig(p_max=3))
         assert trace.n_steps == 0
         assert rep.meta["truncated"]
         for arr in (rep.slopes, rep.curvatures, rep.magnitudes):
@@ -333,6 +325,14 @@ class TestCgDirectionScan:
         for arr in (rep.full_slopes, rep.full_curvatures, rep.full_magnitudes):
             assert arr.shape == (0,)
         assert rep.batch_ids == [0, 1]
+
+    def test_step_cap_is_the_configs_p_max(self):
+        q = synthetic_quadratic(random_spd(Rng(5), 6), np.ones(6), batch_id=0)
+        trace, rep = cg_direction_scan(q, [q], q, CgConfig(p_max=1))
+        assert trace.n_steps == rep.k == 1
+        assert rep.meta == {"truncated": False, "requested_steps": 1}
+        # the cap binds: without it CG takes more than one step here
+        assert cg_direction_scan(q, [q], q, CgConfig(p_max=4))[0].n_steps > 1
 
 
 class TestBiasSummary:

@@ -4,6 +4,7 @@ import json
 import logging
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,23 @@ class TestConfig:
         with pytest.raises(ValidationError):
             parse_experiment_config(sections)
 
+    @pytest.mark.parametrize("kind,curvature", [("laplace-sweep", "kfac"),
+                                                ("bias-scan", "ggn")])
+    def test_unknown_fisher_mode_rejected_before_training(self, tmp_path, monkeypatch,
+                                                           kind, curvature):
+        from quadbias.harness import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran with an unknown fisher_mode")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        sections = read_config_text(CONFIG_TEXT)
+        sections["dataset"]["train_frac"] = "0.75"
+        sections["experiment"].update(kind=kind, curvature=curvature,
+                                      fisher_mode="emprical")
+        with pytest.raises(ValidationError, match="fisher_mode 'emprical'"):
+            run_experiment(parse_experiment_config(sections), tmp_path / "r")
+
 
 class TestReports:
     def test_csv_roundtrip_17_digits(self, tmp_path):
@@ -527,6 +545,37 @@ class TestExperiments:
                     "median_ratio": float(np.median(ratios)),
                 }
         assert stats == expected
+
+    def test_bias_scan_ratio_excludes_a_zero_full_batch_curvature(self, tmp_path,
+                                                                   monkeypatch, caplog):
+        from quadbias.diagnostics import ScanReport
+        from quadbias.harness import experiments
+
+        def report(m, same, full):
+            # direction 0 only: same-batch curvature `same`, full-batch `full`
+            return ScanReport(source_batch=m, batch_ids=[0, 1, 2], slopes=np.zeros((1, 3)),
+                              curvatures=np.full((1, 3), same), full_slopes=np.zeros(1),
+                              full_curvatures=np.array([full]))
+
+        def fake_scan(cfg, dataset, mlp, theta, batch_size, seed, sources_only=False):
+            if batch_size == 16:
+                return [], [report(0, 2.0, 1.0), report(1, 0.5, 1.0), report(2, 3.0, 0.0)]
+            return [], [report(0, 1.0, 0.0), report(1, 0.0, 0.0)]
+
+        monkeypatch.setattr(experiments, "_scan_at", fake_scan)
+        caplog.set_level(logging.WARNING, logger="quadbias.harness.experiments")
+        cfg = self._config(tmp_path, extra={"seeds": "0"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = run_experiment(cfg, tmp_path / "r")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        stats = json.loads((out / "summary.json").read_text())["curvature_ratio_stats"]
+        assert stats["b16_s0"] == {"overestimated_fraction": 0.5, "median_ratio": 1.25}
+        assert all(np.isnan(v) for v in stats["b32_s0"].values())
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert "batch size 16, seed 0: 1 of 3 curvature ratios excluded" in messages[0]
+        assert "batch size 32, seed 0: 2 of 2 curvature ratios excluded" in messages[1]
 
     def test_laplace_sweep_grid_shape(self, tmp_path):
         cfg = self._config(

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from quadbias.errors import NumericalError, ValidationError
+from quadbias.harness import parse_experiment_config
 from quadbias.laplace import (
-    DEFAULT_PRIOR_GRID,
     PredictiveConfig,
     accumulate_kfac,
     build_posterior,
@@ -316,10 +316,11 @@ class TestPredictive:
             assert b <= a + 1e-12
 
     def test_default_grid_matches_design(self):
-        assert len(DEFAULT_PRIOR_GRID) == 14
-        assert DEFAULT_PRIOR_GRID[0] == pytest.approx(1e-4)
-        assert DEFAULT_PRIOR_GRID[12] == pytest.approx(1.0)
-        assert DEFAULT_PRIOR_GRID[13] == 10.0
+        grid = parse_experiment_config({"experiment": {"kind": "laplace-sweep"}}).la_grid
+        assert len(grid) == 14
+        assert grid[0] == pytest.approx(1e-4)
+        assert grid[12] == pytest.approx(1.0)
+        assert grid[13] == 10.0
 
 
 # Largest |difference| between a sweep probability and the oracle's, fixed
@@ -421,7 +422,7 @@ class TestSweepAgainstOracle:
         post = build_posterior(blocks, p, 150, 0.1)
         cfg = PredictiveConfig(3, seed=1)
         with pytest.raises(ValidationError, match="noise shape"):
-            predictive(post, mlp, input_sets[0], cfg, draw_noise(post, PredictiveConfig(4)))
+            predictive(post, mlp, input_sets[0], cfg, draw_noise(post, PredictiveConfig(4, seed=0)))
         other = mlp.linearize(p.copy(), input_sets[0])
         with pytest.raises(ValidationError, match="other parameters"):
             predictive(post, mlp, other, cfg)
@@ -434,10 +435,10 @@ class TestPredictiveFailsLoudly:
         return mlp, p, build_posterior(mlp.kfac_factors(p, batch, "empirical"), p, 100, 0.5)
 
     def test_nan_mean_raises(self):
-        mlp, p, post = self._posterior()
+        mlp, p, batch = small_problem(seed=71, n=30)
         bad = p.copy()
         bad.values[3] = np.nan
-        post = build_posterior(post.blocks, bad, 100, 0.5)
+        post = build_posterior(mlp.kfac_factors(p, batch, "empirical"), bad, 100, 0.5)
         x = Rng(72).normal(4 * 5).reshape(4, 5)
         with pytest.raises(NumericalError, match="predictive: non-finite probability"):
             predictive(post, mlp, x, PredictiveConfig(3, seed=1))

@@ -111,16 +111,6 @@ class TestLossAndGrad:
         np.testing.assert_allclose(diff[mask], 0.25 * p.values[mask], atol=1e-12)
         np.testing.assert_array_equal(diff[~mask], 0.0)
 
-    def test_reg_mode_all_covers_biases(self):
-        arch = MlpArchitecture((5, 8, 4))
-        mlp = Mlp(arch, reg_mode="all")
-        p = mlp.init_params(Rng(0))
-        p.values[~p.weight_mask] = 0.5  # nonzero biases
-        _, _, batch = small_problem(seed=2, arch=arch)
-        _, g0 = mlp.loss_and_grad(p, batch, 0.0)
-        _, g1 = mlp.loss_and_grad(p, batch, 0.2)
-        np.testing.assert_allclose(g1 - g0, 0.2 * p.values, atol=1e-12)
-
     def test_gradient_vs_finite_differences_100_params(self):
         arch = MlpArchitecture((6, 9, 4))  # P = 63 + 40 = 103
         mlp, p, batch = small_problem(seed=4, n=16, arch=arch)

@@ -87,6 +87,21 @@ MUTANTS = (
            'out["mean_ood_entropy"] = float(np.mean(ent[:probs.shape[0]]))',
            "mean_ood_entropy averaged over the test rows",
            ("tests/test_harness.py", "-k", "predictive_metrics")),
+    Mutant("src/quadbias/harness/experiments.py",
+           "kept = [rep for rep in reports if abs(rep.full_curvatures[0]) >= RELERR_FLOOR]",
+           "kept = list(reports)",
+           "bias-scan curvature ratio keeps a zero full-batch curvature",
+           ("tests/test_harness.py", "-k", "bias_scan")),
+    Mutant("src/quadbias/diagnostics.py",
+           "trace = cg_minimize(q_b, config)",
+           "trace = cg_minimize(q_b, CgConfig(config.epsilon, config.p_max + 1))",
+           "CG direction scan runs one step past config.p_max",
+           ("tests/test_diagnostics.py", "-k", "CgDirectionScan")),
+    Mutant("src/quadbias/harness/config.py",
+           "if self.fisher_mode not in FISHER_MODES:",
+           "if False:",
+           "config accepts an unknown fisher_mode",
+           ("tests/test_harness.py", "-k", "fisher_mode")),
 )
 
 
