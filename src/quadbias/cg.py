@@ -24,8 +24,6 @@ from .quadratic import QuadraticModel
 # denominators).
 CURVATURE_FLOOR = 1e-14
 
-TERMINATIONS = ("max_iter", "tolerance", "negative_curvature")
-
 
 @dataclass(frozen=True)
 class CgConfig:
@@ -81,24 +79,21 @@ def cg_minimize(q: QuadraticModel, config: CgConfig) -> CgTrace:
     return _cg(q, config)[0]
 
 
-def debiased_cg(q_b: QuadraticModel, q_bt: QuadraticModel, k: int, config: CgConfig):
+def debiased_cg(q_b: QuadraticModel, q_bt: QuadraticModel, config: CgConfig):
     """Two-batch CG: directions from q_b, update magnitudes from q_bt.
 
-    Runs at most k CG iterations on q_b and returns (direction trace,
-    debiased trace). The debiased trace takes the same normalized directions
-    with magnitudes tau~_p = -slope/curvature measured on q_bt; its gradient
-    follows the recursion grad~_{p+1} = grad~_p + tau~_p H~ d_p, so each
-    iteration costs exactly one matvec on each batch. A non-positive q_bt
-    directional curvature stops both traces with negative_curvature.
+    Runs at most config.p_max CG iterations on q_b and returns (direction
+    trace, debiased trace). The debiased trace takes the same normalized
+    directions with magnitudes tau~_p = -slope/curvature measured on q_bt;
+    its gradient follows the recursion grad~_{p+1} = grad~_p + tau~_p H~ d_p,
+    so each iteration costs exactly one matvec on each batch. A non-positive
+    q_bt directional curvature stops both traces with negative_curvature.
     """
     if q_b.dim != q_bt.dim:
         raise ValidationError("quadratics live in different dimensions")
     if not np.array_equal(q_b.theta0.values, q_bt.theta0.values):
         raise ValidationError("quadratics must share the anchor point")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    dir_config = CgConfig(epsilon=config.epsilon, p_max=min(k, config.p_max))
-    return _cg(q_b, dir_config, q_bt)
+    return _cg(q_b, config, q_bt)
 
 
 def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None):

@@ -247,6 +247,7 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
     header = ["method", "seed", "iteration", "q_fullbatch", "test_accuracy"]
     rows = []
+    series = {}
     terminations = {}
     finals = {}
     stable = {}
@@ -254,10 +255,12 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
     half = max(1, single_size // 2)
 
     def score(method, seed, trace):
-        """Rows, termination and final value of one trajectory; the trace is
-        not kept, so its iterates are freed before the next one runs."""
+        """Rows, plot series, termination and final value of one trajectory;
+        the trace is not kept, so its iterates are freed before the next one
+        runs."""
         q_vals, acc = _trajectory_metrics(mlp, dataset, q_full, trace.iterates)
         rows.extend([method, seed, i, qv, a] for i, (qv, a) in enumerate(zip(q_vals, acc)))
+        series[f"{method} s{seed}"] = (list(range(len(q_vals))), q_vals)
         terminations[f"{method}_s{seed}"] = trace.termination
         finals[f"{method}_s{seed}"] = q_vals[-1]
         return q_vals
@@ -271,32 +274,22 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
         if cfg.force_same_batch:
             # congruence mode: direction and magnitude processes share the
-            # single batch, so the debiased trajectory reproduces the
-            # single-batch one exactly
-            b_dir = b_mag = single_batches[0]
-            rng_dir = rng_mag = Rng(seed).split(1)
+            # single-batch quadratic, so the debiased trajectory reproduces
+            # the single-batch one exactly
+            q_dir = q_mag = q_b
         else:
             halves = dataset.minibatches(half, seed=seed, drop_last=True)
-            b_dir, b_mag = halves[0], halves[1]
-            rng_dir, rng_mag = Rng(seed).split(2), Rng(seed).split(3)
-        q_dir = build_quadratic(mlp, theta, b_dir, cfg.curvature, cfg.beta,
-                                cfg.delta, batch_id="dir",
-                                fisher_mode=cfg.fisher_mode, rng=rng_dir)
-        q_mag = build_quadratic(mlp, theta, b_mag, cfg.curvature, cfg.beta,
-                                cfg.delta, batch_id="mag",
-                                fisher_mode=cfg.fisher_mode, rng=rng_mag)
+            q_dir, q_mag = (
+                build_quadratic(mlp, theta, halves[i], cfg.curvature, cfg.beta, cfg.delta,
+                                batch_id=name, fisher_mode=cfg.fisher_mode,
+                                rng=Rng(seed).split(2 + i))
+                for i, name in enumerate(("dir", "mag"))
+            )
         # the direction trace (first of the pair) is dropped unscored
-        q_vals_d = score("debiased", seed,
-                         debiased_cg(q_dir, q_mag, cfg.cg_iterations, cg_cfg)[1])
+        q_vals_d = score("debiased", seed, debiased_cg(q_dir, q_mag, cg_cfg)[1])
         stable[f"debiased_s{seed}"] = bool(max(q_vals_d) <= q_anchor + 1e-12)
 
     write_csv(out_dir / "cg_compare.csv", header, rows, cfg.digest)
-
-    series = {}
-    for seed in cfg.seeds:
-        for method in ("single", "debiased"):
-            pts = [(r[2], r[3]) for r in rows if r[0] == method and r[1] == seed]
-            series[f"{method} s{seed}"] = ([p[0] for p in pts], [p[1] for p in pts])
     write_svg_lines(out_dir / "cg_compare.svg", series,
                     title="full-batch quadratic along CG trajectories",
                     digest=cfg.digest)

@@ -48,10 +48,21 @@ def read_csv(path):
     return digest, header, rows
 
 
+def _json_safe(value):
+    """value with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
 def write_summary(path, digest: str, payload: dict) -> None:
-    data = {"config_digest": digest}
-    data.update(payload)
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """The summary as strict JSON: a non-finite number is written as null."""
+    data = _json_safe({"config_digest": digest, **payload})
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def verify_result_dir(out_dir) -> dict:

@@ -23,19 +23,18 @@ CURVATURE_KINDS = ("hessian", "ggn", "kfac")
 class CurvatureOperator:
     """Matrix-free v -> (curvature + beta * mask + delta * I) v.
 
-    ``raw_product`` applies the curvature to a vector or to a (dim, k) block.
-    ``matvec`` takes one vector and ``matmat`` a block; ``forms`` returns the
-    quadratic form v_j^T (curvature + beta * mask + delta * I) v_j of every
-    column of a block, from ``raw_forms`` when given (it must not need the
-    product) and else from the dot of each column with its product. Every
-    column counts as one matvec in ``matvec_count``, so experiments and tests
-    can verify cost claims either way. The operator is linear and symmetric;
-    ``kind`` records which curvature proxy backs it.
+    ``raw_product`` applies the curvature to a (dim, k) block. ``matmat``
+    applies the operator to a block and ``matvec`` is its one-column case;
+    ``forms`` returns the quadratic form v_j^T (curvature + beta * mask +
+    delta * I) v_j of every column of a block, from ``raw_forms`` when given
+    (it must not need the product) and else from the dot of each column with
+    its product. Every column counts as one matvec in ``matvec_count``, so
+    experiments and tests can verify cost claims either way. The operator is
+    linear and symmetric.
     """
 
     def __init__(
         self,
-        kind: str,
         dim: int,
         raw_product: Callable[[np.ndarray], np.ndarray],
         beta: float = 0.0,
@@ -44,11 +43,8 @@ class CurvatureOperator:
         batch_id=None,
         raw_forms: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
-        if kind not in CURVATURE_KINDS:
-            raise ValidationError(f"unknown curvature kind {kind!r}")
         if beta < 0 or delta < 0:
             raise ValidationError("beta and delta must be >= 0")
-        self.kind = kind
         self.dim = dim
         self.beta = beta
         self.delta = delta
@@ -62,15 +58,19 @@ class CurvatureOperator:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValidationError(f"vector shape {v.shape} != ({self.dim},)")
-        self.matvec_count += 1
-        return self._shifted(self._raw_product(v), v, self.mask)
+        return self.matmat(v[:, None])[:, 0]
 
     __call__ = matvec
 
     def matmat(self, vs: np.ndarray) -> np.ndarray:
         """The operator applied to every column of a (dim, k) block."""
         vs = self._block(vs)
-        return self._shifted(self._raw_product(vs), vs, self.mask[:, None])
+        out = self._raw_product(vs)
+        if self.beta:
+            out = out + self.beta * np.where(self.mask[:, None], vs, 0.0)
+        if self.delta:
+            out = out + self.delta * vs
+        return out
 
     def forms(self, vs: np.ndarray) -> np.ndarray:
         """v_j^T (curvature + beta * mask + delta * I) v_j for every column
@@ -94,34 +94,23 @@ class CurvatureOperator:
         self.matvec_count += vs.shape[1]
         return vs
 
-    def _shifted(self, out: np.ndarray, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        if self.beta:
-            out = out + self.beta * np.where(mask, v, 0.0)
-        if self.delta:
-            out = out + self.delta * v
-        return out
-
     @classmethod
-    def from_dense(cls, m: np.ndarray, kind: str = "hessian", beta: float = 0.0,
-                   delta: float = 0.0, mask=None, batch_id=None) -> "CurvatureOperator":
+    def from_dense(cls, m: np.ndarray, beta: float = 0.0, delta: float = 0.0,
+                   mask=None, batch_id=None) -> "CurvatureOperator":
         m = np.asarray(m, dtype=np.float64)
-        return cls(kind, m.shape[0], lambda v: m @ v, beta, delta, mask, batch_id)
+        return cls(m.shape[0], lambda vs: m @ vs, beta, delta, mask, batch_id)
 
 
 def _kfac_product(blocks: list, params: ParamVector) -> Callable[[np.ndarray], np.ndarray]:
-    """Block-diagonal Kronecker product on the weight slices; zero on biases.
-    The product takes a vector or a (P, k) block."""
+    """Block-diagonal Kronecker product on the weight slices of a (P, k)
+    block; zero on biases."""
     weight_entries = [e for e in params.layout if e.role == "weight"]
-    if len(weight_entries) != len(blocks):
-        raise ValidationError("K-FAC blocks do not match the layer layout")
 
-    def product(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
+    def product(vs: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(vs)
         for e, blk in zip(weight_entries, blocks):
-            seg = v[e.offset : e.offset + e.size]
-            out[e.offset : e.offset + e.size] = kron_matvec(
-                blk.factor_a.entries, blk.factor_b.entries, seg
-            )
+            seg = slice(e.offset, e.offset + e.size)
+            out[seg] = kron_matvec(blk.factor_a.entries, blk.factor_b.entries, vs[seg])
         return out
 
     return product
@@ -129,7 +118,7 @@ def _kfac_product(blocks: list, params: ParamVector) -> Callable[[np.ndarray], n
 
 def _curvature_products(mlp: Mlp, theta0: ParamVector, kind: str, parts: list):
     """(product, forms) of the hessian or ggn curvature, summed over
-    (weight, part) pairs. The product takes a vector or a (P, k) block; forms
+    (weight, part) pairs. The product takes a (P, k) block; forms
     is the ggn's quadratic forms of a block's columns from J v alone, and
     None for the hessian. A part is a Linearization at theta0, reused by
     every call, or a Batch, linearized afresh on every call (once for all of
@@ -167,12 +156,49 @@ class QuadraticModel:
     constant: float
     gradient: np.ndarray
     curvature: CurvatureOperator
-    batch_id: object = None
     kfac_blocks: list | None = None
 
     @property
     def dim(self) -> int:
         return self.gradient.size
+
+    @property
+    def batch_id(self):
+        """The label of the data the model was built on ("FULL" for the whole
+        dataset); the curvature operator carries it."""
+        return self.curvature.batch_id
+
+
+def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, parts: list, kind: str,
+               beta: float, delta: float, batch_id, kfac: Callable[[], list]) -> QuadraticModel:
+    """Quadratic model of the regularized loss over (weight, part) pairs.
+
+    c and g are the weighted sums of the parts' losses and gradients, with
+    the regularizer added once. The hessian and ggn products sum over the
+    parts (see ``_curvature_products``); the K-FAC blocks come from one call
+    of ``kfac`` and are reused by every product. Errors name ``stage``.
+    """
+    if kind not in CURVATURE_KINDS:
+        raise ValidationError(f"unknown curvature kind {kind!r}")
+    _require_finite(stage, theta=theta0.values)
+    loss = 0.0
+    grad = np.zeros(theta0.n_params)
+    for w, part in parts:
+        l_part, g_part = mlp.loss_and_grad(theta0, part, 0.0)
+        loss += w * l_part
+        grad += w * g_part
+    mask = theta0.weight_mask
+    loss += 0.5 * beta * float(theta0.values[mask] @ theta0.values[mask])
+    grad[mask] += beta * theta0.values[mask]
+    _require_finite(stage, loss=loss, gradient=grad)
+    blocks = None
+    if kind == "kfac":
+        blocks = kfac()
+        raw, forms = _kfac_product(blocks, theta0), None
+    else:
+        raw, forms = _curvature_products(mlp, theta0, kind, parts)
+    op = CurvatureOperator(theta0.n_params, raw, beta, delta, mask, batch_id, forms)
+    return QuadraticModel(theta0, loss, grad, op, blocks)
 
 
 def build_quadratic(
@@ -192,23 +218,9 @@ def build_quadratic(
     curvature product reuses that trace, and for kind="kfac" the Kronecker
     factors are computed once here and reused by every product.
     """
-    if kind not in CURVATURE_KINDS:
-        raise ValidationError(f"unknown curvature kind {kind!r}")
-    _require_finite("build_quadratic", theta=theta0.values)
     lin = mlp.linearize(theta0, batch.inputs, batch.targets)
-    loss, grad = mlp.loss_and_grad(theta0, lin, beta)
-    _require_finite("build_quadratic", loss=loss, gradient=grad)
-    blocks = None
-    if kind == "kfac":
-        blocks = mlp.kfac_factors(theta0, batch, fisher_mode, rng)
-        if not blocks:
-            raise ValidationError("kfac curvature requires at least one dense layer")
-        raw, forms = _kfac_product(blocks, theta0), None
-    else:
-        raw, forms = _curvature_products(mlp, theta0, kind, [(1.0, lin)])
-    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, theta0.weight_mask,
-                           batch_id, forms)
-    return QuadraticModel(theta0, loss, grad, op, batch_id, kfac_blocks=blocks)
+    return _quadratic("build_quadratic", mlp, theta0, [(1.0, lin)], kind, beta, delta,
+                      batch_id, lambda: mlp.kfac_factors(theta0, batch, fisher_mode, rng))
 
 
 def synthetic_quadratic(
@@ -218,7 +230,8 @@ def synthetic_quadratic(
     theta0: ParamVector | None = None,
     batch_id=None,
 ) -> QuadraticModel:
-    """Quadratic from explicit pieces (tests, oracles, toy systems)."""
+    """Quadratic from explicit pieces (tests, oracles, toy systems); batch_id
+    labels a dense curvature, an operator carries its own."""
     g = np.asarray(gradient, dtype=np.float64)
     if isinstance(curvature, CurvatureOperator):
         op = curvature
@@ -226,7 +239,7 @@ def synthetic_quadratic(
         op = CurvatureOperator.from_dense(curvature, batch_id=batch_id)
     if theta0 is None:
         theta0 = ParamVector.from_values(np.zeros(g.size))
-    return QuadraticModel(theta0, float(constant), g, op, batch_id)
+    return QuadraticModel(theta0, float(constant), g, op)
 
 
 def grad_at(q: QuadraticModel, theta: ParamVector | np.ndarray) -> np.ndarray:
@@ -341,18 +354,20 @@ def subspace_eval(
     )
 
 
-def iter_chunks(data: Batch, chunk_size: int):
-    """Fixed-order slices of a batch; the last chunk may be ragged."""
+def _partition(data: Batch, chunk_size: int) -> list:
+    """(share of rows, chunk) pairs of fixed-order slices of a dataset; the
+    last chunk may be ragged."""
+    n = data.size
+    if n == 0:
+        raise ValidationError("dataset is empty")
     if chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-    n = data.size
+    out = []
     for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        yield Batch(
-            data.inputs[start:stop],
-            data.targets[start:stop],
-            data.indices[start:stop],
-        )
+        rows = slice(start, start + chunk_size)
+        out.append((min(chunk_size, n - start) / n,
+                    Batch(data.inputs[rows], data.targets[rows], data.indices[rows])))
+    return out
 
 
 def accumulate_kfac(
@@ -366,19 +381,16 @@ def accumulate_kfac(
     """Sample-count-weighted average of per-chunk Kronecker factors over the
     whole dataset, the full-batch K-FAC stand-in (factor-level averaging; not
     the K-FAC of the union batch). Chunk i samples from ``rng.split(i)``."""
-    if data.size == 0:
-        raise ValidationError("dataset is empty")
-    chunks = list(iter_chunks(data, chunk_size))
-    weights = [c.size / data.size for c in chunks]
+    chunks = _partition(data, chunk_size)
     per_chunk = [
         mlp.kfac_factors(theta_star, c, fisher_mode,
                          rng.split(i) if rng is not None else None)
-        for i, c in enumerate(chunks)
+        for i, (_, c) in enumerate(chunks)
     ]
     out = []
     for l, blk in enumerate(per_chunk[0]):
-        a = sum(w * bl[l].factor_a.entries for w, bl in zip(weights, per_chunk))
-        b = sum(w * bl[l].factor_b.entries for w, bl in zip(weights, per_chunk))
+        a = sum(w * bl[l].factor_a.entries for (w, _), bl in zip(chunks, per_chunk))
+        b = sum(w * bl[l].factor_b.entries for (w, _), bl in zip(chunks, per_chunk))
         out.append(KfacBlock(layer=blk.layer, factor_a=DenseSymMatrix(a),
                              factor_b=DenseSymMatrix(b)))
     return out
@@ -402,32 +414,7 @@ def fullbatch_quadratic(
     no trace between calls; for kfac the Kronecker factors are averaged across
     chunks once by ``accumulate_kfac``.
     """
-    if data.size == 0:
-        raise ValidationError("dataset is empty")
-    _require_finite("fullbatch_quadratic", theta=theta0.values)
-    chunks = list(iter_chunks(data, chunk_size))
-    n_total = data.size
-    weights = [c.size / n_total for c in chunks]
-
-    loss = 0.0
-    grad = np.zeros(theta0.n_params)
-    for w, chunk in zip(weights, chunks):
-        l_c, g_c = mlp.loss_and_grad(theta0, chunk, 0.0)
-        loss += w * l_c
-        grad += w * g_c
-    mask = theta0.weight_mask
-    loss += 0.5 * beta * float(theta0.values[mask] @ theta0.values[mask])
-    grad[mask] += beta * theta0.values[mask]
-    _require_finite("fullbatch_quadratic", loss=loss, gradient=grad)
-
-    blocks = None
-    if kind in ("hessian", "ggn"):
-        raw, forms = _curvature_products(mlp, theta0, kind, list(zip(weights, chunks)))
-    elif kind == "kfac":
-        blocks = accumulate_kfac(mlp, theta0, data, fisher_mode, rng, chunk_size)
-        raw, forms = _kfac_product(blocks, theta0), None
-    else:
-        raise ValidationError(f"unknown curvature kind {kind!r}")
-
-    op = CurvatureOperator(kind, theta0.n_params, raw, beta, delta, mask, "FULL", forms)
-    return QuadraticModel(theta0, loss, grad, op, batch_id="FULL", kfac_blocks=blocks)
+    return _quadratic(
+        "fullbatch_quadratic", mlp, theta0, _partition(data, chunk_size), kind, beta,
+        delta, "FULL",
+        lambda: accumulate_kfac(mlp, theta0, data, fisher_mode, rng, chunk_size))

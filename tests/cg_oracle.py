@@ -5,7 +5,7 @@ against."""
 
 import numpy as np
 
-from quadbias.cg import CURVATURE_FLOOR, CgConfig, CgTrace, cg_minimize
+from quadbias.cg import CURVATURE_FLOOR, CgTrace, cg_minimize
 
 
 def rebuild_magnitudes(q_bt, dir_trace):
@@ -35,8 +35,7 @@ def rebuild_magnitudes(q_bt, dir_trace):
     return CgTrace(iterates, directions, magnitudes, residual_norms, [], termination)
 
 
-def sequential_debiased_cg(q_b, q_bt, k, config):
+def sequential_debiased_cg(q_b, q_bt, config):
     """(direction trace, debiased trace) of the two-pass reference."""
-    dir_trace = cg_minimize(q_b, CgConfig(epsilon=config.epsilon,
-                                          p_max=min(k, config.p_max)))
+    dir_trace = cg_minimize(q_b, config)
     return dir_trace, rebuild_magnitudes(q_bt, dir_trace)

@@ -202,7 +202,7 @@ def test_criterion_06_debiased_cg_identities(toy_dataset, toy_mlp, toy_theta):
     q_a = build_quadratic(toy_mlp, toy_theta, batches[0], "ggn", TOY_BETA)
     q_a2 = build_quadratic(toy_mlp, toy_theta, batches[0], "ggn", TOY_BETA)
     cfg = CgConfig(epsilon=1e-14, p_max=30)
-    dir_trace, deb_trace = debiased_cg(q_a, q_a2, 30, cfg)
+    dir_trace, deb_trace = debiased_cg(q_a, q_a2, cfg)
     bitwise = (
         len(dir_trace.iterates) == len(deb_trace.iterates)
         and all(np.array_equal(a, b)
@@ -217,7 +217,7 @@ def test_criterion_06_debiased_cg_identities(toy_dataset, toy_mlp, toy_theta):
     g_b, g_bt = rng.normal(80), rng.normal(80)
     q_b = synthetic_quadratic(h_b, g_b)
     q_bt = synthetic_quadratic(h_bt, g_bt)
-    _, deb = debiased_cg(q_b, q_bt, 30, CgConfig(epsilon=1e-16, p_max=30))
+    _, deb = debiased_cg(q_b, q_bt, CgConfig(epsilon=1e-16, p_max=30))
     recursion_err = 0.0
     for p in range(deb.n_steps + 1):
         fresh = np.linalg.norm(h_bt @ deb.iterates[p] + g_bt)
@@ -226,7 +226,7 @@ def test_criterion_06_debiased_cg_identities(toy_dataset, toy_mlp, toy_theta):
     recursion_ok = deb.n_steps == 30 and recursion_err <= 1e-10
 
     before = q_b.curvature.matvec_count + q_bt.curvature.matvec_count
-    _, deb2 = debiased_cg(q_b, q_bt, 10, CgConfig(epsilon=1e-16, p_max=10))
+    _, deb2 = debiased_cg(q_b, q_bt, CgConfig(epsilon=1e-16, p_max=10))
     count = q_b.curvature.matvec_count + q_bt.curvature.matvec_count - before
     count_ok = count == 2 * deb2.n_steps and deb2.n_steps == 10
 
@@ -254,7 +254,7 @@ def test_criterion_07_debiased_cg_stability(toy_dataset, toy_mlp, toy_theta):
         halves = toy_dataset.minibatches(32, seed=seed, drop_last=True)
         q_dir = build_quadratic(toy_mlp, toy_theta, halves[0], "ggn", TOY_BETA)
         q_mag = build_quadratic(toy_mlp, toy_theta, halves[1], "ggn", TOY_BETA)
-        _, deb = debiased_cg(q_dir, q_mag, 30, cfg)
+        _, deb = debiased_cg(q_dir, q_mag, cfg)
         deb_series = [value_at(q_full, th) for th in deb.iterates]
 
         finals_ok += deb_series[-1] <= q0

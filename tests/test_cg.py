@@ -176,7 +176,7 @@ class TestDebiasedCg:
     def test_same_batch_congruent_bitwise(self):
         q_b, q_bt = self._model_quadratic_pair(same=True)
         cfg = CgConfig(epsilon=1e-12, p_max=25)
-        dir_trace, deb_trace = debiased_cg(q_b, q_bt, 25, cfg)
+        dir_trace, deb_trace = debiased_cg(q_b, q_bt, cfg)
         assert deb_trace.termination == dir_trace.termination
         assert len(deb_trace.iterates) == len(dir_trace.iterates)
         for a, b in zip(dir_trace.iterates, deb_trace.iterates):
@@ -192,8 +192,8 @@ class TestDebiasedCg:
         g = rng.normal(10)
         q_b = synthetic_quadratic(h, g)
         q_bt = synthetic_quadratic(h, -g)
-        _, deb = debiased_cg(q_b, q_bt, 1, CgConfig(epsilon=1e-14, p_max=1))
-        dir_trace, _ = debiased_cg(q_b, q_b, 1, CgConfig(epsilon=1e-14, p_max=1))
+        _, deb = debiased_cg(q_b, q_bt, CgConfig(epsilon=1e-14, p_max=1))
+        dir_trace, _ = debiased_cg(q_b, q_b, CgConfig(epsilon=1e-14, p_max=1))
         assert deb.magnitudes[0] == pytest.approx(-dir_trace.magnitudes[0],
                                                   rel=1e-12)
 
@@ -205,7 +205,7 @@ class TestDebiasedCg:
         q_b = synthetic_quadratic(h_b, g_b)
         q_bt = synthetic_quadratic(h_bt, g_bt)
         cfg = CgConfig(epsilon=1e-16, p_max=30)
-        _, deb = debiased_cg(q_b, q_bt, 30, cfg)
+        _, deb = debiased_cg(q_b, q_bt, cfg)
         assert deb.n_steps == 30
         for p in range(deb.n_steps + 1):
             fresh = h_bt @ (deb.iterates[p] - np.zeros(60)) + g_bt
@@ -216,7 +216,7 @@ class TestDebiasedCg:
 
     def test_debiased_reconstruction_exact(self):
         q_b, q_bt = self._model_quadratic_pair()
-        _, deb = debiased_cg(q_b, q_bt, 12, CgConfig(epsilon=1e-14, p_max=12))
+        _, deb = debiased_cg(q_b, q_bt, CgConfig(epsilon=1e-14, p_max=12))
         for p in range(deb.n_steps):
             rebuilt = deb.iterates[p] + deb.magnitudes[p] * deb.directions[p]
             np.testing.assert_array_equal(rebuilt, deb.iterates[p + 1])
@@ -224,8 +224,7 @@ class TestDebiasedCg:
     def test_two_matvecs_per_iteration(self):
         q_b, q_bt = self._model_quadratic_pair()
         before = q_b.curvature.matvec_count + q_bt.curvature.matvec_count
-        dir_trace, deb = debiased_cg(q_b, q_bt, 10,
-                                     CgConfig(epsilon=1e-14, p_max=10))
+        dir_trace, deb = debiased_cg(q_b, q_bt, CgConfig(epsilon=1e-14, p_max=10))
         total = q_b.curvature.matvec_count + q_bt.curvature.matvec_count - before
         assert total == 2 * deb.n_steps
 
@@ -233,10 +232,10 @@ class TestDebiasedCg:
         # the one loop against the two-pass reference: CG on q_b first, then
         # its directions replayed with magnitudes measured on q_bt
         q_b, q_bt = self._model_quadratic_pair()
-        cfg = CgConfig(epsilon=1e-14, p_max=15)
         for k in (1, 6, 15):
-            dir_trace, deb = debiased_cg(q_b, q_bt, k, cfg)
-            ref_dir, ref_deb = sequential_debiased_cg(q_b, q_bt, k, cfg)
+            cfg = CgConfig(1e-14, p_max=k)
+            dir_trace, deb = debiased_cg(q_b, q_bt, cfg)
+            ref_dir, ref_deb = sequential_debiased_cg(q_b, q_bt, cfg)
             for got, ref in ((dir_trace, ref_dir), (deb, ref_deb)):
                 assert got.termination == ref.termination
                 assert len(got.iterates) == len(ref.iterates) == k + 1
@@ -253,8 +252,7 @@ class TestDebiasedCg:
         h_bt = np.diag([-1.0, -1.0])
         q_b = synthetic_quadratic(h_b, np.array([1.0, 1.0]))
         q_bt = synthetic_quadratic(h_bt, np.array([1.0, 1.0]))
-        dir_trace, deb = debiased_cg(q_b, q_bt, 2,
-                                     CgConfig(epsilon=1e-14, p_max=2))
+        dir_trace, deb = debiased_cg(q_b, q_bt, CgConfig(epsilon=1e-14, p_max=2))
         assert deb.termination == "negative_curvature"
         assert dir_trace.termination == "negative_curvature"
         assert deb.n_steps == 0
@@ -265,7 +263,7 @@ class TestDebiasedCg:
         q_b = synthetic_quadratic(np.diag([1.0, 2.0, 3.0]), np.ones(3))
         q_bt = synthetic_quadratic(np.diag([np.inf, 1.0, 1.0]), np.ones(3))
         with pytest.raises(NumericalError, match="iteration 0"):
-            debiased_cg(q_b, q_bt, 3, CgConfig(epsilon=1e-12, p_max=3))
+            debiased_cg(q_b, q_bt, CgConfig(epsilon=1e-12, p_max=3))
 
     def test_mismatched_anchor_rejected(self):
         q_b = synthetic_quadratic(np.eye(3), np.ones(3))
@@ -273,10 +271,10 @@ class TestDebiasedCg:
             np.eye(3), np.ones(3), theta0=ParamVector.from_values(np.ones(3))
         )
         with pytest.raises(ValidationError):
-            debiased_cg(q_b, q_bt, 2, CgConfig())
+            debiased_cg(q_b, q_bt, CgConfig())
 
     def test_dimension_mismatch_rejected(self):
         q_b = synthetic_quadratic(np.eye(3), np.ones(3))
         q_bt = synthetic_quadratic(np.eye(4), np.ones(4))
         with pytest.raises(ValidationError):
-            debiased_cg(q_b, q_bt, 2, CgConfig())
+            debiased_cg(q_b, q_bt, CgConfig())

@@ -347,6 +347,16 @@ class TestConfig:
         with pytest.raises(ValidationError, match=rf"'{key}' in \[{section}\]"):
             parse_experiment_config(sections)
 
+    @pytest.mark.parametrize("key,raw", [
+        ("k", "0"), ("cg_iterations", "0"), ("mc_samples", "0"), ("chunk_size", "0"),
+        ("batch_sizes", "16,0"), ("widths", ""),
+    ])
+    def test_count_below_one_or_empty_names_the_key(self, key, raw):
+        sections = read_config_text(CONFIG_TEXT)
+        sections["experiment"][key] = raw
+        with pytest.raises(ValidationError, match=f"config key '{key}'"):
+            parse_experiment_config(sections)
+
     def test_unknown_section_rejected(self):
         sections = read_config_text(CONFIG_TEXT + "\n[trian]\nepochs = 2\n")
         with pytest.raises(ValidationError, match=r"\[trian\]"):
@@ -409,6 +419,17 @@ class TestReports:
         result = verify_result_dir(tmp_path)
         assert not result["consistent"]
         assert "b.csv" in result["mismatches"]
+
+    def test_summary_is_strict_json_with_null_for_non_finite(self, tmp_path):
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        write_summary(tmp_path / "summary.json", "d1gest",
+                      {"a": float("nan"), "b": {"c": [1.0, float("inf"), (-np.inf, 2)]},
+                       "d": np.float64("nan")})
+        data = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        assert data == {"config_digest": "d1gest", "a": None,
+                        "b": {"c": [1.0, None, [None, 2]]}, "d": None}
 
     def test_verify_empty_dir_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -480,11 +501,16 @@ class TestExperiments:
         omegas = np.array([float(r[2]) for r in rows])
         assert np.all(omegas >= 0.0) and np.all(omegas <= 1.0 + 1e-12)
 
-    def test_cg_compare_same_batch_forced(self, tmp_path):
+    @pytest.mark.parametrize("curvature,fisher_mode", [
+        ("ggn", "mc_sample"), ("hessian", "mc_sample"),
+        ("kfac", "mc_sample"), ("kfac", "empirical"),
+    ])
+    def test_cg_compare_same_batch_forced(self, tmp_path, curvature, fisher_mode):
         cfg = self._config(
             tmp_path, kind="cg-compare",
             extra={"force_same_batch": "true", "cg_iterations": "8",
-                   "batch_sizes": "32", "seeds": "0"},
+                   "batch_sizes": "32", "seeds": "0", "curvature": curvature,
+                   "fisher_mode": fisher_mode},
         )
         out = run_experiment(cfg, tmp_path / "r")
         _, _, rows = read_csv(out / "cg_compare.csv")
@@ -571,7 +597,7 @@ class TestExperiments:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         stats = json.loads((out / "summary.json").read_text())["curvature_ratio_stats"]
         assert stats["b16_s0"] == {"overestimated_fraction": 0.5, "median_ratio": 1.25}
-        assert all(np.isnan(v) for v in stats["b32_s0"].values())
+        assert all(v is None for v in stats["b32_s0"].values())
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 2
         assert "batch size 16, seed 0: 1 of 3 curvature ratios excluded" in messages[0]

@@ -24,6 +24,7 @@ from quadbias.model import (
     LayoutEntry,
     MlpArchitecture,
     ParamVector,
+    build_layout,
     softmax,
 )
 from quadbias.quadratic import synthetic_quadratic, value_at
@@ -104,6 +105,16 @@ class TestBuildPosterior:
         bad = make_block(np.diag([1.0, -1.0]), np.eye(2))
         with pytest.raises(ValidationError):
             build_posterior([bad], mean, 10, 0.1)
+
+    @pytest.mark.parametrize("order", [(0,), (1, 0)])
+    def test_rejects_blocks_that_do_not_follow_the_layout(self, order):
+        # a 2-3-2 net: weights (2, 3) then (3, 2)
+        mean = ParamVector(np.zeros(17), build_layout(MlpArchitecture((2, 3, 2))))
+        blocks = [make_block(np.eye(2), np.eye(3), layer=0),
+                  make_block(np.eye(3), np.eye(2), layer=1)]
+        match = "does not match the layer layout" if len(order) == 1 else "weight shape"
+        with pytest.raises(ValidationError, match=match):
+            build_posterior([blocks[l] for l in order], mean, 10, 0.1)
 
     def test_clamps_slightly_negative(self):
         eig = clamped_eigh(DenseSymMatrix(np.diag([1.0, -1e-9])))

@@ -263,7 +263,7 @@ def test_materialize_operator_applies_one_block():
     def matvec(v):
         raise AssertionError("materialized one column at a time")
 
-    op = CurvatureOperator("hessian", 7, matmat, beta=0.5)
+    op = CurvatureOperator(7, matmat, beta=0.5)
     np.testing.assert_allclose(materialize_operator(op, 7), m + 0.5 * np.eye(7),
                                atol=1e-13)
     assert blocks == [(7, 7)]

@@ -458,6 +458,17 @@ class TestFullbatch:
             with pytest.raises(NumericalError, match=f"{build.__name__}: non-finite"):
                 build(mlp, p, bad, "ggn")
 
+    @pytest.mark.parametrize("build", [build_quadratic, fullbatch_quadratic])
+    def test_unknown_kind_rejected_before_any_loss_pass(self, build, monkeypatch):
+        mlp, p, batch = small_problem(seed=53)
+
+        def no_loss(*args, **kwargs):
+            raise AssertionError("loss_and_grad ran before the kind was checked")
+
+        monkeypatch.setattr(mlp, "loss_and_grad", no_loss)
+        with pytest.raises(ValidationError, match="unknown curvature kind 'hesian'"):
+            build(mlp, p, batch, "hesian")
+
     def test_empty_dataset_rejected(self):
         mlp, p, _ = small_problem(seed=59)
         empty = Batch(np.zeros((0, 5)), np.zeros((0, 4)))

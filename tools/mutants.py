@@ -102,6 +102,16 @@ MUTANTS = (
            "if False:",
            "config accepts an unknown fisher_mode",
            ("tests/test_harness.py", "-k", "fisher_mode")),
+    Mutant("src/quadbias/harness/config.py",
+           "if not values or min(values) < 1:",
+           "if not values:",
+           "config accepts a count key below 1",
+           ("tests/test_harness.py", "-k", "count_below")),
+    Mutant("src/quadbias/harness/reports.py",
+           "def _json_safe(value):\n",
+           "def _json_safe(value):\n    return value\n",
+           "summary JSON keeps non-finite numbers",
+           ("tests/test_harness.py", "-k", "strict_json")),
 )
 
 
