@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .quadratic import QuadraticModel
+from .errors import ValidationError
+from .quadratic import QuadraticModel, _require_finite
 
 # Directional curvatures at or below this value terminate with
 # negative_curvature (division guard; also applied to the debiased
@@ -38,14 +38,6 @@ class CgConfig:
             raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.p_max < 1:
             raise ValidationError(f"p_max must be >= 1, got {self.p_max}")
-
-
-def _check_finite(solver: str, p: int, **values: float) -> None:
-    """Raise NumericalError naming the iteration unless every value is
-    finite; a NaN curvature would otherwise pass the curvature floor test."""
-    bad = {name: v for name, v in values.items() if not np.isfinite(v)}
-    if bad:
-        raise NumericalError(f"{solver}: non-finite {bad} at iteration {p}")
 
 
 @dataclass
@@ -128,24 +120,25 @@ def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None
         t = q.curvature.matvec(d)
         curv = float(d @ t)
         slope = float(d @ r)
-        _check_finite(solver, p, curvature=curv, slope=slope)
+        # a NaN curvature would otherwise pass the curvature floor test
+        _require_finite(f"{solver} at iteration {p}", curvature=curv, slope=slope)
         if curv <= CURVATURE_FLOOR:
             trace.termination = "negative_curvature"
             break
         tau = -slope / curv
-        _check_finite(solver, p, step=tau)
+        _require_finite(f"{solver} at iteration {p}", step=tau)
 
         if q_mag is not None:
             h_d = q_mag.curvature.matvec(d)
             mag_curv = float(d @ h_d)
             mag_slope = float(d @ mag_grad)
-            _check_finite(solver, p, magnitude_curvature=mag_curv,
-                          magnitude_slope=mag_slope)
+            _require_finite(f"{solver} at iteration {p}", magnitude_curvature=mag_curv,
+                            magnitude_slope=mag_slope)
             if mag_curv <= CURVATURE_FLOOR:
                 trace.termination = "negative_curvature"
                 break
             mag_tau = -mag_slope / mag_curv
-            _check_finite(solver, p, magnitude_step=mag_tau)
+            _require_finite(f"{solver} at iteration {p}", magnitude_step=mag_tau)
             mag_theta = mag_theta + mag_tau * d
             mag_grad = mag_grad + mag_tau * h_d
             mag.iterates.append(mag_theta.copy())

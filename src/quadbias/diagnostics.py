@@ -2,10 +2,12 @@
 eigenspace overlap matrices, the spectral decomposition of cross-batch
 curvatures, slope-bias analysis, and relative-error summaries.
 
-Scans score every quadratic on the whole block of directions at once:
-slopes from one product of the point displacements and curvatures from one
-``forms`` call. Scan data is stored raw, in the solver's direction order and
-sign.
+The eigendirection scan scores the GGN from per-row forward-mode terms: one
+pass over the training rows, then every batch's score is the mean of its
+rows and the full-batch score the mean of all rows. The other scans score
+every quadratic on the whole block of directions at once: slopes from one
+product of the point displacements and curvatures from one ``forms`` call.
+Scan data is stored raw, in the solver's direction order and sign.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .linalg import EigenDecomposition, Rng, top_k_eigenpairs
 from .model import Batch, Mlp, ParamVector
 from .quadratic import (
     QuadraticModel,
+    _partition,
+    _require_finite,
     build_quadratic,
     directional_curvatures,
     fullbatch_quadratic,
@@ -113,62 +117,107 @@ class BiasSummary:
     source_batch: object
 
 
-def eigendirection_scan(
-    mlp: Mlp,
-    theta_star: ParamVector,
-    batches: list,
-    data: Batch,
-    k: int,
-    kind: str = "ggn",
-    beta: float = 0.0,
-    delta: float = 0.0,
-    rng: Rng | None = None,
-    chunk_size: int = 512,
-    source_indices: list | None = None,
-    fisher_mode: str = "mc_sample",
-):
-    """Top-k eigenvectors per source batch, then slopes/curvatures of every
-    batch's quadratic and the full-batch quadratic along those directions.
-
-    Returns (direction_sets, reports), one entry per source batch.
-    """
+def source_eigenbases(mlp: Mlp, theta_star: ParamVector, batches: list, k: int,
+                      kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
+                      rng: Rng | None = None, source_indices: list | None = None,
+                      fisher_mode: str = "mc_sample"):
+    """Top-k eigenvectors of each source batch's quadratic (every batch by
+    default), source m's eigensolve started from rng.split(m). Returns one
+    DirectionSet per source, and the quadratics by batch position (None for
+    a batch that is no source)."""
     if k > theta_star.n_params:
         raise ValidationError(f"k={k} exceeds parameter count {theta_star.n_params}")
     rng = rng if rng is not None else Rng(0)
-    quads = [
-        build_quadratic(mlp, theta_star, b, kind, beta, delta, batch_id=i,
-                        fisher_mode=fisher_mode,
-                        rng=rng.split(10_000 + i) if kind == "kfac" else None)
-        for i, b in enumerate(batches)
-    ]
-    q_full = fullbatch_quadratic(mlp, theta_star, data, kind, beta, delta,
-                                 chunk_size, fisher_mode,
-                                 rng.split(20_000) if kind == "kfac" else None)
     sources = range(len(batches)) if source_indices is None else source_indices
+    if not sources:
+        raise ValidationError("no source batch to take eigen directions from")
+    quads = [_batch_quadratic(mlp, theta_star, batches, i, kind, beta, delta, rng,
+                              fisher_mode) if i in sources else None
+             for i in range(len(batches))]
+    eigs = [top_k_eigenpairs(quads[m].curvature, theta_star.n_params, k, rng.split(m))
+            for m in sources]
+    return [DirectionSet(m, e.basis, e.eigenvalues) for m, e in zip(sources, eigs)], quads
 
-    direction_sets = []
-    reports = []
-    for m in sources:
-        eig = top_k_eigenpairs(
-            quads[m].curvature, theta_star.n_params, k, rng.split(m)
-        )
-        d = eig.basis
-        slopes = np.column_stack([d.T @ q.gradient for q in quads])
-        curvs = np.column_stack([directional_curvatures(q, d) for q in quads])
-        full_s = d.T @ q_full.gradient
-        full_c = directional_curvatures(q_full, d)
-        reports.append(
-            ScanReport(
-                source_batch=m,
-                batch_ids=list(range(len(batches))),
-                slopes=slopes,
-                curvatures=curvs,
-                full_slopes=full_s,
-                full_curvatures=full_c,
-            )
-        )
-        direction_sets.append(DirectionSet(m, d, eig.eigenvalues))
-    return direction_sets, reports
+
+def _batch_quadratic(mlp, theta, batches, i, kind, beta, delta, rng, fisher_mode):
+    """Batch i's quadratic; K-FAC samples from rng.split(10_000 + i)."""
+    return build_quadratic(mlp, theta, batches[i], kind, beta, delta, i, fisher_mode,
+                           rng.split(10_000 + i) if kind == "kfac" else None)
+
+
+def _row_positions(batches: list, data: Batch) -> list:
+    """Each batch's row positions in data, looked up from its indices; a
+    batch whose inputs or targets are not those rows raises ValidationError."""
+    order = np.argsort(data.indices)
+    out = []
+    for i, b in enumerate(batches):
+        at = np.searchsorted(data.indices, b.indices, sorter=order)
+        pos = order[np.minimum(at, data.size - 1)]
+        if not all(np.array_equal(getattr(data, f)[pos], getattr(b, f))
+                   for f in ("indices", "inputs", "targets")):
+            raise ValidationError(
+                f"batch {i}: inputs and targets are not the data rows its indices name")
+        out.append(pos)
+    return out
+
+
+def _ggn_row_scores(mlp, theta, batches, data, blocks, beta, delta, chunk_size) -> list:
+    """(slopes, curvatures, full slopes, full curvatures) of every batch's GGN
+    quadratic and the full-batch one along each (P, k) block: row means of
+    one forward-mode pass of all blocks over data, plus the regularizer."""
+    chunks = _partition(data, chunk_size)
+    positions = _row_positions(batches, data)
+    d = np.hstack(blocks)
+    terms = np.concatenate([mlp.linearize(theta, c.inputs, c.targets).ggn_row_terms(d)
+                            for _, c in chunks], axis=1)  # (columns, rows, 2)
+    _require_finite("eigendirection_scan", row_term=terms)
+    mask = theta.weight_mask
+    d_w = d[mask]
+    reg = np.stack([beta * (theta.values[mask] @ d_w),
+                    beta * np.einsum("ij,ij->j", d_w, d_w)
+                    + delta * np.einsum("ij,ij->j", d, d)], axis=-1)
+    means = np.stack([terms[:, pos].mean(axis=1) for pos in positions]
+                     + [terms.mean(axis=1)], axis=1) + reg[:, None]
+    return [(m[:, :-1, 0], m[:, :-1, 1], m[:, -1, 0], m[:, -1, 1])
+            for m in np.split(means, len(blocks))]
+
+
+def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, batches: list, data: Batch,
+                        k: int, kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
+                        rng: Rng | None = None, chunk_size: int = 512,
+                        source_indices: list | None = None, fisher_mode: str = "mc_sample"):
+    """Top-k eigenvectors per source batch (``source_eigenbases``), then
+    slopes/curvatures of every batch's quadratic and the full-batch quadratic
+    along those directions; returns (direction_sets, reports), one entry per
+    source batch.
+
+    GGN scores are row means of ``Linearization.ggn_row_terms`` from one
+    forward-mode pass of all sources' directions over data in chunk_size
+    chunks; each batch's indices must name its rows of data. The Hessian and
+    K-FAC build and score every batch's quadratic and the full-batch one.
+    """
+    rng = rng if rng is not None else Rng(0)
+    direction_sets, quads = source_eigenbases(mlp, theta_star, batches, k, kind, beta,
+                                              delta, rng, source_indices, fisher_mode)
+    blocks = [dset.directions for dset in direction_sets]
+    if kind == "ggn":
+        scores = _ggn_row_scores(mlp, theta_star, batches, data, blocks, beta, delta,
+                                 chunk_size)
+    else:
+        quads = [q or _batch_quadratic(mlp, theta_star, batches, i, kind, beta, delta,
+                                       rng, fisher_mode) for i, q in enumerate(quads)]
+        q_full = fullbatch_quadratic(mlp, theta_star, data, kind, beta, delta,
+                                     chunk_size, fisher_mode,
+                                     rng.split(20_000) if kind == "kfac" else None)
+        scores = []
+        for d in blocks:
+            slopes = np.column_stack([d.T @ q.gradient for q in quads])
+            curvs = np.column_stack([directional_curvatures(q, d) for q in quads])
+            full_s = d.T @ q_full.gradient
+            scores.append((slopes, curvs, full_s, directional_curvatures(q_full, d)))
+    batch_ids = list(range(len(batches)))
+    return direction_sets, [ScanReport(dset.source_batch, batch_ids, *score)
+                            for dset, score in zip(direction_sets, scores)]
 
 
 def cg_direction_scan(

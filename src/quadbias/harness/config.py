@@ -146,9 +146,13 @@ class ExperimentConfig:
             raise ValidationError(f"unknown curvature {self.curvature!r}")
         if self.fisher_mode not in FISHER_MODES:
             raise ValidationError(f"unknown fisher_mode {self.fisher_mode!r}")
+        if not self.seeds:
+            raise ValidationError("config key 'seeds' needs at least one seed")
+        n_src = 1 if self.n_source_batches is None else self.n_source_batches
         counts = {"k": (self.n_directions,), "cg_iterations": (self.cg_iterations,),
                   "mc_samples": (self.mc_samples,), "chunk_size": (self.chunk_size,),
-                  "batch_sizes": self.batch_sizes, "widths": self.widths}
+                  "n_source_batches": (n_src,), "batch_sizes": self.batch_sizes,
+                  "widths": self.widths}
         for key, values in counts.items():
             if not values or min(values) < 1:
                 raise ValidationError(f"config key {key!r} needs counts >= 1, got {list(values)}")

@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from ..cg import CgConfig, cg_minimize, debiased_cg
-from ..diagnostics import RELERR_FLOOR, bias_summary, eigendirection_scan, overlap_matrix
+from ..diagnostics import (
+    RELERR_FLOOR,
+    bias_summary,
+    eigendirection_scan,
+    overlap_matrix,
+    source_eigenbases,
+)
 from ..errors import ValidationError
 from ..laplace import (
     PredictiveConfig,
@@ -56,8 +62,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
         "overlap": _run_overlap,
         "cg-compare": _run_cg_compare,
         "laplace-sweep": _run_laplace_sweep,
-        "bias-over-training": _run_bias_over_training,
-        "size-sweep": _run_size_sweep,
+        "bias-over-training": _run_scan_sweep,
+        "size-sweep": _run_scan_sweep,
     }[cfg.kind]
     summary = runner(cfg, out_dir)
     write_summary(out_dir / "summary.json", cfg.digest, summary)
@@ -73,29 +79,28 @@ def _prepare(cfg: ExperimentConfig):
     return dataset, Mlp(cfg.arch), checkpoints
 
 
-def _source_count(cfg: ExperimentConfig, n_batches: int) -> int:
-    if cfg.n_source_batches is None:
-        return n_batches
-    return min(cfg.n_source_batches, n_batches)
-
-
 # -- bias-scan -----------------------------------------------------------------
 
-def _scan_at(cfg, dataset, mlp, theta, batch_size, seed, sources_only=False):
-    """Direction sets and reports of the eigendirection scan from the first
-    n_source_batches minibatches, across every minibatch or only those."""
+def _scan_sources(cfg, dataset, theta, batch_size, seed) -> dict:
+    """The arguments ``source_eigenbases`` and ``eigendirection_scan`` share:
+    the minibatches of one scan, the first n_source_batches of them the
+    sources, and the eigensolve settings."""
     batches = dataset.minibatches(batch_size, seed=seed, drop_last=True)
-    n_src = _source_count(cfg, len(batches))
-    return eigendirection_scan(
-        mlp, theta, batches[:n_src] if sources_only else batches,
-        dataset.train_batch(), k=min(cfg.n_directions, theta.n_params),
-        kind=cfg.curvature, beta=cfg.beta, delta=cfg.delta,
-        rng=Rng(seed).split(7), chunk_size=cfg.chunk_size,
-        source_indices=list(range(n_src)), fisher_mode=cfg.fisher_mode,
-    )
+    n_src = min(cfg.n_source_batches or len(batches), len(batches))
+    return dict(batches=batches, k=min(cfg.n_directions, theta.n_params),
+                kind=cfg.curvature, beta=cfg.beta, delta=cfg.delta, rng=Rng(seed).split(7),
+                source_indices=list(range(n_src)), fisher_mode=cfg.fisher_mode)
 
 
-def _summary_rows(reports, batch_size, seed, n_params, epoch=None, width=None):
+def _scan_at(cfg, dataset, mlp, theta, batch_size, seed):
+    """Direction sets and reports of the eigendirection scan from the first
+    n_source_batches minibatches across every minibatch."""
+    return eigendirection_scan(mlp, theta, data=dataset.train_batch(),
+                               chunk_size=cfg.chunk_size,
+                               **_scan_sources(cfg, dataset, theta, batch_size, seed))
+
+
+def _summary_rows(reports, batch_size, seed, n_params, epoch="", width=""):
     """CSV rows of the slope and curvature summaries, and the median of the
     curvature relative errors pooled over the source batches."""
     rows = []
@@ -103,10 +108,7 @@ def _summary_rows(reports, batch_size, seed, n_params, epoch=None, width=None):
         summaries = bias_summary(reports, quantity)
         for summ in summaries:
             rows.append([
-                batch_size, seed,
-                epoch if epoch is not None else "",
-                width if width is not None else "",
-                n_params, summ.source_batch, quantity,
+                batch_size, seed, epoch, width, n_params, summ.source_batch, quantity,
                 summ.mean, summ.p25, summ.median, summ.p75, summ.n_excluded,
             ])
     # summaries holds the loop's last quantity, the curvature
@@ -165,13 +167,9 @@ def _run_bias_scan(cfg: ExperimentConfig, out_dir: Path) -> dict:
     # batch-size trend: is the pooled median error strictly decreasing?
     trend = {}
     for seed in cfg.seeds:
-        series = [medians[(b, seed)] for b in cfg.batch_sizes if (b, seed) in medians]
-        trend[str(seed)] = {
-            "medians": series,
-            "strictly_decreasing": bool(
-                all(a > b for a, b in zip(series, series[1:]))
-            ),
-        }
+        series = [medians[(b, seed)] for b in cfg.batch_sizes]
+        trend[str(seed)] = {"medians": series, "strictly_decreasing": bool(
+            all(a > b for a, b in zip(series, series[1:])))}
     write_svg_lines(
         out_dir / "bias_vs_batch_size.svg",
         {
@@ -199,7 +197,8 @@ def _run_overlap(cfg: ExperimentConfig, out_dir: Path) -> dict:
     theta = checkpoints[-1].params
     batch_size = cfg.batch_sizes[0]
     seed = cfg.seeds[0]
-    dsets, _ = _scan_at(cfg, dataset, mlp, theta, batch_size, seed, sources_only=True)
+    dsets, _ = source_eigenbases(mlp, theta,
+                                 **_scan_sources(cfg, dataset, theta, batch_size, seed))
     captured = {}
     for a in range(len(dsets)):
         for b in range(len(dsets)):
@@ -301,7 +300,7 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "kind": cfg.kind,
         "seeds": list(cfg.seeds),
         "single_batch_size": single_size,
-        "debiased_batch_size": half,
+        "debiased_batch_size": single_size if cfg.force_same_batch else half,
         "force_same_batch": cfg.force_same_batch,
         "q_at_anchor": q_anchor,
         "terminations": terminations,
@@ -434,75 +433,55 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     }
 
 
-# -- bias-over-training ----------------------------------------------------------------
+# -- bias-over-training and size-sweep ------------------------------------------------
 
-def _run_bias_over_training(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    dataset, mlp, checkpoints = _prepare(cfg)
-    batch_size = cfg.batch_sizes[0]
-    seed = cfg.seeds[0]
-    rows = []
-    medians = []
-    for ckpt in checkpoints:
-        _, reports = _scan_at(cfg, dataset, mlp, ckpt.params, batch_size, seed)
-        ckpt_rows, median = _summary_rows(reports, batch_size, seed,
-                                          ckpt.params.n_params, epoch=ckpt.epoch)
-        rows.extend(ckpt_rows)
-        medians.append((ckpt.epoch, median))
-
-    write_csv(out_dir / "bias_over_training.csv", _SUMMARY_HEADER, rows, cfg.digest)
-    write_svg_lines(
-        out_dir / "bias_over_training.svg",
-        {"median curvature error": ([m[0] for m in medians], [m[1] for m in medians])},
-        title="curvature bias over training", logy=True, digest=cfg.digest,
-    )
-    increasing = bool(medians[-1][1] > medians[0][1]) if len(medians) > 1 else False
-    return {
-        "kind": cfg.kind,
-        "seed": seed,
-        "batch_size": batch_size,
-        "epochs": [m[0] for m in medians],
-        "median_curvature_error_by_epoch": {str(e): v for e, v in medians},
-        "bias_increases_over_training": increasing,
-        "note": "trend logged, not gated",
-    }
-
-
-# -- size-sweep -------------------------------------------------------------------------
-
-def _run_size_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    rows = []
-    medians = []
-    dataset = generate_dataset(cfg.dataset)
-    batch_size = cfg.batch_sizes[0]
-    seed = cfg.seeds[0]
-    for width in cfg.widths:
-        arch = MlpArchitecture(
-            (cfg.dataset.d, width, cfg.dataset.c),
-            cfg.arch.activation, cfg.arch.loss,
-        )
-        checkpoints = train(arch, dataset, cfg.train)
-        mlp = Mlp(arch)
-        theta = checkpoints[-1].params
+def _run_scan_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    """One scan per (label, n_params, mlp, theta) point: every checkpoint of
+    one training (bias-over-training, label = epoch) or the last checkpoint
+    of one training per width (size-sweep); one CSV, one plot, one trend."""
+    if cfg.kind == "bias-over-training":
+        dataset, mlp, checkpoints = _prepare(cfg)
+        axis, stem, title = "epoch", "bias_over_training", "curvature bias over training"
+        points = [(c.epoch, c.params.n_params, mlp, c.params) for c in checkpoints]
+    else:
+        dataset = generate_dataset(cfg.dataset)
+        axis, stem, title = "width", "size_sweep", "curvature bias vs parameter count"
+        points = _width_points(cfg, dataset)
+    batch_size, seed = cfg.batch_sizes[0], cfg.seeds[0]
+    rows, per_point = [], []
+    for label, n_params, mlp, theta in points:
         _, reports = _scan_at(cfg, dataset, mlp, theta, batch_size, seed)
-        width_rows, median = _summary_rows(reports, batch_size, seed, theta.n_params,
-                                           width=width)
-        rows.extend(width_rows)
-        medians.append((width, theta.n_params, median))
+        point_rows, median = _summary_rows(reports, batch_size, seed, n_params,
+                                           **{axis: label})
+        rows.extend(point_rows)
+        per_point.append((label, n_params, median))
+    labels, sizes, medians = (list(col) for col in zip(*per_point))
 
-    write_csv(out_dir / "size_sweep.csv", _SUMMARY_HEADER, rows, cfg.digest)
+    write_csv(out_dir / f"{stem}.csv", _SUMMARY_HEADER, rows, cfg.digest)
     write_svg_lines(
-        out_dir / "size_sweep.svg",
-        {"median curvature error": ([m[1] for m in medians], [m[2] for m in medians])},
-        title="curvature bias vs parameter count", logy=True, digest=cfg.digest,
+        out_dir / f"{stem}.svg",
+        {"median curvature error": (labels if axis == "epoch" else sizes, medians)},
+        title=title, logy=True, digest=cfg.digest,
     )
-    increasing = bool(medians[-1][2] > medians[0][2]) if len(medians) > 1 else False
-    return {
+    grew = bool(medians[-1] > medians[0])  # False for a single point
+    summary = {
         "kind": cfg.kind,
         "seed": seed,
         "batch_size": batch_size,
-        "widths": [m[0] for m in medians],
-        "n_params": [m[1] for m in medians],
-        "median_curvature_error_by_width": {str(w): v for w, _, v in medians},
-        "bias_increases_with_size": increasing,
+        f"{axis}s": labels,
+        f"median_curvature_error_by_{axis}": {str(l): v for l, v in zip(labels, medians)},
         "note": "trend logged, not gated",
     }
+    if axis == "epoch":
+        return {**summary, "bias_increases_over_training": grew}
+    return {**summary, "n_params": sizes, "bias_increases_with_size": grew}
+
+
+def _width_points(cfg, dataset):
+    """(width, n_params, mlp, theta) of one training per width, trained as
+    the sweep reaches it."""
+    for width in cfg.widths:
+        arch = MlpArchitecture((cfg.dataset.d, width, cfg.dataset.c),
+                               cfg.arch.activation, cfg.arch.loss)
+        theta = train(arch, dataset, cfg.train)[-1].params
+        yield width, theta.n_params, Mlp(arch), theta

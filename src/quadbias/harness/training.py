@@ -18,7 +18,7 @@ from ..linalg import Rng
 from ..model import Mlp, MlpArchitecture, ParamVector, build_layout
 from .datasets import Dataset
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class Checkpoint:
     params: ParamVector
     arch: MlpArchitecture
     config_digest: str
-    rng_state: dict
     format_version: int = CHECKPOINT_FORMAT_VERSION
 
 
@@ -70,8 +69,7 @@ def train(arch: MlpArchitecture, dataset: Dataset, config: TrainConfig) -> list:
     digest = json.dumps(asdict(config), sort_keys=True)
 
     for epoch in range(1, config.epochs + 1):
-        epoch_rng = rng.split(epoch)
-        batches = dataset.minibatches(config.batch_size, seed=epoch_rng)
+        batches = dataset.minibatches(config.batch_size, seed=rng.split(epoch))
         for batch in batches:
             loss, grad = mlp.loss_and_grad(params, batch, config.beta)
             if not np.isfinite(loss):
@@ -85,7 +83,6 @@ def train(arch: MlpArchitecture, dataset: Dataset, config: TrainConfig) -> list:
                     params=params.copy(),
                     arch=arch,
                     config_digest=digest,
-                    rng_state=epoch_rng.state_dict(),
                 )
             )
     return checkpoints
@@ -98,7 +95,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "epoch": ckpt.epoch,
         "arch": ckpt.arch.to_dict(),
         "config_digest": ckpt.config_digest,
-        "rng_state": ckpt.rng_state,
         "n_params": ckpt.params.n_params,
     }
     with path.open("wb") as fh:
@@ -127,5 +123,4 @@ def load_checkpoint(path) -> Checkpoint:
         params=params,
         arch=arch,
         config_digest=meta["config_digest"],
-        rng_state=meta["rng_state"],
     )

@@ -46,8 +46,6 @@ class Rng:
     shared across threads; derive independent child streams with :meth:`split`.
     """
 
-    ALGORITHM = "philox-4x64"
-
     def __init__(self, seed: int, stream: int = 0):
         if seed < 0 or seed >= 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
@@ -73,37 +71,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot of the generator state."""
-        raw = self._gen.bit_generator.state
-        return {
-            "algorithm": self.ALGORITHM,
-            "seed": self.seed,
-            "stream": self.stream,
-            "counter": [int(x) for x in raw["state"]["counter"]],
-            "key": [int(x) for x in raw["state"]["key"]],
-            "buffer": [int(x) for x in raw["buffer"]],
-            "buffer_pos": int(raw["buffer_pos"]),
-            "has_uint32": int(raw["has_uint32"]),
-            "uinteger": int(raw["uinteger"]),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "Rng":
-        rng = cls(state["seed"], state["stream"])
-        rng._gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.array(state["counter"], dtype=np.uint64),
-                "key": np.array(state["key"], dtype=np.uint64),
-            },
-            "buffer": np.array(state["buffer"], dtype=np.uint64),
-            "buffer_pos": state["buffer_pos"],
-            "has_uint32": state["has_uint32"],
-            "uinteger": state["uinteger"],
-        }
-        return rng
 
 
 @dataclass(frozen=True)

@@ -386,6 +386,19 @@ class Linearization:
 
         return self._by_pass(vs, one_pass)
 
+    def ggn_row_terms(self, vs: np.ndarray) -> np.ndarray:
+        """Per-row slope (J_n v) . r_n and curvature (J_n v)^T Lambda_n (J_n v),
+        (k, rows, 2), r_n the gradient of row n's loss at its logits; their
+        row means are v . g_B and v^T G_B v. Forward mode only."""
+        r = self.loss_grad_logits() * self.size
+
+        def one_pass(vt):
+            jv = self._r_forward(vt)[-1]
+            return np.stack([np.einsum("krc,rc->kr", jv, r),
+                             np.einsum("krc,krc->kr", jv, self._loss_hessian(jv))], axis=-1)
+
+        return self._by_pass(vs, one_pass)
+
     def hvp_mm(self, vs: np.ndarray) -> np.ndarray:
         """Exact Hessian block product of the mean loss, (P, k).
 

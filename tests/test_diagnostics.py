@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadbias.cg import CgConfig
@@ -16,9 +16,9 @@ from quadbias.diagnostics import (
     slope_bias,
     spectral_transfer,
 )
-from quadbias.errors import ValidationError
+from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng, sym_eigh
-from quadbias.model import Batch
+from quadbias.model import Batch, MlpArchitecture
 from quadbias.quadratic import (
     build_quadratic,
     fullbatch_quadratic,
@@ -26,8 +26,11 @@ from quadbias.quadratic import (
     synthetic_quadratic,
 )
 
+import scan_oracle
 from conftest import small_problem
 from random_matrices import haar_orthogonal, random_spd
+
+SCAN_TOL = 256 * np.finfo(np.float64).eps
 
 
 def eigen_set(basis, source=0):
@@ -198,7 +201,7 @@ class TestEigendirectionScan:
     def _setup(self):
         mlp, p, data = small_problem(seed=70, n=32)
         batches = [
-            Batch(data.inputs[i : i + 8], data.targets[i : i + 8])
+            Batch(data.inputs[i : i + 8], data.targets[i : i + 8], np.arange(i, i + 8))
             for i in range(0, 32, 8)
         ]
         return mlp, p, data, batches
@@ -250,6 +253,93 @@ class TestEigendirectionScan:
         np.testing.assert_allclose(
             rep.curvatures[:, col], dsets[0].eigenvalues, rtol=1e-9
         )
+
+    @pytest.mark.parametrize("kind", ["hessian", "kfac"])
+    def test_per_batch_kinds_batch_mean_slope_equals_fullbatch(self, kind):
+        # the gradient is the same for every curvature, so the batch-mean
+        # slope is the full-batch slope on the per-batch path too
+        mlp, p, data, batches = self._setup()
+        _, reports = eigendirection_scan(
+            mlp, p, batches, data, k=3, kind=kind, beta=0.05, rng=Rng(0),
+            chunk_size=8, source_indices=[0, 2],
+        )
+        for rep in reports:
+            np.testing.assert_allclose(
+                rep.slopes.mean(axis=1), rep.full_slopes, rtol=1e-10, atol=1e-14
+            )
+
+    @pytest.mark.parametrize("edit", ["shifted_indices", "unknown_index"])
+    def test_batches_must_name_their_data_rows(self, edit):
+        mlp, p, data, batches = self._setup()
+        b = batches[1]
+        indices = b.indices + 8 if edit == "shifted_indices" else b.indices * 1000
+        batches[1] = Batch(b.inputs, b.targets, indices)
+        with pytest.raises(ValidationError, match="batch 1: .* the data rows"):
+            eigendirection_scan(mlp, p, batches, data, k=2, kind="ggn", rng=Rng(0),
+                                source_indices=[0])
+
+    def test_non_finite_row_term_raises_naming_the_scan(self):
+        # the bad row is in no source batch, so the source quadratics build
+        mlp, p, data, batches = self._setup()
+        inputs = data.inputs.copy()
+        inputs[30, 0] = np.inf
+        data = Batch(inputs, data.targets, data.indices)
+        batches[3] = Batch(inputs[24:32], data.targets[24:32], np.arange(24, 32))
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="eigendirection_scan: non-finite row_term"):
+            eigendirection_scan(mlp, p, batches, data, k=2, kind="ggn", rng=Rng(0),
+                                source_indices=[0])
+
+
+class TestRowScanAgainstPerBatchOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        activation=st.sampled_from(["relu", "tanh"]),
+        loss=st.sampled_from(["cross_entropy", "mse"]),
+        n_batches=st.integers(1, 5),
+        batch_size=st.integers(1, 7),
+        spare_rows=st.integers(0, 5),
+        chunk_size=st.integers(1, 40),
+        n_src=st.integers(1, 3),
+        k=st.integers(1, 4),
+        beta=st.floats(0.01, 0.5),
+        delta=st.floats(0.001, 0.1),
+        seed=st.integers(0, 2**16),
+    )
+    @example(activation="relu", loss="cross_entropy", n_batches=3, batch_size=4,
+             spare_rows=2, chunk_size=5, n_src=2, k=3, beta=0.05, delta=0.01, seed=0)
+    def test_row_scan_equals_per_batch_oracle(self, activation, loss, n_batches,
+                                              batch_size, spare_rows, chunk_size, n_src,
+                                              k, beta, delta, seed):
+        # data ids are a shuffled sparse subset, batches take shuffled rows
+        # (some rows in no batch), and the chunk size rarely divides the rows
+        arch = MlpArchitecture((5, 8, 4), activation, loss)
+        n = n_batches * batch_size + spare_rows
+        mlp, p, base = small_problem(seed=seed, n=n, arch=arch)
+        rng = Rng(seed + 1)
+        data = Batch(base.inputs, base.targets, rng.permutation(3 * n)[:n])
+        rows = rng.permutation(n)
+        batches = []
+        for i in range(n_batches):
+            pos = rows[i * batch_size : (i + 1) * batch_size]
+            batches.append(Batch(data.inputs[pos], data.targets[pos], data.indices[pos]))
+        sources = [int(m) for m in rng.permutation(n_batches)[: min(n_src, n_batches)]]
+        dsets, reports = eigendirection_scan(
+            mlp, p, batches, data, k=k, kind="ggn", beta=beta, delta=delta,
+            rng=Rng(seed), chunk_size=chunk_size, source_indices=sources,
+        )
+        assert [r.source_batch for r in reports] == sources
+        for dset, rep in zip(dsets, reports):
+            slopes, curvs, full_s, full_c = scan_oracle.per_batch_scores(
+                mlp, p, batches, data, dset.directions, beta, delta, chunk_size)
+            for got, want in (
+                (np.column_stack([rep.slopes, rep.full_slopes]),
+                 np.column_stack([slopes, full_s])),
+                (np.column_stack([rep.curvatures, rep.full_curvatures]),
+                 np.column_stack([curvs, full_c])),
+            ):
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= SCAN_TOL * scale
 
 
 class TestCgDirectionScan:

@@ -392,6 +392,19 @@ class TestConfig:
         with pytest.raises(ValidationError, match="fisher_mode 'emprical'"):
             run_experiment(parse_experiment_config(sections), tmp_path / "r")
 
+    @pytest.mark.parametrize("key,raw", [("n_source_batches", "0"), ("seeds", "")])
+    def test_scan_count_rejected_before_training(self, tmp_path, monkeypatch, key, raw):
+        from quadbias.harness import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError(f"train ran with {key} = {raw!r}")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        sections = read_config_text(CONFIG_TEXT)
+        sections["experiment"][key] = raw
+        with pytest.raises(ValidationError, match=f"config key '{key}'"):
+            run_experiment(parse_experiment_config(sections), tmp_path / "r")
+
 
 class TestReports:
     def test_csv_roundtrip_17_digits(self, tmp_path):
@@ -520,6 +533,18 @@ class TestExperiments:
         for s, d in zip(single, debiased):
             assert s[2:] == d[2:]  # identical q and accuracy columns
 
+    @pytest.mark.parametrize("force,debiased_size", [("true", 32), ("false", 16)])
+    def test_cg_compare_summary_names_the_debiased_batch_size(self, tmp_path, force,
+                                                               debiased_size):
+        # congruence mode runs the debiased CG on the single batch itself
+        cfg = self._config(tmp_path, kind="cg-compare",
+                           extra={"force_same_batch": force, "cg_iterations": "2",
+                                  "batch_sizes": "32", "seeds": "0"})
+        summary = json.loads((run_experiment(cfg, tmp_path / "r") / "summary.json")
+                             .read_text())
+        assert summary["single_batch_size"] == 32
+        assert summary["debiased_batch_size"] == debiased_size
+
     def test_cg_compare_capitalized_true_runs_congruence_mode(self, tmp_path):
         cfg = self._config(
             tmp_path, kind="cg-compare",
@@ -583,7 +608,7 @@ class TestExperiments:
                               curvatures=np.full((1, 3), same), full_slopes=np.zeros(1),
                               full_curvatures=np.array([full]))
 
-        def fake_scan(cfg, dataset, mlp, theta, batch_size, seed, sources_only=False):
+        def fake_scan(cfg, dataset, mlp, theta, batch_size, seed):
             if batch_size == 16:
                 return [], [report(0, 2.0, 1.0), report(1, 0.5, 1.0), report(2, 3.0, 0.0)]
             return [], [report(0, 1.0, 0.0), report(1, 0.0, 0.0)]

@@ -57,6 +57,16 @@ MUTANTS = (
            "full_s = d.T @ quads[0].gradient",
            "eigen scan full-batch slopes taken from batch 0",
            ("tests/test_diagnostics.py",)),
+    Mutant("src/quadbias/diagnostics.py",
+           "[terms[:, pos].mean(axis=1) for pos in positions]",
+           "[terms[:, b.indices].mean(axis=1) for b in batches]",
+           "GGN row scan takes batch means at the indices read as positions",
+           ("tests/test_diagnostics.py", "-k", "RowScanAgainstPerBatchOracle")),
+    Mutant("src/quadbias/diagnostics.py",
+           "reg = np.stack([beta * (theta.values[mask] @ d_w),",
+           "reg = np.stack([0.0 * (theta.values[mask] @ d_w),",
+           "GGN row scan drops the regularizer's slope term",
+           ("tests/test_diagnostics.py", "-k", "RowScanAgainstPerBatchOracle")),
     Mutant("src/quadbias/model.py",
            'np.einsum("krc,krc->k", jv, self._loss_hessian(jv)) / self.size',
            'np.einsum("krc,krc->k", jv, self._loss_hessian(jv))',
