@@ -42,12 +42,13 @@ class CgConfig:
 
 @dataclass
 class CgTrace:
-    """Iterates theta_0..theta_K, normalized directions d_0..d_{K-1}, update
-    magnitudes tau_p, residual norms ||r_p|| (p = 0..K), the CG beta
-    coefficients, and the termination reason."""
+    """The anchor theta_0, the normalized directions d_0..d_{K-1} as the
+    columns of a (P, K) block, update magnitudes tau_p, residual norms
+    ||r_p|| (p = 0..K), the CG beta coefficients, and the termination
+    reason. The iterates are not stored: ``iterates()`` rebuilds them."""
 
-    iterates: list
-    directions: list
+    theta0: np.ndarray
+    directions: np.ndarray
     magnitudes: list
     residual_norms: list
     cg_betas: list
@@ -57,8 +58,20 @@ class CgTrace:
     def n_steps(self) -> int:
         return len(self.magnitudes)
 
+    def iterates(self):
+        """theta_0..theta_K one at a time, by the solver's own recursion
+        theta_{p+1} = theta_p + tau_p d_p, so each equals the solver's
+        iterate bit for bit."""
+        theta = self.theta0
+        yield theta
+        for p, tau in enumerate(self.magnitudes):
+            theta = theta + tau * self.directions[:, p]
+            yield theta
+
     def final(self) -> np.ndarray:
-        return self.iterates[-1]
+        for theta in self.iterates():
+            pass
+        return theta
 
 
 def cg_minimize(q: QuadraticModel, config: CgConfig) -> CgTrace:
@@ -91,19 +104,21 @@ def debiased_cg(q_b: QuadraticModel, q_bt: QuadraticModel, config: CgConfig):
 def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None):
     """The CG recursion on q; returns (trace, magnitude trace or None).
 
-    With q_mag, every direction is also stepped along with the magnitude
-    measured on q_mag (one more matvec per iteration), and that trajectory
-    is the second trace; both share the directions and the termination.
+    Direction d_p is written to column p of one (P, p_max) block, allocated
+    once; the traces keep views of its first K columns. With q_mag, every
+    direction is also stepped along with the magnitude measured on q_mag
+    (one more matvec per iteration), and that trajectory is the second
+    trace; both share the direction block and the termination.
     """
     solver = "cg_minimize" if q_mag is None else "debiased_cg"
-    theta = q.theta0.values.copy()
+    theta0 = q.theta0.values
+    block = np.empty((q.dim, config.p_max), order="F")
     r = q.gradient.copy()  # r_p = grad q(theta_p); r_0 = g at the anchor
     s = -r
-    trace = CgTrace([theta.copy()], [], [], [float(np.linalg.norm(r))], [], "max_iter")
+    trace = CgTrace(theta0, block[:, :0], [], [float(np.linalg.norm(r))], [], "max_iter")
     if q_mag is not None:
-        mag_theta = theta.copy()
         mag_grad = q_mag.gradient.copy()
-        mag = CgTrace([theta.copy()], [], [], [float(np.linalg.norm(mag_grad))], [],
+        mag = CgTrace(theta0, block[:, :0], [], [float(np.linalg.norm(mag_grad))], [],
                       "max_iter")
 
     for p in range(config.p_max + 1):
@@ -116,7 +131,7 @@ def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None
         if s_norm == 0.0:
             trace.termination = "tolerance"
             break
-        d = s / s_norm
+        d = np.divide(s, s_norm, out=block[:, p])
         t = q.curvature.matvec(d)
         curv = float(d @ t)
         slope = float(d @ r)
@@ -139,15 +154,10 @@ def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None
                 break
             mag_tau = -mag_slope / mag_curv
             _require_finite(f"{solver} at iteration {p}", magnitude_step=mag_tau)
-            mag_theta = mag_theta + mag_tau * d
             mag_grad = mag_grad + mag_tau * h_d
-            mag.iterates.append(mag_theta.copy())
             mag.magnitudes.append(mag_tau)
             mag.residual_norms.append(float(np.linalg.norm(mag_grad)))
 
-        theta = theta + tau * d  # keeps the reconstruction identity exact
-        trace.iterates.append(theta.copy())
-        trace.directions.append(d)
         trace.magnitudes.append(tau)
         r_new = r + tau * t
         beta = float(r_new @ r_new) / float(r @ r)
@@ -156,9 +166,10 @@ def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None
         r = r_new
         trace.residual_norms.append(float(np.linalg.norm(r)))
 
+    trace.directions = block[:, :trace.n_steps]
     if q_mag is None:
         return trace, None
-    mag.directions = list(trace.directions)
+    mag.directions = trace.directions
     mag.termination = trace.termination
     return trace, mag
 

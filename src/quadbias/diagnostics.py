@@ -5,8 +5,9 @@ curvatures, slope-bias analysis, and relative-error summaries.
 The eigendirection scan scores the GGN from per-row forward-mode terms: one
 pass over the training rows, then every batch's score is the mean of its
 rows and the full-batch score the mean of all rows. The other scans score
-every quadratic on the whole block of directions at once: slopes from one
-product of the point displacements and curvatures from one ``forms`` call.
+every quadratic on the whole block of directions at once: the Hessian and
+K-FAC eigendirection scans take curvatures from one ``forms`` call, and the
+CG scan takes slopes and curvatures from one ``gram`` of its directions.
 Scan data is stored raw, in the solver's direction order and sign.
 """
 
@@ -28,6 +29,7 @@ from .quadratic import (
     directional_curvatures,
     fullbatch_quadratic,
     grad_at,
+    step_coefficients,
 )
 
 # |fullbatch| below this excludes a direction from relative-error statistics.
@@ -229,26 +231,28 @@ def cg_direction_scan(
     """Run CG on q_b for at most config.p_max steps, then evaluate slope,
     curvature, and the implied 1D Newton magnitude -slope/curvature along
     each search direction d_p at its iterate theta_p, for every batch
-    quadratic and the full-batch one.
+    quadratic and the full-batch one; all must share q_b's anchor.
 
-    Each quadratic takes one matmat of the displacements theta_p - theta0
-    (for the slopes) and one forms call on the direction block (for the
-    curvatures): 2n matvecs for n directions. If CG stops early on negative
-    curvature the scan is truncated at the achieved length, possibly zero,
-    and flagged in meta.
+    Each quadratic takes one ``gram`` G of the direction block D: the
+    curvature along d_p is G_pp and the slope at theta_p is
+    (D^T g)_p + sum_{q<p} tau_q G_pq, n matvecs for n directions and no
+    iterate. If CG stops early on negative curvature the scan is truncated
+    at the achieved length, possibly zero, and flagged in meta.
     """
+    quads = [*batch_quads, q_full]  # the full-batch quadratic is the last column
+    if not all(np.array_equal(q.theta0.values, q_b.theta0.values) for q in quads):
+        raise ValidationError("quadratics must share the anchor point")
     trace = cg_minimize(q_b, config)
     n = trace.n_steps
-    quads = [*batch_quads, q_full]  # the full-batch quadratic is the last column
     slopes = np.empty((n, len(quads)))
     curvs = np.empty((n, len(quads)))
     if n:
-        d = np.column_stack(trace.directions)
-        thetas = np.column_stack(trace.iterates[:n])
+        d = trace.directions
+        steps = step_coefficients(trace.magnitudes)[:n]
         for j, q in enumerate(quads):
-            grads = q.curvature.matmat(thetas - q.theta0.values[:, None]) + q.gradient[:, None]
-            slopes[:, j] = np.einsum("ij,ij->j", d, grads)
-            curvs[:, j] = directional_curvatures(q, d)
+            g = q.curvature.gram(d)
+            slopes[:, j] = d.T @ q.gradient + (steps * g).sum(axis=1)
+            curvs[:, j] = np.diagonal(g)
     mags = -slopes / curvs
     report = ScanReport(
         source_batch=q_b.batch_id,

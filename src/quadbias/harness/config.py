@@ -148,6 +148,11 @@ class ExperimentConfig:
             raise ValidationError(f"unknown fisher_mode {self.fisher_mode!r}")
         if not self.seeds:
             raise ValidationError("config key 'seeds' needs at least one seed")
+        for key in ("beta", "delta"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValidationError(f"config key {key!r} in [experiment] needs a finite "
+                                      f"value >= 0, got {value!r}")
         n_src = 1 if self.n_source_batches is None else self.n_source_batches
         counts = {"k": (self.n_directions,), "cg_iterations": (self.cg_iterations,),
                   "mc_samples": (self.mc_samples,), "chunk_size": (self.chunk_size,),
@@ -222,6 +227,11 @@ def parse_experiment_config(sections: dict, seed_override: int | None = None) ->
     grid_min = _get(ex, "la_grid_min", float, 1e-4)
     grid_max = _get(ex, "la_grid_max", float, 1.0)
     grid_extra = _get(ex, "la_grid_extra", _float_list, (10.0,))
+    for key, values in (("la_grid_min", (grid_min,)), ("la_grid_max", (grid_max,)),
+                        ("la_grid_extra", grid_extra)):
+        if not all(np.isfinite(v) and v > 0 for v in values):
+            raise ValidationError(f"config key {key!r} needs finite values > 0, "
+                                  f"got {list(values)}")
     la_grid = tuple(
         np.logspace(np.log10(grid_min), np.log10(grid_max), grid_points)
     ) + tuple(grid_extra)

@@ -33,7 +33,7 @@ from ..laplace import (
 from ..linalg import Rng
 from ..metrics import ProbTable, accuracy, auroc, ece, nll, predictive_entropy
 from ..model import Mlp, MlpArchitecture, softmax
-from ..quadratic import build_quadratic, fullbatch_quadratic, values_at
+from ..quadratic import build_quadratic, fullbatch_quadratic, trajectory_values
 from .config import ExperimentConfig, write_config
 from .datasets import generate_dataset
 from .reports import (
@@ -222,12 +222,15 @@ def _run_overlap(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 # -- cg-compare -------------------------------------------------------------------
 
-def _trajectory_metrics(mlp, dataset, q_full, iterates):
-    q_vals = values_at(q_full, iterates).tolist()
+def _trajectory_metrics(mlp, dataset, q_full, trace):
+    """q_full and the test accuracy at every iterate of a trace that starts
+    at q_full's anchor: the values from one gram of the trace's directions,
+    the accuracies from its iterates, rebuilt one at a time."""
+    q_vals = trajectory_values(q_full, trace.directions, trace.magnitudes).tolist()
     if dataset.test_inputs.shape[0] == 0:
-        return q_vals, [float("nan")] * len(iterates)
+        return q_vals, [float("nan")] * len(q_vals)
     test_acc = []
-    for th in iterates:
+    for th in trace.iterates():
         logits = mlp.forward(q_full.theta0.with_values(th), dataset.test_inputs)
         preds = np.argmax(logits, axis=1)
         test_acc.append(float(np.mean(preds == dataset.test_labels)))
@@ -241,7 +244,7 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
         mlp, theta, dataset.train_batch(), cfg.curvature, cfg.beta, cfg.delta,
         cfg.chunk_size, cfg.fisher_mode, Rng(0).split(99),
     )
-    q_anchor = float(values_at(q_full, [theta])[0])
+    q_anchor = q_full.constant
     cg_cfg = CgConfig(epsilon=1e-12, p_max=cfg.cg_iterations)
 
     header = ["method", "seed", "iteration", "q_fullbatch", "test_accuracy"]
@@ -255,9 +258,9 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
     def score(method, seed, trace):
         """Rows, plot series, termination and final value of one trajectory;
-        the trace is not kept, so its iterates are freed before the next one
-        runs."""
-        q_vals, acc = _trajectory_metrics(mlp, dataset, q_full, trace.iterates)
+        the trace is not kept, so its direction block is freed before the
+        next one runs."""
+        q_vals, acc = _trajectory_metrics(mlp, dataset, q_full, trace)
         rows.extend([method, seed, i, qv, a] for i, (qv, a) in enumerate(zip(q_vals, acc)))
         series[f"{method} s{seed}"] = (list(range(len(q_vals))), q_vals)
         terminations[f"{method}_s{seed}"] = trace.termination

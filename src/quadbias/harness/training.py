@@ -31,8 +31,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0 or self.epochs < 1 or self.batch_size < 1 or self.beta < 0:
-            raise ValidationError(f"invalid training config {self}")
+        for key, ok in (("lr", np.isfinite(self.lr) and self.lr >= 0),
+                        ("momentum", np.isfinite(self.momentum)),
+                        ("epochs", self.epochs >= 1),
+                        ("batch_size", self.batch_size >= 1),
+                        ("beta", np.isfinite(self.beta) and self.beta >= 0)):
+            if not ok:
+                raise ValidationError(f"config key {key!r} in [train] is out of range: "
+                                      f"{getattr(self, key)!r}")
 
 
 @dataclass
@@ -74,8 +80,9 @@ def train(arch: MlpArchitecture, dataset: Dataset, config: TrainConfig) -> list:
             loss, grad = mlp.loss_and_grad(params, batch, config.beta)
             if not np.isfinite(loss):
                 raise NumericalError(f"training diverged at epoch {epoch}")
-            velocity = config.momentum * velocity + grad
-            params = params.with_values(params.values - config.lr * velocity)
+            velocity *= config.momentum
+            velocity += grad
+            params.values -= config.lr * velocity
         if epoch in ckpt_at:
             checkpoints.append(
                 Checkpoint(

@@ -376,15 +376,19 @@ class Linearization:
 
         return self._by_pass(vs, one_pass).T
 
-    def ggn_forms(self, vs: np.ndarray) -> np.ndarray:
-        """Quadratic forms v_j^T G_B v_j, (k,), one per column of vs: the row
-        mean of (J v)^T Lambda (J v). Forward mode only, so no backward pass
-        runs and no (P, k) product is formed."""
-        def one_pass(vt):
-            jv = self._r_forward(vt)[-1]
-            return np.einsum("krc,krc->k", jv, self._loss_hessian(jv)) / self.size
-
-        return self._by_pass(vs, one_pass)
+    def ggn_gram(self, vs: np.ndarray) -> np.ndarray:
+        """V^T G_B V, (k, k): the row mean of (J V)^T Lambda (J V). Forward
+        mode only, so no backward pass runs and no (P, k) product is formed;
+        it holds J V of every column, (k, rows, C), and Lambda J V of one
+        pass of columns at a time."""
+        jv = self.jvp_mm(vs)
+        flat = jv.reshape(jv.shape[0], -1)
+        out = np.empty((jv.shape[0], jv.shape[0]))
+        step = self.cols_per_pass
+        for start in range(0, jv.shape[0], step):
+            lam_jv = self._loss_hessian(jv[start : start + step])
+            out[start : start + step] = lam_jv.reshape(lam_jv.shape[0], -1) @ flat.T
+        return out / self.size
 
     def ggn_row_terms(self, vs: np.ndarray) -> np.ndarray:
         """Per-row slope (J_n v) . r_n and curvature (J_n v)^T Lambda_n (J_n v),
@@ -512,13 +516,9 @@ class Mlp:
         if beta < 0:
             raise ValidationError(f"beta must be >= 0, got {beta}")
         lin = self._linearized(params, batch)
-        g_logits = lin.loss_grad_logits()
-        mask = params.weight_mask
         loss = self._loss_value(lin.logits, lin.targets)
-        loss += 0.5 * beta * float(params.values[mask] @ params.values[mask])
-        grad = lin._backprop(g_logits)
-        grad[mask] += beta * params.values[mask]
-        return loss, grad
+        grad = lin._backprop(lin.loss_grad_logits())
+        return add_weight_decay(params, beta, loss, grad), grad
 
     # -- directional derivatives ----------------------------------------------
 
@@ -606,6 +606,20 @@ class Mlp:
             blocks.append(KfacBlock(layer=l, factor_a=DenseSymMatrix(factors["input"]),
                                     factor_b=DenseSymMatrix(factors["output"])))
         return blocks
+
+
+def add_weight_decay(params: ParamVector, beta: float, loss: float,
+                     grad: np.ndarray) -> float:
+    """loss + beta/2 ||w||^2, with beta * w added to grad in place: one
+    contiguous weight slice of params at a time, never a masked copy, and
+    nothing at all when beta = 0."""
+    if beta:
+        for e in params.layout:
+            if e.role == "weight":
+                w = params.values[e.offset : e.offset + e.size]
+                loss += 0.5 * beta * float(w @ w)
+                grad[e.offset : e.offset + e.size] += beta * w
+    return loss
 
 
 def _sym(m: np.ndarray) -> np.ndarray:

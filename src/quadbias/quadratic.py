@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .linalg import DenseSymMatrix, Rng, kron_matvec
-from .model import Batch, KfacBlock, Mlp, ParamVector
+from .model import Batch, KfacBlock, Mlp, ParamVector, add_weight_decay
 
 CURVATURE_KINDS = ("hessian", "ggn", "kfac")
 
@@ -25,12 +25,12 @@ class CurvatureOperator:
 
     ``raw_product`` applies the curvature to a (dim, k) block. ``matmat``
     applies the operator to a block and ``matvec`` is its one-column case;
-    ``forms`` returns the quadratic form v_j^T (curvature + beta * mask +
-    delta * I) v_j of every column of a block, from ``raw_forms`` when given
-    (it must not need the product) and else from the dot of each column with
-    its product. Every column counts as one matvec in ``matvec_count``, so
-    experiments and tests can verify cost claims either way. The operator is
-    linear and symmetric.
+    ``gram`` returns V^T (curvature + beta * mask + delta * I) V of a block,
+    from ``raw_gram`` when given (it must not need the product) and else
+    from V^T times the block product, and ``forms`` is its diagonal. Every
+    column counts as one matvec in ``matvec_count``, so experiments and
+    tests can verify cost claims either way. The operator is linear and
+    symmetric.
     """
 
     def __init__(
@@ -41,7 +41,7 @@ class CurvatureOperator:
         delta: float = 0.0,
         mask: np.ndarray | None = None,
         batch_id=None,
-        raw_forms: Callable[[np.ndarray], np.ndarray] | None = None,
+        raw_gram: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         if beta < 0 or delta < 0:
             raise ValidationError("beta and delta must be >= 0")
@@ -49,9 +49,13 @@ class CurvatureOperator:
         self.beta = beta
         self.delta = delta
         self.mask = np.ones(dim, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        # the mask's runs of True, so that the beta term of a gram slices the
+        # block instead of copying it under the mask
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], self.mask, [0]))))
+        self._mask_runs = [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
         self.batch_id = batch_id
         self._raw_product = raw_product
-        self._raw_forms = raw_forms
+        self._raw_gram = raw_gram
         self.matvec_count = 0
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -72,19 +76,24 @@ class CurvatureOperator:
             out = out + self.delta * vs
         return out
 
+    def gram(self, vs: np.ndarray) -> np.ndarray:
+        """V^T (curvature + beta * mask + delta * I) V of a (dim, k) block,
+        (k, k); the shift terms read the block in place."""
+        vs = self._block(vs)
+        if self._raw_gram is None:
+            out = vs.T @ self._raw_product(vs)
+        else:
+            out = self._raw_gram(vs)
+        if self.beta:
+            out += self.beta * sum(vs[run].T @ vs[run] for run in self._mask_runs)
+        if self.delta:
+            out += self.delta * (vs.T @ vs)
+        return out
+
     def forms(self, vs: np.ndarray) -> np.ndarray:
         """v_j^T (curvature + beta * mask + delta * I) v_j for every column
-        of a (dim, k) block, (k,); the shift terms read the block in place."""
-        vs = self._block(vs)
-        if self._raw_forms is None:
-            out = np.einsum("ij,ij->j", vs, self._raw_product(vs))
-        else:
-            out = self._raw_forms(vs)
-        if self.beta:
-            out = out + self.beta * np.einsum("ij,ij,i->j", vs, vs, self.mask)
-        if self.delta:
-            out = out + self.delta * np.einsum("ij,ij->j", vs, vs)
-        return out
+        of a (dim, k) block, (k,): the diagonal of ``gram``."""
+        return np.diagonal(self.gram(vs)).copy()
 
     def _block(self, vs: np.ndarray) -> np.ndarray:
         """vs as a float (dim, k >= 1) block, counted as k matvecs."""
@@ -117,12 +126,12 @@ def _kfac_product(blocks: list, params: ParamVector) -> Callable[[np.ndarray], n
 
 
 def _curvature_products(mlp: Mlp, theta0: ParamVector, kind: str, parts: list):
-    """(product, forms) of the hessian or ggn curvature, summed over
-    (weight, part) pairs. The product takes a (P, k) block; forms
-    is the ggn's quadratic forms of a block's columns from J v alone, and
-    None for the hessian. A part is a Linearization at theta0, reused by
-    every call, or a Batch, linearized afresh on every call (once for all of
-    a block's columns) so that no trace outlives it."""
+    """(product, gram) of the hessian or ggn curvature, summed over
+    (weight, part) pairs. The product takes a (P, k) block; gram is the
+    ggn's V^T G V of a block from J V alone, and None for the hessian. A
+    part is a Linearization at theta0, reused by every call, or a Batch,
+    linearized afresh on every call (once for all of a block's columns) so
+    that no trace outlives it."""
     name = "hvp" if kind == "hessian" else "ggn_vp"
 
     def product(vs: np.ndarray) -> np.ndarray:
@@ -131,13 +140,13 @@ def _curvature_products(mlp: Mlp, theta0: ParamVector, kind: str, parts: list):
             out += w * getattr(mlp, name)(theta0, part, 0.0, vs)
         return out
 
-    def forms(vs: np.ndarray) -> np.ndarray:
-        out = np.zeros(vs.shape[1])
+    def gram(vs: np.ndarray) -> np.ndarray:
+        out = np.zeros((vs.shape[1], vs.shape[1]))
         for w, part in parts:
-            out += w * mlp._linearized(theta0, part).ggn_forms(vs)
+            out += w * mlp._linearized(theta0, part).ggn_gram(vs)
         return out
 
-    return product, (forms if kind == "ggn" else None)
+    return product, (gram if kind == "ggn" else None)
 
 
 def _require_finite(stage: str, **values) -> None:
@@ -187,17 +196,16 @@ def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, parts: list, kind: str
         l_part, g_part = mlp.loss_and_grad(theta0, part, 0.0)
         loss += w * l_part
         grad += w * g_part
-    mask = theta0.weight_mask
-    loss += 0.5 * beta * float(theta0.values[mask] @ theta0.values[mask])
-    grad[mask] += beta * theta0.values[mask]
+    loss = add_weight_decay(theta0, beta, loss, grad)
     _require_finite(stage, loss=loss, gradient=grad)
     blocks = None
     if kind == "kfac":
         blocks = kfac()
-        raw, forms = _kfac_product(blocks, theta0), None
+        raw, gram = _kfac_product(blocks, theta0), None
     else:
-        raw, forms = _curvature_products(mlp, theta0, kind, parts)
-    op = CurvatureOperator(theta0.n_params, raw, beta, delta, mask, batch_id, forms)
+        raw, gram = _curvature_products(mlp, theta0, kind, parts)
+    op = CurvatureOperator(theta0.n_params, raw, beta, delta, theta0.weight_mask, batch_id,
+                           gram)
     return QuadraticModel(theta0, loss, grad, op, blocks)
 
 
@@ -270,6 +278,29 @@ def values_at(q: QuadraticModel, thetas) -> np.ndarray:
         for col, j in enumerate(moved):
             np.subtract(points[j], anchor, out=disp[:, col])
         out[moved] += 0.5 * q.curvature.forms(disp) + disp.T @ q.gradient
+    return out
+
+
+def step_coefficients(magnitudes) -> np.ndarray:
+    """(n + 1, n) coefficients of the points theta_i = theta_0 + sum_{p<i}
+    tau_p d_p, i = 0..n, in the directions d_p: row i holds tau_p for p < i
+    and zeros after."""
+    tau = np.asarray(magnitudes, dtype=np.float64)
+    return np.tril(np.broadcast_to(tau, (tau.size + 1, tau.size)), -1)
+
+
+def trajectory_values(q: QuadraticModel, directions: np.ndarray, magnitudes) -> np.ndarray:
+    """q at theta_0 + sum_{p<i} tau_p d_p for i = 0..n, (n + 1,), with
+    theta_0 the anchor of q and d_p the columns of a (dim, n) block: from
+    one ``gram`` of the block (n matvecs) and its product with g, in the
+    n-dimensional subspace the directions span. The anchor reads q.constant
+    exactly."""
+    coeffs = step_coefficients(magnitudes)[1:]
+    out = np.full(coeffs.shape[0] + 1, q.constant)
+    if coeffs.size:
+        g = q.curvature.gram(directions)
+        out[1:] += coeffs @ (directions.T @ q.gradient)
+        out[1:] += 0.5 * ((coeffs @ g) * coeffs).sum(axis=1)
     return out
 
 

@@ -178,7 +178,7 @@ def test_criterion_05_cg_correctness():
         worst_rel = max(worst_rel, float(
             np.linalg.norm(trace.final() - direct) / np.linalg.norm(direct)
         ))
-        d = trace.directions
+        d = trace.directions.T
         curvs = [float(di @ h @ di) for di in d]
         for i in range(len(d)):
             hi = h @ d[i]
@@ -187,7 +187,7 @@ def test_criterion_05_cg_correctness():
                     worst_conj, abs(d[j] @ hi) / np.sqrt(curvs[i] * curvs[j])
                 )
         all_pos &= all(t > 0 for t in trace.magnitudes)
-        vals = [value_at(q, th) for th in trace.iterates]
+        vals = [value_at(q, th) for th in trace.iterates()]
         all_monotone &= all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     ok = worst_rel <= 1e-8 and worst_conj <= 1e-8 and all_pos and all_monotone
     _report(5, ok, f"solve rel err {worst_rel:.2e} (tol 1e-8), conjugacy {worst_conj:.2e} (tol 1e-8), "
@@ -203,10 +203,10 @@ def test_criterion_06_debiased_cg_identities(toy_dataset, toy_mlp, toy_theta):
     q_a2 = build_quadratic(toy_mlp, toy_theta, batches[0], "ggn", TOY_BETA)
     cfg = CgConfig(epsilon=1e-14, p_max=30)
     dir_trace, deb_trace = debiased_cg(q_a, q_a2, cfg)
+    dir_iterates, deb_iterates = list(dir_trace.iterates()), list(deb_trace.iterates())
     bitwise = (
-        len(dir_trace.iterates) == len(deb_trace.iterates)
-        and all(np.array_equal(a, b)
-                for a, b in zip(dir_trace.iterates, deb_trace.iterates))
+        len(dir_iterates) == len(deb_iterates)
+        and all(np.array_equal(a, b) for a, b in zip(dir_iterates, deb_iterates))
         and dir_trace.magnitudes == deb_trace.magnitudes
     )
 
@@ -219,8 +219,8 @@ def test_criterion_06_debiased_cg_identities(toy_dataset, toy_mlp, toy_theta):
     q_bt = synthetic_quadratic(h_bt, g_bt)
     _, deb = debiased_cg(q_b, q_bt, CgConfig(epsilon=1e-16, p_max=30))
     recursion_err = 0.0
-    for p in range(deb.n_steps + 1):
-        fresh = np.linalg.norm(h_bt @ deb.iterates[p] + g_bt)
+    for p, theta in enumerate(deb.iterates()):
+        fresh = np.linalg.norm(h_bt @ theta + g_bt)
         recursion_err = max(recursion_err,
                             abs(deb.residual_norms[p] - fresh) / fresh)
     recursion_ok = deb.n_steps == 30 and recursion_err <= 1e-10
@@ -249,13 +249,13 @@ def test_criterion_07_debiased_cg_stability(toy_dataset, toy_mlp, toy_theta):
         b64 = toy_dataset.minibatches(64, seed=seed, drop_last=True)[0]
         q_single = build_quadratic(toy_mlp, toy_theta, b64, "ggn", TOY_BETA)
         trace = cg_minimize(q_single, cfg)
-        single_series = [value_at(q_full, th) for th in trace.iterates]
+        single_series = [value_at(q_full, th) for th in trace.iterates()]
 
         halves = toy_dataset.minibatches(32, seed=seed, drop_last=True)
         q_dir = build_quadratic(toy_mlp, toy_theta, halves[0], "ggn", TOY_BETA)
         q_mag = build_quadratic(toy_mlp, toy_theta, halves[1], "ggn", TOY_BETA)
         _, deb = debiased_cg(q_dir, q_mag, cfg)
-        deb_series = [value_at(q_full, th) for th in deb.iterates]
+        deb_series = [value_at(q_full, th) for th in deb.iterates()]
 
         finals_ok += deb_series[-1] <= q0
         wins += deb_series[-1] <= single_series[-1]

@@ -17,7 +17,7 @@ from quadbias.quadratic import (
     value_at,
 )
 
-from cg_oracle import sequential_debiased_cg
+from cg_oracle import rebuild_magnitudes, sequential_debiased_cg
 from conftest import small_problem
 from random_matrices import random_spd
 
@@ -69,14 +69,15 @@ class TestCgMinimize:
     def test_reconstruction_identity_exact(self):
         q, _, _ = spd_quadratic(1, 20)
         trace = cg_minimize(q, CgConfig(epsilon=1e-10, p_max=20))
+        iterates = list(trace.iterates())
         for p in range(trace.n_steps):
-            rebuilt = trace.iterates[p] + trace.magnitudes[p] * trace.directions[p]
-            np.testing.assert_array_equal(rebuilt, trace.iterates[p + 1])
+            rebuilt = iterates[p] + trace.magnitudes[p] * trace.directions[:, p]
+            np.testing.assert_array_equal(rebuilt, iterates[p + 1])
 
     def test_conjugacy(self):
         q, h, _ = spd_quadratic(2, 30)
         trace = cg_minimize(q, CgConfig(epsilon=1e-14, p_max=30))
-        d = trace.directions
+        d = trace.directions.T
         for i in range(len(d)):
             hi = h @ d[i]
             ci = float(d[i] @ hi)
@@ -87,7 +88,7 @@ class TestCgMinimize:
     def test_monotone_descent_and_positive_magnitudes(self):
         q, _, _ = spd_quadratic(3, 25)
         trace = cg_minimize(q, CgConfig(epsilon=1e-12, p_max=25))
-        vals = [value_at(q, th) for th in trace.iterates]
+        vals = [value_at(q, th) for th in trace.iterates()]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-12
         assert all(t > 0 for t in trace.magnitudes)
@@ -95,17 +96,17 @@ class TestCgMinimize:
     def test_magnitude_is_one_dim_newton_step(self):
         q, _, _ = spd_quadratic(4, 15)
         trace = cg_minimize(q, CgConfig(epsilon=1e-12, p_max=15))
-        for p in range(trace.n_steps):
-            d = trace.directions[p]
-            slope = directional_slope(q, trace.iterates[p], d)
+        for p, theta in zip(range(trace.n_steps), trace.iterates()):
+            d = trace.directions[:, p]
+            slope = directional_slope(q, theta, d)
             curv = directional_curvature(q, d)
             assert trace.magnitudes[p] == pytest.approx(-slope / curv, rel=1e-10)
 
     def test_same_batch_slopes_nonpositive(self):
         q, _, _ = spd_quadratic(5, 15)
         trace = cg_minimize(q, CgConfig(epsilon=1e-12, p_max=15))
-        for p in range(trace.n_steps):
-            slope = directional_slope(q, trace.iterates[p], trace.directions[p])
+        for p, theta in zip(range(trace.n_steps), trace.iterates()):
+            slope = directional_slope(q, theta, trace.directions[:, p])
             assert slope <= 1e-12
 
     def test_negative_curvature_termination(self):
@@ -178,8 +179,9 @@ class TestDebiasedCg:
         cfg = CgConfig(epsilon=1e-12, p_max=25)
         dir_trace, deb_trace = debiased_cg(q_b, q_bt, cfg)
         assert deb_trace.termination == dir_trace.termination
-        assert len(deb_trace.iterates) == len(dir_trace.iterates)
-        for a, b in zip(dir_trace.iterates, deb_trace.iterates):
+        dir_iterates, deb_iterates = list(dir_trace.iterates()), list(deb_trace.iterates())
+        assert len(deb_iterates) == len(dir_iterates)
+        for a, b in zip(dir_iterates, deb_iterates):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(dir_trace.magnitudes, deb_trace.magnitudes)
         np.testing.assert_array_equal(dir_trace.residual_norms,
@@ -207,8 +209,8 @@ class TestDebiasedCg:
         cfg = CgConfig(epsilon=1e-16, p_max=30)
         _, deb = debiased_cg(q_b, q_bt, cfg)
         assert deb.n_steps == 30
-        for p in range(deb.n_steps + 1):
-            fresh = h_bt @ (deb.iterates[p] - np.zeros(60)) + g_bt
+        for p, theta in enumerate(deb.iterates()):
+            fresh = h_bt @ (theta - np.zeros(60)) + g_bt
             # residual_norms stores ||recursive gradient||
             assert deb.residual_norms[p] == pytest.approx(
                 np.linalg.norm(fresh), rel=1e-10
@@ -217,9 +219,10 @@ class TestDebiasedCg:
     def test_debiased_reconstruction_exact(self):
         q_b, q_bt = self._model_quadratic_pair()
         _, deb = debiased_cg(q_b, q_bt, CgConfig(epsilon=1e-14, p_max=12))
+        iterates = list(deb.iterates())
         for p in range(deb.n_steps):
-            rebuilt = deb.iterates[p] + deb.magnitudes[p] * deb.directions[p]
-            np.testing.assert_array_equal(rebuilt, deb.iterates[p + 1])
+            rebuilt = iterates[p] + deb.magnitudes[p] * deb.directions[:, p]
+            np.testing.assert_array_equal(rebuilt, iterates[p + 1])
 
     def test_two_matvecs_per_iteration(self):
         q_b, q_bt = self._model_quadratic_pair()
@@ -238,14 +241,37 @@ class TestDebiasedCg:
             ref_dir, ref_deb = sequential_debiased_cg(q_b, q_bt, cfg)
             for got, ref in ((dir_trace, ref_dir), (deb, ref_deb)):
                 assert got.termination == ref.termination
-                assert len(got.iterates) == len(ref.iterates) == k + 1
-                for a, b in zip(got.iterates, ref.iterates):
+                got_iterates, ref_iterates = list(got.iterates()), list(ref.iterates())
+                assert len(got_iterates) == len(ref_iterates) == k + 1
+                for a, b in zip(got_iterates, ref_iterates):
                     np.testing.assert_array_equal(a, b)
-                for a, b in zip(got.directions, ref.directions):
-                    np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(got.directions, ref.directions)
                 np.testing.assert_array_equal(got.magnitudes, ref.magnitudes)
                 np.testing.assert_array_equal(got.residual_norms, ref.residual_norms)
             np.testing.assert_array_equal(dir_trace.cg_betas, ref_dir.cg_betas)
+
+    def test_iterates_equal_the_oracle_recursion_bitwise(self):
+        # the traces keep no iterates; iterates() rebuilds them from the
+        # directions and magnitudes, and must give the oracle's own walk
+        # (with q_b itself, the oracle replays the direction trace)
+        q_b, q_bt = self._model_quadratic_pair()
+        dir_trace, deb = debiased_cg(q_b, q_bt, CgConfig(1e-14, p_max=12))
+        assert deb.n_steps == 12
+        for got, q in ((dir_trace, q_b), (deb, q_bt)):
+            ref, ref_iterates = rebuild_magnitudes(q, dir_trace)
+            assert got.magnitudes == ref.magnitudes
+            got_iterates = list(got.iterates())
+            assert len(got_iterates) == len(ref_iterates) == 13
+            for a, b in zip(got_iterates, ref_iterates):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(got.final(), ref_iterates[-1])
+
+    def test_traces_share_one_direction_block(self):
+        q_b, q_bt = self._model_quadratic_pair()
+        dir_trace, deb = debiased_cg(q_b, q_bt, CgConfig(1e-14, p_max=12))
+        assert deb.directions is dir_trace.directions
+        assert dir_trace.directions.shape == (q_b.dim, dir_trace.n_steps)
+        assert dir_trace.directions.flags.f_contiguous
 
     def test_negative_curvature_on_second_batch_stops_both(self):
         h_b = np.diag([2.0, 1.0])

@@ -373,26 +373,35 @@ class TestCgDirectionScan:
         columns = [(q, rep.slopes[:, j], rep.curvatures[:, j], rep.magnitudes[:, j])
                    for j, q in enumerate(quads)]
         columns.append((q_full, rep.full_slopes, rep.full_curvatures, rep.full_magnitudes))
+        iterates = list(trace.iterates())
         for q, slopes, curvs, mags in columns:
             for p_i in range(rep.k):
                 # the per-vector oracle: one product and one dot per number
-                d = trace.directions[p_i]
-                slope = float(d @ (q.curvature.matvec(trace.iterates[p_i] - q.theta0.values)
+                d = trace.directions[:, p_i]
+                slope = float(d @ (q.curvature.matvec(iterates[p_i] - q.theta0.values)
                                    + q.gradient))
                 curv = float(d @ q.curvature.matvec(d))
                 assert slopes[p_i] == pytest.approx(slope, rel=1e-12, abs=1e-14)
                 assert curvs[p_i] == pytest.approx(curv, rel=1e-12)
                 assert mags[p_i] == pytest.approx(-slope / curv, rel=1e-12, abs=1e-14)
 
-    def test_two_matvecs_per_direction_per_quadratic(self):
+    def test_one_matvec_per_direction_per_quadratic(self):
         quads, q_full = self._setup()
         before = [q.curvature.matvec_count for q in [*quads, q_full]]
         trace, rep = cg_direction_scan(quads[0], quads, q_full, CgConfig(p_max=5))
         after = [q.curvature.matvec_count for q in [*quads, q_full]]
         n = rep.k
-        # quads[0] also runs the CG itself, one matvec per direction
+        # one gram of the n directions per quadratic; quads[0] also runs
+        # the CG itself, one matvec per direction
         assert [a - b for a, b in zip(after, before)] == (
-            [3 * n] + [2 * n] * (len(quads) - 1) + [2 * n])
+            [2 * n] + [n] * (len(quads) - 1) + [n])
+
+    def test_quadratics_must_share_the_anchor(self):
+        quads, q_full = self._setup()
+        moved = synthetic_quadratic(np.eye(q_full.dim), q_full.gradient,
+                                    theta0=q_full.theta0.with_values(q_full.theta0.values + 1.0))
+        with pytest.raises(ValidationError, match="anchor"):
+            cg_direction_scan(quads[0], quads, moved, CgConfig(p_max=2))
 
     def test_negative_curvature_truncates_and_flags(self):
         h = np.diag([1.0, -1.0, 2.0])

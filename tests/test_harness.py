@@ -405,6 +405,31 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"config key '{key}'"):
             run_experiment(parse_experiment_config(sections), tmp_path / "r")
 
+    @pytest.mark.parametrize("section,key,raw", [
+        ("experiment", "la_grid_min", "0"), ("experiment", "la_grid_min", "-1"),
+        ("experiment", "la_grid_min", "nan"), ("experiment", "la_grid_max", "0"),
+        ("experiment", "la_grid_max", "inf"), ("experiment", "la_grid_max", "1e999"),
+        ("experiment", "beta", "nan"), ("experiment", "beta", "inf"),
+        ("experiment", "delta", "nan"), ("experiment", "delta", "-inf"),
+        ("train", "beta", "nan"), ("train", "beta", "inf"),
+    ])
+    def test_out_of_domain_value_rejected_before_training(self, tmp_path, monkeypatch,
+                                                           section, key, raw):
+        from quadbias.harness import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError(f"train ran with [{section}] {key} = {raw!r}")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        sections = read_config_text(CONFIG_TEXT)
+        sections[section][key] = raw
+        with pytest.raises(ValidationError, match=f"config key '{key}'"):
+            run_experiment(parse_experiment_config(sections), tmp_path / "r")
+
+    def test_train_key_errors_name_the_train_section(self):
+        with pytest.raises(ValidationError, match=r"'momentum' in \[train\]"):
+            TrainConfig(momentum=float("nan"))
+
 
 class TestReports:
     def test_csv_roundtrip_17_digits(self, tmp_path):
@@ -576,6 +601,39 @@ class TestExperiments:
                 assert q[-1] <= anchor
         assert summary["debiased_never_above_anchor"] == stable
         assert not all(stable.values())
+
+    def test_cg_compare_holds_at_most_two_direction_blocks(self, tmp_path, monkeypatch):
+        # after training, cg-compare's CG runs and trajectory scoring hold at
+        # most two (P, cg_iterations) float64 blocks' worth of new memory:
+        # each trace keeps one direction block and no iterate list, and the
+        # full-batch values come from its gram, with no displacement block
+        import tracemalloc
+
+        from quadbias.harness import experiments
+
+        real_train = experiments.train
+
+        def train_then_trace(*args, **kwargs):
+            checkpoints = real_train(*args, **kwargs)
+            tracemalloc.start()
+            return checkpoints
+
+        monkeypatch.setattr(experiments, "train", train_then_trace)
+        sections = read_config_text(CONFIG_TEXT)
+        # P = 67,843: wide enough that one forward-mode pass (at most
+        # BLOCK_BUDGET rows x columns) is small against a block
+        sections["model"]["layers"] = "4,256,256,3"
+        sections["dataset"]["train_frac"] = "0.75"
+        sections["experiment"].update(kind="cg-compare", cg_iterations="30",
+                                      batch_sizes="32", seeds="0")
+        cfg = parse_experiment_config(sections)
+        try:
+            run_experiment(cfg, tmp_path / "r")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        unit = Mlp(cfg.arch).n_params * cfg.cg_iterations * 8
+        assert peak <= 2.0 * unit, f"peak {peak / unit:.2f} blocks"
 
     def test_bias_scan_curvature_ratio_recomputed_from_scan_csvs(self, tmp_path):
         cfg = self._config(tmp_path)

@@ -444,14 +444,17 @@ class TestLinearization:
     @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
     @pytest.mark.parametrize("n", [3, 70, 600])
     def test_ggn_forms_match_per_vector_product_and_dot(self, activation, loss, n):
+        # the forms are the diagonal of ggn_gram; its other entries are the
+        # cross terms v_i^T G v_j, checked against the same products
         arch = MlpArchitecture((5, 7, 6, 3), activation, loss)
         mlp, p, batch = small_problem(seed=48, n=n, arch=arch)
         k = 9
         vs = Rng(49).normal(p.n_params * k).reshape(p.n_params, k)
-        forms = mlp.linearize(p, batch.inputs).ggn_forms(vs)  # no targets needed
-        assert forms.shape == (k,)
-        want = np.array([v @ oracle.ggn_vp(mlp, p, batch, v) for v in vs.T])
-        assert_close_to_oracle(forms, want)
+        gram = mlp.linearize(p, batch.inputs).ggn_gram(vs)  # no targets needed
+        assert gram.shape == (k, k)
+        products = np.column_stack([oracle.ggn_vp(mlp, p, batch, v) for v in vs.T])
+        assert_close_to_oracle(np.diagonal(gram), np.einsum("ij,ij->j", vs, products))
+        assert_close_to_oracle(gram, vs.T @ products)
 
     def test_loss_and_grad_on_linearization_equals_batch(self):
         mlp, p, batch = small_problem(seed=46)
@@ -469,7 +472,7 @@ class TestLinearization:
         with pytest.raises(ValidationError):
             lin.ggn_mm(np.ones(p.n_params))
         with pytest.raises(ValidationError):
-            lin.ggn_forms(np.ones((p.n_params + 1, 2)))
+            lin.ggn_gram(np.ones((p.n_params + 1, 2)))
         with pytest.raises(ValidationError):
             mlp.linearize(p, batch.inputs).hvp_mm(np.ones((p.n_params, 2)))
         with pytest.raises(ValidationError):

@@ -17,8 +17,10 @@ from quadbias.quadratic import (
     directional_slope,
     fullbatch_quadratic,
     grad_at,
+    step_coefficients,
     subspace_eval,
     synthetic_quadratic,
+    trajectory_values,
     value_at,
     values_at,
 )
@@ -178,6 +180,55 @@ class TestCurvatureOperator:
         want = np.array([value_at(q, th) for th in points])
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= BLOCK_TOL * scale
+
+    @settings(max_examples=30, deadline=None)
+    @OPERATOR_CASES
+    def test_gram_equals_block_transpose_times_product(self, kind, activation, loss, n,
+                                                       chunk, k, seed):
+        q, vs = operator_problem(kind, activation, loss, n, chunk, k, seed)
+        gram = q.curvature.gram(vs)
+        assert gram.shape == (k, k)
+        assert q.curvature.matvec_count == k
+        want = vs.T @ q.curvature.matmat(vs)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(gram - want)) <= BLOCK_TOL * scale
+        np.testing.assert_array_equal(q.curvature.forms(vs), np.diagonal(gram))
+
+    @settings(max_examples=30, deadline=None)
+    @OPERATOR_CASES
+    def test_trajectory_values_equal_values_at_the_iterates(self, kind, activation, loss,
+                                                             n, chunk, k, seed):
+        # the iterates theta_{i+1} = theta_i + tau_i d_i, walked explicitly
+        q, vs = operator_problem(kind, activation, loss, n, chunk, k, seed)
+        d = np.asfortranarray(vs / np.linalg.norm(vs, axis=0))
+        tau = 0.1 * Rng(seed + 3).normal(k)
+        iterates = [q.theta0.values]
+        for i in range(k):
+            iterates.append(iterates[-1] + tau[i] * d[:, i])
+        got = trajectory_values(q, d, tau)
+        assert got.shape == (k + 1,)
+        assert q.curvature.matvec_count == k
+        assert got[0] == q.constant
+        want = values_at(q, iterates)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= BLOCK_TOL * scale
+
+    def test_trajectory_without_steps_is_the_anchor(self):
+        q = synthetic_quadratic(np.eye(3), np.ones(3), constant=0.7)
+        np.testing.assert_array_equal(trajectory_values(q, np.empty((3, 0)), []), [0.7])
+        assert q.curvature.matvec_count == 0
+
+    def test_step_coefficients_hold_the_steps_before_each_point(self):
+        np.testing.assert_array_equal(step_coefficients([2.0, 3.0]),
+                                      [[0.0, 0.0], [2.0, 0.0], [2.0, 3.0]])
+
+    def test_gram_beta_term_covers_every_masked_run(self):
+        # a mask of two runs of weights around a bias-like entry
+        mask = np.array([True, True, False, True])
+        op = CurvatureOperator.from_dense(np.zeros((4, 4)), beta=0.5, mask=mask)
+        vs = Rng(73).normal(8).reshape(4, 2)
+        want = 0.5 * vs[mask].T @ vs[mask]
+        assert np.max(np.abs(op.gram(vs) - want)) <= BLOCK_TOL * np.max(np.abs(want))
 
     def test_forms_validate_the_block(self):
         op = CurvatureOperator.from_dense(np.eye(3))

@@ -68,10 +68,15 @@ MUTANTS = (
            "GGN row scan drops the regularizer's slope term",
            ("tests/test_diagnostics.py", "-k", "RowScanAgainstPerBatchOracle")),
     Mutant("src/quadbias/model.py",
-           'np.einsum("krc,krc->k", jv, self._loss_hessian(jv)) / self.size',
-           'np.einsum("krc,krc->k", jv, self._loss_hessian(jv))',
-           "ggn_forms without the row mean",
+           "        return out / self.size\n",
+           "        return out\n",
+           "ggn_gram without the row mean",
            ("tests/test_quadratic.py", "tests/test_model.py")),
+    Mutant("src/quadbias/quadratic.py",
+           "np.tril(np.broadcast_to(tau, (tau.size + 1, tau.size)), -1)",
+           "np.tril(np.broadcast_to(tau, (tau.size + 1, tau.size)), 0)",
+           "cumulative step coefficients one iterate ahead",
+           ("tests/test_quadratic.py", "-k", "trajectory_values_equal_values_at")),
     Mutant("src/quadbias/metrics.py",
            'np.searchsorted(edges, conf, side="left")',
            'np.searchsorted(edges, conf, side="right")',
