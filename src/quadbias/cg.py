@@ -132,34 +132,21 @@ def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None
             trace.termination = "tolerance"
             break
         d = np.divide(s, s_norm, out=block[:, p])
-        t = q.curvature.matvec(d)
-        curv = float(d @ t)
-        slope = float(d @ r)
-        # a NaN curvature would otherwise pass the curvature floor test
-        _require_finite(f"{solver} at iteration {p}", curvature=curv, slope=slope)
-        if curv <= CURVATURE_FLOOR:
+        stage = f"{solver} at iteration {p}"
+        step = _newton_step(q, d, r, stage, "")
+        if step is not None and q_mag is not None:
+            mag_step = _newton_step(q_mag, d, mag_grad, stage, "magnitude_")
+            step = None if mag_step is None else step
+        if step is None:
             trace.termination = "negative_curvature"
             break
-        tau = -slope / curv
-        _require_finite(f"{solver} at iteration {p}", step=tau)
-
         if q_mag is not None:
-            h_d = q_mag.curvature.matvec(d)
-            mag_curv = float(d @ h_d)
-            mag_slope = float(d @ mag_grad)
-            _require_finite(f"{solver} at iteration {p}", magnitude_curvature=mag_curv,
-                            magnitude_slope=mag_slope)
-            if mag_curv <= CURVATURE_FLOOR:
-                trace.termination = "negative_curvature"
-                break
-            mag_tau = -mag_slope / mag_curv
-            _require_finite(f"{solver} at iteration {p}", magnitude_step=mag_tau)
-            mag_grad = mag_grad + mag_tau * h_d
+            mag_tau, mag_grad = mag_step
             mag.magnitudes.append(mag_tau)
             mag.residual_norms.append(float(np.linalg.norm(mag_grad)))
 
+        tau, r_new = step
         trace.magnitudes.append(tau)
-        r_new = r + tau * t
         beta = float(r_new @ r_new) / float(r @ r)
         trace.cg_betas.append(beta)
         s = -r_new + beta * s
@@ -172,6 +159,23 @@ def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None
     mag.directions = trace.directions
     mag.termination = trace.termination
     return trace, mag
+
+
+def _newton_step(q: QuadraticModel, d: np.ndarray, grad: np.ndarray, stage: str,
+                 prefix: str):
+    """(tau, grad + tau H d) of the 1D Newton step tau = -slope/curvature along
+    d from a point where q's gradient is grad, from one matvec; None at a
+    curvature <= CURVATURE_FLOOR. Errors name the stage and prefix + quantity."""
+    h_d = q.curvature.matvec(d)
+    curv = float(d @ h_d)
+    slope = float(d @ grad)
+    # a NaN curvature would otherwise pass the curvature floor test
+    _require_finite(stage, **{prefix + "curvature": curv, prefix + "slope": slope})
+    if curv <= CURVATURE_FLOOR:
+        return None
+    tau = -slope / curv
+    _require_finite(stage, **{prefix + "step": tau})
+    return tau, grad + tau * h_d
 
 
 def newton_step(q: QuadraticModel, config: CgConfig):

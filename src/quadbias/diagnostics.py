@@ -4,10 +4,10 @@ curvatures, slope-bias analysis, and relative-error summaries.
 
 The eigendirection scan scores the GGN from per-row forward-mode terms: one
 pass over the training rows, then every batch's score is the mean of its
-rows and the full-batch score the mean of all rows. The other scans score
-every quadratic on the whole block of directions at once: the Hessian and
-K-FAC eigendirection scans take curvatures from one ``forms`` call, and the
-CG scan takes slopes and curvatures from one ``gram`` of its directions.
+rows and the full-batch score the mean of all rows. The other scans read
+every quadratic on the whole block of directions at once, with one
+``in_span`` call (one ``gram`` of the block): the Hessian and K-FAC
+eigendirection scans at the anchor, the CG scan at its iterates.
 Scan data is stored raw, in the solver's direction order and sign.
 """
 
@@ -26,9 +26,9 @@ from .quadratic import (
     _partition,
     _require_finite,
     build_quadratic,
-    directional_curvatures,
     fullbatch_quadratic,
     grad_at,
+    in_span,
     step_coefficients,
 )
 
@@ -164,9 +164,10 @@ def _row_positions(batches: list, data: Batch) -> list:
 
 
 def _ggn_row_scores(mlp, theta, batches, data, blocks, beta, delta, chunk_size) -> list:
-    """(slopes, curvatures, full slopes, full curvatures) of every batch's GGN
-    quadratic and the full-batch one along each (P, k) block: row means of
-    one forward-mode pass of all blocks over data, plus the regularizer."""
+    """Slopes and curvatures of every batch's GGN quadratic and the full-batch
+    one (last) along each (P, k) block, (k, batches + 1, 2) per block: row
+    means of one forward-mode pass of all blocks over data, plus the
+    regularizer."""
     chunks = _partition(data, chunk_size)
     positions = _row_positions(batches, data)
     d = np.hstack(blocks)
@@ -180,8 +181,7 @@ def _ggn_row_scores(mlp, theta, batches, data, blocks, beta, delta, chunk_size) 
                     + delta * np.einsum("ij,ij->j", d, d)], axis=-1)
     means = np.stack([terms[:, pos].mean(axis=1) for pos in positions]
                      + [terms.mean(axis=1)], axis=1) + reg[:, None]
-    return [(m[:, :-1, 0], m[:, :-1, 1], m[:, -1, 0], m[:, -1, 1])
-            for m in np.split(means, len(blocks))]
+    return np.split(means, len(blocks))
 
 
 def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, batches: list, data: Batch,
@@ -196,7 +196,8 @@ def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, batches: list, data: 
     GGN scores are row means of ``Linearization.ggn_row_terms`` from one
     forward-mode pass of all sources' directions over data in chunk_size
     chunks; each batch's indices must name its rows of data. The Hessian and
-    K-FAC build and score every batch's quadratic and the full-batch one.
+    K-FAC build every batch's quadratic and the full-batch one and read each
+    at the anchor with ``in_span``.
     """
     rng = rng if rng is not None else Rng(0)
     direction_sets, quads = source_eigenbases(mlp, theta_star, batches, k, kind, beta,
@@ -213,13 +214,12 @@ def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, batches: list, data: 
                                      rng.split(20_000) if kind == "kfac" else None)
         scores = []
         for d in blocks:
-            slopes = np.column_stack([d.T @ q.gradient for q in quads])
-            curvs = np.column_stack([directional_curvatures(q, d) for q in quads])
-            full_s = d.T @ q_full.gradient
-            scores.append((slopes, curvs, full_s, directional_curvatures(q_full, d)))
+            spans = [in_span(q, d, np.zeros((1, d.shape[1]))) for q in [*quads, q_full]]
+            scores.append(np.stack([np.column_stack([s[0], c]) for _, s, c in spans], axis=1))
     batch_ids = list(range(len(batches)))
-    return direction_sets, [ScanReport(dset.source_batch, batch_ids, *score)
-                            for dset, score in zip(direction_sets, scores)]
+    return direction_sets, [ScanReport(dset.source_batch, batch_ids, m[:, :-1, 0],
+                                       m[:, :-1, 1], m[:, -1, 0], m[:, -1, 1])
+                            for dset, m in zip(direction_sets, scores)]
 
 
 def cg_direction_scan(
@@ -233,26 +233,21 @@ def cg_direction_scan(
     each search direction d_p at its iterate theta_p, for every batch
     quadratic and the full-batch one; all must share q_b's anchor.
 
-    Each quadratic takes one ``gram`` G of the direction block D: the
-    curvature along d_p is G_pp and the slope at theta_p is
-    (D^T g)_p + sum_{q<p} tau_q G_pq, n matvecs for n directions and no
-    iterate. If CG stops early on negative curvature the scan is truncated
-    at the achieved length, possibly zero, and flagged in meta.
+    Each quadratic is read with one ``in_span`` call on the direction block D
+    at the rows of ``step_coefficients`` (n matvecs for n directions and no
+    iterate): the slope along d_p at theta_p and the curvature along d_p. If
+    CG stops early on negative curvature the scan is truncated at the
+    achieved length, possibly zero, and flagged in meta.
     """
     quads = [*batch_quads, q_full]  # the full-batch quadratic is the last column
     if not all(np.array_equal(q.theta0.values, q_b.theta0.values) for q in quads):
         raise ValidationError("quadratics must share the anchor point")
     trace = cg_minimize(q_b, config)
-    n = trace.n_steps
-    slopes = np.empty((n, len(quads)))
-    curvs = np.empty((n, len(quads)))
-    if n:
-        d = trace.directions
-        steps = step_coefficients(trace.magnitudes)[:n]
-        for j, q in enumerate(quads):
-            g = q.curvature.gram(d)
-            slopes[:, j] = d.T @ q.gradient + (steps * g).sum(axis=1)
-            curvs[:, j] = np.diagonal(g)
+    steps = step_coefficients(trace.magnitudes)[:trace.n_steps]
+    spans = [in_span(q, trace.directions, steps) for q in quads]
+    # theta_p is row p of the steps, so the slope along d_p there is entry (p, p)
+    slopes = np.column_stack([np.diagonal(s) for _, s, _ in spans])
+    curvs = np.column_stack([c for _, _, c in spans])
     mags = -slopes / curvs
     report = ScanReport(
         source_batch=q_b.batch_id,

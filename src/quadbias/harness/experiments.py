@@ -70,11 +70,34 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
     return out_dir
 
 
-def _prepare(cfg: ExperimentConfig):
+def _dataset(cfg: ExperimentConfig):
+    """The config's dataset, checked before any training to hold one full batch
+    of every batch size the kind reads (bias-scan all, the others the first)
+    and two half batches for cg-compare without force_same_batch and
+    laplace-sweep."""
     dataset = generate_dataset(cfg.dataset)
     if cfg.kind == "laplace-sweep" and dataset.test_inputs.shape[0] == 0:
         raise ValidationError("laplace-sweep needs test rows to score its predictive, "
                               "but the dataset's test split is empty (train_frac = 1?)")
+    sizes = cfg.batch_sizes if cfg.kind == "bias-scan" else cfg.batch_sizes[:1]
+    need = max(sizes)
+    if cfg.kind == "laplace-sweep" or (cfg.kind == "cg-compare" and not cfg.force_same_batch):
+        need = max(need, 2 * _half(sizes[0]))
+    if dataset.n_train < need:
+        raise ValidationError(
+            f"config key 'batch_sizes': {cfg.kind} reads batch sizes "
+            f"{','.join(map(str, sizes))} and needs {need} training rows, the dataset "
+            f"has {dataset.n_train}")
+    return dataset
+
+
+def _half(batch_size: int) -> int:
+    """The size of each of the two half batches cg-compare and laplace-sweep draw."""
+    return max(1, batch_size // 2)
+
+
+def _prepare(cfg: ExperimentConfig):
+    dataset = _dataset(cfg)
     checkpoints = train(cfg.arch, dataset, cfg.train)
     return dataset, Mlp(cfg.arch), checkpoints
 
@@ -254,7 +277,7 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
     finals = {}
     stable = {}
     single_size = cfg.batch_sizes[0]
-    half = max(1, single_size // 2)
+    half = _half(single_size)
 
     def score(method, seed, trace):
         """Rows, plot series, termination and final value of one trajectory;
@@ -374,7 +397,7 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     dataset, mlp, checkpoints = _prepare(cfg)
     theta = checkpoints[-1].params
     single_size = cfg.batch_sizes[0]
-    half = max(1, single_size // 2)
+    half = _half(single_size)
     fits = _laplace_fits(cfg, dataset, mlp, theta, single_size, half)
     grid = cfg.la_grid
 
@@ -447,7 +470,7 @@ def _run_scan_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
         axis, stem, title = "epoch", "bias_over_training", "curvature bias over training"
         points = [(c.epoch, c.params.n_params, mlp, c.params) for c in checkpoints]
     else:
-        dataset = generate_dataset(cfg.dataset)
+        dataset = _dataset(cfg)
         axis, stem, title = "width", "size_sweep", "curvature bias vs parameter count"
         points = _width_points(cfg, dataset)
     batch_size, seed = cfg.batch_sizes[0], cfg.seeds[0]

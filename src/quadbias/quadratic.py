@@ -1,9 +1,10 @@
 """Mini-batch and full-batch quadratic models of the regularized loss.
 
 A quadratic model is anchored at theta_0 and carries the loss value c_B, the
-gradient g_B, and a matrix-free curvature handle. Directional slopes and
-curvatures are plain projections of the model's gradient and curvature onto a
-unit direction.
+gradient g_B, and a matrix-free curvature handle. Values, slopes and
+curvatures along a block of directions all come from ``in_span``: one gram of
+the block and its product with the gradient. ``value_at`` and ``grad_at`` are
+the one-point product-and-dot reference.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ class CurvatureOperator:
     applies the operator to a block and ``matvec`` is its one-column case;
     ``gram`` returns V^T (curvature + beta * mask + delta * I) V of a block,
     from ``raw_gram`` when given (it must not need the product) and else
-    from V^T times the block product, and ``forms`` is its diagonal. Every
-    column counts as one matvec in ``matvec_count``, so experiments and
-    tests can verify cost claims either way. The operator is linear and
-    symmetric.
+    from V^T times the block product. Every column counts as one matvec in
+    ``matvec_count``, so experiments and tests can verify cost claims either
+    way. The operator is linear and symmetric.
     """
 
     def __init__(
@@ -89,11 +89,6 @@ class CurvatureOperator:
         if self.delta:
             out += self.delta * (vs.T @ vs)
         return out
-
-    def forms(self, vs: np.ndarray) -> np.ndarray:
-        """v_j^T (curvature + beta * mask + delta * I) v_j for every column
-        of a (dim, k) block, (k,): the diagonal of ``gram``."""
-        return np.diagonal(self.gram(vs)).copy()
 
     def _block(self, vs: np.ndarray) -> np.ndarray:
         """vs as a float (dim, k >= 1) block, counted as k matvecs."""
@@ -265,22 +260,6 @@ def value_at(q: QuadraticModel, theta: ParamVector | np.ndarray) -> float:
     return 0.5 * float(disp @ h_disp) + float(disp @ q.gradient) + q.constant
 
 
-def values_at(q: QuadraticModel, thetas) -> np.ndarray:
-    """q at every point of thetas (ParamVectors or arrays), (k,), from one
-    ``forms`` call on the block of displacements. Points at the anchor take
-    no column and read q.constant exactly."""
-    anchor = q.theta0.values
-    points = [t.values if isinstance(t, ParamVector) else np.asarray(t) for t in thetas]
-    moved = [j for j, v in enumerate(points) if not np.array_equal(v, anchor)]
-    out = np.full(len(points), q.constant)
-    if moved:
-        disp = np.empty((q.dim, len(moved)), order="F")
-        for col, j in enumerate(moved):
-            np.subtract(points[j], anchor, out=disp[:, col])
-        out[moved] += 0.5 * q.curvature.forms(disp) + disp.T @ q.gradient
-    return out
-
-
 def step_coefficients(magnitudes) -> np.ndarray:
     """(n + 1, n) coefficients of the points theta_i = theta_0 + sum_{p<i}
     tau_p d_p, i = 0..n, in the directions d_p: row i holds tau_p for p < i
@@ -289,19 +268,35 @@ def step_coefficients(magnitudes) -> np.ndarray:
     return np.tril(np.broadcast_to(tau, (tau.size + 1, tau.size)), -1)
 
 
+def in_span(q: QuadraticModel, directions: np.ndarray, coeffs: np.ndarray):
+    """q read in the span of the columns d_j of a (dim, k) block D, at the
+    points theta_0 + D c for the rows c of an (n, k) coefficient matrix C.
+
+    Returns the values there (n,), the slopes d_j . grad q there (n, k) and
+    the curvatures d_j . H d_j (k,), all from one ``gram`` G of D (k
+    matvecs) and D^T g: the value at c is q.constant + c . D^T g
+    + 1/2 c^T G c and the slopes are D^T g + G c. A zero row reads
+    q.constant exactly; with no column, no matvec runs.
+    """
+    c = np.asarray(coeffs, dtype=np.float64)
+    values = np.full(c.shape[0], q.constant)
+    if c.shape[1] == 0:
+        return values, c.copy(), np.empty(0)
+    gram = q.curvature.gram(directions)
+    d_g = np.asarray(directions).T @ q.gradient
+    c_gram = c @ gram
+    values += c @ d_g
+    values += 0.5 * (c_gram * c).sum(axis=1)
+    return values, d_g + c_gram, np.diagonal(gram).copy()
+
+
 def trajectory_values(q: QuadraticModel, directions: np.ndarray, magnitudes) -> np.ndarray:
     """q at theta_0 + sum_{p<i} tau_p d_p for i = 0..n, (n + 1,), with
-    theta_0 the anchor of q and d_p the columns of a (dim, n) block: from
-    one ``gram`` of the block (n matvecs) and its product with g, in the
-    n-dimensional subspace the directions span. The anchor reads q.constant
-    exactly."""
-    coeffs = step_coefficients(magnitudes)[1:]
-    out = np.full(coeffs.shape[0] + 1, q.constant)
-    if coeffs.size:
-        g = q.curvature.gram(directions)
-        out[1:] += coeffs @ (directions.T @ q.gradient)
-        out[1:] += 0.5 * ((coeffs @ g) * coeffs).sum(axis=1)
-    return out
+    theta_0 the anchor of q and d_p the columns of a (dim, n) block: ``in_span``
+    at the rows of ``step_coefficients`` after the first (n matvecs). The
+    anchor takes no row and reads q.constant exactly."""
+    moved = in_span(q, directions, step_coefficients(magnitudes)[1:])[0]
+    return np.concatenate(([q.constant], moved))
 
 
 def check_direction(d: np.ndarray) -> np.ndarray:
@@ -325,11 +320,11 @@ def directional_curvature(q: QuadraticModel, d: np.ndarray) -> float:
 
 def directional_curvatures(q: QuadraticModel, directions: np.ndarray) -> np.ndarray:
     """d_i . H d_i for every unit column d_i of a (P, k) block, from one
-    ``forms`` call."""
+    ``in_span`` call (k matvecs)."""
     d = np.asarray(directions, dtype=np.float64)
     for col in d.T:
         check_direction(col)
-    return q.curvature.forms(d)
+    return in_span(q, d, np.empty((0, d.shape[1])))[2]
 
 
 def subspace_eval(
@@ -341,10 +336,10 @@ def subspace_eval(
 ) -> np.ndarray:
     """Evaluate q(theta* + t1 u1 + t2 u2) over a grid of (t1, t2) pairs.
 
-    Six scalars (the three curvature projections, two gradient projections and
-    the constant) are precomputed; evaluating the closed form per grid point is
-    then free of matvecs. Costs exactly 2 curvature matvecs when theta* is the
-    anchor, 3 otherwise (one extra for the anchor shift).
+    One ``in_span`` call on D = [u1, u2], with the rows of the grid as
+    coefficients; when theta* is off the anchor, D takes theta* - theta_0 as
+    a third column with coefficient 1. Costs exactly 2 curvature matvecs at
+    the anchor, 3 otherwise.
     """
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)
@@ -355,34 +350,12 @@ def subspace_eval(
         raise ValidationError("subspace directions must be orthogonal within 1e-8")
 
     star = theta_star.values if isinstance(theta_star, ParamVector) else np.asarray(theta_star)
-    h_u1 = q.curvature.matvec(u1)
-    h_u2 = q.curvature.matvec(u2)
-    c11 = float(u1 @ h_u1)
-    c12 = float(u1 @ h_u2)
-    c22 = float(u2 @ h_u2)
-
+    d, coeffs = np.column_stack([u1, u2]), np.asarray(grid, dtype=np.float64)
     disp = star - q.theta0.values
     if np.any(disp):
-        h_disp = q.curvature.matvec(disp)
-        g_star = h_disp + q.gradient
-        c_star = 0.5 * float(disp @ h_disp) + float(disp @ q.gradient) + q.constant
-    else:
-        g_star = q.gradient
-        c_star = q.constant
-    g1 = float(u1 @ g_star)
-    g2 = float(u2 @ g_star)
-
-    grid = np.asarray(grid, dtype=np.float64)
-    t1 = grid[:, 0]
-    t2 = grid[:, 1]
-    return (
-        0.5 * t1 * t1 * c11
-        + t1 * t2 * c12
-        + 0.5 * t2 * t2 * c22
-        + t1 * g1
-        + t2 * g2
-        + c_star
-    )
+        d = np.column_stack([d, disp])
+        coeffs = np.column_stack([coeffs, np.ones(coeffs.shape[0])])
+    return in_span(q, d, coeffs)[0]
 
 
 def _partition(data: Batch, chunk_size: int) -> list:

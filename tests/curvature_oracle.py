@@ -3,7 +3,7 @@ forward trace and handles one direction. They are the reference that the
 block products of ``quadbias.model.Linearization`` are checked against. The
 K-FAC factors here keep their own trace, softmax and backward loop, the
 reference for ``Mlp.kfac_factors``; quadratic forms taken as a block product
-and a dot are the reference for ``CurvatureOperator.forms``."""
+and a dot are the reference for the curvatures of ``quadratic.in_span``."""
 
 import numpy as np
 
@@ -132,5 +132,6 @@ def kfac_factors(mlp, params, batch, fisher_mode, rng=None):
 
 def operator_forms(op, vs):
     """v_j^T A v_j for every column of a block, from the operator's block
-    product and a dot: the reference for ``CurvatureOperator.forms``."""
+    product and a dot: the reference for the curvatures of
+    ``quadratic.in_span``."""
     return np.einsum("ij,ij->j", vs, op.matmat(vs))

@@ -1,6 +1,6 @@
 """Per-batch scoring of an eigendirection scan: one quadratic per batch and
 one full-batch quadratic, each scored by projecting its gradient and by one
-``forms`` call. It is the reference the GGN row pass of
+``directional_curvatures`` call. It is the reference the GGN row pass of
 ``quadbias.diagnostics.eigendirection_scan`` is checked against."""
 
 import numpy as np

@@ -747,6 +747,56 @@ class TestExperiments:
         with pytest.raises(ValidationError, match="laplace-sweep .*test split is empty"):
             run_experiment(cfg, tmp_path / "r")
 
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_too_few_training_rows_rejected_before_training(self, tmp_path, monkeypatch,
+                                                            kind):
+        # 3 rows, 2 of them for training: no full batch of batch_sizes[0] = 16
+        from quadbias.harness import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran without a full batch of training rows")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        cfg = self._config(tmp_path, kind=kind, dataset={"n": "3", "train_frac": "0.75"})
+        with pytest.raises(ValidationError,
+                           match="config key 'batch_sizes': .* the dataset has 2$"):
+            run_experiment(cfg, tmp_path / "r")
+
+    def test_bias_scan_needs_a_full_batch_of_every_batch_size(self, tmp_path, monkeypatch):
+        # 24 training rows hold a batch of 16 rows but none of 32
+        from quadbias.harness import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran without a full batch of 32 rows")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        cfg = self._config(tmp_path, dataset={"n": "24"})
+        with pytest.raises(ValidationError, match="needs 32 training rows, the dataset has 24"):
+            run_experiment(cfg, tmp_path / "r")
+
+    @pytest.mark.parametrize("kind,force,rejected", [("cg-compare", "false", True),
+                                                     ("laplace-sweep", "false", True),
+                                                     ("cg-compare", "true", False)])
+    def test_half_batches_need_two_of_them(self, tmp_path, monkeypatch, kind, force,
+                                           rejected):
+        # one training row holds the single batch of 1 row but not two halves
+        # of max(1, 1 // 2) = 1 row; congruence mode draws no halves
+        from quadbias.harness import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        cfg = self._config(tmp_path, kind=kind,
+                           extra={"batch_sizes": "1", "force_same_batch": force},
+                           dataset={"n": "3", "train_frac": "0.34"})
+        if rejected:
+            with pytest.raises(ValidationError, match="needs 2 training rows, the dataset has 1"):
+                run_experiment(cfg, tmp_path / "r")
+        else:
+            with pytest.raises(AssertionError, match="train ran"):
+                run_experiment(cfg, tmp_path / "r")
+
     def test_laplace_sweep_summary_recomputed_from_csv(self, tmp_path, caplog):
         summary, rows = self._laplace_sweep(tmp_path, caplog)
         betas = sorted({float(r[1]) for r in rows})

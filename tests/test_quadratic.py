@@ -17,12 +17,12 @@ from quadbias.quadratic import (
     directional_slope,
     fullbatch_quadratic,
     grad_at,
+    in_span,
     step_coefficients,
     subspace_eval,
     synthetic_quadratic,
     trajectory_values,
     value_at,
-    values_at,
 )
 
 import curvature_oracle as oracle
@@ -155,31 +155,25 @@ class TestCurvatureOperator:
 
     @settings(max_examples=30, deadline=None)
     @OPERATOR_CASES
-    def test_forms_equal_product_and_dot(self, kind, activation, loss, n, chunk, k, seed):
+    def test_in_span_equals_value_at_and_grad_at(self, kind, activation, loss, n, chunk, k,
+                                                 seed):
+        # values and slopes at random coefficient rows, with a zero row that
+        # reads the constant exactly, against one-point products and dots;
+        # curvatures against the block product and a dot
         q, vs = operator_problem(kind, activation, loss, n, chunk, k, seed)
-        forms = q.curvature.forms(vs)
-        assert forms.shape == (k,)
+        coeffs = 0.1 * Rng(seed + 3).normal(3 * k).reshape(3, k)
+        coeffs[1] = 0.0
+        values, slopes, curvs = in_span(q, vs, coeffs)
+        assert (values.shape, slopes.shape, curvs.shape) == ((3,), (3, k), (k,))
         assert q.curvature.matvec_count == k
-        want = oracle.operator_forms(q.curvature, vs)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(forms - want)) <= BLOCK_TOL * scale
-
-    @settings(max_examples=30, deadline=None)
-    @OPERATOR_CASES
-    def test_values_at_equal_value_at(self, kind, activation, loss, n, chunk, k, seed):
-        # the anchor, as an array and as a ParamVector, sits among k moved
-        # points and reads the constant exactly
-        q, vs = operator_problem(kind, activation, loss, n, chunk, k, seed)
-        anchor = q.theta0.values
-        points = [anchor + 0.1 * v for v in vs.T]
-        points[k // 2:k // 2] = [anchor.copy(), q.theta0]
-        got = values_at(q, points)
-        assert got.shape == (k + 2,)
-        assert q.curvature.matvec_count == k
-        assert got[k // 2] == got[k // 2 + 1] == q.constant
-        want = np.array([value_at(q, th) for th in points])
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(got - want)) <= BLOCK_TOL * scale
+        assert values[1] == q.constant
+        points = [q.theta0.values + vs @ c for c in coeffs]
+        want_values = np.array([value_at(q, th) for th in points])
+        want_slopes = np.array([vs.T @ grad_at(q, th) for th in points])
+        want_curvs = oracle.operator_forms(q.curvature, vs)
+        for got, want in ((values, want_values), (slopes, want_slopes), (curvs, want_curvs)):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= BLOCK_TOL * scale
 
     @settings(max_examples=30, deadline=None)
     @OPERATOR_CASES
@@ -192,12 +186,11 @@ class TestCurvatureOperator:
         want = vs.T @ q.curvature.matmat(vs)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(gram - want)) <= BLOCK_TOL * scale
-        np.testing.assert_array_equal(q.curvature.forms(vs), np.diagonal(gram))
 
     @settings(max_examples=30, deadline=None)
     @OPERATOR_CASES
-    def test_trajectory_values_equal_values_at_the_iterates(self, kind, activation, loss,
-                                                             n, chunk, k, seed):
+    def test_trajectory_values_equal_value_at_the_iterates(self, kind, activation, loss,
+                                                            n, chunk, k, seed):
         # the iterates theta_{i+1} = theta_i + tau_i d_i, walked explicitly
         q, vs = operator_problem(kind, activation, loss, n, chunk, k, seed)
         d = np.asfortranarray(vs / np.linalg.norm(vs, axis=0))
@@ -209,7 +202,7 @@ class TestCurvatureOperator:
         assert got.shape == (k + 1,)
         assert q.curvature.matvec_count == k
         assert got[0] == q.constant
-        want = values_at(q, iterates)
+        want = np.array([value_at(q, th) for th in iterates])
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= BLOCK_TOL * scale
 
@@ -230,12 +223,12 @@ class TestCurvatureOperator:
         want = 0.5 * vs[mask].T @ vs[mask]
         assert np.max(np.abs(op.gram(vs) - want)) <= BLOCK_TOL * np.max(np.abs(want))
 
-    def test_forms_validate_the_block(self):
+    def test_gram_validates_the_block(self):
         op = CurvatureOperator.from_dense(np.eye(3))
         with pytest.raises(ValidationError):
-            op.forms(np.ones((3, 0)))
+            op.gram(np.ones((3, 0)))
         with pytest.raises(ValidationError):
-            op.forms(np.ones(3))
+            op.gram(np.ones(3))
         assert op.matvec_count == 0
 
     def test_directional_curvatures_match_single_directions(self, toy_quadratic):
@@ -243,7 +236,7 @@ class TestCurvatureOperator:
         d = np.linalg.qr(Rng(72).normal(p.n_params * 5).reshape(p.n_params, 5))[0]
         curvs = directional_curvatures(q, d)
         for j in range(5):
-            # product and dot, independent of the forms path both calls take
+            # product and dot, independent of the in_span path both calls take
             single = float(d[:, j] @ q.curvature.matvec(d[:, j]))
             assert abs(curvs[j] - single) <= BLOCK_TOL * max(1.0, abs(single))
             one_column = directional_curvature(q, d[:, j])

@@ -48,14 +48,14 @@ MUTANTS = (
            "debiased K-FAC B factor measured on the first batch",
            ("tests/test_laplace.py",)),
     Mutant("src/quadbias/cg.py",
-           "mag_grad = mag_grad + mag_tau * h_d",
-           "mag_grad = mag_grad + mag_tau * t",
-           "debiased CG magnitude gradient updated with the direction batch's product",
+           'mag_step = _newton_step(q_mag, d, mag_grad, stage, "magnitude_")',
+           'mag_step = _newton_step(q_mag, d, r, stage, "magnitude_")',
+           "debiased CG magnitude slope taken from the direction batch's gradient",
            ("tests/test_cg.py",)),
     Mutant("src/quadbias/diagnostics.py",
-           "full_s = d.T @ q_full.gradient",
-           "full_s = d.T @ quads[0].gradient",
-           "eigen scan full-batch slopes taken from batch 0",
+           "for q in [*quads, q_full]]",
+           "for q in [*quads, quads[0]]]",
+           "Hessian/K-FAC eigen scan full-batch scores taken from batch 0",
            ("tests/test_diagnostics.py",)),
     Mutant("src/quadbias/diagnostics.py",
            "[terms[:, pos].mean(axis=1) for pos in positions]",
@@ -76,7 +76,17 @@ MUTANTS = (
            "np.tril(np.broadcast_to(tau, (tau.size + 1, tau.size)), -1)",
            "np.tril(np.broadcast_to(tau, (tau.size + 1, tau.size)), 0)",
            "cumulative step coefficients one iterate ahead",
-           ("tests/test_quadratic.py", "-k", "trajectory_values_equal_values_at")),
+           ("tests/test_quadratic.py", "-k", "trajectory_values_equal_value_at")),
+    Mutant("src/quadbias/quadratic.py",
+           "return values, d_g + c_gram, np.diagonal(gram).copy()",
+           "return values, d_g + 0.0 * c_gram, np.diagonal(gram).copy()",
+           "in_span slopes without the C G term",
+           ("tests/test_quadratic.py", "-k", "in_span")),
+    Mutant("src/quadbias/quadratic.py",
+           "values += 0.5 * (c_gram * c).sum(axis=1)",
+           "values += (c_gram * c).sum(axis=1)",
+           "in_span values without the 1/2 on the curvature term",
+           ("tests/test_quadratic.py", "-k", "in_span")),
     Mutant("src/quadbias/metrics.py",
            'np.searchsorted(edges, conf, side="left")',
            'np.searchsorted(edges, conf, side="right")',
