@@ -37,13 +37,24 @@ class DatasetSpec:
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValidationError(f"unsupported generator {self.generator!r}")
-        if self.generator != "csv_file":
-            if self.n < self.c:
-                raise ValidationError("need at least one sample per class")
-            if not 0.0 < self.train_frac <= 1.0:
-                raise ValidationError("train_frac must be in (0, 1]")
-            if self.noise < 0:
-                raise ValidationError("noise must be >= 0")
+        if self.generator == "csv_file":
+            return  # the file gives the rows, their width and the labels
+        domains = (
+            ("dim", self.d, self.d >= 1, ">= 1"),
+            ("classes", self.c, self.c >= 1, ">= 1"),
+            ("n", self.n, self.n >= self.c, f">= classes = {self.c}"),
+            ("train_frac", self.train_frac, 0.0 < self.train_frac <= 1.0, "in (0, 1]"),
+            ("noise", self.noise, np.isfinite(self.noise) and self.noise >= 0,
+             "finite and >= 0"),
+            ("ood_noise_mult", self.ood_noise_mult,
+             np.isfinite(self.ood_noise_mult) and self.ood_noise_mult >= 0, "finite and >= 0"),
+            ("ood_translation", self.ood_translation, np.isfinite(self.ood_translation),
+             "finite"),
+        )
+        for key, value, ok, needs in domains:
+            if not ok:
+                raise ValidationError(f"config key {key!r} in [dataset] must be {needs}, "
+                                      f"got {value!r}")
 
     @property
     def has_ood(self) -> bool:

@@ -415,29 +415,22 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     ]
 
     rows = []
-    nll_at_min_beta = {}
-    min_beta = min(grid)
     for j, beta in enumerate(grid):
         rows.extend(["map", beta, metric, value, -1] for metric, value in map_metrics.items())
         for (method, seed, _, _), metrics in zip(fits, per_fit):
-            m = metrics[j]
-            rows.extend([method, beta, metric, value, seed] for metric, value in m.items())
-            if beta == min_beta:
-                nll_at_min_beta[method if seed < 0 else f"{method}_s{seed}"] = m["nll"]
-
+            rows.extend([method, beta, metric, value, seed]
+                        for metric, value in metrics[j].items())
     write_csv(out_dir / "la_sweep.csv", LA_SWEEP_HEADER, rows, cfg.digest)
 
-    def _series(method, metric, seed):
-        pts = [(r[1], r[3]) for r in rows
-               if r[0] == method and r[2] == metric and r[4] == seed]
-        pts.sort()
-        return [p[0] for p in pts], [p[1] for p in pts]
-
-    svg = {"fullbatch": _series("fullbatch", "nll", -1),
-           "map": _series("map", "nll", -1)}
-    for seed in cfg.seeds:
-        svg[f"single s{seed}"] = _series("single", "nll", seed)
-        svg[f"debiased s{seed}"] = _series("debiased", "nll", seed)
+    # NLL curves over increasing beta; ties keep grid order
+    order = np.argsort(grid, kind="stable")
+    betas = [grid[j] for j in order]
+    svg = {"map": (betas, [map_metrics["nll"]] * len(betas))}
+    nll_at_min_beta = {}
+    for (method, seed, _, _), metrics in zip(fits, per_fit):
+        svg[method if seed < 0 else f"{method} s{seed}"] = (
+            betas, [metrics[j]["nll"] for j in order])
+        nll_at_min_beta[method if seed < 0 else f"{method}_s{seed}"] = metrics[order[0]]["nll"]
     write_svg_lines(out_dir / "la_sweep_nll.svg", svg,
                     title="NLL vs prior precision", digest=cfg.digest)
 

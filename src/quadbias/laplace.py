@@ -109,13 +109,9 @@ class LaplacePosterior:
     beta: float
     _eigs: list
 
-    @cached_property
-    def weight_entries(self) -> list:
-        return [e for e in self.mean.layout if e.role == "weight"]
-
     @property
     def n_weights(self) -> int:
-        return sum(e.size for e in self.weight_entries)
+        return sum(e.size for e in self.mean.weight_entries)
 
     @cached_property
     def _roots(self) -> list:
@@ -139,10 +135,9 @@ def build_posterior(
     """
     if n_train < 1:
         raise ValidationError(f"n_train must be >= 1, got {n_train}")
-    weight_entries = [e for e in mean.layout if e.role == "weight"]
-    if len(weight_entries) != len(blocks):
+    if len(mean.weight_entries) != len(blocks):
         raise ValidationError("block list does not match the layer layout")
-    for entry, blk in zip(weight_entries, blocks):
+    for entry, blk in zip(mean.weight_entries, blocks):
         if entry.shape != (blk.m, blk.n):
             raise ValidationError(
                 f"layer {blk.layer}: factor dims ({blk.m},{blk.n}) do not "
@@ -152,16 +147,6 @@ def build_posterior(
     return LaplacePosterior(mean, int(n_train), _checked_beta(eigs, beta), eigs)
 
 
-def _draw(post: LaplacePosterior, rng: Rng, out: np.ndarray) -> np.ndarray:
-    """Fill out (W,) with standard normals for the weight coordinates, layer
-    by layer in layout order, from one stream."""
-    start = 0
-    for entry in post.weight_entries:
-        out[start : start + entry.size] = rng.normal(entry.size)
-        start += entry.size
-    return out
-
-
 def _displacement(post: LaplacePosterior, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """theta - theta* = V w for standard-normal draws w (W,), with
     V = N^-1/2 U (S + beta I)^-1/2 applied via the Kronecker trick, written
@@ -169,7 +154,7 @@ def _displacement(post: LaplacePosterior, w: np.ndarray, out: np.ndarray) -> np.
     as they are."""
     scale = 1.0 / np.sqrt(post.n_train)
     start = 0
-    for entry, eig, root in zip(post.weight_entries, post._eigs, post._roots):
+    for entry, eig, root in zip(post.mean.weight_entries, post._eigs, post._roots):
         v = kron_matvec(eig.eig_a.basis, eig.eig_b.basis,
                         w[start : start + entry.size] / root)
         out[entry.offset : entry.offset + entry.size] = scale * v
@@ -178,10 +163,10 @@ def _displacement(post: LaplacePosterior, w: np.ndarray, out: np.ndarray) -> np.
 
 
 def sample_params(post: LaplacePosterior, rng: Rng) -> ParamVector:
-    """One draw theta* + V w (see ``_displacement``); bias coordinates are
-    copied from the mean."""
-    delta = _displacement(post, _draw(post, rng, np.empty(post.n_weights)),
-                          np.zeros(post.mean.n_params))
+    """One draw theta* + V w (see ``_displacement``), w = rng.normal(W) over
+    the W weight coordinates in layout order; bias coordinates are copied
+    from the mean."""
+    delta = _displacement(post, rng.normal(post.n_weights), np.zeros(post.mean.n_params))
     return post.mean.with_values(post.mean.values + delta)
 
 
@@ -225,10 +210,7 @@ def draw_noise(post: LaplacePosterior, cfg: PredictiveConfig) -> np.ndarray:
     is the draw ``sample_params`` makes from that stream. The draws do not
     depend on beta: one block serves the posterior at every prior precision."""
     base = Rng(cfg.seed)
-    out = np.empty((cfg.s_samples, post.n_weights))
-    for s, row in enumerate(out):
-        _draw(post, base.split(s), row)
-    return out
+    return np.array([base.split(s).normal(post.n_weights) for s in range(cfg.s_samples)])
 
 
 def predictive(

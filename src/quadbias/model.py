@@ -124,11 +124,14 @@ class ParamVector:
                 f"values length {self.values.shape} does not match layout size {total}"
             )
         if self.weight_mask is None:
-            mask = np.zeros(total, dtype=bool)
-            for e in self.layout:
-                if e.role == "weight":
-                    mask[e.offset : e.offset + e.size] = True
-            self.weight_mask = mask
+            self.weight_mask = np.zeros(total, dtype=bool)
+            for e in self.weight_entries:
+                self.weight_mask[e.offset : e.offset + e.size] = True
+
+    @property
+    def weight_entries(self) -> list:
+        """The layout entries of the weights, in layer order."""
+        return [e for e in self.layout if e.role == "weight"]
 
     @property
     def n_params(self) -> int:
@@ -244,7 +247,8 @@ class Linearization:
     derivatives and, for cross entropy, the softmax, computed once.
 
     Every product, the loss gradient and the K-FAC factors reuse them, and
-    walk back through the network by one recursion, ``_layer_grads``.
+    walk back through the network by one recursion, ``_layer_grads``, which
+    the Hessian product seeds with per-layer terms.
     Products take (P, k) blocks of parameter directions and run in
     passes of at most ``max(1, BLOCK_BUDGET // rows)`` columns; a pass is a
     few matrix products per layer over all of its columns at once, with
@@ -311,20 +315,24 @@ class Linearization:
                 r_a = self.d1[l] * r_z
         return r_pre
 
-    def _layer_grads(self, g: np.ndarray) -> list:
+    def _layer_grads(self, g: np.ndarray, extra: list | None = None) -> list:
         """Gradient at every Z_l from a logits-side seed g, (rows, C) or
-        (k, rows, C): g_L = g and g_{l-1} = (g_l W_l^T) * act'(Z_{l-1})."""
+        (k, rows, C): g_L = g and g_{l-1} = (g_l W_l^T) * act'(Z_{l-1}),
+        plus extra[l] for l >= 1 when per-layer terms are given."""
         gs = [g]
         for l in range(len(self.wb) - 1, 0, -1):
             gs.append((gs[-1] @ self.wb[l][0].T) * self.d1[l - 1])
+            if extra is not None:
+                gs[-1] += extra[l]
         return gs[::-1]
 
-    def _backprop(self, g: np.ndarray) -> np.ndarray:
+    def _backprop(self, g: np.ndarray, extra: list | None = None) -> np.ndarray:
         """Parameter gradient from a logits-side seed g, (rows, C) or
-        (k, rows, C); the result is (P,) or (k, P)."""
+        (k, rows, C), and optional per-layer terms (see ``_layer_grads``);
+        the result is (P,) or (k, P)."""
         lead = g.shape[:-2]
         out = np.empty(lead + (self.mlp.n_params,))
-        for l, g_l in enumerate(self._layer_grads(g)):
+        for l, g_l in enumerate(self._layer_grads(g, extra)):
             ew, eb = self.mlp.layout[2 * l], self.mlp.layout[2 * l + 1]
             out[..., ew.offset : ew.offset + ew.size] = (
                 self.acts[l].T @ g_l).reshape(lead + (-1,))
@@ -406,27 +414,25 @@ class Linearization:
     def hvp_mm(self, vs: np.ndarray) -> np.ndarray:
         """Exact Hessian block product of the mean loss, (P, k).
 
-        Forward-over-reverse: the linearized forward pass, then the
-        linearization of the backward pass.
+        Forward-over-reverse: the tangent walk R[Z_l], then one ``_backprop``
+        of Lambda R[logits] / N whose g_{l-1} gains, at each l >= 1,
+        (g_l V_l^T) * act'(Z_{l-1}) + s_l * act''(Z_{l-1}) * R[Z_{l-1}] (see
+        ``_backward_trace``); the weights of layers l >= 1 then gain R[A_l]^T g_l.
         """
         gs, s_d2 = self._backward_trace
+        hidden = range(1, len(self.wb))
 
         def one_pass(vt):
             r_pre = self._r_forward(vt)
-            r_g = self._loss_hessian(r_pre[-1]) / self.size
-            out = np.empty((vt.shape[0], self.mlp.n_params))
-            for l in range(len(self.wb) - 1, -1, -1):
-                ew, eb = self.mlp.layout[2 * l], self.mlp.layout[2 * l + 1]
-                w_part = self.acts[l].T @ r_g
-                if l > 0:
-                    r_a = self.d1[l - 1] * r_pre[l - 1]
-                    w_part = r_a.transpose(0, 2, 1) @ gs[l] + w_part
-                out[:, ew.offset : ew.offset + ew.size] = w_part.reshape(vt.shape[0], -1)
-                out[:, eb.offset : eb.offset + eb.size] = r_g.sum(axis=1)
-                if l > 0:
-                    w = self.wb[l][0]
-                    r_s = r_g @ w.T + gs[l] @ self._split(vt, l)[0].transpose(0, 2, 1)
-                    r_g = r_s * self.d1[l - 1] + s_d2[l] * r_pre[l - 1]
+            extra = [None] + [
+                (gs[l] @ self._split(vt, l)[0].transpose(0, 2, 1)) * self.d1[l - 1]
+                + s_d2[l] * r_pre[l - 1] for l in hidden]
+            out = self._backprop(self._loss_hessian(r_pre[-1]) / self.size, extra)
+            for l in hidden:
+                ew = self.mlp.layout[2 * l]
+                r_a = self.d1[l - 1] * r_pre[l - 1]
+                out[:, ew.offset : ew.offset + ew.size] += (
+                    r_a.transpose(0, 2, 1) @ gs[l]).reshape(vt.shape[0], -1)
             return out
 
         return self._by_pass(vs, one_pass).T
@@ -614,11 +620,10 @@ def add_weight_decay(params: ParamVector, beta: float, loss: float,
     contiguous weight slice of params at a time, never a masked copy, and
     nothing at all when beta = 0."""
     if beta:
-        for e in params.layout:
-            if e.role == "weight":
-                w = params.values[e.offset : e.offset + e.size]
-                loss += 0.5 * beta * float(w @ w)
-                grad[e.offset : e.offset + e.size] += beta * w
+        for e in params.weight_entries:
+            w = params.values[e.offset : e.offset + e.size]
+            loss += 0.5 * beta * float(w @ w)
+            grad[e.offset : e.offset + e.size] += beta * w
     return loss
 
 

@@ -108,11 +108,9 @@ class CurvatureOperator:
 def _kfac_product(blocks: list, params: ParamVector) -> Callable[[np.ndarray], np.ndarray]:
     """Block-diagonal Kronecker product on the weight slices of a (P, k)
     block; zero on biases."""
-    weight_entries = [e for e in params.layout if e.role == "weight"]
-
     def product(vs: np.ndarray) -> np.ndarray:
         out = np.zeros_like(vs)
-        for e, blk in zip(weight_entries, blocks):
+        for e, blk in zip(params.weight_entries, blocks):
             seg = slice(e.offset, e.offset + e.size)
             out[seg] = kron_matvec(blk.factor_a.entries, blk.factor_b.entries, vs[seg])
         return out
@@ -127,20 +125,12 @@ def _curvature_products(mlp: Mlp, theta0: ParamVector, kind: str, parts: list):
     part is a Linearization at theta0, reused by every call, or a Batch,
     linearized afresh on every call (once for all of a block's columns) so
     that no trace outlives it."""
+    def summed(term):
+        return lambda vs: sum(w * term(part, vs) for w, part in parts)
+
     name = "hvp" if kind == "hessian" else "ggn_vp"
-
-    def product(vs: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vs)
-        for w, part in parts:
-            out += w * getattr(mlp, name)(theta0, part, 0.0, vs)
-        return out
-
-    def gram(vs: np.ndarray) -> np.ndarray:
-        out = np.zeros((vs.shape[1], vs.shape[1]))
-        for w, part in parts:
-            out += w * mlp._linearized(theta0, part).ggn_gram(vs)
-        return out
-
+    product = summed(lambda part, vs: getattr(mlp, name)(theta0, part, 0.0, vs))
+    gram = summed(lambda part, vs: mlp._linearized(theta0, part).ggn_gram(vs))
     return product, (gram if kind == "ggn" else None)
 
 

@@ -5,12 +5,18 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from quadbias import Mlp, MlpArchitecture, Rng
 from quadbias.harness import DatasetSpec, TrainConfig, generate_dataset, train
 
 # Silence the (expected) tiny-eigenvalue clamp warnings during test runs.
 logging.getLogger("quadbias.laplace").setLevel(logging.ERROR)
+
+# For runs that only need to know whether a property fails (tools/mutants.py
+# passes --hypothesis-profile=mutants): the first failing example ends the
+# test as found, without shrinking it. The default profile is unchanged.
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 TOY_SPEC = DatasetSpec(
     generator="gaussian_blobs", n=2048, d=16, c=10, noise=2.0, seed=7,

@@ -154,6 +154,24 @@ class TestDatasets:
         assert all(b.size == 16 for b in batches)
 
 
+    @pytest.mark.parametrize("n_train,sizes", [(31, [16, 15]), (32, [16, 16]),
+                                               (33, [16, 16, 1])])
+    def test_drop_last_keeps_exactly_the_full_batches(self, n_train, sizes):
+        spec = DatasetSpec(generator="gaussian_blobs", n=n_train, d=3, c=2, seed=6,
+                           train_frac=1.0)
+        ds = generate_dataset(spec)
+        assert [b.size for b in ds.minibatches(16, seed=3)] == sizes
+        kept = ds.minibatches(16, seed=3, drop_last=True)
+        assert [b.size for b in kept] == [s for s in sizes if s == 16]
+
+    def test_minibatch_indices_name_their_rows(self):
+        spec = DatasetSpec(generator="gaussian_blobs", n=40, d=3, c=2, seed=6,
+                           train_frac=1.0)
+        ds = generate_dataset(spec)
+        for b in ds.minibatches(16, seed=3):
+            np.testing.assert_array_equal(b.inputs, ds.train_inputs[b.indices])
+            np.testing.assert_array_equal(b.labels, ds.train_labels[b.indices])
+
 class TestTraining:
     def _dataset(self):
         return generate_dataset(
@@ -187,6 +205,26 @@ class TestTraining:
         w = ckpts[-1].params.view(0, "weight")[0, 1]
         init = mlp.init_params(Rng(0).split(0)).view(0, "weight")[0, 1]
         assert w == pytest.approx(init * 0.9, rel=1e-12)
+
+    def test_two_momentum_steps_by_hand(self):
+        # the zero-target logit z = w + b (x = 1) has gradient 2 z in w and in
+        # b. With lr = 0.05 and momentum 0.5, step 1 takes v = 2 w0 and leaves
+        # w = 0.9 w0, z = 0.8 w0; step 2 takes v = 0.5 * 2 w0 + 1.6 w0, so
+        # w = 0.9 w0 - 0.05 * 2.6 w0 = 0.77 w0
+        from quadbias.harness.datasets import Dataset
+
+        arch = MlpArchitecture((1, 2), activation="identity", loss="mse")
+        ds = Dataset(
+            train_inputs=np.array([[1.0]]),
+            train_labels=np.array([0]),
+            test_inputs=np.zeros((0, 1)),
+            test_labels=np.zeros(0, dtype=int),
+            n_classes=2,
+        )
+        cfg = TrainConfig(lr=0.05, momentum=0.5, epochs=2, batch_size=1, seed=0)
+        w = train(arch, ds, cfg)[-1].params.view(0, "weight")[0, 1]
+        init = Mlp(arch).init_params(Rng(0).split(0)).view(0, "weight")[0, 1]
+        assert w == pytest.approx(init * 0.77, rel=1e-12)
 
     def test_deterministic_given_seed(self):
         ds = self._dataset()
@@ -424,6 +462,27 @@ class TestConfig:
         sections = read_config_text(CONFIG_TEXT)
         sections[section][key] = raw
         with pytest.raises(ValidationError, match=f"config key '{key}'"):
+            run_experiment(parse_experiment_config(sections), tmp_path / "r")
+
+    @pytest.mark.parametrize("kind,key,raw", [
+        ("bias-scan", "classes", "0"), ("bias-scan", "dim", "0"),
+        ("bias-scan", "n", "2"),  # fewer rows than the 3 classes
+        ("bias-scan", "noise", "nan"), ("bias-scan", "noise", "-1"),
+        ("laplace-sweep", "ood_noise_mult", "nan"), ("laplace-sweep", "ood_noise_mult", "-1"),
+        ("laplace-sweep", "ood_translation", "inf"),
+    ])
+    def test_out_of_domain_dataset_key_rejected_before_training(self, tmp_path, monkeypatch,
+                                                                kind, key, raw):
+        from quadbias.harness import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError(f"train ran with [dataset] {key} = {raw!r}")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        sections = read_config_text(CONFIG_TEXT)
+        sections["experiment"]["kind"] = kind
+        sections["dataset"].update(train_frac="0.75", **{key: raw})
+        with pytest.raises(ValidationError, match=rf"config key '{key}' in \[dataset\]"):
             run_experiment(parse_experiment_config(sections), tmp_path / "r")
 
     def test_train_key_errors_name_the_train_section(self):

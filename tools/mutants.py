@@ -3,8 +3,10 @@
 Each mutant is one exact text replacement in one file under src/. For every
 mutant the script copies src/ and tests/ to a temporary directory, applies
 the replacement there, runs the mutant's test subset with ``pytest -x`` and
-records whether a test failed (killed) or all passed (survived). The working
-tree is never modified.
+records whether a test failed (killed) or all passed (survived). Every run,
+the unmutated ones included, uses the ``mutants`` hypothesis profile of
+``tests/conftest.py``, which reports a failing example without shrinking it.
+The working tree is never modified.
 
     python3 tools/mutants.py
 
@@ -72,6 +74,21 @@ MUTANTS = (
            "        return out\n",
            "ggn_gram without the row mean",
            ("tests/test_quadratic.py", "tests/test_model.py")),
+    Mutant("src/quadbias/model.py",
+           "gs[-1] += extra[l]",
+           "pass",
+           "Hessian product's backward walk without its per-layer terms",
+           ("tests/test_model.py",)),
+    Mutant("src/quadbias/quadratic.py",
+           "sum(w * term(part, vs) for w, part in parts)",
+           "sum(term(part, vs) for w, part in parts)",
+           "full-batch products and grams sum the chunks without their row shares",
+           ("tests/test_quadratic.py",)),
+    Mutant("src/quadbias/linalg.py",
+           "if nz.size and col[nz[0]] < 0:",
+           "if nz.size and col[nz[-1]] < 0:",
+           "eigenvector sign fixed by the last nonzero entry",
+           ("tests/test_linalg.py",)),
     Mutant("src/quadbias/quadratic.py",
            "np.tril(np.broadcast_to(tau, (tau.size + 1, tau.size)), -1)",
            "np.tril(np.broadcast_to(tau, (tau.size + 1, tau.size)), 0)",
@@ -103,8 +120,8 @@ MUTANTS = (
            "bias-scan curvature ratio against the last direction's full-batch value",
            ("tests/test_harness.py", "-k", "bias_scan")),
     Mutant("src/quadbias/harness/experiments.py",
-           "min_beta = min(grid)",
-           "min_beta = max(grid)",
+           "metrics[order[0]]",
+           "metrics[order[-1]]",
            "laplace-sweep nll_at_min_beta taken at the largest beta",
            ("tests/test_harness.py", "-k", "laplace_sweep")),
     Mutant("src/quadbias/harness/experiments.py",
@@ -132,6 +149,21 @@ MUTANTS = (
            "if not values:",
            "config accepts a count key below 1",
            ("tests/test_harness.py", "-k", "count_below")),
+    Mutant("src/quadbias/harness/training.py",
+           "velocity += grad",
+           "velocity += (1.0 - config.momentum) * grad",
+           "SGD momentum dampened by (1 - momentum)",
+           ("tests/test_harness.py", "-k", "TestTraining")),
+    Mutant("src/quadbias/harness/datasets.py",
+           "out.append(Batch(self.train_inputs[idx], targets[idx], idx))",
+           "out.append(Batch(self.train_inputs[idx], targets[idx], np.sort(idx)))",
+           "mini-batch indices not in the order of the batch rows",
+           ("tests/test_harness.py", "-k", "minibatch")),
+    Mutant("src/quadbias/harness/datasets.py",
+           "if drop_last and idx.size < batch_size:",
+           "if drop_last and idx.size < batch_size - 1:",
+           "drop_last keeps a batch one row short",
+           ("tests/test_harness.py", "-k", "drop_last")),
     Mutant("src/quadbias/harness/reports.py",
            "def _json_safe(value):\n",
            "def _json_safe(value):\n    return value\n",
@@ -148,7 +180,8 @@ def _copy_tree(dest: Path) -> None:
 
 def _pytest(copy: Path, tests: tuple) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--hypothesis-profile=mutants", *tests]
     return subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
 
 
