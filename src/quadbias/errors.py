@@ -11,3 +11,11 @@ class NumericalError(RuntimeError):
     def __init__(self, message: str, residual_norms=None):
         super().__init__(message)
         self.residual_norms = residual_norms
+
+
+def check_domains(section: str, rows) -> None:
+    """Raise on the first (key, value, ok, needs) row that is not ok, naming its key."""
+    for key, value, ok, needs in rows:
+        if not ok:
+            raise ValidationError(f"{key} {value!r}: config key {key!r} in [{section}] "
+                                  f"must be {needs}")

@@ -84,6 +84,7 @@ def _cmd_gen_data(args) -> None:
 def _cmd_train(args) -> None:
     cfg = load_experiment_config(_require_config(args), args.seed_override)
     dataset = generate_dataset(cfg.dataset)
+    cfg.check_layers(dataset.dim, dataset.n_classes)
     checkpoints = train(cfg.arch, dataset, cfg.train)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for ckpt in checkpoints:

@@ -11,18 +11,16 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, check_domains
 from ..model import FISHER_MODES, MlpArchitecture
 from ..quadratic import CURVATURE_KINDS
 from .datasets import DatasetSpec
 from .training import TrainConfig
-
-_SECTIONS = ("dataset", "model", "train", "experiment")
 
 EXPERIMENT_KINDS = (
     "bias-scan",
@@ -70,97 +68,152 @@ def write_config(sections: dict, path) -> None:
         cp.write(fh)
 
 
-def _get(items: dict, key: str, cast, default=None, required: bool = False):
-    """Remove key from items and return its value cast, or the default; the
-    keys left in items afterwards are the ones no field reads."""
-    if key not in items:
-        if required:
-            raise ValidationError(f"missing required config key {key!r}")
-        return default
-    raw = items.pop(key).strip()
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config key {key!r}: cannot parse {raw!r}") from exc
+def _list(cast):
+    """A cast of comma-separated values, empty entries skipped."""
+    return lambda raw: tuple(cast(v.strip()) for v in raw.split(",") if v.strip())
 
 
-def _section(sections: dict, name: str) -> dict:
-    """A copy of one section's items, for _get to consume."""
-    return dict(sections.get(name, {}))
-
-
-def _reject_unread(name: str, items: dict) -> None:
-    if items:
-        raise ValidationError(f"unknown config key {sorted(items)[0]!r} in [{name}]")
-
-
-def _int_list(raw: str) -> tuple:
-    return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-
-
-def _float_list(raw: str) -> tuple:
-    return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-
-
+# true/false, yes/no or 1/0 in any case
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _bool(raw: str) -> bool:
-    """true/false, yes/no or 1/0 in any case."""
-    if raw.lower() not in _BOOLS:
-        raise ValueError(raw)
-    return _BOOLS[raw.lower()]
+# [section] -> {config key: (field, cast)}; a key a file leaves out takes the
+# field's dataclass default
+_KEYS = {
+    "dataset": {
+        "generator": ("generator", str),
+        "n": ("n", int),
+        "dim": ("d", int),
+        "classes": ("c", int),
+        "noise": ("noise", float),
+        "seed": ("seed", int),
+        "train_frac": ("train_frac", float),
+        "ood_translation": ("ood_translation", float),
+        "ood_noise_mult": ("ood_noise_mult", float),
+        "path": ("path", str),
+    },
+    "model": {
+        "layers": ("layer_sizes", _list(int)),
+        "activation": ("activation", str),
+        "loss": ("loss", str),
+    },
+    "train": {
+        "lr": ("lr", float),
+        "momentum": ("momentum", float),
+        "epochs": ("epochs", int),
+        "batch_size": ("batch_size", int),
+        "beta": ("beta", float),
+        "seed": ("seed", int),
+    },
+    "experiment": {
+        "kind": ("kind", str),
+        "curvature": ("curvature", str),
+        "beta": ("beta", float),
+        "delta": ("delta", float),
+        "batch_sizes": ("batch_sizes", _list(int)),
+        "k": ("n_directions", int),
+        "cg_iterations": ("cg_iterations", int),
+        "seeds": ("seeds", _list(int)),
+        "la_grid_points": ("la_grid_points", int),
+        "la_grid_min": ("la_grid_min", float),
+        "la_grid_max": ("la_grid_max", float),
+        "la_grid_extra": ("la_grid_extra", _list(float)),
+        "mc_samples": ("mc_samples", int),
+        "fisher_mode": ("fisher_mode", str),
+        "n_source_batches": ("n_source_batches", int),
+        "widths": ("widths", _list(int)),
+        "chunk_size": ("chunk_size", int),
+        "force_same_batch": ("force_same_batch", lambda raw: _BOOLS[raw.lower()]),
+    },
+}
 
 
-@dataclass
+def _fields(sections: dict, name: str) -> dict:
+    """{field: cast value} of the keys one section sets; an unknown key is an error."""
+    fields = {}
+    for key, raw in sections.get(name, {}).items():
+        if key not in _KEYS[name]:
+            raise ValidationError(f"unknown config key {key!r} in [{name}]")
+        attr, cast = _KEYS[name][key]
+        try:
+            fields[attr] = cast(raw.strip())
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"config key {key!r} in [{name}]: cannot parse {raw!r}") from exc
+    return fields
+
+
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    """Typed view of one experiment file; `sections` keeps the raw text values
-    so the digest reflects exactly what was parsed. parse_experiment_config
-    sets every field and states the defaults."""
+    """Typed view of one experiment file: one field per [experiment] key, its
+    default the key's, and the la_grid they give; `sections` keeps the raw
+    text values so the digest reflects exactly what was parsed."""
 
-    kind: str
     dataset: DatasetSpec
     arch: MlpArchitecture
     train: TrainConfig
-    curvature: str
-    beta: float
-    delta: float
-    batch_sizes: tuple
-    n_directions: int
-    cg_iterations: int
-    seeds: tuple
-    la_grid: tuple
-    mc_samples: int
-    fisher_mode: str
-    n_source_batches: int | None
-    widths: tuple
-    chunk_size: int
-    force_same_batch: bool
     sections: dict
     digest: str
+    kind: str | None = None  # required: a file without it fails the kind row
+    curvature: str = "ggn"
+    beta: float = 0.0005
+    delta: float = 0.0
+    batch_sizes: tuple = (64,)
+    n_directions: int = 10
+    cg_iterations: int = 30
+    seeds: tuple = (0,)
+    la_grid_points: int = 13
+    la_grid_min: float = 1e-4
+    la_grid_max: float = 1.0
+    la_grid_extra: tuple = (10.0,)
+    mc_samples: int = 40
+    fisher_mode: str = "mc_sample"
+    n_source_batches: int | None = None
+    widths: tuple = (8, 32, 128)
+    chunk_size: int = 512
+    force_same_batch: bool = False
+    la_grid: tuple = field(init=False)  # la_grid_points log-spaced in [min, max], then extra
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValidationError(f"unknown experiment kind {self.kind!r}")
-        if self.curvature not in CURVATURE_KINDS:
-            raise ValidationError(f"unknown curvature {self.curvature!r}")
-        if self.fisher_mode not in FISHER_MODES:
-            raise ValidationError(f"unknown fisher_mode {self.fisher_mode!r}")
-        if not self.seeds:
-            raise ValidationError("config key 'seeds' needs at least one seed")
-        for key in ("beta", "delta"):
-            value = getattr(self, key)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValidationError(f"config key {key!r} in [experiment] needs a finite "
-                                      f"value >= 0, got {value!r}")
-        n_src = 1 if self.n_source_batches is None else self.n_source_batches
-        counts = {"k": (self.n_directions,), "cg_iterations": (self.cg_iterations,),
-                  "mc_samples": (self.mc_samples,), "chunk_size": (self.chunk_size,),
-                  "n_source_batches": (n_src,), "batch_sizes": self.batch_sizes,
-                  "widths": self.widths}
-        for key, values in counts.items():
-            if not values or min(values) < 1:
-                raise ValidationError(f"config key {key!r} needs counts >= 1, got {list(values)}")
+        check_domains("experiment", (
+            ("kind", self.kind, self.kind in EXPERIMENT_KINDS,
+             f"one of {', '.join(EXPERIMENT_KINDS)}"),
+            ("curvature", self.curvature, self.curvature in CURVATURE_KINDS,
+             f"one of {', '.join(CURVATURE_KINDS)}"),
+            ("fisher_mode", self.fisher_mode, self.fisher_mode in FISHER_MODES,
+             f"one of {', '.join(FISHER_MODES)}"),
+            ("seeds", self.seeds, bool(self.seeds) and all(0 <= s < 2**64 for s in self.seeds),
+             "a non-empty list of seeds in [0, 2**64)"),
+            ("beta", self.beta, np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
+            ("delta", self.delta, np.isfinite(self.delta) and self.delta >= 0,
+             "finite and >= 0"),
+            *((key, count, count >= 1, ">= 1") for key, count in (
+                ("k", self.n_directions), ("cg_iterations", self.cg_iterations),
+                ("mc_samples", self.mc_samples), ("chunk_size", self.chunk_size))),
+            ("n_source_batches", self.n_source_batches,
+             self.n_source_batches is None or self.n_source_batches >= 1, ">= 1"),
+            ("batch_sizes", self.batch_sizes, min(self.batch_sizes, default=0) >= 1,
+             "a non-empty list of counts >= 1"),
+            ("widths", self.widths, min(self.widths, default=0) >= 1,
+             "a non-empty list of counts >= 1"),
+            ("la_grid_points", self.la_grid_points,
+             self.la_grid_points >= (0 if self.la_grid_extra else 1),
+             ">= 0, and >= 1 when la_grid_extra is empty"),
+            *((key, value, np.isfinite(value) and value > 0, "finite and > 0")
+              for key, value in (("la_grid_min", self.la_grid_min),
+                                 ("la_grid_max", self.la_grid_max),
+                                 *(("la_grid_extra", v) for v in self.la_grid_extra))),
+        ))
+        if self.dataset.generator != "csv_file":  # the file sets its own width and classes
+            self.check_layers(self.dataset.d, self.dataset.c)
+        self.la_grid = tuple(np.logspace(np.log10(self.la_grid_min), np.log10(self.la_grid_max),
+                                         self.la_grid_points)) + self.la_grid_extra
+
+    def check_layers(self, dim: int, classes: int) -> None:
+        """The layers run from the data's width to its class count."""
+        sizes = self.arch.layer_sizes
+        check_domains("model", (("layers", sizes, (sizes[0], sizes[-1]) == (dim, classes),
+                                 f"{dim},...,{classes}, for the data's dim = {dim} and "
+                                 f"classes = {classes}"),))
 
 
 def with_seed_override(sections: dict, seed_override: int | None) -> dict:
@@ -173,93 +226,30 @@ def with_seed_override(sections: dict, seed_override: int | None) -> dict:
 
 
 def parse_dataset_spec(sections: dict) -> DatasetSpec:
-    """Typed view of the [dataset] section, with DatasetSpec's defaults; a
-    key it does not read is an error."""
-    ds = _section(sections, "dataset")
-    spec = DatasetSpec(
-        generator=_get(ds, "generator", str, DatasetSpec.generator),
-        n=_get(ds, "n", int, DatasetSpec.n),
-        d=_get(ds, "dim", int, DatasetSpec.d),
-        c=_get(ds, "classes", int, DatasetSpec.c),
-        noise=_get(ds, "noise", float, DatasetSpec.noise),
-        seed=_get(ds, "seed", int, DatasetSpec.seed),
-        train_frac=_get(ds, "train_frac", float, DatasetSpec.train_frac),
-        ood_translation=_get(ds, "ood_translation", float, DatasetSpec.ood_translation),
-        ood_noise_mult=_get(ds, "ood_noise_mult", float, DatasetSpec.ood_noise_mult),
-        path=_get(ds, "path", str, DatasetSpec.path),
-    )
-    _reject_unread("dataset", ds)
-    return spec
+    """Typed view of the [dataset] section; a key it does not read is an
+    error."""
+    return DatasetSpec(**_fields(sections, "dataset"))
 
 
 def parse_experiment_config(sections: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Typed view of an experiment file; a section or key it does not read
-    is an error. The [dataset], [model] and [train] defaults are the field
-    defaults of DatasetSpec, MlpArchitecture and TrainConfig; the
-    [experiment] defaults are stated here."""
+    is an error. Every default is a field default of DatasetSpec,
+    MlpArchitecture, TrainConfig or ExperimentConfig; the default layers are
+    (dim, 16, classes)."""
     sections = with_seed_override(sections, seed_override)
     for name in sections:
-        if name not in _SECTIONS:
+        if name not in _KEYS:
             raise ValidationError(f"unknown config section [{name}]")
     dataset = parse_dataset_spec(sections)
-
-    md = _section(sections, "model")
-    arch = MlpArchitecture(
-        layer_sizes=_get(md, "layers", _int_list, (dataset.d, 16, dataset.c)),
-        activation=_get(md, "activation", str, MlpArchitecture.activation),
-        loss=_get(md, "loss", str, MlpArchitecture.loss),
-    )
-    _reject_unread("model", md)
-
-    tr = _section(sections, "train")
-    train = TrainConfig(
-        lr=_get(tr, "lr", float, TrainConfig.lr),
-        momentum=_get(tr, "momentum", float, TrainConfig.momentum),
-        epochs=_get(tr, "epochs", int, TrainConfig.epochs),
-        batch_size=_get(tr, "batch_size", int, TrainConfig.batch_size),
-        beta=_get(tr, "beta", float, TrainConfig.beta),
-        seed=_get(tr, "seed", int, TrainConfig.seed),
-    )
-    _reject_unread("train", tr)
-
-    ex = _section(sections, "experiment")
-    grid_points = _get(ex, "la_grid_points", int, 13)
-    grid_min = _get(ex, "la_grid_min", float, 1e-4)
-    grid_max = _get(ex, "la_grid_max", float, 1.0)
-    grid_extra = _get(ex, "la_grid_extra", _float_list, (10.0,))
-    for key, values in (("la_grid_min", (grid_min,)), ("la_grid_max", (grid_max,)),
-                        ("la_grid_extra", grid_extra)):
-        if not all(np.isfinite(v) and v > 0 for v in values):
-            raise ValidationError(f"config key {key!r} needs finite values > 0, "
-                                  f"got {list(values)}")
-    la_grid = tuple(
-        np.logspace(np.log10(grid_min), np.log10(grid_max), grid_points)
-    ) + tuple(grid_extra)
-
-    cfg = ExperimentConfig(
-        kind=_get(ex, "kind", str, required=True),
+    return ExperimentConfig(
         dataset=dataset,
-        arch=arch,
-        train=train,
-        curvature=_get(ex, "curvature", str, "ggn"),
-        beta=_get(ex, "beta", float, 0.0005),
-        delta=_get(ex, "delta", float, 0.0),
-        batch_sizes=_get(ex, "batch_sizes", _int_list, (64,)),
-        n_directions=_get(ex, "k", int, 10),
-        cg_iterations=_get(ex, "cg_iterations", int, 30),
-        seeds=_get(ex, "seeds", _int_list, (0,)),
-        la_grid=la_grid,
-        mc_samples=_get(ex, "mc_samples", int, 40),
-        fisher_mode=_get(ex, "fisher_mode", str, "mc_sample"),
-        n_source_batches=_get(ex, "n_source_batches", int, None),
-        widths=_get(ex, "widths", _int_list, (8, 32, 128)),
-        chunk_size=_get(ex, "chunk_size", int, 512),
-        force_same_batch=_get(ex, "force_same_batch", _bool, False),
+        arch=MlpArchitecture(**{"layer_sizes": (dataset.d, 16, dataset.c),
+                                **_fields(sections, "model")}),
+        train=TrainConfig(**_fields(sections, "train")),
         sections=sections,
         digest=config_digest(sections),
+        **_fields(sections, "experiment"),
     )
-    _reject_unread("experiment", ex)
-    return cfg
 
 
 def load_experiment_config(path, seed_override: int | None = None) -> ExperimentConfig:

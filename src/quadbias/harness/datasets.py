@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, check_domains
 from ..linalg import Rng
 from ..model import Batch, one_hot
 
@@ -35,26 +35,31 @@ class DatasetSpec:
     path: str | None = None  # csv_file generator
 
     def __post_init__(self):
-        if self.generator not in GENERATORS:
-            raise ValidationError(f"unsupported generator {self.generator!r}")
+        check_domains("dataset", (
+            ("generator", self.generator, self.generator in GENERATORS,
+             f"one of {', '.join(GENERATORS)}"),
+            ("seed", self.seed, 0 <= self.seed < 2**64, "in [0, 2**64)"),
+            ("train_frac", self.train_frac, 0.0 < self.train_frac <= 1.0, "in (0, 1]"),
+            ("path", self.path, self.generator != "csv_file" or bool(self.path),
+             "set for generator csv_file"),
+        ))
         if self.generator == "csv_file":
             return  # the file gives the rows, their width and the labels
-        domains = (
+        check_domains("dataset", (
             ("dim", self.d, self.d >= 1, ">= 1"),
+            ("dim", self.d, self.d >= 2 or self.generator == "gaussian_blobs",
+             f">= 2 for generator {self.generator}"),
             ("classes", self.c, self.c >= 1, ">= 1"),
+            ("classes", self.c, self.c == 2 or self.generator != "two_arcs",
+             "2 for generator two_arcs"),
             ("n", self.n, self.n >= self.c, f">= classes = {self.c}"),
-            ("train_frac", self.train_frac, 0.0 < self.train_frac <= 1.0, "in (0, 1]"),
             ("noise", self.noise, np.isfinite(self.noise) and self.noise >= 0,
              "finite and >= 0"),
             ("ood_noise_mult", self.ood_noise_mult,
              np.isfinite(self.ood_noise_mult) and self.ood_noise_mult >= 0, "finite and >= 0"),
             ("ood_translation", self.ood_translation, np.isfinite(self.ood_translation),
              "finite"),
-        )
-        for key, value, ok, needs in domains:
-            if not ok:
-                raise ValidationError(f"config key {key!r} in [dataset] must be {needs}, "
-                                      f"got {value!r}")
+        ))
 
     @property
     def has_ood(self) -> bool:
@@ -140,10 +145,6 @@ def _gaussian_blobs(spec: DatasetSpec, rng: Rng, n: int, translation: float = 0.
 
 def _two_arcs(spec: DatasetSpec, rng: Rng, n: int, translation: float = 0.0,
               noise_mult: float = 1.0):
-    if spec.c != 2:
-        raise ValidationError("two_arcs requires exactly 2 classes")
-    if spec.d < 2:
-        raise ValidationError("two_arcs requires dimension >= 2")
     labels = _balanced_labels(n, 2)
     t = rng.split(0).uniform(n) * np.pi
     x = np.zeros((n, spec.d))
@@ -160,8 +161,6 @@ def _two_arcs(spec: DatasetSpec, rng: Rng, n: int, translation: float = 0.0,
 
 def _spirals(spec: DatasetSpec, rng: Rng, n: int, translation: float = 0.0,
              noise_mult: float = 1.0):
-    if spec.d < 2:
-        raise ValidationError("spirals requires dimension >= 2")
     labels = _balanced_labels(n, spec.c)
     t = rng.split(0).uniform(n)
     radius = 0.2 + 2.0 * t
@@ -185,8 +184,6 @@ _SYNTH = {
 def generate_dataset(spec: DatasetSpec) -> Dataset:
     """Deterministic dataset from a spec; OOD set only when a shift is set."""
     if spec.generator == "csv_file":
-        if not spec.path:
-            raise ValidationError("csv_file generator requires a path")
         x, labels = load_csv(spec.path)
         c = int(labels.max()) + 1 if labels.size else 0
         # a seeded partition of the rows, so a file sorted by label still

@@ -71,11 +71,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
 
 
 def _dataset(cfg: ExperimentConfig):
-    """The config's dataset, checked before any training to hold one full batch
-    of every batch size the kind reads (bias-scan all, the others the first)
-    and two half batches for cg-compare without force_same_batch and
-    laplace-sweep."""
+    """The config's dataset, checked before any training to fit the layers and
+    to hold one full batch of every batch size the kind reads (bias-scan all,
+    the others the first) and two half batches for cg-compare without
+    force_same_batch and laplace-sweep."""
     dataset = generate_dataset(cfg.dataset)
+    cfg.check_layers(dataset.dim, dataset.n_classes)
     if cfg.kind == "laplace-sweep" and dataset.test_inputs.shape[0] == 0:
         raise ValidationError("laplace-sweep needs test rows to score its predictive, "
                               "but the dataset's test split is empty (train_frac = 1?)")
@@ -500,7 +501,7 @@ def _width_points(cfg, dataset):
     """(width, n_params, mlp, theta) of one training per width, trained as
     the sweep reaches it."""
     for width in cfg.widths:
-        arch = MlpArchitecture((cfg.dataset.d, width, cfg.dataset.c),
+        arch = MlpArchitecture((dataset.dim, width, dataset.n_classes),
                                cfg.arch.activation, cfg.arch.loss)
         theta = train(arch, dataset, cfg.train)[-1].params
         yield width, theta.n_params, Mlp(arch), theta

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import NumericalError, ValidationError
+from ..errors import NumericalError, ValidationError, check_domains
 from ..linalg import Rng
 from ..model import Mlp, MlpArchitecture, ParamVector, build_layout
 from .datasets import Dataset
@@ -31,14 +31,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key, ok in (("lr", np.isfinite(self.lr) and self.lr >= 0),
-                        ("momentum", np.isfinite(self.momentum)),
-                        ("epochs", self.epochs >= 1),
-                        ("batch_size", self.batch_size >= 1),
-                        ("beta", np.isfinite(self.beta) and self.beta >= 0)):
-            if not ok:
-                raise ValidationError(f"config key {key!r} in [train] is out of range: "
-                                      f"{getattr(self, key)!r}")
+        check_domains("train", (
+            ("lr", self.lr, np.isfinite(self.lr) and self.lr >= 0, "finite and >= 0"),
+            ("momentum", self.momentum, np.isfinite(self.momentum), "finite"),
+            ("epochs", self.epochs, self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size, self.batch_size >= 1, ">= 1"),
+            ("beta", self.beta, np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
+            ("seed", self.seed, 0 <= self.seed < 2**64, "in [0, 2**64)"),
+        ))
 
 
 @dataclass

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_domains
 from .linalg import DenseSymMatrix, Rng
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -39,7 +39,8 @@ BLOCK_BUDGET = 512
 
 @dataclass(frozen=True)
 class MlpArchitecture:
-    """Layer sizes [D, h1, ..., C], activation between linear layers, loss id."""
+    """Layer sizes [D, h1, ..., C], activation between linear layers, loss id;
+    a bad value is an error naming its [model] config key."""
 
     layer_sizes: tuple
     activation: str = "relu"
@@ -47,12 +48,12 @@ class MlpArchitecture:
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2 or any(s <= 0 for s in sizes):
-            raise ValidationError(f"need >= 1 linear layer with positive sizes, got {sizes}")
-        if self.activation not in ACTIVATIONS:
-            raise ValidationError(f"unknown activation {self.activation!r}")
-        if self.loss not in LOSSES:
-            raise ValidationError(f"unknown loss {self.loss!r}")
+        check_domains("model", (
+            ("layers", sizes, len(sizes) >= 2 and min(sizes) >= 1, "two or more sizes >= 1"),
+            ("activation", self.activation, self.activation in ACTIVATIONS,
+             f"one of {', '.join(ACTIVATIONS)}"),
+            ("loss", self.loss, self.loss in LOSSES, f"one of {', '.join(LOSSES)}"),
+        ))
         object.__setattr__(self, "layer_sizes", sizes)
 
     @property

@@ -1,13 +1,21 @@
 """Datasets, training/checkpoints, configuration, reports, experiments, CLI."""
 
+import io
 import json
 import logging
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.harness import (
@@ -22,11 +30,14 @@ from quadbias.harness import (
     train,
     verify_result_dir,
 )
+from quadbias.harness import cli
+from quadbias.harness import config as config_module
 from quadbias.harness.config import (
     EXPERIMENT_KINDS,
     config_digest,
     parse_dataset_spec,
     read_config_text,
+    write_config,
 )
 from quadbias.harness.datasets import load_csv, save_csv
 from quadbias.harness.reports import write_csv, write_summary
@@ -489,6 +500,60 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"'momentum' in \[train\]"):
             TrainConfig(momentum=float("nan"))
 
+    @pytest.mark.parametrize("kind,overrides,section,key", [
+        ("bias-scan", {"experiment": {"seeds": "-1"}}, "experiment", "seeds"),
+        ("bias-scan", {"train": {"seed": "-1"}}, "train", "seed"),
+        ("bias-scan", {"train": {"seed": str(2**64)}}, "train", "seed"),
+        ("bias-scan", {"dataset": {"seed": "-1"}}, "dataset", "seed"),
+        ("laplace-sweep", {"experiment": {"la_grid_points": "-1"}},
+         "experiment", "la_grid_points"),
+        ("laplace-sweep", {"experiment": {"la_grid_points": "0", "la_grid_extra": ""}},
+         "experiment", "la_grid_points"),
+        ("bias-scan", {"model": {"layers": "4,8,2"}}, "model", "layers"),  # classes = 3
+        ("bias-scan", {"model": {"layers": "5,8,3"}}, "model", "layers"),  # dim = 4
+        ("size-sweep", {"model": {"layers": "4,8,2"}}, "model", "layers"),
+        ("bias-scan", {"model": {"layers": "0"}}, "model", "layers"),
+        ("bias-scan", {"dataset": {"generator": "two_arcs"}}, "dataset", "classes"),
+        ("bias-scan", {"dataset": {"generator": "spirals", "dim": "1"},
+                       "model": {"layers": "1,8,3"}}, "dataset", "dim"),
+    ])
+    def test_bad_config_rejected_before_training_naming_its_key(self, tmp_path, monkeypatch,
+                                                                kind, overrides, section, key):
+        from quadbias.harness import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError(f"train ran with {overrides}")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        sections = read_config_text(CONFIG_TEXT)
+        sections["experiment"]["kind"] = kind
+        sections["dataset"]["train_frac"] = "0.75"
+        for name, items in overrides.items():
+            sections[name].update(items)
+        with pytest.raises(ValidationError, match=rf"config key '{key}' in \[{section}\]"):
+            run_experiment(parse_experiment_config(sections), tmp_path / "r")
+
+    def test_domain_errors_share_one_form(self):
+        sections = read_config_text(CONFIG_TEXT)
+        sections["experiment"]["k"] = "0"
+        with pytest.raises(ValidationError) as info:
+            parse_experiment_config(sections)
+        assert str(info.value) == "k 0: config key 'k' in [experiment] must be >= 1"
+
+    def test_in_domain_key_the_kind_never_reads_is_accepted(self, tmp_path):
+        # scan-toy and sweep-dense set the OOD keys, which bias-scan and
+        # size-sweep never read
+        workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+        for name, kind in (("scan-toy", "bias-scan"), ("sweep-dense", "size-sweep")):
+            cfg = parse_experiment_config(read_config_text((workloads / f"{name}.ini").read_text()))
+            assert cfg.kind == kind and cfg.dataset.has_ood
+        sections = read_config_text(CONFIG_TEXT)
+        sections["experiment"].update(mc_samples="3", la_grid_points="1", widths="5",
+                                      cg_iterations="2", force_same_batch="yes")
+        sections["dataset"].update(ood_translation="2.0", path="unread.csv")
+        out = run_experiment(parse_experiment_config(sections), tmp_path / "r")
+        assert verify_result_dir(out)["consistent"]
+
 
 class TestReports:
     def test_csv_roundtrip_17_digits(self, tmp_path):
@@ -935,6 +1000,49 @@ class TestExperiments:
         assert summary["widths"] == [4, 8]
         assert len(summary["n_params"]) == 2
 
+    def _wide_csv_config(self, tmp_path, kind, model):
+        """A csv_file dataset of 4 columns and 3 classes; the config sets no
+        dim or classes, so they keep their defaults 2 and 2."""
+        path = tmp_path / "wide.csv"
+        save_csv(path, Rng(3).normal(4 * 90).reshape(90, 4), np.arange(90) % 3)
+        sections = read_config_text(CONFIG_TEXT)
+        sections["experiment"].update(kind=kind, batch_sizes="16", seeds="0", widths="4,8")
+        sections["dataset"] = {"generator": "csv_file", "path": str(path), "train_frac": "0.8"}
+        sections["model"] = model
+        return parse_experiment_config(sections)
+
+    @pytest.mark.parametrize("kind", ["bias-scan", "size-sweep"])
+    def test_csv_width_against_default_layers_rejected_before_training(self, tmp_path,
+                                                                       monkeypatch, kind):
+        from quadbias.harness import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran on layers that do not fit the csv file")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        cfg = self._wide_csv_config(tmp_path, kind, {})
+        with pytest.raises(ValidationError, match=r"layers \(2, 16, 2\): config key 'layers' "
+                                                  r"in \[model\] .* dim = 4 and classes = 3"):
+            run_experiment(cfg, tmp_path / "r")
+
+    @pytest.mark.parametrize("kind", ["bias-scan", "size-sweep"])
+    def test_csv_wider_than_two_columns_runs(self, tmp_path, kind):
+        out = run_experiment(self._wide_csv_config(tmp_path, kind, {"layers": "4,8,3"}),
+                             tmp_path / "r")
+        summary = json.loads((out / "summary.json").read_text())
+        if kind == "size-sweep":
+            assert summary["n_params"] == [4 * w + w + w * 3 + 3 for w in (4, 8)]
+        else:
+            assert summary["n_params"] == 4 * 8 + 8 + 8 * 3 + 3
+
+    def test_train_command_checks_csv_width_against_layers(self, tmp_path, capsys):
+        cfg = self._wide_csv_config(tmp_path, "bias-scan", {})
+        path = tmp_path / "wide.ini"
+        write_config(cfg.sections, path)
+        assert cli.main(["--config", str(path), "--out-dir", str(tmp_path / "c"), "train"]) == 1
+        assert "config key 'layers' in [model]" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
 
 class TestCli:
     def _write_config(self, tmp_path):
@@ -1026,3 +1134,81 @@ class TestCli:
         a, _ = load_csv(out1 / "train.csv")
         b, _ = load_csv(out2 / "train.csv")
         assert not np.array_equal(a, b)
+
+
+# one-key changes for the CLI property: a value from this pool, or a dropped key
+_POOL = ("0", "-1", "", "nan", "inf", "1e999", "abc", "1,,2")
+_CONFIG_KEYS = [(section, key) for section, keys in config_module._KEYS.items()
+                for key in keys]
+_SUBCOMMAND = {kind: command for command, kinds in cli._EXPERIMENT_COMMANDS.items()
+               for kind in kinds}
+
+
+def _tiny_sections(kind):
+    """The tiny config of one kind, with a test and an OOD split."""
+    sections = read_config_text(CONFIG_TEXT)
+    sections["experiment"].update(kind=kind, **TestExperiments._TINY[kind][0])
+    sections["dataset"].update(train_frac="0.75", ood_translation="3.0")
+    return sections
+
+
+@st.composite
+def _one_key_changes(draw):
+    """(kind, section, key, value); value None drops the key."""
+    kind = draw(st.sampled_from(EXPERIMENT_KINDS))
+    if draw(st.booleans()):
+        sections = _tiny_sections(kind)
+        section, key = draw(st.sampled_from([(s, k) for s in sections for k in sections[s]]))
+        return kind, section, key, None
+    section, key = draw(st.sampled_from(_CONFIG_KEYS))
+    return kind, section, key, draw(st.sampled_from(_POOL))
+
+
+class TestCliProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(change=_one_key_changes())
+    @example(change=("bias-scan", "experiment", "seeds", "-1"))
+    @example(change=("bias-scan", "train", "seed", "-1"))
+    @example(change=("bias-scan", "dataset", "seed", "-1"))
+    @example(change=("laplace-sweep", "experiment", "la_grid_points", "-1"))
+    @example(change=("bias-scan", "model", "layers", "4,8,2"))
+    @example(change=("bias-scan", "model", "layers", "5,8,3"))
+    @example(change=("bias-scan", "model", "layers", "0"))
+    @example(change=("bias-scan", "dataset", "dim", None))
+    @example(change=("bias-scan", "dataset", "classes", None))
+    @example(change=("bias-scan", "dataset", "generator", "two_arcs"))
+    def test_one_key_change_exits_cleanly(self, change):
+        """Exit 0, 1 or 2 and no traceback; an exit 1 names the section or
+        key and comes before training; an exit 0 writes a summary.json that
+        verify accepts."""
+        from quadbias.harness import experiments
+
+        kind, section, key, value = change
+        sections = _tiny_sections(kind)
+        if value is None:
+            del sections[section][key]
+        else:
+            sections[section][key] = value
+        trained = []
+
+        def spy(*args, **kwargs):
+            trained.append(True)
+            return train(*args, **kwargs)
+
+        # function-scoped fixtures would be shared by every example, so each
+        # example makes its own directory, patch and stderr capture
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(experiments, "train", spy), redirect_stderr(stderr):
+            config_path, out = Path(tmp) / "exp.ini", Path(tmp) / "out"
+            write_config(sections, config_path)
+            code = cli.main(["--config", str(config_path), "--out-dir", str(out),
+                             _SUBCOMMAND[kind]])
+            if code == 0:
+                assert (out / "summary.json").is_file()
+                assert cli.main(["verify", str(out)]) == 0, stderr.getvalue()
+        message = stderr.getvalue()
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert f"[{section}]" in message or re.search(rf"\b{key}\b", message), message
+            assert not trained, message

@@ -140,15 +140,25 @@ MUTANTS = (
            "CG direction scan runs one step past config.p_max",
            ("tests/test_diagnostics.py", "-k", "CgDirectionScan")),
     Mutant("src/quadbias/harness/config.py",
-           "if self.fisher_mode not in FISHER_MODES:",
-           "if False:",
+           "self.fisher_mode in FISHER_MODES,",
+           "True,",
            "config accepts an unknown fisher_mode",
            ("tests/test_harness.py", "-k", "fisher_mode")),
     Mutant("src/quadbias/harness/config.py",
-           "if not values or min(values) < 1:",
-           "if not values:",
+           'count, count >= 1, ">= 1")',
+           'count, count >= 0, ">= 1")',
            "config accepts a count key below 1",
            ("tests/test_harness.py", "-k", "count_below")),
+    Mutant("src/quadbias/harness/config.py",
+           '            raise ValidationError(f"unknown config key {key!r} in [{name}]")',
+           "            continue",
+           "config skips an unknown key",
+           ("tests/test_harness.py", "-k", "unknown_key")),
+    Mutant("src/quadbias/harness/config.py",
+           "all(0 <= s < 2**64 for s in self.seeds)",
+           "all(-2**63 <= s < 2**64 for s in self.seeds)",
+           "experiment seeds accept a negative (signed 64-bit) seed",
+           ("tests/test_harness.py", "-k", "bad_config")),
     Mutant("src/quadbias/harness/training.py",
            "velocity += grad",
            "velocity += (1.0 - config.momentum) * grad",
