@@ -27,7 +27,6 @@ from .quadratic import (
 from .cg import CgConfig, CgTrace, cg_minimize, debiased_cg, newton_step
 from .laplace import (
     LaplacePosterior,
-    PredictiveConfig,
     accumulate_kfac,
     build_posterior,
     debias_kfac,

@@ -44,14 +44,13 @@ class CgConfig:
 class CgTrace:
     """The anchor theta_0, the normalized directions d_0..d_{K-1} as the
     columns of a (P, K) block, update magnitudes tau_p, residual norms
-    ||r_p|| (p = 0..K), the CG beta coefficients, and the termination
-    reason. The iterates are not stored: ``iterates()`` rebuilds them."""
+    ||r_p|| (p = 0..K), and the termination reason. The iterates are not
+    stored: ``iterates()`` rebuilds them."""
 
     theta0: np.ndarray
     directions: np.ndarray
     magnitudes: list
     residual_norms: list
-    cg_betas: list
     termination: str
 
     @property
@@ -115,10 +114,10 @@ def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None
     block = np.empty((q.dim, config.p_max), order="F")
     r = q.gradient.copy()  # r_p = grad q(theta_p); r_0 = g at the anchor
     s = -r
-    trace = CgTrace(theta0, block[:, :0], [], [float(np.linalg.norm(r))], [], "max_iter")
+    trace = CgTrace(theta0, block[:, :0], [], [float(np.linalg.norm(r))], "max_iter")
     if q_mag is not None:
         mag_grad = q_mag.gradient.copy()
-        mag = CgTrace(theta0, block[:, :0], [], [float(np.linalg.norm(mag_grad))], [],
+        mag = CgTrace(theta0, block[:, :0], [], [float(np.linalg.norm(mag_grad))],
                       "max_iter")
 
     for p in range(config.p_max + 1):
@@ -148,7 +147,6 @@ def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None
         tau, r_new = step
         trace.magnitudes.append(tau)
         beta = float(r_new @ r_new) / float(r @ r)
-        trace.cg_betas.append(beta)
         s = -r_new + beta * s
         r = r_new
         trace.residual_norms.append(float(np.linalg.norm(r)))

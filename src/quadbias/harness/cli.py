@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ..errors import NumericalError, ValidationError
@@ -88,7 +89,8 @@ def _cmd_train(args) -> None:
     checkpoints = train(cfg.arch, dataset, cfg.train)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for ckpt in checkpoints:
-        save_checkpoint(ckpt, args.out_dir / f"ckpt_epoch{ckpt.epoch:04d}.qckpt")
+        save_checkpoint(replace(ckpt, config_digest=cfg.digest),
+                        args.out_dir / f"ckpt_epoch{ckpt.epoch:04d}.qckpt")
     write_summary(args.out_dir / "summary.json", cfg.digest, {
         "command": "train",
         "epochs": [c.epoch for c in checkpoints],

@@ -23,7 +23,6 @@ from ..diagnostics import (
 )
 from ..errors import ValidationError
 from ..laplace import (
-    PredictiveConfig,
     accumulate_kfac,
     build_posterior,
     debias_kfac,
@@ -380,17 +379,17 @@ def _laplace_fits(cfg, dataset, mlp, theta, single_size, half) -> list:
     return fits
 
 
-def _fit_metrics(mlp, post, grid, pred_cfg, labels, lins) -> list:
+def _fit_metrics(mlp, post, grid, s_samples, seed, labels, lins) -> list:
     """Predictive metrics of one fit's posterior at every prior precision in
-    grid: one set of draws serves every beta, the posterior's factor
-    eigendecompositions are re-pointed, and lins (one linearization per
-    input set) serve every call."""
-    noise = draw_noise(post, pred_cfg)
+    grid: one set of s_samples draws from seed serves every beta, the
+    posterior's factor eigendecompositions are re-pointed, and lins (one
+    linearization per input set) serve every call."""
+    noise = draw_noise(post, s_samples, seed)
     out = []
     for beta in grid:
         post_beta = post.with_beta(beta)
         out.append(_predictive_metrics(
-            lambda lin: predictive(post_beta, mlp, lin, pred_cfg, noise), labels, lins))
+            lambda lin: predictive(post_beta, mlp, lin, noise), labels, lins))
     return out
 
 
@@ -411,7 +410,7 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     # each fit's factors are eigendecomposed once, at the first beta
     per_fit = [
         _fit_metrics(mlp, build_posterior(blocks, theta, dataset.n_train, grid[0]),
-                     grid, PredictiveConfig(cfg.mc_samples, pred_seed), labels, lins)
+                     grid, cfg.mc_samples, pred_seed, labels, lins)
         for _, _, blocks, pred_seed in fits
     ]
 

@@ -2,8 +2,9 @@
 JSON summary, minimal SVG plots as derived views, and digest verification.
 
 Every emitted file carries the experiment's config digest: CSVs in a leading
-`# config=<digest>` comment line, JSON in its `config_digest` field. The CSVs
-are the data of record; SVGs are derived views only.
+`# config=<digest>` comment line, the JSON summary and every checkpoint's
+metadata line in a `config_digest` field. The CSVs are the data of record;
+SVGs are derived views only.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ def verify_result_dir(out_dir) -> dict:
             digests[p.name] = first[len("<!-- config=") : -len(" -->")]
         elif p.name == "summary.json":
             digests[p.name] = json.loads(p.read_text()).get("config_digest", "")
+        elif p.suffix == ".qckpt":  # a JSON metadata line, then the raw payload
+            with p.open("rb") as fh:
+                digests[p.name] = json.loads(fh.readline()).get("config_digest", "")
     if not digests:
         raise ValidationError(f"{out_dir}: no result files found")
     values = set(digests.values())

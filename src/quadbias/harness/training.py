@@ -8,7 +8,7 @@ the format stays readable from other languages.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ class TrainConfig:
     def __post_init__(self):
         check_domains("train", (
             ("lr", self.lr, np.isfinite(self.lr) and self.lr >= 0, "finite and >= 0"),
-            ("momentum", self.momentum, np.isfinite(self.momentum), "finite"),
+            ("momentum", self.momentum, 0 <= self.momentum < 1, "in [0, 1)"),
             ("epochs", self.epochs, self.epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size, self.batch_size >= 1, ">= 1"),
             ("beta", self.beta, np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
@@ -46,7 +46,7 @@ class Checkpoint:
     epoch: int
     params: ParamVector
     arch: MlpArchitecture
-    config_digest: str
+    config_digest: str = ""  # empty from train; the train command stamps its own
     format_version: int = CHECKPOINT_FORMAT_VERSION
 
 
@@ -72,7 +72,6 @@ def train(arch: MlpArchitecture, dataset: Dataset, config: TrainConfig) -> list:
     velocity = np.zeros(params.n_params)
     ckpt_at = set(checkpoint_epochs(config.epochs))
     checkpoints = []
-    digest = json.dumps(asdict(config), sort_keys=True)
 
     for epoch in range(1, config.epochs + 1):
         batches = dataset.minibatches(config.batch_size, seed=rng.split(epoch))
@@ -84,14 +83,7 @@ def train(arch: MlpArchitecture, dataset: Dataset, config: TrainConfig) -> list:
             velocity += grad
             params.values -= config.lr * velocity
         if epoch in ckpt_at:
-            checkpoints.append(
-                Checkpoint(
-                    epoch=epoch,
-                    params=params.copy(),
-                    arch=arch,
-                    config_digest=digest,
-                )
-            )
+            checkpoints.append(Checkpoint(epoch, params.copy(), arch))
     return checkpoints
 
 

@@ -194,59 +194,39 @@ def debias_kfac(blocks_b: list, blocks_bt: list) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class PredictiveConfig:
-    s_samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.s_samples < 1:
-            raise ValidationError(f"s_samples must be >= 1, got {self.s_samples}")
-
-
-def draw_noise(post: LaplacePosterior, cfg: PredictiveConfig) -> np.ndarray:
+def draw_noise(post: LaplacePosterior, s_samples: int, seed: int) -> np.ndarray:
     """The predictive's standard-normal draws, (S, W) over the W weight
-    coordinates: row s comes from the stream ``Rng(cfg.seed).split(s)``, so it
-    is the draw ``sample_params`` makes from that stream. The draws do not
+    coordinates: row s comes from the stream ``Rng(seed).split(s)``, so it is
+    the draw ``sample_params`` makes from that stream. The draws do not
     depend on beta: one block serves the posterior at every prior precision."""
-    base = Rng(cfg.seed)
-    return np.array([base.split(s).normal(post.n_weights) for s in range(cfg.s_samples)])
+    if s_samples < 1:
+        raise ValidationError(f"s_samples must be >= 1, got {s_samples}")
+    base = Rng(seed)
+    return np.array([base.split(s).normal(post.n_weights) for s in range(s_samples)])
 
 
 def predictive(
-    post: LaplacePosterior,
-    mlp: Mlp,
-    inputs: np.ndarray | Linearization,
-    cfg: PredictiveConfig,
-    noise: np.ndarray | None = None,
+    post: LaplacePosterior, mlp: Mlp, lin: Linearization, noise: np.ndarray
 ) -> np.ndarray:
     """Monte-Carlo predictive probabilities through the linearized network,
     (rows, C).
 
-    ``inputs`` are the rows to predict, or their Linearization at the
-    posterior mean, which then serves any number of posteriors. ``noise`` is
-    the block ``draw_noise(post, cfg)``, drawn here when not given. Each draw
-    w_s gives theta_s - theta* = V w_s, pushed through
-    f_lin(x) = f(x; theta*) + grad f(x; theta*) (theta_s - theta*); the
-    softmax outputs are averaged in sample order. A non-finite probability
-    raises NumericalError.
+    ``lin`` is the network's Linearization at ``post.mean`` on the rows to
+    predict, and serves any number of posteriors; ``noise`` is an (S, W)
+    block from ``draw_noise``. Each draw w_s gives theta_s - theta* = V w_s,
+    pushed through f_lin(x) = f(x; theta*) + grad f(x; theta*) (theta_s -
+    theta*); the softmax outputs are averaged in sample order. A non-finite
+    probability raises NumericalError.
     """
-    if isinstance(inputs, Linearization):
-        lin = mlp._linearized(post.mean, inputs)
-    else:
-        lin = mlp.linearize(post.mean, inputs)
-    if noise is None:
-        noise = draw_noise(post, cfg)
-    if noise.shape != (cfg.s_samples, post.n_weights):
-        raise ValidationError(
-            f"noise shape {noise.shape} != ({cfg.s_samples}, {post.n_weights})"
-        )
+    lin = mlp._linearized(post.mean, lin)
+    if noise.ndim != 2 or noise.shape[0] < 1 or noise.shape[1] != post.n_weights:
+        raise ValidationError(f"noise shape {noise.shape} != (S >= 1, {post.n_weights})")
     probs = np.zeros_like(lin.logits)
     delta = np.zeros(post.mean.n_params)  # bias coordinates stay at zero
     for w in noise:
         _displacement(post, w, delta)
         probs += softmax(lin.logits + lin.jvp_mm(delta[:, None])[0])
-    probs /= cfg.s_samples
+    probs /= noise.shape[0]
     if not np.isfinite(probs).all():
         i, j = np.argwhere(~np.isfinite(probs))[0]
         raise NumericalError(f"predictive: non-finite probability at row {i}, class {j}")

@@ -10,11 +10,14 @@ positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+
+if TYPE_CHECKING:  # quadratic imports this module
+    from .quadratic import CurvatureOperator
 
 # Symmetry tolerance for DenseSymMatrix inputs.
 SYMMETRY_TOL = 1e-12
@@ -161,26 +164,14 @@ def sym_eigh(m: DenseSymMatrix | np.ndarray) -> EigenDecomposition:
     )
 
 
-def materialize_operator(op: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Apply op to the identity columns; symmetrize to absorb roundoff.
-
-    An op with a ``matmat`` method (a CurvatureOperator) gets the identity as
-    one block; a plain callable gets one column at a time.
-    """
-    if hasattr(op, "matmat"):
-        cols = op.matmat(np.eye(dim))
-    else:
-        cols = np.empty((dim, dim))
-        e = np.zeros(dim)
-        for j in range(dim):
-            e[j] = 1.0
-            cols[:, j] = op(e)
-            e[j] = 0.0
+def materialize_operator(op: CurvatureOperator, dim: int) -> np.ndarray:
+    """Apply op to the identity as one block; symmetrize to absorb roundoff."""
+    cols = op.matmat(np.eye(dim))
     return 0.5 * (cols + cols.T)
 
 
 def top_k_eigenpairs(
-    op: Callable[[np.ndarray], np.ndarray],
+    op: CurvatureOperator,
     dim: int,
     k: int,
     rng: Rng,
@@ -188,9 +179,10 @@ def top_k_eigenpairs(
 ) -> EigenDecomposition:
     """k algebraically largest eigenpairs of a matrix-free symmetric operator.
 
-    For dim <= DENSE_FALLBACK_DIM the operator is materialized and solved
-    densely; otherwise a seeded Lanczos/ARPACK iteration is used with
-    tolerance ITERATIVE_TOL and the given iteration budget.
+    For dim <= DENSE_FALLBACK_DIM the operator is materialized with one
+    ``matmat`` and solved densely; otherwise a seeded Lanczos/ARPACK
+    iteration calls it one vector at a time, with tolerance ITERATIVE_TOL and
+    the given iteration budget.
     """
     if not 1 <= k <= dim:
         raise ValidationError(f"need 1 <= k <= dim, got k={k}, dim={dim}")

@@ -61,10 +61,6 @@ class MlpArchitecture:
         return self.layer_sizes[0]
 
     @property
-    def output_dim(self) -> int:
-        return self.layer_sizes[-1]
-
-    @property
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
 

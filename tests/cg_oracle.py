@@ -33,7 +33,7 @@ def rebuild_magnitudes(q_bt, dir_trace):
         magnitudes.append(tau)
         residual_norms.append(float(np.linalg.norm(grad)))
     directions = dir_trace.directions[:, :len(magnitudes)]
-    return CgTrace(q_bt.theta0.values, directions, magnitudes, residual_norms, [],
+    return CgTrace(q_bt.theta0.values, directions, magnitudes, residual_norms,
                    termination), iterates
 
 

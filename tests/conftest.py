@@ -64,6 +64,6 @@ def small_problem(seed=0, n=12, arch=None):
     r = Rng(seed)
     params = mlp.init_params(r)
     x = r.normal(n * arch.input_dim).reshape(n, arch.input_dim)
-    labels = r.integers(0, arch.output_dim, n)
-    batch = Batch(x, one_hot(labels, arch.output_dim))
+    labels = r.integers(0, arch.layer_sizes[-1], n)
+    batch = Batch(x, one_hot(labels, arch.layer_sizes[-1]))
     return mlp, params, batch

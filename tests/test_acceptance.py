@@ -19,10 +19,10 @@ from quadbias.diagnostics import (
     DirectionSet,
 )
 from quadbias.laplace import (
-    PredictiveConfig,
     accumulate_kfac,
     build_posterior,
     debias_kfac,
+    draw_noise,
     predictive,
     sample_params,
 )
@@ -64,8 +64,7 @@ def test_criterion_01_batch_mean_identity(toy_dataset, toy_mlp, toy_theta):
                                  chunk_size=64)
     from quadbias.linalg import top_k_eigenpairs
 
-    eig = top_k_eigenpairs(quads[0].curvature.matvec, toy_theta.n_params, 10,
-                           Rng(0))
+    eig = top_k_eigenpairs(quads[0].curvature, toy_theta.n_params, 10, Rng(0))
     worst_slope = worst_curv = 0.0
     for i in range(10):
         d = eig.basis[:, i]
@@ -341,7 +340,8 @@ def test_criterion_09_debiased_la_phenomenon(toy_dataset, toy_mlp, toy_theta):
 
     def nll_for(blocks, beta, seed):
         post = build_posterior(blocks, toy_theta, n_train, beta)
-        probs = predictive(post, toy_mlp, test_x, PredictiveConfig(40, seed))
+        probs = predictive(post, toy_mlp, toy_mlp.linearize(toy_theta, test_x),
+                           draw_noise(post, 40, seed))
         return nll(ProbTable(probs, test_y))
 
     full_curve = {beta: nll_for(full_blocks, beta, 1000) for beta in grid}

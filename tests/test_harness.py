@@ -9,6 +9,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -42,7 +43,7 @@ from quadbias.harness.config import (
 from quadbias.harness.datasets import load_csv, save_csv
 from quadbias.harness.reports import write_csv, write_summary
 from quadbias.harness.training import checkpoint_epochs
-from quadbias.laplace import PredictiveConfig, build_posterior
+from quadbias.laplace import build_posterior
 from quadbias.linalg import DenseSymMatrix, Rng
 from quadbias.model import KfacBlock, Mlp, MlpArchitecture
 
@@ -272,7 +273,7 @@ class TestTraining:
         ds = self._dataset()
         arch = MlpArchitecture((4, 6, 3))
         cfg = TrainConfig(lr=0.05, epochs=3, batch_size=32, seed=2)
-        ckpt = train(arch, ds, cfg)[-1]
+        ckpt = replace(train(arch, ds, cfg)[-1], config_digest="d1gest")
         path = tmp_path / "model.qckpt"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
@@ -956,8 +957,7 @@ class TestExperiments:
         lins = [mlp.linearize(p, batch.inputs)]
         for fit in range(2):
             post = build_posterior(blocks, p, 50, grid[0])
-            metrics = _fit_metrics(mlp, post, grid, PredictiveConfig(3, seed=fit),
-                                   batch.labels, lins)
+            metrics = _fit_metrics(mlp, post, grid, 3, fit, batch.labels, lins)
             assert len(metrics) == len(grid)
         clamps = [r.getMessage() for r in caplog.records if "clamping" in r.getMessage()]
         assert clamps == ["clamping 1 slightly negative eigenvalues in 1 of 4 factors "
@@ -1074,6 +1074,41 @@ class TestCli:
         assert files
         ckpt = load_checkpoint(files[-1])
         assert ckpt.epoch == 4
+
+    def test_train_checkpoints_carry_the_config_digest(self, tmp_path, capsys):
+        out = tmp_path / "ckpts"
+        cfg = self._write_config(tmp_path)
+        assert cli.main(["--config", str(cfg), "--out-dir", str(out), "train"]) == 0
+        files = sorted(out.glob("*.qckpt"))
+        digest = json.loads((out / "summary.json").read_text())["config_digest"]
+        assert [load_checkpoint(f).config_digest for f in files] == [digest] * len(files)
+        capsys.readouterr()
+        assert cli.main(["verify", str(out)]) == 0
+        assert f"verified {len(files) + 1} files" in capsys.readouterr().out
+        # one checkpoint stamped with another digest fails, naming the file
+        head, _, tail = files[1].read_bytes().partition(b"\n")
+        meta = json.loads(head)
+        meta["config_digest"] = "0" * len(digest)
+        files[1].write_bytes(json.dumps(meta, sort_keys=True).encode() + b"\n" + tail)
+        assert cli.main(["verify", str(out)]) == 1
+        assert files[1].name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "bias-scan"])
+    @pytest.mark.parametrize("momentum", ["1", "2", "-1"])
+    def test_momentum_outside_unit_interval_rejected_before_training(
+            self, tmp_path, monkeypatch, capsys, command, momentum):
+        from quadbias.harness import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError(f"train ran with momentum = {momentum}")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        monkeypatch.setattr(cli, "train", no_training)
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("momentum = 0.9", f"momentum = {momentum}"))
+        assert cli.main(["--config", str(path), "--out-dir", str(tmp_path / "r"), command]) == 1
+        assert ("config key 'momentum' in [train] must be in [0, 1)"
+                in capsys.readouterr().err)
 
     def test_bias_scan_and_verify_roundtrip(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -15,15 +15,17 @@ import sys
 import numpy as np
 import quadbias, quadbias.harness, quadbias.harness.cli
 from quadbias.linalg import DENSE_FALLBACK_DIM, Rng, top_k_eigenpairs
+from quadbias.quadratic import CurvatureOperator
 
 def loaded():
     return sorted(m for m in ("scipy.stats", "scipy.sparse.linalg") if m in sys.modules)
 
 print(loaded())
-top_k_eigenpairs(lambda v: 2.0 * v, DENSE_FALLBACK_DIM, 2, Rng(0))
+top_k_eigenpairs(CurvatureOperator.from_dense(2.0 * np.eye(DENSE_FALLBACK_DIM)),
+                 DENSE_FALLBACK_DIM, 2, Rng(0))
 print(loaded())
 d = np.linspace(1.0, 2.0, DENSE_FALLBACK_DIM + 1)
-top_k_eigenpairs(lambda v: d * v, DENSE_FALLBACK_DIM + 1, 2, Rng(0))
+top_k_eigenpairs(CurvatureOperator.from_dense(np.diag(d)), DENSE_FALLBACK_DIM + 1, 2, Rng(0))
 print(loaded())
 """
 

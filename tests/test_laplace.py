@@ -8,7 +8,6 @@ import pytest
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.harness import parse_experiment_config
 from quadbias.laplace import (
-    PredictiveConfig,
     accumulate_kfac,
     build_posterior,
     clamped_eigh,
@@ -271,6 +270,16 @@ class TestAccumulate:
             mean_a = 0.5 * (parts[0][l].factor_a.entries + parts[1][l].factor_a.entries)
             np.testing.assert_allclose(acc[l].factor_a.entries, mean_a, atol=1e-12)
 
+    def test_ragged_chunks_weighted_by_their_rows(self):
+        # chunks of 4, 4 and 2 rows weighted 0.4, 0.4 and 0.2: under the
+        # empirical Fisher each factor is a row mean, so the weighted chunk
+        # average is the factor of all 10 rows at once
+        mlp, p, data = small_problem(seed=63, n=10)
+        acc = accumulate_kfac(mlp, p, data, "empirical", chunk_size=4)
+        for x, y in zip(acc, mlp.kfac_factors(p, data, "empirical")):
+            np.testing.assert_allclose(x.factor_a.entries, y.factor_a.entries, atol=1e-12)
+            np.testing.assert_allclose(x.factor_b.entries, y.factor_b.entries, atol=1e-12)
+
     def test_chunk_order_invariance_empirical(self):
         mlp, p, data = small_problem(seed=64, n=12)
         perm = Rng(0).permutation(12)
@@ -290,6 +299,11 @@ class TestAccumulate:
             accumulate_kfac(mlp, p, empty, "empirical")
 
 
+def predict(post, mlp, x, s_samples, seed):
+    """The predictive on the rows x, with s_samples draws from seed."""
+    return predictive(post, mlp, mlp.linearize(post.mean, x), draw_noise(post, s_samples, seed))
+
+
 class TestPredictive:
     def _posterior(self, beta, seed=66, n_train=200):
         mlp, p, batch = small_problem(seed=seed, n=30)
@@ -299,14 +313,14 @@ class TestPredictive:
     def test_rows_sum_to_one(self):
         mlp, p, post = self._posterior(0.5)
         x = Rng(20).normal(8 * 5).reshape(8, 5)
-        probs = predictive(post, mlp, x, PredictiveConfig(10, seed=3))
+        probs = predict(post, mlp, x, 10, seed=3)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(probs >= 0)
 
     def test_huge_beta_collapses_to_map(self):
         mlp, p, post = self._posterior(1e12)
         x = Rng(21).normal(6 * 5).reshape(6, 5)
-        probs = predictive(post, mlp, x, PredictiveConfig(20, seed=4))
+        probs = predict(post, mlp, x, 20, seed=4)
         map_probs = softmax(mlp.forward(p, x))
         np.testing.assert_allclose(probs, map_probs, atol=1e-5)
 
@@ -318,7 +332,7 @@ class TestPredictive:
             map_probs = softmax(mlp.forward(p, x))
             kl_sum = 0.0
             for seed in range(5):
-                probs = predictive(post, mlp, x, PredictiveConfig(25, seed=seed))
+                probs = predict(post, mlp, x, 25, seed=seed)
                 kl_sum += np.mean(
                     np.sum(probs * (np.log(probs + 1e-300) - np.log(map_probs)), axis=1)
                 )
@@ -359,29 +373,25 @@ class TestSweepAgainstOracle:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_shared_work_equals_per_call_oracle(self, activation, loss):
         mlp, p, blocks, input_sets = self._fit(activation, loss)
-        cfg = PredictiveConfig(6, seed=2001)
         post = build_posterior(blocks, p, 150, self.GRID[0])
-        noise = draw_noise(post, cfg)
+        noise = draw_noise(post, 6, 2001)
         lins = [mlp.linearize(p, x) for x in input_sets]
         for beta in self.GRID:
             post_beta = post.with_beta(beta)
             for x, lin in zip(input_sets, lins):
-                got = predictive(post_beta, mlp, lin, cfg, noise)
+                got = predictive(post_beta, mlp, lin, noise)
                 want = oracle.predictive(blocks, p, 150, beta, mlp, x, 6, 2001)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=ORACLE_ATOL)
-                # its own draws and its own linearization: the same bits
-                np.testing.assert_array_equal(got, predictive(post_beta, mlp, x, cfg))
 
     def test_draws_are_the_sample_params_draws(self):
         from quadbias.laplace import _displacement
 
         mlp, p, blocks, _ = self._fit("tanh", "cross_entropy")
-        cfg = PredictiveConfig(5, seed=7)
-        noise = draw_noise(build_posterior(blocks, p, 150, 1e-4), cfg)
+        noise = draw_noise(build_posterior(blocks, p, 150, 1e-4), 5, 7)
         for beta in (1e-4, 0.5):
             post = build_posterior(blocks, p, 150, 1e-4).with_beta(beta)
             ref = oracle.posterior(blocks, p, 150, beta)
-            for s in range(cfg.s_samples):
+            for s in range(5):
                 want = oracle.sample_params(ref, Rng(7).split(s))
                 delta = _displacement(post, noise[s], np.zeros(p.n_params))
                 np.testing.assert_array_equal(p.values + delta, want)
@@ -393,6 +403,7 @@ class TestSweepAgainstOracle:
 
         mlp, p, blocks, input_sets = self._fit("relu", "cross_entropy")
         post = build_posterior(blocks, p, 150, 1e-4)
+        lin, noise = mlp.linearize(p, input_sets[0]), draw_noise(post, 2, 1)
 
         def no_eigh(m):
             raise AssertionError("factor decomposed again")
@@ -401,7 +412,7 @@ class TestSweepAgainstOracle:
         for beta in self.GRID:
             post_beta = post.with_beta(beta)
             assert post_beta.beta == beta and post_beta._eigs is post._eigs
-            predictive(post_beta, mlp, input_sets[0], PredictiveConfig(2, seed=1))
+            predictive(post_beta, mlp, lin, noise)
 
     def test_with_beta_zero_requires_positive_factors(self):
         post = build_posterior([make_block(np.zeros((2, 2)), np.eye(2))],
@@ -420,10 +431,9 @@ class TestSweepAgainstOracle:
         blocks[1] = KfacBlock(1, DenseSymMatrix(np.diag([1.0] * 6 + [-1e-9])),
                               DenseSymMatrix(np.diag([2.0] * 5 + [-3e-9])))
         post = build_posterior(blocks, p, 150, self.GRID[0])
-        noise = draw_noise(post, PredictiveConfig(2, seed=1))
+        noise, lin = draw_noise(post, 2, 1), mlp.linearize(p, input_sets[0])
         for beta in self.GRID:
-            predictive(post.with_beta(beta), mlp, input_sets[0],
-                       PredictiveConfig(2, seed=1), noise)
+            predictive(post.with_beta(beta), mlp, lin, noise)
         messages = [r.getMessage() for r in caplog.records if "clamping" in r.getMessage()]
         assert messages == ["clamping 2 slightly negative eigenvalues in 2 of 6 "
                             "factors (min -3.000e-09) to zero"]
@@ -431,12 +441,20 @@ class TestSweepAgainstOracle:
     def test_noise_and_linearization_must_fit(self):
         mlp, p, blocks, input_sets = self._fit("relu", "cross_entropy")
         post = build_posterior(blocks, p, 150, 0.1)
-        cfg = PredictiveConfig(3, seed=1)
-        with pytest.raises(ValidationError, match="noise shape"):
-            predictive(post, mlp, input_sets[0], cfg, draw_noise(post, PredictiveConfig(4, seed=0)))
+        lin, noise = mlp.linearize(p, input_sets[0]), draw_noise(post, 3, 1)
+        for bad in (noise[:, 1:], noise[:0], noise[0]):
+            with pytest.raises(ValidationError, match="noise shape"):
+                predictive(post, mlp, lin, bad)
         other = mlp.linearize(p.copy(), input_sets[0])
         with pytest.raises(ValidationError, match="other parameters"):
-            predictive(post, mlp, other, cfg)
+            predictive(post, mlp, other, noise)
+
+    @pytest.mark.parametrize("s_samples", [0, -1])
+    def test_draw_noise_needs_one_sample(self, s_samples):
+        mlp, p, blocks, _ = self._fit("relu", "cross_entropy")
+        post = build_posterior(blocks, p, 150, 0.1)
+        with pytest.raises(ValidationError, match=f"s_samples must be >= 1, got {s_samples}"):
+            draw_noise(post, s_samples, 0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -452,7 +470,7 @@ class TestPredictiveFailsLoudly:
         post = build_posterior(mlp.kfac_factors(p, batch, "empirical"), bad, 100, 0.5)
         x = Rng(72).normal(4 * 5).reshape(4, 5)
         with pytest.raises(NumericalError, match="predictive: non-finite probability"):
-            predictive(post, mlp, x, PredictiveConfig(3, seed=1))
+            predict(post, mlp, x, 3, seed=1)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_input_raises_naming_the_row(self, value):
@@ -460,7 +478,7 @@ class TestPredictiveFailsLoudly:
         x = Rng(73).normal(4 * 5).reshape(4, 5)
         x[2, 1] = value
         with pytest.raises(NumericalError, match="non-finite probability at row 2"):
-            predictive(post, mlp, x, PredictiveConfig(3, seed=1))
+            predict(post, mlp, x, 3, seed=1)
 
 
 class TestGaussianCorrespondence:

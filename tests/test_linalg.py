@@ -17,6 +17,7 @@ from quadbias.linalg import (
     sym_eigh,
     top_k_eigenpairs,
 )
+from quadbias.quadratic import CurvatureOperator
 
 from random_matrices import haar_orthogonal, random_spd, random_symmetric
 
@@ -130,7 +131,7 @@ class TestSymEigh:
 class TestTopK:
     def test_diagonal_operator(self):
         d = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-        eig = top_k_eigenpairs(lambda v: d * v, 5, 2, Rng(0))
+        eig = top_k_eigenpairs(CurvatureOperator.from_dense(np.diag(d)), 5, 2, Rng(0))
         np.testing.assert_allclose(eig.eigenvalues, [5.0, 4.0])
         np.testing.assert_allclose(np.abs(eig.basis[:, 0]), [1, 0, 0, 0, 0], atol=1e-10)
         np.testing.assert_allclose(np.abs(eig.basis[:, 1]), [0, 1, 0, 0, 0], atol=1e-10)
@@ -138,7 +139,7 @@ class TestTopK:
     def test_rank_one(self):
         v = Rng(8).normal(6)
         v /= np.linalg.norm(v)
-        eig = top_k_eigenpairs(lambda w: v * float(v @ w), 6, 1, Rng(0))
+        eig = top_k_eigenpairs(CurvatureOperator.from_dense(np.outer(v, v)), 6, 1, Rng(0))
         np.testing.assert_allclose(eig.eigenvalues, [1.0], atol=1e-10)
         assert min(np.linalg.norm(eig.basis[:, 0] - v),
                    np.linalg.norm(eig.basis[:, 0] + v)) < 1e-8
@@ -146,7 +147,7 @@ class TestTopK:
     def test_matches_dense_on_spd(self):
         m = random_spd(Rng(3), 50)
         dense = sym_eigh(m)
-        topk = top_k_eigenpairs(lambda v: m @ v, 50, 10, Rng(1))
+        topk = top_k_eigenpairs(CurvatureOperator.from_dense(m), 50, 10, Rng(1))
         np.testing.assert_allclose(
             topk.eigenvalues, dense.eigenvalues[:10],
             rtol=1e-8,
@@ -158,13 +159,13 @@ class TestTopK:
         q = haar_orthogonal(rng, dim)
         lam = np.sort(1.0 + 9.0 * rng.uniform(dim))[::-1]
         m = (q * lam) @ q.T
-        topk = top_k_eigenpairs(lambda v: m @ v, dim, 5, Rng(2))
+        topk = top_k_eigenpairs(CurvatureOperator.from_dense(m), dim, 5, Rng(2))
         np.testing.assert_allclose(topk.eigenvalues, lam[:5], rtol=1e-7)
 
     def test_subspace_agreement_for_separated_eigenvalues(self):
         m = random_spd(Rng(9), 80)
         dense = sym_eigh(m)
-        topk = top_k_eigenpairs(lambda v: m @ v, 80, 6, Rng(7))
+        topk = top_k_eigenpairs(CurvatureOperator.from_dense(m), 80, 6, Rng(7))
         # principal angles between the two top-6 subspaces
         s = np.linalg.svd(dense.basis[:, :6].T @ topk.basis, compute_uv=False)
         assert np.max(np.arccos(np.clip(s, -1, 1))) <= 1e-6
@@ -179,13 +180,13 @@ class TestTopK:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # NaN in op's matmul
             with pytest.raises(NumericalError, match="non-finite entry"):
-                top_k_eigenpairs(lambda v: m @ v, 6, 2, Rng(0))
+                top_k_eigenpairs(CurvatureOperator.from_dense(m), 6, 2, Rng(0))
 
     def test_bad_k(self):
         with pytest.raises(ValidationError):
-            top_k_eigenpairs(lambda v: v, 4, 0, Rng(0))
+            top_k_eigenpairs(CurvatureOperator.from_dense(np.eye(4)), 4, 0, Rng(0))
         with pytest.raises(ValidationError):
-            top_k_eigenpairs(lambda v: v, 4, 5, Rng(0))
+            top_k_eigenpairs(CurvatureOperator.from_dense(np.eye(4)), 4, 5, Rng(0))
 
     def test_non_convergence_carries_residuals(self):
         from quadbias.errors import NumericalError
@@ -194,7 +195,8 @@ class TestTopK:
         # clustered spectrum + a one-iteration budget forces ARPACK to give up
         d = 1.0 + 1e-9 * Rng(5).uniform(dim)
         with pytest.raises(NumericalError) as excinfo:
-            top_k_eigenpairs(lambda v: d * v, dim, 6, Rng(1), maxiter=1)
+            top_k_eigenpairs(CurvatureOperator.from_dense(np.diag(d)), dim, 6, Rng(1),
+                             maxiter=1)
         assert excinfo.value.residual_norms is not None
 
 
@@ -239,22 +241,17 @@ class TestKronMatvec:
 
 def test_materialize_operator_symmetrizes():
     m = random_symmetric(Rng(6), 7)
-    out = materialize_operator(lambda v: m @ v, 7)
+    out = materialize_operator(CurvatureOperator.from_dense(m), 7)
     np.testing.assert_allclose(out, m, atol=1e-13)
 
 
 def test_materialize_operator_applies_one_block():
-    from quadbias.quadratic import CurvatureOperator
-
     m = random_symmetric(Rng(7), 7)
     blocks = []
 
     def matmat(vs):
         blocks.append(vs.shape)
         return m @ vs
-
-    def matvec(v):
-        raise AssertionError("materialized one column at a time")
 
     op = CurvatureOperator(7, matmat, beta=0.5)
     np.testing.assert_allclose(materialize_operator(op, 7), m + 0.5 * np.eye(7),

@@ -1,19 +1,22 @@
 """Mutation smoke for the numerical core and the harness.
 
-Each mutant is one exact text replacement in one file under src/. For every
-mutant the script copies src/ and tests/ to a temporary directory, applies
-the replacement there, runs the mutant's test subset with ``pytest -x`` and
+Each mutant is one exact text replacement in one file under src/. The
+script copies src/, tests/ and the workload configs of bench/ to a temporary
+directory and first runs that unmutated copy once over every test file some
+mutant names. Then, for every mutant, it makes a fresh copy, applies the
+replacement there, runs the mutant's test subset with ``pytest -x`` and
 records whether a test failed (killed) or all passed (survived). Every run,
-the unmutated ones included, uses the ``mutants`` hypothesis profile of
-``tests/conftest.py``, which reports a failing example without shrinking it.
-The working tree is never modified.
+the unmutated one included, uses the ``mutants`` hypothesis profile of
+``tests/conftest.py``, which reports a failing example without shrinking
+it. The working tree is never modified.
 
     python3 tools/mutants.py
 
 Exit status 0 when every mutant is killed. It is 1 when a mutant survives,
-when the unmutated copy fails its own subsets, or when a mutant's old text
-no longer occurs exactly once in its file: a refactor must then update the
-entry, never drop it.
+when the unmutated copy fails, when a mutant's old text no longer occurs
+exactly once in its file (a refactor must then update the entry, never drop
+it), or when a module of src/quadbias other than an ``__init__.py`` has no
+mutant.
 """
 
 from __future__ import annotations
@@ -179,12 +182,54 @@ MUTANTS = (
            "def _json_safe(value):\n    return value\n",
            "summary JSON keeps non-finite numbers",
            ("tests/test_harness.py", "-k", "strict_json")),
+    Mutant("src/quadbias/errors.py",
+           "    for key, value, ok, needs in rows:\n",
+           "    for key, value, ok, needs in rows[1:]:\n",
+           "domain check ignores the first row of every table",
+           ("tests/test_harness.py", "-k", "bad_config_rejected")),
+    Mutant("src/quadbias/harness/cli.py",
+           'print(f"numerical failure: {exc}", file=sys.stderr)\n        return 2',
+           'print(f"numerical failure: {exc}", file=sys.stderr)\n        return 1',
+           "CLI exits 1 on a numerical failure",
+           ("tests/test_harness.py", "-k", "numerical_failure_exit_code")),
+    Mutant("src/quadbias/model.py",
+           "                r_z += r_a @ w\n",
+           "                pass\n",
+           "forward-mode pass drops the previous layer's R[A] W term",
+           ("tests/test_model.py",)),
+    Mutant("src/quadbias/linalg.py",
+           "w_mats = cols.T.reshape(k, m, n)",
+           "w_mats = cols.T.reshape(k, n, m).transpose(0, 2, 1)",
+           "kron_matvec reads w as the row-stacking of W",
+           ("tests/test_linalg.py", "-k", "Kron")),
+    Mutant("src/quadbias/quadratic.py",
+           "a = sum(w * bl[l].factor_a.entries",
+           "a = sum(bl[l].factor_a.entries / len(chunks)",
+           "full-dataset K-FAC input factor averages the chunks with equal weights",
+           ("tests/test_laplace.py", "-k", "ragged")),
+    Mutant("src/quadbias/quadratic.py",
+           "out.append((min(chunk_size, n - start) / n,",
+           "out.append((chunk_size / n,",
+           "a ragged last chunk weighted as a full one",
+           ("tests/test_quadratic.py", "tests/test_laplace.py",
+            "-k", "every_chunk_size_agrees or ragged")),
+    Mutant("src/quadbias/harness/training.py",
+           "0 <= self.momentum < 1,",
+           "0 <= self.momentum <= 1,",
+           "train config accepts momentum = 1",
+           ("tests/test_harness.py", "-k", "momentum_outside")),
+    Mutant("src/quadbias/laplace.py",
+           "    if s_samples < 1:\n",
+           "    if s_samples < 0:\n",
+           "draw_noise accepts zero samples",
+           ("tests/test_laplace.py", "-k", "draw_noise_needs")),
 )
 
 
 def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests"):
+    # tests read the benchmark's workload configs as sample configs
+    for name in ("src", "tests", "bench/workloads"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
 
 
@@ -196,16 +241,23 @@ def _pytest(copy: Path, tests: tuple) -> subprocess.CompletedProcess:
 
 
 def _check_texts() -> list:
-    """One line per mutant whose old text does not occur exactly once."""
+    """One line per mutant whose old text does not occur exactly once, and
+    one per module with no mutant."""
     problems = []
     for m in MUTANTS:
         count = (ROOT / m.path).read_text().count(m.old)
         if count != 1:
             problems.append(f"{m.path}: old text found {count} times: {m.old!r}")
+    mutated = {m.path for m in MUTANTS}
+    for path in sorted((ROOT / "src" / "quadbias").rglob("*.py")):
+        name = path.relative_to(ROOT).as_posix()
+        if path.name != "__init__.py" and name not in mutated:
+            problems.append(f"{name}: no mutant")
     return problems
 
 
 def main() -> int:
+    started = time.perf_counter()
     problems = _check_texts()
     if problems:
         print("stale mutant list:\n  " + "\n  ".join(problems))
@@ -220,11 +272,13 @@ def main() -> int:
         if not probe.stdout.strip().startswith(str(clean)):
             print(f"the copy's package is not the one imported: {probe.stdout}{probe.stderr}")
             return 1
-        for tests in sorted({m.tests for m in MUTANTS}):
-            run = _pytest(clean, tests)
-            if run.returncode != 0:
-                print(f"unmutated copy fails {' '.join(tests)}:\n{run.stdout[-2000:]}")
-                return 1
+        # every mutant's subset is a subset of these files
+        files = tuple(sorted({t for m in MUTANTS for t in m.tests if t.endswith(".py")}))
+        run = _pytest(clean, files)
+        if run.returncode != 0:
+            print(f"unmutated copy fails {' '.join(files)}:\n{run.stdout[-2000:]}")
+            return 1
+        clean_secs = time.perf_counter() - started
 
         rows = []
         for i, m in enumerate(MUTANTS):
@@ -243,7 +297,8 @@ def main() -> int:
         print(f"{m.description:<{width}}  {m.path[len('src/'):]:<36} "
               f"{'killed' if killed else 'SURVIVED'}  {secs:7.1f}")
     survivors = sum(not killed for _, killed, _ in rows)
-    print(f"{len(rows) - survivors} of {len(rows)} mutants killed")
+    print(f"{len(rows) - survivors} of {len(rows)} mutants killed; unmutated run "
+          f"{clean_secs:.0f} s, total {time.perf_counter() - started:.0f} s")
     return 1 if survivors else 0
 
 
