@@ -34,8 +34,8 @@ class CgConfig:
     p_max: int = 100
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < float("inf"):
+            raise ValidationError(f"epsilon must be > 0 and finite, got {self.epsilon}")
         if self.p_max < 1:
             raise ValidationError(f"p_max must be >= 1, got {self.p_max}")
 

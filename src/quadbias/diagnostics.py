@@ -7,8 +7,9 @@ pass over the training rows, then every batch's score is the mean of its
 rows and the full-batch score the mean of all rows. The other scans read
 every quadratic on the whole block of directions at once, with one
 ``in_span`` call (one ``gram`` of the block): the Hessian and K-FAC
-eigendirection scans at the anchor, the CG scan at its iterates.
-Scan data is stored raw, in the solver's direction order and sign.
+eigendirection scans at the anchor, the CG scan at its iterates. Scan data
+is stored raw, in the solver's direction order and sign, as (k, M + 1)
+tables with the full-batch quadratic in the last column.
 """
 
 from __future__ import annotations
@@ -54,25 +55,17 @@ class DirectionSet:
         if np.max(np.abs(d.T @ d - np.eye(d.shape[1]))) > 1e-8:
             raise ValidationError("eigen directions must be orthonormal within 1e-8")
 
-    @property
-    def k(self) -> int:
-        return self.directions.shape[1]
-
 
 @dataclass
 class ScanReport:
-    """Directional slopes/curvatures of every batch's quadratic (columns)
-    along one source batch's directions (rows), plus the full-batch row."""
+    """Directional slopes/curvatures along one source batch's directions
+    (rows) of every batch's quadratic, in batch_ids order, and of the
+    full-batch quadratic, the last column."""
 
     source_batch: object
     batch_ids: list
-    slopes: np.ndarray  # k x M
-    curvatures: np.ndarray  # k x M
-    full_slopes: np.ndarray  # k
-    full_curvatures: np.ndarray  # k
-    magnitudes: np.ndarray | None = None  # k x M, CG scans only
-    full_magnitudes: np.ndarray | None = None
-    meta: dict | None = None  # CG scans only: truncated, requested_steps
+    slopes: np.ndarray  # k x (M + 1)
+    curvatures: np.ndarray  # k x (M + 1)
 
     @property
     def k(self) -> int:
@@ -184,20 +177,28 @@ def _ggn_row_scores(mlp, theta, batches, data, blocks, beta, delta, chunk_size) 
     return np.split(means, len(blocks))
 
 
+def _span_scores(quads: list, directions: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(k, len(quads), 2): each quadratic's slope along d_p at the point of
+    row p of the (k, k) coeffs, and its curvature along d_p, from one
+    ``in_span`` call per quadratic."""
+    spans = [in_span(q, directions, coeffs) for q in quads]
+    return np.stack([np.column_stack([np.diagonal(s), c]) for _, s, c in spans], axis=1)
+
+
 def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, batches: list, data: Batch,
                         k: int, kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
                         rng: Rng | None = None, chunk_size: int = 512,
                         source_indices: list | None = None, fisher_mode: str = "mc_sample"):
     """Top-k eigenvectors per source batch (``source_eigenbases``), then
     slopes/curvatures of every batch's quadratic and the full-batch quadratic
-    along those directions; returns (direction_sets, reports), one entry per
-    source batch.
+    (the last column) along those directions; returns (direction_sets,
+    reports), one entry per source batch.
 
     GGN scores are row means of ``Linearization.ggn_row_terms`` from one
     forward-mode pass of all sources' directions over data in chunk_size
     chunks; each batch's indices must name its rows of data. The Hessian and
     K-FAC build every batch's quadratic and the full-batch one and read each
-    at the anchor with ``in_span``.
+    at the anchor: ``_span_scores`` with all-zero coefficients.
     """
     rng = rng if rng is not None else Rng(0)
     direction_sets, quads = source_eigenbases(mlp, theta_star, batches, k, kind, beta,
@@ -212,13 +213,9 @@ def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, batches: list, data: 
         q_full = fullbatch_quadratic(mlp, theta_star, data, kind, beta, delta,
                                      chunk_size, fisher_mode,
                                      rng.split(20_000) if kind == "kfac" else None)
-        scores = []
-        for d in blocks:
-            spans = [in_span(q, d, np.zeros((1, d.shape[1]))) for q in [*quads, q_full]]
-            scores.append(np.stack([np.column_stack([s[0], c]) for _, s, c in spans], axis=1))
+        scores = [_span_scores([*quads, q_full], d, np.zeros((k, k))) for d in blocks]
     batch_ids = list(range(len(batches)))
-    return direction_sets, [ScanReport(dset.source_batch, batch_ids, m[:, :-1, 0],
-                                       m[:, :-1, 1], m[:, -1, 0], m[:, -1, 1])
+    return direction_sets, [ScanReport(dset.source_batch, batch_ids, m[..., 0], m[..., 1])
                             for dset, m in zip(direction_sets, scores)]
 
 
@@ -228,40 +225,25 @@ def cg_direction_scan(
     q_full: QuadraticModel,
     config: CgConfig,
 ):
-    """Run CG on q_b for at most config.p_max steps, then evaluate slope,
-    curvature, and the implied 1D Newton magnitude -slope/curvature along
-    each search direction d_p at its iterate theta_p, for every batch
-    quadratic and the full-batch one; all must share q_b's anchor.
+    """Run CG on q_b for at most config.p_max steps, then read the slope and
+    curvature along each search direction d_p at its iterate theta_p, for
+    every batch quadratic and the full-batch one (the last column); all must
+    share q_b's anchor. The implied 1D Newton magnitudes are
+    -slopes / curvatures.
 
     Each quadratic is read with one ``in_span`` call on the direction block D
     at the rows of ``step_coefficients`` (n matvecs for n directions and no
-    iterate): the slope along d_p at theta_p and the curvature along d_p. If
-    CG stops early on negative curvature the scan is truncated at the
-    achieved length, possibly zero, and flagged in meta.
+    iterate). If CG stops early on negative curvature (``trace.termination``)
+    the scan is truncated at the achieved length, possibly zero.
     """
-    quads = [*batch_quads, q_full]  # the full-batch quadratic is the last column
+    quads = [*batch_quads, q_full]
     if not all(np.array_equal(q.theta0.values, q_b.theta0.values) for q in quads):
         raise ValidationError("quadratics must share the anchor point")
     trace = cg_minimize(q_b, config)
     steps = step_coefficients(trace.magnitudes)[:trace.n_steps]
-    spans = [in_span(q, trace.directions, steps) for q in quads]
-    # theta_p is row p of the steps, so the slope along d_p there is entry (p, p)
-    slopes = np.column_stack([np.diagonal(s) for _, s, _ in spans])
-    curvs = np.column_stack([c for _, _, c in spans])
-    mags = -slopes / curvs
-    report = ScanReport(
-        source_batch=q_b.batch_id,
-        batch_ids=[q.batch_id for q in batch_quads],
-        slopes=slopes[:, :-1],
-        curvatures=curvs[:, :-1],
-        full_slopes=slopes[:, -1],
-        full_curvatures=curvs[:, -1],
-        magnitudes=mags[:, :-1],
-        full_magnitudes=mags[:, -1],
-        meta={"truncated": trace.termination == "negative_curvature",
-              "requested_steps": config.p_max},
-    )
-    return trace, report
+    m = _span_scores(quads, trace.directions, steps)
+    return trace, ScanReport(q_b.batch_id, [q.batch_id for q in batch_quads],
+                             m[..., 0], m[..., 1])
 
 
 def overlap_matrix(u: DirectionSet, u_tilde: DirectionSet) -> OverlapMatrix:
@@ -330,19 +312,13 @@ def relative_errors(measured: np.ndarray, truth: np.ndarray):
 
 def bias_summary(scans: list, quantity: str) -> list:
     """Per-scan relative errors of the same-batch values against the
-    full-batch row, aggregated into mean and quartiles."""
+    full-batch column, aggregated into mean and quartiles."""
     if quantity not in ("slope", "curvature"):
         raise ValidationError(f"unknown quantity {quantity!r}")
     out = []
     for scan in scans:
-        col = scan.source_column()
-        if quantity == "curvature":
-            measured = scan.curvatures[:, col]
-            truth = scan.full_curvatures
-        else:
-            measured = scan.slopes[:, col]
-            truth = scan.full_slopes
-        errs, n_excl = relative_errors(measured, truth)
+        table = scan.curvatures if quantity == "curvature" else scan.slopes
+        errs, n_excl = relative_errors(table[:, scan.source_column()], table[:, -1])
         if errs.size:
             p25, med, p75 = np.percentile(errs, [25, 50, 75])
             mean = float(np.mean(errs))

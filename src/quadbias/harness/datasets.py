@@ -228,13 +228,14 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
 
 def load_csv(path) -> tuple:
     """Read the documented dataset format: header x0..x{D-1},label; 0-based
-    integer labels."""
+    integer labels. A file that is empty or holds an entry of another form
+    raises ValidationError naming it."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"{path}: dataset file not found")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[-1] != "label" or not header[0].startswith("x"):
             raise ValidationError(f"{path}: expected header x0,...,x{{D-1}},label")
         d = len(header) - 1
@@ -243,8 +244,11 @@ def load_csv(path) -> tuple:
         for row in reader:
             if len(row) != d + 1:
                 raise ValidationError(f"{path}: row width {len(row)} != {d + 1}")
-            rows.append([float(v) for v in row[:d]])
-            labels.append(int(row[d]))
+            try:
+                rows.append([float(v) for v in row[:d]])
+                labels.append(int(row[d]))
+            except ValueError as exc:
+                raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     x = np.asarray(rows, dtype=np.float64).reshape(len(rows), d)
     return x, np.asarray(labels, dtype=np.int64)
 

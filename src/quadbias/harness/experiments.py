@@ -144,14 +144,13 @@ def _ratio_stats(reports, batch_size, seed) -> dict:
     eigendirection. A full-batch value below RELERR_FLOOR in magnitude
     excludes its report, as in relative_errors; both statistics are NaN when
     no report is left."""
-    kept = [rep for rep in reports if abs(rep.full_curvatures[0]) >= RELERR_FLOOR]
+    kept = [rep for rep in reports if abs(rep.curvatures[0, -1]) >= RELERR_FLOOR]
     if len(kept) < len(reports):
         logger.warning("bias-scan batch size %d, seed %d: %d of %d curvature ratios "
                        "excluded (|full-batch curvature| < %g)", batch_size, seed,
                        len(reports) - len(kept), len(reports), RELERR_FLOOR)
-    ratios = np.array([
-        rep.curvatures[0, rep.source_column()] / rep.full_curvatures[0] for rep in kept
-    ])
+    ratios = np.array([rep.curvatures[0, rep.source_column()] / rep.curvatures[0, -1]
+                       for rep in kept])
     if not ratios.size:
         return {"overestimated_fraction": float("nan"), "median_ratio": float("nan")}
     return {"overestimated_fraction": float(np.mean(ratios > 1.0)),

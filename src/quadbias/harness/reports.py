@@ -104,12 +104,9 @@ def verify_result_dir(out_dir) -> dict:
 def scan_rows(report) -> list:
     """`direction_index,batch_id,slope,curvature` with batch_id FULL for the
     full-batch row."""
-    rows = []
-    for i in range(report.k):
-        for j, bid in enumerate(report.batch_ids):
-            rows.append([i, bid, report.slopes[i, j], report.curvatures[i, j]])
-        rows.append([i, "FULL", report.full_slopes[i], report.full_curvatures[i]])
-    return rows
+    ids = [*report.batch_ids, "FULL"]
+    return [[i, bid, report.slopes[i, j], report.curvatures[i, j]]
+            for i in range(report.k) for j, bid in enumerate(ids)]
 
 
 SCAN_HEADER = ["direction_index", "batch_id", "slope", "curvature"]

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_nonnegative
 from .linalg import DenseSymMatrix, EigenDecomposition, Rng, kron_matvec, sym_eigh
 from .model import KfacBlock, Linearization, Mlp, ParamVector, _sym, softmax
 from .quadratic import accumulate_kfac  # re-exported: the K-FAC of a whole dataset
@@ -86,8 +86,7 @@ def factor_eigs(blocks: list) -> list:
 
 
 def _checked_beta(eigs: list, beta: float) -> float:
-    if beta < 0:
-        raise ValidationError(f"beta must be >= 0, got {beta}")
+    check_nonnegative(beta=beta)
     if beta == 0.0 and any(np.any(e.kron_eigs <= 0.0) for e in eigs):
         raise ValidationError("beta = 0 requires strictly positive factor eigenvalues")
     return float(beta)

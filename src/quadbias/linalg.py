@@ -229,10 +229,10 @@ def kron_matvec(u_a: np.ndarray, u_b: np.ndarray, w: np.ndarray) -> np.ndarray:
     u_a = np.asarray(u_a, dtype=np.float64)
     u_b = np.asarray(u_b, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    m = u_a.shape[1]
-    n = u_b.shape[1]
     if u_a.ndim != 2 or u_b.ndim != 2:
         raise ValidationError("factors must be 2-d arrays")
+    m = u_a.shape[1]
+    n = u_b.shape[1]
     if w.ndim not in (1, 2) or w.shape[0] != m * n:
         raise ValidationError(
             f"vector length {w.shape} does not match factor dims {m}*{n}"

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_domains
+from .errors import NumericalError, ValidationError, check_domains, check_nonnegative
 from .linalg import DenseSymMatrix, Rng
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -175,10 +175,11 @@ class Batch:
             raise ValidationError("targets must be one-hot rows")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
-        idx = self.indices
-        if idx is None:
-            idx = np.arange(x.shape[0])
-        object.__setattr__(self, "indices", np.asarray(idx, dtype=np.int64))
+        idx = np.arange(x.shape[0]) if self.indices is None else self.indices
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.shape != (x.shape[0],):
+            raise ValidationError(f"indices shape {idx.shape} != ({x.shape[0]},), one per row")
+        object.__setattr__(self, "indices", idx)
 
     @property
     def size(self) -> int:
@@ -516,8 +517,7 @@ class Mlp:
     def loss_and_grad(self, params: ParamVector, batch: Batch | Linearization, beta: float):
         """Regularized mean loss and its exact gradient on a Batch or on its
         Linearization at params."""
-        if beta < 0:
-            raise ValidationError(f"beta must be >= 0, got {beta}")
+        check_nonnegative(beta=beta)
         lin = self._linearized(params, batch)
         loss = self._loss_value(lin.logits, lin.targets)
         grad = lin._backprop(lin.loss_grad_logits())

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_nonnegative
 from .linalg import DenseSymMatrix, Rng, kron_matvec
 from .model import Batch, KfacBlock, Mlp, ParamVector, add_weight_decay
 
@@ -43,8 +43,7 @@ class CurvatureOperator:
         batch_id=None,
         raw_gram: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
-        if beta < 0 or delta < 0:
-            raise ValidationError("beta and delta must be >= 0")
+        check_nonnegative(beta=beta, delta=delta)
         self.dim = dim
         self.beta = beta
         self.delta = delta
@@ -150,7 +149,6 @@ class QuadraticModel:
     constant: float
     gradient: np.ndarray
     curvature: CurvatureOperator
-    kfac_blocks: list | None = None
 
     @property
     def dim(self) -> int:
@@ -183,15 +181,13 @@ def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, parts: list, kind: str
         grad += w * g_part
     loss = add_weight_decay(theta0, beta, loss, grad)
     _require_finite(stage, loss=loss, gradient=grad)
-    blocks = None
     if kind == "kfac":
-        blocks = kfac()
-        raw, gram = _kfac_product(blocks, theta0), None
+        raw, gram = _kfac_product(kfac(), theta0), None
     else:
         raw, gram = _curvature_products(mlp, theta0, kind, parts)
     op = CurvatureOperator(theta0.n_params, raw, beta, delta, theta0.weight_mask, batch_id,
                            gram)
-    return QuadraticModel(theta0, loss, grad, op, blocks)
+    return QuadraticModel(theta0, loss, grad, op)
 
 
 def build_quadratic(

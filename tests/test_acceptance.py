@@ -87,7 +87,7 @@ def test_criterion_02_curvature_overestimation(toy_dataset, toy_mlp, toy_theta):
         k=1, kind="ggn", beta=TOY_BETA, rng=Rng(0),
     )
     ratios = np.array([
-        rep.curvatures[0, rep.source_column()] / rep.full_curvatures[0]
+        rep.curvatures[0, rep.source_column()] / rep.curvatures[0, -1]
         for rep in reports
     ])
     frac = float(np.mean(ratios > 1.0))

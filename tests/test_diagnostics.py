@@ -225,10 +225,10 @@ class TestEigendirectionScan:
         )
         for rep in reports:
             np.testing.assert_allclose(
-                rep.slopes.mean(axis=1), rep.full_slopes, rtol=1e-10, atol=1e-14
+                rep.slopes[:, :-1].mean(axis=1), rep.slopes[:, -1], rtol=1e-10, atol=1e-14
             )
             np.testing.assert_allclose(
-                rep.curvatures.mean(axis=1), rep.full_curvatures, rtol=1e-10
+                rep.curvatures[:, :-1].mean(axis=1), rep.curvatures[:, -1], rtol=1e-10
             )
 
     def test_source_indices_subset(self):
@@ -265,7 +265,7 @@ class TestEigendirectionScan:
         )
         for rep in reports:
             np.testing.assert_allclose(
-                rep.slopes.mean(axis=1), rep.full_slopes, rtol=1e-10, atol=1e-14
+                rep.slopes[:, :-1].mean(axis=1), rep.slopes[:, -1], rtol=1e-10, atol=1e-14
             )
 
     @pytest.mark.parametrize("edit", ["shifted_indices", "unknown_index"])
@@ -333,10 +333,8 @@ class TestRowScanAgainstPerBatchOracle:
             slopes, curvs, full_s, full_c = scan_oracle.per_batch_scores(
                 mlp, p, batches, data, dset.directions, beta, delta, chunk_size)
             for got, want in (
-                (np.column_stack([rep.slopes, rep.full_slopes]),
-                 np.column_stack([slopes, full_s])),
-                (np.column_stack([rep.curvatures, rep.full_curvatures]),
-                 np.column_stack([curvs, full_c])),
+                (rep.slopes, np.column_stack([slopes, full_s])),
+                (rep.curvatures, np.column_stack([curvs, full_c])),
             ):
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) <= SCAN_TOL * scale
@@ -360,19 +358,20 @@ class TestCgDirectionScan:
         quads, q_full = self._setup()
         trace, rep = cg_direction_scan(quads[0], quads, q_full, CgConfig(p_max=6))
         col = rep.batch_ids.index(quads[0].batch_id)
+        magnitudes = -rep.slopes[:, col] / rep.curvatures[:, col]
         assert np.all(rep.slopes[:, col] <= 1e-12)
-        assert np.all(rep.magnitudes[:, col] > 0.0)
-        np.testing.assert_allclose(
-            rep.magnitudes[:, col], trace.magnitudes, rtol=1e-10
-        )
+        assert np.all(magnitudes > 0.0)
+        np.testing.assert_allclose(magnitudes, trace.magnitudes, rtol=1e-10)
 
     def test_cross_batch_matches_independent_recomputation(self):
         quads, q_full = self._setup()
         trace, rep = cg_direction_scan(quads[0], quads, q_full, CgConfig(p_max=5))
         assert rep.k == 5
-        columns = [(q, rep.slopes[:, j], rep.curvatures[:, j], rep.magnitudes[:, j])
-                   for j, q in enumerate(quads)]
-        columns.append((q_full, rep.full_slopes, rep.full_curvatures, rep.full_magnitudes))
+        assert rep.slopes.shape == rep.curvatures.shape == (5, len(quads) + 1)
+        # the full-batch quadratic is the last column
+        columns = [(q, rep.slopes[:, j], rep.curvatures[:, j],
+                    -rep.slopes[:, j] / rep.curvatures[:, j])
+                   for j, q in enumerate([*quads, q_full])]
         iterates = list(trace.iterates())
         for q, slopes, curvs, mags in columns:
             for p_i in range(rep.k):
@@ -408,7 +407,7 @@ class TestCgDirectionScan:
         q_bad = synthetic_quadratic(h, np.array([1.0, 1.0, 1.0]), batch_id=0)
         q_full = synthetic_quadratic(np.eye(3), np.ones(3), batch_id="FULL")
         trace, rep = cg_direction_scan(q_bad, [q_bad], q_full, CgConfig(p_max=3))
-        assert rep.meta["truncated"]
+        assert trace.termination == "negative_curvature"
         assert rep.k == trace.n_steps
 
     def test_stop_on_the_first_direction_gives_an_empty_scan(self):
@@ -418,18 +417,16 @@ class TestCgDirectionScan:
         q_full = synthetic_quadratic(np.eye(2), np.ones(2), batch_id="FULL")
         trace, rep = cg_direction_scan(q_bad, [q_bad, q_other], q_full, CgConfig(p_max=3))
         assert trace.n_steps == 0
-        assert rep.meta["truncated"]
-        for arr in (rep.slopes, rep.curvatures, rep.magnitudes):
-            assert arr.shape == (0, 2)
-        for arr in (rep.full_slopes, rep.full_curvatures, rep.full_magnitudes):
-            assert arr.shape == (0,)
+        assert trace.termination == "negative_curvature"
+        for arr in (rep.slopes, rep.curvatures):
+            assert arr.shape == (0, 3)
         assert rep.batch_ids == [0, 1]
 
     def test_step_cap_is_the_configs_p_max(self):
         q = synthetic_quadratic(random_spd(Rng(5), 6), np.ones(6), batch_id=0)
         trace, rep = cg_direction_scan(q, [q], q, CgConfig(p_max=1))
         assert trace.n_steps == rep.k == 1
-        assert rep.meta == {"truncated": False, "requested_steps": 1}
+        assert trace.termination == "max_iter"
         # the cap binds: without it CG takes more than one step here
         assert cg_direction_scan(q, [q], q, CgConfig(p_max=4))[0].n_steps > 1
 

@@ -787,9 +787,8 @@ class TestExperiments:
 
         def report(m, same, full):
             # direction 0 only: same-batch curvature `same`, full-batch `full`
-            return ScanReport(source_batch=m, batch_ids=[0, 1, 2], slopes=np.zeros((1, 3)),
-                              curvatures=np.full((1, 3), same), full_slopes=np.zeros(1),
-                              full_curvatures=np.array([full]))
+            return ScanReport(source_batch=m, batch_ids=[0, 1, 2], slopes=np.zeros((1, 4)),
+                              curvatures=np.array([[same, same, same, full]]))
 
         def fake_scan(cfg, dataset, mlp, theta, batch_size, seed):
             if batch_size == 16:
@@ -1137,6 +1136,23 @@ class TestCli:
         assert res.returncode == 1
         assert res.stderr.startswith("validation error")
         assert str(missing) in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected header"),
+        ("x0,x1,label\n0.5,abc,1\n", "line 2: could not convert string to float"),
+        ("x0,x1,label\n0.5,1.0,1\n0.5,1.0,1.5\n", "line 3: invalid literal for int()"),
+    ], ids=["empty", "non_numeric_entry", "non_integer_label"])
+    def test_malformed_csv_file_is_validation_error(self, tmp_path, text, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        path = tmp_path / "csv.ini"
+        path.write_text(f"[dataset]\ngenerator = csv_file\npath = {data}\n")
+        res = self._run("--config", str(path), "--out-dir", str(tmp_path / "d"),
+                        "gen-data")
+        assert res.returncode == 1
+        assert res.stderr.startswith("validation error")
+        assert f"{data}: {message}" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_missing_config_is_validation_error(self, tmp_path):

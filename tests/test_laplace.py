@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from quadbias.cg import CgConfig
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.harness import parse_experiment_config
 from quadbias.laplace import (
@@ -26,7 +27,7 @@ from quadbias.model import (
     build_layout,
     softmax,
 )
-from quadbias.quadratic import synthetic_quadratic, value_at
+from quadbias.quadratic import CurvatureOperator, synthetic_quadratic, value_at
 
 import laplace_oracle as oracle
 from conftest import small_problem
@@ -45,6 +46,30 @@ def block_mean(m, n, fill=0.0):
 def make_block(a, b, layer=0):
     return KfacBlock(layer=layer, factor_a=DenseSymMatrix(np.asarray(a, float)),
                      factor_b=DenseSymMatrix(np.asarray(b, float)))
+
+
+def _unit_posterior(beta):
+    return build_posterior([make_block(np.eye(2), np.eye(2))], block_mean(2, 2), 10, beta)
+
+
+def _small_loss_and_grad(beta):
+    mlp, p, batch = small_problem()
+    return mlp.loss_and_grad(p, batch, beta)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name, call", [
+    ("epsilon", lambda v: CgConfig(epsilon=v)),
+    ("beta", lambda v: CurvatureOperator(3, lambda vs: vs, beta=v)),
+    ("delta", lambda v: CurvatureOperator(3, lambda vs: vs, delta=v)),
+    ("beta", lambda v: _unit_posterior(0.1).with_beta(v)),
+    ("beta", _unit_posterior),
+    ("beta", _small_loss_and_grad),
+], ids=["cg_epsilon", "operator_beta", "operator_delta", "with_beta", "build_posterior",
+        "loss_and_grad"])
+def test_non_finite_hyperparameter_rejected_naming_it(name, call, value):
+    with pytest.raises(ValidationError, match=rf"^{name} must be .*finite, got {value}$"):
+        call(value)
 
 
 def dense_block(blk):

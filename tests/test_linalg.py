@@ -227,6 +227,11 @@ class TestKronMatvec:
         with pytest.raises(ValidationError):
             kron_matvec(np.eye(2), np.eye(3), np.zeros(5))
 
+    @pytest.mark.parametrize("u_a, u_b", [(np.ones(2), np.eye(3)), (np.eye(2), np.ones(3))])
+    def test_one_dimensional_factor_rejected(self, u_a, u_b):
+        with pytest.raises(ValidationError, match="factors must be 2-d"):
+            kron_matvec(u_a, u_b, np.zeros(6))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_property_all_small_dims(self, m, n, seed):

@@ -490,6 +490,11 @@ class TestBatchValidation:
         with pytest.raises(ValidationError):
             Batch(np.zeros((2, 3)), np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize("indices", [[0, 1], [0, 1, 2, 3], [[0], [1], [2]]])
+    def test_indices_must_name_each_row_once(self, indices):
+        with pytest.raises(ValidationError, match=r"indices shape .* != \(3,\)"):
+            Batch(np.zeros((3, 2)), one_hot(np.array([0, 1, 0]), 2), indices)
+
     def test_one_hot_roundtrip(self):
         y = one_hot(np.array([2, 0, 1]), 3)
         np.testing.assert_array_equal(np.argmax(y, axis=1), [2, 0, 1])

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadbias.errors import NumericalError, ValidationError
-from quadbias.linalg import Rng
-from quadbias.model import Batch, MlpArchitecture, ParamVector
+from quadbias.linalg import DenseSymMatrix, Rng, kron_matvec
+from quadbias.model import Batch, KfacBlock, MlpArchitecture, ParamVector
 from quadbias.quadratic import (
     CurvatureOperator,
     build_quadratic,
@@ -71,6 +71,17 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def kfac_block_product(blocks, p, beta, vs):
+    """The block-diagonal Kronecker product of K-FAC blocks on the weight
+    slices of vs, plus beta on the weights; zero on the biases."""
+    out = np.zeros_like(vs)
+    for e, blk in zip(p.weight_entries, blocks):
+        seg = slice(e.offset, e.offset + e.size)
+        out[seg] = kron_matvec(blk.factor_a.entries, blk.factor_b.entries, vs[seg])
+        out[seg] += beta * vs[seg]
+    return out
+
+
 @pytest.fixture()
 def toy_quadratic():
     mlp, p, batch = small_problem(seed=50, n=20)
@@ -103,7 +114,10 @@ class TestBuildQuadratic:
     def test_kfac_kind_builds_blocks(self):
         mlp, p, batch = small_problem(seed=52)
         q = build_quadratic(mlp, p, batch, "kfac", beta=0.1, rng=Rng(1))
-        assert q.kfac_blocks is not None
+        blocks = mlp.kfac_factors(p, batch, "mc_sample", Rng(1))
+        vs = Rng(3).normal(3 * p.n_params).reshape(p.n_params, 3)
+        want = kfac_block_product(blocks, p, 0.1, vs)
+        np.testing.assert_allclose(q.curvature.matmat(vs), want, rtol=1e-12, atol=1e-12)
         d = unit(Rng(2).normal(p.n_params))
         assert directional_curvature(q, d) > 0  # PSD blocks + beta on weights
 
@@ -483,9 +497,12 @@ class TestFullbatch:
             Batch(data.inputs[6:], data.targets[6:]),
         ]
         blocks = [mlp.kfac_factors(p, b, "empirical") for b in halves]
-        for l, blk in enumerate(q.kfac_blocks):
-            avg_a = 0.5 * (blocks[0][l].factor_a.entries + blocks[1][l].factor_a.entries)
-            np.testing.assert_allclose(blk.factor_a.entries, avg_a, atol=1e-12)
+        avg = [KfacBlock(l, DenseSymMatrix(0.5 * (a.factor_a.entries + b.factor_a.entries)),
+                         DenseSymMatrix(0.5 * (a.factor_b.entries + b.factor_b.entries)))
+               for l, (a, b) in enumerate(zip(*blocks))]
+        vs = Rng(4).normal(3 * p.n_params).reshape(p.n_params, 3)
+        np.testing.assert_allclose(q.curvature.matmat(vs), kfac_block_product(avg, p, 0.1, vs),
+                                   atol=1e-12)
 
     def test_nan_parameter_raises_naming_the_stage(self):
         mlp, p, batch = small_problem(seed=58)

@@ -58,10 +58,15 @@ MUTANTS = (
            "debiased CG magnitude slope taken from the direction batch's gradient",
            ("tests/test_cg.py",)),
     Mutant("src/quadbias/diagnostics.py",
-           "for q in [*quads, q_full]]",
-           "for q in [*quads, quads[0]]]",
+           "_span_scores([*quads, q_full], d,",
+           "_span_scores([*quads, quads[0]], d,",
            "Hessian/K-FAC eigen scan full-batch scores taken from batch 0",
            ("tests/test_diagnostics.py",)),
+    Mutant("src/quadbias/diagnostics.py",
+           "np.column_stack([np.diagonal(s), c])",
+           "np.column_stack([s[0], c])",
+           "span scores read every direction's slope at the first row's point",
+           ("tests/test_diagnostics.py", "-k", "CgDirectionScan")),
     Mutant("src/quadbias/diagnostics.py",
            "[terms[:, pos].mean(axis=1) for pos in positions]",
            "[terms[:, b.indices].mean(axis=1) for b in batches]",
@@ -118,8 +123,8 @@ MUTANTS = (
            "cg-compare debiased_never_above_anchor from the last iterate only",
            ("tests/test_harness.py", "-k", "cg_compare")),
     Mutant("src/quadbias/harness/experiments.py",
-           "rep.curvatures[0, rep.source_column()] / rep.full_curvatures[0]",
-           "rep.curvatures[0, rep.source_column()] / rep.full_curvatures[-1]",
+           "rep.curvatures[0, rep.source_column()] / rep.curvatures[0, -1]",
+           "rep.curvatures[0, rep.source_column()] / rep.curvatures[-1, -1]",
            "bias-scan curvature ratio against the last direction's full-batch value",
            ("tests/test_harness.py", "-k", "bias_scan")),
     Mutant("src/quadbias/harness/experiments.py",
@@ -133,7 +138,7 @@ MUTANTS = (
            "mean_ood_entropy averaged over the test rows",
            ("tests/test_harness.py", "-k", "predictive_metrics")),
     Mutant("src/quadbias/harness/experiments.py",
-           "kept = [rep for rep in reports if abs(rep.full_curvatures[0]) >= RELERR_FLOOR]",
+           "kept = [rep for rep in reports if abs(rep.curvatures[0, -1]) >= RELERR_FLOOR]",
            "kept = list(reports)",
            "bias-scan curvature ratio keeps a zero full-batch curvature",
            ("tests/test_harness.py", "-k", "bias_scan")),
