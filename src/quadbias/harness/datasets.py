@@ -9,6 +9,7 @@ for corruption-style distribution shift.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -227,9 +228,10 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
 
 
 def load_csv(path) -> tuple:
-    """Read the documented dataset format: header x0..x{D-1},label; 0-based
-    integer labels. A file that is empty or holds an entry of another form
-    raises ValidationError naming it."""
+    """Read the documented dataset format: header x0..x{D-1},label; finite
+    inputs and 0-based integer labels. A file that is empty or holds an entry
+    of another form raises ValidationError naming it, its line and the
+    entry."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"{path}: dataset file not found")
@@ -242,13 +244,19 @@ def load_csv(path) -> tuple:
         rows = []
         labels = []
         for row in reader:
+            where = f"{path}: line {reader.line_num}"
             if len(row) != d + 1:
-                raise ValidationError(f"{path}: row width {len(row)} != {d + 1}")
+                raise ValidationError(f"{where}: row width {len(row)} != {d + 1}")
             try:
                 rows.append([float(v) for v in row[:d]])
                 labels.append(int(row[d]))
             except ValueError as exc:
-                raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+                raise ValidationError(f"{where}: {exc}") from None
+            for name, text, v in zip(header, row, rows[-1]):
+                if not math.isfinite(v):
+                    raise ValidationError(f"{where}: {name} = {text!r} is not finite")
+            if labels[-1] < 0:
+                raise ValidationError(f"{where}: label = {row[d]!r} is negative")
     x = np.asarray(rows, dtype=np.float64).reshape(len(rows), d)
     return x, np.asarray(labels, dtype=np.int64)
 

@@ -19,8 +19,9 @@ acts on the weights only (``ParamVector.weight_mask``), never on the biases.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -35,6 +36,53 @@ FISHER_MODES = ("mc_sample", "empirical")
 # pass over one 512-row chunk held this much before block products existed;
 # passes of max(1, BLOCK_BUDGET // rows) columns keep peak memory there.
 BLOCK_BUDGET = 512
+# Rows x columns x parameters, about the multiply-adds of one pass, from which
+# a second thread takes alternate passes (see _pass_worker): smaller passes do
+# not pay for the handoff. A pass of the toy nets (P <= 1,562) stays below it
+# up to 2,685 rows; a 512-row pass of the 77k-parameter medium net is 9x
+# above it.
+SPLIT_WORK = 1 << 22
+# The variables each BLAS reads its thread count from, in its own order of
+# precedence; any other BLAS is taken to read OMP_NUM_THREADS.
+BLAS_THREAD_VARS = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
+
+
+def _second_thread_helps(environ, cores: int, blas: str) -> bool:
+    """True when a second thread of block passes would add a core's work:
+    at least two usable cores, and the BLAS named blas held to one thread by
+    the first of its variables set to a positive count. Unset, BLAS already
+    spreads one product over every core."""
+    if cores < 2:
+        return False
+    names = next((v for k, v in BLAS_THREAD_VARS.items() if k in blas.lower()),
+                 ("OMP_NUM_THREADS",))
+    for name in names:
+        value = environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1
+    return False
+
+
+@cache
+def _pass_worker():
+    """A one-thread executor, the persistent thread that takes alternate
+    passes of large block products, started on first use; None where
+    _second_thread_helps says it would not help."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    blas = getattr(np.__config__, "CONFIG", {}).get(
+        "Build Dependencies", {}).get("blas", {}).get("name", "")
+    if not _second_thread_helps(os.environ, cores, blas):
+        return None
+    from concurrent.futures import ThreadPoolExecutor  # imported only where used
+
+    return ThreadPoolExecutor(1, thread_name_prefix="quadbias-pass")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no copy of the thread
+    os.register_at_fork(after_in_child=_pass_worker.cache_clear)
 
 
 @dataclass(frozen=True)
@@ -214,35 +262,37 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _act(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of z, written into out when given (out=z overwrites z)."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     return z
 
 
-def _act_d(name: str, z: np.ndarray) -> np.ndarray:
+def _act_d(name: str, a: np.ndarray) -> np.ndarray:
+    """act'(Z) from the activation A = act(Z)."""
     # relu derivative at exactly 0 is 0 (subgradient choice); kept as a bool
     # mask, an eighth of the memory, which multiplies as exact 0.0 / 1.0
     if name == "relu":
-        return z > 0.0
+        return a > 0.0
     if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
+        return 1.0 - a * a
+    return np.ones_like(a)
 
 
-def _act_dd(name: str, z: np.ndarray) -> np.ndarray:
+def _act_dd(name: str, a: np.ndarray) -> np.ndarray:
+    """act''(Z) from the activation A = act(Z)."""
     if name == "tanh":
-        t = np.tanh(z)
-        return -2.0 * t * (1.0 - t * t)
-    return np.zeros_like(z)
+        return -2.0 * a * (1.0 - a * a)
+    return np.zeros_like(a)
 
 
 class Linearization:
-    """The network at fixed (params, inputs): forward trace, activation
-    derivatives and, for cross entropy, the softmax, computed once.
+    """The network at fixed (params, inputs): the layer inputs A_0..A_{L-1},
+    the logits, activation derivatives and, for cross entropy, the softmax,
+    computed once; hidden pre-activations are not kept.
 
     Every product, the loss gradient and the K-FAC factors reuse them, and
     walk back through the network by one recursion, ``_layer_grads``, which
@@ -250,7 +300,8 @@ class Linearization:
     Products take (P, k) blocks of parameter directions and run in
     passes of at most ``max(1, BLOCK_BUDGET // rows)`` columns; a pass is a
     few matrix products per layer over all of its columns at once, with
-    R-quantities laid out (columns, rows, width). Targets are needed by the
+    R-quantities laid out (columns, rows, width), and large passes are
+    shared with a second thread (``_by_pass``). Targets are needed by the
     loss gradient and the Hessian product only.
     """
 
@@ -259,8 +310,10 @@ class Linearization:
         self.mlp = mlp
         self.params = params
         self.targets = targets
-        self.wb, self.acts, self.pre = mlp._forward_trace(params, inputs)
-        self.d1 = [_act_d(mlp.arch.activation, z) for z in self.pre[:-1]]
+        self.wb = mlp._unpack(params)
+        self.acts = []
+        self.logits = mlp._walk(self.wb, inputs, self.acts)
+        self.d1 = [_act_d(mlp.arch.activation, a) for a in self.acts[1:]]
         self.probs = softmax(self.logits) if mlp.arch.loss == "cross_entropy" else None
         self.cols_per_pass = max(1, BLOCK_BUDGET // max(1, self.size))
 
@@ -269,26 +322,41 @@ class Linearization:
         """Rows in the trace."""
         return self.acts[0].shape[0]
 
-    @property
-    def logits(self) -> np.ndarray:
-        return self.pre[-1]
-
     # -- shared passes ---------------------------------------------------------
 
-    def _by_pass(self, vs: np.ndarray, one_pass) -> np.ndarray:
-        """Stack one_pass over column groups of vs; leading axis = columns."""
+    def _by_pass(self, vs: np.ndarray, tail: tuple, one_pass) -> np.ndarray:
+        """one_pass over column groups of vs, each written whole into its own
+        slice of the (k,) + tail output. When there are several passes of at
+        least SPLIT_WORK and a second thread helps (``_pass_worker``), that
+        thread runs the odd passes while this one runs the even ones; nothing
+        is summed across passes, so the output is the same bytes either way.
+        An error of either half is raised once both halves are done."""
         vs = np.asarray(vs, dtype=np.float64)
         if vs.ndim != 2 or vs.shape[0] != self.mlp.n_params or vs.shape[1] < 1:
             raise ValidationError(
                 f"block shape {vs.shape} != ({self.mlp.n_params}, k >= 1)"
             )
-        out = None
+        out = np.empty((vs.shape[1],) + tail)
         step = self.cols_per_pass
-        for start in range(0, vs.shape[1], step):
-            part = one_pass(np.ascontiguousarray(vs[:, start : start + step].T))
-            if out is None:
-                out = np.empty((vs.shape[1],) + part.shape[1:])
-            out[start : start + step] = part
+        starts = range(0, vs.shape[1], step)
+
+        def run(part):
+            for start in part:
+                out[start : start + step] = one_pass(
+                    np.ascontiguousarray(vs[:, start : start + step].T))
+
+        worker = None
+        if len(starts) > 1 and step * self.size * self.mlp.n_params >= SPLIT_WORK:
+            worker = _pass_worker()
+        if worker is None:
+            run(starts)
+            return out
+        odd = worker.submit(run, starts[1::2])
+        try:
+            run(starts[::2])
+        finally:
+            odd.exception()  # waits for the odd half, however the even half ends
+        odd.result()
         return out
 
     def _split(self, vt: np.ndarray, l: int):
@@ -359,7 +427,7 @@ class Linearization:
         with s = g_l W_l^T."""
         act = self.mlp.arch.activation
         gs = self._layer_grads(self.loss_grad_logits())
-        s_d2 = [None] + [(gs[l] @ self.wb[l][0].T) * _act_dd(act, self.pre[l - 1])
+        s_d2 = [None] + [(gs[l] @ self.wb[l][0].T) * _act_dd(act, self.acts[l])
                          for l in range(1, len(self.wb))]
         return gs, s_d2
 
@@ -368,7 +436,7 @@ class Linearization:
     def jvp_mm(self, vs: np.ndarray) -> np.ndarray:
         """Directional derivatives of the logits, (k, rows, C), one slice per
         column of vs."""
-        return self._by_pass(vs, lambda vt: self._r_forward(vt)[-1])
+        return self._by_pass(vs, self.logits.shape, lambda vt: self._r_forward(vt)[-1])
 
     def ggn_mm(self, vs: np.ndarray) -> np.ndarray:
         """Generalized Gauss-Newton block product G_B vs, (P, k).
@@ -380,7 +448,7 @@ class Linearization:
             jv = self._r_forward(vt)[-1]
             return self._backprop(self._loss_hessian(jv) / self.size)
 
-        return self._by_pass(vs, one_pass).T
+        return self._by_pass(vs, (self.mlp.n_params,), one_pass).T
 
     def ggn_gram(self, vs: np.ndarray) -> np.ndarray:
         """V^T G_B V, (k, k): the row mean of (J V)^T Lambda (J V). Forward
@@ -407,7 +475,7 @@ class Linearization:
             return np.stack([np.einsum("krc,rc->kr", jv, r),
                              np.einsum("krc,krc->kr", jv, self._loss_hessian(jv))], axis=-1)
 
-        return self._by_pass(vs, one_pass)
+        return self._by_pass(vs, (self.size, 2), one_pass)
 
     def hvp_mm(self, vs: np.ndarray) -> np.ndarray:
         """Exact Hessian block product of the mean loss, (P, k).
@@ -433,7 +501,7 @@ class Linearization:
                     r_a.transpose(0, 2, 1) @ gs[l]).reshape(vt.shape[0], -1)
             return out
 
-        return self._by_pass(vs, one_pass).T
+        return self._by_pass(vs, (self.mlp.n_params,), one_pass).T
 
 
 class Mlp:
@@ -475,17 +543,21 @@ class Mlp:
 
     def forward(self, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
         """Logits for a batch of inputs (rows); deterministic."""
-        return self._forward_trace(params, self._inputs(inputs))[2][-1]
+        return self._walk(self._unpack(params), self._inputs(inputs))
 
-    def _forward_trace(self, params: ParamVector, x: np.ndarray):
-        """Activations list [A_0..A_{L-1}] and pre-activations [Z_1..Z_L]."""
-        wb = self._unpack(params)
-        acts, pre = [x], []
+    def _walk(self, wb: list, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+        """The logits Z_L of the layers wb at inputs x, appending each layer's
+        input A_0 = x, A_l = act(Z_l) to acts when given. The bias is added
+        to x W in place and A_l overwrites Z_l, so without acts no more than
+        one layer's input and output are held at a time."""
         for l, (w, b) in enumerate(wb):
-            pre.append(acts[-1] @ w + b)
-            if l < len(wb) - 1:
-                acts.append(_act(self.arch.activation, pre[-1]))
-        return wb, acts, pre
+            if acts is not None:
+                acts.append(x)
+            z = x @ w
+            z += b
+            if l == len(wb) - 1:
+                return z
+            x = _act(self.arch.activation, z, out=z)
 
     def linearize(self, params: ParamVector, inputs: np.ndarray,
                   targets: np.ndarray | None = None) -> Linearization:
@@ -529,6 +601,7 @@ class Mlp:
                  beta: float, v: np.ndarray) -> np.ndarray:
         """Linearization block product ``name`` plus beta * mask, applied to a
         vector (P,) or to every column of a block (P, k)."""
+        check_nonnegative(beta=beta)
         v = np.asarray(v, dtype=np.float64)
         out = getattr(self._linearized(params, data), name)(v.reshape(v.shape[0], -1))
         out = out.reshape(v.shape)

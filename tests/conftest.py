@@ -2,6 +2,7 @@
 model, reused by the diagnostics and acceptance suites."""
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -67,3 +68,33 @@ def small_problem(seed=0, n=12, arch=None):
     labels = r.integers(0, arch.layer_sizes[-1], n)
     batch = Batch(x, one_hot(labels, arch.layer_sizes[-1]))
     return mlp, params, batch
+
+
+class CountingPool(ThreadPoolExecutor):
+    """One worker thread that counts the tasks handed to it."""
+
+    def __init__(self):
+        super().__init__(1, thread_name_prefix="test-pass")
+        self.submits = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submits += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.fixture()
+def pass_split(monkeypatch):
+    """(force, pool): force(True) hands alternate passes of every block
+    product of two or more passes to pool, whatever the pass size, BLAS
+    threads and cores; force(False) keeps every pass on the calling thread."""
+    from quadbias import model
+
+    pool = CountingPool()
+
+    def force(on):
+        if on:
+            monkeypatch.setattr(model, "SPLIT_WORK", 0)
+        monkeypatch.setattr(model, "_pass_worker", lambda: pool if on else None)
+
+    yield force, pool
+    pool.shutdown(wait=True)

@@ -8,7 +8,25 @@ and a dot are the reference for the curvatures of ``quadratic.in_span``."""
 import numpy as np
 
 from quadbias.linalg import DenseSymMatrix
-from quadbias.model import KfacBlock, _act, _act_d, _act_dd, _sym, softmax
+from quadbias.model import KfacBlock, _act, _sym, softmax
+
+
+def _act_d(name, z):
+    """act'(Z) from the pre-activation Z (relu' at 0 is 0)."""
+    if name == "relu":
+        return z > 0.0
+    if name == "tanh":
+        t = np.tanh(z)
+        return 1.0 - t * t
+    return np.ones_like(z)
+
+
+def _act_dd(name, z):
+    """act''(Z) from the pre-activation Z."""
+    if name == "tanh":
+        t = np.tanh(z)
+        return -2.0 * t * (1.0 - t * t)
+    return np.zeros_like(z)
 
 
 def _trace(mlp, params, x):

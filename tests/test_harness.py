@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadbias import model
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.harness import (
     DatasetSpec,
@@ -121,6 +122,18 @@ class TestDatasets:
                            c=3)
         ds = generate_dataset(spec)
         np.testing.assert_array_equal(ds.train_inputs, x)
+
+    @pytest.mark.parametrize("rows, line, entry", [
+        ("0.5,nan,1\n", 2, "x1 = 'nan' is not finite"),
+        ("0.5,1.0,1\n-inf,0.2,0\n", 3, "x0 = '-inf' is not finite"),
+        ("0.5,1.0,1\n0.3,0.2,-1\n", 3, "label = '-1' is negative"),
+    ], ids=["nan", "inf", "negative_label"])
+    def test_csv_rejects_non_finite_entry_and_negative_label(self, tmp_path, rows, line, entry):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,x1,label\n" + rows)
+        with pytest.raises(ValidationError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: line {line}: {entry}"
 
     def test_csv_split_is_seeded_and_label_mixed(self, tmp_path):
         # rows sorted by label: a split in file order would leave label 2
@@ -644,6 +657,27 @@ class TestExperiments:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         assert verify_result_dir(out1)["consistent"]
 
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_outputs_byte_identical_with_passes_split(self, tmp_path, kind, pass_split,
+                                                      monkeypatch):
+        # the second thread of block passes never changes a byte of output;
+        # one column per pass, so every block product of two columns splits
+        force, pool = pass_split
+        monkeypatch.setattr(model, "BLOCK_BUDGET", 1)
+        extra, _ = self._TINY[kind]
+        cfg = self._config(tmp_path, kind=kind, extra=extra,
+                           dataset={"train_frac": "0.75", "ood_translation": "3.0"})
+        force(False)
+        serial = run_experiment(cfg, tmp_path / "serial")
+        force(True)
+        split = run_experiment(cfg, tmp_path / "split")
+        # laplace-sweep takes no block product of two or more columns
+        assert (pool.submits > 0) == (kind != "laplace-sweep")
+        names = sorted(p.name for p in serial.iterdir()
+                       if p.suffix in (".csv", ".svg") or p.name == "summary.json")
+        for name in names:
+            assert (serial / name).read_bytes() == (split / name).read_bytes(), name
+
     def test_scan_csv_row_count(self, tmp_path):
         cfg = self._config(tmp_path)
         out = run_experiment(cfg, tmp_path / "r")
@@ -1142,7 +1176,9 @@ class TestCli:
         ("", "expected header"),
         ("x0,x1,label\n0.5,abc,1\n", "line 2: could not convert string to float"),
         ("x0,x1,label\n0.5,1.0,1\n0.5,1.0,1.5\n", "line 3: invalid literal for int()"),
-    ], ids=["empty", "non_numeric_entry", "non_integer_label"])
+        ("x0,x1,label\n0.5,nan,1\n", "line 2: x1 = 'nan' is not finite"),
+        ("x0,x1,label\n0.5,1.0,1\n0.3,0.2,-1\n", "line 3: label = '-1' is negative"),
+    ], ids=["empty", "non_numeric_entry", "non_integer_label", "nan_entry", "negative_label"])
     def test_malformed_csv_file_is_validation_error(self, tmp_path, text, message):
         data = tmp_path / "bad.csv"
         data.write_text(text)

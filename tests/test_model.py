@@ -1,11 +1,15 @@
 """Forward pass, exact gradients, curvature-vector products, K-FAC factors."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng
-from quadbias.model import BLOCK_BUDGET, Batch, Mlp, MlpArchitecture, one_hot, softmax
+from quadbias.model import (BLOCK_BUDGET, Batch, Mlp, MlpArchitecture, _second_thread_helps,
+                            one_hot, softmax)
 
 import curvature_oracle as oracle
 from conftest import small_problem
@@ -478,11 +482,86 @@ class TestLinearization:
         with pytest.raises(ValidationError):
             mlp.linearize(p, np.ones((2, 4)))
 
+    @pytest.mark.parametrize("method", ["hvp", "ggn_vp"])
+    def test_nan_beta_raises_naming_it(self, method):
+        mlp, p, batch = small_problem(seed=47)
+        with pytest.raises(ValidationError, match="beta"):
+            getattr(mlp, method)(p, batch, float("nan"), np.ones(p.n_params))
+
     def test_zero_rows(self):
         mlp, p, _ = small_problem(seed=48)
         lin = mlp.linearize(p, np.zeros((0, 5)))
         assert lin.logits.shape == (0, 4)
         assert lin.jvp_mm(np.ones((p.n_params, 2))).shape == (2, 0, 4)
+
+
+def _on_worker():
+    return threading.current_thread().name.startswith("test-pass")
+
+
+class TestPassSplit:
+    @pytest.mark.parametrize("product", ["jvp_mm", "ggn_mm", "hvp_mm", "ggn_row_terms",
+                                         "ggn_gram"])
+    @pytest.mark.parametrize("k", [1, 10, 13])
+    def test_split_bit_equal_to_serial(self, product, k, pass_split):
+        # 100 rows: 5 columns per pass, so k = 10 is two whole passes and
+        # k = 13 three, the last of 3 columns
+        force, pool = pass_split
+        arch = MlpArchitecture((5, 7, 6, 3), "tanh", "cross_entropy")
+        mlp, p, batch = small_problem(seed=52, n=100, arch=arch)
+        lin = mlp.linearize(p, batch.inputs, batch.targets)
+        vs = Rng(53).normal(p.n_params * k).reshape(p.n_params, k)
+        force(True)
+        split = getattr(lin, product)(vs)
+        assert pool.submits == (k > lin.cols_per_pass)
+        force(False)
+        serial = getattr(lin, product)(vs)
+        assert split.shape == serial.shape
+        assert split.tobytes() == serial.tobytes()
+
+    def test_errors_raised_once_both_halves_are_done(self, pass_split):
+        force, _ = pass_split
+        force(True)
+        mlp, p, batch = small_problem(seed=54, n=600)  # one column per pass
+        lin = mlp.linearize(p, batch.inputs)
+        ran = []
+
+        def worker_fails(vt):
+            ran.append(_on_worker())
+            if _on_worker():
+                raise NumericalError("pass on the worker")
+            return vt
+
+        with pytest.raises(NumericalError, match="pass on the worker"):
+            lin._by_pass(np.ones((p.n_params, 5)), (p.n_params,), worker_fails)
+        assert sorted(ran) == [False] * 3 + [True]  # the worker stops at its first
+
+        def main_fails(vt):
+            if not _on_worker():
+                raise NumericalError("pass on the main thread")
+            time.sleep(0.05)
+            ran.append(vt.shape[0])
+            return vt
+
+        ran.clear()
+        with pytest.raises(NumericalError, match="pass on the main thread"):
+            lin._by_pass(np.ones((p.n_params, 5)), (p.n_params,), main_fails)
+        assert ran == [1, 1]
+
+    @pytest.mark.parametrize("environ, cores, blas, helps", [
+        ({}, 2, "scipy-openblas", False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, "scipy-openblas", True),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, "scipy-openblas", False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, "scipy-openblas", False),
+        ({"OMP_NUM_THREADS": "1"}, 2, "openblas", True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, "openblas", False),
+        ({"MKL_NUM_THREADS": "1"}, 2, "mkl-sdl", True),
+        ({"MKL_NUM_THREADS": "1"}, 1, "mkl-sdl", False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, "other", False),
+        ({"OMP_NUM_THREADS": "1"}, 2, "other", True),
+    ])
+    def test_second_thread_rule(self, environ, cores, blas, helps):
+        assert _second_thread_helps(environ, cores, blas) == helps
 
 
 class TestBatchValidation:

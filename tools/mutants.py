@@ -202,6 +202,16 @@ MUTANTS = (
            "                pass\n",
            "forward-mode pass drops the previous layer's R[A] W term",
            ("tests/test_model.py",)),
+    Mutant("src/quadbias/model.py",
+           "odd = worker.submit(run, starts[1::2])",
+           "odd = worker.submit(run, starts[:0])",
+           "second thread of block passes drops its half of the passes",
+           ("tests/test_model.py", "-k", "split_bit_equal_to_serial")),
+    Mutant("src/quadbias/model.py",
+           "            odd.exception()  # waits for the odd half, however the even half ends\n",
+           "            pass\n",
+           "block passes raise before the second thread's half is done",
+           ("tests/test_model.py", "-k", "PassSplit")),
     Mutant("src/quadbias/linalg.py",
            "w_mats = cols.T.reshape(k, m, n)",
            "w_mats = cols.T.reshape(k, n, m).transpose(0, 2, 1)",
