@@ -24,8 +24,8 @@ from .linalg import EigenDecomposition, Rng, top_k_eigenpairs
 from .model import Batch, Mlp, ParamVector
 from .quadratic import (
     QuadraticModel,
-    _partition,
     _require_finite,
+    _traces,
     build_quadratic,
     fullbatch_quadratic,
     grad_at,
@@ -161,11 +161,10 @@ def _ggn_row_scores(mlp, theta, batches, data, blocks, beta, delta, chunk_size) 
     one (last) along each (P, k) block, (k, batches + 1, 2) per block: row
     means of one forward-mode pass of all blocks over data, plus the
     regularizer."""
-    chunks = _partition(data, chunk_size)
+    traces = _traces(mlp, theta, data, chunk_size)  # checks data before the lookup
     positions = _row_positions(batches, data)
     d = np.hstack(blocks)
-    terms = np.concatenate([mlp.linearize(theta, c.inputs, c.targets).ggn_row_terms(d)
-                            for _, c in chunks], axis=1)  # (columns, rows, 2)
+    terms = np.concatenate([lin.ggn_row_terms(d) for _, lin in traces], axis=1)
     _require_finite("eigendirection_scan", row_term=terms)
     mask = theta.weight_mask
     d_w = d[mask]

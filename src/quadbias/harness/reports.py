@@ -77,15 +77,18 @@ def verify_result_dir(out_dir) -> dict:
         if p.suffix == ".csv":
             digests[p.name] = read_csv(p)[0]
         elif p.suffix == ".svg":
-            first = p.read_text().splitlines()[0]
+            first = (p.read_text().splitlines() or [""])[0]
             if not first.startswith("<!-- config="):
                 raise ValidationError(f"{p}: missing config digest comment")
             digests[p.name] = first[len("<!-- config=") : -len(" -->")]
-        elif p.name == "summary.json":
-            digests[p.name] = json.loads(p.read_text()).get("config_digest", "")
-        elif p.suffix == ".qckpt":  # a JSON metadata line, then the raw payload
+        elif p.name == "summary.json" or p.suffix == ".qckpt":
+            # a checkpoint is a JSON metadata line, then the raw payload
             with p.open("rb") as fh:
-                digests[p.name] = json.loads(fh.readline()).get("config_digest", "")
+                head = fh.read() if p.suffix == ".json" else fh.readline()
+            try:
+                digests[p.name] = json.loads(head).get("config_digest", "")
+            except (ValueError, AttributeError):  # not JSON, or not an object
+                raise ValidationError(f"{p}: metadata is not a JSON object") from None
     if not digests:
         raise ValidationError(f"{out_dir}: no result files found")
     values = set(digests.values())

@@ -44,17 +44,23 @@ class ProbTable:
         return self.probs.shape[0]
 
 
+def _check_rows(t: ProbTable) -> None:
+    """Accuracy, NLL and ECE are row means, undefined on an empty table."""
+    if t.n == 0:
+        raise ValidationError("empty table")
+
+
 def accuracy(t: ProbTable) -> float:
     """Fraction of rows whose argmax matches the label (ties go to the lowest
     class index)."""
-    if t.n == 0:
-        raise ValidationError("empty table")
+    _check_rows(t)
     preds = np.argmax(t.probs, axis=1)
     return float(np.mean(preds == t.labels))
 
 
 def nll(t: ProbTable) -> float:
     """Mean negative log-probability of the true class."""
+    _check_rows(t)
     p_true = t.probs[np.arange(t.n), t.labels]
     return float(-np.mean(np.log(np.maximum(p_true, PROB_CLAMP))))
 
@@ -66,6 +72,7 @@ def ece(t: ProbTable, n_bins: int = DEFAULT_ECE_BINS) -> float:
     (not reachable for a simplex row) would go to bin 1. Empty bins
     contribute nothing.
     """
+    _check_rows(t)
     if n_bins < 1:
         raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
     conf = np.max(t.probs, axis=1)

@@ -301,8 +301,8 @@ class Linearization:
     passes of at most ``max(1, BLOCK_BUDGET // rows)`` columns; a pass is a
     few matrix products per layer over all of its columns at once, with
     R-quantities laid out (columns, rows, width), and large passes are
-    shared with a second thread (``_by_pass``). Targets are needed by the
-    loss gradient and the Hessian product only.
+    shared with a second thread (``_by_pass``). Targets, when given, are the
+    shape of the logits; what reads them raises ValidationError without them.
     """
 
     def __init__(self, mlp: "Mlp", params: ParamVector, inputs: np.ndarray,
@@ -313,6 +313,9 @@ class Linearization:
         self.wb = mlp._unpack(params)
         self.acts = []
         self.logits = mlp._walk(self.wb, inputs, self.acts)
+        if targets is not None and np.shape(targets) != self.logits.shape:
+            raise ValidationError(
+                f"targets shape {np.shape(targets)} != logits shape {self.logits.shape}")
         self.d1 = [_act_d(mlp.arch.activation, a) for a in self.acts[1:]]
         self.probs = softmax(self.logits) if mlp.arch.loss == "cross_entropy" else None
         self.cols_per_pass = max(1, BLOCK_BUDGET // max(1, self.size))
@@ -405,13 +408,17 @@ class Linearization:
             out[..., eb.offset : eb.offset + eb.size] = g_l.sum(axis=-2)
         return out
 
-    def loss_grad_logits(self) -> np.ndarray:
-        """d(mean loss)/d logits."""
+    def loss_grad_rows(self) -> np.ndarray:
+        """d(row loss)/d logits for every row, (rows, C)."""
         if self.targets is None:
             raise ValidationError("this product needs the batch targets")
         if self.probs is not None:
-            return (self.probs - self.targets) / self.size
-        return 2.0 * (self.logits - self.targets) / self.size
+            return self.probs - self.targets
+        return 2.0 * (self.logits - self.targets)
+
+    def loss_grad_logits(self) -> np.ndarray:
+        """d(mean loss)/d logits."""
+        return self.loss_grad_rows() / self.size
 
     def _loss_hessian(self, r_logits: np.ndarray) -> np.ndarray:
         """Hessian of the per-sample loss at the logits applied to r_logits."""
@@ -591,8 +598,8 @@ class Mlp:
         Linearization at params."""
         check_nonnegative(beta=beta)
         lin = self._linearized(params, batch)
+        grad = lin._backprop(lin.loss_grad_logits())  # first: it checks the targets
         loss = self._loss_value(lin.logits, lin.targets)
-        grad = lin._backprop(lin.loss_grad_logits())
         return add_weight_decay(params, beta, loss, grad), grad
 
     # -- directional derivatives ----------------------------------------------
@@ -632,11 +639,12 @@ class Mlp:
     def kfac_factors(
         self,
         params: ParamVector,
-        batch: Batch,
+        batch: Batch | Linearization,
         fisher_mode: str = "mc_sample",
         rng: Rng | None = None,
     ) -> list:
-        """Kronecker factors A^(l), B^(l) for each dense layer (weights only).
+        """Kronecker factors A^(l), B^(l) for each dense layer (weights only),
+        on a Batch or on its Linearization at params.
 
         A^(l) averages outer products of layer inputs; B^(l) averages outer
         products of per-sample loss gradients w.r.t. the layer pre-activation,
@@ -648,29 +656,24 @@ class Mlp:
             raise ValidationError(f"unknown fisher_mode {fisher_mode!r}")
         if fisher_mode == "mc_sample" and rng is None:
             raise ValidationError("mc_sample mode requires an Rng")
-        lin = self.linearize(params, batch.inputs)
-        logits = lin.logits
-        n = batch.size
+        lin = self._linearized(params, batch)
+        n = lin.size
 
         # per-sample gradient seed at the logits (loss summed per sample,
         # the 1/N average lives in the factor normalization)
-        if self.arch.loss == "cross_entropy":
+        if fisher_mode == "empirical":
+            seed = lin.loss_grad_rows()
+        elif self.arch.loss == "cross_entropy":
             p = lin.probs
-            if fisher_mode == "empirical":
-                seed = p - batch.targets
-            else:
-                u = rng.uniform(n)
-                cdf = np.cumsum(p, axis=1)
-                drawn = np.minimum((u[:, None] > cdf).sum(axis=1), p.shape[1] - 1)
-                y = np.zeros_like(p)
-                y[np.arange(n), drawn] = 1.0
-                seed = p - y
+            u = rng.uniform(n)
+            cdf = np.cumsum(p, axis=1)
+            drawn = np.minimum((u[:, None] > cdf).sum(axis=1), p.shape[1] - 1)
+            y = np.zeros_like(p)
+            y[np.arange(n), drawn] = 1.0
+            seed = p - y
         else:
-            if fisher_mode == "empirical":
-                seed = 2.0 * (logits - batch.targets)
-            else:
-                eps = rng.normal(n * logits.shape[1]).reshape(logits.shape)
-                seed = np.sqrt(2.0) * eps
+            eps = rng.normal(n * lin.logits.shape[1]).reshape(lin.logits.shape)
+            seed = np.sqrt(2.0) * eps
 
         blocks = []
         for l, (a, g) in enumerate(zip(lin.acts, lin._layer_grads(seed))):

@@ -10,7 +10,7 @@ the one-point product-and-dot reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -117,22 +117,6 @@ def _kfac_product(blocks: list, params: ParamVector) -> Callable[[np.ndarray], n
     return product
 
 
-def _curvature_products(mlp: Mlp, theta0: ParamVector, kind: str, parts: list):
-    """(product, gram) of the hessian or ggn curvature, summed over
-    (weight, part) pairs. The product takes a (P, k) block; gram is the
-    ggn's V^T G V of a block from J V alone, and None for the hessian. A
-    part is a Linearization at theta0, reused by every call, or a Batch,
-    linearized afresh on every call (once for all of a block's columns) so
-    that no trace outlives it."""
-    def summed(term):
-        return lambda vs: sum(w * term(part, vs) for w, part in parts)
-
-    name = "hvp" if kind == "hessian" else "ggn_vp"
-    product = summed(lambda part, vs: getattr(mlp, name)(theta0, part, 0.0, vs))
-    gram = summed(lambda part, vs: mlp._linearized(theta0, part).ggn_gram(vs))
-    return product, (gram if kind == "ggn" else None)
-
-
 def _require_finite(stage: str, **values) -> None:
     """Raise NumericalError naming the stage and the first non-finite value."""
     for name, v in values.items():
@@ -161,30 +145,38 @@ class QuadraticModel:
         return self.curvature.batch_id
 
 
-def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, parts: list, kind: str,
-               beta: float, delta: float, batch_id, kfac: Callable[[], list]) -> QuadraticModel:
-    """Quadratic model of the regularized loss over (weight, part) pairs.
+def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, traces: Callable[[], Iterable],
+               kind: str, beta: float, delta: float, batch_id,
+               kfac: Callable[[], list]) -> QuadraticModel:
+    """Quadratic model of the regularized loss over the (weight, Linearization
+    at theta0) pairs that each call of ``traces`` yields.
 
-    c and g are the weighted sums of the parts' losses and gradients, with
-    the regularizer added once. The hessian and ggn products sum over the
-    parts (see ``_curvature_products``); the K-FAC blocks come from one call
-    of ``kfac`` and are reused by every product. Errors name ``stage``.
+    c and g are the weighted sums of the traces' losses and gradients, with
+    the regularizer added once. Every hessian or ggn product and ggn gram (from
+    J V alone) walks ``traces()`` again; the K-FAC blocks come from one call of
+    ``kfac`` and are reused by every product. Errors name ``stage``.
     """
     if kind not in CURVATURE_KINDS:
         raise ValidationError(f"unknown curvature kind {kind!r}")
     _require_finite(stage, theta=theta0.values)
     loss = 0.0
     grad = np.zeros(theta0.n_params)
-    for w, part in parts:
-        l_part, g_part = mlp.loss_and_grad(theta0, part, 0.0)
+    for w, lin in traces():
+        l_part, g_part = mlp.loss_and_grad(theta0, lin, 0.0)
         loss += w * l_part
         grad += w * g_part
     loss = add_weight_decay(theta0, beta, loss, grad)
     _require_finite(stage, loss=loss, gradient=grad)
+
+    def summed(term):
+        return lambda vs: sum(w * term(lin, vs) for w, lin in traces())
+
     if kind == "kfac":
         raw, gram = _kfac_product(kfac(), theta0), None
     else:
-        raw, gram = _curvature_products(mlp, theta0, kind, parts)
+        name = "hvp" if kind == "hessian" else "ggn_vp"
+        raw = summed(lambda lin, vs: getattr(mlp, name)(theta0, lin, 0.0, vs))
+        gram = summed(lambda lin, vs: lin.ggn_gram(vs)) if kind == "ggn" else None
     op = CurvatureOperator(theta0.n_params, raw, beta, delta, theta0.weight_mask, batch_id,
                            gram)
     return QuadraticModel(theta0, loss, grad, op)
@@ -203,13 +195,13 @@ def build_quadratic(
 ) -> QuadraticModel:
     """Quadratic model of the regularized loss on one mini-batch.
 
-    The batch is linearized once here; for kind="hessian"/"ggn" every
-    curvature product reuses that trace, and for kind="kfac" the Kronecker
-    factors are computed once here and reused by every product.
+    The batch is linearized once here. The loss, the gradient and every
+    hessian or ggn product reuse that trace; for kind="kfac" the Kronecker
+    factors are computed once from it and reused by every product.
     """
     lin = mlp.linearize(theta0, batch.inputs, batch.targets)
-    return _quadratic("build_quadratic", mlp, theta0, [(1.0, lin)], kind, beta, delta,
-                      batch_id, lambda: mlp.kfac_factors(theta0, batch, fisher_mode, rng))
+    return _quadratic("build_quadratic", mlp, theta0, lambda: [(1.0, lin)], kind, beta,
+                      delta, batch_id, lambda: mlp.kfac_factors(theta0, lin, fisher_mode, rng))
 
 
 def synthetic_quadratic(
@@ -344,20 +336,19 @@ def subspace_eval(
     return in_span(q, d, coeffs)[0]
 
 
-def _partition(data: Batch, chunk_size: int) -> list:
-    """(share of rows, chunk) pairs of fixed-order slices of a dataset; the
-    last chunk may be ragged."""
+def _traces(mlp: Mlp, theta: ParamVector, data: Batch, chunk_size: int) -> Iterator:
+    """(share of rows, Linearization at theta) pairs of fixed-order slices of
+    a dataset, the last maybe ragged, each linearized when the walk reaches
+    it; the dataset and chunk_size are checked at the call, not at the walk."""
     n = data.size
     if n == 0:
         raise ValidationError("dataset is empty")
     if chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-    out = []
-    for start in range(0, n, chunk_size):
-        rows = slice(start, start + chunk_size)
-        out.append((min(chunk_size, n - start) / n,
-                    Batch(data.inputs[rows], data.targets[rows], data.indices[rows])))
-    return out
+    return ((min(chunk_size, n - start) / n,
+             mlp.linearize(theta, data.inputs[start : start + chunk_size],
+                           data.targets[start : start + chunk_size]))
+            for start in range(0, n, chunk_size))
 
 
 def accumulate_kfac(
@@ -370,20 +361,16 @@ def accumulate_kfac(
 ) -> list:
     """Sample-count-weighted average of per-chunk Kronecker factors over the
     whole dataset, the full-batch K-FAC stand-in (factor-level averaging; not
-    the K-FAC of the union batch). Chunk i samples from ``rng.split(i)``."""
-    chunks = _partition(data, chunk_size)
-    per_chunk = [
-        mlp.kfac_factors(theta_star, c, fisher_mode,
-                         rng.split(i) if rng is not None else None)
-        for i, (_, c) in enumerate(chunks)
-    ]
-    out = []
-    for l, blk in enumerate(per_chunk[0]):
-        a = sum(w * bl[l].factor_a.entries for (w, _), bl in zip(chunks, per_chunk))
-        b = sum(w * bl[l].factor_b.entries for (w, _), bl in zip(chunks, per_chunk))
-        out.append(KfacBlock(layer=blk.layer, factor_a=DenseSymMatrix(a),
-                             factor_b=DenseSymMatrix(b)))
-    return out
+    the K-FAC of the union batch). Chunk i samples from ``rng.split(i)``; its
+    factors are added to running sums from 0, so one chunk's are held at a time."""
+    sums = [[0, 0] for _ in range(mlp.arch.n_layers)]
+    for i, (w, lin) in enumerate(_traces(mlp, theta_star, data, chunk_size)):
+        blocks = mlp.kfac_factors(theta_star, lin, fisher_mode,
+                                  rng.split(i) if rng is not None else None)
+        for s, blk in zip(sums, blocks):
+            s[0] += w * blk.factor_a.entries
+            s[1] += w * blk.factor_b.entries
+    return [KfacBlock(l, DenseSymMatrix(a), DenseSymMatrix(b)) for l, (a, b) in enumerate(sums)]
 
 
 def fullbatch_quadratic(
@@ -399,12 +386,12 @@ def fullbatch_quadratic(
 ) -> QuadraticModel:
     """Quadratic model over the whole dataset, accumulated in chunks.
 
-    c and g are sample-weighted averages over the chunks. For hessian/ggn every
-    curvature product streams the chunks, linearizing one at a time, and keeps
-    no trace between calls; for kfac the Kronecker factors are averaged across
-    chunks once by ``accumulate_kfac``.
+    c and g are sample-weighted averages over the chunks of ``_traces``. For
+    hessian/ggn every curvature product walks the chunks again, linearizing
+    one at a time, and keeps no trace between calls; for kfac the Kronecker
+    factors are averaged across chunks once by ``accumulate_kfac``.
     """
     return _quadratic(
-        "fullbatch_quadratic", mlp, theta0, _partition(data, chunk_size), kind, beta,
-        delta, "FULL",
+        "fullbatch_quadratic", mlp, theta0, lambda: _traces(mlp, theta0, data, chunk_size),
+        kind, beta, delta, "FULL",
         lambda: accumulate_kfac(mlp, theta0, data, fisher_mode, rng, chunk_size))

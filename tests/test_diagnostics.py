@@ -278,6 +278,15 @@ class TestEigendirectionScan:
             eigendirection_scan(mlp, p, batches, data, k=2, kind="ggn", rng=Rng(0),
                                 source_indices=[0])
 
+    @pytest.mark.parametrize("kind", ["ggn", "hessian"])
+    def test_empty_data_rejected(self, kind):
+        # checked before the batches' rows are looked up in the data
+        mlp, p, data, batches = self._setup()
+        empty = Batch(data.inputs[:0], data.targets[:0], data.indices[:0])
+        with pytest.raises(ValidationError, match="dataset is empty"):
+            eigendirection_scan(mlp, p, batches, empty, k=2, kind=kind, rng=Rng(0),
+                                source_indices=[0])
+
     def test_non_finite_row_term_raises_naming_the_scan(self):
         # the bad row is in no source batch, so the source quadratics build
         mlp, p, data, batches = self._setup()

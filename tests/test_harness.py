@@ -1151,6 +1151,22 @@ class TestCli:
         res2 = self._run("verify", str(out))
         assert res2.returncode == 0, res2.stderr
 
+    @pytest.mark.parametrize("name, content", [
+        ("plot.svg", b""),
+        ("summary.json", b'{"config_digest": '),
+        ("summary.json", b"[1, 2]"),
+        ("ckpt_epoch0001.qckpt", b"not json\n\x00\x01"),
+    ], ids=["empty_svg", "malformed_summary", "summary_not_an_object", "checkpoint_header"])
+    def test_verify_damaged_file_is_validation_error(self, tmp_path, name, content):
+        out = tmp_path / "r"
+        out.mkdir()
+        (out / name).write_bytes(content)
+        res = self._run("verify", str(out))
+        assert res.returncode == 1
+        assert res.stderr.startswith("validation error")
+        assert name in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_gen_data_malformed_value_is_validation_error(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text(CONFIG_TEXT.replace("n = 128", "n = abc"))

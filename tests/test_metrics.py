@@ -56,10 +56,11 @@ class TestAccuracy:
         t = table([[0.5, 0.5]], [1])
         assert accuracy(t) == 0.0
 
-    def test_empty_rejected(self):
+    @pytest.mark.parametrize("metric", [accuracy, nll, ece], ids=["accuracy", "nll", "ece"])
+    def test_empty_rejected(self, metric):
         t = table(np.zeros((0, 3)), np.zeros(0, dtype=int))
-        with pytest.raises(ValidationError):
-            accuracy(t)
+        with pytest.raises(ValidationError, match="empty table"):
+            metric(t)
 
 
 class TestNll:

@@ -393,6 +393,22 @@ class TestKfacFactors:
             np.testing.assert_array_equal(g.factor_a.entries, w.factor_a.entries)
             np.testing.assert_array_equal(g.factor_b.entries, w.factor_b.entries)
 
+    @pytest.mark.parametrize("mode", ["mc_sample", "empirical"])
+    def test_linearization_equal_to_its_batch_bitwise(self, mode):
+        mlp, p, batch = small_problem(seed=50)
+        lin = mlp.linearize(p, batch.inputs, batch.targets)
+        got = mlp.kfac_factors(p, lin, mode, Rng(51))
+        for g, w in zip(got, mlp.kfac_factors(p, batch, mode, Rng(51)), strict=True):
+            np.testing.assert_array_equal(g.factor_a.entries, w.factor_a.entries)
+            np.testing.assert_array_equal(g.factor_b.entries, w.factor_b.entries)
+        with pytest.raises(ValidationError, match="other parameters"):
+            mlp.kfac_factors(p.copy(), lin, mode, Rng(51))
+
+    def test_empirical_needs_the_linearization_targets(self):
+        mlp, p, batch = small_problem(seed=50)
+        with pytest.raises(ValidationError, match="targets"):
+            mlp.kfac_factors(p, mlp.linearize(p, batch.inputs), "empirical")
+
     def test_one_block_per_layer_weights_only(self):
         arch = MlpArchitecture((5, 7, 6, 3))
         mlp, p, batch = small_problem(seed=43, arch=arch)
@@ -479,6 +495,8 @@ class TestLinearization:
             lin.ggn_gram(np.ones((p.n_params + 1, 2)))
         with pytest.raises(ValidationError):
             mlp.linearize(p, batch.inputs).hvp_mm(np.ones((p.n_params, 2)))
+        with pytest.raises(ValidationError, match="targets"):
+            mlp.loss_and_grad(p, mlp.linearize(p, batch.inputs), 0.0)
         with pytest.raises(ValidationError):
             mlp.linearize(p, np.ones((2, 4)))
 
@@ -562,6 +580,24 @@ class TestPassSplit:
     ])
     def test_second_thread_rule(self, environ, cores, blas, helps):
         assert _second_thread_helps(environ, cores, blas) == helps
+
+
+class TestTargetShape:
+    @pytest.mark.parametrize("width", [1, 5])
+    @pytest.mark.parametrize("call", ["loss_and_grad", "kfac_factors", "build_quadratic"])
+    def test_targets_of_another_width_rejected(self, call, width):
+        # one-hot targets one column wide used to broadcast against the logits
+        from quadbias.quadratic import build_quadratic
+
+        arch = MlpArchitecture((4, 6, 3))
+        mlp, p, batch = small_problem(seed=53, arch=arch)
+        bad = Batch(batch.inputs, one_hot(batch.labels % width, width))
+        run = {"loss_and_grad": lambda: mlp.loss_and_grad(p, bad, 0.0),
+               "kfac_factors": lambda: mlp.kfac_factors(p, bad, "empirical"),
+               "build_quadratic": lambda: build_quadratic(mlp, p, bad, "ggn")}[call]
+        with pytest.raises(ValidationError,
+                           match=rf"targets shape \(12, {width}\) != logits shape \(12, 3\)"):
+            run()
 
 
 class TestBatchValidation:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import DenseSymMatrix, Rng, kron_matvec
-from quadbias.model import Batch, KfacBlock, MlpArchitecture, ParamVector
+from quadbias.model import Batch, KfacBlock, Mlp, MlpArchitecture, ParamVector
 from quadbias.quadratic import (
     CurvatureOperator,
     build_quadratic,
@@ -120,6 +120,17 @@ class TestBuildQuadratic:
         np.testing.assert_allclose(q.curvature.matmat(vs), want, rtol=1e-12, atol=1e-12)
         d = unit(Rng(2).normal(p.n_params))
         assert directional_curvature(q, d) > 0  # PSD blocks + beta on weights
+
+    @pytest.mark.parametrize("mode", ["mc_sample", "empirical"])
+    def test_kfac_kind_walks_the_batch_once(self, mode, monkeypatch):
+        # the loss, the gradient and the factors share the batch's one trace
+        mlp, p, batch = small_problem(seed=52)
+        walks = []
+        walk = Mlp._walk
+        monkeypatch.setattr(Mlp, "_walk",
+                            lambda self, *args: walks.append(1) or walk(self, *args))
+        build_quadratic(mlp, p, batch, "kfac", fisher_mode=mode, rng=Rng(1))
+        assert len(walks) == 1
 
     def test_nan_parameter_raises_naming_the_stage(self):
         mlp, p, batch = small_problem(seed=52)

@@ -5,7 +5,9 @@ script copies src/, tests/ and the workload configs of bench/ to a temporary
 directory and first runs that unmutated copy once over every test file some
 mutant names. Then, for every mutant, it makes a fresh copy, applies the
 replacement there, runs the mutant's test subset with ``pytest -x`` and
-records whether a test failed (killed) or all passed (survived). Every run,
+records whether a test failed (killed) or all passed (survived); two
+mutated copies are tested at a time, and the table lists them in the order
+of ``MUTANTS`` with each one's own seconds. Every run,
 the unmutated one included, uses the ``mutants`` hypothesis profile of
 ``tests/conftest.py``, which reports a failing example without shrinking
 it. The working tree is never modified.
@@ -27,10 +29,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+# mutated copies tested at once; each is one pytest process
+PARALLEL_RUNS = 2
 
 
 class Mutant(NamedTuple):
@@ -88,8 +93,8 @@ MUTANTS = (
            "Hessian product's backward walk without its per-layer terms",
            ("tests/test_model.py",)),
     Mutant("src/quadbias/quadratic.py",
-           "sum(w * term(part, vs) for w, part in parts)",
-           "sum(term(part, vs) for w, part in parts)",
+           "sum(w * term(lin, vs) for w, lin in traces())",
+           "sum(term(lin, vs) for w, lin in traces())",
            "full-batch products and grams sum the chunks without their row shares",
            ("tests/test_quadratic.py",)),
     Mutant("src/quadbias/linalg.py",
@@ -218,16 +223,21 @@ MUTANTS = (
            "kron_matvec reads w as the row-stacking of W",
            ("tests/test_linalg.py", "-k", "Kron")),
     Mutant("src/quadbias/quadratic.py",
-           "a = sum(w * bl[l].factor_a.entries",
-           "a = sum(bl[l].factor_a.entries / len(chunks)",
+           "s[0] += w * blk.factor_a.entries",
+           "s[0] += blk.factor_a.entries / -(-data.size // chunk_size)",
            "full-dataset K-FAC input factor averages the chunks with equal weights",
            ("tests/test_laplace.py", "-k", "ragged")),
     Mutant("src/quadbias/quadratic.py",
-           "out.append((min(chunk_size, n - start) / n,",
-           "out.append((chunk_size / n,",
+           "return ((min(chunk_size, n - start) / n,",
+           "return ((chunk_size / n,",
            "a ragged last chunk weighted as a full one",
            ("tests/test_quadratic.py", "tests/test_laplace.py",
             "-k", "every_chunk_size_agrees or ragged")),
+    Mutant("src/quadbias/quadratic.py",
+           '    if n == 0:\n        raise ValidationError("dataset is empty")\n',
+           "",
+           "the chunk walk takes an empty dataset",
+           ("tests/test_diagnostics.py", "-k", "empty_data")),
     Mutant("src/quadbias/harness/training.py",
            "0 <= self.momentum < 1,",
            "0 <= self.momentum <= 1,",
@@ -295,16 +305,21 @@ def main() -> int:
             return 1
         clean_secs = time.perf_counter() - started
 
-        rows = []
-        for i, m in enumerate(MUTANTS):
+        def run_mutant(i: int, m: Mutant) -> tuple:
             copy = Path(tmp) / f"m{i}"
             _copy_tree(copy)
             target = copy / m.path
             target.write_text(target.read_text().replace(m.old, m.new))
             start = time.perf_counter()
             run = _pytest(copy, m.tests)
-            rows.append((m, run.returncode != 0, time.perf_counter() - start))
+            secs = time.perf_counter() - start
             shutil.rmtree(copy)
+            return m, run.returncode != 0, secs
+
+        # the threads only wait on their pytest processes; map keeps the
+        # rows in MUTANTS order
+        with ThreadPoolExecutor(PARALLEL_RUNS) as pool:
+            rows = list(pool.map(run_mutant, range(len(MUTANTS)), MUTANTS))
 
     width = max(len(m.description) for m, _, _ in rows)
     print(f"{'mutant':<{width}}  {'file':<36} result    seconds")
