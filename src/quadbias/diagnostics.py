@@ -115,23 +115,21 @@ class BiasSummary:
 def source_eigenbases(mlp: Mlp, theta_star: ParamVector, batches: list, k: int,
                       kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
                       rng: Rng | None = None, source_indices: list | None = None,
-                      fisher_mode: str = "mc_sample"):
+                      fisher_mode: str = "mc_sample") -> list:
     """Top-k eigenvectors of each source batch's quadratic (every batch by
-    default), source m's eigensolve started from rng.split(m). Returns one
-    DirectionSet per source, and the quadratics by batch position (None for
-    a batch that is no source)."""
+    default), source m's eigensolve started from rng.split(m); one
+    DirectionSet per source. Each quadratic is built for its own eigensolve
+    and dropped after it."""
     if k > theta_star.n_params:
         raise ValidationError(f"k={k} exceeds parameter count {theta_star.n_params}")
     rng = rng if rng is not None else Rng(0)
     sources = range(len(batches)) if source_indices is None else source_indices
     if not sources:
         raise ValidationError("no source batch to take eigen directions from")
-    quads = [_batch_quadratic(mlp, theta_star, batches, i, kind, beta, delta, rng,
-                              fisher_mode) if i in sources else None
-             for i in range(len(batches))]
-    eigs = [top_k_eigenpairs(quads[m].curvature, theta_star.n_params, k, rng.split(m))
-            for m in sources]
-    return [DirectionSet(m, e.basis, e.eigenvalues) for m, e in zip(sources, eigs)], quads
+    eigs = [top_k_eigenpairs(_batch_quadratic(mlp, theta_star, batches, m, kind, beta, delta,
+                                              rng, fisher_mode).curvature,
+                             theta_star.n_params, k, rng.split(m)) for m in sources]
+    return [DirectionSet(m, e.basis, e.eigenvalues) for m, e in zip(sources, eigs)]
 
 
 def _batch_quadratic(mlp, theta, batches, i, kind, beta, delta, rng, fisher_mode):
@@ -200,15 +198,15 @@ def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, batches: list, data: 
     at the anchor: ``_span_scores`` with all-zero coefficients.
     """
     rng = rng if rng is not None else Rng(0)
-    direction_sets, quads = source_eigenbases(mlp, theta_star, batches, k, kind, beta,
-                                              delta, rng, source_indices, fisher_mode)
+    direction_sets = source_eigenbases(mlp, theta_star, batches, k, kind, beta, delta, rng,
+                                       source_indices, fisher_mode)
     blocks = [dset.directions for dset in direction_sets]
     if kind == "ggn":
         scores = _ggn_row_scores(mlp, theta_star, batches, data, blocks, beta, delta,
                                  chunk_size)
     else:
-        quads = [q or _batch_quadratic(mlp, theta_star, batches, i, kind, beta, delta,
-                                       rng, fisher_mode) for i, q in enumerate(quads)]
+        quads = [_batch_quadratic(mlp, theta_star, batches, i, kind, beta, delta, rng,
+                                  fisher_mode) for i in range(len(batches))]
         q_full = fullbatch_quadratic(mlp, theta_star, data, kind, beta, delta,
                                      chunk_size, fisher_mode,
                                      rng.split(20_000) if kind == "kfac" else None)

@@ -48,8 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="show numerical warnings (eigenvalue clamps etc.)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen-data", "train", "bias-scan", "overlap", "cg-compare",
-                 "laplace-sweep"):
+    for name in ("gen-data", "train", *_EXPERIMENT_COMMANDS):
         sub.add_parser(name)
     verify = sub.add_parser("verify")
     verify.add_argument("result_dir", nargs="?", type=Path, default=None)

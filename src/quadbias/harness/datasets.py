@@ -134,18 +134,13 @@ def _shift_vector(spec: DatasetSpec, translation: float) -> np.ndarray:
     return translation * direction / np.linalg.norm(direction)
 
 
-def _gaussian_blobs(spec: DatasetSpec, rng: Rng, n: int, translation: float = 0.0,
-                    noise_mult: float = 1.0):
+def _gaussian_blobs(spec: DatasetSpec, rng: Rng, n: int):
     labels = _balanced_labels(n, spec.c)
     # class means depend on the dataset seed only, never on the split
-    means = _blob_means(Rng(spec.seed).split(9000), spec.d, spec.c)
-    noise = rng.split(2).normal(n * spec.d).reshape(n, spec.d)
-    x = means[labels] + _shift_vector(spec, translation) + spec.noise * noise_mult * noise
-    return x, labels
+    return _blob_means(Rng(spec.seed).split(9000), spec.d, spec.c)[labels], labels
 
 
-def _two_arcs(spec: DatasetSpec, rng: Rng, n: int, translation: float = 0.0,
-              noise_mult: float = 1.0):
+def _two_arcs(spec: DatasetSpec, rng: Rng, n: int):
     labels = _balanced_labels(n, 2)
     t = rng.split(0).uniform(n) * np.pi
     x = np.zeros((n, spec.d))
@@ -154,14 +149,10 @@ def _two_arcs(spec: DatasetSpec, rng: Rng, n: int, translation: float = 0.0,
     x[upper, 1] = np.sin(t[upper])
     x[~upper, 0] = 1.0 - np.cos(t[~upper])
     x[~upper, 1] = 0.5 - np.sin(t[~upper])
-    noise = rng.split(2).normal(n * spec.d).reshape(n, spec.d)
-    x += spec.noise * noise_mult * noise
-    x += _shift_vector(spec, translation)
     return x, labels
 
 
-def _spirals(spec: DatasetSpec, rng: Rng, n: int, translation: float = 0.0,
-             noise_mult: float = 1.0):
+def _spirals(spec: DatasetSpec, rng: Rng, n: int):
     labels = _balanced_labels(n, spec.c)
     t = rng.split(0).uniform(n)
     radius = 0.2 + 2.0 * t
@@ -169,9 +160,6 @@ def _spirals(spec: DatasetSpec, rng: Rng, n: int, translation: float = 0.0,
     x = np.zeros((n, spec.d))
     x[:, 0] = radius * np.cos(angle)
     x[:, 1] = radius * np.sin(angle)
-    noise = rng.split(2).normal(n * spec.d).reshape(n, spec.d)
-    x += spec.noise * noise_mult * noise
-    x += _shift_vector(spec, translation)
     return x, labels
 
 
@@ -180,6 +168,16 @@ _SYNTH = {
     "two_arcs": _two_arcs,
     "spirals": _spirals,
 }
+
+
+def _sample(spec: DatasetSpec, rng: Rng, n: int, translation: float = 0.0,
+            noise_mult: float = 1.0):
+    """n rows of the spec's generator from rng: its noise-free points x, then
+    x + shift + noise * noise_mult * N(0, 1), the normal draws from
+    rng.split(2); labels as the generator gives them."""
+    x, labels = _SYNTH[spec.generator](spec, rng, n)
+    noise = rng.split(2).normal(n * spec.d).reshape(n, spec.d)
+    return x + _shift_vector(spec, translation) + spec.noise * noise_mult * noise, labels
 
 
 def generate_dataset(spec: DatasetSpec) -> Dataset:
@@ -200,22 +198,15 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
             n_classes=max(c, spec.c),
         )
 
-    gen = _SYNTH[spec.generator]
     root = Rng(spec.seed)
     n_train = int(round(spec.train_frac * spec.n))
     n_test = spec.n - n_train
-    x_tr, y_tr = gen(spec, root.split(100), n_train)
-    if n_test > 0:
-        x_te, y_te = gen(spec, root.split(200), n_test)
-    else:
-        x_te = np.zeros((0, spec.d))
-        y_te = np.zeros(0, dtype=np.int64)
+    x_tr, y_tr = _sample(spec, root.split(100), n_train)
+    x_te, y_te = _sample(spec, root.split(200), n_test)
     ood_x = ood_y = None
     if spec.has_ood and n_test > 0:
-        ood_x, ood_y = gen(
-            spec, root.split(300), n_test,
-            translation=spec.ood_translation, noise_mult=spec.ood_noise_mult,
-        )
+        ood_x, ood_y = _sample(spec, root.split(300), n_test,
+                               spec.ood_translation, spec.ood_noise_mult)
     return Dataset(
         train_inputs=x_tr,
         train_labels=y_tr,

@@ -219,8 +219,7 @@ def _run_overlap(cfg: ExperimentConfig, out_dir: Path) -> dict:
     theta = checkpoints[-1].params
     batch_size = cfg.batch_sizes[0]
     seed = cfg.seeds[0]
-    dsets, _ = source_eigenbases(mlp, theta,
-                                 **_scan_sources(cfg, dataset, theta, batch_size, seed))
+    dsets = source_eigenbases(mlp, theta, **_scan_sources(cfg, dataset, theta, batch_size, seed))
     captured = {}
     for a in range(len(dsets)):
         for b in range(len(dsets)):

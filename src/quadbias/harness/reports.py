@@ -35,10 +35,19 @@ def write_csv(path, header: list, rows: list, digest: str) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def _text_lines(path: Path) -> list:
+    """The lines of a text file; a file that does not decode raises
+    ValidationError naming it."""
+    try:
+        return path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_csv(path):
     """Parse back an emitted CSV: (digest, header, rows-of-strings)."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _text_lines(path)
     if not lines or not lines[0].startswith("# config="):
         raise ValidationError(f"{path}: missing config digest line")
     digest = lines[0][len("# config=") :]
@@ -77,7 +86,7 @@ def verify_result_dir(out_dir) -> dict:
         if p.suffix == ".csv":
             digests[p.name] = read_csv(p)[0]
         elif p.suffix == ".svg":
-            first = (p.read_text().splitlines() or [""])[0]
+            first = (_text_lines(p) or [""])[0]
             if not first.startswith("<!-- config="):
                 raise ValidationError(f"{p}: missing config digest comment")
             digests[p.name] = first[len("<!-- config=") : -len(" -->")]

@@ -8,7 +8,7 @@ the format stays readable from other languages.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     meta = {
         "format_version": ckpt.format_version,
         "epoch": ckpt.epoch,
-        "arch": ckpt.arch.to_dict(),
+        "arch": asdict(ckpt.arch),
         "config_digest": ckpt.config_digest,
         "n_params": ckpt.params.n_params,
     }
@@ -115,7 +115,7 @@ def load_checkpoint(path) -> Checkpoint:
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if values.size != meta["n_params"]:
         raise ValidationError(f"{path}: parameter payload truncated")
-    arch = MlpArchitecture.from_dict(meta["arch"])
+    arch = MlpArchitecture(**meta["arch"])
     params = ParamVector(values, build_layout(arch))
     return Checkpoint(
         epoch=meta["epoch"],

@@ -112,17 +112,6 @@ class MlpArchitecture:
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
-    def to_dict(self) -> dict:
-        return {
-            "layer_sizes": list(self.layer_sizes),
-            "activation": self.activation,
-            "loss": self.loss,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpArchitecture":
-        return cls(tuple(d["layer_sizes"]), d["activation"], d["loss"])
-
 
 @dataclass(frozen=True)
 class LayoutEntry:
@@ -362,12 +351,14 @@ class Linearization:
         odd.result()
         return out
 
-    def _split(self, vt: np.ndarray, l: int):
-        """Layer l's weight (k, fan_in, fan_out) and bias (k, fan_out) parts
-        of directions stacked as the rows of vt (k, P)."""
+    def _split(self, flat: np.ndarray, l: int):
+        """Layer l's weight (..., fan_in, fan_out) and bias (..., fan_out)
+        parts of parameter vectors along the last axis of flat (..., P), as
+        views that write through to flat."""
         ew, eb = self.mlp.layout[2 * l], self.mlp.layout[2 * l + 1]
-        vw = vt[:, ew.offset : ew.offset + ew.size].reshape((vt.shape[0],) + ew.shape)
-        return vw, vt[:, eb.offset : eb.offset + eb.size]
+        lead = flat.shape[:-1]
+        return (flat[..., ew.offset : ew.offset + ew.size].reshape(lead + ew.shape),
+                flat[..., eb.offset : eb.offset + eb.size])
 
     def _r_forward(self, vt: np.ndarray) -> list:
         """Forward-mode pass: R[Z_l] for every layer (R[A_0] = 0)."""
@@ -399,13 +390,11 @@ class Linearization:
         """Parameter gradient from a logits-side seed g, (rows, C) or
         (k, rows, C), and optional per-layer terms (see ``_layer_grads``);
         the result is (P,) or (k, P)."""
-        lead = g.shape[:-2]
-        out = np.empty(lead + (self.mlp.n_params,))
+        out = np.empty(g.shape[:-2] + (self.mlp.n_params,))
         for l, g_l in enumerate(self._layer_grads(g, extra)):
-            ew, eb = self.mlp.layout[2 * l], self.mlp.layout[2 * l + 1]
-            out[..., ew.offset : ew.offset + ew.size] = (
-                self.acts[l].T @ g_l).reshape(lead + (-1,))
-            out[..., eb.offset : eb.offset + eb.size] = g_l.sum(axis=-2)
+            out_w, out_b = self._split(out, l)
+            out_w[...] = self.acts[l].T @ g_l
+            out_b[...] = g_l.sum(axis=-2)
         return out
 
     def loss_grad_rows(self) -> np.ndarray:
@@ -460,22 +449,17 @@ class Linearization:
     def ggn_gram(self, vs: np.ndarray) -> np.ndarray:
         """V^T G_B V, (k, k): the row mean of (J V)^T Lambda (J V). Forward
         mode only, so no backward pass runs and no (P, k) product is formed;
-        it holds J V of every column, (k, rows, C), and Lambda J V of one
-        pass of columns at a time."""
+        it holds J V and Lambda J V of every column, (k, rows, C) each."""
         jv = self.jvp_mm(vs)
-        flat = jv.reshape(jv.shape[0], -1)
-        out = np.empty((jv.shape[0], jv.shape[0]))
-        step = self.cols_per_pass
-        for start in range(0, jv.shape[0], step):
-            lam_jv = self._loss_hessian(jv[start : start + step])
-            out[start : start + step] = lam_jv.reshape(lam_jv.shape[0], -1) @ flat.T
-        return out / self.size
+        lam_jv = self._loss_hessian(jv).reshape(len(jv), -1)
+        jv = jv.reshape(len(jv), -1)
+        return lam_jv @ jv.T / self.size
 
     def ggn_row_terms(self, vs: np.ndarray) -> np.ndarray:
         """Per-row slope (J_n v) . r_n and curvature (J_n v)^T Lambda_n (J_n v),
         (k, rows, 2), r_n the gradient of row n's loss at its logits; their
         row means are v . g_B and v^T G_B v. Forward mode only."""
-        r = self.loss_grad_logits() * self.size
+        r = self.loss_grad_rows()
 
         def one_pass(vt):
             jv = self._r_forward(vt)[-1]
@@ -502,10 +486,8 @@ class Linearization:
                 + s_d2[l] * r_pre[l - 1] for l in hidden]
             out = self._backprop(self._loss_hessian(r_pre[-1]) / self.size, extra)
             for l in hidden:
-                ew = self.mlp.layout[2 * l]
-                r_a = self.d1[l - 1] * r_pre[l - 1]
-                out[:, ew.offset : ew.offset + ew.size] += (
-                    r_a.transpose(0, 2, 1) @ gs[l]).reshape(vt.shape[0], -1)
+                out_w = self._split(out, l)[0]
+                out_w += (self.d1[l - 1] * r_pre[l - 1]).transpose(0, 2, 1) @ gs[l]
             return out
 
         return self._by_pass(vs, (self.mlp.n_params,), one_pass).T

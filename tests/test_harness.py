@@ -41,9 +41,10 @@ from quadbias.harness.config import (
     read_config_text,
     write_config,
 )
+from quadbias.harness import datasets
 from quadbias.harness.datasets import load_csv, save_csv
 from quadbias.harness.reports import write_csv, write_summary
-from quadbias.harness.training import checkpoint_epochs
+from quadbias.harness.training import Checkpoint, checkpoint_epochs
 from quadbias.laplace import build_posterior
 from quadbias.linalg import DenseSymMatrix, Rng
 from quadbias.model import KfacBlock, Mlp, MlpArchitecture
@@ -83,6 +84,44 @@ class TestDatasets:
             ds = generate_dataset(spec)
             assert ds.train_inputs.shape[1] == 2
             assert set(np.unique(ds.train_labels)) <= {0, 1}
+
+    def test_blobs_are_means_plus_shift_plus_scaled_noise(self):
+        # every split, bit for bit: means[labels] + shift + noise * noise_mult
+        # * N(0, 1), the normal draws from the split's rng.split(2)
+        spec = DatasetSpec(generator="gaussian_blobs", n=50, d=3, c=4, noise=0.7, seed=8,
+                           train_frac=0.6, ood_translation=2.5, ood_noise_mult=1.5)
+        ds = generate_dataset(spec)
+        means = datasets._blob_means(Rng(8).split(9000), 3, 4)
+        direction = Rng(8).split(9001).normal(3)
+        for stream, x, labels, shift, mult in (
+                (100, ds.train_inputs, ds.train_labels, 0.0, 1.0),
+                (200, ds.test_inputs, ds.test_labels, 0.0, 1.0),
+                (300, ds.ood_inputs, ds.ood_labels, 2.5, 1.5)):
+            noise = Rng(8).split(stream).split(2).normal(labels.size * 3).reshape(-1, 3)
+            expected = (means[labels] + shift * direction / np.linalg.norm(direction)
+                        + 0.7 * mult * noise)
+            np.testing.assert_array_equal(x, expected)
+
+    @pytest.mark.parametrize("generator", ["two_arcs", "spirals"])
+    def test_arcs_and_spirals_keep_their_points(self, generator):
+        # train and test equal the former (x + noise) + shift bit for bit;
+        # the shifted OOD set, now x + shift + noise, moves at round-off only
+        spec = DatasetSpec(generator=generator, n=60, d=3, c=2, noise=0.3, seed=2,
+                           train_frac=0.5, ood_translation=1.7, ood_noise_mult=2.0)
+        ds = generate_dataset(spec)
+        for stream, x, translation, mult in ((100, ds.train_inputs, 0.0, 1.0),
+                                             (200, ds.test_inputs, 0.0, 1.0),
+                                             (300, ds.ood_inputs, 1.7, 2.0)):
+            rng = Rng(2).split(stream)
+            clean, _ = datasets._SYNTH[generator](spec, rng, x.shape[0])
+            noise = 0.3 * mult * rng.split(2).normal(x.size).reshape(x.shape)
+            shift = datasets._shift_vector(spec, translation)
+            former = (clean + noise) + shift
+            if not translation:
+                np.testing.assert_array_equal(x, former)
+            else:
+                addends = np.abs(clean) + np.abs(noise) + np.abs(shift)
+                assert np.all(np.abs(x - former) <= 2 * np.finfo(float).eps * addends)
 
     def test_train_and_test_share_geometry(self):
         # a model fit on the train split must generalize to the test split
@@ -294,6 +333,18 @@ class TestTraining:
         assert loaded.epoch == ckpt.epoch
         assert loaded.arch == ckpt.arch
         assert loaded.config_digest == ckpt.config_digest
+
+    def test_checkpoint_metadata_line(self, tmp_path):
+        # format version 2: the architecture's fields, sorted keys, no float
+        arch = MlpArchitecture((3, 5, 2), activation="tanh", loss="mse")
+        path = tmp_path / "model.qckpt"
+        save_checkpoint(Checkpoint(7, Mlp(arch).zero_params(), arch, "d1gest"), path)
+        head, _, payload = path.read_bytes().partition(b"\n")
+        assert head == (b'{"arch": {"activation": "tanh", "layer_sizes": [3, 5, 2], '
+                        b'"loss": "mse"}, "config_digest": "d1gest", "epoch": 7, '
+                        b'"format_version": 2, "n_params": 32}')
+        assert payload == bytes(8 * 32)
+        assert load_checkpoint(path).arch == arch
 
     def test_checkpoint_version_rejected(self, tmp_path):
         ds = self._dataset()
@@ -1156,7 +1207,10 @@ class TestCli:
         ("summary.json", b'{"config_digest": '),
         ("summary.json", b"[1, 2]"),
         ("ckpt_epoch0001.qckpt", b"not json\n\x00\x01"),
-    ], ids=["empty_svg", "malformed_summary", "summary_not_an_object", "checkpoint_header"])
+        ("a.csv", b"\xff\xfe# config=d1gest\nx\n1\n"),
+        ("b.svg", b"\xff\xfe<!-- config=d1gest -->\n<svg/>\n"),
+    ], ids=["empty_svg", "malformed_summary", "summary_not_an_object", "checkpoint_header",
+            "csv_not_utf8", "svg_not_utf8"])
     def test_verify_damaged_file_is_validation_error(self, tmp_path, name, content):
         out = tmp_path / "r"
         out.mkdir()

@@ -83,10 +83,15 @@ MUTANTS = (
            "GGN row scan drops the regularizer's slope term",
            ("tests/test_diagnostics.py", "-k", "RowScanAgainstPerBatchOracle")),
     Mutant("src/quadbias/model.py",
-           "        return out / self.size\n",
-           "        return out\n",
+           "@ jv.T / self.size",
+           "@ jv.T",
            "ggn_gram without the row mean",
            ("tests/test_quadratic.py", "tests/test_model.py")),
+    Mutant("src/quadbias/model.py",
+           "flat[..., eb.offset : eb.offset + eb.size])",
+           "flat[..., ew.offset : ew.offset + eb.size])",
+           "layer split reads the bias slice at the weight offset",
+           ("tests/test_model.py",)),
     Mutant("src/quadbias/model.py",
            "gs[-1] += extra[l]",
            "pass",
@@ -187,6 +192,11 @@ MUTANTS = (
            "if drop_last and idx.size < batch_size - 1:",
            "drop_last keeps a batch one row short",
            ("tests/test_harness.py", "-k", "drop_last")),
+    Mutant("src/quadbias/harness/datasets.py",
+           "spec.noise * noise_mult * noise",
+           "spec.noise * noise",
+           "generated splits drop the OOD noise multiplier",
+           ("tests/test_harness.py", "-k", "blobs_are or keep_their")),
     Mutant("src/quadbias/harness/reports.py",
            "def _json_safe(value):\n",
            "def _json_safe(value):\n    return value\n",
