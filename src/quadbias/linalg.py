@@ -26,10 +26,6 @@ SYMMETRY_TOL = 1e-12
 # calling the dense eigensolver; larger ones use the iterative Krylov path.
 DENSE_FALLBACK_DIM = 512
 
-# Relative tolerance handed to the iterative eigensolver (0 = machine precision,
-# the scipy/ARPACK convention).
-ITERATIVE_TOL = 0.0
-
 
 def _mix64(a: int, b: int) -> int:
     """splitmix64-style mixing of two 64-bit words into one."""
@@ -180,40 +176,82 @@ def top_k_eigenpairs(
     """k algebraically largest eigenpairs of a matrix-free symmetric operator.
 
     For dim <= DENSE_FALLBACK_DIM the operator is materialized with one
-    ``matmat`` and solved densely; otherwise a seeded Lanczos/ARPACK
-    iteration calls it one vector at a time, with tolerance ITERATIVE_TOL and
-    the given iteration budget.
+    ``matmat`` and solved densely; otherwise a seeded thick-restart Lanczos
+    iteration calls it one vector at a time, with at most ``maxiter``
+    restarts (10 * dim by default). A non-finite product, or no convergence
+    within ``maxiter``, raises NumericalError.
     """
     if not 1 <= k <= dim:
         raise ValidationError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+    if maxiter is not None and maxiter < 1:
+        raise ValidationError(f"maxiter must be >= 1, got {maxiter}")
     if dim <= DENSE_FALLBACK_DIM or k >= dim - 1:
         full = sym_eigh(materialize_operator(op, dim))
         return EigenDecomposition(
             basis=full.basis[:, :k].copy(), eigenvalues=full.eigenvalues[:k].copy()
         )
-    # Imported here, so a process that never takes this branch loads no scipy.
-    import scipy.sparse.linalg
+    w, v = _lanczos(op, dim, k, rng, 10 * dim if maxiter is None else maxiter)
+    return EigenDecomposition(basis=_canonical_signs(v), eigenvalues=w)
 
-    linop = scipy.sparse.linalg.LinearOperator(
-        (dim, dim), matvec=op, dtype=np.float64
-    )
-    v0 = rng.normal(dim)
-    try:
-        w, v = scipy.sparse.linalg.eigsh(
-            linop, k=k, which="LA", v0=v0, tol=ITERATIVE_TOL, maxiter=maxiter
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        residuals = []
-        for lam, vec in zip(exc.eigenvalues, exc.eigenvectors.T):
-            residuals.append(float(np.linalg.norm(op(vec) - lam * vec)))
-        raise NumericalError(
-            f"eigensolver did not converge for k={k}, dim={dim}; "
-            f"{len(residuals)} of {k} pairs converged",
-            residual_norms=residuals,
-        ) from exc
-    order = np.argsort(w)[::-1]
-    return EigenDecomposition(
-        basis=_canonical_signs(v[:, order]), eigenvalues=w[order].copy()
+
+def _gram_schmidt(w: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w without its components along the orthonormal rows, by classical
+    Gram-Schmidt run twice, and the coefficients taken out."""
+    h = rows @ w
+    w = w - h @ rows
+    h2 = rows @ w
+    return w - h2 @ rows, h + h2
+
+
+def _lanczos(op, dim: int, k: int, rng: Rng, maxiter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl. 2000):
+    the k largest eigenvalues, descending, and their vectors as columns.
+
+    It keeps scipy's ARPACK defaults: a basis of ncv = min(dim, max(2k + 1,
+    20)) vectors grown from ``rng.normal(dim)`` and reorthogonalized in full
+    at every step; a restart keeps the top k + (ncv - k) // 2 Ritz pairs and
+    the residual's direction. A Ritz pair has converged when its residual is
+    at most eps * max(eps**(2/3), |theta|), ARPACK's test at tol = 0. A
+    residual at most eps times what was taken out of it marks an invariant
+    subspace: the basis goes on from a fresh ``rng`` vector orthogonal to it.
+    """
+    eps = np.finfo(np.float64).eps
+    ncv = min(dim, max(2 * k + 1, 20))
+    keep = k + (ncv - k) // 2
+    basis = np.empty((ncv + 1, dim))  # rows; the last is the residual's direction
+    t = np.zeros((ncv + 1, ncv + 1))  # the projected operator, and a spare row
+    basis[0] = (v0 := rng.normal(dim)) / np.linalg.norm(v0)
+    j = steps = 0
+    for _ in range(maxiter):
+        for j in range(j, ncv):
+            w = op(basis[j])
+            steps += 1
+            if not np.isfinite(w).all():
+                raise NumericalError(f"Lanczos eigensolver: the operator product "
+                                     f"at step {steps} is not finite")
+            w, h = _gram_schmidt(w, basis[: j + 1])
+            beta = np.linalg.norm(w)
+            if beta <= eps * np.linalg.norm(h):
+                beta = 0.0
+                w = _gram_schmidt(rng.normal(dim), basis[: j + 1])[0]
+            basis[j + 1] = w / np.linalg.norm(w)
+            t[j, j] = h[j]
+            t[j, j + 1] = t[j + 1, j] = beta
+        theta, s = np.linalg.eigh(t[:ncv, :ncv])  # ascending
+        bounds = beta * np.abs(s[-1])
+        converged = bounds[-k:] <= eps * np.maximum(eps ** (2 / 3), np.abs(theta[-k:]))
+        if converged.all():
+            return theta[::-1][:k].copy(), basis[:ncv].T @ s[:, ::-1][:, :k]
+        basis[:keep] = s[:, -keep:].T @ basis[:ncv]
+        basis[keep] = basis[ncv]
+        t[:] = 0.0
+        t[range(keep), range(keep)] = theta[-keep:]
+        t[keep, :keep] = t[:keep, keep] = beta * s[-1, -keep:]
+        j = keep
+    raise NumericalError(
+        f"Lanczos eigensolver did not converge in {maxiter} restarts for k={k}, "
+        f"dim={dim}; {int(converged.sum())} of {k} pairs converged",
+        residual_norms=bounds[::-1][:k].tolist(),
     )
 
 

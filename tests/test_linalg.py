@@ -21,6 +21,30 @@ from quadbias.quadratic import CurvatureOperator
 
 from random_matrices import haar_orthogonal, random_spd, random_symmetric
 
+ITERATIVE_DIM = DENSE_FALLBACK_DIM + 88
+
+
+def arpack_top_k(m: np.ndarray, k: int, seed: int):
+    """The oracle: scipy's ARPACK at tol = 0 from the start vector the
+    package draws; descending eigenvalues, their vectors as columns and the
+    number of matvecs it asked for."""
+    import scipy.sparse.linalg
+
+    op = CurvatureOperator.from_dense(m)
+    dim = m.shape[0]
+    linop = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=op, dtype=np.float64)
+    w, v = scipy.sparse.linalg.eigsh(linop, k=k, which="LA", v0=Rng(seed).normal(dim), tol=0)
+    order = np.argsort(w)[::-1]
+    return w[order], v[:, order], op.matvec_count
+
+
+def decaying_spectrum():
+    """A fixed curvature-like operator: a geometric spectrum over a damping
+    floor, in a seeded random basis; the matrix and its spectrum."""
+    lam = 10.0 * 0.95 ** np.arange(ITERATIVE_DIM) + 0.03
+    q = haar_orthogonal(Rng(21), ITERATIVE_DIM)
+    return (q * lam) @ q.T, lam
+
 
 class TestRng:
     def test_empty_draw(self):
@@ -187,17 +211,113 @@ class TestTopK:
             top_k_eigenpairs(CurvatureOperator.from_dense(np.eye(4)), 4, 0, Rng(0))
         with pytest.raises(ValidationError):
             top_k_eigenpairs(CurvatureOperator.from_dense(np.eye(4)), 4, 5, Rng(0))
+        with pytest.raises(ValidationError, match="maxiter must be >= 1, got 0"):
+            top_k_eigenpairs(CurvatureOperator.from_dense(np.eye(4)), 4, 2, Rng(0), maxiter=0)
 
     def test_non_convergence_carries_residuals(self):
         from quadbias.errors import NumericalError
 
         dim = DENSE_FALLBACK_DIM + 40
-        # clustered spectrum + a one-iteration budget forces ARPACK to give up
+        # clustered spectrum + a one-restart budget makes the Lanczos solver give up
         d = 1.0 + 1e-9 * Rng(5).uniform(dim)
         with pytest.raises(NumericalError) as excinfo:
             top_k_eigenpairs(CurvatureOperator.from_dense(np.diag(d)), dim, 6, Rng(1),
                              maxiter=1)
         assert excinfo.value.residual_norms is not None
+
+
+class TestLanczos:
+    """The iterative path: a numpy thick-restart Lanczos, checked against
+    dense ``eigh`` and against scipy's ARPACK, whose defaults it keeps."""
+
+    def test_non_finite_product_raises_before_it_enters_the_basis(self, capfd):
+        op = CurvatureOperator(600, lambda v: v * np.nan)
+        with pytest.raises(NumericalError, match=r"Lanczos eigensolver: .* step 1 is"):
+            top_k_eigenpairs(op, 600, 3, Rng(0))
+        assert capfd.readouterr().err == ""  # LAPACK never saw a NaN
+
+    def test_non_finite_product_names_its_step(self):
+        d = np.linspace(1.0, 2.0, ITERATIVE_DIM)
+        calls = []
+
+        def product(vs):
+            calls.append(1)
+            out = d[:, None] * vs
+            out[100] *= np.inf if len(calls) == 7 else 1.0
+            return out
+
+        with pytest.raises(NumericalError, match=r"step 7 is not finite"):
+            top_k_eigenpairs(CurvatureOperator(ITERATIVE_DIM, product), ITERATIVE_DIM, 2, Rng(0))
+
+    def test_invariant_subspace_goes_on_from_a_fresh_vector(self):
+        # the start vector's Krylov space is 3-dimensional; the three zeros
+        # asked for need vectors from outside it
+        m = np.diag(np.r_[5.0, 4.0, np.zeros(598)])
+        op = CurvatureOperator.from_dense(m)
+        eig = top_k_eigenpairs(op, 600, 5, Rng(0))
+        w_arpack, _, arpack_matvecs = arpack_top_k(m, 5, 0)
+        np.testing.assert_allclose(eig.eigenvalues, [5, 4, 0, 0, 0], rtol=0, atol=5e-12)
+        np.testing.assert_allclose(eig.eigenvalues, w_arpack, rtol=0, atol=5e-12)
+        np.testing.assert_allclose(eig.basis.T @ eig.basis, np.eye(5), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m @ eig.basis, eig.basis * eig.eigenvalues, rtol=0, atol=1e-12)
+        assert op.matvec_count <= arpack_matvecs
+
+    def test_repeated_top_eigenvalue(self):
+        m = np.diag(np.repeat([3.0, 2.0, 1.0], 200))
+        eig = top_k_eigenpairs(CurvatureOperator.from_dense(m), 600, 5, Rng(0))
+        np.testing.assert_allclose(eig.eigenvalues, [3.0] * 5, rtol=0, atol=3e-12)
+        np.testing.assert_allclose(eig.eigenvalues, arpack_top_k(m, 5, 0)[0], rtol=0, atol=3e-12)
+        np.testing.assert_allclose(eig.basis.T @ eig.basis, np.eye(5), rtol=0, atol=1e-12)
+        assert np.abs(eig.basis[200:]).max() <= 1e-12  # all in the eigenvalue-3 block
+
+    @settings(max_examples=12, deadline=None)
+    @given(dim=st.integers(DENSE_FALLBACK_DIM + 1, 700), k=st.integers(1, 12),
+           spectrum=st.sampled_from(["spread", "indefinite", "clustered"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_dense_eigh(self, dim, k, spectrum, seed):
+        rng = Rng(seed)
+        if spectrum == "spread":
+            lam = 1.0 + 9.0 * rng.uniform(dim)
+        elif spectrum == "indefinite":
+            lam = rng.normal(dim)
+        else:  # k + 3 eigenvalues within 1e-3 of each other, above the rest
+            lam = np.concatenate([1.0 + 1e-3 * rng.uniform(k + 3),
+                                  1.8 * rng.uniform(dim - k - 3) - 1.0])
+        q = haar_orthogonal(rng, dim)
+        m = (q * lam) @ q.T
+        m = 0.5 * (m + m.T)
+        scale = np.abs(lam).max()
+        eig = top_k_eigenpairs(CurvatureOperator.from_dense(m), dim, k, rng)
+        exact = np.linalg.eigvalsh(m)[::-1][:k]
+        np.testing.assert_allclose(eig.eigenvalues, exact, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(eig.basis.T @ eig.basis, np.eye(k), rtol=0, atol=1e-12)
+        residuals = np.linalg.norm(m @ eig.basis - eig.basis * eig.eigenvalues, axis=0)
+        assert residuals.max() <= 1e-10 * scale
+
+    def test_equal_rng_gives_equal_bytes(self):
+        m, _ = decaying_spectrum()
+        a, b = (top_k_eigenpairs(CurvatureOperator.from_dense(m), ITERATIVE_DIM, 10, Rng(4))
+                for _ in range(2))
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.basis.tobytes() == b.basis.tobytes()
+
+    def test_agrees_with_arpack(self):
+        m, lam = decaying_spectrum()
+        eig = top_k_eigenpairs(CurvatureOperator.from_dense(m), ITERATIVE_DIM, 10, Rng(0))
+        w_arpack, v_arpack, _ = arpack_top_k(m, 10, 0)
+        np.testing.assert_allclose(eig.eigenvalues, lam[:10], rtol=1e-14)
+        np.testing.assert_allclose(eig.eigenvalues, w_arpack, rtol=1e-14)
+        v_arpack *= np.sign(np.sum(v_arpack * eig.basis, axis=0))
+        np.testing.assert_allclose(eig.basis, v_arpack, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k, matvecs", [(3, 47), (10, 63)])
+    def test_matvec_count_is_pinned_and_at_most_arpacks(self, k, matvecs):
+        # ncv = 20 either way; restarts keep 11 (k = 3) or 15 (k = 10) vectors
+        m, _ = decaying_spectrum()
+        op = CurvatureOperator.from_dense(m)
+        top_k_eigenpairs(op, ITERATIVE_DIM, k, Rng(0))
+        assert op.matvec_count == matvecs
+        assert op.matvec_count <= arpack_top_k(m, k, 0)[2]
 
 
 class TestKronMatvec:

@@ -232,6 +232,36 @@ MUTANTS = (
            "w_mats = cols.T.reshape(k, n, m).transpose(0, 2, 1)",
            "kron_matvec reads w as the row-stacking of W",
            ("tests/test_linalg.py", "-k", "Kron")),
+    Mutant("src/quadbias/linalg.py",
+           "    return w - h2 @ rows, h + h2\n",
+           "    return w, h\n",
+           "Lanczos steps without the second Gram-Schmidt pass",
+           ("tests/test_linalg.py", "-k", "Lanczos or TopK")),
+    Mutant("src/quadbias/linalg.py",
+           "converged = bounds[-k:] <= eps * np.maximum(",
+           "converged = bounds[-k:] <= eps ** 0.5 * np.maximum(",
+           "Lanczos convergence test loosened to sqrt(eps)",
+           ("tests/test_linalg.py", "-k", "Lanczos or TopK")),
+    Mutant("src/quadbias/linalg.py",
+           "keep = k + (ncv - k) // 2",
+           "keep = k",
+           "thick restart keeps only the k wanted Ritz pairs",
+           ("tests/test_linalg.py", "-k", "Lanczos or TopK")),
+    Mutant("src/quadbias/linalg.py",
+           "t[keep, :keep] = t[:keep, keep] = beta * s[-1, -keep:]",
+           "t[keep, :keep] = t[:keep, keep] = 0.0",
+           "thick restart drops the kept Ritz vectors' couplings to the residual",
+           ("tests/test_linalg.py", "-k", "Lanczos or TopK")),
+    Mutant("src/quadbias/linalg.py",
+           "w = _gram_schmidt(rng.normal(dim), basis[: j + 1])[0]",
+           "w = rng.normal(dim)",
+           "Lanczos goes on past an invariant subspace from a vector not orthogonal to it",
+           ("tests/test_linalg.py", "-k", "Lanczos or TopK")),
+    Mutant("src/quadbias/linalg.py",
+           "if not np.isfinite(w).all():",
+           "if not np.isfinite(w[:1]).all():",
+           "Lanczos checks only the first entry of each product for finiteness",
+           ("tests/test_linalg.py", "-k", "Lanczos or TopK")),
     Mutant("src/quadbias/quadratic.py",
            "s[0] += w * blk.factor_a.entries",
            "s[0] += blk.factor_a.entries / -(-data.size // chunk_size)",
