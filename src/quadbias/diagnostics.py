@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .cg import CgConfig, cg_minimize
 from .linalg import EigenDecomposition, Rng, top_k_eigenpairs
 from .model import Batch, Mlp, ParamVector
@@ -298,11 +298,19 @@ def slope_bias(q_b: QuadraticModel, q_bt: QuadraticModel, theta) -> SlopeBias:
     )
 
 
+def above_floor(measured: np.ndarray, truth: np.ndarray, statistic: str) -> np.ndarray:
+    """Where |truth| >= RELERR_FLOOR, the entries a statistic relative to truth
+    keeps; a non-finite value raises NumericalError naming the statistic."""
+    if not (np.isfinite(measured).all() and np.isfinite(truth).all()):
+        raise NumericalError(f"{statistic}: non-finite measured or true value")
+    return np.abs(truth) >= RELERR_FLOOR
+
+
 def relative_errors(measured: np.ndarray, truth: np.ndarray):
     """|measured - truth| / |truth| with near-zero truths excluded and counted."""
     measured = np.asarray(measured, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    keep = np.abs(truth) >= RELERR_FLOOR
+    keep = above_floor(measured, truth, "relative error")
     errs = np.abs(measured[keep] - truth[keep]) / np.abs(truth[keep])
     return errs, int(np.sum(~keep))
 

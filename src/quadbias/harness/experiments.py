@@ -16,6 +16,7 @@ import numpy as np
 from ..cg import CgConfig, cg_minimize, debiased_cg
 from ..diagnostics import (
     RELERR_FLOOR,
+    above_floor,
     bias_summary,
     eigendirection_scan,
     overlap_matrix,
@@ -65,7 +66,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> Path:
         "size-sweep": _run_scan_sweep,
     }[cfg.kind]
     summary = runner(cfg, out_dir)
-    write_summary(out_dir / "summary.json", cfg.digest, summary)
+    write_summary(out_dir / "summary.json", cfg.digest, {"kind": cfg.kind, **summary})
     return out_dir
 
 
@@ -144,13 +145,14 @@ def _ratio_stats(reports, batch_size, seed) -> dict:
     eigendirection. A full-batch value below RELERR_FLOOR in magnitude
     excludes its report, as in relative_errors; both statistics are NaN when
     no report is left."""
-    kept = [rep for rep in reports if abs(rep.curvatures[0, -1]) >= RELERR_FLOOR]
-    if len(kept) < len(reports):
+    same = np.array([rep.curvatures[0, rep.source_column()] for rep in reports])
+    full = np.array([rep.curvatures[0, -1] for rep in reports])
+    kept = above_floor(same, full, "bias-scan curvature ratio")
+    if not kept.all():
         logger.warning("bias-scan batch size %d, seed %d: %d of %d curvature ratios "
                        "excluded (|full-batch curvature| < %g)", batch_size, seed,
-                       len(reports) - len(kept), len(reports), RELERR_FLOOR)
-    ratios = np.array([rep.curvatures[0, rep.source_column()] / rep.curvatures[0, -1]
-                       for rep in kept])
+                       np.sum(~kept), len(reports), RELERR_FLOOR)
+    ratios = same[kept] / full[kept]
     if not ratios.size:
         return {"overestimated_fraction": float("nan"), "median_ratio": float("nan")}
     return {"overestimated_fraction": float(np.mean(ratios > 1.0)),
@@ -202,7 +204,6 @@ def _run_bias_scan(cfg: ExperimentConfig, out_dir: Path) -> dict:
         logy=True, digest=cfg.digest,
     )
     return {
-        "kind": cfg.kind,
         "seeds": list(cfg.seeds),
         "batch_sizes": list(cfg.batch_sizes),
         "n_params": n_params,
@@ -233,7 +234,6 @@ def _run_overlap(cfg: ExperimentConfig, out_dir: Path) -> dict:
                               digest=cfg.digest)
             captured[f"{a}->{b}"] = [float(v) for v in om.row_sums()]
     return {
-        "kind": cfg.kind,
         "seed": seed,
         "batch_size": batch_size,
         "k": cfg.n_directions,
@@ -321,7 +321,6 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
         finals[f"debiased_s{s}"] <= finals[f"single_s{s}"] for s in cfg.seeds
     )
     return {
-        "kind": cfg.kind,
         "seeds": list(cfg.seeds),
         "single_batch_size": single_size,
         "debiased_batch_size": single_size if cfg.force_same_batch else half,
@@ -439,7 +438,6 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
         for s in cfg.seeds
     )
     return {
-        "kind": cfg.kind,
         "seeds": list(cfg.seeds),
         "grid": [float(b) for b in cfg.la_grid],
         "single_batch_size": single_size,
@@ -482,7 +480,6 @@ def _run_scan_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     )
     grew = bool(medians[-1] > medians[0])  # False for a single point
     summary = {
-        "kind": cfg.kind,
         "seed": seed,
         "batch_size": batch_size,
         f"{axis}s": labels,

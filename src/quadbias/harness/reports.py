@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ValidationError
+from .training import load_checkpoint
 
 # 17 significant digits round-trips any IEEE-754 double exactly.
 FLOAT_FORMAT = ".17g"
@@ -77,7 +78,7 @@ def write_summary(path, digest: str, payload: dict) -> None:
 
 def verify_result_dir(out_dir) -> dict:
     """Check that every output file in a result directory carries the same
-    config digest; returns {'digest', 'files', 'mismatches'}."""
+    config digest; returns {'digest', 'files', 'mismatches', 'consistent'}."""
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
         raise ValidationError(f"{out_dir} is not a directory")
@@ -90,24 +91,22 @@ def verify_result_dir(out_dir) -> dict:
             if not first.startswith("<!-- config="):
                 raise ValidationError(f"{p}: missing config digest comment")
             digests[p.name] = first[len("<!-- config=") : -len(" -->")]
-        elif p.name == "summary.json" or p.suffix == ".qckpt":
-            # a checkpoint is a JSON metadata line, then the raw payload
-            with p.open("rb") as fh:
-                head = fh.read() if p.suffix == ".json" else fh.readline()
+        elif p.name == "summary.json":
             try:
-                digests[p.name] = json.loads(head).get("config_digest", "")
+                digests[p.name] = json.loads(p.read_bytes()).get("config_digest", "")
             except (ValueError, AttributeError):  # not JSON, or not an object
                 raise ValidationError(f"{p}: metadata is not a JSON object") from None
+        elif p.suffix == ".qckpt":
+            digests[p.name] = load_checkpoint(p).config_digest
     if not digests:
         raise ValidationError(f"{out_dir}: no result files found")
-    values = set(digests.values())
     reference = digests.get("summary.json", next(iter(digests.values())))
     mismatches = sorted(name for name, d in digests.items() if d != reference)
     return {
         "digest": reference,
         "files": sorted(digests),
         "mismatches": mismatches,
-        "consistent": len(values) == 1,
+        "consistent": not mismatches,
     }
 
 

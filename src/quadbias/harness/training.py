@@ -47,17 +47,13 @@ class Checkpoint:
     params: ParamVector
     arch: MlpArchitecture
     config_digest: str = ""  # empty from train; the train command stamps its own
-    format_version: int = CHECKPOINT_FORMAT_VERSION
 
 
 def checkpoint_epochs(n_epochs: int) -> list:
     """Ten log-equidistant epochs between the first and last, plus the final
     epoch."""
-    if n_epochs == 1:
-        return [1]
     raw = np.logspace(0.0, np.log10(n_epochs), 10)
-    epochs = sorted(set(int(round(e)) for e in raw) | {n_epochs})
-    return epochs
+    return sorted(set(int(round(e)) for e in raw) | {n_epochs})
 
 
 def train(arch: MlpArchitecture, dataset: Dataset, config: TrainConfig) -> list:
@@ -90,7 +86,7 @@ def train(arch: MlpArchitecture, dataset: Dataset, config: TrainConfig) -> list:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     path = Path(path)
     meta = {
-        "format_version": ckpt.format_version,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "epoch": ckpt.epoch,
         "arch": asdict(ckpt.arch),
         "config_digest": ckpt.config_digest,
@@ -103,23 +99,21 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at path; a damaged header (not a UTF-8 JSON object with
+    every field) or payload raises ValidationError naming the file."""
     path = Path(path)
     with path.open("rb") as fh:
-        meta = json.loads(fh.readline().decode("utf-8"))
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValidationError(
-                f"{path}: unsupported checkpoint format version "
-                f"{meta.get('format_version')!r}"
-            )
-        raw = fh.read()
-    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if values.size != meta["n_params"]:
-        raise ValidationError(f"{path}: parameter payload truncated")
-    arch = MlpArchitecture(**meta["arch"])
-    params = ParamVector(values, build_layout(arch))
-    return Checkpoint(
-        epoch=meta["epoch"],
-        params=params,
-        arch=arch,
-        config_digest=meta["config_digest"],
-    )
+        head, raw = fh.readline(), fh.read()
+    try:
+        meta = json.loads(head.decode("utf-8"))
+        version = meta.get("format_version")
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise ValidationError(f"{path}: unsupported checkpoint format version {version!r}")
+        n_params, arch = meta["n_params"], MlpArchitecture(**meta["arch"])
+        epoch, digest = meta["epoch"], meta["config_digest"]
+        if len(raw) != 8 * n_params:
+            raise ValidationError(f"{path}: parameter payload truncated")
+    except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: damaged checkpoint header ({exc!r})") from None
+    params = ParamVector(np.frombuffer(raw, dtype="<f8").astype(np.float64), build_layout(arch))
+    return Checkpoint(epoch=epoch, params=params, arch=arch, config_digest=digest)

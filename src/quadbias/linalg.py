@@ -179,7 +179,9 @@ def top_k_eigenpairs(
     ``matmat`` and solved densely; otherwise a seeded thick-restart Lanczos
     iteration calls it one vector at a time, with at most ``maxiter``
     restarts (10 * dim by default). A non-finite product, or no convergence
-    within ``maxiter``, raises NumericalError.
+    within ``maxiter``, raises NumericalError. The Lanczos path can undercount
+    an exactly repeated top eigenvalue without error: for
+    ``diag(repeat([4, 3, 2, 1], 150))`` and k = 6 it returns [4, 4, 4, 4, 4, 3].
     """
     if not 1 <= k <= dim:
         raise ValidationError(f"need 1 <= k <= dim, got k={k}, dim={dim}")

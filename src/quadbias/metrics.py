@@ -30,6 +30,9 @@ class ProbTable:
             raise ValidationError(f"probs must be 2-d, got shape {p.shape}")
         if y.shape != (p.shape[0],):
             raise ValidationError("labels must be one class index per row")
+        if not np.isfinite(p).all():  # a NaN would pass both range checks below
+            row, col = np.argwhere(~np.isfinite(p))[0]
+            raise ValidationError(f"probability at row {row}, class {col} is {p[row, col]}")
         if np.any(p < -1e-12):
             raise ValidationError("probabilities must be nonnegative")
         if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-8):

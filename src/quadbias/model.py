@@ -206,9 +206,9 @@ class Batch:
         y = np.asarray(self.targets, dtype=np.float64)
         if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
             raise ValidationError(f"inconsistent batch shapes {x.shape}, {y.shape}")
-        row_sums = y.sum(axis=1)
+        zero_or_one = np.all((y == 0.0) | (y == 1.0))
         ones_per_row = (y == 1.0).sum(axis=1)
-        if not (np.all(row_sums == 1.0) and np.all(ones_per_row == 1)):
+        if not (zero_or_one and np.all(ones_per_row == 1)):
             raise ValidationError("targets must be one-hot rows")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
@@ -283,9 +283,9 @@ class Linearization:
     the logits, activation derivatives and, for cross entropy, the softmax,
     computed once; hidden pre-activations are not kept.
 
-    Every product, the loss gradient and the K-FAC factors reuse them, and
-    walk back through the network by one recursion, ``_layer_grads``, which
-    the Hessian product seeds with per-layer terms.
+    Every product, the mean loss, its gradient and the K-FAC factors reuse
+    them; all but the loss walk back through the network by one recursion,
+    ``_layer_grads``, which the Hessian product seeds with per-layer terms.
     Products take (P, k) blocks of parameter directions and run in
     passes of at most ``max(1, BLOCK_BUDGET // rows)`` columns; a pass is a
     few matrix products per layer over all of its columns at once, with
@@ -405,9 +405,15 @@ class Linearization:
             return self.probs - self.targets
         return 2.0 * (self.logits - self.targets)
 
-    def loss_grad_logits(self) -> np.ndarray:
-        """d(mean loss)/d logits."""
-        return self.loss_grad_rows() / self.size
+    def _loss(self) -> float:
+        """The mean loss over the rows; read after ``loss_grad_rows``, which
+        checks that there are targets."""
+        if self.probs is not None:
+            shifted = self.logits - self.logits.max(axis=1, keepdims=True)
+            log_z = np.log(np.exp(shifted).sum(axis=1))
+            return float((log_z - (shifted * self.targets).sum(axis=1)).sum() / self.size)
+        diff = self.logits - self.targets
+        return float((diff * diff).sum() / self.size)
 
     def _loss_hessian(self, r_logits: np.ndarray) -> np.ndarray:
         """Hessian of the per-sample loss at the logits applied to r_logits."""
@@ -422,7 +428,7 @@ class Linearization:
         gradient g_l at each Z_l, and for l > 0 the term s * act''(Z_{l-1})
         with s = g_l W_l^T."""
         act = self.mlp.arch.activation
-        gs = self._layer_grads(self.loss_grad_logits())
+        gs = self._layer_grads(self.loss_grad_rows() / self.size)
         s_d2 = [None] + [(gs[l] @ self.wb[l][0].T) * _act_dd(act, self.acts[l])
                          for l in range(1, len(self.wb))]
         return gs, s_d2
@@ -565,24 +571,13 @@ class Mlp:
 
     # -- loss and gradient ---------------------------------------------------
 
-    def _loss_value(self, logits: np.ndarray, targets: np.ndarray) -> float:
-        n = logits.shape[0]
-        if self.arch.loss == "cross_entropy":
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            log_z = np.log(np.exp(shifted).sum(axis=1))
-            true_logit = (shifted * targets).sum(axis=1)
-            return float((log_z - true_logit).sum() / n)
-        diff = logits - targets
-        return float((diff * diff).sum() / n)
-
     def loss_and_grad(self, params: ParamVector, batch: Batch | Linearization, beta: float):
         """Regularized mean loss and its exact gradient on a Batch or on its
         Linearization at params."""
         check_nonnegative(beta=beta)
         lin = self._linearized(params, batch)
-        grad = lin._backprop(lin.loss_grad_logits())  # first: it checks the targets
-        loss = self._loss_value(lin.logits, lin.targets)
-        return add_weight_decay(params, beta, loss, grad), grad
+        grad = lin._backprop(lin.loss_grad_rows() / lin.size)  # first: it checks the targets
+        return add_weight_decay(params, beta, lin._loss(), grad), grad
 
     # -- directional derivatives ----------------------------------------------
 

@@ -463,6 +463,15 @@ class TestBiasSummary:
         assert errs.shape == (1,)
         assert n_excl == 1
 
+    @pytest.mark.parametrize("measured, truth", [
+        ([1.0, 2.0, np.nan], [np.nan, 1.0, 1.0]),  # a NaN truth counted as near zero
+        ([1.0, np.inf], [1.0, 1.0]),
+        ([1.0, 1.0], [1.0, -np.inf]),
+    ])
+    def test_non_finite_value_raises(self, measured, truth):
+        with pytest.raises(NumericalError, match="relative error: non-finite"):
+            relative_errors(np.array(measured), np.array(truth))
+
     def test_quantity_validation(self):
         with pytest.raises(ValidationError):
             bias_summary([], "wiggliness")

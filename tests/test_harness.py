@@ -360,6 +360,21 @@ class TestTraining:
         with pytest.raises(ValidationError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("head", [
+        b"not json",
+        b"[1, 2]",
+        b'{"arch": {"layer_sizes": [3, 2]}, "config_digest": "", "epoch": 1, '
+        b'"format_version": 2}',
+        b'{"format_version": 2, "note": "\xff"}',
+    ], ids=["not_json", "json_list", "no_n_params", "not_utf8"])
+    def test_damaged_checkpoint_header_is_validation_error(self, tmp_path, head):
+        # not a JSONDecodeError, AttributeError, KeyError or UnicodeDecodeError
+        # that leaves the file unnamed
+        path = tmp_path / "model.qckpt"
+        path.write_bytes(head + b"\n" + bytes(8 * 8))
+        with pytest.raises(ValidationError, match="model.qckpt: damaged checkpoint header"):
+            load_checkpoint(path)
+
 
 CONFIG_TEXT = """
 # toy experiment
@@ -707,6 +722,7 @@ class TestExperiments:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         assert verify_result_dir(out1)["consistent"]
+        assert json.loads((out1 / "summary.json").read_text())["kind"] == kind
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_outputs_byte_identical_with_passes_split(self, tmp_path, kind, pass_split,
@@ -894,6 +910,20 @@ class TestExperiments:
         assert len(messages) == 2
         assert "batch size 16, seed 0: 1 of 3 curvature ratios excluded" in messages[0]
         assert "batch size 32, seed 0: 2 of 2 curvature ratios excluded" in messages[1]
+
+    @pytest.mark.parametrize("same, full", [(2.0, np.nan), (np.inf, 1.0)])
+    def test_bias_scan_ratio_of_a_non_finite_curvature_raises(self, same, full, caplog):
+        # not logged as "< 1e-14" and excluded, as a NaN would be by the floor
+        from quadbias.diagnostics import ScanReport
+        from quadbias.harness import experiments
+
+        reports = [ScanReport(source_batch=m, batch_ids=[0, 1], slopes=np.zeros((1, 3)),
+                              curvatures=np.array([[c, c, f]]))
+                   for m, (c, f) in enumerate([(1.0, 1.0), (same, full)])]
+        caplog.set_level(logging.WARNING, logger="quadbias.harness.experiments")
+        with pytest.raises(NumericalError, match="curvature ratio: non-finite"):
+            experiments._ratio_stats(reports, 16, 0)
+        assert not caplog.records
 
     def test_laplace_sweep_grid_shape(self, tmp_path):
         cfg = self._config(
@@ -1207,10 +1237,11 @@ class TestCli:
         ("summary.json", b'{"config_digest": '),
         ("summary.json", b"[1, 2]"),
         ("ckpt_epoch0001.qckpt", b"not json\n\x00\x01"),
+        ("ckpt_epoch0002.qckpt", b'{"config_digest": "d1gest", "format_version": 2}\n'),
         ("a.csv", b"\xff\xfe# config=d1gest\nx\n1\n"),
         ("b.svg", b"\xff\xfe<!-- config=d1gest -->\n<svg/>\n"),
     ], ids=["empty_svg", "malformed_summary", "summary_not_an_object", "checkpoint_header",
-            "csv_not_utf8", "svg_not_utf8"])
+            "checkpoint_without_fields", "csv_not_utf8", "svg_not_utf8"])
     def test_verify_damaged_file_is_validation_error(self, tmp_path, name, content):
         out = tmp_path / "r"
         out.mkdir()

@@ -36,6 +36,13 @@ class TestProbTable:
         with pytest.raises(ValidationError):
             table([[0.5, 0.5]], [2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_naming_row_and_class(self, bad):
+        # a NaN compares false, so it would pass both range checks, and
+        # accuracy would read 0.5 with nll and ece nan
+        with pytest.raises(ValidationError, match=f"row 1, class 0 is {bad}"):
+            table([[0.5, 0.5], [bad, 0.5]], [0, 1])
+
 
 class TestAccuracy:
     def test_all_correct(self):

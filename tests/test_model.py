@@ -605,6 +605,13 @@ class TestBatchValidation:
         with pytest.raises(ValidationError):
             Batch(np.zeros((2, 3)), np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize("row", [[1.0, 0.5, -0.5], [0.5, 1.0, -0.5], [1.0, 2.0, -2.0]])
+    def test_rejects_a_target_other_than_zero_or_one(self, row):
+        # each row sums to 1 and holds exactly one 1, yet gives a wrong loss
+        # and gradient
+        with pytest.raises(ValidationError, match="one-hot"):
+            Batch(np.zeros((1, 2)), [row])
+
     @pytest.mark.parametrize("indices", [[0, 1], [0, 1, 2, 3], [[0], [1], [2]]])
     def test_indices_must_name_each_row_once(self, indices):
         with pytest.raises(ValidationError, match=r"indices shape .* != \(3,\)"):

@@ -133,8 +133,8 @@ MUTANTS = (
            "cg-compare debiased_never_above_anchor from the last iterate only",
            ("tests/test_harness.py", "-k", "cg_compare")),
     Mutant("src/quadbias/harness/experiments.py",
-           "rep.curvatures[0, rep.source_column()] / rep.curvatures[0, -1]",
-           "rep.curvatures[0, rep.source_column()] / rep.curvatures[-1, -1]",
+           "full = np.array([rep.curvatures[0, -1] for rep in reports])",
+           "full = np.array([rep.curvatures[-1, -1] for rep in reports])",
            "bias-scan curvature ratio against the last direction's full-batch value",
            ("tests/test_harness.py", "-k", "bias_scan")),
     Mutant("src/quadbias/harness/experiments.py",
@@ -148,10 +148,35 @@ MUTANTS = (
            "mean_ood_entropy averaged over the test rows",
            ("tests/test_harness.py", "-k", "predictive_metrics")),
     Mutant("src/quadbias/harness/experiments.py",
-           "kept = [rep for rep in reports if abs(rep.curvatures[0, -1]) >= RELERR_FLOOR]",
-           "kept = list(reports)",
+           'kept = above_floor(same, full, "bias-scan curvature ratio")',
+           "kept = np.ones(len(reports), dtype=bool)",
            "bias-scan curvature ratio keeps a zero full-batch curvature",
            ("tests/test_harness.py", "-k", "bias_scan")),
+    Mutant("src/quadbias/harness/experiments.py",
+           '{"kind": cfg.kind, **summary}',
+           "summary",
+           "summary.json without the experiment kind",
+           ("tests/test_harness.py", "-k", "byte_identical_across")),
+    Mutant("src/quadbias/diagnostics.py",
+           "if not (np.isfinite(measured).all() and np.isfinite(truth).all()):",
+           "if not np.isfinite(measured).all():",
+           "near-zero exclusion lets a non-finite truth through",
+           ("tests/test_diagnostics.py", "-k", "BiasSummary")),
+    Mutant("src/quadbias/metrics.py",
+           "if not np.isfinite(p).all():",
+           "if False:",
+           "ProbTable accepts a NaN probability",
+           ("tests/test_metrics.py", "-k", "ProbTable")),
+    Mutant("src/quadbias/model.py",
+           "zero_or_one = np.all((y == 0.0) | (y == 1.0))",
+           "zero_or_one = np.all(y.sum(axis=1) == 1.0)",
+           "Batch accepts targets other than 0 and 1 in rows summing to 1",
+           ("tests/test_model.py", "-k", "BatchValidation")),
+    Mutant("src/quadbias/harness/training.py",
+           "except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError)",
+           "except (json.JSONDecodeError, TypeError)",
+           "load_checkpoint lets a non-UTF-8, non-object or incomplete header raise unnamed",
+           ("tests/test_harness.py", "-k", "checkpoint")),
     Mutant("src/quadbias/diagnostics.py",
            "trace = cg_minimize(q_b, config)",
            "trace = cg_minimize(q_b, CgConfig(config.epsilon, config.p_max + 1))",
