@@ -80,7 +80,7 @@ def cg_minimize(q: QuadraticModel, config: CgConfig) -> CgTrace:
     ||r_p|| <= epsilon, or on a direction of non-positive curvature (the last
     iterate is returned in that case).
     """
-    return _cg(q, config)[0]
+    return _cg([q], config)[0]
 
 
 def debiased_cg(q_b: QuadraticModel, q_bt: QuadraticModel, config: CgConfig):
@@ -97,28 +97,23 @@ def debiased_cg(q_b: QuadraticModel, q_bt: QuadraticModel, config: CgConfig):
         raise ValidationError("quadratics live in different dimensions")
     if not np.array_equal(q_b.theta0.values, q_bt.theta0.values):
         raise ValidationError("quadratics must share the anchor point")
-    return _cg(q_b, config, q_bt)
+    return tuple(_cg([q_b, q_bt], config))
 
 
-def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None):
-    """The CG recursion on q; returns (trace, magnitude trace or None).
-
-    Direction d_p is written to column p of one (P, p_max) block, allocated
-    once; the traces keep views of its first K columns. With q_mag, every
-    direction is also stepped along with the magnitude measured on q_mag
-    (one more matvec per iteration), and that trajectory is the second
-    trace; both share the direction block and the termination.
-    """
-    solver = "cg_minimize" if q_mag is None else "debiased_cg"
-    theta0 = q.theta0.values
-    block = np.empty((q.dim, config.p_max), order="F")
-    r = q.gradient.copy()  # r_p = grad q(theta_p); r_0 = g at the anchor
-    s = -r
-    trace = CgTrace(theta0, block[:, :0], [], [float(np.linalg.norm(r))], "max_iter")
-    if q_mag is not None:
-        mag_grad = q_mag.gradient.copy()
-        mag = CgTrace(theta0, block[:, :0], [], [float(np.linalg.norm(mag_grad))],
-                      "max_iter")
+def _cg(quads: list, config: CgConfig) -> list:
+    """The CG recursion on quads[0]; returns one trace per quadratic, each
+    stepping every direction with the magnitude measured on its quadratic
+    (one matvec each, in order, each after a positive curvature on those
+    before). Direction d_p is written to column p of one (P, p_max) block,
+    allocated once; the traces share one view of its first K columns and
+    the termination."""
+    solver = "cg_minimize" if len(quads) == 1 else "debiased_cg"
+    block = np.empty((quads[0].dim, config.p_max), order="F")
+    grads = [q.gradient.copy() for q in quads]  # grads[0] = r_p = grad q(theta_p)
+    traces = [CgTrace(quads[0].theta0.values, block[:, :0], [],
+                      [float(np.linalg.norm(g))], "max_iter") for g in grads]
+    trace = traces[0]
+    s = -grads[0]
 
     for p in range(config.p_max + 1):
         if trace.residual_norms[-1] <= config.epsilon:
@@ -132,31 +127,25 @@ def _cg(q: QuadraticModel, config: CgConfig, q_mag: QuadraticModel | None = None
             break
         d = np.divide(s, s_norm, out=block[:, p])
         stage = f"{solver} at iteration {p}"
-        step = _newton_step(q, d, r, stage, "")
-        if step is not None and q_mag is not None:
-            mag_step = _newton_step(q_mag, d, mag_grad, stage, "magnitude_")
-            step = None if mag_step is None else step
-        if step is None:
+        steps = []
+        for i, (q, g) in enumerate(zip(quads, grads)):
+            steps.append(_newton_step(q, d, g, stage, "magnitude_" if i else ""))
+            if steps[-1] is None:
+                break
+        if steps[-1] is None:
             trace.termination = "negative_curvature"
             break
-        if q_mag is not None:
-            mag_tau, mag_grad = mag_step
-            mag.magnitudes.append(mag_tau)
-            mag.residual_norms.append(float(np.linalg.norm(mag_grad)))
+        for t, (tau, g) in zip(traces, steps):
+            t.magnitudes.append(tau)
+            t.residual_norms.append(float(np.linalg.norm(g)))
+        r, grads = grads[0], [g for _, g in steps]
+        beta = float(grads[0] @ grads[0]) / float(r @ r)
+        s = -grads[0] + beta * s
 
-        tau, r_new = step
-        trace.magnitudes.append(tau)
-        beta = float(r_new @ r_new) / float(r @ r)
-        s = -r_new + beta * s
-        r = r_new
-        trace.residual_norms.append(float(np.linalg.norm(r)))
-
-    trace.directions = block[:, :trace.n_steps]
-    if q_mag is None:
-        return trace, None
-    mag.directions = trace.directions
-    mag.termination = trace.termination
-    return trace, mag
+    directions = block[:, :trace.n_steps]
+    for t in traces:
+        t.directions, t.termination = directions, trace.termination
+    return traces
 
 
 def _newton_step(q: QuadraticModel, d: np.ndarray, grad: np.ndarray, stage: str,

@@ -2,14 +2,14 @@
 eigenspace overlap matrices, the spectral decomposition of cross-batch
 curvatures, slope-bias analysis, and relative-error summaries.
 
-The eigendirection scan scores the GGN from per-row forward-mode terms: one
-pass over the training rows, then every batch's score is the mean of its
-rows and the full-batch score the mean of all rows. The other scans read
-every quadratic on the whole block of directions at once, with one
-``in_span`` call (one ``gram`` of the block): the Hessian and K-FAC
-eigendirection scans at the anchor, the CG scan at its iterates. Scan data
-is stored raw, in the solver's direction order and sign, as (k, M + 1)
-tables with the full-batch quadratic in the last column.
+The eigendirection scan scores every curvature kind from per-row
+forward-mode terms: one pass over the training rows, then every batch's
+score is the mean of its rows and the full-batch score the mean of all rows
+(K-FAC curvatures come from the Kronecker factors). The CG scan reads every
+quadratic on the whole block of its directions at its iterates, with one
+``in_span`` call (one ``gram`` of the block). Scan data is stored raw, in
+the solver's direction order and sign, as (k, M + 1) tables with the
+full-batch quadratic in the last column.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from .linalg import EigenDecomposition, Rng, top_k_eigenpairs
 from .model import Batch, Mlp, ParamVector
 from .quadratic import (
     QuadraticModel,
+    _kfac_product,
     _require_finite,
     _traces,
+    accumulate_kfac,
     build_quadratic,
-    fullbatch_quadratic,
     grad_at,
     in_span,
     step_coefficients,
@@ -117,25 +118,19 @@ def source_eigenbases(mlp: Mlp, theta_star: ParamVector, batches: list, k: int,
                       rng: Rng | None = None, source_indices: list | None = None,
                       fisher_mode: str = "mc_sample") -> list:
     """Top-k eigenvectors of each source batch's quadratic (every batch by
-    default), source m's eigensolve started from rng.split(m); one
-    DirectionSet per source. Each quadratic is built for its own eigensolve
-    and dropped after it."""
+    default), source m's eigensolve started from rng.split(m) and its K-FAC
+    factors sampled from rng.split(10_000 + m); one DirectionSet per source.
+    Each quadratic is built for its own eigensolve and dropped after it."""
     if k > theta_star.n_params:
         raise ValidationError(f"k={k} exceeds parameter count {theta_star.n_params}")
     rng = rng if rng is not None else Rng(0)
     sources = range(len(batches)) if source_indices is None else source_indices
     if not sources:
         raise ValidationError("no source batch to take eigen directions from")
-    eigs = [top_k_eigenpairs(_batch_quadratic(mlp, theta_star, batches, m, kind, beta, delta,
-                                              rng, fisher_mode).curvature,
+    eigs = [top_k_eigenpairs(build_quadratic(mlp, theta_star, batches[m], kind, beta, delta, m,
+                                             fisher_mode, rng.split(10_000 + m)).curvature,
                              theta_star.n_params, k, rng.split(m)) for m in sources]
     return [DirectionSet(m, e.basis, e.eigenvalues) for m, e in zip(sources, eigs)]
-
-
-def _batch_quadratic(mlp, theta, batches, i, kind, beta, delta, rng, fisher_mode):
-    """Batch i's quadratic; K-FAC samples from rng.split(10_000 + i)."""
-    return build_quadratic(mlp, theta, batches[i], kind, beta, delta, i, fisher_mode,
-                           rng.split(10_000 + i) if kind == "kfac" else None)
 
 
 def _row_positions(batches: list, data: Batch) -> list:
@@ -154,32 +149,32 @@ def _row_positions(batches: list, data: Batch) -> list:
     return out
 
 
-def _ggn_row_scores(mlp, theta, batches, data, blocks, beta, delta, chunk_size) -> list:
-    """Slopes and curvatures of every batch's GGN quadratic and the full-batch
-    one (last) along each (P, k) block, (k, batches + 1, 2) per block: row
-    means of one forward-mode pass of all blocks over data, plus the
-    regularizer."""
+def _row_scores(mlp, theta, batches, data, blocks, kind, beta, delta, rng, chunk_size,
+                fisher_mode) -> list:
+    """Slopes and curvatures of every batch's quadratic and the full-batch one
+    (last) along each (P, k) block, (k, batches + 1, 2) per block: row means
+    of one forward-mode pass of all blocks over data, plus the regularizer.
+    The K-FAC curvatures are d . (A x B) d instead, from batch i's factors on
+    rng.split(10_000 + i) and the full-batch factors on rng.split(20_000)."""
     traces = _traces(mlp, theta, data, chunk_size)  # checks data before the lookup
     positions = _row_positions(batches, data)
     d = np.hstack(blocks)
-    terms = np.concatenate([lin.ggn_row_terms(d) for _, lin in traces], axis=1)
+    terms = np.concatenate([lin.row_terms(d, kind == "hessian") for _, lin in traces], axis=1)
     _require_finite("eigendirection_scan", row_term=terms)
+    means = np.stack([terms[:, pos].mean(axis=1) for pos in positions]
+                     + [terms.mean(axis=1)], axis=1)
+    if kind == "kfac":
+        factors = [mlp.kfac_factors(theta, b, fisher_mode, rng.split(10_000 + i))
+                   for i, b in enumerate(batches)]
+        full = accumulate_kfac(mlp, theta, data, fisher_mode, rng.split(20_000), chunk_size)
+        means[..., 1] = np.column_stack([np.einsum("pk,pk->k", d, _kfac_product(f, theta)(d))
+                                         for f in [*factors, full]])
     mask = theta.weight_mask
     d_w = d[mask]
     reg = np.stack([beta * (theta.values[mask] @ d_w),
                     beta * np.einsum("ij,ij->j", d_w, d_w)
                     + delta * np.einsum("ij,ij->j", d, d)], axis=-1)
-    means = np.stack([terms[:, pos].mean(axis=1) for pos in positions]
-                     + [terms.mean(axis=1)], axis=1) + reg[:, None]
-    return np.split(means, len(blocks))
-
-
-def _span_scores(quads: list, directions: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """(k, len(quads), 2): each quadratic's slope along d_p at the point of
-    row p of the (k, k) coeffs, and its curvature along d_p, from one
-    ``in_span`` call per quadratic."""
-    spans = [in_span(q, directions, coeffs) for q in quads]
-    return np.stack([np.column_stack([np.diagonal(s), c]) for _, s, c in spans], axis=1)
+    return np.split(means + reg[:, None], len(blocks))
 
 
 def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, batches: list, data: Batch,
@@ -191,26 +186,17 @@ def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, batches: list, data: 
     (the last column) along those directions; returns (direction_sets,
     reports), one entry per source batch.
 
-    GGN scores are row means of ``Linearization.ggn_row_terms`` from one
+    Scores are row means of ``Linearization.row_terms`` from one
     forward-mode pass of all sources' directions over data in chunk_size
-    chunks; each batch's indices must name its rows of data. The Hessian and
-    K-FAC build every batch's quadratic and the full-batch one and read each
-    at the anchor: ``_span_scores`` with all-zero coefficients.
+    chunks; each batch's indices must name its rows of data. K-FAC takes its
+    curvatures from each batch's and the full-batch Kronecker factors.
     """
     rng = rng if rng is not None else Rng(0)
     direction_sets = source_eigenbases(mlp, theta_star, batches, k, kind, beta, delta, rng,
                                        source_indices, fisher_mode)
-    blocks = [dset.directions for dset in direction_sets]
-    if kind == "ggn":
-        scores = _ggn_row_scores(mlp, theta_star, batches, data, blocks, beta, delta,
-                                 chunk_size)
-    else:
-        quads = [_batch_quadratic(mlp, theta_star, batches, i, kind, beta, delta, rng,
-                                  fisher_mode) for i in range(len(batches))]
-        q_full = fullbatch_quadratic(mlp, theta_star, data, kind, beta, delta,
-                                     chunk_size, fisher_mode,
-                                     rng.split(20_000) if kind == "kfac" else None)
-        scores = [_span_scores([*quads, q_full], d, np.zeros((k, k))) for d in blocks]
+    scores = _row_scores(mlp, theta_star, batches, data,
+                         [dset.directions for dset in direction_sets], kind, beta, delta,
+                         rng, chunk_size, fisher_mode)
     batch_ids = list(range(len(batches)))
     return direction_sets, [ScanReport(dset.source_batch, batch_ids, m[..., 0], m[..., 1])
                             for dset, m in zip(direction_sets, scores)]
@@ -238,7 +224,8 @@ def cg_direction_scan(
         raise ValidationError("quadratics must share the anchor point")
     trace = cg_minimize(q_b, config)
     steps = step_coefficients(trace.magnitudes)[:trace.n_steps]
-    m = _span_scores(quads, trace.directions, steps)
+    spans = [in_span(q, trace.directions, steps) for q in quads]
+    m = np.stack([np.column_stack([np.diagonal(s), c]) for _, s, c in spans], axis=1)
     return trace, ScanReport(q_b.batch_id, [q.batch_id for q in batch_quads],
                              m[..., 0], m[..., 1])
 

@@ -100,7 +100,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """The checkpoint at path; a damaged header (not a UTF-8 JSON object with
-    every field) or payload raises ValidationError naming the file."""
+    every field, an architecture or a parameter count that contradicts it)
+    or payload raises ValidationError naming the file."""
     path = Path(path)
     with path.open("rb") as fh:
         head, raw = fh.readline(), fh.read()
@@ -109,11 +110,21 @@ def load_checkpoint(path) -> Checkpoint:
         version = meta.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValidationError(f"{path}: unsupported checkpoint format version {version!r}")
-        n_params, arch = meta["n_params"], MlpArchitecture(**meta["arch"])
+        n_params, fields = meta["n_params"], meta["arch"]
         epoch, digest = meta["epoch"], meta["config_digest"]
-        if len(raw) != 8 * n_params:
-            raise ValidationError(f"{path}: parameter payload truncated")
     except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: damaged checkpoint header ({exc!r})") from None
-    params = ParamVector(np.frombuffer(raw, dtype="<f8").astype(np.float64), build_layout(arch))
+    try:  # not MlpArchitecture's own error, which names a config key
+        arch = MlpArchitecture(**fields)
+    except (ValueError, TypeError):
+        raise ValidationError(f"{path}: checkpoint header arch {fields!r} is not an "
+                              "architecture") from None
+    layout = build_layout(arch)
+    size = sum(e.size for e in layout)
+    if n_params != size:
+        raise ValidationError(f"{path}: checkpoint header n_params {n_params!r} != {size}, "
+                              "the parameter count of its arch")
+    if len(raw) != 8 * size:
+        raise ValidationError(f"{path}: parameter payload truncated")
+    params = ParamVector(np.frombuffer(raw, dtype="<f8").astype(np.float64), layout)
     return Checkpoint(epoch=epoch, params=params, arch=arch, config_digest=digest)

@@ -360,20 +360,27 @@ class Linearization:
         return (flat[..., ew.offset : ew.offset + ew.size].reshape(lead + ew.shape),
                 flat[..., eb.offset : eb.offset + eb.size])
 
-    def _r_forward(self, vt: np.ndarray) -> list:
-        """Forward-mode pass: R[Z_l] for every layer (R[A_0] = 0)."""
-        r_pre = []
-        r_a = None
+    def _r_forward(self, vt: np.ndarray, second: bool = False):
+        """Forward-mode pass: R[Z_l] for every layer (R[A_0] = 0). With
+        second, also the second-order R2[Z_L] (Pearlmutter 1994), from
+        R2[Z_l] = 2 R[A_{l-1}] V_l + R2[A_{l-1}] W_l, R2[Z_1] = 0, and
+        R2[A_l] = act''(Z_l) R[Z_l]^2 + act'(Z_l) R2[Z_l]."""
+        r_pre, r_a, r2_a, r2_z = [], None, None, 0.0
         for l, (w, _) in enumerate(self.wb):
             vw, vb = self._split(vt, l)
             r_z = self.acts[l] @ vw
             if r_a is not None:
                 r_z += r_a @ w
+                if second:
+                    r2_z = 2.0 * (r_a @ vw) + r2_a @ w
             r_z += vb[:, None, :]
             r_pre.append(r_z)
             if l < len(self.wb) - 1:
+                if second:
+                    r2_a = (_act_dd(self.mlp.arch.activation, self.acts[l + 1]) * r_z * r_z
+                            + self.d1[l] * r2_z)
                 r_a = self.d1[l] * r_z
-        return r_pre
+        return (r_pre, r2_z) if second else r_pre
 
     def _layer_grads(self, g: np.ndarray, extra: list | None = None) -> list:
         """Gradient at every Z_l from a logits-side seed g, (rows, C) or
@@ -461,16 +468,20 @@ class Linearization:
         jv = jv.reshape(len(jv), -1)
         return lam_jv @ jv.T / self.size
 
-    def ggn_row_terms(self, vs: np.ndarray) -> np.ndarray:
+    def row_terms(self, vs: np.ndarray, hessian: bool) -> np.ndarray:
         """Per-row slope (J_n v) . r_n and curvature (J_n v)^T Lambda_n (J_n v),
-        (k, rows, 2), r_n the gradient of row n's loss at its logits; their
-        row means are v . g_B and v^T G_B v. Forward mode only."""
+        (k, rows, 2), r_n the gradient of row n's loss at its logits; with
+        hessian, each curvature gains r_n . R2[z_n]. Their row means are
+        v . g_B and v^T G_B v, or v^T H_B v. Forward mode only."""
         r = self.loss_grad_rows()
 
         def one_pass(vt):
-            jv = self._r_forward(vt)[-1]
-            return np.stack([np.einsum("krc,rc->kr", jv, r),
-                             np.einsum("krc,krc->kr", jv, self._loss_hessian(jv))], axis=-1)
+            r_pre, r2 = self._r_forward(vt, True) if hessian else (self._r_forward(vt), None)
+            jv = r_pre[-1]
+            curv = np.einsum("krc,krc->kr", jv, self._loss_hessian(jv))
+            if hessian:
+                curv += (r2 * r).sum(axis=-1)
+            return np.stack([np.einsum("krc,rc->kr", jv, r), curv], axis=-1)
 
         return self._by_pass(vs, (self.size, 2), one_pass)
 

@@ -217,19 +217,23 @@ class TestEigendirectionScan:
                 rep.curvatures[:, col], dset.eigenvalues, rtol=1e-10
             )
 
-    def test_batch_mean_equals_fullbatch_row(self):
+    @pytest.mark.parametrize("kind", ["ggn", "hessian", "kfac"])
+    def test_batch_mean_equals_fullbatch_row(self, kind):
+        # the batches partition the data, so every row mean is the mean of
+        # the batch means; K-FAC curvatures average factors, not rows
         mlp, p, data, batches = self._setup()
         _, reports = eigendirection_scan(
-            mlp, p, batches, data, k=3, kind="ggn", beta=0.05, rng=Rng(0),
+            mlp, p, batches, data, k=3, kind=kind, beta=0.05, rng=Rng(0),
             chunk_size=8,
         )
         for rep in reports:
             np.testing.assert_allclose(
                 rep.slopes[:, :-1].mean(axis=1), rep.slopes[:, -1], rtol=1e-10, atol=1e-14
             )
-            np.testing.assert_allclose(
-                rep.curvatures[:, :-1].mean(axis=1), rep.curvatures[:, -1], rtol=1e-10
-            )
+            if kind != "kfac":
+                np.testing.assert_allclose(
+                    rep.curvatures[:, :-1].mean(axis=1), rep.curvatures[:, -1], rtol=1e-10
+                )
 
     def test_source_indices_subset(self):
         mlp, p, data, batches = self._setup()
@@ -253,20 +257,6 @@ class TestEigendirectionScan:
         np.testing.assert_allclose(
             rep.curvatures[:, col], dsets[0].eigenvalues, rtol=1e-9
         )
-
-    @pytest.mark.parametrize("kind", ["hessian", "kfac"])
-    def test_per_batch_kinds_batch_mean_slope_equals_fullbatch(self, kind):
-        # the gradient is the same for every curvature, so the batch-mean
-        # slope is the full-batch slope on the per-batch path too
-        mlp, p, data, batches = self._setup()
-        _, reports = eigendirection_scan(
-            mlp, p, batches, data, k=3, kind=kind, beta=0.05, rng=Rng(0),
-            chunk_size=8, source_indices=[0, 2],
-        )
-        for rep in reports:
-            np.testing.assert_allclose(
-                rep.slopes[:, :-1].mean(axis=1), rep.slopes[:, -1], rtol=1e-10, atol=1e-14
-            )
 
     @pytest.mark.parametrize("edit", ["shifted_indices", "unknown_index"])
     def test_batches_must_name_their_data_rows(self, edit):
@@ -303,7 +293,10 @@ class TestEigendirectionScan:
 class TestRowScanAgainstPerBatchOracle:
     @settings(max_examples=30, deadline=None)
     @given(
-        activation=st.sampled_from(["relu", "tanh"]),
+        kind=st.sampled_from(["ggn", "hessian", "kfac"]),
+        fisher_mode=st.sampled_from(["mc_sample", "empirical"]),
+        hidden=st.sampled_from([(), (8,), (6, 5)]),
+        activation=st.sampled_from(["relu", "tanh", "identity"]),
         loss=st.sampled_from(["cross_entropy", "mse"]),
         n_batches=st.integers(1, 5),
         batch_size=st.integers(1, 7),
@@ -315,14 +308,22 @@ class TestRowScanAgainstPerBatchOracle:
         delta=st.floats(0.001, 0.1),
         seed=st.integers(0, 2**16),
     )
-    @example(activation="relu", loss="cross_entropy", n_batches=3, batch_size=4,
-             spare_rows=2, chunk_size=5, n_src=2, k=3, beta=0.05, delta=0.01, seed=0)
-    def test_row_scan_equals_per_batch_oracle(self, activation, loss, n_batches,
-                                              batch_size, spare_rows, chunk_size, n_src,
-                                              k, beta, delta, seed):
+    @example(kind="ggn", fisher_mode="mc_sample", hidden=(8,), activation="relu",
+             loss="cross_entropy", n_batches=3, batch_size=4, spare_rows=2, chunk_size=5,
+             n_src=2, k=3, beta=0.05, delta=0.01, seed=0)
+    @example(kind="hessian", fisher_mode="mc_sample", hidden=(8,), activation="tanh",
+             loss="cross_entropy", n_batches=3, batch_size=4, spare_rows=2, chunk_size=5,
+             n_src=2, k=3, beta=0.05, delta=0.01, seed=0)
+    @example(kind="kfac", fisher_mode="mc_sample", hidden=(6, 5), activation="tanh",
+             loss="mse", n_batches=3, batch_size=4, spare_rows=2, chunk_size=5,
+             n_src=2, k=3, beta=0.05, delta=0.01, seed=0)
+    def test_row_scan_equals_per_batch_oracle(self, kind, fisher_mode, hidden, activation,
+                                              loss, n_batches, batch_size, spare_rows,
+                                              chunk_size, n_src, k, beta, delta, seed):
         # data ids are a shuffled sparse subset, batches take shuffled rows
-        # (some rows in no batch), and the chunk size rarely divides the rows
-        arch = MlpArchitecture((5, 8, 4), activation, loss)
+        # (some rows in no batch), and the chunk size rarely divides the rows;
+        # tanh has act'' != 0, which the Hessian rows read
+        arch = MlpArchitecture((5, *hidden, 4), activation, loss)
         n = n_batches * batch_size + spare_rows
         mlp, p, base = small_problem(seed=seed, n=n, arch=arch)
         rng = Rng(seed + 1)
@@ -334,13 +335,18 @@ class TestRowScanAgainstPerBatchOracle:
             batches.append(Batch(data.inputs[pos], data.targets[pos], data.indices[pos]))
         sources = [int(m) for m in rng.permutation(n_batches)[: min(n_src, n_batches)]]
         dsets, reports = eigendirection_scan(
-            mlp, p, batches, data, k=k, kind="ggn", beta=beta, delta=delta,
+            mlp, p, batches, data, k=k, kind=kind, beta=beta, delta=delta,
             rng=Rng(seed), chunk_size=chunk_size, source_indices=sources,
+            fisher_mode=fisher_mode,
         )
         assert [r.source_batch for r in reports] == sources
         for dset, rep in zip(dsets, reports):
+            # the K-FAC streams of the scan, fresh for each source: batch i
+            # on split(10_000 + i), the full batch on split(20_000)
             slopes, curvs, full_s, full_c = scan_oracle.per_batch_scores(
-                mlp, p, batches, data, dset.directions, beta, delta, chunk_size)
+                mlp, p, batches, data, dset.directions, kind, beta, delta, chunk_size,
+                fisher_mode, [Rng(seed).split(10_000 + i) for i in range(n_batches)],
+                Rng(seed).split(20_000))
             for got, want in (
                 (rep.slopes, np.column_stack([slopes, full_s])),
                 (rep.curvatures, np.column_stack([curvs, full_c])),

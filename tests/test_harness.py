@@ -375,6 +375,25 @@ class TestTraining:
         with pytest.raises(ValidationError, match="model.qckpt: damaged checkpoint header"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, reason", [
+        ({"n_params": 5}, r"n_params 5 != 32, the parameter count of its arch"),
+        ({"arch": {"activation": "sigmoid", "layer_sizes": [3, 5, 2], "loss": "mse"}},
+         r"arch .*'sigmoid'.* is not an architecture"),
+        ({"arch": {"activation": "tanh", "layer_sizes": ["a", 3], "loss": "mse"}},
+         r"arch .*'a'.* is not an architecture"),
+    ], ids=["n_params_not_the_arch_count", "unknown_activation", "non_integer_layer_size"])
+    def test_contradictory_checkpoint_header_names_the_file(self, tmp_path, edit, reason):
+        # each header parses, and the payload holds n_params values; the
+        # error used to name no file (a layout size, a [model] config key,
+        # or a raw int() ValueError)
+        arch = MlpArchitecture((3, 5, 2), activation="tanh", loss="mse")
+        path = tmp_path / "model.qckpt"
+        save_checkpoint(Checkpoint(7, Mlp(arch).zero_params(), arch, "d1gest"), path)
+        meta = {**json.loads(path.read_bytes().partition(b"\n")[0]), **edit}
+        path.write_bytes(json.dumps(meta).encode() + b"\n" + bytes(8 * meta["n_params"]))
+        with pytest.raises(ValidationError, match=rf"model.qckpt: checkpoint header {reason}"):
+            load_checkpoint(path)
+
 
 CONFIG_TEXT = """
 # toy experiment

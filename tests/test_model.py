@@ -476,6 +476,28 @@ class TestLinearization:
         assert_close_to_oracle(np.diagonal(gram), np.einsum("ij,ij->j", vs, products))
         assert_close_to_oracle(gram, vs.T @ products)
 
+    @pytest.mark.parametrize("sizes", [(5, 3), (5, 7, 3), (5, 7, 6, 3)],
+                             ids=["one_layer", "two_layers", "three_layers"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+    @pytest.mark.parametrize("n", [3, 70])
+    def test_row_term_means_match_gradient_and_products(self, sizes, activation, loss, n):
+        # row means of the slopes are v . g_B; of the curvatures v . G_B v,
+        # and with the Hessian switch v . H_B v, whose r_n . R2[z_n] terms
+        # need act'' for tanh and vanish on a one-layer net
+        arch = MlpArchitecture(sizes, activation, loss)
+        mlp, p, batch = small_problem(seed=50, n=n, arch=arch)
+        k = 6
+        vs = Rng(51).normal(p.n_params * k).reshape(p.n_params, k)
+        lin = mlp.linearize(p, batch.inputs, batch.targets)
+        grad = mlp.loss_and_grad(p, lin, 0.0)[1]
+        for hessian, product in ((False, lin.ggn_mm), (True, lin.hvp_mm)):
+            terms = lin.row_terms(vs, hessian)
+            assert terms.shape == (k, n, 2)
+            assert_close_to_oracle(terms[..., 0].mean(axis=1), vs.T @ grad)
+            assert_close_to_oracle(terms[..., 1].mean(axis=1),
+                                   np.einsum("pk,pk->k", vs, product(vs)))
+
     def test_loss_and_grad_on_linearization_equals_batch(self):
         mlp, p, batch = small_problem(seed=46)
         lin = mlp.linearize(p, batch.inputs, batch.targets)
@@ -518,10 +540,12 @@ def _on_worker():
 
 
 class TestPassSplit:
-    @pytest.mark.parametrize("product", ["jvp_mm", "ggn_mm", "hvp_mm", "ggn_row_terms",
-                                         "ggn_gram"])
+    @pytest.mark.parametrize("product, args", [
+        ("jvp_mm", ()), ("ggn_mm", ()), ("hvp_mm", ()), ("row_terms", (False,)),
+        ("row_terms", (True,)), ("ggn_gram", ()),
+    ], ids=["jvp_mm", "ggn_mm", "hvp_mm", "row_terms", "row_terms_hessian", "ggn_gram"])
     @pytest.mark.parametrize("k", [1, 10, 13])
-    def test_split_bit_equal_to_serial(self, product, k, pass_split):
+    def test_split_bit_equal_to_serial(self, product, args, k, pass_split):
         # 100 rows: 5 columns per pass, so k = 10 is two whole passes and
         # k = 13 three, the last of 3 columns
         force, pool = pass_split
@@ -530,10 +554,10 @@ class TestPassSplit:
         lin = mlp.linearize(p, batch.inputs, batch.targets)
         vs = Rng(53).normal(p.n_params * k).reshape(p.n_params, k)
         force(True)
-        split = getattr(lin, product)(vs)
+        split = getattr(lin, product)(vs, *args)
         assert pool.submits == (k > lin.cols_per_pass)
         force(False)
-        serial = getattr(lin, product)(vs)
+        serial = getattr(lin, product)(vs, *args)
         assert split.shape == serial.shape
         assert split.tobytes() == serial.tobytes()
 

@@ -58,15 +58,20 @@ MUTANTS = (
            "debiased K-FAC B factor measured on the first batch",
            ("tests/test_laplace.py",)),
     Mutant("src/quadbias/cg.py",
-           'mag_step = _newton_step(q_mag, d, mag_grad, stage, "magnitude_")',
-           'mag_step = _newton_step(q_mag, d, r, stage, "magnitude_")',
+           'steps.append(_newton_step(q, d, g, stage, "magnitude_" if i else ""))',
+           'steps.append(_newton_step(q, d, grads[0], stage, "magnitude_" if i else ""))',
            "debiased CG magnitude slope taken from the direction batch's gradient",
            ("tests/test_cg.py",)),
     Mutant("src/quadbias/diagnostics.py",
-           "_span_scores([*quads, q_full], d,",
-           "_span_scores([*quads, quads[0]], d,",
-           "Hessian/K-FAC eigen scan full-batch scores taken from batch 0",
+           "for f in [*factors, full]])",
+           "for f in [*factors, factors[0]]])",
+           "K-FAC eigen scan full-batch curvatures taken from batch 0's factors",
            ("tests/test_diagnostics.py",)),
+    Mutant("src/quadbias/diagnostics.py",
+           'lin.row_terms(d, kind == "hessian")',
+           "lin.row_terms(d, False)",
+           "Hessian eigen scan ignores the Hessian switch and scores the GGN",
+           ("tests/test_diagnostics.py", "-k", "RowScanAgainstPerBatchOracle")),
     Mutant("src/quadbias/diagnostics.py",
            "np.column_stack([np.diagonal(s), c])",
            "np.column_stack([s[0], c])",
@@ -92,6 +97,17 @@ MUTANTS = (
            "flat[..., ew.offset : ew.offset + eb.size])",
            "layer split reads the bias slice at the weight offset",
            ("tests/test_model.py",)),
+    Mutant("src/quadbias/model.py",
+           "r2_z = 2.0 * (r_a @ vw) + r2_a @ w",
+           "r2_z = (r_a @ vw) + r2_a @ w",
+           "second-order forward pass drops the factor 2 of R2[Z]",
+           ("tests/test_model.py", "-k", "row_term")),
+    Mutant("src/quadbias/model.py",
+           "(_act_dd(self.mlp.arch.activation, self.acts[l + 1]) * r_z * r_z\n"
+           "                            + self.d1[l] * r2_z)",
+           "self.d1[l] * r2_z",
+           "second-order forward pass drops the act'' R[Z]^2 term of R2[A]",
+           ("tests/test_model.py", "-k", "row_term")),
     Mutant("src/quadbias/model.py",
            "gs[-1] += extra[l]",
            "pass",
