@@ -335,23 +335,20 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 # -- laplace-sweep -----------------------------------------------------------------
 
-def _predictive_metrics(probs_of, labels, input_sets):
-    """accuracy / nll / ece on the first input set (the test set), auroc +
-    mean entropy with the second (OOD) set when there is one; probs_of maps
-    an input set to predictive probabilities."""
-    probs = probs_of(input_sets[0])
-    table = ProbTable(probs, labels)
+def _predictive_metrics(probs, labels, n_test):
+    """accuracy / nll / ece on the first n_test rows of probs (the test set),
+    auroc + mean entropy with the rows after them (the OOD set) when there
+    are any."""
+    table = ProbTable(probs[:n_test], labels)
     out = {
         "accuracy": accuracy(table),
         "nll": nll(table),
         "ece": ece(table),
     }
-    if len(input_sets) > 1:
-        ood_probs = probs_of(input_sets[1])
-        ent = predictive_entropy(np.vstack([probs, ood_probs]))
-        is_ood = [False] * probs.shape[0] + [True] * ood_probs.shape[0]
-        out["auroc"] = auroc(ent, is_ood)
-        out["mean_ood_entropy"] = float(np.mean(ent[probs.shape[0]:]))
+    if probs.shape[0] > n_test:
+        ent = predictive_entropy(probs)
+        out["auroc"] = auroc(ent, np.arange(probs.shape[0]) >= n_test)
+        out["mean_ood_entropy"] = float(np.mean(ent[n_test:]))
     return out
 
 
@@ -376,18 +373,15 @@ def _laplace_fits(cfg, dataset, mlp, theta, single_size, half) -> list:
     return fits
 
 
-def _fit_metrics(mlp, post, grid, s_samples, seed, labels, lins) -> list:
+def _fit_metrics(mlp, post, grid, s_samples, seed, labels, lin, n_test) -> list:
     """Predictive metrics of one fit's posterior at every prior precision in
     grid: one set of s_samples draws from seed serves every beta, the
-    posterior's factor eigendecompositions are re-pointed, and lins (one
-    linearization per input set) serve every call."""
+    posterior's factor eigendecompositions are re-pointed, and lin (the
+    linearization of the test rows, then any OOD rows) serves every call."""
     noise = draw_noise(post, s_samples, seed)
-    out = []
-    for beta in grid:
-        post_beta = post.with_beta(beta)
-        out.append(_predictive_metrics(
-            lambda lin: predictive(post_beta, mlp, lin, noise), labels, lins))
-    return out
+    return [_predictive_metrics(predictive(post.with_beta(beta), mlp, lin, noise),
+                                labels, n_test)
+            for beta in grid]
 
 
 def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -398,16 +392,17 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     fits = _laplace_fits(cfg, dataset, mlp, theta, single_size, half)
     grid = cfg.la_grid
 
-    # the network at theta* on each input set, shared by the MAP metrics and
-    # every posterior
-    lins = [mlp.linearize(theta, x) for x in (dataset.test_inputs, dataset.ood_inputs)
-            if x is not None]
+    # the network at theta* on the test rows stacked over any OOD rows, shared
+    # by the MAP metrics and every posterior
+    n_test = dataset.test_inputs.shape[0]
+    lin = mlp.linearize(theta, np.vstack([x for x in (dataset.test_inputs, dataset.ood_inputs)
+                                          if x is not None]))
     labels = dataset.test_labels
-    map_metrics = _predictive_metrics(lambda lin: softmax(lin.logits), labels, lins)
+    map_metrics = _predictive_metrics(softmax(lin.logits), labels, n_test)
     # each fit's factors are eigendecomposed once, at the first beta
     per_fit = [
         _fit_metrics(mlp, build_posterior(blocks, theta, dataset.n_train, grid[0]),
-                     grid, cfg.mc_samples, pred_seed, labels, lins)
+                     grid, cfg.mc_samples, pred_seed, labels, lin, n_test)
         for _, _, blocks, pred_seed in fits
     ]
 

@@ -12,7 +12,9 @@ factor level. Bias parameters carry zero variance and stay at the mean.
 A sweep over the prior precision beta repeats none of the beta-free work:
 ``with_beta`` re-points a posterior without decomposing again, one
 ``draw_noise`` block of standard normals serves every beta, and one
-linearization of the network per input set serves every posterior.
+linearization of the network on every predicted row serves every posterior.
+The predictive runs its draws in groups (``_add_group``); a softmax laid out
+class-major, (C, g, rows), takes its max and sum across whole rows.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, check_nonnegative
 from .linalg import DenseSymMatrix, EigenDecomposition, Rng, kron_matvec, sym_eigh
-from .model import KfacBlock, Linearization, Mlp, ParamVector, _sym, softmax
+from .model import DRAW_BUDGET, KfacBlock, Linearization, Mlp, ParamVector, _sym
 from .quadratic import accumulate_kfac  # re-exported: the K-FAC of a whole dataset
 
 logger = logging.getLogger(__name__)
@@ -146,26 +148,27 @@ def build_posterior(
     return LaplacePosterior(mean, int(n_train), _checked_beta(eigs, beta), eigs)
 
 
-def _displacement(post: LaplacePosterior, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """theta - theta* = V w for standard-normal draws w (W,), with
-    V = N^-1/2 U (S + beta I)^-1/2 applied via the Kronecker trick, written
-    into the weight coordinates of out (P,); its bias coordinates are left
-    as they are."""
+def _displacements(post: LaplacePosterior, noise: np.ndarray) -> np.ndarray:
+    """theta_s - theta* = V w_s for standard-normal draws w_s, the rows of
+    noise (g, W), as the columns of a (P, g) block, with
+    V = N^-1/2 U (S + beta I)^-1/2 applied by one Kronecker product per
+    layer; bias coordinates are zero."""
     scale = 1.0 / np.sqrt(post.n_train)
+    out = np.zeros((post.mean.n_params, noise.shape[0]))
     start = 0
     for entry, eig, root in zip(post.mean.weight_entries, post._eigs, post._roots):
         v = kron_matvec(eig.eig_a.basis, eig.eig_b.basis,
-                        w[start : start + entry.size] / root)
+                        (noise[:, start : start + entry.size] / root).T)
         out[entry.offset : entry.offset + entry.size] = scale * v
         start += entry.size
     return out
 
 
 def sample_params(post: LaplacePosterior, rng: Rng) -> ParamVector:
-    """One draw theta* + V w (see ``_displacement``), w = rng.normal(W) over
+    """One draw theta* + V w (see ``_displacements``), w = rng.normal(W) over
     the W weight coordinates in layout order; bias coordinates are copied
     from the mean."""
-    delta = _displacement(post, rng.normal(post.n_weights), np.zeros(post.mean.n_params))
+    delta = _displacements(post, rng.normal(post.n_weights)[None, :])[:, 0]
     return post.mean.with_values(post.mean.values + delta)
 
 
@@ -204,6 +207,21 @@ def draw_noise(post: LaplacePosterior, s_samples: int, seed: int) -> np.ndarray:
     return np.array([base.split(s).normal(post.n_weights) for s in range(s_samples)])
 
 
+def _add_group(total: np.ndarray, post: LaplacePosterior, lin: Linearization,
+               noise: np.ndarray) -> None:
+    """Add the softmax outputs of the draws noise (g, W) to total (C, rows),
+    in draw order: one (P, g) displacement block, one forward-mode block
+    product and one class-major (C, g, rows) softmax, all freed on return."""
+    jv = lin.jvp_mm(_displacements(post, noise))  # (g, rows, C)
+    z = np.empty((jv.shape[2],) + jv.shape[:2])
+    np.add(jv.transpose(2, 0, 1), lin.logits.T[:, None, :], out=z)
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0)
+    for p in z.transpose(1, 0, 2):
+        total += p
+
+
 def predictive(
     post: LaplacePosterior, mlp: Mlp, lin: Linearization, noise: np.ndarray
 ) -> np.ndarray:
@@ -214,17 +232,18 @@ def predictive(
     predict, and serves any number of posteriors; ``noise`` is an (S, W)
     block from ``draw_noise``. Each draw w_s gives theta_s - theta* = V w_s,
     pushed through f_lin(x) = f(x; theta*) + grad f(x; theta*) (theta_s -
-    theta*); the softmax outputs are averaged in sample order. A non-finite
+    theta*); the draws run in groups of at most DRAW_BUDGET // rows, and
+    their softmax outputs are summed in sample order. A non-finite
     probability raises NumericalError.
     """
     lin = mlp._linearized(post.mean, lin)
     if noise.ndim != 2 or noise.shape[0] < 1 or noise.shape[1] != post.n_weights:
         raise ValidationError(f"noise shape {noise.shape} != (S >= 1, {post.n_weights})")
-    probs = np.zeros_like(lin.logits)
-    delta = np.zeros(post.mean.n_params)  # bias coordinates stay at zero
-    for w in noise:
-        _displacement(post, w, delta)
-        probs += softmax(lin.logits + lin.jvp_mm(delta[:, None])[0])
+    group = max(1, DRAW_BUDGET // lin.size)
+    total = np.zeros(lin.logits.shape[::-1])  # class-major (C, rows)
+    for start in range(0, noise.shape[0], group):
+        _add_group(total, post, lin, noise[start : start + group])
+    probs = np.ascontiguousarray(total.T)
     probs /= noise.shape[0]
     if not np.isfinite(probs).all():
         i, j = np.argwhere(~np.isfinite(probs))[0]

@@ -130,13 +130,12 @@ class EigenDecomposition:
 
 
 def _canonical_signs(basis: np.ndarray) -> np.ndarray:
-    """Flip columns so the first entry with |x| > 1e-12 is positive."""
-    out = basis.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
+    """Flip columns so the first entry with |x| > 1e-12 is positive; a
+    column with no such entry is left as it is."""
+    big = np.abs(basis) > 1e-12
+    first = big.argmax(axis=0), np.arange(basis.shape[1])  # row 0 when none is big
+    out = basis.copy()  # C order, whatever the order of basis
+    out[:, big[first] & (basis[first] < 0)] *= -1.0
     return out
 
 

@@ -36,6 +36,10 @@ FISHER_MODES = ("mc_sample", "empirical")
 # pass over one 512-row chunk held this much before block products existed;
 # passes of max(1, BLOCK_BUDGET // rows) columns keep peak memory there.
 BLOCK_BUDGET = 512
+# Rows x draws of one group of the Laplace predictive, whose logit and
+# softmax blocks hold C times this many doubles: 4 draws at 820 rows. All 40
+# draws at once was slower and took 5 MiB more.
+DRAW_BUDGET = 4096
 # Rows x columns x parameters, about the multiply-adds of one pass, from which
 # a second thread takes alternate passes (see _pass_worker): smaller passes do
 # not pay for the handoff. A pass of the toy nets (P <= 1,562) stays below it
@@ -95,14 +99,17 @@ class MlpArchitecture:
     loss: str = "cross_entropy"
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = tuple(self.layer_sizes)
+        integral = all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                       for s in sizes)
         check_domains("model", (
-            ("layers", sizes, len(sizes) >= 2 and min(sizes) >= 1, "two or more sizes >= 1"),
+            ("layers", sizes, integral and len(sizes) >= 2 and min(sizes) >= 1,
+             "two or more integer sizes >= 1"),
             ("activation", self.activation, self.activation in ACTIVATIONS,
              f"one of {', '.join(ACTIVATIONS)}"),
             ("loss", self.loss, self.loss in LOSSES, f"one of {', '.join(LOSSES)}"),
         ))
-        object.__setattr__(self, "layer_sizes", sizes)
+        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in sizes))
 
     @property
     def input_dim(self) -> int:

@@ -381,7 +381,11 @@ class TestTraining:
          r"arch .*'sigmoid'.* is not an architecture"),
         ({"arch": {"activation": "tanh", "layer_sizes": ["a", 3], "loss": "mse"}},
          r"arch .*'a'.* is not an architecture"),
-    ], ids=["n_params_not_the_arch_count", "unknown_activation", "non_integer_layer_size"])
+        # 32 is also the parameter count of (3, 5, 2), which int() made of it
+        ({"arch": {"activation": "tanh", "layer_sizes": [3.7, 5, 2], "loss": "mse"}},
+         r"arch .*3\.7.* is not an architecture"),
+    ], ids=["n_params_not_the_arch_count", "unknown_activation", "non_integer_layer_size",
+            "fractional_layer_size"])
     def test_contradictory_checkpoint_header_names_the_file(self, tmp_path, edit, reason):
         # each header parses, and the payload holds n_params values; the
         # error used to name no file (a layout size, a [model] config key,
@@ -757,8 +761,9 @@ class TestExperiments:
         serial = run_experiment(cfg, tmp_path / "serial")
         force(True)
         split = run_experiment(cfg, tmp_path / "split")
-        # laplace-sweep takes no block product of two or more columns
-        assert (pool.submits > 0) == (kind != "laplace-sweep")
+        # every kind takes a block product of two or more columns; the
+        # laplace-sweep predictive's are its groups of draws
+        assert pool.submits > 0
         names = sorted(p.name for p in serial.iterdir()
                        if p.suffix in (".csv", ".svg") or p.name == "summary.json")
         for name in names:
@@ -1087,10 +1092,10 @@ class TestExperiments:
                             DenseSymMatrix(np.eye(8))),
                   KfacBlock(1, DenseSymMatrix(np.eye(8)), DenseSymMatrix(np.eye(4)))]
         grid = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
-        lins = [mlp.linearize(p, batch.inputs)]
+        lin = mlp.linearize(p, batch.inputs)
         for fit in range(2):
             post = build_posterior(blocks, p, 50, grid[0])
-            metrics = _fit_metrics(mlp, post, grid, 3, fit, batch.labels, lins)
+            metrics = _fit_metrics(mlp, post, grid, 3, fit, batch.labels, lin, batch.size)
             assert len(metrics) == len(grid)
         clamps = [r.getMessage() for r in caplog.records if "clamping" in r.getMessage()]
         assert clamps == ["clamping 1 slightly negative eigenvalues in 1 of 4 factors "
@@ -1099,21 +1104,21 @@ class TestExperiments:
     def test_predictive_metrics_ood_entropy_is_over_the_ood_rows(self):
         from quadbias.harness.experiments import _predictive_metrics
 
-        probs = {"test": np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]]),
-                 "ood": np.array([[0.5, 0.5], [0.7, 0.3]])}
+        # the test rows stacked over the OOD rows
+        test = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+        ood = np.array([[0.5, 0.5], [0.7, 0.3]])
         labels = np.array([0, 1, 1])
 
         def entropy(p):
             return -np.sum(p * np.log(p), axis=1)
 
-        m = _predictive_metrics(probs.__getitem__, labels, ["test", "ood"])
-        assert m["mean_ood_entropy"] == pytest.approx(np.mean(entropy(probs["ood"])), rel=1e-12)
+        m = _predictive_metrics(np.vstack([test, ood]), labels, 3)
+        assert m["mean_ood_entropy"] == pytest.approx(np.mean(entropy(ood)), rel=1e-12)
         assert m["accuracy"] == pytest.approx(2 / 3)
         assert m["nll"] == pytest.approx(-np.mean(np.log([0.9, 0.8, 0.4])), rel=1e-12)
         # OOD entropies ln 2 and 0.61 against test 0.33, 0.50 and 0.67
         assert m["auroc"] == pytest.approx(5 / 6)
-        assert set(_predictive_metrics(probs.__getitem__, labels, ["test"])) == {
-            "accuracy", "nll", "ece"}
+        assert set(_predictive_metrics(test, labels, 3)) == {"accuracy", "nll", "ece"}
 
     def test_bias_over_training_series(self, tmp_path):
         cfg = self._config(tmp_path, kind="bias-over-training",

@@ -381,8 +381,9 @@ ORACLE_ATOL = 1e-12
 
 
 class TestSweepAgainstOracle:
-    """One decomposition, one draw block and one linearization per input
-    set, shared across beta, against everything recomputed per call."""
+    """One decomposition, one draw block and one linearization (of one input
+    set, or of several stacked), shared across beta and run in groups of
+    draws, against everything recomputed per call and per draw."""
 
     GRID = (1e-4, 1e-2, 0.3, 1.0, 10.0)
 
@@ -408,18 +409,54 @@ class TestSweepAgainstOracle:
                 want = oracle.predictive(blocks, p, 150, beta, mlp, x, 6, 2001)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=ORACLE_ATOL)
 
+    def test_stacked_rows_equal_separate_input_sets(self):
+        # the sweep linearizes the test rows over the OOD rows once
+        mlp, p, blocks, input_sets = self._fit("tanh", "cross_entropy")
+        post = build_posterior(blocks, p, 150, 0.3)
+        got = predictive(post, mlp, mlp.linearize(p, np.vstack(input_sets)),
+                         draw_noise(post, 5, 2001))
+        n_test = input_sets[0].shape[0]
+        for x, rows in zip(input_sets, (got[:n_test], got[n_test:])):
+            want = oracle.predictive(blocks, p, 150, 0.3, mlp, x, 5, 2001)
+            np.testing.assert_allclose(rows, want, rtol=0.0, atol=ORACLE_ATOL)
+
+    @pytest.mark.parametrize("s_samples, groups", [(1, [1]), (3, [3]), (4, [3, 1])])
+    def test_draw_groups_equal_per_draw_oracle(self, monkeypatch, s_samples, groups):
+        # DRAW_BUDGET 27 on 9 rows gives groups of 3 draws: S = 1, the group
+        # size, and one past it, whose last group is partial
+        import quadbias.laplace as laplace
+        from quadbias.model import Linearization
+
+        monkeypatch.setattr(laplace, "DRAW_BUDGET", 27)
+        seen = []
+        jvp_mm = Linearization.jvp_mm
+
+        def counting(lin, vs):
+            seen.append(vs.shape[1])
+            return jvp_mm(lin, vs)
+
+        monkeypatch.setattr(Linearization, "jvp_mm", counting)
+        mlp, p, blocks, input_sets = self._fit("relu", "cross_entropy")
+        post = build_posterior(blocks, p, 150, 1e-2)
+        got = predictive(post, mlp, mlp.linearize(p, input_sets[0]),
+                         draw_noise(post, s_samples, 2001))
+        assert seen == groups
+        want = oracle.predictive(blocks, p, 150, 1e-2, mlp, input_sets[0], s_samples, 2001)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=ORACLE_ATOL)
+
     def test_draws_are_the_sample_params_draws(self):
-        from quadbias.laplace import _displacement
+        from quadbias.laplace import _displacements
 
         mlp, p, blocks, _ = self._fit("tanh", "cross_entropy")
         noise = draw_noise(build_posterior(blocks, p, 150, 1e-4), 5, 7)
         for beta in (1e-4, 0.5):
             post = build_posterior(blocks, p, 150, 1e-4).with_beta(beta)
             ref = oracle.posterior(blocks, p, 150, beta)
+            deltas = _displacements(post, noise)
+            assert deltas.shape == (p.n_params, 5)
             for s in range(5):
                 want = oracle.sample_params(ref, Rng(7).split(s))
-                delta = _displacement(post, noise[s], np.zeros(p.n_params))
-                np.testing.assert_array_equal(p.values + delta, want)
+                np.testing.assert_array_equal(p.values + deltas[:, s], want)
                 np.testing.assert_array_equal(
                     sample_params(post, Rng(7).split(s)).values, want)
 
@@ -504,6 +541,18 @@ class TestPredictiveFailsLoudly:
         x[2, 1] = value
         with pytest.raises(NumericalError, match="non-finite probability at row 2"):
             predict(post, mlp, x, 3, seed=1)
+
+    def test_non_finite_row_is_named_with_its_class_over_draw_groups(self, monkeypatch):
+        # 5 draws in groups of 2, 2 and 1 over 12 rows; a NaN logit makes the
+        # whole softmax row NaN, so the first class named is 0
+        import quadbias.laplace as laplace
+
+        monkeypatch.setattr(laplace, "DRAW_BUDGET", 24)
+        mlp, p, post = self._posterior()
+        x = Rng(74).normal(12 * 5).reshape(12, 5)
+        x[9, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite probability at row 9, class 0$"):
+            predict(post, mlp, x, 5, seed=1)
 
 
 class TestGaussianCorrespondence:

@@ -12,6 +12,7 @@ from quadbias.linalg import (
     DENSE_FALLBACK_DIM,
     DenseSymMatrix,
     Rng,
+    _canonical_signs,
     kron_matvec,
     materialize_operator,
     sym_eigh,
@@ -22,6 +23,18 @@ from quadbias.quadratic import CurvatureOperator
 from random_matrices import haar_orthogonal, random_spd, random_symmetric
 
 ITERATIVE_DIM = DENSE_FALLBACK_DIM + 88
+
+
+def _canonical_signs_loop(basis: np.ndarray) -> np.ndarray:
+    """The oracle for ``_canonical_signs``: one column at a time, flip it when
+    its first entry with |x| > 1e-12 is negative."""
+    out = basis.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0:
+            out[:, j] = -col
+    return out
 
 
 def arpack_top_k(m: np.ndarray, k: int, seed: int):
@@ -117,6 +130,26 @@ class TestSymEigh:
             col = eig.basis[:, j]
             nz = np.nonzero(np.abs(col) > 1e-12)[0]
             assert col[nz[0]] > 0
+
+    def test_canonical_signs_equal_the_column_loop(self):
+        basis = Rng(31).normal(6 * 9).reshape(6, 9)
+        basis[:, 0] = 0.0
+        basis[:, 1] = -0.0
+        basis[:, 2] = [-1e-12, 1e-12, -1e-13, -0.0, -1e-15, 1e-20]  # none above 1e-12
+        basis[:, 3] = [-1e-12, 0.0, 1e-12, -2.0, 1.0, 1.0]  # first big entry negative
+        basis[:, 4] = [-1e-12, -1e-13, -0.0, 2.0, -1.0, -1.0]  # first big entry positive
+        basis[:, 5] = [0.0, 0.0, 0.0, 0.0, 0.0, -3e-12]  # only the last entry is big
+        want = _canonical_signs_loop(basis)
+        got = _canonical_signs(basis)
+        assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 included
+        flipped = [j for j in range(9) if want[:, j].tobytes() != basis[:, j].tobytes()]
+        assert {3, 5} <= set(flipped) and not {0, 1, 2, 4} & set(flipped)
+        # eigh's vectors reordered by a column index are in Fortran order;
+        # the result keeps the loop's C order, which later products round by
+        w, v = np.linalg.eigh(random_symmetric(Rng(5), 40))
+        v = v[:, np.argsort(-w)]
+        got, want = _canonical_signs(v), _canonical_signs_loop(v)
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
     def test_orthonormal_columns(self):
         eig = sym_eigh(random_symmetric(Rng(4), 12))

@@ -51,6 +51,20 @@ class TestArchitectureAndParams:
         with pytest.raises(ValidationError):
             MlpArchitecture((4, 2), activation="selu")
 
+    @pytest.mark.parametrize("sizes", [(3.7, 5, 2), (4, True, 2), (4, 5.0, 2),
+                                       (4, np.float64(5), 2), (4, np.bool_(True), 2),
+                                       ("4", 2)])
+    def test_rejects_sizes_that_are_not_integers(self, sizes):
+        # int() used to truncate them: (3.7, True, 2) became (3, 1, 2)
+        with pytest.raises(ValidationError, match=r"layers .*: config key 'layers' in "
+                                                  r"\[model\] must be two or more integer"):
+            MlpArchitecture(sizes)
+
+    def test_numpy_integer_sizes_are_stored_as_ints(self):
+        arch = MlpArchitecture((np.int64(4), np.int32(5), 2))
+        assert arch.layer_sizes == (4, 5, 2)
+        assert all(type(s) is int for s in arch.layer_sizes)
+
     def test_layout_partitions_params(self):
         mlp = Mlp(MlpArchitecture((3, 5, 2)))
         offsets = sorted((e.offset, e.offset + e.size) for e in mlp.layout)

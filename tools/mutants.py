@@ -57,6 +57,11 @@ MUTANTS = (
            "s_b = np.diag(ub.T @ blk.factor_b.entries @ ub).copy()",
            "debiased K-FAC B factor measured on the first batch",
            ("tests/test_laplace.py",)),
+    Mutant("src/quadbias/laplace.py",
+           "for start in range(0, noise.shape[0], group):",
+           "for start in range(0, noise.shape[0] - group + 1, group):",
+           "the predictive skips the last partial group of draws",
+           ("tests/test_laplace.py", "-k", "draw_groups")),
     Mutant("src/quadbias/cg.py",
            'steps.append(_newton_step(q, d, g, stage, "magnitude_" if i else ""))',
            'steps.append(_newton_step(q, d, grads[0], stage, "magnitude_" if i else ""))',
@@ -119,8 +124,8 @@ MUTANTS = (
            "full-batch products and grams sum the chunks without their row shares",
            ("tests/test_quadratic.py",)),
     Mutant("src/quadbias/linalg.py",
-           "if nz.size and col[nz[0]] < 0:",
-           "if nz.size and col[nz[-1]] < 0:",
+           "first = big.argmax(axis=0), np.arange(basis.shape[1])",
+           "first = len(big) - 1 - big[::-1].argmax(axis=0), np.arange(basis.shape[1])",
            "eigenvector sign fixed by the last nonzero entry",
            ("tests/test_linalg.py",)),
     Mutant("src/quadbias/quadratic.py",
@@ -159,9 +164,14 @@ MUTANTS = (
            "laplace-sweep nll_at_min_beta taken at the largest beta",
            ("tests/test_harness.py", "-k", "laplace_sweep")),
     Mutant("src/quadbias/harness/experiments.py",
-           'out["mean_ood_entropy"] = float(np.mean(ent[probs.shape[0]:]))',
-           'out["mean_ood_entropy"] = float(np.mean(ent[:probs.shape[0]]))',
+           'out["mean_ood_entropy"] = float(np.mean(ent[n_test:]))',
+           'out["mean_ood_entropy"] = float(np.mean(ent[:n_test]))',
            "mean_ood_entropy averaged over the test rows",
+           ("tests/test_harness.py", "-k", "predictive_metrics")),
+    Mutant("src/quadbias/harness/experiments.py",
+           "table = ProbTable(probs[:n_test], labels)",
+           "table = ProbTable(probs[-n_test:], labels)",
+           "laplace-sweep test metrics read from the last n_test stacked rows",
            ("tests/test_harness.py", "-k", "predictive_metrics")),
     Mutant("src/quadbias/harness/experiments.py",
            'kept = above_floor(same, full, "bias-scan curvature ratio")',
