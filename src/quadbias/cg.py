@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .quadratic import QuadraticModel, _require_finite
+from .errors import ValidationError, check_counts, require_finite
+from .quadratic import QuadraticModel
 
 # Directional curvatures at or below this value terminate with
 # negative_curvature (division guard; also applied to the debiased
@@ -36,8 +36,7 @@ class CgConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < float("inf"):
             raise ValidationError(f"epsilon must be > 0 and finite, got {self.epsilon}")
-        if self.p_max < 1:
-            raise ValidationError(f"p_max must be >= 1, got {self.p_max}")
+        check_counts(p_max=self.p_max)
 
 
 @dataclass
@@ -157,11 +156,11 @@ def _newton_step(q: QuadraticModel, d: np.ndarray, grad: np.ndarray, stage: str,
     curv = float(d @ h_d)
     slope = float(d @ grad)
     # a NaN curvature would otherwise pass the curvature floor test
-    _require_finite(stage, **{prefix + "curvature": curv, prefix + "slope": slope})
+    require_finite(stage, **{prefix + "curvature": curv, prefix + "slope": slope})
     if curv <= CURVATURE_FLOOR:
         return None
     tau = -slope / curv
-    _require_finite(stage, **{prefix + "step": tau})
+    require_finite(stage, **{prefix + "step": tau})
     return tau, grad + tau * h_d
 
 

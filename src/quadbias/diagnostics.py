@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError, require_finite
 from .cg import CgConfig, cg_minimize
 from .linalg import EigenDecomposition, Rng, top_k_eigenpairs
 from .model import Batch, Mlp, ParamVector
 from .quadratic import (
     QuadraticModel,
     _kfac_product,
-    _require_finite,
     _traces,
     accumulate_kfac,
     build_quadratic,
@@ -160,7 +159,7 @@ def _row_scores(mlp, theta, batches, data, blocks, kind, beta, delta, rng, chunk
     positions = _row_positions(batches, data)
     d = np.hstack(blocks)
     terms = np.concatenate([lin.row_terms(d, kind == "hessian") for _, lin in traces], axis=1)
-    _require_finite("eigendirection_scan", row_term=terms)
+    require_finite("eigendirection_scan", row_term=terms)
     means = np.stack([terms[:, pos].mean(axis=1) for pos in positions]
                      + [terms.mean(axis=1)], axis=1)
     if kind == "kfac":
@@ -288,8 +287,7 @@ def slope_bias(q_b: QuadraticModel, q_bt: QuadraticModel, theta) -> SlopeBias:
 def above_floor(measured: np.ndarray, truth: np.ndarray, statistic: str) -> np.ndarray:
     """Where |truth| >= RELERR_FLOOR, the entries a statistic relative to truth
     keeps; a non-finite value raises NumericalError naming the statistic."""
-    if not (np.isfinite(measured).all() and np.isfinite(truth).all()):
-        raise NumericalError(f"{statistic}: non-finite measured or true value")
+    require_finite(statistic, measured=measured, truth=truth)
     return np.abs(truth) >= RELERR_FLOOR
 
 

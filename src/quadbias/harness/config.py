@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationError, check_domains
+from ..errors import SEEDS, ValidationError, check_domains, is_count, is_seed
 from ..model import FISHER_MODES, MlpArchitecture
 from ..quadratic import CURVATURE_KINDS
 from .datasets import DatasetSpec
@@ -181,22 +181,21 @@ class ExperimentConfig:
              f"one of {', '.join(CURVATURE_KINDS)}"),
             ("fisher_mode", self.fisher_mode, self.fisher_mode in FISHER_MODES,
              f"one of {', '.join(FISHER_MODES)}"),
-            ("seeds", self.seeds, bool(self.seeds) and all(0 <= s < 2**64 for s in self.seeds),
-             "a non-empty list of seeds in [0, 2**64)"),
+            ("seeds", self.seeds, bool(self.seeds) and all(map(is_seed, self.seeds)),
+             f"a non-empty list of seeds, each {SEEDS}"),
             ("beta", self.beta, np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
             ("delta", self.delta, np.isfinite(self.delta) and self.delta >= 0,
              "finite and >= 0"),
-            *((key, count, count >= 1, ">= 1") for key, count in (
+            *((key, count, is_count(count), ">= 1") for key, count in (
                 ("k", self.n_directions), ("cg_iterations", self.cg_iterations),
                 ("mc_samples", self.mc_samples), ("chunk_size", self.chunk_size))),
             ("n_source_batches", self.n_source_batches,
-             self.n_source_batches is None or self.n_source_batches >= 1, ">= 1"),
-            ("batch_sizes", self.batch_sizes, min(self.batch_sizes, default=0) >= 1,
-             "a non-empty list of counts >= 1"),
-            ("widths", self.widths, min(self.widths, default=0) >= 1,
-             "a non-empty list of counts >= 1"),
+             self.n_source_batches is None or is_count(self.n_source_batches), ">= 1"),
+            *((key, counts, bool(counts) and all(map(is_count, counts)),
+               "a non-empty list of counts >= 1")
+              for key, counts in (("batch_sizes", self.batch_sizes), ("widths", self.widths))),
             ("la_grid_points", self.la_grid_points,
-             self.la_grid_points >= (0 if self.la_grid_extra else 1),
+             is_count(self.la_grid_points, 0 if self.la_grid_extra else 1),
              ">= 0, and >= 1 when la_grid_extra is empty"),
             *((key, value, np.isfinite(value) and value > 0, "finite and > 0")
               for key, value in (("la_grid_min", self.la_grid_min),

@@ -9,13 +9,13 @@ for corruption-style distribution shift.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationError, check_domains
+from ..errors import (SEEDS, ValidationError, check_counts, check_domains, is_count, is_seed,
+                      require_finite)
 from ..linalg import Rng
 from ..model import Batch, one_hot
 
@@ -39,7 +39,7 @@ class DatasetSpec:
         check_domains("dataset", (
             ("generator", self.generator, self.generator in GENERATORS,
              f"one of {', '.join(GENERATORS)}"),
-            ("seed", self.seed, 0 <= self.seed < 2**64, "in [0, 2**64)"),
+            ("seed", self.seed, is_seed(self.seed), SEEDS),
             ("train_frac", self.train_frac, 0.0 < self.train_frac <= 1.0, "in (0, 1]"),
             ("path", self.path, self.generator != "csv_file" or bool(self.path),
              "set for generator csv_file"),
@@ -47,13 +47,13 @@ class DatasetSpec:
         if self.generator == "csv_file":
             return  # the file gives the rows, their width and the labels
         check_domains("dataset", (
-            ("dim", self.d, self.d >= 1, ">= 1"),
+            ("dim", self.d, is_count(self.d), ">= 1"),
             ("dim", self.d, self.d >= 2 or self.generator == "gaussian_blobs",
              f">= 2 for generator {self.generator}"),
-            ("classes", self.c, self.c >= 1, ">= 1"),
+            ("classes", self.c, is_count(self.c), ">= 1"),
             ("classes", self.c, self.c == 2 or self.generator != "two_arcs",
              "2 for generator two_arcs"),
-            ("n", self.n, self.n >= self.c, f">= classes = {self.c}"),
+            ("n", self.n, is_count(self.n, self.c), f">= classes = {self.c}"),
             ("noise", self.noise, np.isfinite(self.noise) and self.noise >= 0,
              "finite and >= 0"),
             ("ood_noise_mult", self.ood_noise_mult,
@@ -99,8 +99,7 @@ class Dataset:
 
         seed may be an integer or an Rng instance.
         """
-        if batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+        check_counts(batch_size=batch_size)
         rng = seed if isinstance(seed, Rng) else Rng(seed)
         perm = rng.permutation(self.n_train)
         targets = one_hot(self.train_labels, self.n_classes)
@@ -243,9 +242,7 @@ def load_csv(path) -> tuple:
                 labels.append(int(row[d]))
             except ValueError as exc:
                 raise ValidationError(f"{where}: {exc}") from None
-            for name, text, v in zip(header, row, rows[-1]):
-                if not math.isfinite(v):
-                    raise ValidationError(f"{where}: {name} = {text!r} is not finite")
+            require_finite(where, ValidationError, **dict(zip(header, rows[-1])))
             if labels[-1] < 0:
                 raise ValidationError(f"{where}: label = {row[d]!r} is negative")
     x = np.asarray(rows, dtype=np.float64).reshape(len(rows), d)

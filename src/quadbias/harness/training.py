@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import NumericalError, ValidationError, check_domains
+from ..errors import SEEDS, ValidationError, check_domains, is_count, is_seed, require_finite
 from ..linalg import Rng
 from ..model import Mlp, MlpArchitecture, ParamVector, build_layout
 from .datasets import Dataset
@@ -34,10 +34,10 @@ class TrainConfig:
         check_domains("train", (
             ("lr", self.lr, np.isfinite(self.lr) and self.lr >= 0, "finite and >= 0"),
             ("momentum", self.momentum, 0 <= self.momentum < 1, "in [0, 1)"),
-            ("epochs", self.epochs, self.epochs >= 1, ">= 1"),
-            ("batch_size", self.batch_size, self.batch_size >= 1, ">= 1"),
+            ("epochs", self.epochs, is_count(self.epochs), ">= 1"),
+            ("batch_size", self.batch_size, is_count(self.batch_size), ">= 1"),
             ("beta", self.beta, np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
-            ("seed", self.seed, 0 <= self.seed < 2**64, "in [0, 2**64)"),
+            ("seed", self.seed, is_seed(self.seed), SEEDS),
         ))
 
 
@@ -71,10 +71,10 @@ def train(arch: MlpArchitecture, dataset: Dataset, config: TrainConfig) -> list:
 
     for epoch in range(1, config.epochs + 1):
         batches = dataset.minibatches(config.batch_size, seed=rng.split(epoch))
+        stage = f"training diverged at epoch {epoch}"
         for batch in batches:
             loss, grad = mlp.loss_and_grad(params, batch, config.beta)
-            if not np.isfinite(loss):
-                raise NumericalError(f"training diverged at epoch {epoch}")
+            require_finite(stage, loss=loss)
             velocity *= config.momentum
             velocity += grad
             params.values -= config.lr * velocity

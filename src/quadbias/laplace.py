@@ -25,9 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_nonnegative
-from .linalg import DenseSymMatrix, EigenDecomposition, Rng, kron_matvec, sym_eigh
-from .model import DRAW_BUDGET, KfacBlock, Linearization, Mlp, ParamVector, _sym
+from .errors import (NumericalError, ValidationError, check_counts, check_nonnegative,
+                     require_finite)
+from .linalg import DenseSymMatrix, EigenDecomposition, Rng, _sym, kron_matvec, sym_eigh
+from .model import DRAW_BUDGET, KfacBlock, Linearization, Mlp, ParamVector, softmax
 from .quadratic import accumulate_kfac  # re-exported: the K-FAC of a whole dataset
 
 logger = logging.getLogger(__name__)
@@ -48,8 +49,7 @@ def clamped_eigh(factor: DenseSymMatrix, context: str = "factor",
     except (np.linalg.LinAlgError, NumericalError) as exc:
         raise NumericalError(f"{context}: eigendecomposition failed: {exc}") from exc
     vals = eig.eigenvalues
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError(f"{context}: non-finite factor eigenvalue")
+    require_finite(context, eigenvalue=vals)
     if np.any(vals < -NEG_EIG_TOL):
         raise ValidationError(
             f"{context}: eigenvalue {vals.min():.3e} below -{NEG_EIG_TOL:.0e}; "
@@ -134,8 +134,7 @@ def build_posterior(
     The covariance itself is never formed. Negative factor eigenvalues below
     the tolerance raise; slightly negative ones are clamped to zero.
     """
-    if n_train < 1:
-        raise ValidationError(f"n_train must be >= 1, got {n_train}")
+    check_counts(n_train=n_train)
     if len(mean.weight_entries) != len(blocks):
         raise ValidationError("block list does not match the layer layout")
     for entry, blk in zip(mean.weight_entries, blocks):
@@ -145,7 +144,7 @@ def build_posterior(
                 f"match the weight shape {entry.shape}"
             )
     eigs = factor_eigs(blocks)
-    return LaplacePosterior(mean, int(n_train), _checked_beta(eigs, beta), eigs)
+    return LaplacePosterior(mean, n_train, _checked_beta(eigs, beta), eigs)
 
 
 def _displacements(post: LaplacePosterior, noise: np.ndarray) -> np.ndarray:
@@ -201,8 +200,7 @@ def draw_noise(post: LaplacePosterior, s_samples: int, seed: int) -> np.ndarray:
     coordinates: row s comes from the stream ``Rng(seed).split(s)``, so it is
     the draw ``sample_params`` makes from that stream. The draws do not
     depend on beta: one block serves the posterior at every prior precision."""
-    if s_samples < 1:
-        raise ValidationError(f"s_samples must be >= 1, got {s_samples}")
+    check_counts(s_samples=s_samples)
     base = Rng(seed)
     return np.array([base.split(s).normal(post.n_weights) for s in range(s_samples)])
 
@@ -215,10 +213,7 @@ def _add_group(total: np.ndarray, post: LaplacePosterior, lin: Linearization,
     jv = lin.jvp_mm(_displacements(post, noise))  # (g, rows, C)
     z = np.empty((jv.shape[2],) + jv.shape[:2])
     np.add(jv.transpose(2, 0, 1), lin.logits.T[:, None, :], out=z)
-    z -= z.max(axis=0)
-    np.exp(z, out=z)
-    z /= z.sum(axis=0)
-    for p in z.transpose(1, 0, 2):
+    for p in softmax(z, axis=0, out=z).transpose(1, 0, 2):
         total += p
 
 
@@ -245,7 +240,5 @@ def predictive(
         _add_group(total, post, lin, noise[start : start + group])
     probs = np.ascontiguousarray(total.T)
     probs /= noise.shape[0]
-    if not np.isfinite(probs).all():
-        i, j = np.argwhere(~np.isfinite(probs))[0]
-        raise NumericalError(f"predictive: non-finite probability at row {i}, class {j}")
+    require_finite("predictive", probability=probs)
     return probs

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import SEEDS, NumericalError, ValidationError, check_counts, is_seed, require_finite
 
 if TYPE_CHECKING:  # quadratic imports this module
     from .quadratic import CurvatureOperator
@@ -46,8 +46,8 @@ class Rng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or seed >= 2**64:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        if not is_seed(seed):
+            raise ValidationError(f"seed must be {SEEDS}, got {seed!r}")
         self.seed = int(seed)
         self.stream = int(stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
@@ -58,8 +58,7 @@ class Rng:
         return Rng(self.seed, _mix64(self.stream, stream))
 
     def normal(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValidationError(f"n must be >= 0, got {n}")
+        check_counts(0, n=n)
         return self._gen.standard_normal(n)
 
     def uniform(self, n: int) -> np.ndarray:
@@ -147,11 +146,7 @@ def sym_eigh(m: DenseSymMatrix | np.ndarray) -> EigenDecomposition:
     """
     if not isinstance(m, DenseSymMatrix):
         m = DenseSymMatrix(np.asarray(m, dtype=np.float64))
-    if not np.isfinite(m.entries).all():
-        i, j = np.argwhere(~np.isfinite(m.entries))[0]
-        raise NumericalError(
-            f"sym_eigh: non-finite entry M[{i},{j}] = {m.entries[i, j]}"
-        )
+    require_finite("sym_eigh", entry=m.entries)
     w, v = np.linalg.eigh(m.entries)
     order = np.argsort(w)[::-1]
     return EigenDecomposition(
@@ -159,10 +154,13 @@ def sym_eigh(m: DenseSymMatrix | np.ndarray) -> EigenDecomposition:
     )
 
 
+def _sym(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.T)
+
+
 def materialize_operator(op: CurvatureOperator, dim: int) -> np.ndarray:
     """Apply op to the identity as one block; symmetrize to absorb roundoff."""
-    cols = op.matmat(np.eye(dim))
-    return 0.5 * (cols + cols.T)
+    return _sym(op.matmat(np.eye(dim)))
 
 
 def top_k_eigenpairs(
@@ -182,16 +180,16 @@ def top_k_eigenpairs(
     an exactly repeated top eigenvalue without error: for
     ``diag(repeat([4, 3, 2, 1], 150))`` and k = 6 it returns [4, 4, 4, 4, 4, 3].
     """
-    if not 1 <= k <= dim:
-        raise ValidationError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    if maxiter is not None and maxiter < 1:
-        raise ValidationError(f"maxiter must be >= 1, got {maxiter}")
+    maxiter = 10 * dim if maxiter is None else maxiter
+    check_counts(k=k, maxiter=maxiter)
+    if k > dim:
+        raise ValidationError(f"need k <= dim, got k={k}, dim={dim}")
     if dim <= DENSE_FALLBACK_DIM or k >= dim - 1:
         full = sym_eigh(materialize_operator(op, dim))
         return EigenDecomposition(
             basis=full.basis[:, :k].copy(), eigenvalues=full.eigenvalues[:k].copy()
         )
-    w, v = _lanczos(op, dim, k, rng, 10 * dim if maxiter is None else maxiter)
+    w, v = _lanczos(op, dim, k, rng, maxiter)
     return EigenDecomposition(basis=_canonical_signs(v), eigenvalues=w)
 
 
@@ -227,9 +225,7 @@ def _lanczos(op, dim: int, k: int, rng: Rng, maxiter: int) -> tuple[np.ndarray, 
         for j in range(j, ncv):
             w = op(basis[j])
             steps += 1
-            if not np.isfinite(w).all():
-                raise NumericalError(f"Lanczos eigensolver: the operator product "
-                                     f"at step {steps} is not finite")
+            require_finite(f"Lanczos eigensolver at step {steps}", product=w)
             w, h = _gram_schmidt(w, basis[: j + 1])
             beta = np.linalg.norm(w)
             if beta <= eps * np.linalg.norm(h):

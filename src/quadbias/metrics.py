@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_integers, check_counts, require_finite
 
 # Probabilities are clamped here before taking logs, so MC-predictive zeros
 # cannot produce infinities.
@@ -25,14 +25,13 @@ class ProbTable:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = as_integers("labels", self.labels)
         if p.ndim != 2:
             raise ValidationError(f"probs must be 2-d, got shape {p.shape}")
         if y.shape != (p.shape[0],):
             raise ValidationError("labels must be one class index per row")
-        if not np.isfinite(p).all():  # a NaN would pass both range checks below
-            row, col = np.argwhere(~np.isfinite(p))[0]
-            raise ValidationError(f"probability at row {row}, class {col} is {p[row, col]}")
+        # a NaN would pass both range checks below
+        require_finite("ProbTable", ValidationError, probability=p)
         if np.any(p < -1e-12):
             raise ValidationError("probabilities must be nonnegative")
         if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-8):
@@ -76,8 +75,7 @@ def ece(t: ProbTable, n_bins: int = DEFAULT_ECE_BINS) -> float:
     contribute nothing.
     """
     _check_rows(t)
-    if n_bins < 1:
-        raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
+    check_counts(n_bins=n_bins)
     conf = np.max(t.probs, axis=1)
     correct = (np.argmax(t.probs, axis=1) == t.labels).astype(np.float64)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
@@ -103,8 +101,7 @@ def auroc(scores, is_positive) -> float:
     n_neg = int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("need at least one positive and one negative")
-    if not np.all(np.isfinite(scores)):
-        raise ValidationError("scores must be finite")
+    require_finite("auroc", ValidationError, scores=scores)
     u = float(_average_ranks(scores)[pos].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

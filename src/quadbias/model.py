@@ -25,8 +25,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_domains, check_nonnegative
-from .linalg import DenseSymMatrix, Rng
+from .errors import (ValidationError, as_block, as_integers, check_domains, check_nonnegative,
+                     is_count, require_finite)
+from .linalg import DenseSymMatrix, Rng, _sym
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 LOSSES = ("cross_entropy", "mse")
@@ -100,10 +101,8 @@ class MlpArchitecture:
 
     def __post_init__(self):
         sizes = tuple(self.layer_sizes)
-        integral = all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
-                       for s in sizes)
         check_domains("model", (
-            ("layers", sizes, integral and len(sizes) >= 2 and min(sizes) >= 1,
+            ("layers", sizes, len(sizes) >= 2 and all(map(is_count, sizes)),
              "two or more integer sizes >= 1"),
             ("activation", self.activation, self.activation in ACTIVATIONS,
              f"one of {', '.join(ACTIVATIONS)}"),
@@ -219,8 +218,8 @@ class Batch:
             raise ValidationError("targets must be one-hot rows")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
-        idx = np.arange(x.shape[0]) if self.indices is None else self.indices
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = as_integers("indices", np.arange(x.shape[0]) if self.indices is None
+                          else self.indices)
         if idx.shape != (x.shape[0],):
             raise ValidationError(f"indices shape {idx.shape} != ({x.shape[0]},), one per row")
         object.__setattr__(self, "indices", idx)
@@ -252,10 +251,12 @@ class KfacBlock:
         return self.factor_b.dim
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(z: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of z along axis, written into out when given (out=z overwrites z)."""
+    out = np.subtract(z, z.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def _act(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -330,11 +331,7 @@ class Linearization:
         thread runs the odd passes while this one runs the even ones; nothing
         is summed across passes, so the output is the same bytes either way.
         An error of either half is raised once both halves are done."""
-        vs = np.asarray(vs, dtype=np.float64)
-        if vs.ndim != 2 or vs.shape[0] != self.mlp.n_params or vs.shape[1] < 1:
-            raise ValidationError(
-                f"block shape {vs.shape} != ({self.mlp.n_params}, k >= 1)"
-            )
+        vs = as_block(vs, self.mlp.n_params)
         out = np.empty((vs.shape[1],) + tail)
         step = self.cols_per_pass
         starts = range(0, vs.shape[1], step)
@@ -672,13 +669,11 @@ class Mlp:
 
         blocks = []
         for l, (a, g) in enumerate(zip(lin.acts, lin._layer_grads(seed))):
-            factors = {"input": _sym(a.T @ a / n), "output": _sym(g.T @ g / n)}
-            for side, f in factors.items():
-                if not np.isfinite(f).all():
-                    raise NumericalError(
-                        f"kfac_factors: non-finite entry in the layer {l} {side} factor")
-            blocks.append(KfacBlock(layer=l, factor_a=DenseSymMatrix(factors["input"]),
-                                    factor_b=DenseSymMatrix(factors["output"])))
+            f_a, f_b = _sym(a.T @ a / n), _sym(g.T @ g / n)
+            require_finite("kfac_factors", **{f"layer {l} input factor": f_a,
+                                              f"layer {l} output factor": f_b})
+            blocks.append(KfacBlock(layer=l, factor_a=DenseSymMatrix(f_a),
+                                    factor_b=DenseSymMatrix(f_b)))
         return blocks
 
 
@@ -695,12 +690,8 @@ def add_weight_decay(params: ParamVector, beta: float, loss: float,
     return loss
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_integers("labels", labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValidationError("labels out of range for one-hot encoding")
     out = np.zeros((labels.size, n_classes))

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_nonnegative
+from .errors import ValidationError, as_block, check_counts, check_nonnegative, require_finite
 from .linalg import DenseSymMatrix, Rng, kron_matvec
 from .model import Batch, KfacBlock, Mlp, ParamVector, add_weight_decay
 
@@ -91,9 +91,7 @@ class CurvatureOperator:
 
     def _block(self, vs: np.ndarray) -> np.ndarray:
         """vs as a float (dim, k >= 1) block, counted as k matvecs."""
-        vs = np.asarray(vs, dtype=np.float64)
-        if vs.ndim != 2 or vs.shape[0] != self.dim or vs.shape[1] < 1:
-            raise ValidationError(f"block shape {vs.shape} != ({self.dim}, k >= 1)")
+        vs = as_block(vs, self.dim)
         self.matvec_count += vs.shape[1]
         return vs
 
@@ -115,13 +113,6 @@ def _kfac_product(blocks: list, params: ParamVector) -> Callable[[np.ndarray], n
         return out
 
     return product
-
-
-def _require_finite(stage: str, **values) -> None:
-    """Raise NumericalError naming the stage and the first non-finite value."""
-    for name, v in values.items():
-        if not np.all(np.isfinite(v)):
-            raise NumericalError(f"{stage}: non-finite {name}")
 
 
 @dataclass
@@ -158,7 +149,7 @@ def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, traces: Callable[[], I
     """
     if kind not in CURVATURE_KINDS:
         raise ValidationError(f"unknown curvature kind {kind!r}")
-    _require_finite(stage, theta=theta0.values)
+    require_finite(stage, theta=theta0.values)
     loss = 0.0
     grad = np.zeros(theta0.n_params)
     for w, lin in traces():
@@ -166,7 +157,7 @@ def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, traces: Callable[[], I
         loss += w * l_part
         grad += w * g_part
     loss = add_weight_decay(theta0, beta, loss, grad)
-    _require_finite(stage, loss=loss, gradient=grad)
+    require_finite(stage, loss=loss, gradient=grad)
 
     def summed(term):
         return lambda vs: sum(w * term(lin, vs) for w, lin in traces())
@@ -343,8 +334,7 @@ def _traces(mlp: Mlp, theta: ParamVector, data: Batch, chunk_size: int) -> Itera
     n = data.size
     if n == 0:
         raise ValidationError("dataset is empty")
-    if chunk_size < 1:
-        raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
+    check_counts(chunk_size=chunk_size)
     return ((min(chunk_size, n - start) / n,
              mlp.linearize(theta, data.inputs[start : start + chunk_size],
                            data.targets[start : start + chunk_size]))

@@ -163,8 +163,8 @@ class TestDatasets:
         np.testing.assert_array_equal(ds.train_inputs, x)
 
     @pytest.mark.parametrize("rows, line, entry", [
-        ("0.5,nan,1\n", 2, "x1 = 'nan' is not finite"),
-        ("0.5,1.0,1\n-inf,0.2,0\n", 3, "x0 = '-inf' is not finite"),
+        ("0.5,nan,1\n", 2, "non-finite x1 = nan"),
+        ("0.5,1.0,1\n-inf,0.2,0\n", 3, "non-finite x0 = -inf"),
         ("0.5,1.0,1\n0.3,0.2,-1\n", 3, "label = '-1' is negative"),
     ], ids=["nan", "inf", "negative_label"])
     def test_csv_rejects_non_finite_entry_and_negative_label(self, tmp_path, rows, line, entry):
@@ -1301,7 +1301,7 @@ class TestCli:
         ("", "expected header"),
         ("x0,x1,label\n0.5,abc,1\n", "line 2: could not convert string to float"),
         ("x0,x1,label\n0.5,1.0,1\n0.5,1.0,1.5\n", "line 3: invalid literal for int()"),
-        ("x0,x1,label\n0.5,nan,1\n", "line 2: x1 = 'nan' is not finite"),
+        ("x0,x1,label\n0.5,nan,1\n", "line 2: non-finite x1 = nan"),
         ("x0,x1,label\n0.5,1.0,1\n0.3,0.2,-1\n", "line 3: label = '-1' is negative"),
     ], ids=["empty", "non_numeric_entry", "non_integer_label", "nan_entry", "negative_label"])
     def test_malformed_csv_file_is_validation_error(self, tmp_path, text, message):

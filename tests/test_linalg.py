@@ -174,14 +174,14 @@ class TestSymEigh:
         m = np.eye(4)
         m[1, 2] = m[2, 1] = value
         m[3, 3] = value
-        with pytest.raises(NumericalError, match=r"non-finite entry M\[1,2\]"):
+        with pytest.raises(NumericalError, match=r"sym_eigh: non-finite entry at \[1, 2\]"):
             sym_eigh(m)
 
     def test_all_inf_accepted_without_warning_then_rejected(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m = DenseSymMatrix(np.full((3, 3), np.inf))
-            with pytest.raises(NumericalError, match=r"M\[0,0\] = inf"):
+            with pytest.raises(NumericalError, match=r"at \[0, 0\] = inf"):
                 sym_eigh(m)
 
 
@@ -265,7 +265,7 @@ class TestLanczos:
 
     def test_non_finite_product_raises_before_it_enters_the_basis(self, capfd):
         op = CurvatureOperator(600, lambda v: v * np.nan)
-        with pytest.raises(NumericalError, match=r"Lanczos eigensolver: .* step 1 is"):
+        with pytest.raises(NumericalError, match=r"Lanczos eigensolver at step 1: non-finite"):
             top_k_eigenpairs(op, 600, 3, Rng(0))
         assert capfd.readouterr().err == ""  # LAPACK never saw a NaN
 
@@ -279,7 +279,7 @@ class TestLanczos:
             out[100] *= np.inf if len(calls) == 7 else 1.0
             return out
 
-        with pytest.raises(NumericalError, match=r"step 7 is not finite"):
+        with pytest.raises(NumericalError, match=r"at step 7: non-finite product"):
             top_k_eigenpairs(CurvatureOperator(ITERATIVE_DIM, product), ITERATIVE_DIM, 2, Rng(0))
 
     def test_invariant_subspace_goes_on_from_a_fresh_vector(self):

@@ -40,7 +40,7 @@ class TestProbTable:
     def test_rejects_non_finite_naming_row_and_class(self, bad):
         # a NaN compares false, so it would pass both range checks, and
         # accuracy would read 0.5 with nll and ece nan
-        with pytest.raises(ValidationError, match=f"row 1, class 0 is {bad}"):
+        with pytest.raises(ValidationError, match=rf"probability at \[1, 0\] = {bad}"):
             table([[0.5, 0.5], [bad, 0.5]], [0, 1])
 
 

@@ -354,7 +354,7 @@ class TestKfacFactors:
         # NaN logits: the backward pass carries NaN to the first factor
         # checked after the (finite) inputs' factor
         p.view(1, "weight")[0, 0] = np.nan
-        expected = "kfac_factors: non-finite entry in the layer 0 output factor"
+        expected = "kfac_factors: non-finite layer 0 output factor"
         with pytest.raises(NumericalError, match=expected):
             mlp.kfac_factors(p, batch, mode, Rng(44))
         with pytest.raises(NumericalError, match=expected):
@@ -363,7 +363,8 @@ class TestKfacFactors:
     def test_inf_input_raises_naming_the_input_factor(self):
         mlp, p, batch = small_problem(seed=45)
         batch.inputs[3, 1] = np.inf
-        with pytest.raises(NumericalError, match="layer 0 input factor"):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError,
+                                                          match="layer 0 input factor"):
             mlp.kfac_factors(p, batch, "empirical")
 
     def test_mc_sample_requires_rng(self):

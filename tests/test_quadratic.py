@@ -527,7 +527,8 @@ class TestFullbatch:
         x[0, 0] = np.inf
         bad = Batch(x, batch.targets)
         for build in (build_quadratic, fullbatch_quadratic):
-            with pytest.raises(NumericalError, match=f"{build.__name__}: non-finite"):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    NumericalError, match=f"{build.__name__}: non-finite"):
                 build(mlp, p, bad, "ggn")
 
     @pytest.mark.parametrize("build", [build_quadratic, fullbatch_quadratic])

@@ -184,13 +184,13 @@ MUTANTS = (
            "summary.json without the experiment kind",
            ("tests/test_harness.py", "-k", "byte_identical_across")),
     Mutant("src/quadbias/diagnostics.py",
-           "if not (np.isfinite(measured).all() and np.isfinite(truth).all()):",
-           "if not np.isfinite(measured).all():",
+           "require_finite(statistic, measured=measured, truth=truth)",
+           "require_finite(statistic, measured=measured)",
            "near-zero exclusion lets a non-finite truth through",
            ("tests/test_diagnostics.py", "-k", "BiasSummary")),
     Mutant("src/quadbias/metrics.py",
-           "if not np.isfinite(p).all():",
-           "if False:",
+           'require_finite("ProbTable", ValidationError, probability=p)',
+           'require_finite("ProbTable", ValidationError)',
            "ProbTable accepts a NaN probability",
            ("tests/test_metrics.py", "-k", "ProbTable")),
     Mutant("src/quadbias/model.py",
@@ -214,8 +214,8 @@ MUTANTS = (
            "config accepts an unknown fisher_mode",
            ("tests/test_harness.py", "-k", "fisher_mode")),
     Mutant("src/quadbias/harness/config.py",
-           'count, count >= 1, ">= 1")',
-           'count, count >= 0, ">= 1")',
+           'count, is_count(count), ">= 1")',
+           'count, is_count(count, 0), ">= 1")',
            "config accepts a count key below 1",
            ("tests/test_harness.py", "-k", "count_below")),
     Mutant("src/quadbias/harness/config.py",
@@ -224,8 +224,8 @@ MUTANTS = (
            "config skips an unknown key",
            ("tests/test_harness.py", "-k", "unknown_key")),
     Mutant("src/quadbias/harness/config.py",
-           "all(0 <= s < 2**64 for s in self.seeds)",
-           "all(-2**63 <= s < 2**64 for s in self.seeds)",
+           "all(map(is_seed, self.seeds))",
+           "all(is_count(s, -2**63, 2**64) for s in self.seeds)",
            "experiment seeds accept a negative (signed 64-bit) seed",
            ("tests/test_harness.py", "-k", "bad_config")),
     Mutant("src/quadbias/harness/training.py",
@@ -309,8 +309,8 @@ MUTANTS = (
            "Lanczos goes on past an invariant subspace from a vector not orthogonal to it",
            ("tests/test_linalg.py", "-k", "Lanczos or TopK")),
     Mutant("src/quadbias/linalg.py",
-           "if not np.isfinite(w).all():",
-           "if not np.isfinite(w[:1]).all():",
+           'require_finite(f"Lanczos eigensolver at step {steps}", product=w)',
+           'require_finite(f"Lanczos eigensolver at step {steps}", product=w[:1])',
            "Lanczos checks only the first entry of each product for finiteness",
            ("tests/test_linalg.py", "-k", "Lanczos or TopK")),
     Mutant("src/quadbias/quadratic.py",
@@ -335,10 +335,20 @@ MUTANTS = (
            "train config accepts momentum = 1",
            ("tests/test_harness.py", "-k", "momentum_outside")),
     Mutant("src/quadbias/laplace.py",
-           "    if s_samples < 1:\n",
-           "    if s_samples < 0:\n",
+           "check_counts(s_samples=s_samples)",
+           "check_counts(0, s_samples=s_samples)",
            "draw_noise accepts zero samples",
            ("tests/test_laplace.py", "-k", "draw_noise_needs")),
+    Mutant("src/quadbias/errors.py",
+           "    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)\n",
+           "    return (isinstance(value, (int, np.integer))\n",
+           "a bool passes as a count or a seed",
+           ("tests/test_errors.py", "-k", "bool")),
+    Mutant("src/quadbias/errors.py",
+           "    for name, value in values.items():\n        finite = np.isfinite(value)\n",
+           "    for name, value in list(values.items())[:1]:\n        finite = np.isfinite(value)\n",
+           "require_finite checks only its first value",
+           ("tests/test_errors.py", "-k", "non_finite_value")),
 )
 
 
