@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, as_integers, require_finite
 from .cg import CgConfig, cg_minimize
 from .linalg import EigenDecomposition, Rng, top_k_eigenpairs
 from .model import Batch, Mlp, ParamVector
@@ -112,59 +112,56 @@ class BiasSummary:
     source_batch: object
 
 
-def source_eigenbases(mlp: Mlp, theta_star: ParamVector, batches: list, k: int,
-                      kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
-                      rng: Rng | None = None, source_indices: list | None = None,
-                      fisher_mode: str = "mc_sample") -> list:
-    """Top-k eigenvectors of each source batch's quadratic (every batch by
-    default), source m's eigensolve started from rng.split(m) and its K-FAC
-    factors sampled from rng.split(10_000 + m); one DirectionSet per source.
-    Each quadratic is built for its own eigensolve and dropped after it."""
-    if k > theta_star.n_params:
-        raise ValidationError(f"k={k} exceeds parameter count {theta_star.n_params}")
-    rng = rng if rng is not None else Rng(0)
-    sources = range(len(batches)) if source_indices is None else source_indices
-    if not sources:
-        raise ValidationError("no source batch to take eigen directions from")
-    eigs = [top_k_eigenpairs(build_quadratic(mlp, theta_star, batches[m], kind, beta, delta, m,
-                                             fisher_mode, rng.split(10_000 + m)).curvature,
-                             theta_star.n_params, k, rng.split(m)) for m in sources]
-    return [DirectionSet(m, e.basis, e.eigenvalues) for m, e in zip(sources, eigs)]
-
-
-def _row_positions(batches: list, data: Batch) -> list:
-    """Each batch's row positions in data, looked up from its indices; a
-    batch whose inputs or targets are not those rows raises ValidationError."""
-    order = np.argsort(data.indices)
-    out = []
-    for i, b in enumerate(batches):
-        at = np.searchsorted(data.indices, b.indices, sorter=order)
-        pos = order[np.minimum(at, data.size - 1)]
-        if not all(np.array_equal(getattr(data, f)[pos], getattr(b, f))
-                   for f in ("indices", "inputs", "targets")):
-            raise ValidationError(
-                f"batch {i}: inputs and targets are not the data rows its indices name")
-        out.append(pos)
+def _checked_parts(data: Batch, parts: list) -> list:
+    """Each part as int64 row positions into data; a part that is empty or
+    holds an entry that is not a whole number in [0, data.size) raises
+    ValidationError naming it."""
+    out = [as_integers(f"part {i}", pos) for i, pos in enumerate(parts)]
+    for i, pos in enumerate(out):
+        if pos.ndim != 1 or pos.size == 0 or not np.all((0 <= pos) & (pos < data.size)):
+            raise ValidationError(f"part {i} must be one or more row positions in "
+                                  f"[0, {data.size}), got {pos}")
     return out
 
 
-def _row_scores(mlp, theta, batches, data, blocks, kind, beta, delta, rng, chunk_size,
+def source_eigenbases(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: list, k: int,
+                      kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
+                      rng: Rng | None = None, source_indices: list | None = None,
+                      fisher_mode: str = "mc_sample") -> list:
+    """Top-k eigenvectors of the quadratic of each source part's rows of data
+    (every part by default), source m's eigensolve started from rng.split(m)
+    and its K-FAC factors sampled from rng.split(10_000 + m); one DirectionSet
+    per source. Each quadratic is built for its own eigensolve and dropped
+    after it."""
+    parts = _checked_parts(data, parts)
+    rng = rng if rng is not None else Rng(0)
+    sources = range(len(parts)) if source_indices is None else source_indices
+    if not sources:
+        raise ValidationError("no source batch to take eigen directions from")
+    eigs = [top_k_eigenpairs(
+        build_quadratic(mlp, theta_star, Batch(data.inputs[parts[m]], data.targets[parts[m]]),
+                        kind, beta, delta, m, fisher_mode, rng.split(10_000 + m)).curvature,
+        theta_star.n_params, k, rng.split(m)) for m in sources]
+    return [DirectionSet(m, e.basis, e.eigenvalues) for m, e in zip(sources, eigs)]
+
+
+def _row_scores(mlp, theta, data, parts, blocks, kind, beta, delta, rng, chunk_size,
                 fisher_mode) -> list:
-    """Slopes and curvatures of every batch's quadratic and the full-batch one
-    (last) along each (P, k) block, (k, batches + 1, 2) per block: row means
+    """Slopes and curvatures of every part's quadratic and the full-batch one
+    (last) along each (P, k) block, (k, parts + 1, 2) per block: row means
     of one forward-mode pass of all blocks over data, plus the regularizer.
-    The K-FAC curvatures are d . (A x B) d instead, from batch i's factors on
+    The K-FAC curvatures are d . (A x B) d instead, from part i's factors on
     rng.split(10_000 + i) and the full-batch factors on rng.split(20_000)."""
-    traces = _traces(mlp, theta, data, chunk_size)  # checks data before the lookup
-    positions = _row_positions(batches, data)
     d = np.hstack(blocks)
-    terms = np.concatenate([lin.row_terms(d, kind == "hessian") for _, lin in traces], axis=1)
+    terms = np.concatenate([lin.row_terms(d, kind == "hessian")
+                            for _, lin in _traces(mlp, theta, data, chunk_size)], axis=1)
     require_finite("eigendirection_scan", row_term=terms)
-    means = np.stack([terms[:, pos].mean(axis=1) for pos in positions]
+    means = np.stack([terms[:, pos].mean(axis=1) for pos in parts]
                      + [terms.mean(axis=1)], axis=1)
     if kind == "kfac":
-        factors = [mlp.kfac_factors(theta, b, fisher_mode, rng.split(10_000 + i))
-                   for i, b in enumerate(batches)]
+        factors = [mlp.kfac_factors(theta, Batch(data.inputs[pos], data.targets[pos]),
+                                    fisher_mode, rng.split(10_000 + i))
+                   for i, pos in enumerate(parts)]
         full = accumulate_kfac(mlp, theta, data, fisher_mode, rng.split(20_000), chunk_size)
         means[..., 1] = np.column_stack([np.einsum("pk,pk->k", d, _kfac_product(f, theta)(d))
                                          for f in [*factors, full]])
@@ -176,27 +173,29 @@ def _row_scores(mlp, theta, batches, data, blocks, kind, beta, delta, rng, chunk
     return np.split(means + reg[:, None], len(blocks))
 
 
-def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, batches: list, data: Batch,
+def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: list,
                         k: int, kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
                         rng: Rng | None = None, chunk_size: int = 512,
                         source_indices: list | None = None, fisher_mode: str = "mc_sample"):
-    """Top-k eigenvectors per source batch (``source_eigenbases``), then
-    slopes/curvatures of every batch's quadratic and the full-batch quadratic
+    """Top-k eigenvectors per source part (``source_eigenbases``), then
+    slopes/curvatures of every part's quadratic and the full-batch quadratic
     (the last column) along those directions; returns (direction_sets,
-    reports), one entry per source batch.
+    reports), one entry per source part.
 
-    Scores are row means of ``Linearization.row_terms`` from one
-    forward-mode pass of all sources' directions over data in chunk_size
-    chunks; each batch's indices must name its rows of data. K-FAC takes its
-    curvatures from each batch's and the full-batch Kronecker factors.
+    Each part is the row positions of one mini-batch in data. Scores are row
+    means of ``Linearization.row_terms`` from one forward-mode pass of all
+    sources' directions over data in chunk_size chunks, a part's score the
+    mean at its positions. K-FAC takes its curvatures from each part's and
+    the full-batch Kronecker factors.
     """
     rng = rng if rng is not None else Rng(0)
-    direction_sets = source_eigenbases(mlp, theta_star, batches, k, kind, beta, delta, rng,
+    parts = _checked_parts(data, parts)
+    direction_sets = source_eigenbases(mlp, theta_star, data, parts, k, kind, beta, delta, rng,
                                        source_indices, fisher_mode)
-    scores = _row_scores(mlp, theta_star, batches, data,
+    scores = _row_scores(mlp, theta_star, data, parts,
                          [dset.directions for dset in direction_sets], kind, beta, delta,
                          rng, chunk_size, fisher_mode)
-    batch_ids = list(range(len(batches)))
+    batch_ids = list(range(len(parts)))
     return direction_sets, [ScanReport(dset.source_batch, batch_ids, m[..., 0], m[..., 1])
                             for dset, m in zip(direction_sets, scores)]
 

@@ -39,10 +39,13 @@ def check_counts(least: int = 1, **values) -> None:
 
 
 def as_integers(name: str, values) -> np.ndarray:
-    """values as an int64 array; an entry that is not a whole number, which
-    the cast would truncate, raises ValidationError naming the argument."""
+    """values as an int64 array; a bool array, or an entry that is not a
+    whole number, which the cast would truncate, raises ValidationError
+    naming the argument."""
     a = np.asarray(values)
-    if a.dtype.kind not in "biu":
+    if a.dtype.kind == "b":
+        raise ValidationError(f"{name} must be whole numbers, got a bool array")
+    if a.dtype.kind not in "iu":
         bad = ~(np.isfinite(a) & (a == np.trunc(a)))
         if bad.any():
             raise ValidationError(f"{name} must be whole numbers, got {a[bad][0]}")

@@ -88,28 +88,23 @@ class Dataset:
         return self.train_inputs.shape[0]
 
     def train_batch(self) -> Batch:
-        return Batch(
-            self.train_inputs,
-            one_hot(self.train_labels, self.n_classes),
-            np.arange(self.n_train),
-        )
+        return Batch(self.train_inputs, one_hot(self.train_labels, self.n_classes))
 
-    def minibatches(self, batch_size: int, seed, drop_last: bool = False) -> list:
-        """Seeded shuffle, then disjoint sequential slices of the train set.
-
-        seed may be an integer or an Rng instance.
-        """
+    def partition(self, batch_size: int, seed, drop_last: bool = False) -> list:
+        """Row positions of each mini-batch: a seeded shuffle of the train
+        rows cut into disjoint sequential slices, the last one short unless
+        drop_last drops it. seed may be an integer or an Rng instance."""
         check_counts(batch_size=batch_size)
         rng = seed if isinstance(seed, Rng) else Rng(seed)
         perm = rng.permutation(self.n_train)
+        stop = self.n_train - self.n_train % batch_size if drop_last else self.n_train
+        return [perm[start : start + batch_size] for start in range(0, stop, batch_size)]
+
+    def minibatches(self, batch_size: int, seed, drop_last: bool = False) -> list:
+        """The Batches of ``partition(batch_size, seed, drop_last)``."""
+        parts = self.partition(batch_size, seed, drop_last)
         targets = one_hot(self.train_labels, self.n_classes)
-        out = []
-        for start in range(0, self.n_train, batch_size):
-            idx = perm[start : start + batch_size]
-            if drop_last and idx.size < batch_size:
-                break
-            out.append(Batch(self.train_inputs[idx], targets[idx], idx))
-        return out
+        return [Batch(self.train_inputs[pos], targets[pos]) for pos in parts]
 
 
 def _balanced_labels(n: int, c: int) -> np.ndarray:

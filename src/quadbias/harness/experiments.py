@@ -107,20 +107,20 @@ def _prepare(cfg: ExperimentConfig):
 
 def _scan_sources(cfg, dataset, theta, batch_size, seed) -> dict:
     """The arguments ``source_eigenbases`` and ``eigendirection_scan`` share:
-    the minibatches of one scan, the first n_source_batches of them the
-    sources, and the eigensolve settings."""
-    batches = dataset.minibatches(batch_size, seed=seed, drop_last=True)
-    n_src = min(cfg.n_source_batches or len(batches), len(batches))
-    return dict(batches=batches, k=min(cfg.n_directions, theta.n_params),
-                kind=cfg.curvature, beta=cfg.beta, delta=cfg.delta, rng=Rng(seed).split(7),
-                source_indices=list(range(n_src)), fisher_mode=cfg.fisher_mode)
+    the training rows and their mini-batch partition of one scan, the first
+    n_source_batches parts the sources, and the eigensolve settings."""
+    parts = dataset.partition(batch_size, seed=seed, drop_last=True)
+    n_src = min(cfg.n_source_batches or len(parts), len(parts))
+    return dict(data=dataset.train_batch(), parts=parts,
+                k=min(cfg.n_directions, theta.n_params), kind=cfg.curvature, beta=cfg.beta,
+                delta=cfg.delta, rng=Rng(seed).split(7), source_indices=list(range(n_src)),
+                fisher_mode=cfg.fisher_mode)
 
 
 def _scan_at(cfg, dataset, mlp, theta, batch_size, seed):
     """Direction sets and reports of the eigendirection scan from the first
     n_source_batches minibatches across every minibatch."""
-    return eigendirection_scan(mlp, theta, data=dataset.train_batch(),
-                               chunk_size=cfg.chunk_size,
+    return eigendirection_scan(mlp, theta, chunk_size=cfg.chunk_size,
                                **_scan_sources(cfg, dataset, theta, batch_size, seed))
 
 

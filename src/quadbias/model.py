@@ -201,11 +201,10 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class Batch:
-    """Inputs, one-hot targets, and source row ids of a data subset."""
+    """Inputs and one-hot targets of a data subset."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    indices: np.ndarray = None
 
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=np.float64)
@@ -218,11 +217,6 @@ class Batch:
             raise ValidationError("targets must be one-hot rows")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
-        idx = as_integers("indices", np.arange(x.shape[0]) if self.indices is None
-                          else self.indices)
-        if idx.shape != (x.shape[0],):
-            raise ValidationError(f"indices shape {idx.shape} != ({x.shape[0]},), one per row")
-        object.__setattr__(self, "indices", idx)
 
     @property
     def size(self) -> int:

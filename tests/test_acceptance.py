@@ -52,7 +52,7 @@ def test_criterion_01_batch_mean_identity(toy_dataset, toy_mlp, toy_theta):
     """Eq. (5): mean of mini-batch directional slope/curvature over a disjoint
     equal partition equals the full-batch value, to 1e-10 relative."""
     data = toy_dataset.train_batch()
-    sub = Batch(data.inputs[:512], data.targets[:512], data.indices[:512])
+    sub = Batch(data.inputs[:512], data.targets[:512])
     batches = [
         Batch(sub.inputs[i : i + 64], sub.targets[i : i + 64])
         for i in range(0, 512, 64)
@@ -81,9 +81,9 @@ def test_criterion_01_batch_mean_identity(toy_dataset, toy_mlp, toy_theta):
 def test_criterion_02_curvature_overestimation(toy_dataset, toy_mlp, toy_theta):
     """Same-batch top-eigenvector curvature exceeds the full-batch curvature
     for >= 90% of 20 source batches at batch size 32; median ratio > 1.2."""
-    batches = toy_dataset.minibatches(32, seed=0, drop_last=True)[:20]
+    parts = toy_dataset.partition(32, seed=0, drop_last=True)[:20]
     _, reports = eigendirection_scan(
-        toy_mlp, toy_theta, batches, toy_dataset.train_batch(),
+        toy_mlp, toy_theta, toy_dataset.train_batch(), parts,
         k=1, kind="ggn", beta=TOY_BETA, rng=Rng(0),
     )
     ratios = np.array([
@@ -104,10 +104,10 @@ def test_criterion_03_batch_size_trend(toy_dataset, toy_mlp, toy_theta):
     for seed in range(5):
         medians = []
         for bs in (32, 128, 512):
-            batches = toy_dataset.minibatches(bs, seed=seed, drop_last=True)
-            n_src = min(4, len(batches))
+            parts = toy_dataset.partition(bs, seed=seed, drop_last=True)
+            n_src = min(4, len(parts))
             _, reports = eigendirection_scan(
-                toy_mlp, toy_theta, batches, toy_dataset.train_batch(),
+                toy_mlp, toy_theta, toy_dataset.train_batch(), parts,
                 k=10, kind="ggn", beta=TOY_BETA, rng=Rng(seed),
                 source_indices=list(range(n_src)),
             )

@@ -200,16 +200,12 @@ def _spd_pair(seed):
 class TestEigendirectionScan:
     def _setup(self):
         mlp, p, data = small_problem(seed=70, n=32)
-        batches = [
-            Batch(data.inputs[i : i + 8], data.targets[i : i + 8], np.arange(i, i + 8))
-            for i in range(0, 32, 8)
-        ]
-        return mlp, p, data, batches
+        return mlp, p, data, [np.arange(i, i + 8) for i in range(0, 32, 8)]
 
     def test_same_batch_curvature_equals_eigenvalues(self):
-        mlp, p, data, batches = self._setup()
+        mlp, p, data, parts = self._setup()
         dsets, reports = eigendirection_scan(
-            mlp, p, batches, data, k=3, kind="ggn", beta=0.05, rng=Rng(0)
+            mlp, p, data, parts, k=3, kind="ggn", beta=0.05, rng=Rng(0)
         )
         for dset, rep in zip(dsets, reports):
             col = rep.source_column()
@@ -219,11 +215,11 @@ class TestEigendirectionScan:
 
     @pytest.mark.parametrize("kind", ["ggn", "hessian", "kfac"])
     def test_batch_mean_equals_fullbatch_row(self, kind):
-        # the batches partition the data, so every row mean is the mean of
+        # the parts partition the data, so every row mean is the mean of
         # the batch means; K-FAC curvatures average factors, not rows
-        mlp, p, data, batches = self._setup()
+        mlp, p, data, parts = self._setup()
         _, reports = eigendirection_scan(
-            mlp, p, batches, data, k=3, kind=kind, beta=0.05, rng=Rng(0),
+            mlp, p, data, parts, k=3, kind=kind, beta=0.05, rng=Rng(0),
             chunk_size=8,
         )
         for rep in reports:
@@ -236,9 +232,9 @@ class TestEigendirectionScan:
                 )
 
     def test_source_indices_subset(self):
-        mlp, p, data, batches = self._setup()
+        mlp, p, data, parts = self._setup()
         dsets, reports = eigendirection_scan(
-            mlp, p, batches, data, k=2, kind="ggn", beta=0.05, rng=Rng(0),
+            mlp, p, data, parts, k=2, kind="ggn", beta=0.05, rng=Rng(0),
             source_indices=[1, 3],
         )
         assert [r.source_batch for r in reports] == [1, 3]
@@ -247,9 +243,9 @@ class TestEigendirectionScan:
     @pytest.mark.parametrize("kind", ["hessian", "ggn", "kfac"])
     def test_all_curvature_kinds(self, kind):
         # the eigenvalue-as-curvature identity holds whatever the proxy
-        mlp, p, data, batches = self._setup()
+        mlp, p, data, parts = self._setup()
         dsets, reports = eigendirection_scan(
-            mlp, p, batches[:2], data, k=2, kind=kind, beta=0.05, rng=Rng(0),
+            mlp, p, data, parts[:2], k=2, kind=kind, beta=0.05, rng=Rng(0),
             source_indices=[0], fisher_mode="mc_sample",
         )
         rep = reports[0]
@@ -258,35 +254,44 @@ class TestEigendirectionScan:
             rep.curvatures[:, col], dsets[0].eigenvalues, rtol=1e-9
         )
 
-    @pytest.mark.parametrize("edit", ["shifted_indices", "unknown_index"])
-    def test_batches_must_name_their_data_rows(self, edit):
-        mlp, p, data, batches = self._setup()
-        b = batches[1]
-        indices = b.indices + 8 if edit == "shifted_indices" else b.indices * 1000
-        batches[1] = Batch(b.inputs, b.targets, indices)
-        with pytest.raises(ValidationError, match="batch 1: .* the data rows"):
-            eigendirection_scan(mlp, p, batches, data, k=2, kind="ggn", rng=Rng(0),
+    @pytest.mark.parametrize("part,problem", [
+        (np.arange(28, 36), r"\[0, 32\)"),  # past the last row
+        ([8, -1, 10], r"\[0, 32\)"),  # negative, which numpy would read from the end
+        ([8.0, 9.5], "whole numbers"),
+        ([], "one or more"),
+        (np.arange(32) < 8, "bool array"),  # a row mask, not positions 1 and 0
+    ], ids=["past_the_end", "negative", "fraction", "empty", "bool"])
+    def test_parts_must_be_row_positions_of_data(self, part, problem):
+        mlp, p, data, parts = self._setup()
+        parts[1] = part
+        with pytest.raises(ValidationError, match=f"^part 1 .*{problem}"):
+            eigendirection_scan(mlp, p, data, parts, k=2, kind="ggn", rng=Rng(0),
                                 source_indices=[0])
+
+    def test_k_above_the_parameter_count_rejected(self):
+        mlp, p, data, parts = self._setup()
+        with pytest.raises(ValidationError, match="k <= dim"):
+            eigendirection_scan(mlp, p, data, parts, k=p.n_params + 1, kind="ggn",
+                                rng=Rng(0), source_indices=[0])
 
     @pytest.mark.parametrize("kind", ["ggn", "hessian"])
     def test_empty_data_rejected(self, kind):
-        # checked before the batches' rows are looked up in the data
-        mlp, p, data, batches = self._setup()
-        empty = Batch(data.inputs[:0], data.targets[:0], data.indices[:0])
-        with pytest.raises(ValidationError, match="dataset is empty"):
-            eigendirection_scan(mlp, p, batches, empty, k=2, kind=kind, rng=Rng(0),
+        # empty data holds no row, so no part can name one
+        mlp, p, data, parts = self._setup()
+        empty = Batch(data.inputs[:0], data.targets[:0])
+        with pytest.raises(ValidationError, match=r"^part 0 .*\[0, 0\)"):
+            eigendirection_scan(mlp, p, empty, parts, k=2, kind=kind, rng=Rng(0),
                                 source_indices=[0])
 
     def test_non_finite_row_term_raises_naming_the_scan(self):
-        # the bad row is in no source batch, so the source quadratics build
-        mlp, p, data, batches = self._setup()
+        # the bad row is in no source part, so the source quadratics build
+        mlp, p, data, parts = self._setup()
         inputs = data.inputs.copy()
         inputs[30, 0] = np.inf
-        data = Batch(inputs, data.targets, data.indices)
-        batches[3] = Batch(inputs[24:32], data.targets[24:32], np.arange(24, 32))
+        data = Batch(inputs, data.targets)
         with np.errstate(all="ignore"), pytest.raises(
                 NumericalError, match="eigendirection_scan: non-finite row_term"):
-            eigendirection_scan(mlp, p, batches, data, k=2, kind="ggn", rng=Rng(0),
+            eigendirection_scan(mlp, p, data, parts, k=2, kind="ggn", rng=Rng(0),
                                 source_indices=[0])
 
 
@@ -298,8 +303,7 @@ class TestRowScanAgainstPerBatchOracle:
         hidden=st.sampled_from([(), (8,), (6, 5)]),
         activation=st.sampled_from(["relu", "tanh", "identity"]),
         loss=st.sampled_from(["cross_entropy", "mse"]),
-        n_batches=st.integers(1, 5),
-        batch_size=st.integers(1, 7),
+        part_sizes=st.lists(st.integers(1, 7), min_size=1, max_size=5),
         spare_rows=st.integers(0, 5),
         chunk_size=st.integers(1, 40),
         n_src=st.integers(1, 3),
@@ -309,33 +313,30 @@ class TestRowScanAgainstPerBatchOracle:
         seed=st.integers(0, 2**16),
     )
     @example(kind="ggn", fisher_mode="mc_sample", hidden=(8,), activation="relu",
-             loss="cross_entropy", n_batches=3, batch_size=4, spare_rows=2, chunk_size=5,
+             loss="cross_entropy", part_sizes=[4, 1, 6], spare_rows=2, chunk_size=5,
              n_src=2, k=3, beta=0.05, delta=0.01, seed=0)
     @example(kind="hessian", fisher_mode="mc_sample", hidden=(8,), activation="tanh",
-             loss="cross_entropy", n_batches=3, batch_size=4, spare_rows=2, chunk_size=5,
+             loss="cross_entropy", part_sizes=[4, 1, 6], spare_rows=2, chunk_size=5,
              n_src=2, k=3, beta=0.05, delta=0.01, seed=0)
     @example(kind="kfac", fisher_mode="mc_sample", hidden=(6, 5), activation="tanh",
-             loss="mse", n_batches=3, batch_size=4, spare_rows=2, chunk_size=5,
+             loss="mse", part_sizes=[4, 1, 6], spare_rows=2, chunk_size=5,
              n_src=2, k=3, beta=0.05, delta=0.01, seed=0)
     def test_row_scan_equals_per_batch_oracle(self, kind, fisher_mode, hidden, activation,
-                                              loss, n_batches, batch_size, spare_rows,
+                                              loss, part_sizes, spare_rows,
                                               chunk_size, n_src, k, beta, delta, seed):
-        # data ids are a shuffled sparse subset, batches take shuffled rows
-        # (some rows in no batch), and the chunk size rarely divides the rows;
-        # tanh has act'' != 0, which the Hessian rows read
+        # parts of ragged sizes take shuffled rows (some rows in no part), and
+        # the chunk size rarely divides the rows; tanh has act'' != 0, which
+        # the Hessian rows read
         arch = MlpArchitecture((5, *hidden, 4), activation, loss)
-        n = n_batches * batch_size + spare_rows
-        mlp, p, base = small_problem(seed=seed, n=n, arch=arch)
+        n_batches = len(part_sizes)
+        mlp, p, data = small_problem(seed=seed, n=sum(part_sizes) + spare_rows, arch=arch)
         rng = Rng(seed + 1)
-        data = Batch(base.inputs, base.targets, rng.permutation(3 * n)[:n])
-        rows = rng.permutation(n)
-        batches = []
-        for i in range(n_batches):
-            pos = rows[i * batch_size : (i + 1) * batch_size]
-            batches.append(Batch(data.inputs[pos], data.targets[pos], data.indices[pos]))
+        rows = rng.permutation(data.size)
+        parts = np.split(rows[: sum(part_sizes)], np.cumsum(part_sizes)[:-1])
+        batches = [Batch(data.inputs[pos], data.targets[pos]) for pos in parts]
         sources = [int(m) for m in rng.permutation(n_batches)[: min(n_src, n_batches)]]
         dsets, reports = eigendirection_scan(
-            mlp, p, batches, data, k=k, kind=kind, beta=beta, delta=delta,
+            mlp, p, data, parts, k=k, kind=kind, beta=beta, delta=delta,
             rng=Rng(seed), chunk_size=chunk_size, source_indices=sources,
             fisher_mode=fisher_mode,
         )
@@ -450,7 +451,7 @@ class TestBiasSummary:
     def test_no_subsampling_gives_zero_errors(self):
         mlp, p, data = small_problem(seed=72, n=16)
         _, reports = eigendirection_scan(
-            mlp, p, [data], data, k=3, kind="ggn", beta=0.05, rng=Rng(0),
+            mlp, p, data, [np.arange(data.size)], k=3, kind="ggn", beta=0.05, rng=Rng(0),
             chunk_size=16,
         )
         summ = bias_summary(reports, "curvature")[0]

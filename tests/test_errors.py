@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from quadbias.cg import CgConfig, cg_minimize
-from quadbias.diagnostics import above_floor
+from quadbias.diagnostics import _checked_parts, above_floor
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.harness import DatasetSpec, TrainConfig, generate_dataset, train
 from quadbias.harness.config import parse_experiment_config
@@ -185,8 +185,8 @@ INTEGER_SITES = [
     ("one_hot", lambda v: one_hot(v, 2), "labels", lambda out: out.argmax(axis=1)),
     ("ProbTable", lambda v: ProbTable([[0.5, 0.5], [0.5, 0.5]], v), "labels",
      lambda out: out.labels),
-    ("Batch", lambda v: Batch(np.zeros((2, 1)), np.eye(2), v), "indices",
-     lambda out: out.indices),
+    ("scan part", lambda v: _checked_parts(Batch(np.zeros((2, 1)), np.eye(2)), [v]), "part 0",
+     lambda out: out[0]),
 ]
 
 
@@ -197,6 +197,11 @@ class TestIntegerArrays:
     def test_fraction_or_non_finite_raises_naming_the_argument(self, call, name, read, bad):
         with pytest.raises(ValidationError, match=f"^{name} must be whole numbers"):
             call(bad)
+
+    def test_bool_array_raises_naming_the_argument(self, call, name, read):
+        # a mask is not the classes or positions 1 and 0
+        with pytest.raises(ValidationError, match=f"^{name} must be whole numbers, got a bool"):
+            call([True, False])
 
     @pytest.mark.parametrize("good", [[1, 0], np.array([1, 0], dtype=np.uint8), [1.0, 0.0]])
     def test_integers_and_whole_floats_pass(self, call, name, read, good):

@@ -212,10 +212,9 @@ class TestDatasets:
         spec = DatasetSpec(generator="gaussian_blobs", n=64, d=3, c=2, seed=6,
                            train_frac=1.0)
         ds = generate_dataset(spec)
-        batches = ds.minibatches(16, seed=3)
-        idx = np.concatenate([b.indices for b in batches])
-        assert sorted(idx.tolist()) == list(range(64))
-        assert all(b.size == 16 for b in batches)
+        parts = ds.partition(16, seed=3)
+        assert sorted(np.concatenate(parts).tolist()) == list(range(64))
+        assert all(pos.size == 16 for pos in parts)
 
 
     @pytest.mark.parametrize("n_train,sizes", [(31, [16, 15]), (32, [16, 16]),
@@ -228,13 +227,17 @@ class TestDatasets:
         kept = ds.minibatches(16, seed=3, drop_last=True)
         assert [b.size for b in kept] == [s for s in sizes if s == 16]
 
-    def test_minibatch_indices_name_their_rows(self):
+    @pytest.mark.parametrize("drop_last", [False, True])
+    def test_minibatches_are_the_rows_of_partition(self, drop_last):
         spec = DatasetSpec(generator="gaussian_blobs", n=40, d=3, c=2, seed=6,
                            train_frac=1.0)
         ds = generate_dataset(spec)
-        for b in ds.minibatches(16, seed=3):
-            np.testing.assert_array_equal(b.inputs, ds.train_inputs[b.indices])
-            np.testing.assert_array_equal(b.labels, ds.train_labels[b.indices])
+        parts = ds.partition(16, seed=3, drop_last=drop_last)
+        batches = ds.minibatches(16, seed=3, drop_last=drop_last)
+        assert len(batches) == len(parts) == (2 if drop_last else 3)
+        for b, pos in zip(batches, parts):
+            np.testing.assert_array_equal(b.inputs, ds.train_inputs[pos])
+            np.testing.assert_array_equal(b.labels, ds.train_labels[pos])
 
 class TestTraining:
     def _dataset(self):

@@ -83,10 +83,15 @@ MUTANTS = (
            "span scores read every direction's slope at the first row's point",
            ("tests/test_diagnostics.py", "-k", "CgDirectionScan")),
     Mutant("src/quadbias/diagnostics.py",
-           "[terms[:, pos].mean(axis=1) for pos in positions]",
-           "[terms[:, b.indices].mean(axis=1) for b in batches]",
-           "GGN row scan takes batch means at the indices read as positions",
+           "[terms[:, pos].mean(axis=1) for pos in parts]",
+           "[terms[:, pos].mean(axis=1) for pos in parts[1:] + parts[:1]]",
+           "row scan scores each batch at the next part's rows",
            ("tests/test_diagnostics.py", "-k", "RowScanAgainstPerBatchOracle")),
+    Mutant("src/quadbias/diagnostics.py",
+           "not np.all((0 <= pos) & (pos < data.size))",
+           "not np.all(0 <= pos)",
+           "scan parts may hold a position past the last data row",
+           ("tests/test_diagnostics.py", "-k", "parts_must_be_row_positions")),
     Mutant("src/quadbias/diagnostics.py",
            "reg = np.stack([beta * (theta.values[mask] @ d_w),",
            "reg = np.stack([0.0 * (theta.values[mask] @ d_w),",
@@ -234,14 +239,14 @@ MUTANTS = (
            "SGD momentum dampened by (1 - momentum)",
            ("tests/test_harness.py", "-k", "TestTraining")),
     Mutant("src/quadbias/harness/datasets.py",
-           "out.append(Batch(self.train_inputs[idx], targets[idx], idx))",
-           "out.append(Batch(self.train_inputs[idx], targets[idx], np.sort(idx)))",
-           "mini-batch indices not in the order of the batch rows",
+           "return [Batch(self.train_inputs[pos], targets[pos]) for pos in parts]",
+           "return [Batch(self.train_inputs[pos], targets[np.sort(pos)]) for pos in parts]",
+           "mini-batch targets not in the order of the partition's rows",
            ("tests/test_harness.py", "-k", "minibatch")),
     Mutant("src/quadbias/harness/datasets.py",
-           "if drop_last and idx.size < batch_size:",
-           "if drop_last and idx.size < batch_size - 1:",
-           "drop_last keeps a batch one row short",
+           "stop = self.n_train - self.n_train % batch_size if drop_last",
+           "stop = self.n_train - self.n_train % batch_size + 1 if drop_last",
+           "drop_last keeps a short last batch",
            ("tests/test_harness.py", "-k", "drop_last")),
     Mutant("src/quadbias/harness/datasets.py",
            "spec.noise * noise_mult * noise",
@@ -328,7 +333,8 @@ MUTANTS = (
            '    if n == 0:\n        raise ValidationError("dataset is empty")\n',
            "",
            "the chunk walk takes an empty dataset",
-           ("tests/test_diagnostics.py", "-k", "empty_data")),
+           ("tests/test_quadratic.py", "tests/test_laplace.py",
+            "-k", "empty_dataset_rejected or empty_rejected")),
     Mutant("src/quadbias/harness/training.py",
            "0 <= self.momentum < 1,",
            "0 <= self.momentum <= 1,",
@@ -344,6 +350,11 @@ MUTANTS = (
            "    return (isinstance(value, (int, np.integer))\n",
            "a bool passes as a count or a seed",
            ("tests/test_errors.py", "-k", "bool")),
+    Mutant("src/quadbias/errors.py",
+           'if a.dtype.kind == "b":',
+           "if False:",
+           "as_integers reads a bool mask as the integers 1 and 0",
+           ("tests/test_errors.py", "-k", "bool_array")),
     Mutant("src/quadbias/errors.py",
            "    for name, value in values.items():\n        finite = np.isfinite(value)\n",
            "    for name, value in list(values.items())[:1]:\n        finite = np.isfinite(value)\n",
