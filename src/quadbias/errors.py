@@ -30,12 +30,18 @@ def is_seed(value) -> bool:
     return is_count(value, 0, 2**64)
 
 
+def count_needs(value, needs: str = ">= 1") -> str:
+    """What a count must be, worded for a value that is not one: needs, its
+    domain, for an integer; "an integer" for anything else (a float, a bool)."""
+    return needs if is_count(value, -np.inf) else "an integer"
+
+
 def check_counts(least: int = 1, **values) -> None:
     """Raise ValidationError naming the first value that is not an integer >= least."""
     for name, value in values.items():
         if not is_count(value, least):
-            needs = f">= {least}" if is_count(value, -np.inf) else "an integer"
-            raise ValidationError(f"{name} must be {needs}, got {value}")
+            raise ValidationError(f"{name} must be {count_needs(value, f'>= {least}')}, "
+                                  f"got {value}")
 
 
 def as_integers(name: str, values) -> np.ndarray:

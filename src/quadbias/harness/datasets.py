@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import (SEEDS, ValidationError, check_counts, check_domains, is_count, is_seed,
-                      require_finite)
+from ..errors import (SEEDS, ValidationError, check_counts, check_domains, count_needs, is_count,
+                      is_seed, require_finite)
 from ..linalg import Rng
 from ..model import Batch, one_hot
 
@@ -47,13 +47,13 @@ class DatasetSpec:
         if self.generator == "csv_file":
             return  # the file gives the rows, their width and the labels
         check_domains("dataset", (
-            ("dim", self.d, is_count(self.d), ">= 1"),
+            ("dim", self.d, is_count(self.d), count_needs(self.d)),
             ("dim", self.d, self.d >= 2 or self.generator == "gaussian_blobs",
              f">= 2 for generator {self.generator}"),
-            ("classes", self.c, is_count(self.c), ">= 1"),
+            ("classes", self.c, is_count(self.c), count_needs(self.c)),
             ("classes", self.c, self.c == 2 or self.generator != "two_arcs",
              "2 for generator two_arcs"),
-            ("n", self.n, is_count(self.n, self.c), f">= classes = {self.c}"),
+            ("n", self.n, is_count(self.n, self.c), count_needs(self.n, f">= classes = {self.c}")),
             ("noise", self.noise, np.isfinite(self.noise) and self.noise >= 0,
              "finite and >= 0"),
             ("ood_noise_mult", self.ood_noise_mult,
@@ -101,10 +101,11 @@ class Dataset:
         return [perm[start : start + batch_size] for start in range(0, stop, batch_size)]
 
     def minibatches(self, batch_size: int, seed, drop_last: bool = False) -> list:
-        """The Batches of ``partition(batch_size, seed, drop_last)``."""
+        """The Batches of ``partition(batch_size, seed, drop_last)``: row
+        slices of the one ``train_batch()``, whose targets are checked once."""
         parts = self.partition(batch_size, seed, drop_last)
-        targets = one_hot(self.train_labels, self.n_classes)
-        return [Batch(self.train_inputs[pos], targets[pos]) for pos in parts]
+        train = self.train_batch()
+        return [train.rows(pos) for pos in parts]
 
 
 def _balanced_labels(n: int, c: int) -> np.ndarray:

@@ -155,6 +155,8 @@ class ParamVector:
     values: np.ndarray
     layout: tuple
     weight_mask: np.ndarray = field(default=None)
+    # (the values array they view, every layer's (weight, bias) views)
+    _layer_views: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -184,6 +186,15 @@ class ParamVector:
             if e.layer == layer and e.role == role:
                 return self.values[e.offset : e.offset + e.size].reshape(e.shape)
         raise KeyError((layer, role))
+
+    def layer_views(self, n_layers: int) -> list:
+        """The (weight, bias) views of layers 0..n_layers - 1, built once and
+        reused while ``values`` is the same array: an update in place keeps
+        them, an assigned array gets fresh ones."""
+        if self._layer_views is None or self._layer_views[0] is not self.values:
+            self._layer_views = (self.values, [(self.view(l, "weight"), self.view(l, "bias"))
+                                               for l in range(n_layers)])
+        return self._layer_views[1]
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout, self.weight_mask)
@@ -218,6 +229,14 @@ class Batch:
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
 
+    def rows(self, pos) -> "Batch":
+        """The rows pos of this batch. A row slice of a checked table holds
+        only checked rows, so it is taken without the checks."""
+        part = object.__new__(Batch)
+        object.__setattr__(part, "inputs", self.inputs[pos])
+        object.__setattr__(part, "targets", self.targets[pos])
+        return part
+
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
@@ -247,10 +266,18 @@ class KfacBlock:
 
 def softmax(z: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax of z along axis, written into out when given (out=z overwrites z)."""
-    out = np.subtract(z, z.max(axis=axis, keepdims=True), out=out)
+    return _softmax_parts(z, axis, out)[0]
+
+
+def _softmax_parts(z: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> tuple:
+    """The softmax of z along axis, the shift max(z) and the sum of
+    exp(z - shift) it was divided by, both kept along axis."""
+    shift = z.max(axis=axis, keepdims=True)
+    out = np.subtract(z, shift, out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-    return out
+    total = out.sum(axis=axis, keepdims=True)
+    out /= total
+    return out, shift, total
 
 
 def _act(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -273,17 +300,11 @@ def _act_d(name: str, a: np.ndarray) -> np.ndarray:
     return np.ones_like(a)
 
 
-def _act_dd(name: str, a: np.ndarray) -> np.ndarray:
-    """act''(Z) from the activation A = act(Z)."""
-    if name == "tanh":
-        return -2.0 * a * (1.0 - a * a)
-    return np.zeros_like(a)
-
-
 class Linearization:
     """The network at fixed (params, inputs): the layer inputs A_0..A_{L-1},
-    the logits, activation derivatives and, for cross entropy, the softmax,
-    computed once; hidden pre-activations are not kept.
+    the logits, activation derivatives and, for cross entropy, the softmax
+    with the shift and sum that give the loss its log-partition, computed
+    once; hidden pre-activations are not kept.
 
     Every product, the mean loss, its gradient and the K-FAC factors reuse
     them; all but the loss walk back through the network by one recursion,
@@ -308,13 +329,24 @@ class Linearization:
             raise ValidationError(
                 f"targets shape {np.shape(targets)} != logits shape {self.logits.shape}")
         self.d1 = [_act_d(mlp.arch.activation, a) for a in self.acts[1:]]
-        self.probs = softmax(self.logits) if mlp.arch.loss == "cross_entropy" else None
+        # the softmax, and the shift and sum that _loss takes its log-partition from
+        self.probs, self._shift, self._exp_sum = (
+            _softmax_parts(self.logits) if mlp.arch.loss == "cross_entropy" else (None,) * 3)
         self.cols_per_pass = max(1, BLOCK_BUDGET // max(1, self.size))
 
     @property
     def size(self) -> int:
         """Rows in the trace."""
         return self.acts[0].shape[0]
+
+    @cached_property
+    def d2(self) -> list | None:
+        """act''(Z_l) of the hidden layers, from A_l = act(Z_l) as d1 holds
+        act'; None for relu and identity, whose act'' is 0, so their
+        second-order terms are skipped."""
+        if self.mlp.arch.activation != "tanh":
+            return None
+        return [-2.0 * a * (1.0 - a * a) for a in self.acts[1:]]
 
     # -- shared passes ---------------------------------------------------------
 
@@ -358,11 +390,11 @@ class Linearization:
         return (flat[..., ew.offset : ew.offset + ew.size].reshape(lead + ew.shape),
                 flat[..., eb.offset : eb.offset + eb.size])
 
-    def _r_forward(self, vt: np.ndarray, second: bool = False):
-        """Forward-mode pass: R[Z_l] for every layer (R[A_0] = 0). With
-        second, also the second-order R2[Z_L] (Pearlmutter 1994), from
-        R2[Z_l] = 2 R[A_{l-1}] V_l + R2[A_{l-1}] W_l, R2[Z_1] = 0, and
-        R2[A_l] = act''(Z_l) R[Z_l]^2 + act'(Z_l) R2[Z_l]."""
+    def _r_forward(self, vt: np.ndarray, second: bool = False, every: bool = False):
+        """Forward-mode pass: R[Z_L], or with every the list of R[Z_l] of
+        every layer (R[A_0] = 0). With second, also the second-order R2[Z_L]
+        (Pearlmutter 1994), from R2[Z_l] = 2 R[A_{l-1}] V_l + R2[A_{l-1}] W_l,
+        R2[Z_1] = 0, and R2[A_l] = act''(Z_l) R[Z_l]^2 + act'(Z_l) R2[Z_l]."""
         r_pre, r_a, r2_a, r2_z = [], None, None, 0.0
         for l, (w, _) in enumerate(self.wb):
             vw, vb = self._split(vt, l)
@@ -372,13 +404,16 @@ class Linearization:
                 if second:
                     r2_z = 2.0 * (r_a @ vw) + r2_a @ w
             r_z += vb[:, None, :]
-            r_pre.append(r_z)
+            if every:
+                r_pre.append(r_z)
             if l < len(self.wb) - 1:
                 if second:
-                    r2_a = (_act_dd(self.mlp.arch.activation, self.acts[l + 1]) * r_z * r_z
-                            + self.d1[l] * r2_z)
+                    r2_a = self.d1[l] * r2_z
+                    if self.d2 is not None:
+                        r2_a = self.d2[l] * r_z * r_z + r2_a
                 r_a = self.d1[l] * r_z
-        return (r_pre, r2_z) if second else r_pre
+        out = r_pre if every else r_z
+        return (out, r2_z) if second else out
 
     def _layer_grads(self, g: np.ndarray, extra: list | None = None) -> list:
         """Gradient at every Z_l from a logits-side seed g, (rows, C) or
@@ -414,8 +449,8 @@ class Linearization:
         """The mean loss over the rows; read after ``loss_grad_rows``, which
         checks that there are targets."""
         if self.probs is not None:
-            shifted = self.logits - self.logits.max(axis=1, keepdims=True)
-            log_z = np.log(np.exp(shifted).sum(axis=1))
+            shifted = self.logits - self._shift
+            log_z = np.log(self._exp_sum[:, 0])
             return float((log_z - (shifted * self.targets).sum(axis=1)).sum() / self.size)
         diff = self.logits - self.targets
         return float((diff * diff).sum() / self.size)
@@ -431,19 +466,19 @@ class Linearization:
     def _backward_trace(self):
         """Direction-independent parts of the Hessian product: the loss
         gradient g_l at each Z_l, and for l > 0 the term s * act''(Z_{l-1})
-        with s = g_l W_l^T."""
-        act = self.mlp.arch.activation
+        with s = g_l W_l^T, or None when act'' is 0 (``d2``)."""
         gs = self._layer_grads(self.loss_grad_rows() / self.size)
-        s_d2 = [None] + [(gs[l] @ self.wb[l][0].T) * _act_dd(act, self.acts[l])
-                         for l in range(1, len(self.wb))]
-        return gs, s_d2
+        if self.d2 is None:
+            return gs, None
+        return gs, [None] + [(gs[l] @ self.wb[l][0].T) * self.d2[l - 1]
+                             for l in range(1, len(self.wb))]
 
     # -- block products --------------------------------------------------------
 
     def jvp_mm(self, vs: np.ndarray) -> np.ndarray:
         """Directional derivatives of the logits, (k, rows, C), one slice per
         column of vs."""
-        return self._by_pass(vs, self.logits.shape, lambda vt: self._r_forward(vt)[-1])
+        return self._by_pass(vs, self.logits.shape, self._r_forward)
 
     def ggn_mm(self, vs: np.ndarray) -> np.ndarray:
         """Generalized Gauss-Newton block product G_B vs, (P, k).
@@ -452,7 +487,7 @@ class Linearization:
         mode); the per-sample Jacobians are never materialized.
         """
         def one_pass(vt):
-            jv = self._r_forward(vt)[-1]
+            jv = self._r_forward(vt)
             return self._backprop(self._loss_hessian(jv) / self.size)
 
         return self._by_pass(vs, (self.mlp.n_params,), one_pass).T
@@ -474,8 +509,7 @@ class Linearization:
         r = self.loss_grad_rows()
 
         def one_pass(vt):
-            r_pre, r2 = self._r_forward(vt, True) if hessian else (self._r_forward(vt), None)
-            jv = r_pre[-1]
+            jv, r2 = self._r_forward(vt, True) if hessian else (self._r_forward(vt), None)
             curv = np.einsum("krc,krc->kr", jv, self._loss_hessian(jv))
             if hessian:
                 curv += (r2 * r).sum(axis=-1)
@@ -495,10 +529,13 @@ class Linearization:
         hidden = range(1, len(self.wb))
 
         def one_pass(vt):
-            r_pre = self._r_forward(vt)
+            r_pre = self._r_forward(vt, every=True)
             extra = [None] + [
                 (gs[l] @ self._split(vt, l)[0].transpose(0, 2, 1)) * self.d1[l - 1]
-                + s_d2[l] * r_pre[l - 1] for l in hidden]
+                for l in hidden]
+            if s_d2 is not None:
+                for l in hidden:
+                    extra[l] += s_d2[l] * r_pre[l - 1]
             out = self._backprop(self._loss_hessian(r_pre[-1]) / self.size, extra)
             for l in hidden:
                 out_w = self._split(out, l)[0]
@@ -532,10 +569,7 @@ class Mlp:
     # -- forward ------------------------------------------------------------
 
     def _unpack(self, params: ParamVector):
-        return [
-            (params.view(l, "weight"), params.view(l, "bias"))
-            for l in range(self.arch.n_layers)
-        ]
+        return params.layer_views(self.arch.n_layers)
 
     def _inputs(self, inputs: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))

@@ -1,5 +1,6 @@
 """Datasets, training/checkpoints, configuration, reports, experiments, CLI."""
 
+import hashlib
 import io
 import json
 import logging
@@ -235,9 +236,12 @@ class TestDatasets:
         parts = ds.partition(16, seed=3, drop_last=drop_last)
         batches = ds.minibatches(16, seed=3, drop_last=drop_last)
         assert len(batches) == len(parts) == (2 if drop_last else 3)
+        targets = model.one_hot(ds.train_labels, ds.n_classes)
         for b, pos in zip(batches, parts):
-            np.testing.assert_array_equal(b.inputs, ds.train_inputs[pos])
-            np.testing.assert_array_equal(b.labels, ds.train_labels[pos])
+            # row slices of one checked table: the bits of a checked Batch
+            want = model.Batch(ds.train_inputs[pos], targets[pos])
+            assert b.inputs.tobytes() == want.inputs.tobytes()
+            assert b.targets.tobytes() == want.targets.tobytes()
 
 class TestTraining:
     def _dataset(self):
@@ -292,6 +296,36 @@ class TestTraining:
         w = train(arch, ds, cfg)[-1].params.view(0, "weight")[0, 1]
         init = Mlp(arch).init_params(Rng(0).split(0)).view(0, "weight")[0, 1]
         assert w == pytest.approx(init * 0.77, rel=1e-12)
+
+    # sha256 of each checkpoint's parameter bytes, recorded from the training
+    # loop that checked every mini-batch's targets, exponentiated the logits
+    # twice and built the layer views on every step
+    RECORDED = {
+        "relu-ce": {
+            1: "0597b8368574b64446d09dc54176dfce0e1bb44fc7b322162b3f667edd8d38b0",
+            2: "055b88f02ac2df13aff4dd2e408a5433c4a4eaa9dbd56968ca2111f32bd2ca42",
+            3: "a971d99f1b3ea3dcf599ea9653607c5196195f915380773babf8fa7a4e1243ec",
+            4: "f22d7910bb2fabbdbc9e6fbcd3aab9da1336512b2dbf55f8ab516defb205973c",
+        },
+        "tanh-mse": {
+            1: "c5a8dcc261046077e0a010538f14b6b7f2200b2fab80060fdc898b23920c1da4",
+            2: "988303f608cf155c6c9f491060da35433f5c044211d0efc21286ab412242678a",
+            3: "f7b124eb8feea8bfdda19427a9e000e14cde89a354d5d8ac1e2a7c2d4ec965f0",
+            4: "e45106cdb6a7fdee390c6714e97b511b2ca3f8eb0d1570a877a41f091dae62fa",
+        },
+    }
+
+    @pytest.mark.parametrize("name,arch,cfg", [
+        ("relu-ce", MlpArchitecture((4, 6, 5, 3), "relu", "cross_entropy"),
+         TrainConfig(lr=0.05, momentum=0.9, epochs=4, batch_size=24, beta=5e-4, seed=9)),
+        ("tanh-mse", MlpArchitecture((4, 6, 3), "tanh", "mse"),
+         TrainConfig(lr=0.02, momentum=0.5, epochs=4, batch_size=32, beta=0.0, seed=2)),
+    ])
+    def test_checkpoints_are_the_recorded_bytes(self, name, arch, cfg):
+        # a ragged last batch (128 rows in 24s), momentum and weight decay
+        got = {c.epoch: hashlib.sha256(c.params.values.tobytes()).hexdigest()
+               for c in train(arch, self._dataset(), cfg)}
+        assert got == self.RECORDED[name]
 
     def test_deterministic_given_seed(self):
         ds = self._dataset()
@@ -638,6 +672,24 @@ class TestConfig:
             sections[name].update(items)
         with pytest.raises(ValidationError, match=rf"config key '{key}' in \[{section}\]"):
             run_experiment(parse_experiment_config(sections), tmp_path / "r")
+
+    @pytest.mark.parametrize("section,key,build", [
+        ("train", "epochs", lambda v: TrainConfig(epochs=v)),
+        ("train", "batch_size", lambda v: TrainConfig(batch_size=v)),
+        ("experiment", "mc_samples",
+         lambda v: replace(parse_experiment_config(read_config_text(CONFIG_TEXT)),
+                           mc_samples=v)),
+        ("experiment", "n_source_batches",
+         lambda v: replace(parse_experiment_config(read_config_text(CONFIG_TEXT)),
+                           n_source_batches=v)),
+        ("dataset", "classes", lambda v: DatasetSpec(c=v)),
+    ])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_count_that_is_not_an_integer_is_worded_so(self, section, key, build, value):
+        with pytest.raises(ValidationError) as info:
+            build(value)
+        assert str(info.value) == (f"{key} {value!r}: config key '{key}' in [{section}] "
+                                   "must be an integer")
 
     def test_domain_errors_share_one_form(self):
         sections = read_config_text(CONFIG_TEXT)

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng
@@ -80,6 +82,22 @@ class TestArchitectureAndParams:
         w_entry = [e for e in p.layout if e.role == "weight"][0]
         assert p.weight_mask[w_entry.offset : w_entry.offset + w_entry.size].all()
 
+    def test_layer_views_follow_the_values_array(self):
+        # the views are built once per array: an update in place keeps them,
+        # an assigned array is never served through the old array's views
+        mlp = Mlp(MlpArchitecture((3, 4, 2)))
+        p = mlp.init_params(Rng(0))
+        x = Rng(1).normal(5 * 3).reshape(5, 3)
+        views = mlp._unpack(p)
+        assert mlp._unpack(p) is views
+        p.values -= 0.5
+        assert mlp._unpack(p) is views
+        np.testing.assert_array_equal(mlp.forward(p, x), mlp.forward(p.copy(), x))
+        p.values = p.values * 2.0
+        assert all(np.shares_memory(a, p.values) for pair in mlp._unpack(p) for a in pair)
+        np.testing.assert_array_equal(mlp.forward(p, x), mlp.forward(p.copy(), x))
+        np.testing.assert_array_equal(mlp._unpack(p)[1][1], p.view(1, "bias"))
+
 
 class TestForward:
     def test_zero_params_uniform_softmax(self):
@@ -128,6 +146,31 @@ class TestLossAndGrad:
         mask = p.weight_mask
         np.testing.assert_allclose(diff[mask], 0.25 * p.values[mask], atol=1e-12)
         np.testing.assert_array_equal(diff[~mask], 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.booleans(), st.data())
+    def test_cross_entropy_loss_is_the_two_pass_log_sum_exp(self, rows, classes, soft, data):
+        # an identity layer makes the logits the inputs exactly; the loss
+        # takes its log-partition from the softmax, which must give the bits
+        # of shifting and exponentiating the logits a second time
+        logits = np.array(data.draw(st.lists(st.floats(-700, 700), min_size=rows * classes,
+                                             max_size=rows * classes))).reshape(rows, classes)
+        if soft:
+            targets = np.array(data.draw(st.lists(st.floats(0, 1), min_size=rows * classes,
+                                                  max_size=rows * classes)))
+            targets = targets.reshape(rows, classes)
+        else:
+            targets = one_hot(data.draw(st.lists(st.integers(0, classes - 1), min_size=rows,
+                                                 max_size=rows)), classes)
+        mlp = Mlp(MlpArchitecture((classes, classes), "identity"))
+        p = mlp.zero_params()
+        p.view(0, "weight")[...] = np.eye(classes)
+        lin = mlp.linearize(p, logits, targets)
+        np.testing.assert_array_equal(lin.logits, logits)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=1))
+        want = float((log_z - (shifted * targets).sum(axis=1)).sum() / rows)
+        np.testing.assert_array_equal(mlp.loss_and_grad(p, lin, 0.0)[0], want)
 
     def test_gradient_vs_finite_differences_100_params(self):
         arch = MlpArchitecture((6, 9, 4))  # P = 63 + 40 = 103
@@ -513,6 +556,35 @@ class TestLinearization:
             assert_close_to_oracle(terms[..., 1].mean(axis=1),
                                    np.einsum("pk,pk->k", vs, product(vs)))
 
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+    def test_zero_second_derivative_terms_skipped_bit_for_bit(self, activation, loss):
+        # relu and identity have act'' = 0, so their Hessian product and
+        # Hessian row terms skip the act'' terms; multiplying by an explicit
+        # zero array instead must give the same bits
+        arch = MlpArchitecture((5, 7, 6, 3), activation, loss)
+        mlp, p, batch = small_problem(seed=52, n=40, arch=arch)
+        vs = Rng(53).normal(p.n_params * 3).reshape(p.n_params, 3)
+        fast = mlp.linearize(p, batch.inputs, batch.targets)
+        slow = mlp.linearize(p, batch.inputs, batch.targets)
+        assert fast.d2 is None
+        slow.d2 = [np.zeros_like(a) for a in slow.acts[1:]]
+        for name, args in (("hvp_mm", ()), ("row_terms", (True,))):
+            got, want = getattr(fast, name)(vs, *args), getattr(slow, name)(vs, *args)
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_forward_mode_pass_keeps_the_last_layer_unless_asked(self, activation):
+        arch = MlpArchitecture((5, 7, 6, 3), activation)
+        mlp, p, batch = small_problem(seed=54, arch=arch)
+        lin = mlp.linearize(p, batch.inputs, batch.targets)
+        vt = Rng(55).normal(2 * p.n_params).reshape(2, p.n_params)
+        every = lin._r_forward(vt, every=True)
+        assert len(every) == 3
+        assert lin._r_forward(vt).tobytes() == every[-1].tobytes()
+        last, r2 = lin._r_forward(vt, second=True)
+        assert last.tobytes() == every[-1].tobytes() and r2.shape == last.shape
+
     def test_loss_and_grad_on_linearization_equals_batch(self):
         mlp, p, batch = small_problem(seed=46)
         lin = mlp.linearize(p, batch.inputs, batch.targets)
@@ -650,6 +722,17 @@ class TestBatchValidation:
         # and gradient
         with pytest.raises(ValidationError, match="one-hot"):
             Batch(np.zeros((1, 2)), [row])
+
+    def test_rows_are_the_checked_batch_of_those_rows(self):
+        x = Rng(0).normal(7 * 3).reshape(7, 3)
+        y = one_hot([2, 0, 1, 1, 0, 2, 2], 3)
+        pos = np.array([5, 0, 3, 6])
+        part, want = Batch(x, y).rows(pos), Batch(x[pos], y[pos])
+        assert isinstance(part, Batch)
+        assert part.inputs.tobytes() == want.inputs.tobytes()
+        assert part.targets.tobytes() == want.targets.tobytes()
+        with pytest.raises(ValidationError, match="one-hot"):
+            Batch(x[pos], np.full((4, 3), 1.0 / 3.0))
 
     def test_one_hot_roundtrip(self):
         y = one_hot(np.array([2, 0, 1]), 3)

@@ -113,9 +113,8 @@ MUTANTS = (
            "second-order forward pass drops the factor 2 of R2[Z]",
            ("tests/test_model.py", "-k", "row_term")),
     Mutant("src/quadbias/model.py",
-           "(_act_dd(self.mlp.arch.activation, self.acts[l + 1]) * r_z * r_z\n"
-           "                            + self.d1[l] * r2_z)",
-           "self.d1[l] * r2_z",
+           "r2_a = self.d2[l] * r_z * r_z + r2_a",
+           "r2_a = r2_a",
            "second-order forward pass drops the act'' R[Z]^2 term of R2[A]",
            ("tests/test_model.py", "-k", "row_term")),
     Mutant("src/quadbias/model.py",
@@ -203,6 +202,26 @@ MUTANTS = (
            "zero_or_one = np.all(y.sum(axis=1) == 1.0)",
            "Batch accepts targets other than 0 and 1 in rows summing to 1",
            ("tests/test_model.py", "-k", "BatchValidation")),
+    Mutant("src/quadbias/model.py",
+           'object.__setattr__(part, "inputs", self.inputs[pos])',
+           'object.__setattr__(part, "inputs", self.inputs[np.sort(pos)])',
+           "a row slice of a Batch takes its inputs at other rows than its targets",
+           ("tests/test_harness.py", "tests/test_model.py", "-k", "rows")),
+    Mutant("src/quadbias/model.py",
+           "shifted = self.logits - self._shift",
+           "shifted = self.logits",
+           "the cross-entropy log-partition is read at the unshifted logits",
+           ("tests/test_model.py", "-k", "two_pass")),
+    Mutant("src/quadbias/model.py",
+           "if self._layer_views is None or self._layer_views[0] is not self.values:",
+           "if self._layer_views is None:",
+           "the cached layer views survive a reassigned values array",
+           ("tests/test_model.py", "-k", "layer_views")),
+    Mutant("src/quadbias/model.py",
+           'if self.mlp.arch.activation != "tanh":',
+           "if True:",
+           "tanh's act'' terms skipped as if it were zero",
+           ("tests/test_model.py", "-k", "Hvp or row_term")),
     Mutant("src/quadbias/harness/training.py",
            "except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError)",
            "except (json.JSONDecodeError, TypeError)",
@@ -219,8 +238,8 @@ MUTANTS = (
            "config accepts an unknown fisher_mode",
            ("tests/test_harness.py", "-k", "fisher_mode")),
     Mutant("src/quadbias/harness/config.py",
-           'count, is_count(count), ">= 1")',
-           'count, is_count(count, 0), ">= 1")',
+           "count, is_count(count), count_needs(count))",
+           "count, is_count(count, 0), count_needs(count))",
            "config accepts a count key below 1",
            ("tests/test_harness.py", "-k", "count_below")),
     Mutant("src/quadbias/harness/config.py",
@@ -239,9 +258,9 @@ MUTANTS = (
            "SGD momentum dampened by (1 - momentum)",
            ("tests/test_harness.py", "-k", "TestTraining")),
     Mutant("src/quadbias/harness/datasets.py",
-           "return [Batch(self.train_inputs[pos], targets[pos]) for pos in parts]",
-           "return [Batch(self.train_inputs[pos], targets[np.sort(pos)]) for pos in parts]",
-           "mini-batch targets not in the order of the partition's rows",
+           "return [train.rows(pos) for pos in parts]",
+           "return [train.rows(np.sort(pos)) for pos in parts]",
+           "mini-batches not in the order of the partition's rows",
            ("tests/test_harness.py", "-k", "minibatch")),
     Mutant("src/quadbias/harness/datasets.py",
            "stop = self.n_train - self.n_train % batch_size if drop_last",
