@@ -151,9 +151,10 @@ def _row_scores(mlp, theta, data, parts, blocks, kind, beta, delta, rng, chunk_s
     (last) along each (P, k) block, (k, parts + 1, 2) per block: row means
     of one forward-mode pass of all blocks over data, plus the regularizer.
     The K-FAC curvatures are d . (A x B) d instead, from part i's factors on
-    rng.split(10_000 + i) and the full-batch factors on rng.split(20_000)."""
+    rng.split(10_000 + i) and the full-batch factors on rng.split(20_000),
+    so the pass computes only the slopes there."""
     d = np.hstack(blocks)
-    terms = np.concatenate([lin.row_terms(d, kind == "hessian")
+    terms = np.concatenate([lin.row_terms(d, kind == "hessian", kind != "kfac")
                             for _, lin in _traces(mlp, theta, data, chunk_size)], axis=1)
     require_finite("eigendirection_scan", row_term=terms)
     means = np.stack([terms[:, pos].mean(axis=1) for pos in parts]

@@ -23,8 +23,9 @@ if TYPE_CHECKING:  # quadratic imports this module
 SYMMETRY_TOL = 1e-12
 
 # Problems up to this dimension are solved by materializing the operator and
-# calling the dense eigensolver; larger ones use the iterative Krylov path.
-DENSE_FALLBACK_DIM = 512
+# calling the dense eigensolver; larger ones use Lanczos, whose ~60 matvecs
+# cost less than P product columns and an O(P^3) eigh from about here (README).
+DENSE_FALLBACK_DIM = 200
 
 
 def _mix64(a: int, b: int) -> int:
@@ -172,13 +173,17 @@ def top_k_eigenpairs(
 ) -> EigenDecomposition:
     """k algebraically largest eigenpairs of a matrix-free symmetric operator.
 
-    For dim <= DENSE_FALLBACK_DIM the operator is materialized with one
-    ``matmat`` and solved densely; otherwise a seeded thick-restart Lanczos
-    iteration calls it one vector at a time, with at most ``maxiter``
-    restarts (10 * dim by default). A non-finite product, or no convergence
-    within ``maxiter``, raises NumericalError. The Lanczos path can undercount
-    an exactly repeated top eigenvalue without error: for
-    ``diag(repeat([4, 3, 2, 1], 150))`` and k = 6 it returns [4, 4, 4, 4, 4, 3].
+    For dim <= DENSE_FALLBACK_DIM (200), or k >= dim - 1, the operator is
+    materialized with one ``matmat`` and solved densely; otherwise a seeded
+    thick-restart Lanczos iteration calls it one vector at a time, with at
+    most ``maxiter`` restarts (10 * dim by default). A non-finite product, or
+    no convergence within ``maxiter``, raises NumericalError. The Lanczos
+    path, so every dim > 200, can undercount an exactly repeated top
+    eigenvalue without error: for ``diag(repeat([4, 3, 2, 1], 150))`` and
+    k = 6 it returns [4, 4, 4, 4, 4, 3]. Only exactly structured operators
+    (a ``from_dense`` diagonal, say) reach this; the GGN of a batch of rank
+    below k matched the dense solve in every probe, as round-off in its
+    products breaks the exact invariance.
     """
     maxiter = 10 * dim if maxiter is None else maxiter
     check_counts(k=k, maxiter=maxiter)

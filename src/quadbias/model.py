@@ -170,10 +170,11 @@ class ParamVector:
             for e in self.weight_entries:
                 self.weight_mask[e.offset : e.offset + e.size] = True
 
-    @property
-    def weight_entries(self) -> list:
-        """The layout entries of the weights, in layer order."""
-        return [e for e in self.layout if e.role == "weight"]
+    @cached_property
+    def weight_entries(self) -> tuple:
+        """The layout entries of the weights, in layer order; built at the
+        first read and kept, since the layout does not change."""
+        return tuple(e for e in self.layout if e.role == "weight")
 
     @property
     def n_params(self) -> int:
@@ -501,19 +502,23 @@ class Linearization:
         jv = jv.reshape(len(jv), -1)
         return lam_jv @ jv.T / self.size
 
-    def row_terms(self, vs: np.ndarray, hessian: bool) -> np.ndarray:
+    def row_terms(self, vs: np.ndarray, hessian: bool, curvature: bool = True) -> np.ndarray:
         """Per-row slope (J_n v) . r_n and curvature (J_n v)^T Lambda_n (J_n v),
         (k, rows, 2), r_n the gradient of row n's loss at its logits; with
         hessian, each curvature gains r_n . R2[z_n]. Their row means are
-        v . g_B and v^T G_B v, or v^T H_B v. Forward mode only."""
+        v . g_B and v^T G_B v, or v^T H_B v. Without curvature the curvature
+        column is 0 and never computed. Forward mode only."""
         r = self.loss_grad_rows()
 
         def one_pass(vt):
             jv, r2 = self._r_forward(vt, True) if hessian else (self._r_forward(vt), None)
+            slope = np.einsum("krc,rc->kr", jv, r)
+            if not curvature:
+                return np.stack([slope, np.zeros_like(slope)], axis=-1)
             curv = np.einsum("krc,krc->kr", jv, self._loss_hessian(jv))
             if hessian:
                 curv += (r2 * r).sum(axis=-1)
-            return np.stack([np.einsum("krc,rc->kr", jv, r), curv], axis=-1)
+            return np.stack([slope, curv], axis=-1)
 
         return self._by_pass(vs, (self.size, 2), one_pass)
 

@@ -18,7 +18,7 @@ from quadbias.diagnostics import (
 )
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng, sym_eigh
-from quadbias.model import Batch, MlpArchitecture
+from quadbias.model import Batch, Linearization, MlpArchitecture
 from quadbias.quadratic import (
     build_quadratic,
     fullbatch_quadratic,
@@ -230,6 +230,20 @@ class TestEigendirectionScan:
                 np.testing.assert_allclose(
                     rep.curvatures[:, :-1].mean(axis=1), rep.curvatures[:, -1], rtol=1e-10
                 )
+
+    def test_kfac_row_pass_computes_only_slopes(self, monkeypatch):
+        # K-FAC curvatures come from the factors, so its scan's row pass
+        # makes no loss-Hessian product; a GGN scan's does
+        shapes = []
+        loss_hessian = Linearization._loss_hessian
+        monkeypatch.setattr(Linearization, "_loss_hessian",
+                            lambda lin, r: shapes.append(r.shape) or loss_hessian(lin, r))
+        mlp, p, data, parts = self._setup()
+        for kind, fisher_mode in (("kfac", "mc_sample"), ("kfac", "empirical"),
+                                  ("ggn", "mc_sample")):
+            eigendirection_scan(mlp, p, data, parts, k=2, kind=kind, beta=0.05, rng=Rng(0),
+                                fisher_mode=fisher_mode)
+            assert (shapes != []) == (kind == "ggn")
 
     def test_source_indices_subset(self):
         mlp, p, data, parts = self._setup()

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadbias import Mlp, MlpArchitecture, linalg
 from quadbias.errors import NumericalError, ValidationError
+from quadbias.harness import train
 from quadbias.linalg import (
     DENSE_FALLBACK_DIM,
     DenseSymMatrix,
@@ -18,8 +20,9 @@ from quadbias.linalg import (
     sym_eigh,
     top_k_eigenpairs,
 )
-from quadbias.quadratic import CurvatureOperator
+from quadbias.quadratic import CurvatureOperator, build_quadratic
 
+from conftest import TOY_BETA, TOY_TRAIN
 from random_matrices import haar_orthogonal, random_spd, random_symmetric
 
 ITERATIVE_DIM = DENSE_FALLBACK_DIM + 88
@@ -257,6 +260,51 @@ class TestTopK:
             top_k_eigenpairs(CurvatureOperator.from_dense(np.diag(d)), dim, 6, Rng(1),
                              maxiter=1)
         assert excinfo.value.residual_norms is not None
+
+
+@pytest.fixture()
+def lanczos_dims(monkeypatch):
+    """The dim of every ``_lanczos`` call made while the test runs."""
+    dims = []
+    lanczos = linalg._lanczos
+    monkeypatch.setattr(linalg, "_lanczos",
+                        lambda op, dim, *args: dims.append(dim) or lanczos(op, dim, *args))
+    return dims
+
+
+class TestDenseFallbackBoundary:
+    """Every eigenproblem above DENSE_FALLBACK_DIM goes to Lanczos, checked
+    against the dense solve it replaced; at or below it the solve is dense."""
+
+    @pytest.mark.parametrize("width", [8, 16])  # P = 226 and 442, as in sweep-dense
+    def test_size_sweep_ggn_takes_lanczos_and_matches_dense(self, toy_dataset, lanczos_dims,
+                                                            width):
+        arch = MlpArchitecture((16, width, 10), "relu", "cross_entropy")
+        theta = train(arch, toy_dataset, TOY_TRAIN)[-1].params
+        p = theta.n_params
+        batch = toy_dataset.train_batch().rows(np.arange(32))
+        op = build_quadratic(Mlp(arch), theta, batch, "ggn", TOY_BETA).curvature
+        eig = top_k_eigenpairs(op, p, 10, Rng(0))
+        assert lanczos_dims == [p]
+        dense = sym_eigh(materialize_operator(op, p))
+        np.testing.assert_allclose(eig.eigenvalues, dense.eigenvalues[:10], rtol=1e-12, atol=0)
+        # sines of the principal angles: what of each basis lies outside the other
+        top = dense.basis[:, :10]
+        sines = np.linalg.svd(eig.basis - top @ (top.T @ eig.basis), compute_uv=False)
+        assert np.arcsin(np.clip(sines, 0.0, 1.0)).max() <= 1e-8
+
+    def test_at_the_boundary_the_solve_is_dense(self, lanczos_dims):
+        d = np.linspace(1.0, 2.0, DENSE_FALLBACK_DIM)
+        eig = top_k_eigenpairs(CurvatureOperator.from_dense(np.diag(d)), DENSE_FALLBACK_DIM, 2,
+                               Rng(0))
+        assert lanczos_dims == []
+        np.testing.assert_array_equal(eig.eigenvalues, d[::-1][:2])
+
+    def test_repeated_spectrum_at_or_below_the_boundary_is_exact(self, lanczos_dims):
+        m = np.diag(np.repeat([4.0, 3.0, 2.0, 1.0], DENSE_FALLBACK_DIM // 4))
+        eig = top_k_eigenpairs(CurvatureOperator.from_dense(m), m.shape[0], 6, Rng(0))
+        assert lanczos_dims == []
+        np.testing.assert_array_equal(eig.eigenvalues, [4.0] * 6)
 
 
 class TestLanczos:

@@ -98,6 +98,13 @@ class TestArchitectureAndParams:
         np.testing.assert_array_equal(mlp.forward(p, x), mlp.forward(p.copy(), x))
         np.testing.assert_array_equal(mlp._unpack(p)[1][1], p.view(1, "bias"))
 
+    def test_weight_entries_are_built_once_per_vector(self):
+        p = Mlp(MlpArchitecture((3, 4, 2))).init_params(Rng(0))
+        entries = p.weight_entries
+        assert entries == tuple(e for e in p.layout if e.role == "weight")
+        p.values -= 0.5
+        assert p.weight_entries is entries
+
 
 class TestForward:
     def test_zero_params_uniform_softmax(self):
@@ -555,6 +562,21 @@ class TestLinearization:
             assert_close_to_oracle(terms[..., 0].mean(axis=1), vs.T @ grad)
             assert_close_to_oracle(terms[..., 1].mean(axis=1),
                                    np.einsum("pk,pk->k", vs, product(vs)))
+
+    @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+    def test_row_terms_without_curvature_are_the_slopes_alone(self, loss, monkeypatch):
+        # the K-FAC scan's pass: the same slope bits, a zero curvature column,
+        # and no loss-Hessian product
+        arch = MlpArchitecture((5, 7, 6, 3), "tanh", loss)
+        mlp, p, batch = small_problem(seed=54, n=40, arch=arch)
+        vs = Rng(55).normal(p.n_params * 4).reshape(p.n_params, 4)
+        lin = mlp.linearize(p, batch.inputs, batch.targets)
+        full = lin.row_terms(vs, False)
+        monkeypatch.setattr(lin, "_loss_hessian", None)
+        slopes = lin.row_terms(vs, False, curvature=False)
+        assert slopes.shape == full.shape
+        assert slopes[..., 0].tobytes() == full[..., 0].tobytes()
+        assert not slopes[..., 1].any()
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])

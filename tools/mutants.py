@@ -73,10 +73,15 @@ MUTANTS = (
            "K-FAC eigen scan full-batch curvatures taken from batch 0's factors",
            ("tests/test_diagnostics.py",)),
     Mutant("src/quadbias/diagnostics.py",
-           'lin.row_terms(d, kind == "hessian")',
-           "lin.row_terms(d, False)",
+           'lin.row_terms(d, kind == "hessian", kind != "kfac")',
+           'lin.row_terms(d, False, kind != "kfac")',
            "Hessian eigen scan ignores the Hessian switch and scores the GGN",
            ("tests/test_diagnostics.py", "-k", "RowScanAgainstPerBatchOracle")),
+    Mutant("src/quadbias/diagnostics.py",
+           'lin.row_terms(d, kind == "hessian", kind != "kfac")',
+           'lin.row_terms(d, kind == "hessian", True)',
+           "K-FAC eigen scan computes each row's GGN curvature only to overwrite it",
+           ("tests/test_diagnostics.py", "-k", "kfac_row_pass")),
     Mutant("src/quadbias/diagnostics.py",
            "np.column_stack([np.diagonal(s), c])",
            "np.column_stack([s[0], c])",
@@ -302,6 +307,11 @@ MUTANTS = (
            "            pass\n",
            "block passes raise before the second thread's half is done",
            ("tests/test_model.py", "-k", "PassSplit")),
+    Mutant("src/quadbias/linalg.py",
+           "DENSE_FALLBACK_DIM = 200",
+           "DENSE_FALLBACK_DIM = 512",
+           "eigenproblems up to P = 512 materialized and solved densely again",
+           ("tests/test_linalg.py", "-k", "DenseFallbackBoundary")),
     Mutant("src/quadbias/linalg.py",
            "w_mats = cols.T.reshape(k, m, n)",
            "w_mats = cols.T.reshape(k, n, m).transpose(0, 2, 1)",
