@@ -9,8 +9,11 @@ sha256 of the canonicalized (section, key, value) triples.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import io
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,56 +79,32 @@ def _list(cast):
 # true/false, yes/no or 1/0 in any case
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
+# the config keys not named as their field
+_KEY_OF = {"d": "dim", "c": "classes", "layer_sizes": "layers", "n_directions": "k"}
 
-# [section] -> {config key: (field, cast)}; a key a file leaves out takes the
-# field's dataclass default
-_KEYS = {
-    "dataset": {
-        "generator": ("generator", str),
-        "n": ("n", int),
-        "dim": ("d", int),
-        "classes": ("c", int),
-        "noise": ("noise", float),
-        "seed": ("seed", int),
-        "train_frac": ("train_frac", float),
-        "ood_translation": ("ood_translation", float),
-        "ood_noise_mult": ("ood_noise_mult", float),
-        "path": ("path", str),
-    },
-    "model": {
-        "layers": ("layer_sizes", _list(int)),
-        "activation": ("activation", str),
-        "loss": ("loss", str),
-    },
-    "train": {
-        "lr": ("lr", float),
-        "momentum": ("momentum", float),
-        "epochs": ("epochs", int),
-        "batch_size": ("batch_size", int),
-        "beta": ("beta", float),
-        "seed": ("seed", int),
-    },
-    "experiment": {
-        "kind": ("kind", str),
-        "curvature": ("curvature", str),
-        "beta": ("beta", float),
-        "delta": ("delta", float),
-        "batch_sizes": ("batch_sizes", _list(int)),
-        "k": ("n_directions", int),
-        "cg_iterations": ("cg_iterations", int),
-        "seeds": ("seeds", _list(int)),
-        "la_grid_points": ("la_grid_points", int),
-        "la_grid_min": ("la_grid_min", float),
-        "la_grid_max": ("la_grid_max", float),
-        "la_grid_extra": ("la_grid_extra", _list(float)),
-        "mc_samples": ("mc_samples", int),
-        "fisher_mode": ("fisher_mode", str),
-        "n_source_batches": ("n_source_batches", int),
-        "widths": ("widths", _list(int)),
-        "chunk_size": ("chunk_size", int),
-        "force_same_batch": ("force_same_batch", lambda raw: _BOOLS[raw.lower()]),
-    },
-}
+
+def _cast(hint):
+    """The parser of a field's type: int, float and str parse as themselves,
+    bool through _BOOLS, X | None as X and tuple[X, ...] as a list of X. Any
+    other type is a TypeError at import, so a new field never silently takes
+    a wrong parser."""
+    args = typing.get_args(hint)
+    if hint in (int, float, str):
+        return hint
+    if hint is bool:
+        return lambda raw: _BOOLS[raw.lower()]
+    if isinstance(hint, types.UnionType) and len(args) == 2 and args[1] is type(None):
+        return _cast(args[0])
+    if typing.get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return _list(_cast(args[0]))
+    raise TypeError(f"no config parser for a field typed {hint}")
+
+
+def _keys(cls, skip: tuple = ()) -> dict:
+    """{config key: (field, cast)} of a dataclass's init fields, less skip."""
+    hints = typing.get_type_hints(cls)
+    return {_KEY_OF.get(f.name, f.name): (f.name, _cast(hints[f.name]))
+            for f in dataclasses.fields(cls) if f.init and f.name not in skip}
 
 
 def _fields(sections: dict, name: str) -> dict:
@@ -157,18 +136,18 @@ class ExperimentConfig:
     curvature: str = "ggn"
     beta: float = 0.0005
     delta: float = 0.0
-    batch_sizes: tuple = (64,)
+    batch_sizes: tuple[int, ...] = (64,)
     n_directions: int = 10
     cg_iterations: int = 30
-    seeds: tuple = (0,)
+    seeds: tuple[int, ...] = (0,)
     la_grid_points: int = 13
     la_grid_min: float = 1e-4
     la_grid_max: float = 1.0
-    la_grid_extra: tuple = (10.0,)
+    la_grid_extra: tuple[float, ...] = (10.0,)
     mc_samples: int = 40
     fisher_mode: str = "mc_sample"
     n_source_batches: int | None = None
-    widths: tuple = (8, 32, 128)
+    widths: tuple[int, ...] = (8, 32, 128)
     chunk_size: int = 512
     force_same_batch: bool = False
     la_grid: tuple = field(init=False)  # la_grid_points log-spaced in [min, max], then extra
@@ -214,6 +193,16 @@ class ExperimentConfig:
         check_domains("model", (("layers", sizes, (sizes[0], sizes[-1]) == (dim, classes),
                                  f"{dim},...,{classes}, for the data's dim = {dim} and "
                                  f"classes = {classes}"),))
+
+
+# [section] -> {config key: (field, cast)}; a key a file leaves out takes the
+# field's dataclass default
+_KEYS = {
+    "dataset": _keys(DatasetSpec),
+    "model": _keys(MlpArchitecture),
+    "train": _keys(TrainConfig),
+    "experiment": _keys(ExperimentConfig, ("dataset", "arch", "train", "sections", "digest")),
+}
 
 
 def with_seed_override(sections: dict, seed_override: int | None) -> dict:

@@ -63,12 +63,15 @@ class Rng:
         return self._gen.standard_normal(n)
 
     def uniform(self, n: int) -> np.ndarray:
+        check_counts(0, n=n)
         return self._gen.random(n)
 
     def integers(self, low: int, high: int, n: int) -> np.ndarray:
+        check_counts(0, n=n)
         return self._gen.integers(low, high, size=n)
 
     def permutation(self, n: int) -> np.ndarray:
+        check_counts(0, n=n)
         return self._gen.permutation(n)
 
 

@@ -95,7 +95,7 @@ class MlpArchitecture:
     """Layer sizes [D, h1, ..., C], activation between linear layers, loss id;
     a bad value is an error naming its [model] config key."""
 
-    layer_sizes: tuple
+    layer_sizes: tuple[int, ...]
     activation: str = "relu"
     loss: str = "cross_entropy"
 

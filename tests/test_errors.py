@@ -44,6 +44,9 @@ CONFIG = "config key '{}' in"
 COUNT_SITES = [
     ("Rng seed", 0, 2**64, lambda v: Rng(v), LIBRARY.format("seed")),
     ("Rng.normal n", 0, None, lambda v: Rng(0).normal(v), LIBRARY.format("n")),
+    ("Rng.uniform n", 0, None, lambda v: Rng(0).uniform(v), LIBRARY.format("n")),
+    ("Rng.integers n", 0, None, lambda v: Rng(0).integers(0, 3, v), LIBRARY.format("n")),
+    ("Rng.permutation n", 0, None, lambda v: Rng(0).permutation(v), LIBRARY.format("n")),
     ("top_k_eigenpairs k", 1, None,
      lambda v: top_k_eigenpairs(CurvatureOperator.from_dense(np.eye(4)), 4, v, Rng(0)),
      LIBRARY.format("k")),

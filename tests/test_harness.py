@@ -1,5 +1,6 @@
 """Datasets, training/checkpoints, configuration, reports, experiments, CLI."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -37,6 +38,7 @@ from quadbias.harness import cli
 from quadbias.harness import config as config_module
 from quadbias.harness.config import (
     EXPERIMENT_KINDS,
+    ExperimentConfig,
     config_digest,
     parse_dataset_spec,
     read_config_text,
@@ -488,6 +490,37 @@ class TestConfig:
         assert cfg.train.epochs == 4
         assert len(cfg.la_grid) == 14
 
+    @pytest.mark.parametrize("section,cls", [("dataset", DatasetSpec),
+                                             ("model", MlpArchitecture),
+                                             ("train", TrainConfig),
+                                             ("experiment", ExperimentConfig)])
+    def test_keys_are_the_init_fields(self, section, cls):
+        renamed = {"d": "dim", "c": "classes", "layer_sizes": "layers", "n_directions": "k"}
+        nested = ("dataset", "arch", "train", "sections", "digest")
+        names = [f.name for f in dataclasses.fields(cls) if f.init and f.name not in nested]
+        keys = config_module._KEYS[section]
+        assert list(keys) == [renamed.get(name, name) for name in names]
+        assert [attr for attr, _ in keys.values()] == names
+        assert "la_grid" not in keys
+
+    @pytest.mark.parametrize("section,key,raw,value", [
+        ("experiment", "k", "3", 3),
+        ("experiment", "la_grid_extra", "10", (10.0,)),
+        ("experiment", "force_same_batch", "Yes", True),
+        ("dataset", "path", "x", "x"),
+    ])
+    def test_key_parses_to_its_field_type(self, section, key, raw, value):
+        parsed = config_module._KEYS[section][key][1](raw)
+        assert (type(parsed), repr(parsed)) == (type(value), repr(value))
+
+    def test_field_type_without_parser_is_type_error(self):
+        @dataclasses.dataclass
+        class Extra:
+            table: dict
+
+        with pytest.raises(TypeError, match="dict"):
+            config_module._keys(Extra)
+
     def test_digest_stable_and_sensitive(self):
         s1 = read_config_text(CONFIG_TEXT)
         s2 = read_config_text(CONFIG_TEXT)
@@ -757,13 +790,14 @@ class TestReports:
 
 
 class TestExperiments:
-    def _config(self, tmp_path, kind="bias-scan", extra=None, dataset=None):
+    def _config(self, tmp_path, kind="bias-scan", extra=None, dataset=None, model=None):
         sections = read_config_text(CONFIG_TEXT)
         sections["experiment"]["kind"] = kind
         for key, value in (extra or {}).items():
             sections["experiment"][key] = value
         for key, value in (dataset or {}).items():
             sections["dataset"][key] = value
+        sections["model"].update(model or {})
         return parse_experiment_config(sections)
 
     # per kind: settings that keep the run small, and files it must write
@@ -780,12 +814,17 @@ class TestExperiments:
                        ("size_sweep.csv",)),
     }
 
+    @pytest.mark.parametrize("model", [
+        pytest.param({}, id="relu-cross_entropy"),
+        pytest.param({"activation": "tanh", "loss": "mse"}, id="tanh-mse"),
+    ])
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
-    def test_outputs_byte_identical_across_runs(self, tmp_path, kind):
+    def test_outputs_byte_identical_across_runs(self, tmp_path, kind, model):
         extra, expected = self._TINY[kind]
         # a test split and an OOD split, so laplace-sweep computes every metric
         cfg = self._config(tmp_path, kind=kind, extra=extra,
-                           dataset={"train_frac": "0.75", "ood_translation": "3.0"})
+                           dataset={"train_frac": "0.75", "ood_translation": "3.0"},
+                           model=model)
         out1 = run_experiment(cfg, tmp_path / "r1")
         out2 = run_experiment(cfg, tmp_path / "r2")
 

@@ -257,6 +257,16 @@ MUTANTS = (
            "all(is_count(s, -2**63, 2**64) for s in self.seeds)",
            "experiment seeds accept a negative (signed 64-bit) seed",
            ("tests/test_harness.py", "-k", "bad_config")),
+    Mutant("src/quadbias/harness/config.py",
+           "for f in dataclasses.fields(cls) if f.init and f.name not in skip}",
+           "for f in dataclasses.fields(cls) if f.name not in skip}",
+           "config keys include the derived la_grid field",
+           ("tests/test_harness.py", "-k", "keys_are_the_init_fields")),
+    Mutant("src/quadbias/harness/config.py",
+           '"layer_sizes": "layers", "n_directions": "k"}',
+           '"layer_sizes": "layers"}',
+           "the k key is named n_directions, as its field",
+           ("tests/test_harness.py", "-k", "keys_are_the_init_fields")),
     Mutant("src/quadbias/harness/training.py",
            "velocity += grad",
            "velocity += (1.0 - config.momentum) * grad",
