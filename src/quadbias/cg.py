@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, check_counts, require_finite
-from .quadratic import QuadraticModel
+from .quadratic import QuadraticModel, check_shared_anchor
 
 # Directional curvatures at or below this value terminate with
 # negative_curvature (division guard; also applied to the debiased
@@ -92,10 +92,7 @@ def debiased_cg(q_b: QuadraticModel, q_bt: QuadraticModel, config: CgConfig):
     so each iteration costs exactly one matvec on each batch. A non-positive
     q_bt directional curvature stops both traces with negative_curvature.
     """
-    if q_b.dim != q_bt.dim:
-        raise ValidationError("quadratics live in different dimensions")
-    if not np.array_equal(q_b.theta0.values, q_bt.theta0.values):
-        raise ValidationError("quadratics must share the anchor point")
+    check_shared_anchor([q_b, q_bt])
     return tuple(_cg([q_b, q_bt], config))
 
 

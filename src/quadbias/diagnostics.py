@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_integers, require_finite
+from .errors import ValidationError, as_integers, check_orthonormal, require_finite
 from .cg import CgConfig, cg_minimize
 from .linalg import EigenDecomposition, Rng, top_k_eigenpairs
 from .model import Batch, Mlp, ParamVector
@@ -28,6 +28,7 @@ from .quadratic import (
     _traces,
     accumulate_kfac,
     build_quadratic,
+    check_shared_anchor,
     grad_at,
     in_span,
     step_coefficients,
@@ -50,10 +51,8 @@ class DirectionSet:
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
-        d = np.asarray(self.directions, dtype=np.float64)
-        self.directions = d
-        if np.max(np.abs(d.T @ d - np.eye(d.shape[1]))) > 1e-8:
-            raise ValidationError("eigen directions must be orthonormal within 1e-8")
+        self.directions = np.asarray(self.directions, dtype=np.float64)
+        check_orthonormal("eigen directions", self.directions)
 
 
 @dataclass
@@ -139,7 +138,7 @@ def source_eigenbases(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: lis
     if not sources:
         raise ValidationError("no source batch to take eigen directions from")
     eigs = [top_k_eigenpairs(
-        build_quadratic(mlp, theta_star, Batch(data.inputs[parts[m]], data.targets[parts[m]]),
+        build_quadratic(mlp, theta_star, data.rows(parts[m]),
                         kind, beta, delta, m, fisher_mode, rng.split(10_000 + m)).curvature,
         theta_star.n_params, k, rng.split(m)) for m in sources]
     return [DirectionSet(m, e.basis, e.eigenvalues) for m, e in zip(sources, eigs)]
@@ -160,8 +159,7 @@ def _row_scores(mlp, theta, data, parts, blocks, kind, beta, delta, rng, chunk_s
     means = np.stack([terms[:, pos].mean(axis=1) for pos in parts]
                      + [terms.mean(axis=1)], axis=1)
     if kind == "kfac":
-        factors = [mlp.kfac_factors(theta, Batch(data.inputs[pos], data.targets[pos]),
-                                    fisher_mode, rng.split(10_000 + i))
+        factors = [mlp.kfac_factors(theta, data.rows(pos), fisher_mode, rng.split(10_000 + i))
                    for i, pos in enumerate(parts)]
         full = accumulate_kfac(mlp, theta, data, fisher_mode, rng.split(20_000), chunk_size)
         means[..., 1] = np.column_stack([np.einsum("pk,pk->k", d, _kfac_product(f, theta)(d))
@@ -219,8 +217,7 @@ def cg_direction_scan(
     the scan is truncated at the achieved length, possibly zero.
     """
     quads = [*batch_quads, q_full]
-    if not all(np.array_equal(q.theta0.values, q_b.theta0.values) for q in quads):
-        raise ValidationError("quadratics must share the anchor point")
+    check_shared_anchor([q_b, *quads])
     trace = cg_minimize(q_b, config)
     steps = step_coefficients(trace.magnitudes)[:trace.n_steps]
     spans = [in_span(q, trace.directions, steps) for q in quads]

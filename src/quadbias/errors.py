@@ -66,6 +66,13 @@ def as_block(vs, dim: int) -> np.ndarray:
     return vs
 
 
+def check_orthonormal(name: str, d: np.ndarray) -> None:
+    """Raise ValidationError naming d unless every entry of |D^T D - I| is within 1e-8."""
+    gram = d.T @ d
+    if np.max(np.abs(gram - np.eye(len(gram)))) > 1e-8:
+        raise ValidationError(f"{name} must be orthonormal within 1e-8")
+
+
 def require_finite(stage: str, error: type = NumericalError, **values) -> None:
     """Raise error on the first value with a non-finite entry, naming the
     stage, the value and, for an array, the first such entry's index:

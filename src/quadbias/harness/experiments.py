@@ -373,13 +373,13 @@ def _laplace_fits(cfg, dataset, mlp, theta, single_size, half) -> list:
     return fits
 
 
-def _fit_metrics(mlp, post, grid, s_samples, seed, labels, lin, n_test) -> list:
+def _fit_metrics(post, grid, s_samples, seed, labels, lin, n_test) -> list:
     """Predictive metrics of one fit's posterior at every prior precision in
     grid: one set of s_samples draws from seed serves every beta, the
     posterior's factor eigendecompositions are re-pointed, and lin (the
     linearization of the test rows, then any OOD rows) serves every call."""
     noise = draw_noise(post, s_samples, seed)
-    return [_predictive_metrics(predictive(post.with_beta(beta), mlp, lin, noise),
+    return [_predictive_metrics(predictive(post.with_beta(beta), lin, noise),
                                 labels, n_test)
             for beta in grid]
 
@@ -401,8 +401,8 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     map_metrics = _predictive_metrics(softmax(lin.logits), labels, n_test)
     # each fit's factors are eigendecomposed once, at the first beta
     per_fit = [
-        _fit_metrics(mlp, build_posterior(blocks, theta, dataset.n_train, grid[0]),
-                     grid, cfg.mc_samples, pred_seed, labels, lin, n_test)
+        _fit_metrics(build_posterior(blocks, theta, dataset.n_train, grid[0]), grid,
+                     cfg.mc_samples, pred_seed, labels, lin, n_test)
         for _, _, blocks, pred_seed in fits
     ]
 

@@ -25,36 +25,35 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (NumericalError, ValidationError, check_counts, check_nonnegative,
-                     require_finite)
+from .errors import (NumericalError, ValidationError, as_block, check_counts,
+                     check_nonnegative, require_finite)
 from .linalg import DenseSymMatrix, EigenDecomposition, Rng, _sym, kron_matvec, sym_eigh
-from .model import DRAW_BUDGET, KfacBlock, Linearization, Mlp, ParamVector, softmax
+from .model import DRAW_BUDGET, KfacBlock, Linearization, ParamVector, softmax
 from .quadratic import accumulate_kfac  # re-exported: the K-FAC of a whole dataset
 
 logger = logging.getLogger(__name__)
 
-# Factor eigenvalues below -NEG_EIG_TOL are an error; values in
-# [-NEG_EIG_TOL, 0) are clamped to zero, with one logged warning per
-# posterior.
+# A factor eigenvalue in [-NEG_EIG_TOL * max(1, largest), 0) is round-off of a
+# Gram matrix, PSD by construction, and is clamped to zero, with one logged
+# warning per posterior; a lower one raises.
 NEG_EIG_TOL = 1e-8
 
 
 def clamped_eigh(factor: DenseSymMatrix, context: str = "factor",
                  clamped: list | None = None) -> EigenDecomposition:
     """Eigendecomposition with the PSD clamp applied to the spectrum: values
-    in [-NEG_EIG_TOL, 0) become zero, and are appended to ``clamped`` when it
-    is given; lower ones raise. Errors name ``context``."""
+    in [-NEG_EIG_TOL * max(1, largest), 0) become zero, and are appended to
+    ``clamped`` when it is given; lower ones raise. Errors name ``context``."""
     try:
         eig = sym_eigh(factor)
     except (np.linalg.LinAlgError, NumericalError) as exc:
         raise NumericalError(f"{context}: eigendecomposition failed: {exc}") from exc
     vals = eig.eigenvalues
     require_finite(context, eigenvalue=vals)
-    if np.any(vals < -NEG_EIG_TOL):
-        raise ValidationError(
-            f"{context}: eigenvalue {vals.min():.3e} below -{NEG_EIG_TOL:.0e}; "
-            "factor is not positive semi-definite"
-        )
+    floor = -NEG_EIG_TOL * max(1.0, vals.max())
+    if np.any(vals < floor):
+        raise ValidationError(f"{context}: eigenvalue {vals.min():.3e} below {floor:.3e}; "
+                              "factor is not positive semi-definite")
     if np.any(vals < 0.0):
         if clamped is not None:
             clamped.append(vals[vals < 0.0])
@@ -217,9 +216,7 @@ def _add_group(total: np.ndarray, post: LaplacePosterior, lin: Linearization,
         total += p
 
 
-def predictive(
-    post: LaplacePosterior, mlp: Mlp, lin: Linearization, noise: np.ndarray
-) -> np.ndarray:
+def predictive(post: LaplacePosterior, lin: Linearization, noise: np.ndarray) -> np.ndarray:
     """Monte-Carlo predictive probabilities through the linearized network,
     (rows, C).
 
@@ -231,9 +228,9 @@ def predictive(
     their softmax outputs are summed in sample order. A non-finite
     probability raises NumericalError.
     """
-    lin = mlp._linearized(post.mean, lin)
-    if noise.ndim != 2 or noise.shape[0] < 1 or noise.shape[1] != post.n_weights:
-        raise ValidationError(f"noise shape {noise.shape} != (S >= 1, {post.n_weights})")
+    if lin.params is not post.mean:
+        raise ValidationError("linearization was taken at other parameters")
+    noise = as_block(noise.T, post.n_weights).T
     group = max(1, DRAW_BUDGET // lin.size)
     total = np.zeros(lin.logits.shape[::-1])  # class-major (C, rows)
     for start in range(0, noise.shape[0], group):

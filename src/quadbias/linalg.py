@@ -67,6 +67,8 @@ class Rng:
         return self._gen.random(n)
 
     def integers(self, low: int, high: int, n: int) -> np.ndarray:
+        check_counts(-2**63, low=low)
+        check_counts(low + 1, high=high)
         check_counts(0, n=n)
         return self._gen.integers(low, high, size=n)
 

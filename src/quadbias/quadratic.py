@@ -14,7 +14,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ValidationError, as_block, check_counts, check_nonnegative, require_finite
+from .errors import (ValidationError, as_block, check_counts, check_nonnegative,
+                     check_orthonormal, require_finite)
 from .linalg import DenseSymMatrix, Rng, kron_matvec
 from .model import Batch, KfacBlock, Mlp, ParamVector, add_weight_decay
 
@@ -134,6 +135,12 @@ class QuadraticModel:
         """The label of the data the model was built on ("FULL" for the whole
         dataset); the curvature operator carries it."""
         return self.curvature.batch_id
+
+
+def check_shared_anchor(quads: list) -> None:
+    """Raise ValidationError unless every quadratic has the first one's anchor."""
+    if not all(np.array_equal(q.theta0.values, quads[0].theta0.values) for q in quads[1:]):
+        raise ValidationError("quadratics must share the anchor point")
 
 
 def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, traces: Callable[[], Iterable],
@@ -310,16 +317,9 @@ def subspace_eval(
     a third column with coefficient 1. Costs exactly 2 curvature matvecs at
     the anchor, 3 otherwise.
     """
-    u1 = np.asarray(u1, dtype=np.float64)
-    u2 = np.asarray(u2, dtype=np.float64)
-    for u in (u1, u2):
-        if abs(np.linalg.norm(u) - 1.0) > 1e-8:
-            raise ValidationError("subspace directions must be unit norm within 1e-8")
-    if abs(float(u1 @ u2)) > 1e-8:
-        raise ValidationError("subspace directions must be orthogonal within 1e-8")
-
-    star = theta_star.values if isinstance(theta_star, ParamVector) else np.asarray(theta_star)
     d, coeffs = np.column_stack([u1, u2]), np.asarray(grid, dtype=np.float64)
+    check_orthonormal("subspace directions", d)
+    star = theta_star.values if isinstance(theta_star, ParamVector) else np.asarray(theta_star)
     disp = star - q.theta0.values
     if np.any(disp):
         d = np.column_stack([d, disp])

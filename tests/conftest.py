@@ -70,6 +70,20 @@ def small_problem(seed=0, n=12, arch=None):
     return mlp, params, batch
 
 
+def posterior_draws(post, s_samples, seed):
+    """The posterior draws of the streams Rng(seed).split(s), s < s_samples,
+    as the rows of an (S, P) block, made from one ``draw_noise`` block; its
+    first, second and last rows are checked bit for bit against
+    ``sample_params``, which makes one draw per call."""
+    from quadbias.laplace import _displacements, draw_noise, sample_params
+
+    noise = draw_noise(post, s_samples, seed)
+    draws = (post.mean.values[:, None] + _displacements(post, noise)).T
+    for s in (0, 1, s_samples - 1):
+        np.testing.assert_array_equal(draws[s], sample_params(post, Rng(seed).split(s)).values)
+    return draws
+
+
 class CountingPool(ThreadPoolExecutor):
     """One worker thread that counts the tasks handed to it."""
 

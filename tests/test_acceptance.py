@@ -24,7 +24,6 @@ from quadbias.laplace import (
     debias_kfac,
     draw_noise,
     predictive,
-    sample_params,
 )
 from quadbias.linalg import Rng, sym_eigh
 from quadbias.metrics import ProbTable, accuracy, auroc, ece, nll, predictive_entropy
@@ -39,7 +38,7 @@ from quadbias.quadratic import (
     value_at,
 )
 
-from conftest import TOY_BETA, small_problem
+from conftest import TOY_BETA, posterior_draws, small_problem
 from random_matrices import haar_orthogonal, random_spd
 
 
@@ -294,9 +293,7 @@ def test_criterion_08_kfac_laplace():
     rebuilt = (u / (n_train * (eig.kron_eigs + beta))) @ u.T
     cov_err = np.linalg.norm(rebuilt - dense_cov) / np.linalg.norm(dense_cov)
 
-    base = Rng(99)
-    draws = np.array([sample_params(post, base.split(i)).values[:16]
-                      for i in range(10**5)])
+    draws = posterior_draws(post, 10**5, 99)[:, :16]
     emp = np.cov(draws.T)
     mc_err = np.linalg.norm(emp - dense_cov) / np.linalg.norm(dense_cov)
 
@@ -340,7 +337,7 @@ def test_criterion_09_debiased_la_phenomenon(toy_dataset, toy_mlp, toy_theta):
 
     def nll_for(blocks, beta, seed):
         post = build_posterior(blocks, toy_theta, n_train, beta)
-        probs = predictive(post, toy_mlp, toy_mlp.linearize(toy_theta, test_x),
+        probs = predictive(post, toy_mlp.linearize(toy_theta, test_x),
                            draw_noise(post, 40, seed))
         return nll(ProbTable(probs, test_y))
 

@@ -295,11 +295,13 @@ class TestDebiasedCg:
         q_bt = synthetic_quadratic(
             np.eye(3), np.ones(3), theta0=ParamVector.from_values(np.ones(3))
         )
-        with pytest.raises(ValidationError):
-            debiased_cg(q_b, q_bt, CgConfig())
+        for pair in ((q_b, q_bt), (q_bt, q_b)):
+            with pytest.raises(ValidationError, match="quadratics must share the anchor point"):
+                debiased_cg(*pair, CgConfig())
 
     def test_dimension_mismatch_rejected(self):
         q_b = synthetic_quadratic(np.eye(3), np.ones(3))
         q_bt = synthetic_quadratic(np.eye(4), np.ones(4))
-        with pytest.raises(ValidationError):
-            debiased_cg(q_b, q_bt, CgConfig())
+        for pair in ((q_b, q_bt), (q_bt, q_b)):
+            with pytest.raises(ValidationError, match="quadratics must share the anchor point"):
+                debiased_cg(*pair, CgConfig())

@@ -18,7 +18,7 @@ from quadbias.diagnostics import (
 )
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng, sym_eigh
-from quadbias.model import Batch, Linearization, MlpArchitecture
+from quadbias.model import Batch, Linearization, MlpArchitecture, ParamVector
 from quadbias.quadratic import (
     build_quadratic,
     fullbatch_quadratic,
@@ -426,11 +426,16 @@ class TestCgDirectionScan:
             [2 * n] + [n] * (len(quads) - 1) + [n])
 
     def test_quadratics_must_share_the_anchor(self):
+        # a moved anchor, or one of another dimension, at a batch quadratic
+        # past the first or at the full-batch one
         quads, q_full = self._setup()
-        moved = synthetic_quadratic(np.eye(q_full.dim), q_full.gradient,
-                                    theta0=q_full.theta0.with_values(q_full.theta0.values + 1.0))
-        with pytest.raises(ValidationError, match="anchor"):
-            cg_direction_scan(quads[0], quads, moved, CgConfig(p_max=2))
+        for at in (1, 3, 4):
+            every = [*quads, q_full]
+            for theta0 in (every[at].theta0.values + 1.0, np.zeros(q_full.dim + 1)):
+                every[at] = synthetic_quadratic(np.eye(theta0.size), np.ones(theta0.size),
+                                                theta0=ParamVector.from_values(theta0))
+                with pytest.raises(ValidationError, match="quadratics must share the anchor"):
+                    cg_direction_scan(quads[0], every[:-1], every[-1], CgConfig(p_max=2))
 
     def test_negative_curvature_truncates_and_flags(self):
         h = np.diag([1.0, -1.0, 2.0])

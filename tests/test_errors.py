@@ -46,6 +46,9 @@ COUNT_SITES = [
     ("Rng.normal n", 0, None, lambda v: Rng(0).normal(v), LIBRARY.format("n")),
     ("Rng.uniform n", 0, None, lambda v: Rng(0).uniform(v), LIBRARY.format("n")),
     ("Rng.integers n", 0, None, lambda v: Rng(0).integers(0, 3, v), LIBRARY.format("n")),
+    ("Rng.integers low", -2**63, None, lambda v: Rng(0).integers(v, 3, 2),
+     LIBRARY.format("low")),
+    ("Rng.integers high", 1, None, lambda v: Rng(0).integers(0, v, 2), LIBRARY.format("high")),
     ("Rng.permutation n", 0, None, lambda v: Rng(0).permutation(v), LIBRARY.format("n")),
     ("top_k_eigenpairs k", 1, None,
      lambda v: top_k_eigenpairs(CurvatureOperator.from_dense(np.eye(4)), 4, v, Rng(0)),
@@ -126,7 +129,7 @@ def _nan_predictive():
     fit = _fit()
     x = Rng(5).normal(4 * 5).reshape(4, 5)
     x[2, 1] = np.nan
-    predictive(fit.post, fit.mlp, fit.mlp.linearize(fit.p, x), draw_noise(fit.post, 3, 0))
+    predictive(fit.post, fit.mlp.linearize(fit.p, x), draw_noise(fit.post, 3, 0))
 
 
 def _nan_theta():

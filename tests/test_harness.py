@@ -1189,7 +1189,7 @@ class TestExperiments:
         lin = mlp.linearize(p, batch.inputs)
         for fit in range(2):
             post = build_posterior(blocks, p, 50, grid[0])
-            metrics = _fit_metrics(mlp, post, grid, 3, fit, batch.labels, lin, batch.size)
+            metrics = _fit_metrics(post, grid, 3, fit, batch.labels, lin, batch.size)
             assert len(metrics) == len(grid)
         clamps = [r.getMessage() for r in caplog.records if "clamping" in r.getMessage()]
         assert clamps == ["clamping 1 slightly negative eigenvalues in 1 of 4 factors "
@@ -1419,6 +1419,22 @@ class TestCli:
         res = self._run("--config", str(cfg), "--out-dir",
                         str(tmp_path / "x"), "laplace-sweep")
         assert res.returncode == 1
+
+    def test_large_factor_round_off_is_clamped_not_rejected(self, tmp_path, capsys):
+        # the training loss grows, and with it layer 0's output factor, to a
+        # largest eigenvalue near 1.5e10 whose round-off reaches -1.06e-6; an
+        # absolute -1e-8 floor rejected it
+        path = tmp_path / "big.ini"
+        path.write_text("[experiment]\nkind = laplace-sweep\nfisher_mode = empirical\n"
+                        "batch_sizes = 32\nmc_samples = 1\n"
+                        "[dataset]\nn = 200\ndim = 4\nclasses = 2\nseed = 2\n"
+                        "train_frac = 0.5\nood_translation = 2.0\n"
+                        "[model]\nlayers = 4,8,2\nloss = mse\n"
+                        "[train]\nlr = 0.05\nmomentum = 0.9\nepochs = 3\nbatch_size = 1000\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out-dir", str(out), "laplace-sweep"]) == 0, \
+            capsys.readouterr().err
+        assert (out / "summary.json").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
         path = tmp_path / "diverge.ini"

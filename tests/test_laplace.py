@@ -30,7 +30,7 @@ from quadbias.model import (
 from quadbias.quadratic import CurvatureOperator, synthetic_quadratic, value_at
 
 import laplace_oracle as oracle
-from conftest import small_problem
+from conftest import posterior_draws, small_problem
 from random_matrices import random_spd
 
 
@@ -144,6 +144,18 @@ class TestBuildPosterior:
         eig = clamped_eigh(DenseSymMatrix(np.diag([1.0, -1e-9])))
         assert eig.eigenvalues.min() == 0.0
 
+    def test_large_gram_factor_decomposes(self):
+        # G^T G / n of rank 3 in 6 dims: its three zero eigenvalues come out
+        # as round-off of the largest one's scale, 2.4e12, down to -2.3e-4
+        g = Rng(31).normal(3 * 6).reshape(3, 6)
+        factor = 1e12 * (g.T @ g) / 3
+        assert clamped_eigh(DenseSymMatrix(factor)).eigenvalues.min() == 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_indefinite_factor_raises_at_every_scale(self, scale):
+        with pytest.raises(ValidationError, match="not positive semi-definite"):
+            clamped_eigh(DenseSymMatrix(scale * np.diag([1.0, -1e-3])))
+
     @pytest.mark.parametrize("nan_at", [(1, 1), (slice(None), slice(None))])
     def test_nan_factor_eigenvalue_raises_naming_the_factor(self, nan_at):
         factor = np.eye(3)
@@ -183,9 +195,7 @@ class TestSampling:
         mean = block_mean(2, 2)
         post = build_posterior([make_block(np.zeros((2, 2)), np.zeros((2, 2)))],
                                mean, 100, 0.1)
-        rng = Rng(9)
-        draws = np.array([sample_params(post, rng.split(i)).values[:4]
-                          for i in range(10**5)])
+        draws = posterior_draws(post, 10**5, 9)[:, :4]
         var = draws.var(axis=0)
         np.testing.assert_allclose(var, 0.1, rtol=0.03)
 
@@ -196,9 +206,7 @@ class TestSampling:
         n, beta = 20, 0.5
         mean = block_mean(3, 3)
         post = build_posterior([make_block(a, b)], mean, n, beta)
-        base = Rng(11)
-        draws = np.array([sample_params(post, base.split(i)).values[:9]
-                          for i in range(10**5)])
+        draws = posterior_draws(post, 10**5, 11)[:, :9]
         emp = np.cov(draws.T)
         dense_cov = np.linalg.inv(n * (np.kron(a, b) + beta * np.eye(9)))
         rel = np.linalg.norm(emp - dense_cov) / np.linalg.norm(dense_cov)
@@ -207,10 +215,8 @@ class TestSampling:
     def test_mc_mean_is_theta_star(self):
         mean = block_mean(2, 2, fill=3.0)
         post = build_posterior([make_block(np.eye(2), np.eye(2))], mean, 10, 1.0)
-        base = Rng(12)
         n_samples = 20000
-        draws = np.array([sample_params(post, base.split(i)).values[:4]
-                          for i in range(n_samples)])
+        draws = posterior_draws(post, n_samples, 12)[:, :4]
         sigma = np.sqrt(1.0 / (10 * 2.0))
         tol = 4.0 * sigma / np.sqrt(n_samples)
         np.testing.assert_allclose(draws.mean(axis=0), 3.0, atol=tol)
@@ -326,7 +332,7 @@ class TestAccumulate:
 
 def predict(post, mlp, x, s_samples, seed):
     """The predictive on the rows x, with s_samples draws from seed."""
-    return predictive(post, mlp, mlp.linearize(post.mean, x), draw_noise(post, s_samples, seed))
+    return predictive(post, mlp.linearize(post.mean, x), draw_noise(post, s_samples, seed))
 
 
 class TestPredictive:
@@ -405,7 +411,7 @@ class TestSweepAgainstOracle:
         for beta in self.GRID:
             post_beta = post.with_beta(beta)
             for x, lin in zip(input_sets, lins):
-                got = predictive(post_beta, mlp, lin, noise)
+                got = predictive(post_beta, lin, noise)
                 want = oracle.predictive(blocks, p, 150, beta, mlp, x, 6, 2001)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=ORACLE_ATOL)
 
@@ -413,7 +419,7 @@ class TestSweepAgainstOracle:
         # the sweep linearizes the test rows over the OOD rows once
         mlp, p, blocks, input_sets = self._fit("tanh", "cross_entropy")
         post = build_posterior(blocks, p, 150, 0.3)
-        got = predictive(post, mlp, mlp.linearize(p, np.vstack(input_sets)),
+        got = predictive(post, mlp.linearize(p, np.vstack(input_sets)),
                          draw_noise(post, 5, 2001))
         n_test = input_sets[0].shape[0]
         for x, rows in zip(input_sets, (got[:n_test], got[n_test:])):
@@ -438,7 +444,7 @@ class TestSweepAgainstOracle:
         monkeypatch.setattr(Linearization, "jvp_mm", counting)
         mlp, p, blocks, input_sets = self._fit("relu", "cross_entropy")
         post = build_posterior(blocks, p, 150, 1e-2)
-        got = predictive(post, mlp, mlp.linearize(p, input_sets[0]),
+        got = predictive(post, mlp.linearize(p, input_sets[0]),
                          draw_noise(post, s_samples, 2001))
         assert seen == groups
         want = oracle.predictive(blocks, p, 150, 1e-2, mlp, input_sets[0], s_samples, 2001)
@@ -474,7 +480,7 @@ class TestSweepAgainstOracle:
         for beta in self.GRID:
             post_beta = post.with_beta(beta)
             assert post_beta.beta == beta and post_beta._eigs is post._eigs
-            predictive(post_beta, mlp, lin, noise)
+            predictive(post_beta, lin, noise)
 
     def test_with_beta_zero_requires_positive_factors(self):
         post = build_posterior([make_block(np.zeros((2, 2)), np.eye(2))],
@@ -495,7 +501,7 @@ class TestSweepAgainstOracle:
         post = build_posterior(blocks, p, 150, self.GRID[0])
         noise, lin = draw_noise(post, 2, 1), mlp.linearize(p, input_sets[0])
         for beta in self.GRID:
-            predictive(post.with_beta(beta), mlp, lin, noise)
+            predictive(post.with_beta(beta), lin, noise)
         messages = [r.getMessage() for r in caplog.records if "clamping" in r.getMessage()]
         assert messages == ["clamping 2 slightly negative eigenvalues in 2 of 6 "
                             "factors (min -3.000e-09) to zero"]
@@ -505,11 +511,11 @@ class TestSweepAgainstOracle:
         post = build_posterior(blocks, p, 150, 0.1)
         lin, noise = mlp.linearize(p, input_sets[0]), draw_noise(post, 3, 1)
         for bad in (noise[:, 1:], noise[:0], noise[0]):
-            with pytest.raises(ValidationError, match="noise shape"):
-                predictive(post, mlp, lin, bad)
+            with pytest.raises(ValidationError, match="block shape"):
+                predictive(post, lin, bad)
         other = mlp.linearize(p.copy(), input_sets[0])
         with pytest.raises(ValidationError, match="other parameters"):
-            predictive(post, mlp, other, noise)
+            predictive(post, other, noise)
 
     @pytest.mark.parametrize("s_samples", [0, -1])
     def test_draw_noise_needs_one_sample(self, s_samples):

@@ -419,6 +419,14 @@ class TestSubspaceEval:
         with pytest.raises(ValidationError):
             subspace_eval(q, p, u1, u1, [(0.0, 0.0)])
 
+    def test_orthonormal_within_1e_8(self):
+        q = synthetic_quadratic(np.eye(4), np.ones(4))
+        e = np.eye(4)
+        subspace_eval(q, np.zeros(4), e[0], e[1], [(1.0, 1.0)])
+        # unit vectors 2e-8 off orthogonal
+        with pytest.raises(ValidationError, match="orthonormal within 1e-8"):
+            subspace_eval(q, np.zeros(4), e[0], unit(e[1] + 2e-8 * e[0]), [(1.0, 1.0)])
+
 
 class TestFullbatch:
     def test_single_chunk_equals_build_quadratic(self):

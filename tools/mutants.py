@@ -380,6 +380,26 @@ MUTANTS = (
            "train config accepts momentum = 1",
            ("tests/test_harness.py", "-k", "momentum_outside")),
     Mutant("src/quadbias/laplace.py",
+           "floor = -NEG_EIG_TOL * max(1.0, vals.max())",
+           "floor = -NEG_EIG_TOL",
+           "K-FAC PSD floor absolute, not scaled to the factor's largest eigenvalue",
+           ("tests/test_laplace.py", "-k", "large_gram")),
+    Mutant("src/quadbias/errors.py",
+           "np.abs(gram - np.eye(len(gram)))",
+           "np.abs(np.diagonal(gram) - 1.0)",
+           "orthonormality check reads only the column norms",
+           ("tests/test_quadratic.py", "-k", "orthonormal")),
+    Mutant("src/quadbias/quadratic.py",
+           "for q in quads[1:])",
+           "for q in quads[1:2])",
+           "shared-anchor check compares only the first two quadratics",
+           ("tests/test_diagnostics.py", "-k", "share_the_anchor")),
+    Mutant("src/quadbias/linalg.py",
+           "        check_counts(-2**63, low=low)\n        check_counts(low + 1, high=high)\n",
+           "",
+           "Rng.integers takes a float or bool bound",
+           ("tests/test_errors.py", "-k", "integers")),
+    Mutant("src/quadbias/laplace.py",
            "check_counts(s_samples=s_samples)",
            "check_counts(0, s_samples=s_samples)",
            "draw_noise accepts zero samples",
