@@ -1,5 +1,5 @@
 """Exception types shared across the package, and its checks: every count,
-seed, block-shape and non-finite check is one call to a function here."""
+seed, block-shape, orthonormality and non-finite check is one call to a function here."""
 
 import numpy as np
 
