@@ -36,7 +36,6 @@ from .laplace import (
 )
 from .diagnostics import (
     BiasSummary,
-    DirectionSet,
     OverlapMatrix,
     ScanReport,
     bias_summary,

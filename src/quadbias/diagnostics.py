@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_integers, check_orthonormal, require_finite
+from .errors import ValidationError, as_integers, require_finite
 from .cg import CgConfig, cg_minimize
 from .linalg import EigenDecomposition, Rng, top_k_eigenpairs
 from .model import Batch, Mlp, ParamVector
@@ -39,20 +39,6 @@ RELERR_FLOOR = 1e-14
 
 # Grayscale rendering range for overlap entries (log10 scale).
 OVERLAP_BLACK = 1e-8
-
-
-@dataclass
-class DirectionSet:
-    """Orthonormal eigen directions from one source batch, with their
-    eigenvalues."""
-
-    source_batch: object
-    directions: np.ndarray  # P x k, orthonormal columns
-    eigenvalues: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.directions = np.asarray(self.directions, dtype=np.float64)
-        check_orthonormal("eigen directions", self.directions)
 
 
 @dataclass
@@ -82,7 +68,7 @@ class OverlapMatrix:
 
     def __post_init__(self):
         om = np.asarray(self.omega, dtype=np.float64)
-        if np.any(om < -1e-12) or np.any(om > 1.0 + 1e-12):
+        if not np.all((om >= -1e-12) & (om <= 1.0 + 1e-12)):  # a NaN fails too
             raise ValidationError("overlap entries must lie in [0, 1]")
         self.omega = om
 
@@ -127,21 +113,20 @@ def source_eigenbases(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: lis
                       kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
                       rng: Rng | None = None, source_indices: list | None = None,
                       fisher_mode: str = "mc_sample") -> list:
-    """Top-k eigenvectors of the quadratic of each source part's rows of data
+    """Top-k eigenpairs of the quadratic of each source part's rows of data
     (every part by default), source m's eigensolve started from rng.split(m)
-    and its K-FAC factors sampled from rng.split(10_000 + m); one DirectionSet
-    per source. Each quadratic is built for its own eigensolve and dropped
-    after it."""
+    and its K-FAC factors sampled from rng.split(10_000 + m); one
+    EigenDecomposition per source. Each quadratic is built for its own
+    eigensolve and dropped after it."""
     parts = _checked_parts(data, parts)
     rng = rng if rng is not None else Rng(0)
     sources = range(len(parts)) if source_indices is None else source_indices
     if not sources:
         raise ValidationError("no source batch to take eigen directions from")
-    eigs = [top_k_eigenpairs(
+    return [top_k_eigenpairs(
         build_quadratic(mlp, theta_star, data.rows(parts[m]),
                         kind, beta, delta, m, fisher_mode, rng.split(10_000 + m)).curvature,
         theta_star.n_params, k, rng.split(m)) for m in sources]
-    return [DirectionSet(m, e.basis, e.eigenvalues) for m, e in zip(sources, eigs)]
 
 
 def _row_scores(mlp, theta, data, parts, blocks, kind, beta, delta, rng, chunk_size,
@@ -178,8 +163,8 @@ def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: l
                         source_indices: list | None = None, fisher_mode: str = "mc_sample"):
     """Top-k eigenvectors per source part (``source_eigenbases``), then
     slopes/curvatures of every part's quadratic and the full-batch quadratic
-    (the last column) along those directions; returns (direction_sets,
-    reports), one entry per source part.
+    (the last column) along those directions; returns (eigenbases, reports),
+    one entry per source part.
 
     Each part is the row positions of one mini-batch in data. Scores are row
     means of ``Linearization.row_terms`` from one forward-mode pass of all
@@ -189,14 +174,14 @@ def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: l
     """
     rng = rng if rng is not None else Rng(0)
     parts = _checked_parts(data, parts)
-    direction_sets = source_eigenbases(mlp, theta_star, data, parts, k, kind, beta, delta, rng,
-                                       source_indices, fisher_mode)
-    scores = _row_scores(mlp, theta_star, data, parts,
-                         [dset.directions for dset in direction_sets], kind, beta, delta,
-                         rng, chunk_size, fisher_mode)
+    sources = range(len(parts)) if source_indices is None else source_indices
+    eigs = source_eigenbases(mlp, theta_star, data, parts, k, kind, beta, delta, rng,
+                             sources, fisher_mode)
+    scores = _row_scores(mlp, theta_star, data, parts, [e.basis for e in eigs], kind, beta,
+                         delta, rng, chunk_size, fisher_mode)
     batch_ids = list(range(len(parts)))
-    return direction_sets, [ScanReport(dset.source_batch, batch_ids, m[..., 0], m[..., 1])
-                            for dset, m in zip(direction_sets, scores)]
+    return eigs, [ScanReport(m, batch_ids, s[..., 0], s[..., 1])
+                  for m, s in zip(sources, scores)]
 
 
 def cg_direction_scan(
@@ -226,11 +211,11 @@ def cg_direction_scan(
                              m[..., 0], m[..., 1])
 
 
-def overlap_matrix(u: DirectionSet, u_tilde: DirectionSet) -> OverlapMatrix:
-    """Omega_{i,p} = (u_i . u~_p)^2 between two eigen direction sets."""
-    if u.directions.shape[0] != u_tilde.directions.shape[0]:
-        raise ValidationError("direction sets live in different ambient dimensions")
-    inner = u.directions.T @ u_tilde.directions
+def overlap_matrix(u: EigenDecomposition, u_tilde: EigenDecomposition) -> OverlapMatrix:
+    """Omega_{i,p} = (u_i . u~_p)^2 between two eigenbases."""
+    if u.basis.shape[0] != u_tilde.basis.shape[0]:
+        raise ValidationError("eigenbases live in different ambient dimensions")
+    inner = u.basis.T @ u_tilde.basis
     return OverlapMatrix(np.clip(inner * inner, 0.0, 1.0 + 1e-12))
 
 

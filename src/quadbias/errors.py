@@ -67,9 +67,10 @@ def as_block(vs, dim: int) -> np.ndarray:
 
 
 def check_orthonormal(name: str, d: np.ndarray) -> None:
-    """Raise ValidationError naming d unless every entry of |D^T D - I| is within 1e-8."""
+    """Raise ValidationError naming d unless every entry of |D^T D - I| is
+    within 1e-8; a NaN entry is not."""
     gram = d.T @ d
-    if np.max(np.abs(gram - np.eye(len(gram)))) > 1e-8:
+    if not np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-8:
         raise ValidationError(f"{name} must be orthonormal within 1e-8")
 
 

@@ -118,7 +118,7 @@ def _scan_sources(cfg, dataset, theta, batch_size, seed) -> dict:
 
 
 def _scan_at(cfg, dataset, mlp, theta, batch_size, seed):
-    """Direction sets and reports of the eigendirection scan from the first
+    """Eigenbases and reports of the eigendirection scan from the first
     n_source_batches minibatches across every minibatch."""
     return eigendirection_scan(mlp, theta, chunk_size=cfg.chunk_size,
                                **_scan_sources(cfg, dataset, theta, batch_size, seed))
@@ -220,13 +220,13 @@ def _run_overlap(cfg: ExperimentConfig, out_dir: Path) -> dict:
     theta = checkpoints[-1].params
     batch_size = cfg.batch_sizes[0]
     seed = cfg.seeds[0]
-    dsets = source_eigenbases(mlp, theta, **_scan_sources(cfg, dataset, theta, batch_size, seed))
+    eigs = source_eigenbases(mlp, theta, **_scan_sources(cfg, dataset, theta, batch_size, seed))
     captured = {}
-    for a in range(len(dsets)):
-        for b in range(len(dsets)):
+    for a in range(len(eigs)):
+        for b in range(len(eigs)):
             if a == b:
                 continue
-            om = overlap_matrix(dsets[a], dsets[b])
+            om = overlap_matrix(eigs[a], eigs[b])
             write_csv(out_dir / f"overlap_{a}_{b}.csv", OVERLAP_HEADER,
                       overlap_rows(om), cfg.digest)
             write_svg_heatmap(out_dir / f"overlap_{a}_{b}.svg", om.to_grayscale(),

@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import SEEDS, NumericalError, ValidationError, check_counts, is_seed, require_finite
+from .errors import (SEEDS, NumericalError, ValidationError, check_counts, check_orthonormal,
+                     is_seed, require_finite)
 
 if TYPE_CHECKING:  # quadratic imports this module
     from .quadratic import CurvatureOperator
@@ -116,7 +117,8 @@ def check_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Column-orthonormal basis with eigenvalues in descending order.
+    """Column-orthonormal basis, checked by ``check_orthonormal``, with
+    eigenvalues in descending order; what every eigensolver and the scan return.
 
     Sign convention: in each column, the first entry with absolute value
     > 1e-12 is positive. Ties in eigenvalues keep the solver's ordering.
@@ -125,9 +127,8 @@ class EigenDecomposition:
     basis: np.ndarray
     eigenvalues: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    def __post_init__(self):
+        check_orthonormal("eigenbasis", self.basis)
 
     @property
     def k(self) -> int:

@@ -130,6 +130,12 @@ class LayoutEntry:
     def __post_init__(self):
         object.__setattr__(self, "size", int(np.prod(self.shape)))
 
+    def part(self, flat: np.ndarray) -> np.ndarray:
+        """This entry of the parameter vectors along the last axis of flat
+        (..., P), shaped (..., *shape), as a view that writes through to flat."""
+        lead = flat.shape[:-1]
+        return flat[..., self.offset : self.offset + self.size].reshape(lead + self.shape)
+
 
 def build_layout(arch: MlpArchitecture) -> tuple:
     """Entry 2 l is layer l's weight and entry 2 l + 1 its bias."""
@@ -168,7 +174,7 @@ class ParamVector:
         if self.weight_mask is None:
             self.weight_mask = np.zeros(total, dtype=bool)
             for e in self.weight_entries:
-                self.weight_mask[e.offset : e.offset + e.size] = True
+                e.part(self.weight_mask)[...] = True
 
     @cached_property
     def weight_entries(self) -> tuple:
@@ -182,11 +188,10 @@ class ParamVector:
 
     def view(self, layer: int, role: str) -> np.ndarray:
         i = 2 * layer + (role == "bias")  # the build_layout order
-        if 0 <= i < len(self.layout):
-            e = self.layout[i]
-            if e.layer == layer and e.role == role:
-                return self.values[e.offset : e.offset + e.size].reshape(e.shape)
-        raise KeyError((layer, role))
+        e = self.layout[i] if 0 <= i < len(self.layout) else None
+        if e is None or (e.layer, e.role) != (layer, role):
+            raise KeyError((layer, role))
+        return e.part(self.values)
 
     def layer_views(self, n_layers: int) -> list:
         """The (weight, bias) views of layers 0..n_layers - 1, built once and
@@ -387,9 +392,7 @@ class Linearization:
         parts of parameter vectors along the last axis of flat (..., P), as
         views that write through to flat."""
         ew, eb = self.mlp.layout[2 * l], self.mlp.layout[2 * l + 1]
-        lead = flat.shape[:-1]
-        return (flat[..., ew.offset : ew.offset + ew.size].reshape(lead + ew.shape),
-                flat[..., eb.offset : eb.offset + eb.size])
+        return ew.part(flat), eb.part(flat)
 
     def _r_forward(self, vt: np.ndarray, second: bool = False, every: bool = False):
         """Forward-mode pass: R[Z_L], or with every the list of R[Z_l] of

@@ -16,7 +16,6 @@ from quadbias.diagnostics import (
     eigendirection_scan,
     overlap_matrix,
     spectral_transfer,
-    DirectionSet,
 )
 from quadbias.laplace import (
     accumulate_kfac,
@@ -129,10 +128,7 @@ def test_criterion_04_overlap_properties():
     h_b = random_spd(rng, 48, cond=12.0)
     h_bt = random_spd(rng, 48, cond=12.0)
     eig_b, eig_bt = sym_eigh(h_b), sym_eigh(h_bt)
-    om = overlap_matrix(
-        DirectionSet(0, eig_b.basis),
-        DirectionSet(1, eig_bt.basis),
-    )
+    om = overlap_matrix(eig_b, eig_bt)
     in_range = om.omega.min() >= 0.0 and om.omega.max() <= 1.0 + 1e-12
     rows_ok = np.max(np.abs(om.row_sums() - 1.0)) <= 1e-10
     pred = spectral_transfer(eig_b, eig_bt, om)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quadbias.cg import CgConfig
 from quadbias.diagnostics import (
-    DirectionSet,
+    OverlapMatrix,
     bias_summary,
     cg_direction_scan,
     eigendirection_scan,
@@ -17,7 +17,7 @@ from quadbias.diagnostics import (
     spectral_transfer,
 )
 from quadbias.errors import NumericalError, ValidationError
-from quadbias.linalg import Rng, sym_eigh
+from quadbias.linalg import EigenDecomposition, Rng, sym_eigh
 from quadbias.model import Batch, Linearization, MlpArchitecture, ParamVector
 from quadbias.quadratic import (
     build_quadratic,
@@ -33,28 +33,20 @@ from random_matrices import haar_orthogonal, random_spd
 SCAN_TOL = 256 * np.finfo(np.float64).eps
 
 
-def eigen_set(basis, source=0):
-    return DirectionSet(source_batch=source, directions=basis)
-
-
-class TestDirectionSet:
-    def test_eigen_kind_requires_orthonormal(self):
-        skewed = np.eye(4)
-        skewed[0, 1] = 0.5
-        with pytest.raises(ValidationError):
-            eigen_set(skewed)
+def eigen_set(basis):
+    return EigenDecomposition(basis, np.zeros(basis.shape[1]))
 
 
 class TestOverlapMatrix:
     def test_self_overlap_is_identity(self):
         u = haar_orthogonal(Rng(1), 6)
-        om = overlap_matrix(eigen_set(u), eigen_set(u, 1))
+        om = overlap_matrix(eigen_set(u), eigen_set(u))
         np.testing.assert_allclose(om.omega, np.eye(6), atol=1e-12)
 
     def test_permuted_columns(self):
         u = haar_orthogonal(Rng(2), 5)
         perm = [3, 0, 4, 1, 2]
-        om = overlap_matrix(eigen_set(u), eigen_set(u[:, perm], 1))
+        om = overlap_matrix(eigen_set(u), eigen_set(u[:, perm]))
         expected = np.zeros((5, 5))
         for i, p in enumerate(perm):
             expected[p, i] = 1.0
@@ -63,7 +55,7 @@ class TestOverlapMatrix:
     def test_full_basis_rows_sum_to_one(self):
         u = haar_orthogonal(Rng(3), 12)
         v = haar_orthogonal(Rng(4), 12)
-        om = overlap_matrix(eigen_set(u), eigen_set(v, 1))
+        om = overlap_matrix(eigen_set(u), eigen_set(v))
         np.testing.assert_allclose(om.row_sums(), 1.0, atol=1e-10)
         assert om.omega.min() >= 0.0
         assert om.omega.max() <= 1.0 + 1e-12
@@ -71,21 +63,24 @@ class TestOverlapMatrix:
     def test_truncated_rows_report_captured_mass(self):
         u = haar_orthogonal(Rng(5), 10)[:, :4]
         v = haar_orthogonal(Rng(6), 10)[:, :3]
-        om = overlap_matrix(eigen_set(u), eigen_set(v, 1))
+        om = overlap_matrix(eigen_set(u), eigen_set(v))
         assert om.omega.shape == (4, 3)
         assert np.all(om.row_sums() <= 1.0 + 1e-10)
 
     def test_grayscale_mapping(self):
-        om = overlap_matrix(
-            eigen_set(np.eye(3)), eigen_set(np.eye(3), 1)
-        )
+        om = overlap_matrix(eigen_set(np.eye(3)), eigen_set(np.eye(3)))
         gray = om.to_grayscale()
         assert gray[0, 0] == 1.0  # omega = 1 -> white
         assert gray[0, 1] == 0.0  # omega <= 1e-8 -> black
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            overlap_matrix(eigen_set(np.eye(3)), eigen_set(np.eye(4), 1))
+            overlap_matrix(eigen_set(np.eye(3)), eigen_set(np.eye(4)))
+
+    @pytest.mark.parametrize("entry", [np.nan, -1e-9, 1.0 + 1e-9])
+    def test_entries_outside_0_1_rejected(self, entry):
+        with pytest.raises(ValidationError, match=r"^overlap entries must lie in \[0, 1\]$"):
+            OverlapMatrix(np.full((2, 2), entry))
 
 
 class TestSpectralTransfer:
@@ -94,9 +89,7 @@ class TestSpectralTransfer:
         lam = np.sort(Rng(8).uniform(8))[::-1] + 1.0
         h = (u * lam) @ u.T
         eig = sym_eigh(h)
-        om = overlap_matrix(
-            eigen_set(eig.basis), eigen_set(eig.basis, 1)
-        )
+        om = overlap_matrix(eig, eig)
         pred = spectral_transfer(eig, eig, om)
         np.testing.assert_allclose(pred, eig.eigenvalues, rtol=1e-10)
 
@@ -105,9 +98,7 @@ class TestSpectralTransfer:
         h_b = random_spd(rng, 24, cond=8.0)
         h_bt = random_spd(rng, 24, cond=8.0)
         eig_b, eig_bt = sym_eigh(h_b), sym_eigh(h_bt)
-        om = overlap_matrix(
-            eigen_set(eig_b.basis), eigen_set(eig_bt.basis, 1)
-        )
+        om = overlap_matrix(eig_b, eig_bt)
         pred = spectral_transfer(eig_b, eig_bt, om)
         for i in range(24):
             u = eig_b.basis[:, i]
@@ -123,7 +114,7 @@ class TestSpectralTransfer:
         h_bt = (v * lam) @ v.T
         eig_b = sym_eigh((u * lam) @ u.T)
         eig_bt = sym_eigh(h_bt)
-        om = overlap_matrix(eigen_set(eig_b.basis), eigen_set(eig_bt.basis, 1))
+        om = overlap_matrix(eig_b, eig_bt)
         pred = spectral_transfer(eig_b, eig_bt, om)
         assert pred[0] <= lam[0] + 1e-10
         assert pred[-1] >= lam[-1] - 1e-10
@@ -204,13 +195,13 @@ class TestEigendirectionScan:
 
     def test_same_batch_curvature_equals_eigenvalues(self):
         mlp, p, data, parts = self._setup()
-        dsets, reports = eigendirection_scan(
+        eigs, reports = eigendirection_scan(
             mlp, p, data, parts, k=3, kind="ggn", beta=0.05, rng=Rng(0)
         )
-        for dset, rep in zip(dsets, reports):
+        for eig, rep in zip(eigs, reports):
             col = rep.source_column()
             np.testing.assert_allclose(
-                rep.curvatures[:, col], dset.eigenvalues, rtol=1e-10
+                rep.curvatures[:, col], eig.eigenvalues, rtol=1e-10
             )
 
     @pytest.mark.parametrize("kind", ["ggn", "hessian", "kfac"])
@@ -247,25 +238,25 @@ class TestEigendirectionScan:
 
     def test_source_indices_subset(self):
         mlp, p, data, parts = self._setup()
-        dsets, reports = eigendirection_scan(
+        eigs, reports = eigendirection_scan(
             mlp, p, data, parts, k=2, kind="ggn", beta=0.05, rng=Rng(0),
             source_indices=[1, 3],
         )
         assert [r.source_batch for r in reports] == [1, 3]
-        assert len(dsets) == 2
+        assert len(eigs) == 2
 
     @pytest.mark.parametrize("kind", ["hessian", "ggn", "kfac"])
     def test_all_curvature_kinds(self, kind):
         # the eigenvalue-as-curvature identity holds whatever the proxy
         mlp, p, data, parts = self._setup()
-        dsets, reports = eigendirection_scan(
+        eigs, reports = eigendirection_scan(
             mlp, p, data, parts[:2], k=2, kind=kind, beta=0.05, rng=Rng(0),
             source_indices=[0], fisher_mode="mc_sample",
         )
         rep = reports[0]
         col = rep.source_column()
         np.testing.assert_allclose(
-            rep.curvatures[:, col], dsets[0].eigenvalues, rtol=1e-9
+            rep.curvatures[:, col], eigs[0].eigenvalues, rtol=1e-9
         )
 
     @pytest.mark.parametrize("part,problem", [
@@ -349,17 +340,17 @@ class TestRowScanAgainstPerBatchOracle:
         parts = np.split(rows[: sum(part_sizes)], np.cumsum(part_sizes)[:-1])
         batches = [Batch(data.inputs[pos], data.targets[pos]) for pos in parts]
         sources = [int(m) for m in rng.permutation(n_batches)[: min(n_src, n_batches)]]
-        dsets, reports = eigendirection_scan(
+        eigs, reports = eigendirection_scan(
             mlp, p, data, parts, k=k, kind=kind, beta=beta, delta=delta,
             rng=Rng(seed), chunk_size=chunk_size, source_indices=sources,
             fisher_mode=fisher_mode,
         )
         assert [r.source_batch for r in reports] == sources
-        for dset, rep in zip(dsets, reports):
+        for eig, rep in zip(eigs, reports):
             # the K-FAC streams of the scan, fresh for each source: batch i
             # on split(10_000 + i), the full batch on split(20_000)
             slopes, curvs, full_s, full_c = scan_oracle.per_batch_scores(
-                mlp, p, batches, data, dset.directions, kind, beta, delta, chunk_size,
+                mlp, p, batches, data, eig.basis, kind, beta, delta, chunk_size,
                 fisher_mode, [Rng(seed).split(10_000 + i) for i in range(n_batches)],
                 Rng(seed).split(20_000))
             for got, want in (

@@ -1,5 +1,6 @@
 """The shared checks of quadbias.errors at every site that calls them: counts
-and seeds, non-finite values, and integer arrays."""
+and seeds, non-finite values, and integer arrays; and the shape and argument
+checks that no other test reaches."""
 
 from dataclasses import replace
 from functools import cache
@@ -9,14 +10,16 @@ import numpy as np
 import pytest
 
 from quadbias.cg import CgConfig, cg_minimize
-from quadbias.diagnostics import _checked_parts, above_floor
+from quadbias.diagnostics import (OverlapMatrix, _checked_parts, above_floor,
+                                  source_eigenbases, spectral_transfer)
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.harness import DatasetSpec, TrainConfig, generate_dataset, train
-from quadbias.harness.config import parse_experiment_config
-from quadbias.laplace import build_posterior, clamped_eigh, draw_noise, predictive
+from quadbias.harness.config import parse_experiment_config, read_config_text
+from quadbias.harness.training import Checkpoint, load_checkpoint, save_checkpoint
+from quadbias.laplace import build_posterior, clamped_eigh, debias_kfac, draw_noise, predictive
 from quadbias.linalg import DenseSymMatrix, Rng, sym_eigh, top_k_eigenpairs
 from quadbias.metrics import ProbTable, auroc, ece
-from quadbias.model import Batch, MlpArchitecture, one_hot
+from quadbias.model import Batch, Mlp, MlpArchitecture, ParamVector, one_hot
 from quadbias.quadratic import (CurvatureOperator, build_quadratic, fullbatch_quadratic,
                                 synthetic_quadratic)
 
@@ -214,3 +217,50 @@ class TestIntegerArrays:
         out = read(call(good))
         assert out.dtype.kind == "i"
         np.testing.assert_array_equal(out, [1, 0])
+
+
+def _short_checkpoint(tmp_path):
+    arch = MlpArchitecture((2, 3, 2))
+    path = tmp_path / "short.ckpt"
+    save_checkpoint(Checkpoint(1, Mlp(arch).zero_params(), arch), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    load_checkpoint(path)
+
+
+# (site, call with a temporary directory, pattern of the ValidationError)
+INPUT_SITES = [
+    ("debias_kfac", lambda _: debias_kfac(_fit().blocks, _fit().blocks[:1]),
+     r"^block lists differ in length$"),
+    ("spectral_transfer",
+     lambda _: spectral_transfer(sym_eigh(np.eye(2)), sym_eigh(np.eye(2)),
+                                 OverlapMatrix(np.zeros((2, 3)))),
+     r"^overlap matrix shape does not match the bases$"),
+    ("source_eigenbases",
+     lambda _: source_eigenbases(_fit().mlp, _fit().p, _fit().batch, [[0, 1]], 1,
+                                 source_indices=[]),
+     r"^no source batch to take eigen directions from$"),
+    ("kfac_factors", lambda _: _fit().mlp.kfac_factors(_fit().p, _fit().batch, "fisher"),
+     r"^unknown fisher_mode 'fisher'$"),
+    ("CurvatureOperator.matvec",
+     lambda _: CurvatureOperator.from_dense(np.eye(3)).matvec(np.ones(4)),
+     r"^vector shape \(4,\) != \(3,\)$"),
+    ("DenseSymMatrix", lambda _: DenseSymMatrix(np.ones((2, 3))),
+     r"^expected a square matrix, got shape \(2, 3\)$"),
+    ("ParamVector", lambda _: ParamVector(np.ones(3), ParamVector.from_values(np.ones(2)).layout),
+     r"^values length \(3,\) does not match layout size 2$"),
+    ("Batch", lambda _: Batch(np.zeros((2, 1)), np.eye(3)),
+     r"^inconsistent batch shapes \(2, 1\), \(3, 3\)$"),
+    ("ProbTable 1-d", lambda _: ProbTable([0.5, 0.5], [0]),
+     r"^probs must be 2-d, got shape \(2,\)$"),
+    ("ProbTable labels", lambda _: ProbTable([[0.5, 0.5]], [0, 1]),
+     r"^labels must be one class index per row$"),
+    ("read_config_text", lambda _: read_config_text("k = 3\n"), r"^config parse error: "),
+    ("load_checkpoint", _short_checkpoint, r"short\.ckpt: parameter payload truncated$"),
+]
+
+
+@pytest.mark.parametrize("call,pattern",
+                         [pytest.param(*row[1:], id=row[0]) for row in INPUT_SITES])
+def test_bad_input_is_validation_error(call, pattern, tmp_path):
+    with pytest.raises(ValidationError, match=pattern):
+        call(tmp_path)

@@ -13,6 +13,7 @@ from quadbias.harness import train
 from quadbias.linalg import (
     DENSE_FALLBACK_DIM,
     DenseSymMatrix,
+    EigenDecomposition,
     Rng,
     _canonical_signs,
     kron_matvec,
@@ -95,6 +96,22 @@ class TestRng:
     def test_bad_seed(self):
         with pytest.raises(ValidationError):
             Rng(-1)
+
+
+class TestEigenDecomposition:
+    def test_requires_orthonormal(self):
+        skewed = np.eye(4)
+        skewed[0, 1] = 0.5
+        with pytest.raises(ValidationError, match="^eigenbasis must be orthonormal within 1e-8$"):
+            EigenDecomposition(skewed, np.zeros(4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_basis_rejected(self, value):
+        basis = np.eye(3)
+        basis[0, 0] = value
+        with np.errstate(invalid="ignore"), pytest.raises(  # inf * 0 in D^T D
+                ValidationError, match="^eigenbasis must be orthonormal"):
+            EigenDecomposition(basis, np.zeros(3))
 
 
 class TestSymEigh:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng
-from quadbias.model import (BLOCK_BUDGET, Batch, Mlp, MlpArchitecture, _second_thread_helps,
-                            one_hot, softmax)
+from quadbias.model import (BLOCK_BUDGET, Batch, Mlp, MlpArchitecture, ParamVector,
+                            _second_thread_helps, one_hot, softmax)
 
 import curvature_oracle as oracle
 from conftest import small_problem
@@ -81,6 +81,34 @@ class TestArchitectureAndParams:
         assert p.weight_mask.sum() == 3 * 5 + 5 * 2
         w_entry = [e for e in p.layout if e.role == "weight"][0]
         assert p.weight_mask[w_entry.offset : w_entry.offset + w_entry.size].all()
+
+    def test_views_are_the_layout_slices(self):
+        # ParamVector.view and Linearization._split both read LayoutEntry.part
+        mlp = Mlp(MlpArchitecture((3, 5, 2)))
+        p = mlp.init_params(Rng(0))
+        flat = np.stack([p.values, -p.values])
+        lin = mlp.linearize(p, np.zeros((1, 3)))
+        for e in p.layout:
+            want = p.values[e.offset : e.offset + e.size].reshape(e.shape)
+            got = p.view(e.layer, e.role)
+            np.testing.assert_array_equal(got, want)
+            assert np.shares_memory(got, p.values)
+            split = lin._split(flat, e.layer)[e.role == "bias"]
+            np.testing.assert_array_equal(split, np.stack([want, -want]))
+            assert np.shares_memory(split, flat)
+
+    @pytest.mark.parametrize("layer,role", [(2, "weight"), (2, "bias"), (-1, "bias"),
+                                            (0, "scale")])
+    def test_view_outside_the_layout_is_key_error(self, layer, role):
+        p = Mlp(MlpArchitecture((3, 5, 2))).zero_params()
+        with pytest.raises(KeyError):
+            p.view(layer, role)
+
+    def test_single_block_vector_has_no_bias(self):
+        p = ParamVector.from_values(np.arange(3.0))
+        np.testing.assert_array_equal(p.view(0, "weight"), [0.0, 1.0, 2.0])
+        with pytest.raises(KeyError):
+            p.view(0, "bias")
 
     def test_layer_views_follow_the_values_array(self):
         # the views are built once per array: an update in place keeps them,

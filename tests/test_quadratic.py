@@ -427,6 +427,12 @@ class TestSubspaceEval:
         with pytest.raises(ValidationError, match="orthonormal within 1e-8"):
             subspace_eval(q, np.zeros(4), e[0], unit(e[1] + 2e-8 * e[0]), [(1.0, 1.0)])
 
+    def test_nan_direction_not_orthonormal(self):
+        q = synthetic_quadratic(np.eye(3), np.ones(3))
+        u2 = np.array([0.0, np.nan, 0.0])
+        with pytest.raises(ValidationError, match="orthonormal within 1e-8"):
+            subspace_eval(q, np.zeros(3), np.eye(3)[0], u2, [(1.0, 1.0)])
+
 
 class TestFullbatch:
     def test_single_chunk_equals_build_quadratic(self):

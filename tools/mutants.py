@@ -108,10 +108,15 @@ MUTANTS = (
            "ggn_gram without the row mean",
            ("tests/test_quadratic.py", "tests/test_model.py")),
     Mutant("src/quadbias/model.py",
-           "flat[..., eb.offset : eb.offset + eb.size])",
-           "flat[..., ew.offset : ew.offset + eb.size])",
+           "return ew.part(flat), eb.part(flat)",
+           "return ew.part(flat), ew.part(flat)[..., 0, :]",
            "layer split reads the bias slice at the weight offset",
            ("tests/test_model.py",)),
+    Mutant("src/quadbias/model.py",
+           "return e.part(self.values)",
+           "return self.layout[2 * layer].part(self.values)",
+           "ParamVector.view reads the bias at the weight offset",
+           ("tests/test_model.py", "-k", "layout_slices")),
     Mutant("src/quadbias/model.py",
            "r2_z = 2.0 * (r_a @ vw) + r2_a @ w",
            "r2_z = (r_a @ vw) + r2_a @ w",
@@ -389,6 +394,21 @@ MUTANTS = (
            "np.abs(np.diagonal(gram) - 1.0)",
            "orthonormality check reads only the column norms",
            ("tests/test_quadratic.py", "-k", "orthonormal")),
+    Mutant("src/quadbias/errors.py",
+           "if not np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-8:",
+           "if np.max(np.abs(gram - np.eye(len(gram)))) > 1e-8:",
+           "check_orthonormal lets a NaN basis through",
+           ("tests/test_linalg.py", "tests/test_quadratic.py", "-k", "non_finite_basis or nan")),
+    Mutant("src/quadbias/linalg.py",
+           '        check_orthonormal("eigenbasis", self.basis)\n',
+           "        pass\n",
+           "EigenDecomposition skips its orthonormality check",
+           ("tests/test_linalg.py", "-k", "EigenDecomposition")),
+    Mutant("src/quadbias/diagnostics.py",
+           "if not np.all((om >= -1e-12) & (om <= 1.0 + 1e-12)):",
+           "if np.any(om < -1e-12) or np.any(om > 1.0 + 1e-12):",
+           "overlap check lets a NaN entry through",
+           ("tests/test_diagnostics.py", "-k", "entries_outside")),
     Mutant("src/quadbias/quadratic.py",
            "for q in quads[1:])",
            "for q in quads[1:2])",
