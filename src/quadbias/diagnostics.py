@@ -109,13 +109,18 @@ def _checked_parts(data: Batch, parts: list) -> list:
     return out
 
 
+def _part_kfac_rng(rng: Rng, i: int) -> Rng:
+    """Part i's K-FAC stream, read by its eigensolve and by its scores."""
+    return rng.split(10_000 + i)
+
+
 def source_eigenbases(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: list, k: int,
                       kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
                       rng: Rng | None = None, source_indices: list | None = None,
                       fisher_mode: str = "mc_sample") -> list:
     """Top-k eigenpairs of the quadratic of each source part's rows of data
     (every part by default), source m's eigensolve started from rng.split(m)
-    and its K-FAC factors sampled from rng.split(10_000 + m); one
+    and its K-FAC factors sampled from _part_kfac_rng(rng, m); one
     EigenDecomposition per source. Each quadratic is built for its own
     eigensolve and dropped after it."""
     parts = _checked_parts(data, parts)
@@ -125,7 +130,7 @@ def source_eigenbases(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: lis
         raise ValidationError("no source batch to take eigen directions from")
     return [top_k_eigenpairs(
         build_quadratic(mlp, theta_star, data.rows(parts[m]),
-                        kind, beta, delta, m, fisher_mode, rng.split(10_000 + m)).curvature,
+                        kind, beta, delta, m, fisher_mode, _part_kfac_rng(rng, m)).curvature,
         theta_star.n_params, k, rng.split(m)) for m in sources]
 
 
@@ -135,7 +140,7 @@ def _row_scores(mlp, theta, data, parts, blocks, kind, beta, delta, rng, chunk_s
     (last) along each (P, k) block, (k, parts + 1, 2) per block: row means
     of one forward-mode pass of all blocks over data, plus the regularizer.
     The K-FAC curvatures are d . (A x B) d instead, from part i's factors on
-    rng.split(10_000 + i) and the full-batch factors on rng.split(20_000),
+    _part_kfac_rng(rng, i) and the full-batch factors on rng.split(20_000),
     so the pass computes only the slopes there."""
     d = np.hstack(blocks)
     terms = np.concatenate([lin.row_terms(d, kind == "hessian", kind != "kfac")
@@ -144,14 +149,14 @@ def _row_scores(mlp, theta, data, parts, blocks, kind, beta, delta, rng, chunk_s
     means = np.stack([terms[:, pos].mean(axis=1) for pos in parts]
                      + [terms.mean(axis=1)], axis=1)
     if kind == "kfac":
-        factors = [mlp.kfac_factors(theta, data.rows(pos), fisher_mode, rng.split(10_000 + i))
+        factors = [mlp.kfac_factors(theta, data.rows(pos), fisher_mode, _part_kfac_rng(rng, i))
                    for i, pos in enumerate(parts)]
         full = accumulate_kfac(mlp, theta, data, fisher_mode, rng.split(20_000), chunk_size)
         means[..., 1] = np.column_stack([np.einsum("pk,pk->k", d, _kfac_product(f, theta)(d))
                                          for f in [*factors, full]])
-    mask = theta.weight_mask
-    d_w = d[mask]
-    reg = np.stack([beta * (theta.values[mask] @ d_w),
+    w = np.r_[tuple(e.span for e in theta.weight_entries)]
+    d_w = d[w]
+    reg = np.stack([beta * (theta.values[w] @ d_w),
                     beta * np.einsum("ij,ij->j", d_w, d_w)
                     + delta * np.einsum("ij,ij->j", d, d)], axis=-1)
     return np.split(means + reg[:, None], len(blocks))

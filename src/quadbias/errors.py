@@ -17,12 +17,18 @@ class NumericalError(RuntimeError):
 
 
 SEEDS = "an integer in [0, 2**64)"  # one 64-bit key word of linalg.Rng's stream
+NONNEGATIVE = "finite and >= 0"
 
 
 def is_count(value, least: int = 1, below: int | None = None) -> bool:
     """True for an int or numpy integer, not a bool, in [least, below)."""
     return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and least <= value and (below is None or value < below))
+
+
+def is_nonnegative(value) -> bool:
+    """True for a finite number >= 0 (NONNEGATIVE); a NaN is not."""
+    return 0 <= value < float("inf")
 
 
 def is_seed(value) -> bool:
@@ -89,7 +95,7 @@ def require_finite(stage: str, error: type = NumericalError, **values) -> None:
 def check_nonnegative(**values) -> None:
     """Raise on the first value that is not a finite number >= 0, naming it."""
     for name, value in values.items():
-        if not 0 <= value < float("inf"):
+        if not is_nonnegative(value):
             raise ValidationError(f"{name} must be >= 0 and finite, got {value}")
 
 

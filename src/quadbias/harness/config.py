@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import SEEDS, ValidationError, check_domains, count_needs, is_count, is_seed
+from ..errors import (NONNEGATIVE, SEEDS, ValidationError, check_domains, count_needs, is_count,
+                      is_nonnegative, is_seed)
 from ..model import FISHER_MODES, MlpArchitecture
 from ..quadratic import CURVATURE_KINDS
 from .datasets import DatasetSpec
@@ -162,9 +163,8 @@ class ExperimentConfig:
              f"one of {', '.join(FISHER_MODES)}"),
             ("seeds", self.seeds, bool(self.seeds) and all(map(is_seed, self.seeds)),
              f"a non-empty list of seeds, each {SEEDS}"),
-            ("beta", self.beta, np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
-            ("delta", self.delta, np.isfinite(self.delta) and self.delta >= 0,
-             "finite and >= 0"),
+            ("beta", self.beta, is_nonnegative(self.beta), NONNEGATIVE),
+            ("delta", self.delta, is_nonnegative(self.delta), NONNEGATIVE),
             *((key, count, is_count(count), count_needs(count)) for key, count in (
                 ("k", self.n_directions), ("cg_iterations", self.cg_iterations),
                 ("mc_samples", self.mc_samples), ("chunk_size", self.chunk_size))),

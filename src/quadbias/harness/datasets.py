@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import (SEEDS, ValidationError, check_counts, check_domains, count_needs, is_count,
-                      is_seed, require_finite)
+from ..errors import (NONNEGATIVE, SEEDS, ValidationError, check_counts, check_domains,
+                      count_needs, is_count, is_nonnegative, is_seed, require_finite)
 from ..linalg import Rng
 from ..model import Batch, one_hot
 
@@ -54,10 +54,9 @@ class DatasetSpec:
             ("classes", self.c, self.c == 2 or self.generator != "two_arcs",
              "2 for generator two_arcs"),
             ("n", self.n, is_count(self.n, self.c), count_needs(self.n, f">= classes = {self.c}")),
-            ("noise", self.noise, np.isfinite(self.noise) and self.noise >= 0,
-             "finite and >= 0"),
-            ("ood_noise_mult", self.ood_noise_mult,
-             np.isfinite(self.ood_noise_mult) and self.ood_noise_mult >= 0, "finite and >= 0"),
+            ("noise", self.noise, is_nonnegative(self.noise), NONNEGATIVE),
+            ("ood_noise_mult", self.ood_noise_mult, is_nonnegative(self.ood_noise_mult),
+             NONNEGATIVE),
             ("ood_translation", self.ood_translation, np.isfinite(self.ood_translation),
              "finite"),
         ))

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import (SEEDS, ValidationError, check_domains, count_needs, is_count, is_seed,
-                      require_finite)
+from ..errors import (NONNEGATIVE, SEEDS, ValidationError, check_domains, count_needs, is_count,
+                      is_nonnegative, is_seed, require_finite)
 from ..linalg import Rng
 from ..model import Mlp, MlpArchitecture, ParamVector, build_layout
 from .datasets import Dataset
@@ -33,12 +33,12 @@ class TrainConfig:
 
     def __post_init__(self):
         check_domains("train", (
-            ("lr", self.lr, np.isfinite(self.lr) and self.lr >= 0, "finite and >= 0"),
+            ("lr", self.lr, is_nonnegative(self.lr), NONNEGATIVE),
             ("momentum", self.momentum, 0 <= self.momentum < 1, "in [0, 1)"),
             ("epochs", self.epochs, is_count(self.epochs), count_needs(self.epochs)),
             ("batch_size", self.batch_size, is_count(self.batch_size),
              count_needs(self.batch_size)),
-            ("beta", self.beta, np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
+            ("beta", self.beta, is_nonnegative(self.beta), NONNEGATIVE),
             ("seed", self.seed, is_seed(self.seed), SEEDS),
         ))
 

@@ -153,12 +153,9 @@ def _displacements(post: LaplacePosterior, noise: np.ndarray) -> np.ndarray:
     layer; bias coordinates are zero."""
     scale = 1.0 / np.sqrt(post.n_train)
     out = np.zeros((post.mean.n_params, noise.shape[0]))
-    start = 0
     for entry, eig, root in zip(post.mean.weight_entries, post._eigs, post._roots):
-        v = kron_matvec(eig.eig_a.basis, eig.eig_b.basis,
-                        (noise[:, start : start + entry.size] / root).T)
-        out[entry.offset : entry.offset + entry.size] = scale * v
-        start += entry.size
+        w, noise = noise[:, : entry.size], noise[:, entry.size :]
+        out[entry.span] = scale * kron_matvec(eig.eig_a.basis, eig.eig_b.basis, (w / root).T)
     return out
 
 

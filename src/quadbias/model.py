@@ -14,7 +14,7 @@ a layer's flat weight slice equals the column-stacked (fan_out x fan_in)
 matrix used by the Kronecker utilities in :mod:`quadbias.linalg`.
 
 The empirical risk is the mean per-sample loss; the regularizer beta/2 ||w||^2
-acts on the weights only (``ParamVector.weight_mask``), never on the biases.
+acts on the weights only (``ParamVector.weight_entries``), never on the biases.
 """
 
 from __future__ import annotations
@@ -126,15 +126,16 @@ class LayoutEntry:
     shape: tuple
     offset: int
     size: int = field(init=False, repr=False, compare=False)
+    span: slice = field(init=False, repr=False, compare=False)  # its slice of the flat axis
 
     def __post_init__(self):
         object.__setattr__(self, "size", int(np.prod(self.shape)))
+        object.__setattr__(self, "span", slice(self.offset, self.offset + self.size))
 
     def part(self, flat: np.ndarray) -> np.ndarray:
         """This entry of the parameter vectors along the last axis of flat
         (..., P), shaped (..., *shape), as a view that writes through to flat."""
-        lead = flat.shape[:-1]
-        return flat[..., self.offset : self.offset + self.size].reshape(lead + self.shape)
+        return flat[..., self.span].reshape(flat.shape[:-1] + self.shape)
 
 
 def build_layout(arch: MlpArchitecture) -> tuple:
@@ -152,15 +153,10 @@ def build_layout(arch: MlpArchitecture) -> tuple:
 
 @dataclass
 class ParamVector:
-    """Flat parameter array plus the layout that maps slices to layers.
-
-    weight_mask is True exactly on weight entries (used for masked
-    regularization).
-    """
+    """Flat parameter array plus the layout that maps slices to layers."""
 
     values: np.ndarray
     layout: tuple
-    weight_mask: np.ndarray = field(default=None)
     # (the values array they view, every layer's (weight, bias) views)
     _layer_views: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -171,10 +167,6 @@ class ParamVector:
             raise ValidationError(
                 f"values length {self.values.shape} does not match layout size {total}"
             )
-        if self.weight_mask is None:
-            self.weight_mask = np.zeros(total, dtype=bool)
-            for e in self.weight_entries:
-                e.part(self.weight_mask)[...] = True
 
     @cached_property
     def weight_entries(self) -> tuple:
@@ -193,20 +185,20 @@ class ParamVector:
             raise KeyError((layer, role))
         return e.part(self.values)
 
-    def layer_views(self, n_layers: int) -> list:
-        """The (weight, bias) views of layers 0..n_layers - 1, built once and
-        reused while ``values`` is the same array: an update in place keeps
-        them, an assigned array gets fresh ones."""
+    def layer_views(self) -> list:
+        """The (weight, bias) views of every layer of the layout, built once
+        and reused while ``values`` is the same array: an update in place
+        keeps them, an assigned array gets fresh ones."""
         if self._layer_views is None or self._layer_views[0] is not self.values:
             self._layer_views = (self.values, [(self.view(l, "weight"), self.view(l, "bias"))
-                                               for l in range(n_layers)])
+                                               for l in range(len(self.layout) // 2)])
         return self._layer_views[1]
 
     def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout, self.weight_mask)
+        return ParamVector(self.values.copy(), self.layout)
 
     def with_values(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(np.asarray(values, dtype=np.float64), self.layout, self.weight_mask)
+        return ParamVector(np.asarray(values, dtype=np.float64), self.layout)
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "ParamVector":
@@ -569,15 +561,17 @@ class Mlp:
     def init_params(self, rng: Rng) -> ParamVector:
         """He-style Gaussian weights, zero biases; deterministic given rng."""
         p = self.zero_params()
-        for l in range(self.arch.n_layers):
-            w = p.view(l, "weight")
-            w[...] = rng.normal(w.size).reshape(w.shape) * np.sqrt(2.0 / self.arch.layer_sizes[l])
+        for e in p.weight_entries:  # e.shape[0] is the layer's fan-in
+            e.part(p.values)[...] = rng.normal(e.size).reshape(e.shape) * np.sqrt(2.0 / e.shape[0])
         return p
 
     # -- forward ------------------------------------------------------------
 
     def _unpack(self, params: ParamVector):
-        return params.layer_views(self.arch.n_layers)
+        """The layer views of params; parameters of another layout raise."""
+        if params.layout != self.layout:
+            raise ValidationError("parameters do not have this network's layout")
+        return params.layer_views()
 
     def _inputs(self, inputs: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -634,15 +628,15 @@ class Mlp:
 
     def _product(self, name: str, params: ParamVector, data: Batch | Linearization,
                  beta: float, v: np.ndarray) -> np.ndarray:
-        """Linearization block product ``name`` plus beta * mask, applied to a
-        vector (P,) or to every column of a block (P, k)."""
+        """Linearization block product ``name`` plus beta on the weights,
+        applied to a vector (P,) or to every column of a block (P, k)."""
         check_nonnegative(beta=beta)
         v = np.asarray(v, dtype=np.float64)
         out = getattr(self._linearized(params, data), name)(v.reshape(v.shape[0], -1))
         out = out.reshape(v.shape)
         if beta:
-            mask = params.weight_mask
-            out[mask] += beta * v[mask]
+            for e in params.weight_entries:
+                out[e.span] += beta * v[e.span]
         return out
 
     def hvp(self, params: ParamVector, batch: Batch | Linearization, beta: float,
@@ -715,14 +709,13 @@ class Mlp:
 
 def add_weight_decay(params: ParamVector, beta: float, loss: float,
                      grad: np.ndarray) -> float:
-    """loss + beta/2 ||w||^2, with beta * w added to grad in place: one
-    contiguous weight slice of params at a time, never a masked copy, and
-    nothing at all when beta = 0."""
+    """loss + beta/2 ||w||^2, with beta * w added to grad in place, one
+    weight span at a time; nothing at all when beta = 0."""
     if beta:
         for e in params.weight_entries:
-            w = params.values[e.offset : e.offset + e.size]
+            w = params.values[e.span]
             loss += 0.5 * beta * float(w @ w)
-            grad[e.offset : e.offset + e.size] += beta * w
+            grad[e.span] += beta * w
     return loss
 
 

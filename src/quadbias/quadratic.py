@@ -23,7 +23,8 @@ CURVATURE_KINDS = ("hessian", "ggn", "kfac")
 
 
 class CurvatureOperator:
-    """Matrix-free v -> (curvature + beta * mask + delta * I) v.
+    """Matrix-free v -> (curvature + beta * mask + delta * I) v, mask the
+    indicator of the spans of the layout entries ``weights`` (all when None).
 
     ``raw_product`` applies the curvature to a (dim, k) block. ``matmat``
     applies the operator to a block and ``matvec`` is its one-column case;
@@ -40,7 +41,7 @@ class CurvatureOperator:
         raw_product: Callable[[np.ndarray], np.ndarray],
         beta: float = 0.0,
         delta: float = 0.0,
-        mask: np.ndarray | None = None,
+        weights: tuple | None = None,
         batch_id=None,
         raw_gram: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
@@ -48,11 +49,7 @@ class CurvatureOperator:
         self.dim = dim
         self.beta = beta
         self.delta = delta
-        self.mask = np.ones(dim, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        # the mask's runs of True, so that the beta term of a gram slices the
-        # block instead of copying it under the mask
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], self.mask, [0]))))
-        self._mask_runs = [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
+        self._spans = [slice(0, dim)] if weights is None else [e.span for e in weights]
         self.batch_id = batch_id
         self._raw_product = raw_product
         self._raw_gram = raw_gram
@@ -71,7 +68,9 @@ class CurvatureOperator:
         vs = self._block(vs)
         out = self._raw_product(vs)
         if self.beta:
-            out = out + self.beta * np.where(self.mask[:, None], vs, 0.0)
+            out = out.copy()  # the raw product may return the caller's block
+            for span in self._spans:
+                out[span] += self.beta * vs[span]
         if self.delta:
             out = out + self.delta * vs
         return out
@@ -85,7 +84,7 @@ class CurvatureOperator:
         else:
             out = self._raw_gram(vs)
         if self.beta:
-            out += self.beta * sum(vs[run].T @ vs[run] for run in self._mask_runs)
+            out += self.beta * sum(vs[span].T @ vs[span] for span in self._spans)
         if self.delta:
             out += self.delta * (vs.T @ vs)
         return out
@@ -98,9 +97,9 @@ class CurvatureOperator:
 
     @classmethod
     def from_dense(cls, m: np.ndarray, beta: float = 0.0, delta: float = 0.0,
-                   mask=None, batch_id=None) -> "CurvatureOperator":
+                   weights=None, batch_id=None) -> "CurvatureOperator":
         m = np.asarray(m, dtype=np.float64)
-        return cls(m.shape[0], lambda vs: m @ vs, beta, delta, mask, batch_id)
+        return cls(m.shape[0], lambda vs: m @ vs, beta, delta, weights, batch_id)
 
 
 def _kfac_product(blocks: list, params: ParamVector) -> Callable[[np.ndarray], np.ndarray]:
@@ -109,8 +108,7 @@ def _kfac_product(blocks: list, params: ParamVector) -> Callable[[np.ndarray], n
     def product(vs: np.ndarray) -> np.ndarray:
         out = np.zeros_like(vs)
         for e, blk in zip(params.weight_entries, blocks):
-            seg = slice(e.offset, e.offset + e.size)
-            out[seg] = kron_matvec(blk.factor_a.entries, blk.factor_b.entries, vs[seg])
+            out[e.span] = kron_matvec(blk.factor_a.entries, blk.factor_b.entries, vs[e.span])
         return out
 
     return product
@@ -175,8 +173,8 @@ def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, traces: Callable[[], I
         name = "hvp" if kind == "hessian" else "ggn_vp"
         raw = summed(lambda lin, vs: getattr(mlp, name)(theta0, lin, 0.0, vs))
         gram = summed(lambda lin, vs: lin.ggn_gram(vs)) if kind == "ggn" else None
-    op = CurvatureOperator(theta0.n_params, raw, beta, delta, theta0.weight_mask, batch_id,
-                           gram)
+    op = CurvatureOperator(theta0.n_params, raw, beta, delta, theta0.weight_entries,
+                           batch_id, gram)
     return QuadraticModel(theta0, loss, grad, op)
 
 

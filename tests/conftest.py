@@ -70,6 +70,15 @@ def small_problem(seed=0, n=12, arch=None):
     return mlp, params, batch
 
 
+def weight_mask(p):
+    """True on the weight coordinates of the parameter vector p: the oracle
+    of the regularizer's mask, cut from each weight entry's offset and size."""
+    mask = np.zeros(p.n_params, dtype=bool)
+    for e in p.weight_entries:
+        mask[e.offset : e.offset + e.size] = True
+    return mask
+
+
 def posterior_draws(post, s_samples, seed):
     """The posterior draws of the streams Rng(seed).split(s), s < s_samples,
     as the rows of an (S, P) block, made from one ``draw_noise`` block; its

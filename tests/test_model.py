@@ -14,7 +14,7 @@ from quadbias.model import (BLOCK_BUDGET, Batch, Mlp, MlpArchitecture, ParamVect
                             _second_thread_helps, one_hot, softmax)
 
 import curvature_oracle as oracle
-from conftest import small_problem
+from conftest import small_problem, weight_mask
 
 # Block products sum in other orders than the per-vector loops; allow a few
 # hundred float64 roundings relative to the largest entry.
@@ -78,9 +78,12 @@ class TestArchitectureAndParams:
     def test_weight_mask(self):
         mlp = Mlp(MlpArchitecture((3, 5, 2)))
         p = mlp.zero_params()
-        assert p.weight_mask.sum() == 3 * 5 + 5 * 2
+        mask = np.zeros(p.n_params, dtype=bool)
+        for e in p.weight_entries:
+            mask[e.span] = True
+        assert mask.sum() == 3 * 5 + 5 * 2
         w_entry = [e for e in p.layout if e.role == "weight"][0]
-        assert p.weight_mask[w_entry.offset : w_entry.offset + w_entry.size].all()
+        assert mask[w_entry.offset : w_entry.offset + w_entry.size].all()
 
     def test_views_are_the_layout_slices(self):
         # ParamVector.view and Linearization._split both read LayoutEntry.part
@@ -125,6 +128,18 @@ class TestArchitectureAndParams:
         assert all(np.shares_memory(a, p.values) for pair in mlp._unpack(p) for a in pair)
         np.testing.assert_array_equal(mlp.forward(p, x), mlp.forward(p.copy(), x))
         np.testing.assert_array_equal(mlp._unpack(p)[1][1], p.view(1, "bias"))
+
+    @pytest.mark.parametrize("read", [
+        lambda mlp, p, x: mlp.forward(p, x),
+        lambda mlp, p, x: mlp.linearize(p, x).jvp_mm(np.ones((p.n_params, 1))),
+    ], ids=["forward", "linearize"])
+    def test_parameters_of_another_architecture_rejected(self, read):
+        # unchecked, the layer views of (3, 6, 3) parameters give a (3, 5, 3)
+        # net the other net's logits, and a product a numpy broadcast error
+        mlp = Mlp(MlpArchitecture((3, 5, 3)))
+        other = Mlp(MlpArchitecture((3, 6, 3))).init_params(Rng(0))
+        with pytest.raises(ValidationError, match="layout"):
+            read(mlp, other, np.ones((4, 3)))
 
     def test_weight_entries_are_built_once_per_vector(self):
         p = Mlp(MlpArchitecture((3, 4, 2))).init_params(Rng(0))
@@ -178,7 +193,7 @@ class TestLossAndGrad:
         _, g0 = mlp.loss_and_grad(p, batch, 0.0)
         _, g1 = mlp.loss_and_grad(p, batch, 0.25)
         diff = g1 - g0
-        mask = p.weight_mask
+        mask = weight_mask(p)
         np.testing.assert_allclose(diff[mask], 0.25 * p.values[mask], atol=1e-12)
         np.testing.assert_array_equal(diff[~mask], 0.0)
 
@@ -237,7 +252,7 @@ class TestHvp:
         h[: d * c, d * c :] = np.kron(2.0 / n * x.sum(axis=0)[:, None], np.eye(c))
         h[d * c :, : d * c] = h[: d * c, d * c :].T
         h[d * c :, d * c :] = 2.0 * np.eye(c)
-        h[np.diag_indices_from(h)] += beta * p.weight_mask
+        h[np.diag_indices_from(h)] += beta * weight_mask(p)
         v = Rng(5).normal(p.n_params)
         np.testing.assert_allclose(mlp.hvp(p, batch, beta, v), h @ v, atol=1e-10)
         # constant in theta
@@ -536,7 +551,7 @@ class TestLinearization:
             assert_close_to_oracle(hess[:, j], oracle.hvp(mlp, p, batch, v))
             assert_close_to_oracle(jvp[j], oracle.jvp(mlp, p, batch.inputs, v))
         v = vs[:, 0]
-        mask = p.weight_mask
+        mask = weight_mask(p)
         assert_close_to_oracle(mlp.ggn_vp(p, batch, 0.2, v),
                                oracle.ggn_vp(mlp, p, batch, v) + 0.2 * mask * v)
         assert_close_to_oracle(mlp.hvp(p, lin, 0.2, v),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import DenseSymMatrix, Rng, kron_matvec
-from quadbias.model import Batch, KfacBlock, Mlp, MlpArchitecture, ParamVector
+from quadbias.model import Batch, KfacBlock, LayoutEntry, Mlp, MlpArchitecture, ParamVector
 from quadbias.quadratic import (
     CurvatureOperator,
     build_quadratic,
@@ -26,7 +26,7 @@ from quadbias.quadratic import (
 )
 
 import curvature_oracle as oracle
-from conftest import small_problem
+from conftest import small_problem, weight_mask
 from random_matrices import random_spd
 
 
@@ -34,6 +34,10 @@ from random_matrices import random_spd
 # hundred float64 roundings relative to the column's largest entry.
 BLOCK_TOL = 256 * np.finfo(np.float64).eps
 
+
+# entries of a (weight, bias, weight) layout of 4 coordinates
+WBW = (LayoutEntry(0, "weight", (2,), 0), LayoutEntry(0, "bias", (1,), 2),
+       LayoutEntry(1, "weight", (1,), 3))
 
 OPERATOR_CASES = given(
     kind=st.sampled_from(["hessian", "ggn", "kfac", "dense",
@@ -55,7 +59,7 @@ def operator_problem(kind, activation, loss, n, chunk, k, seed):
     mlp, p, batch = small_problem(seed=seed, n=n, arch=arch)
     if kind == "dense":
         h = random_spd(Rng(seed), p.n_params)
-        op = CurvatureOperator.from_dense(h, beta=0.1, delta=0.01, mask=p.weight_mask)
+        op = CurvatureOperator.from_dense(h, beta=0.1, delta=0.01, weights=p.weight_entries)
         q = synthetic_quadratic(op, Rng(seed + 2).normal(p.n_params), 0.3, p)
     elif kind.startswith("full-"):
         q = fullbatch_quadratic(mlp, p, batch, kind[5:], beta=0.1, delta=0.01,
@@ -241,12 +245,21 @@ class TestCurvatureOperator:
                                       [[0.0, 0.0], [2.0, 0.0], [2.0, 3.0]])
 
     def test_gram_beta_term_covers_every_masked_run(self):
-        # a mask of two runs of weights around a bias-like entry
+        # a (weight, bias, weight) layout: two runs of weights around a bias
         mask = np.array([True, True, False, True])
-        op = CurvatureOperator.from_dense(np.zeros((4, 4)), beta=0.5, mask=mask)
+        op = CurvatureOperator.from_dense(np.zeros((4, 4)), beta=0.5, weights=WBW[::2])
         vs = Rng(73).normal(8).reshape(4, 2)
         want = 0.5 * vs[mask].T @ vs[mask]
         assert np.max(np.abs(op.gram(vs) - want)) <= BLOCK_TOL * np.max(np.abs(want))
+
+    def test_matmat_adds_beta_to_a_new_block(self):
+        # the identity's raw product is the caller's block itself, which the
+        # beta term must not be added to in place
+        op = CurvatureOperator(3, lambda vs: vs, beta=0.5, weights=WBW[:1])
+        vs = np.ones((3, 2))
+        out = op.matmat(vs)
+        np.testing.assert_array_equal(vs, np.ones((3, 2)))
+        np.testing.assert_array_equal(out, [[1.5, 1.5], [1.5, 1.5], [1.0, 1.0]])
 
     def test_gram_validates_the_block(self):
         op = CurvatureOperator.from_dense(np.eye(3))
@@ -274,7 +287,7 @@ class TestCurvatureOperator:
         q = build_quadratic(mlp, p, batch, "ggn", beta=0.3, delta=0.0)
         for i in range(5):
             d = np.zeros(p.n_params)
-            w = np.nonzero(p.weight_mask)[0]
+            w = np.nonzero(weight_mask(p))[0]
             d[w] = Rng(80 + i).normal(w.size)
             d = unit(d)
             assert directional_curvature(q, d) >= 0.3 - 1e-10

@@ -98,8 +98,8 @@ MUTANTS = (
            "scan parts may hold a position past the last data row",
            ("tests/test_diagnostics.py", "-k", "parts_must_be_row_positions")),
     Mutant("src/quadbias/diagnostics.py",
-           "reg = np.stack([beta * (theta.values[mask] @ d_w),",
-           "reg = np.stack([0.0 * (theta.values[mask] @ d_w),",
+           "reg = np.stack([beta * (theta.values[w] @ d_w),",
+           "reg = np.stack([0.0 * (theta.values[w] @ d_w),",
            "GGN row scan drops the regularizer's slope term",
            ("tests/test_diagnostics.py", "-k", "RowScanAgainstPerBatchOracle")),
     Mutant("src/quadbias/model.py",
@@ -132,6 +132,11 @@ MUTANTS = (
            "pass",
            "Hessian product's backward walk without its per-layer terms",
            ("tests/test_model.py",)),
+    Mutant("src/quadbias/quadratic.py",
+           "[slice(0, dim)] if weights is None else [e.span for e in weights]",
+           "[slice(0, dim)]",
+           "the operator's beta term acts on the biases too",
+           ("tests/test_quadratic.py",)),
     Mutant("src/quadbias/quadratic.py",
            "sum(w * term(lin, vs) for w, lin in traces())",
            "sum(term(lin, vs) for w, lin in traces())",
