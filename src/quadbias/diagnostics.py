@@ -114,6 +114,25 @@ def _part_kfac_rng(rng: Rng, i: int) -> Rng:
     return rng.split(10_000 + i)
 
 
+def _source_eigenbases(mlp, theta_star, data, parts, k, kind, beta, delta, rng,
+                       source_indices, fisher_mode) -> tuple:
+    """(parts, rng, source indices as ints, eigenbases) of ``source_eigenbases``,
+    its checks run once; a bad source index raises ValidationError naming it."""
+    parts = _checked_parts(data, parts)
+    rng = rng if rng is not None else Rng(0)
+    sources = as_integers("source_indices",
+                          range(len(parts)) if source_indices is None else source_indices)
+    if not sources.size:
+        raise ValidationError("no source batch to take eigen directions from")
+    if sources.ndim != 1 or not np.all((0 <= sources) & (sources < len(parts))):
+        raise ValidationError(f"source_indices {sources} must lie in [0, {len(parts)})")
+    sources = sources.tolist()
+    return parts, rng, sources, [top_k_eigenpairs(
+        build_quadratic(mlp, theta_star, data.rows(parts[m]),
+                        kind, beta, delta, m, fisher_mode, _part_kfac_rng(rng, m)).curvature,
+        theta_star.n_params, k, rng.split(m)) for m in sources]
+
+
 def source_eigenbases(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: list, k: int,
                       kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
                       rng: Rng | None = None, source_indices: list | None = None,
@@ -123,15 +142,8 @@ def source_eigenbases(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: lis
     and its K-FAC factors sampled from _part_kfac_rng(rng, m); one
     EigenDecomposition per source. Each quadratic is built for its own
     eigensolve and dropped after it."""
-    parts = _checked_parts(data, parts)
-    rng = rng if rng is not None else Rng(0)
-    sources = range(len(parts)) if source_indices is None else source_indices
-    if not sources:
-        raise ValidationError("no source batch to take eigen directions from")
-    return [top_k_eigenpairs(
-        build_quadratic(mlp, theta_star, data.rows(parts[m]),
-                        kind, beta, delta, m, fisher_mode, _part_kfac_rng(rng, m)).curvature,
-        theta_star.n_params, k, rng.split(m)) for m in sources]
+    return _source_eigenbases(mlp, theta_star, data, parts, k, kind, beta, delta, rng,
+                              source_indices, fisher_mode)[-1]
 
 
 def _row_scores(mlp, theta, data, parts, blocks, kind, beta, delta, rng, chunk_size,
@@ -177,11 +189,8 @@ def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: l
     mean at its positions. K-FAC takes its curvatures from each part's and
     the full-batch Kronecker factors.
     """
-    rng = rng if rng is not None else Rng(0)
-    parts = _checked_parts(data, parts)
-    sources = range(len(parts)) if source_indices is None else source_indices
-    eigs = source_eigenbases(mlp, theta_star, data, parts, k, kind, beta, delta, rng,
-                             sources, fisher_mode)
+    parts, rng, sources, eigs = _source_eigenbases(
+        mlp, theta_star, data, parts, k, kind, beta, delta, rng, source_indices, fisher_mode)
     scores = _row_scores(mlp, theta_star, data, parts, [e.basis for e in eigs], kind, beta,
                          delta, rng, chunk_size, fisher_mode)
     batch_ids = list(range(len(parts)))

@@ -39,11 +39,10 @@ logger = logging.getLogger(__name__)
 NEG_EIG_TOL = 1e-8
 
 
-def clamped_eigh(factor: DenseSymMatrix, context: str = "factor",
-                 clamped: list | None = None) -> EigenDecomposition:
+def clamped_eigh(factor: DenseSymMatrix, context: str, clamped: list) -> EigenDecomposition:
     """Eigendecomposition with the PSD clamp applied to the spectrum: values
     in [-NEG_EIG_TOL * max(1, largest), 0) become zero, and are appended to
-    ``clamped`` when it is given; lower ones raise. Errors name ``context``."""
+    ``clamped``; lower ones raise. Errors name ``context``."""
     try:
         eig = sym_eigh(factor)
     except (np.linalg.LinAlgError, NumericalError) as exc:
@@ -55,8 +54,7 @@ def clamped_eigh(factor: DenseSymMatrix, context: str = "factor",
         raise ValidationError(f"{context}: eigenvalue {vals.min():.3e} below {floor:.3e}; "
                               "factor is not positive semi-definite")
     if np.any(vals < 0.0):
-        if clamped is not None:
-            clamped.append(vals[vals < 0.0])
+        clamped.append(vals[vals < 0.0])
         vals = np.maximum(vals, 0.0)
     return EigenDecomposition(basis=eig.basis, eigenvalues=vals)
 

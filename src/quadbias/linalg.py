@@ -40,6 +40,13 @@ def _mix64(a: int, b: int) -> int:
     return x
 
 
+def _key_word(name: str, value) -> int:
+    """value as a Python int when it is in SEEDS, else ValidationError naming it."""
+    if not is_seed(value):
+        raise ValidationError(f"{name} must be {SEEDS}, got {value!r}")
+    return int(value)
+
+
 class Rng:
     """Seeded random stream backed by the Philox counter-based generator.
 
@@ -48,16 +55,13 @@ class Rng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if not is_seed(seed):
-            raise ValidationError(f"seed must be {SEEDS}, got {seed!r}")
-        self.seed = int(seed)
-        self.stream = int(stream)
+        self.seed, self.stream = _key_word("seed", seed), _key_word("stream", stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def split(self, stream: int) -> "Rng":
         """Independent child stream; deterministic in (seed, parent, stream)."""
-        return Rng(self.seed, _mix64(self.stream, stream))
+        return Rng(self.seed, _mix64(self.stream, _key_word("stream", stream)))
 
     def normal(self, n: int) -> np.ndarray:
         check_counts(0, n=n)

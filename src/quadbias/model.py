@@ -1,10 +1,10 @@
 """Small fully-connected classifier with exact curvature access.
 
 The network is evaluated with plain numpy. Besides the forward pass it exposes
-the exact loss gradient, Hessian-vector products (forward-over-reverse),
-Gauss-Newton-vector products, Jacobian-vector products, and per-layer
+the exact loss gradient, (P, k) Hessian (forward-over-reverse) and Gauss-Newton
+block products of the mean loss, Jacobian-vector products, and per-layer
 Kronecker factors for dense layers. These are the curvature sources that all
-other modules consume.
+other modules consume; ``quadratic.CurvatureOperator`` adds the regularizer.
 
 Conventions
 -----------
@@ -619,37 +619,19 @@ class Mlp:
     def loss_and_grad(self, params: ParamVector, batch: Batch | Linearization, beta: float):
         """Regularized mean loss and its exact gradient on a Batch or on its
         Linearization at params."""
-        check_nonnegative(beta=beta)
         lin = self._linearized(params, batch)
         grad = lin._backprop(lin.loss_grad_rows() / lin.size)  # first: it checks the targets
         return add_weight_decay(params, beta, lin._loss(), grad), grad
 
     # -- directional derivatives ----------------------------------------------
 
-    def _product(self, name: str, params: ParamVector, data: Batch | Linearization,
-                 beta: float, v: np.ndarray) -> np.ndarray:
-        """Linearization block product ``name`` plus beta on the weights,
-        applied to a vector (P,) or to every column of a block (P, k)."""
-        check_nonnegative(beta=beta)
-        v = np.asarray(v, dtype=np.float64)
-        out = getattr(self._linearized(params, data), name)(v.reshape(v.shape[0], -1))
-        out = out.reshape(v.shape)
-        if beta:
-            for e in params.weight_entries:
-                out[e.span] += beta * v[e.span]
-        return out
+    def hvp(self, params: ParamVector, batch: Batch | Linearization, vs: np.ndarray):
+        """Exact Hessian block product H_B V, (P, k), on a Batch or its Linearization."""
+        return self._linearized(params, batch).hvp_mm(vs)
 
-    def hvp(self, params: ParamVector, batch: Batch | Linearization, beta: float,
-            v: np.ndarray) -> np.ndarray:
-        """Exact Hessian product of the regularized loss with a vector or a
-        (P, k) block, on a Batch or on its Linearization at params."""
-        return self._product("hvp_mm", params, batch, beta, v)
-
-    def ggn_vp(self, params: ParamVector, batch: Batch | Linearization, beta: float,
-               v: np.ndarray) -> np.ndarray:
-        """Generalized Gauss-Newton product (G_B + beta * mask) v with a vector
-        or a (P, k) block, on a Batch or on its Linearization at params."""
-        return self._product("ggn_mm", params, batch, beta, v)
+    def ggn_vp(self, params: ParamVector, batch: Batch | Linearization, vs: np.ndarray):
+        """Gauss-Newton block product G_B V, (P, k), on a Batch or its Linearization."""
+        return self._linearized(params, batch).ggn_mm(vs)
 
     def jvp_batch(self, params: ParamVector, inputs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Directional derivative of the logits, grad f(x) . v, for many inputs."""
@@ -709,8 +691,9 @@ class Mlp:
 
 def add_weight_decay(params: ParamVector, beta: float, loss: float,
                      grad: np.ndarray) -> float:
-    """loss + beta/2 ||w||^2, with beta * w added to grad in place, one
-    weight span at a time; nothing at all when beta = 0."""
+    """loss + beta/2 ||w||^2 for a finite beta >= 0 (else ValidationError), with
+    beta * w added to grad in place, one weight span at a time; none at beta = 0."""
+    check_nonnegative(beta=beta)
     if beta:
         for e in params.weight_entries:
             w = params.values[e.span]

@@ -148,9 +148,10 @@ def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, traces: Callable[[], I
     at theta0) pairs that each call of ``traces`` yields.
 
     c and g are the weighted sums of the traces' losses and gradients, with
-    the regularizer added once. Every hessian or ggn product and ggn gram (from
-    J V alone) walks ``traces()`` again; the K-FAC blocks come from one call of
-    ``kfac`` and are reused by every product. Errors name ``stage``.
+    the regularizer added once. Every block product (``Mlp.hvp`` or ``Mlp.ggn_vp``)
+    and ggn gram (from J V alone) walks ``traces()`` again, the operator adding
+    beta and delta; the K-FAC blocks come from one call of ``kfac``, reused by
+    every product. Errors name ``stage``.
     """
     if kind not in CURVATURE_KINDS:
         raise ValidationError(f"unknown curvature kind {kind!r}")
@@ -171,7 +172,7 @@ def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, traces: Callable[[], I
         raw, gram = _kfac_product(kfac(), theta0), None
     else:
         name = "hvp" if kind == "hessian" else "ggn_vp"
-        raw = summed(lambda lin, vs: getattr(mlp, name)(theta0, lin, 0.0, vs))
+        raw = summed(lambda lin, vs: getattr(mlp, name)(theta0, lin, vs))
         gram = summed(lambda lin, vs: lin.ggn_gram(vs)) if kind == "ggn" else None
     op = CurvatureOperator(theta0.n_params, raw, beta, delta, theta0.weight_entries,
                            batch_id, gram)
@@ -250,9 +251,12 @@ def in_span(q: QuadraticModel, directions: np.ndarray, coeffs: np.ndarray):
     the curvatures d_j . H d_j (k,), all from one ``gram`` G of D (k
     matvecs) and D^T g: the value at c is q.constant + c . D^T g
     + 1/2 c^T G c and the slopes are D^T g + G c. A zero row reads
-    q.constant exactly; with no column, no matvec runs.
+    q.constant exactly; with no column, no matvec runs. Coefficients of
+    another shape raise ValidationError.
     """
     c = np.asarray(coeffs, dtype=np.float64)
+    if c.ndim != 2 or c.shape[1:] != np.shape(directions)[1:]:
+        raise ValidationError(f"coeffs {c.shape} do not fit directions {np.shape(directions)}")
     values = np.full(c.shape[0], q.constant)
     if c.shape[1] == 0:
         return values, c.copy(), np.empty(0)

@@ -381,7 +381,7 @@ def test_criterion_10_derivative_oracles():
     grad_err = float(np.max(np.abs(g - g_fd) / np.maximum(np.abs(g), 1e-6)))
 
     v = Rng(5).normal(p.n_params)
-    hv = mlp.hvp(p, batch, 0.01, v)
+    hv = build_quadratic(mlp, p, batch, "hessian", beta=0.01).curvature.matvec(v)
     plus = p.with_values(p.values + h * v)
     minus = p.with_values(p.values - h * v)
     hv_fd = (mlp.loss_and_grad(plus, batch, 0.01)[1]
@@ -402,7 +402,7 @@ def test_criterion_10_derivative_oracles():
     for trial in range(3):
         w = Rng(50 + trial).normal(p.n_params)
         want = g_dense @ w
-        got = mlp.ggn_vp(p, batch, 0.0, w)
+        got = mlp.ggn_vp(p, batch, w[:, None])[:, 0]
         ggn_err = max(ggn_err, float(np.max(np.abs(got - want))
                                      / max(1.0, np.max(np.abs(want)))))
 
@@ -410,7 +410,7 @@ def test_criterion_10_derivative_oracles():
     for trial in range(20):
         w = Rng(100 + trial).normal(p.n_params)
         w /= np.linalg.norm(w)
-        min_rayleigh = min(min_rayleigh, float(w @ mlp.ggn_vp(p, batch, 0.0, w)))
+        min_rayleigh = min(min_rayleigh, float(w @ mlp.ggn_vp(p, batch, w[:, None])[:, 0]))
 
     ok = grad_err <= 1e-5 and hvp_err <= 1e-5 and ggn_err <= 1e-8 and min_rayleigh >= -1e-12
     _report(10, ok, f"grad FD err {grad_err:.2e}, HVP FD err {hvp_err:.2e} (tol 1e-5), "

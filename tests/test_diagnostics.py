@@ -245,6 +245,33 @@ class TestEigendirectionScan:
         assert [r.source_batch for r in reports] == [1, 3]
         assert len(eigs) == 2
 
+    @pytest.mark.parametrize("sources,problem", [
+        ([7], r"\[7\] must lie in \[0, 3\)"),
+        ([3], r"\[3\] must lie in \[0, 3\)"),  # one past the last part
+        ([-1], r"\[-1\] must lie in \[0, 3\)"),  # numpy would read the last part
+        ([1.5], "whole numbers"),
+        ([True], "bool array"),  # not part 1
+        ([[0, 1]], r"must lie in \[0, 3\)"),
+    ], ids=["past_the_end", "one_past_the_end", "negative", "fraction", "bool", "nested"])
+    def test_source_indices_must_be_part_indices(self, sources, problem):
+        mlp, p, data, parts = self._setup()
+        with pytest.raises(ValidationError, match=f"^source_indices .*{problem}"):
+            eigendirection_scan(mlp, p, data, parts[:3], k=2, kind="ggn", rng=Rng(0),
+                                source_indices=sources)
+
+    @pytest.mark.parametrize("sources", [[1.0], np.array([1]), np.array([0, 1])],
+                             ids=["whole_float", "numpy_one", "numpy_two"])
+    def test_source_indices_as_any_whole_numbers(self, sources):
+        mlp, p, data, parts = self._setup()
+        eigs, reports = eigendirection_scan(mlp, p, data, parts[:3], k=2, kind="ggn",
+                                            rng=Rng(0), source_indices=sources)
+        want_eigs, want = eigendirection_scan(mlp, p, data, parts[:3], k=2, kind="ggn",
+                                              rng=Rng(0), source_indices=[int(m) for m in sources])
+        assert [type(r.source_batch) for r in reports] == [int] * len(want)
+        assert [r.source_column() for r in reports] == [r.source_batch for r in want]
+        for got, ref in zip(eigs, want_eigs):
+            np.testing.assert_array_equal(got.basis, ref.basis)
+
     @pytest.mark.parametrize("kind", ["hessian", "ggn", "kfac"])
     def test_all_curvature_kinds(self, kind):
         # the eigenvalue-as-curvature identity holds whatever the proxy

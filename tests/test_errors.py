@@ -163,7 +163,7 @@ FINITE_SITES = [
      r"^sym_eigh: non-finite entry at \[1, 1\] = nan$"),
     ("Lanczos step", _nan_lanczos, NumericalError,
      r"^Lanczos eigensolver at step 1: non-finite product at \[0\] = nan$"),
-    ("clamped_eigh", lambda: clamped_eigh(DenseSymMatrix(np.full((2, 2), 1e308)), "layer 0"),
+    ("clamped_eigh", lambda: clamped_eigh(DenseSymMatrix(np.full((2, 2), 1e308)), "layer 0", []),
      NumericalError, r"^layer 0: non-finite eigenvalue at \[\d\] = inf$"),
     ("predictive", _nan_predictive, NumericalError,
      r"^predictive: non-finite probability at \[2, 0\] = nan$"),

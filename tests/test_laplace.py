@@ -141,7 +141,7 @@ class TestBuildPosterior:
             build_posterior([blocks[l] for l in order], mean, 10, 0.1)
 
     def test_clamps_slightly_negative(self):
-        eig = clamped_eigh(DenseSymMatrix(np.diag([1.0, -1e-9])))
+        eig = clamped_eigh(DenseSymMatrix(np.diag([1.0, -1e-9])), "factor", [])
         assert eig.eigenvalues.min() == 0.0
 
     def test_large_gram_factor_decomposes(self):
@@ -149,19 +149,19 @@ class TestBuildPosterior:
         # as round-off of the largest one's scale, 2.4e12, down to -2.3e-4
         g = Rng(31).normal(3 * 6).reshape(3, 6)
         factor = 1e12 * (g.T @ g) / 3
-        assert clamped_eigh(DenseSymMatrix(factor)).eigenvalues.min() == 0.0
+        assert clamped_eigh(DenseSymMatrix(factor), "factor", []).eigenvalues.min() == 0.0
 
     @pytest.mark.parametrize("scale", [1.0, 1e12])
     def test_indefinite_factor_raises_at_every_scale(self, scale):
         with pytest.raises(ValidationError, match="not positive semi-definite"):
-            clamped_eigh(DenseSymMatrix(scale * np.diag([1.0, -1e-3])))
+            clamped_eigh(DenseSymMatrix(scale * np.diag([1.0, -1e-3])), "factor", [])
 
     @pytest.mark.parametrize("nan_at", [(1, 1), (slice(None), slice(None))])
     def test_nan_factor_eigenvalue_raises_naming_the_factor(self, nan_at):
         factor = np.eye(3)
         factor[nan_at] = np.nan
         with pytest.raises(NumericalError, match="layer 1 input factor"):
-            clamped_eigh(DenseSymMatrix(factor), context="layer 1 input factor")
+            clamped_eigh(DenseSymMatrix(factor), "layer 1 input factor", [])
 
     def test_beta_zero_requires_positive_factors(self):
         mean = block_mean(2, 2)

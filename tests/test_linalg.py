@@ -97,6 +97,21 @@ class TestRng:
         with pytest.raises(ValidationError):
             Rng(-1)
 
+    def test_split_takes_a_numpy_integer_stream(self):
+        np.testing.assert_array_equal(Rng(0).split(np.int64(3)).normal(4),
+                                      Rng(0).split(3).normal(4))
+
+    @pytest.mark.parametrize("stream", [1.5, True, -1, 2**64],
+                             ids=["fraction", "bool", "negative", "past_64_bits"])
+    def test_split_rejects_a_stream_outside_seeds(self, stream):
+        # -1 would wrap to stream 0, the parent's own, and repeat its draws
+        with pytest.raises(ValidationError, match="^stream must be an integer in"):
+            Rng(0).split(stream)
+
+    def test_fractional_stream_rejected_not_truncated(self):
+        with pytest.raises(ValidationError, match="^stream must be an integer in"):
+            Rng(0, 1.5)
+
 
 class TestEigenDecomposition:
     def test_requires_orthonormal(self):

@@ -12,6 +12,7 @@ from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng
 from quadbias.model import (BLOCK_BUDGET, Batch, Mlp, MlpArchitecture, ParamVector,
                             _second_thread_helps, one_hot, softmax)
+from quadbias.quadratic import build_quadratic
 
 import curvature_oracle as oracle
 from conftest import small_problem, weight_mask
@@ -235,7 +236,7 @@ class TestHvp:
     def test_zero_vector(self):
         mlp, p, batch = small_problem()
         np.testing.assert_array_equal(
-            mlp.hvp(p, batch, 0.0, np.zeros(p.n_params)), np.zeros(p.n_params)
+            mlp.hvp(p, batch, np.zeros((p.n_params, 1)))[:, 0], np.zeros(p.n_params)
         )
 
     def test_single_linear_mse_dense_oracle(self):
@@ -254,18 +255,20 @@ class TestHvp:
         h[d * c :, d * c :] = 2.0 * np.eye(c)
         h[np.diag_indices_from(h)] += beta * weight_mask(p)
         v = Rng(5).normal(p.n_params)
-        np.testing.assert_allclose(mlp.hvp(p, batch, beta, v), h @ v, atol=1e-10)
+        hvp = build_quadratic(mlp, p, batch, "hessian", beta=beta).curvature.matvec
+        np.testing.assert_allclose(hvp(v), h @ v, atol=1e-10)
         # constant in theta
         p2 = mlp.init_params(Rng(9))
         np.testing.assert_allclose(
-            mlp.hvp(p, batch, beta, v), mlp.hvp(p2, batch, beta, v), atol=1e-12
+            hvp(v), build_quadratic(mlp, p2, batch, "hessian", beta=beta).curvature.matvec(v),
+            atol=1e-12
         )
 
     def test_vs_finite_difference_of_gradient(self):
         arch = MlpArchitecture((6, 9, 4))
         mlp, p, batch = small_problem(seed=6, n=16, arch=arch)
         v = Rng(7).normal(p.n_params)
-        hv = mlp.hvp(p, batch, 0.02, v)
+        hv = build_quadratic(mlp, p, batch, "hessian", beta=0.02).curvature.matvec(v)
         h = 1e-5
         plus = p.with_values(p.values + h * v)
         minus = p.with_values(p.values - h * v)
@@ -280,7 +283,7 @@ class TestHvp:
         arch = MlpArchitecture((4, 6, 5, 3), "tanh")
         mlp, p, batch = small_problem(seed=8, n=10, arch=arch)
         v = Rng(9).normal(p.n_params)
-        hv = mlp.hvp(p, batch, 0.0, v)
+        hv = mlp.hvp(p, batch, v[:, None])[:, 0]
         h = 1e-6
         plus = p.with_values(p.values + h * v)
         minus = p.with_values(p.values - h * v)
@@ -294,16 +297,17 @@ class TestHvp:
         mlp, p, batch = small_problem(seed=10)
         u = Rng(11).normal(p.n_params)
         v = Rng(12).normal(p.n_params)
-        lhs = mlp.hvp(p, batch, 0.1, 2.0 * u + 3.0 * v)
-        rhs = 2.0 * mlp.hvp(p, batch, 0.1, u) + 3.0 * mlp.hvp(p, batch, 0.1, v)
+        hvp = build_quadratic(mlp, p, batch, "hessian", beta=0.1).curvature.matvec
+        lhs = hvp(2.0 * u + 3.0 * v)
+        rhs = 2.0 * hvp(u) + 3.0 * hvp(v)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
     def test_symmetry(self):
         mlp, p, batch = small_problem(seed=13)
         u = Rng(14).normal(p.n_params)
         v = Rng(15).normal(p.n_params)
-        a = float(u @ mlp.hvp(p, batch, 0.0, v))
-        b = float(v @ mlp.hvp(p, batch, 0.0, u))
+        a = float(u @ mlp.hvp(p, batch, v[:, None])[:, 0])
+        b = float(v @ mlp.hvp(p, batch, u[:, None])[:, 0])
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -312,7 +316,7 @@ class TestGgnVp:
         mlp, p, batch = small_problem(seed=16)
         for i in range(10):
             v = Rng(17 + i).normal(p.n_params)
-            assert float(v @ mlp.ggn_vp(p, batch, 0.0, v)) >= -1e-12
+            assert float(v @ mlp.ggn_vp(p, batch, v[:, None])[:, 0]) >= -1e-12
 
     def test_dense_jacobian_oracle(self):
         arch = MlpArchitecture((4, 6, 3))  # P = 30 + 21 = 51
@@ -331,7 +335,7 @@ class TestGgnVp:
             g_dense += jac.T @ h_loss @ jac / batch.size
         v = Rng(19).normal(P)
         expected = g_dense @ v
-        got = mlp.ggn_vp(p, batch, 0.0, v)
+        got = mlp.ggn_vp(p, batch, v[:, None])[:, 0]
         assert np.max(np.abs(got - expected)) <= 1e-8 * max(1.0, np.max(np.abs(expected)))
 
     def test_equals_hvp_for_linear_model_quadratic_loss(self):
@@ -342,17 +346,20 @@ class TestGgnVp:
         batch = Batch(x, one_hot(Rng(22).integers(0, 3, 7), 3))
         v = Rng(23).normal(p.n_params)
         np.testing.assert_array_equal(
-            mlp.ggn_vp(p, batch, 0.0, v), mlp.hvp(p, batch, 0.0, v)
+            mlp.ggn_vp(p, batch, v[:, None])[:, 0], mlp.hvp(p, batch, v[:, None])[:, 0]
         )
 
     def test_symmetry_and_linearity(self):
         mlp, p, batch = small_problem(seed=24)
         u, v = Rng(25).normal(p.n_params), Rng(26).normal(p.n_params)
-        a = float(u @ mlp.ggn_vp(p, batch, 0.0, v))
-        b = float(v @ mlp.ggn_vp(p, batch, 0.0, u))
+        def ggn_vp(v):
+            return mlp.ggn_vp(p, batch, v[:, None])[:, 0]
+
+        a = float(u @ ggn_vp(v))
+        b = float(v @ ggn_vp(u))
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
-        lhs = mlp.ggn_vp(p, batch, 0.0, 1.5 * u - 0.5 * v)
-        rhs = 1.5 * mlp.ggn_vp(p, batch, 0.0, u) - 0.5 * mlp.ggn_vp(p, batch, 0.0, v)
+        lhs = ggn_vp(1.5 * u - 0.5 * v)
+        rhs = 1.5 * ggn_vp(u) - 0.5 * ggn_vp(v)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
     def test_ggn_matches_mc_fisher(self):
@@ -360,7 +367,7 @@ class TestGgnVp:
         arch = MlpArchitecture((3, 5, 3))  # P = 20 + 18 = 38
         mlp, p, batch = small_problem(seed=27, n=4, arch=arch)
         P = p.n_params
-        g_dense = dense_from_matvec(lambda v: mlp.ggn_vp(p, batch, 0.0, v), P)
+        g_dense = dense_from_matvec(lambda v: mlp.ggn_vp(p, batch, v[:, None])[:, 0], P)
         n_mc = 10**5
         fisher = np.zeros((P, P))
         r = Rng(28)
@@ -552,14 +559,16 @@ class TestLinearization:
             assert_close_to_oracle(jvp[j], oracle.jvp(mlp, p, batch.inputs, v))
         v = vs[:, 0]
         mask = weight_mask(p)
-        assert_close_to_oracle(mlp.ggn_vp(p, batch, 0.2, v),
+        ggn_op = build_quadratic(mlp, p, batch, "ggn", beta=0.2).curvature
+        hess_op = build_quadratic(mlp, p, batch, "hessian", beta=0.2).curvature
+        assert_close_to_oracle(ggn_op.matvec(v),
                                oracle.ggn_vp(mlp, p, batch, v) + 0.2 * mask * v)
-        assert_close_to_oracle(mlp.hvp(p, lin, 0.2, v),
+        assert_close_to_oracle(hess_op.matvec(v),
                                oracle.hvp(mlp, p, batch, v) + 0.2 * mask * v)
         assert_close_to_oracle(mlp.jvp_batch(p, batch.inputs, v),
                                oracle.jvp(mlp, p, batch.inputs, v))
-        # a (P, k) block through Mlp.ggn_vp / Mlp.hvp, beta on every column
-        ggn_b, hess_b = mlp.ggn_vp(p, batch, 0.2, vs), mlp.hvp(p, lin, 0.2, vs)
+        # a (P, k) block through the operators, beta on every column
+        ggn_b, hess_b = ggn_op.matmat(vs), hess_op.matmat(vs)
         assert ggn_b.shape == hess_b.shape == (p.n_params, k)
         for j in range(k):
             v = vs[:, j]
@@ -662,7 +671,7 @@ class TestLinearization:
         mlp, p, batch = small_problem(seed=47)
         lin = mlp.linearize(p, batch.inputs, batch.targets)
         with pytest.raises(ValidationError):
-            mlp.ggn_vp(p.copy(), lin, 0.0, np.ones(p.n_params))
+            mlp.ggn_vp(p.copy(), lin, np.ones((p.n_params, 1)))
         with pytest.raises(ValidationError):
             lin.ggn_mm(np.ones(p.n_params))
         with pytest.raises(ValidationError):
@@ -673,12 +682,6 @@ class TestLinearization:
             mlp.loss_and_grad(p, mlp.linearize(p, batch.inputs), 0.0)
         with pytest.raises(ValidationError):
             mlp.linearize(p, np.ones((2, 4)))
-
-    @pytest.mark.parametrize("method", ["hvp", "ggn_vp"])
-    def test_nan_beta_raises_naming_it(self, method):
-        mlp, p, batch = small_problem(seed=47)
-        with pytest.raises(ValidationError, match="beta"):
-            getattr(mlp, method)(p, batch, float("nan"), np.ones(p.n_params))
 
     def test_zero_rows(self):
         mlp, p, _ = small_problem(seed=48)

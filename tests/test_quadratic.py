@@ -142,6 +142,13 @@ class TestBuildQuadratic:
         with pytest.raises(NumericalError, match="build_quadratic: non-finite theta"):
             build_quadratic(mlp, p, batch, "ggn")
 
+    @pytest.mark.parametrize("kind", ["hessian", "ggn"])
+    @pytest.mark.parametrize("name", ["beta", "delta"])
+    def test_nan_beta_or_delta_raises_naming_it(self, kind, name):
+        mlp, p, batch = small_problem(seed=47)
+        with pytest.raises(ValidationError, match=name):
+            build_quadratic(mlp, p, batch, kind, **{name: float("nan")})
+
     def test_unknown_kind(self):
         mlp, p, batch = small_problem(seed=53)
         with pytest.raises(ValidationError):
@@ -234,6 +241,21 @@ class TestCurvatureOperator:
         want = np.array([value_at(q, th) for th in iterates])
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= BLOCK_TOL * scale
+
+    @pytest.mark.parametrize("coeffs", [np.zeros(2), np.zeros((4, 3)), np.zeros((4, 1))],
+                             ids=["one_dim", "more_columns", "fewer_columns"])
+    def test_in_span_rejects_coefficients_of_another_shape(self, coeffs):
+        q = synthetic_quadratic(np.eye(3), np.ones(3))
+        with pytest.raises(ValidationError,
+                           match=rf"^coeffs \({coeffs.shape[0]},.*\) do not fit directions \(3, 2\)$"):
+            in_span(q, np.eye(3)[:, :2], coeffs)
+        assert q.curvature.matvec_count == 0
+
+    @pytest.mark.parametrize("taus", [[0.1], [0.1, 0.2, 0.3]], ids=["fewer", "more"])
+    def test_trajectory_rejects_a_coefficient_count_off_the_directions(self, taus):
+        q = synthetic_quadratic(np.eye(3), np.ones(3))
+        with pytest.raises(ValidationError, match=r"^coeffs .* do not fit directions \(3, 2\)$"):
+            trajectory_values(q, np.eye(3)[:, :2], taus)
 
     def test_trajectory_without_steps_is_the_anchor(self):
         q = synthetic_quadratic(np.eye(3), np.ones(3), constant=0.7)
@@ -425,6 +447,12 @@ class TestSubspaceEval:
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
         assert vals[0] == pytest.approx(vals[2], rel=1e-12)
         assert vals[0] == pytest.approx(vals[3], rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.0], [(0.5, 1.0, 0.2)]], ids=["one_dim", "three_columns"])
+    def test_grid_not_one_coefficient_per_direction_rejected(self, grid):
+        q = synthetic_quadratic(np.eye(3), np.ones(3))
+        with pytest.raises(ValidationError, match=r"^coeffs .* do not fit directions \(3, 2\)$"):
+            subspace_eval(q, np.zeros(3), np.eye(3)[0], np.eye(3)[1], grid)
 
     def test_rejects_non_orthonormal(self, toy_quadratic):
         _, p, _, q = toy_quadratic

@@ -444,6 +444,21 @@ MUTANTS = (
            "    for name, value in list(values.items())[:1]:\n        finite = np.isfinite(value)\n",
            "require_finite checks only its first value",
            ("tests/test_errors.py", "-k", "non_finite_value")),
+    Mutant("src/quadbias/linalg.py",
+           '_mix64(self.stream, _key_word("stream", stream))',
+           "_mix64(self.stream, int(stream))",
+           "Rng.split mixes in a stream it has not checked",
+           ("tests/test_linalg.py", "-k", "TestRng")),
+    Mutant("src/quadbias/diagnostics.py",
+           "(sources < len(parts))",
+           "(sources <= len(parts))",
+           "the scan takes a source index one past the last part",
+           ("tests/test_diagnostics.py", "-k", "source_indices")),
+    Mutant("src/quadbias/quadratic.py",
+           "    if c.ndim != 2 or c.shape[1:] != np.shape(directions)[1:]:\n",
+           "    if False:\n",
+           "in_span takes coefficients that do not fit its directions",
+           ("tests/test_quadratic.py", "-k", "coefficient")),
 )
 
 
