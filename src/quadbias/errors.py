@@ -51,12 +51,18 @@ def check_counts(least: int = 1, **values) -> None:
 
 
 def as_integers(name: str, values) -> np.ndarray:
-    """values as an int64 array; a bool array, or an entry that is not a
-    whole number, which the cast would truncate, raises ValidationError
-    naming the argument."""
+    """values as an int64 array; a bool array, a bool entry among numbers
+    (which numpy would cast to 1 or 0), or an entry that is not a whole
+    number, which the cast would truncate, raises ValidationError naming the
+    argument."""
     a = np.asarray(values)
     if a.dtype.kind == "b":
         raise ValidationError(f"{name} must be whole numbers, got a bool array")
+    if not isinstance(values, np.ndarray):  # a numeric array holds no bool entry
+        flags = [v for v in np.asarray(values, dtype=object).flat
+                 if isinstance(v, (bool, np.bool_))]
+        if flags:
+            raise ValidationError(f"{name} must be whole numbers, got {flags[0]}")
     if a.dtype.kind not in "iu":
         bad = ~(np.isfinite(a) & (a == np.trunc(a)))
         if bad.any():

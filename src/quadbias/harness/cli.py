@@ -20,9 +20,9 @@ from .config import (
     read_config_file,
     with_seed_override,
 )
-from .datasets import generate_dataset, save_csv
+from .datasets import dataset_table, generate_dataset
 from .experiments import run_experiment
-from .reports import verify_result_dir, write_summary
+from .reports import verify_result_dir, write_csv, write_summary
 from .training import save_checkpoint, train
 
 _EXPERIMENT_COMMANDS = {
@@ -67,12 +67,14 @@ def _cmd_gen_data(args) -> None:
     sections = with_seed_override(read_config_file(_require_config(args)),
                                   args.seed_override)
     dataset = generate_dataset(parse_dataset_spec(sections))
+    digest = config_digest(sections)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    save_csv(args.out_dir / "train.csv", dataset.train_inputs, dataset.train_labels)
-    save_csv(args.out_dir / "test.csv", dataset.test_inputs, dataset.test_labels)
-    if dataset.ood_inputs is not None:
-        save_csv(args.out_dir / "ood.csv", dataset.ood_inputs, dataset.ood_labels)
-    write_summary(args.out_dir / "summary.json", config_digest(sections), {
+    for name, inputs, labels in (("train", dataset.train_inputs, dataset.train_labels),
+                                 ("test", dataset.test_inputs, dataset.test_labels),
+                                 ("ood", dataset.ood_inputs, dataset.ood_labels)):
+        if inputs is not None:
+            write_csv(args.out_dir / f"{name}.csv", *dataset_table(inputs, labels), digest)
+    write_summary(args.out_dir / "summary.json", digest, {
         "command": "gen-data",
         "n_train": int(dataset.n_train),
         "n_test": int(dataset.test_inputs.shape[0]),

@@ -161,8 +161,9 @@ class ExperimentConfig:
              f"one of {', '.join(CURVATURE_KINDS)}"),
             ("fisher_mode", self.fisher_mode, self.fisher_mode in FISHER_MODES,
              f"one of {', '.join(FISHER_MODES)}"),
-            ("seeds", self.seeds, bool(self.seeds) and all(map(is_seed, self.seeds)),
-             f"a non-empty list of seeds, each {SEEDS}"),
+            ("seeds", self.seeds, bool(self.seeds) and all(map(is_seed, self.seeds))
+             and len(set(self.seeds)) == len(self.seeds),
+             f"a non-empty list of distinct seeds, each {SEEDS}"),
             ("beta", self.beta, is_nonnegative(self.beta), NONNEGATIVE),
             ("delta", self.delta, is_nonnegative(self.delta), NONNEGATIVE),
             *((key, count, is_count(count), count_needs(count)) for key, count in (
@@ -171,8 +172,8 @@ class ExperimentConfig:
             ("n_source_batches", self.n_source_batches,
              self.n_source_batches is None or is_count(self.n_source_batches),
              count_needs(self.n_source_batches)),
-            *((key, counts, bool(counts) and all(map(is_count, counts)),
-               "a non-empty list of counts >= 1")
+            *((key, counts, bool(counts) and all(map(is_count, counts))
+               and len(set(counts)) == len(counts), "a non-empty list of distinct counts >= 1")
               for key, counts in (("batch_sizes", self.batch_sizes), ("widths", self.widths))),
             ("la_grid_points", self.la_grid_points,
              is_count(self.la_grid_points, 0 if self.la_grid_extra else 1),

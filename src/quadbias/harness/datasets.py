@@ -1,4 +1,4 @@
-"""Synthetic dataset generators, CSV ingestion, and mini-batch partitioning.
+"""Synthetic dataset generators, the dataset CSV schema, and mini-batch partitioning.
 
 Generators produce balanced labels (within one sample per class) and are pure
 functions of their spec, seed included. The optional OOD set is drawn from the
@@ -213,16 +213,18 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
 
 
 def load_csv(path) -> tuple:
-    """Read the documented dataset format: header x0..x{D-1},label; finite
-    inputs and 0-based integer labels. A file that is empty or holds an entry
-    of another form raises ValidationError naming it, its line and the
-    entry."""
+    """Read the documented dataset format: an optional `# config=` digest
+    line, the header x0..x{D-1},label, then finite inputs and 0-based integer
+    labels. A file that is empty or holds an entry of another form raises
+    ValidationError naming it, its line and the entry."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"{path}: dataset file not found")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
+        if header and header[0].startswith("# config="):
+            header = next(reader, [])
         if not header or header[-1] != "label" or not header[0].startswith("x"):
             raise ValidationError(f"{path}: expected header x0,...,x{{D-1}},label")
         d = len(header) - 1
@@ -244,11 +246,8 @@ def load_csv(path) -> tuple:
     return x, np.asarray(labels, dtype=np.int64)
 
 
-def save_csv(path, inputs: np.ndarray, labels: np.ndarray) -> None:
-    path = Path(path)
-    d = inputs.shape[1]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(d)] + ["label"])
-        for row, lab in zip(inputs, labels):
-            writer.writerow([format(v, ".17g") for v in row] + [int(lab)])
+def dataset_table(inputs: np.ndarray, labels: np.ndarray) -> tuple:
+    """The header x0..x{D-1},label and the rows of a dataset file, as
+    load_csv reads them."""
+    header = [f"x{i}" for i in range(inputs.shape[1])] + ["label"]
+    return header, [[*row, int(lab)] for row, lab in zip(inputs, labels)]

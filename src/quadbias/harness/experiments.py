@@ -1,6 +1,7 @@
 """Experiment orchestration: each kind wires datasets, training, and the
 analysis modules together and persists CSV tables, a JSON summary, and SVG
-views into a result directory.
+views into a result directory. Each table's header is stated here, beside
+the code that builds its rows; reports.write_csv writes them.
 
 Every experiment is a pure function of its config (seeds included); rerunning
 with the same config reproduces the numeric outputs byte for byte.
@@ -36,17 +37,7 @@ from ..model import Mlp, MlpArchitecture, softmax
 from ..quadratic import build_quadratic, fullbatch_quadratic, trajectory_values
 from .config import ExperimentConfig, write_config
 from .datasets import generate_dataset
-from .reports import (
-    LA_SWEEP_HEADER,
-    OVERLAP_HEADER,
-    SCAN_HEADER,
-    overlap_rows,
-    scan_rows,
-    write_csv,
-    write_summary,
-    write_svg_heatmap,
-    write_svg_lines,
-)
+from .reports import write_csv, write_summary, write_svg_heatmap, write_svg_lines
 from .training import train
 
 logger = logging.getLogger(__name__)
@@ -165,6 +156,15 @@ _SUMMARY_HEADER = [
 ]
 
 
+def _scan_table(report) -> tuple:
+    """Header and rows of one report's scan CSV, batch_id FULL marking the
+    full-batch row."""
+    ids = [*report.batch_ids, "FULL"]
+    return (["direction_index", "batch_id", "slope", "curvature"],
+            [[i, bid, report.slopes[i, j], report.curvatures[i, j]]
+             for i in range(report.k) for j, bid in enumerate(ids)])
+
+
 def _run_bias_scan(cfg: ExperimentConfig, out_dir: Path) -> dict:
     dataset, mlp, checkpoints = _prepare(cfg)
     theta = checkpoints[-1].params
@@ -177,10 +177,8 @@ def _run_bias_scan(cfg: ExperimentConfig, out_dir: Path) -> dict:
         for seed in cfg.seeds:
             _, reports = _scan_at(cfg, dataset, mlp, theta, batch_size, seed)
             for rep in reports:
-                write_csv(
-                    out_dir / f"scan_b{batch_size}_s{seed}_m{rep.source_batch}.csv",
-                    SCAN_HEADER, scan_rows(rep), cfg.digest,
-                )
+                write_csv(out_dir / f"scan_b{batch_size}_s{seed}_m{rep.source_batch}.csv",
+                          *_scan_table(rep), cfg.digest)
             rows, medians[(batch_size, seed)] = _summary_rows(reports, batch_size,
                                                               seed, n_params)
             summary_rows.extend(rows)
@@ -227,8 +225,9 @@ def _run_overlap(cfg: ExperimentConfig, out_dir: Path) -> dict:
             if a == b:
                 continue
             om = overlap_matrix(eigs[a], eigs[b])
-            write_csv(out_dir / f"overlap_{a}_{b}.csv", OVERLAP_HEADER,
-                      overlap_rows(om), cfg.digest)
+            write_csv(out_dir / f"overlap_{a}_{b}.csv", ["i", "j", "omega"],
+                      [[i, j, om.omega[i, j]] for i, j in np.ndindex(om.omega.shape)],
+                      cfg.digest)
             write_svg_heatmap(out_dir / f"overlap_{a}_{b}.svg", om.to_grayscale(),
                               title=f"eigenspace overlap (batches {a}, {b})",
                               digest=cfg.digest)
@@ -236,7 +235,7 @@ def _run_overlap(cfg: ExperimentConfig, out_dir: Path) -> dict:
     return {
         "seed": seed,
         "batch_size": batch_size,
-        "k": cfg.n_directions,
+        "k": eigs[0].k,
         "captured_mass_per_row": captured,
     }
 
@@ -412,7 +411,8 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
         for (method, seed, _, _), metrics in zip(fits, per_fit):
             rows.extend([method, beta, metric, value, seed]
                         for metric, value in metrics[j].items())
-    write_csv(out_dir / "la_sweep.csv", LA_SWEEP_HEADER, rows, cfg.digest)
+    write_csv(out_dir / "la_sweep.csv", ["method", "beta", "metric", "value", "seed"], rows,
+              cfg.digest)
 
     # NLL curves over increasing beta; ties keep grid order
     order = np.argsort(grid, kind="stable")

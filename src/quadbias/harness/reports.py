@@ -1,10 +1,11 @@
-"""Result persistence: CSV tables with round-trippable float formatting, a
-JSON summary, minimal SVG plots as derived views, and digest verification.
+"""Result persistence: the one CSV writer, a JSON summary, minimal SVG plots
+as derived views, and digest verification.
 
-Every emitted file carries the experiment's config digest: CSVs in a leading
-`# config=<digest>` comment line, the JSON summary and every checkpoint's
-metadata line in a `config_digest` field. The CSVs are the data of record;
-SVGs are derived views only.
+Only this module knows the CSV dialect: a `# config=<digest>` line, the
+header row, then the rows, floats in 17 significant digits; each table's
+schema lives with the code that fills it. The JSON summary and every
+checkpoint's metadata line carry the digest in a `config_digest` field. The
+CSVs are the data of record; SVGs are derived views only.
 """
 
 from __future__ import annotations
@@ -108,30 +109,6 @@ def verify_result_dir(out_dir) -> dict:
         "mismatches": mismatches,
         "consistent": not mismatches,
     }
-
-
-# -- scan / overlap / sweep table schemas -------------------------------------
-
-def scan_rows(report) -> list:
-    """`direction_index,batch_id,slope,curvature` with batch_id FULL for the
-    full-batch row."""
-    ids = [*report.batch_ids, "FULL"]
-    return [[i, bid, report.slopes[i, j], report.curvatures[i, j]]
-            for i in range(report.k) for j, bid in enumerate(ids)]
-
-
-SCAN_HEADER = ["direction_index", "batch_id", "slope", "curvature"]
-OVERLAP_HEADER = ["i", "j", "omega"]
-LA_SWEEP_HEADER = ["method", "beta", "metric", "value", "seed"]
-
-
-def overlap_rows(om) -> list:
-    rows = []
-    k1, k2 = om.omega.shape
-    for i in range(k1):
-        for j in range(k2):
-            rows.append([i, j, om.omega[i, j]])
-    return rows
 
 
 # -- minimal SVG plotting (derived views) --------------------------------------

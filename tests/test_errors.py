@@ -12,7 +12,7 @@ import pytest
 from quadbias.cg import CgConfig, cg_minimize
 from quadbias.diagnostics import (OverlapMatrix, _checked_parts, above_floor,
                                   source_eigenbases, spectral_transfer)
-from quadbias.errors import NumericalError, ValidationError
+from quadbias.errors import NumericalError, ValidationError, as_integers
 from quadbias.harness import DatasetSpec, TrainConfig, generate_dataset, train
 from quadbias.harness.config import parse_experiment_config, read_config_text
 from quadbias.harness.training import Checkpoint, load_checkpoint, save_checkpoint
@@ -212,11 +212,23 @@ class TestIntegerArrays:
         with pytest.raises(ValidationError, match=f"^{name} must be whole numbers, got a bool"):
             call([True, False])
 
+    @pytest.mark.parametrize("bad", [[True, 0], [1, np.True_], [np.True_, 0.0]])
+    def test_bool_entry_among_numbers_raises_naming_the_argument(self, call, name, read, bad):
+        # numpy would cast the flag to the class or position 1
+        with pytest.raises(ValidationError, match=f"^{name} must be whole numbers, got True$"):
+            call(bad)
+
     @pytest.mark.parametrize("good", [[1, 0], np.array([1, 0], dtype=np.uint8), [1.0, 0.0]])
     def test_integers_and_whole_floats_pass(self, call, name, read, good):
         out = read(call(good))
         assert out.dtype.kind == "i"
         np.testing.assert_array_equal(out, [1, 0])
+
+
+@pytest.mark.parametrize("values", [[True, 2], [np.True_, 2.0]], ids=["bool", "numpy_bool"])
+def test_as_integers_bool_entry_is_not_read_as_one(values):
+    with pytest.raises(ValidationError, match=r"^x must be whole numbers, got True$"):
+        as_integers("x", values)
 
 
 def _short_checkpoint(tmp_path):

@@ -45,7 +45,7 @@ from quadbias.harness.config import (
     write_config,
 )
 from quadbias.harness import datasets
-from quadbias.harness.datasets import load_csv, save_csv
+from quadbias.harness.datasets import dataset_table, load_csv
 from quadbias.harness.reports import write_csv, write_summary
 from quadbias.harness.training import Checkpoint, checkpoint_epochs
 from quadbias.laplace import build_posterior
@@ -182,7 +182,7 @@ class TestDatasets:
         # out of train and labels 0 and 1 out of test
         path = tmp_path / "sorted.csv"
         x = np.arange(120, dtype=np.float64).reshape(60, 2)
-        save_csv(path, x, np.repeat([0, 1, 2], 20))
+        write_csv(path, *dataset_table(x, np.repeat([0, 1, 2], 20)), "0" * 64)
         spec = DatasetSpec(generator="csv_file", path=str(path), train_frac=0.75,
                            c=3, seed=4)
         ds = generate_dataset(spec)
@@ -198,14 +198,33 @@ class TestDatasets:
                                              train_frac=0.75, c=3, seed=5))
         assert not np.array_equal(other.test_inputs, ds.test_inputs)
 
-    def test_save_csv_exact_roundtrip(self, tmp_path):
+    def test_dataset_table_through_write_csv_loads_bitwise(self, tmp_path):
         rng = Rng(11)
-        x = rng.normal(12).reshape(4, 3)
+        x = rng.normal(12).reshape(4, 3) * np.array([1.0, 1e-300, 1e300])
         labels = np.array([0, 1, 1, 0])
-        save_csv(tmp_path / "d.csv", x, labels)
+        write_csv(tmp_path / "d.csv", *dataset_table(x, labels), "ab" * 32)
+        assert read_csv(tmp_path / "d.csv")[:2] == ("ab" * 32, ["x0", "x1", "x2", "label"])
         x2, l2 = load_csv(tmp_path / "d.csv")
-        np.testing.assert_array_equal(x, x2)
+        assert x2.tobytes() == x.tobytes()
         np.testing.assert_array_equal(labels, l2)
+        assert l2.dtype == np.int64
+
+    def test_csv_digest_line_keeps_the_file_line_numbers(self, tmp_path):
+        path = tmp_path / "stamped.csv"
+        path.write_text("# config=ab\nx0,x1,label\n0.5,1.0,1\n0.5,nan,1\n")
+        with pytest.raises(ValidationError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: line 4: non-finite x1 = nan"
+
+    @pytest.mark.parametrize("first", ["# a comment", "#config=ab", "# Config=ab", "# config",
+                                       "# config=ab\n# config=ab"],
+                             ids=["comment", "no_space", "capital", "no_digest", "two_digests"])
+    def test_csv_other_comment_line_is_rejected(self, tmp_path, first):
+        # only one leading digest line, as reports.write_csv writes it, is skipped
+        path = tmp_path / "commented.csv"
+        path.write_text(f"{first}\nx0,x1,label\n0.5,-1.25,0\n")
+        with pytest.raises(ValidationError, match=r"expected header x0,\.\.\.,x\{D-1\},label"):
+            load_csv(path)
 
     def test_unsupported_generator(self):
         with pytest.raises(ValidationError):
@@ -579,6 +598,18 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"config key '{key}'"):
             parse_experiment_config(sections)
 
+    @pytest.mark.parametrize("key,raw", [("seeds", "0,0"), ("batch_sizes", "16,32,16"),
+                                         ("widths", "4,8,4")])
+    def test_repeated_entry_rejected_naming_the_key(self, key, raw):
+        # a repeat would count one seed twice, or make a trend over batch
+        # sizes or widths compare a point with itself
+        sections = read_config_text(CONFIG_TEXT)
+        sections["experiment"][key] = raw
+        with pytest.raises(ValidationError, match=rf"^{key} \(.*\): config key '{key}' in "
+                                                  r"\[experiment\] must be a non-empty list of "
+                                                  r"distinct"):
+            parse_experiment_config(sections)
+
     def test_unknown_section_rejected(self):
         sections = read_config_text(CONFIG_TEXT + "\n[trian]\nepochs = 2\n")
         with pytest.raises(ValidationError, match=r"\[trian\]"):
@@ -872,6 +903,18 @@ class TestExperiments:
         assert len(rows) == cfg.n_directions * (n_batches + 1)
         full_rows = [r for r in rows if r[1] == "FULL"]
         assert len(full_rows) == cfg.n_directions
+
+    def test_overlap_summary_reports_the_k_it_used(self, tmp_path):
+        # P = 2*1 + 1 + 1*2 + 2 = 7 parameters, fewer than the k = 10 asked for
+        cfg = self._config(tmp_path, kind="overlap", extra={"k": "10", "batch_sizes": "32",
+                                                            "seeds": "0"},
+                           dataset={"dim": "2", "classes": "2"}, model={"layers": "2,1,2"})
+        out = run_experiment(cfg, tmp_path / "r")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["k"] == 7
+        assert summary["captured_mass_per_row"]
+        assert all(len(row) == 7 for row in summary["captured_mass_per_row"].values())
+        assert len(read_csv(out / "overlap_0_1.csv")[2]) == 7 * 7
 
     def test_overlap_experiment(self, tmp_path):
         cfg = self._config(tmp_path, kind="overlap")
@@ -1236,7 +1279,8 @@ class TestExperiments:
         """A csv_file dataset of 4 columns and 3 classes; the config sets no
         dim or classes, so they keep their defaults 2 and 2."""
         path = tmp_path / "wide.csv"
-        save_csv(path, Rng(3).normal(4 * 90).reshape(90, 4), np.arange(90) % 3)
+        write_csv(path, *dataset_table(Rng(3).normal(4 * 90).reshape(90, 4), np.arange(90) % 3),
+                  "0" * 64)
         sections = read_config_text(CONFIG_TEXT)
         sections["experiment"].update(kind=kind, batch_sizes="16", seeds="0", widths="4,8")
         sections["dataset"] = {"generator": "csv_file", "path": str(path), "train_frac": "0.8"}
@@ -1288,14 +1332,48 @@ class TestCli:
             capture_output=True, text=True,
         )
 
+    def _gen_data_config(self, tmp_path):
+        """CONFIG_TEXT with a test split and an OOD split, so gen-data
+        writes all three dataset files."""
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("train_frac = 1.0",
+                                            "train_frac = 0.75\nood_translation = 3.0"))
+        return path
+
     def test_gen_data_then_verify(self, tmp_path):
-        cfg = self._write_config(tmp_path)
+        cfg = self._gen_data_config(tmp_path)
         out = tmp_path / "data"
         res = self._run("--config", str(cfg), "--out-dir", str(out), "gen-data")
         assert res.returncode == 0, res.stderr
-        assert (out / "train.csv").exists()
+        res = self._run("verify", str(out))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("verified 4 files")
+        digest = config_digest(read_config_text(cfg.read_text()))
+        assert verify_result_dir(out) == {
+            "digest": digest, "files": ["ood.csv", "summary.json", "test.csv", "train.csv"],
+            "mismatches": [], "consistent": True}
         x, labels = load_csv(out / "train.csv")
-        assert x.shape == (128, 4)
+        assert x.shape == (96, 4)
+
+    def test_gen_data_csv_loads_bitwise_and_runs_as_csv_file(self, tmp_path):
+        cfg = self._gen_data_config(tmp_path)
+        out = tmp_path / "data"
+        assert cli.main(["--config", str(cfg), "--out-dir", str(out), "gen-data"]) == 0
+        sections = read_config_text(cfg.read_text())
+        dataset = generate_dataset(parse_dataset_spec(sections))
+        for name, inputs, labels in (("train", dataset.train_inputs, dataset.train_labels),
+                                     ("test", dataset.test_inputs, dataset.test_labels),
+                                     ("ood", dataset.ood_inputs, dataset.ood_labels)):
+            x, y = load_csv(out / f"{name}.csv")
+            assert x.tobytes() == inputs.tobytes(), name
+            np.testing.assert_array_equal(y, labels)
+        sections["dataset"] = {"generator": "csv_file", "path": str(out / "train.csv"),
+                               "train_frac": "1.0"}
+        sections["experiment"].update(batch_sizes="32", seeds="0")
+        run = run_experiment(parse_experiment_config(sections), tmp_path / "r")
+        assert verify_result_dir(run)["consistent"]
+        # slope and curvature rows of the n_source_batches = 2 sources
+        assert len(read_csv(run / "bias_summary.csv")[2]) == 2 * 2
 
     def test_train_writes_checkpoints(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -454,6 +454,21 @@ MUTANTS = (
            "(sources <= len(parts))",
            "the scan takes a source index one past the last part",
            ("tests/test_diagnostics.py", "-k", "source_indices")),
+    Mutant("src/quadbias/harness/config.py",
+           "\n               and len(set(counts)) == len(counts),",
+           ",",
+           "batch_sizes and widths accept a repeated entry",
+           ("tests/test_harness.py", "-k", "repeated_entry")),
+    Mutant("src/quadbias/errors.py",
+           "        if flags:\n",
+           "        if False:\n",
+           "as_integers reads a bool entry among numbers as the integer 1",
+           ("tests/test_errors.py", "-k", "bool_entry")),
+    Mutant("src/quadbias/harness/datasets.py",
+           'header[0].startswith("# config=")',
+           'header[0].startswith("#")',
+           "load_csv skips any leading comment line, not only the digest line",
+           ("tests/test_harness.py", "-k", "comment_line")),
     Mutant("src/quadbias/quadratic.py",
            "    if c.ndim != 2 or c.shape[1:] != np.shape(directions)[1:]:\n",
            "    if False:\n",
