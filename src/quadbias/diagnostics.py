@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_integers, require_finite
+from .errors import ValidationError, as_integers, check_counts, require_finite
 from .cg import CgConfig, cg_minimize
 from .linalg import EigenDecomposition, Rng, top_k_eigenpairs
 from .model import Batch, Mlp, ParamVector
@@ -98,10 +98,12 @@ class BiasSummary:
 
 
 def _checked_parts(data: Batch, parts: list) -> list:
-    """Each part as int64 row positions into data; a part that is empty or
-    holds an entry that is not a whole number in [0, data.size) raises
-    ValidationError naming it."""
+    """Each part as int64 row positions into data; no part at all, or a part
+    that is empty or holds an entry that is not a whole number in
+    [0, data.size), raises ValidationError naming it."""
     out = [as_integers(f"part {i}", pos) for i, pos in enumerate(parts)]
+    if not out:
+        raise ValidationError("no part to take eigen directions from")
     for i, pos in enumerate(out):
         if pos.ndim != 1 or pos.size == 0 or not np.all((0 <= pos) & (pos < data.size)):
             raise ValidationError(f"part {i} must be one or more row positions in "
@@ -114,36 +116,21 @@ def _part_kfac_rng(rng: Rng, i: int) -> Rng:
     return rng.split(10_000 + i)
 
 
-def _source_eigenbases(mlp, theta_star, data, parts, k, kind, beta, delta, rng,
-                       source_indices, fisher_mode) -> tuple:
-    """(parts, rng, source indices as ints, eigenbases) of ``source_eigenbases``,
-    its checks run once; a bad source index raises ValidationError naming it."""
+def source_eigenbases(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: list, k: int,
+                      kind: str = "ggn", beta: float = 0.0, delta: float = 0.0, *, rng: Rng,
+                      n_sources: int | None = None, fisher_mode: str = "mc_sample") -> list:
+    """Top-k eigenpairs of the quadratic of each source part's rows of data,
+    the sources the first n_sources parts (every part when None or above
+    len(parts); to pick others, put them first). Source m's eigensolve starts
+    from rng.split(m), its K-FAC factors from _part_kfac_rng(rng, m); each
+    quadratic is built for its own eigensolve and dropped after it."""
     parts = _checked_parts(data, parts)
-    rng = rng if rng is not None else Rng(0)
-    sources = as_integers("source_indices",
-                          range(len(parts)) if source_indices is None else source_indices)
-    if not sources.size:
-        raise ValidationError("no source batch to take eigen directions from")
-    if sources.ndim != 1 or not np.all((0 <= sources) & (sources < len(parts))):
-        raise ValidationError(f"source_indices {sources} must lie in [0, {len(parts)})")
-    sources = sources.tolist()
-    return parts, rng, sources, [top_k_eigenpairs(
+    n = len(parts) if n_sources is None else n_sources
+    check_counts(n_sources=n)
+    return [top_k_eigenpairs(
         build_quadratic(mlp, theta_star, data.rows(parts[m]),
                         kind, beta, delta, m, fisher_mode, _part_kfac_rng(rng, m)).curvature,
-        theta_star.n_params, k, rng.split(m)) for m in sources]
-
-
-def source_eigenbases(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: list, k: int,
-                      kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
-                      rng: Rng | None = None, source_indices: list | None = None,
-                      fisher_mode: str = "mc_sample") -> list:
-    """Top-k eigenpairs of the quadratic of each source part's rows of data
-    (every part by default), source m's eigensolve started from rng.split(m)
-    and its K-FAC factors sampled from _part_kfac_rng(rng, m); one
-    EigenDecomposition per source. Each quadratic is built for its own
-    eigensolve and dropped after it."""
-    return _source_eigenbases(mlp, theta_star, data, parts, k, kind, beta, delta, rng,
-                              source_indices, fisher_mode)[-1]
+        theta_star.n_params, k, rng.split(m)) for m in range(min(n, len(parts)))]
 
 
 def _row_scores(mlp, theta, data, parts, blocks, kind, beta, delta, rng, chunk_size,
@@ -175,13 +162,13 @@ def _row_scores(mlp, theta, data, parts, blocks, kind, beta, delta, rng, chunk_s
 
 
 def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: list,
-                        k: int, kind: str = "ggn", beta: float = 0.0, delta: float = 0.0,
-                        rng: Rng | None = None, chunk_size: int = 512,
-                        source_indices: list | None = None, fisher_mode: str = "mc_sample"):
-    """Top-k eigenvectors per source part (``source_eigenbases``), then
-    slopes/curvatures of every part's quadratic and the full-batch quadratic
-    (the last column) along those directions; returns (eigenbases, reports),
-    one entry per source part.
+                        k: int, kind: str = "ggn", beta: float = 0.0, delta: float = 0.0, *,
+                        rng: Rng, chunk_size: int = 512, n_sources: int | None = None,
+                        fisher_mode: str = "mc_sample"):
+    """Top-k eigenvectors of the first n_sources parts (``source_eigenbases``),
+    then slopes/curvatures of every part's quadratic and the full-batch one
+    (the last column) along them; returns (eigenbases, reports), one entry
+    per source part, report m labelled part m.
 
     Each part is the row positions of one mini-batch in data. Scores are row
     means of ``Linearization.row_terms`` from one forward-mode pass of all
@@ -189,13 +176,14 @@ def eigendirection_scan(mlp: Mlp, theta_star: ParamVector, data: Batch, parts: l
     mean at its positions. K-FAC takes its curvatures from each part's and
     the full-batch Kronecker factors.
     """
-    parts, rng, sources, eigs = _source_eigenbases(
-        mlp, theta_star, data, parts, k, kind, beta, delta, rng, source_indices, fisher_mode)
+    eigs = source_eigenbases(mlp, theta_star, data, parts, k, kind, beta, delta, rng=rng,
+                             n_sources=n_sources, fisher_mode=fisher_mode)
+    parts = _checked_parts(data, parts)
     scores = _row_scores(mlp, theta_star, data, parts, [e.basis for e in eigs], kind, beta,
                          delta, rng, chunk_size, fisher_mode)
     batch_ids = list(range(len(parts)))
     return eigs, [ScanReport(m, batch_ids, s[..., 0], s[..., 1])
-                  for m, s in zip(sources, scores)]
+                  for m, s in enumerate(scores)]
 
 
 def cg_direction_scan(

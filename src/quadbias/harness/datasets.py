@@ -214,8 +214,8 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
 
 def load_csv(path) -> tuple:
     """Read the documented dataset format: an optional `# config=` digest
-    line, the header x0..x{D-1},label, then finite inputs and 0-based integer
-    labels. A file that is empty or holds an entry of another form raises
+    line, the header x0..x{D-1},label, then finite inputs and integer labels in
+    [0, 2**63). A file that is empty or holds an entry of another form raises
     ValidationError naming it, its line and the entry."""
     path = Path(path)
     if not path.is_file():
@@ -240,8 +240,9 @@ def load_csv(path) -> tuple:
             except ValueError as exc:
                 raise ValidationError(f"{where}: {exc}") from None
             require_finite(where, ValidationError, **dict(zip(header, rows[-1])))
-            if labels[-1] < 0:
-                raise ValidationError(f"{where}: label = {row[d]!r} is negative")
+            if not 0 <= labels[-1] < 2**63:  # the int64 labels array holds it
+                raise ValidationError(f"{where}: label = {row[d]!r} is "
+                                      + ("negative" if labels[-1] < 0 else "above 2**63 - 1"))
     x = np.asarray(rows, dtype=np.float64).reshape(len(rows), d)
     return x, np.asarray(labels, dtype=np.int64)
 

@@ -100,11 +100,10 @@ def _scan_sources(cfg, dataset, theta, batch_size, seed) -> dict:
     """The arguments ``source_eigenbases`` and ``eigendirection_scan`` share:
     the training rows and their mini-batch partition of one scan, the first
     n_source_batches parts the sources, and the eigensolve settings."""
-    parts = dataset.partition(batch_size, seed=seed, drop_last=True)
-    n_src = min(cfg.n_source_batches or len(parts), len(parts))
-    return dict(data=dataset.train_batch(), parts=parts,
+    return dict(data=dataset.train_batch(),
+                parts=dataset.partition(batch_size, seed=seed, drop_last=True),
                 k=min(cfg.n_directions, theta.n_params), kind=cfg.curvature, beta=cfg.beta,
-                delta=cfg.delta, rng=Rng(seed).split(7), source_indices=list(range(n_src)),
+                delta=cfg.delta, rng=Rng(seed).split(7), n_sources=cfg.n_source_batches,
                 fisher_mode=cfg.fisher_mode)
 
 
@@ -397,7 +396,8 @@ def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     lin = mlp.linearize(theta, np.vstack([x for x in (dataset.test_inputs, dataset.ood_inputs)
                                           if x is not None]))
     labels = dataset.test_labels
-    map_metrics = _predictive_metrics(softmax(lin.logits), labels, n_test)
+    map_probs = lin.probs if lin.probs is not None else softmax(lin.logits)  # None for mse
+    map_metrics = _predictive_metrics(map_probs, labels, n_test)
     # each fit's factors are eigendecomposed once, at the first beta
     per_fit = [
         _fit_metrics(build_posterior(blocks, theta, dataset.n_train, grid[0]), grid,

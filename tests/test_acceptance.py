@@ -103,11 +103,9 @@ def test_criterion_03_batch_size_trend(toy_dataset, toy_mlp, toy_theta):
         medians = []
         for bs in (32, 128, 512):
             parts = toy_dataset.partition(bs, seed=seed, drop_last=True)
-            n_src = min(4, len(parts))
             _, reports = eigendirection_scan(
                 toy_mlp, toy_theta, toy_dataset.train_batch(), parts,
-                k=10, kind="ggn", beta=TOY_BETA, rng=Rng(seed),
-                source_indices=list(range(n_src)),
+                k=10, kind="ggn", beta=TOY_BETA, rng=Rng(seed), n_sources=4,
             )
             errs = np.concatenate([
                 s.relative_errors for s in bias_summary(reports, "curvature")

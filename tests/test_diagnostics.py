@@ -236,39 +236,47 @@ class TestEigendirectionScan:
                                 fisher_mode=fisher_mode)
             assert (shapes != []) == (kind == "ggn")
 
-    def test_source_indices_subset(self):
+    def test_part_order_selects_the_sources(self):
+        # the sources are the leading parts, so putting parts 1 and 3 first
+        # scans from them; on the dense eigensolver path (P <= 200) a part's
+        # basis does not depend on its position's start vector
         mlp, p, data, parts = self._setup()
+        assert p.n_params <= 200
+        order = [1, 3, 0, 2]
         eigs, reports = eigendirection_scan(
-            mlp, p, data, parts, k=2, kind="ggn", beta=0.05, rng=Rng(0),
-            source_indices=[1, 3],
-        )
-        assert [r.source_batch for r in reports] == [1, 3]
-        assert len(eigs) == 2
+            mlp, p, data, [parts[i] for i in order], k=2, kind="ggn", beta=0.05,
+            rng=Rng(0), n_sources=2)
+        all_eigs, every = eigendirection_scan(mlp, p, data, parts, k=2, kind="ggn",
+                                              beta=0.05, rng=Rng(0))
+        assert [r.source_batch for r in reports] == [0, 1]
+        columns = [*order, len(parts)]  # the full batch stays last
+        for got, eig, m in zip(reports, eigs, order[:2]):
+            want = every[m]
+            np.testing.assert_allclose(eig.basis, all_eigs[m].basis, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.slopes, want.slopes[:, columns], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.curvatures, want.curvatures[:, columns],
+                                       rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("sources,problem", [
-        ([7], r"\[7\] must lie in \[0, 3\)"),
-        ([3], r"\[3\] must lie in \[0, 3\)"),  # one past the last part
-        ([-1], r"\[-1\] must lie in \[0, 3\)"),  # numpy would read the last part
-        ([1.5], "whole numbers"),
-        ([True], "bool array"),  # not part 1
-        ([[0, 1]], r"must lie in \[0, 3\)"),
-    ], ids=["past_the_end", "one_past_the_end", "negative", "fraction", "bool", "nested"])
-    def test_source_indices_must_be_part_indices(self, sources, problem):
+    @pytest.mark.parametrize("n_sources,problem", [
+        (0, "must be >= 1, got 0"),
+        (-1, "must be >= 1, got -1"),
+        (1.5, "must be an integer, got 1.5"),
+        (True, "must be an integer, got True"),  # not one source
+    ], ids=["zero", "negative", "fraction", "bool"])
+    def test_n_sources_must_be_a_count(self, n_sources, problem):
         mlp, p, data, parts = self._setup()
-        with pytest.raises(ValidationError, match=f"^source_indices .*{problem}"):
+        with pytest.raises(ValidationError, match=f"^n_sources {problem}$"):
             eigendirection_scan(mlp, p, data, parts[:3], k=2, kind="ggn", rng=Rng(0),
-                                source_indices=sources)
+                                n_sources=n_sources)
 
-    @pytest.mark.parametrize("sources", [[1.0], np.array([1]), np.array([0, 1])],
-                             ids=["whole_float", "numpy_one", "numpy_two"])
-    def test_source_indices_as_any_whole_numbers(self, sources):
+    @pytest.mark.parametrize("n_sources", [3, 4, 7, np.int64(9)])
+    def test_n_sources_at_or_above_the_part_count_scans_every_part(self, n_sources):
         mlp, p, data, parts = self._setup()
         eigs, reports = eigendirection_scan(mlp, p, data, parts[:3], k=2, kind="ggn",
-                                            rng=Rng(0), source_indices=sources)
+                                            rng=Rng(0), n_sources=n_sources)
         want_eigs, want = eigendirection_scan(mlp, p, data, parts[:3], k=2, kind="ggn",
-                                              rng=Rng(0), source_indices=[int(m) for m in sources])
-        assert [type(r.source_batch) for r in reports] == [int] * len(want)
-        assert [r.source_column() for r in reports] == [r.source_batch for r in want]
+                                              rng=Rng(0))
+        assert [r.source_batch for r in reports] == [r.source_batch for r in want] == [0, 1, 2]
         for got, ref in zip(eigs, want_eigs):
             np.testing.assert_array_equal(got.basis, ref.basis)
 
@@ -278,7 +286,7 @@ class TestEigendirectionScan:
         mlp, p, data, parts = self._setup()
         eigs, reports = eigendirection_scan(
             mlp, p, data, parts[:2], k=2, kind=kind, beta=0.05, rng=Rng(0),
-            source_indices=[0], fisher_mode="mc_sample",
+            n_sources=1, fisher_mode="mc_sample",
         )
         rep = reports[0]
         col = rep.source_column()
@@ -298,13 +306,13 @@ class TestEigendirectionScan:
         parts[1] = part
         with pytest.raises(ValidationError, match=f"^part 1 .*{problem}"):
             eigendirection_scan(mlp, p, data, parts, k=2, kind="ggn", rng=Rng(0),
-                                source_indices=[0])
+                                n_sources=1)
 
     def test_k_above_the_parameter_count_rejected(self):
         mlp, p, data, parts = self._setup()
         with pytest.raises(ValidationError, match="k <= dim"):
             eigendirection_scan(mlp, p, data, parts, k=p.n_params + 1, kind="ggn",
-                                rng=Rng(0), source_indices=[0])
+                                rng=Rng(0), n_sources=1)
 
     @pytest.mark.parametrize("kind", ["ggn", "hessian"])
     def test_empty_data_rejected(self, kind):
@@ -313,7 +321,7 @@ class TestEigendirectionScan:
         empty = Batch(data.inputs[:0], data.targets[:0])
         with pytest.raises(ValidationError, match=r"^part 0 .*\[0, 0\)"):
             eigendirection_scan(mlp, p, empty, parts, k=2, kind=kind, rng=Rng(0),
-                                source_indices=[0])
+                                n_sources=1)
 
     def test_non_finite_row_term_raises_naming_the_scan(self):
         # the bad row is in no source part, so the source quadratics build
@@ -324,7 +332,7 @@ class TestEigendirectionScan:
         with np.errstate(all="ignore"), pytest.raises(
                 NumericalError, match="eigendirection_scan: non-finite row_term"):
             eigendirection_scan(mlp, p, data, parts, k=2, kind="ggn", rng=Rng(0),
-                                source_indices=[0])
+                                n_sources=1)
 
 
 class TestRowScanAgainstPerBatchOracle:
@@ -366,10 +374,10 @@ class TestRowScanAgainstPerBatchOracle:
         rows = rng.permutation(data.size)
         parts = np.split(rows[: sum(part_sizes)], np.cumsum(part_sizes)[:-1])
         batches = [Batch(data.inputs[pos], data.targets[pos]) for pos in parts]
-        sources = [int(m) for m in rng.permutation(n_batches)[: min(n_src, n_batches)]]
+        sources = list(range(min(n_src, n_batches)))  # the leading parts
         eigs, reports = eigendirection_scan(
             mlp, p, data, parts, k=k, kind=kind, beta=beta, delta=delta,
-            rng=Rng(seed), chunk_size=chunk_size, source_indices=sources,
+            rng=Rng(seed), chunk_size=chunk_size, n_sources=n_src,
             fisher_mode=fisher_mode,
         )
         assert [r.source_batch for r in reports] == sources

@@ -249,8 +249,11 @@ INPUT_SITES = [
      r"^overlap matrix shape does not match the bases$"),
     ("source_eigenbases",
      lambda _: source_eigenbases(_fit().mlp, _fit().p, _fit().batch, [[0, 1]], 1,
-                                 source_indices=[]),
-     r"^no source batch to take eigen directions from$"),
+                                 rng=Rng(0), n_sources=0),
+     r"^n_sources must be >= 1, got 0$"),
+    ("source_eigenbases no part",
+     lambda _: source_eigenbases(_fit().mlp, _fit().p, _fit().batch, [], 1, rng=Rng(0)),
+     r"^no part to take eigen directions from$"),
     ("kfac_factors", lambda _: _fit().mlp.kfac_factors(_fit().p, _fit().batch, "fisher"),
      r"^unknown fisher_mode 'fisher'$"),
     ("CurvatureOperator.matvec",

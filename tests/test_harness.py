@@ -169,7 +169,10 @@ class TestDatasets:
         ("0.5,nan,1\n", 2, "non-finite x1 = nan"),
         ("0.5,1.0,1\n-inf,0.2,0\n", 3, "non-finite x0 = -inf"),
         ("0.5,1.0,1\n0.3,0.2,-1\n", 3, "label = '-1' is negative"),
-    ], ids=["nan", "inf", "negative_label"])
+        # 2**63, one past the largest int64 the labels array holds
+        ("0.5,1.0,1\n0.3,0.2,9223372036854775808\n", 3,
+         "label = '9223372036854775808' is above 2**63 - 1"),
+    ], ids=["nan", "inf", "negative_label", "int64_overflow_label"])
     def test_csv_rejects_non_finite_entry_and_negative_label(self, tmp_path, rows, line, entry):
         path = tmp_path / "bad.csv"
         path.write_text("x0,x1,label\n" + rows)
@@ -1475,7 +1478,10 @@ class TestCli:
         ("x0,x1,label\n0.5,1.0,1\n0.5,1.0,1.5\n", "line 3: invalid literal for int()"),
         ("x0,x1,label\n0.5,nan,1\n", "line 2: non-finite x1 = nan"),
         ("x0,x1,label\n0.5,1.0,1\n0.3,0.2,-1\n", "line 3: label = '-1' is negative"),
-    ], ids=["empty", "non_numeric_entry", "non_integer_label", "nan_entry", "negative_label"])
+        ("x0,x1,label\n0.5,1.0,1\n0.3,0.2,0\n0.1,0.4,99999999999999999999999\n",
+         "line 4: label = '99999999999999999999999' is above 2**63 - 1"),
+    ], ids=["empty", "non_numeric_entry", "non_integer_label", "nan_entry", "negative_label",
+            "int64_overflow_label"])
     def test_malformed_csv_file_is_validation_error(self, tmp_path, text, message):
         data = tmp_path / "bad.csv"
         data.write_text(text)

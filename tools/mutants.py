@@ -450,10 +450,10 @@ MUTANTS = (
            "Rng.split mixes in a stream it has not checked",
            ("tests/test_linalg.py", "-k", "TestRng")),
     Mutant("src/quadbias/diagnostics.py",
-           "(sources < len(parts))",
-           "(sources <= len(parts))",
-           "the scan takes a source index one past the last part",
-           ("tests/test_diagnostics.py", "-k", "source_indices")),
+           "range(min(n, len(parts)))",
+           "range(n)",
+           "the scan takes sources past the last part",
+           ("tests/test_diagnostics.py", "-k", "n_sources")),
     Mutant("src/quadbias/harness/config.py",
            "\n               and len(set(counts)) == len(counts),",
            ",",
@@ -469,6 +469,11 @@ MUTANTS = (
            'header[0].startswith("#")',
            "load_csv skips any leading comment line, not only the digest line",
            ("tests/test_harness.py", "-k", "comment_line")),
+    Mutant("src/quadbias/harness/datasets.py",
+           "labels[-1] < 2**63",
+           "labels[-1] <= 2**63",
+           "load_csv passes a label of 2**63, which the int64 labels array cannot hold",
+           ("tests/test_harness.py", "-k", "int64_overflow")),
     Mutant("src/quadbias/quadratic.py",
            "    if c.ndim != 2 or c.shape[1:] != np.shape(directions)[1:]:\n",
            "    if False:\n",
