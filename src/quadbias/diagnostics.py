@@ -15,6 +15,7 @@ full-batch quadratic in the last column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -142,8 +143,9 @@ def _row_scores(mlp, theta, data, parts, blocks, kind, beta, delta, rng, chunk_s
     _part_kfac_rng(rng, i) and the full-batch factors on rng.split(20_000),
     so the pass computes only the slopes there."""
     d = np.hstack(blocks)
-    terms = np.concatenate([lin.row_terms(d, kind == "hessian", kind != "kfac")
-                            for _, lin in _traces(mlp, theta, data, chunk_size)], axis=1)
+    terms = np.concatenate(list(starmap(  # one chunk's trace at a time
+        lambda _, lin: lin.row_terms(d, kind == "hessian", kind != "kfac"),
+        _traces(mlp, theta, data, chunk_size))), axis=1)
     require_finite("eigendirection_scan", row_term=terms)
     means = np.stack([terms[:, pos].mean(axis=1) for pos in parts]
                      + [terms.mean(axis=1)], axis=1)

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and its checks: every count,
 seed, block-shape, orthonormality and non-finite check is one call to a function here."""
 
+import numbers
+
 import numpy as np
 
 
@@ -27,8 +29,9 @@ def is_count(value, least: int = 1, below: int | None = None) -> bool:
 
 
 def is_nonnegative(value) -> bool:
-    """True for a finite number >= 0 (NONNEGATIVE); a NaN is not."""
-    return 0 <= value < float("inf")
+    """True for a finite real number >= 0 (NONNEGATIVE); a NaN, a string,
+    None or an array is not."""
+    return isinstance(value, numbers.Real) and 0 <= value < float("inf")
 
 
 def is_seed(value) -> bool:
@@ -51,22 +54,30 @@ def check_counts(least: int = 1, **values) -> None:
 
 
 def as_integers(name: str, values) -> np.ndarray:
-    """values as an int64 array; a bool array, a bool entry among numbers
-    (which numpy would cast to 1 or 0), or an entry that is not a whole
-    number, which the cast would truncate, raises ValidationError naming the
-    argument."""
+    """values as an int64 array. A bool array, a bool entry among numbers
+    (which numpy would cast to 1 or 0), an entry that is not a whole number
+    (which the cast would truncate) or lies outside [-2**63, 2**63) (which it
+    would wrap), and entries that are not numbers raise ValidationError
+    naming the argument."""
     a = np.asarray(values)
-    if a.dtype.kind == "b":
-        raise ValidationError(f"{name} must be whole numbers, got a bool array")
-    if not isinstance(values, np.ndarray):  # a numeric array holds no bool entry
+    if a.dtype.kind not in "iufO":
+        raise ValidationError(f"{name} must be whole numbers, got a {a.dtype} array")
+    if not isinstance(values, np.ndarray) or a.dtype.kind == "O":  # else no bool entry
         flags = [v for v in np.asarray(values, dtype=object).flat
                  if isinstance(v, (bool, np.bool_))]
         if flags:
             raise ValidationError(f"{name} must be whole numbers, got {flags[0]}")
-    if a.dtype.kind not in "iu":
-        bad = ~(np.isfinite(a) & (a == np.trunc(a)))
-        if bad.any():
-            raise ValidationError(f"{name} must be whole numbers, got {a[bad][0]}")
+    try:  # an object entry may not be a number; Python ints compare exactly
+        f = a if a.dtype.kind in "iu" else a.astype(np.float64)
+        wide = (a < -2**63) | (a >= 2**63)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be whole numbers, got {a}") from None
+    bad = ~(np.isfinite(f) & (f == np.trunc(f)))
+    if bad.any():
+        raise ValidationError(f"{name} must be whole numbers, got {a[bad][0]}")
+    if wide.any():
+        raise ValidationError(f"{name} must be whole numbers in [-2**63, 2**63), "
+                              f"got {a[wide][0]}")
     return np.asarray(a, dtype=np.int64)
 
 
@@ -102,7 +113,7 @@ def check_nonnegative(**values) -> None:
     """Raise on the first value that is not a finite number >= 0, naming it."""
     for name, value in values.items():
         if not is_nonnegative(value):
-            raise ValidationError(f"{name} must be >= 0 and finite, got {value}")
+            raise ValidationError(f"{name} must be >= 0 and finite, got {value!r}")
 
 
 def check_domains(section: str, rows) -> None:

@@ -106,6 +106,12 @@ class Dataset:
         train = self.train_batch()
         return [train.rows(pos) for pos in parts]
 
+    def first_minibatches(self, n: int, batch_size: int, seed) -> list:
+        """The first n of ``minibatches(batch_size, seed, drop_last=True)``,
+        copying the rows of those n alone."""
+        train = self.train_batch()
+        return [train.rows(pos) for pos in self.partition(batch_size, seed, drop_last=True)[:n]]
+
 
 def _balanced_labels(n: int, c: int) -> np.ndarray:
     counts = [n // c + (1 if k < n % c else 0) for k in range(c)]

@@ -89,9 +89,10 @@ def _half(batch_size: int) -> int:
 
 
 def _prepare(cfg: ExperimentConfig):
+    """The dataset, the network and the parameters its training ends at; the
+    earlier checkpoints are not kept."""
     dataset = _dataset(cfg)
-    checkpoints = train(cfg.arch, dataset, cfg.train)
-    return dataset, Mlp(cfg.arch), checkpoints
+    return dataset, Mlp(cfg.arch), train(cfg.arch, dataset, cfg.train)[-1].params
 
 
 # -- bias-scan -----------------------------------------------------------------
@@ -165,8 +166,7 @@ def _scan_table(report) -> tuple:
 
 
 def _run_bias_scan(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    dataset, mlp, checkpoints = _prepare(cfg)
-    theta = checkpoints[-1].params
+    dataset, mlp, theta = _prepare(cfg)
     n_params = theta.n_params
 
     summary_rows = []
@@ -213,8 +213,7 @@ def _run_bias_scan(cfg: ExperimentConfig, out_dir: Path) -> dict:
 # -- overlap --------------------------------------------------------------------
 
 def _run_overlap(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    dataset, mlp, checkpoints = _prepare(cfg)
-    theta = checkpoints[-1].params
+    dataset, mlp, theta = _prepare(cfg)
     batch_size = cfg.batch_sizes[0]
     seed = cfg.seeds[0]
     eigs = source_eigenbases(mlp, theta, **_scan_sources(cfg, dataset, theta, batch_size, seed))
@@ -257,8 +256,7 @@ def _trajectory_metrics(mlp, dataset, q_full, trace):
 
 
 def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    dataset, mlp, checkpoints = _prepare(cfg)
-    theta = checkpoints[-1].params
+    dataset, mlp, theta = _prepare(cfg)
     q_full = fullbatch_quadratic(
         mlp, theta, dataset.train_batch(), cfg.curvature, cfg.beta, cfg.delta,
         cfg.chunk_size, cfg.fisher_mode, Rng(0).split(99),
@@ -286,28 +284,30 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
         finals[f"{method}_s{seed}"] = q_vals[-1]
         return q_vals
 
-    for seed in cfg.seeds:
-        single_batches = dataset.minibatches(single_size, seed=seed, drop_last=True)
-        q_b = build_quadratic(mlp, theta, single_batches[0], cfg.curvature,
-                              cfg.beta, cfg.delta, batch_id=0,
-                              fisher_mode=cfg.fisher_mode, rng=Rng(seed).split(1))
-        score("single", seed, cg_minimize(q_b, cg_cfg))
+    def batch_quadratic(seed, batch, batch_id, stream):
+        return build_quadratic(mlp, theta, batch, cfg.curvature, cfg.beta, cfg.delta,
+                               batch_id=batch_id, fisher_mode=cfg.fisher_mode,
+                               rng=Rng(seed).split(stream))
 
+    def debiased_pair(seed, single):
+        """The direction and magnitude quadratics: the two half batches', or
+        in congruence mode (force_same_batch) the single-batch quadratic,
+        rebuilt bit for bit from its batch and stream, as both, so the
+        debiased trajectory reproduces the single-batch one exactly."""
         if cfg.force_same_batch:
-            # congruence mode: direction and magnitude processes share the
-            # single-batch quadratic, so the debiased trajectory reproduces
-            # the single-batch one exactly
-            q_dir = q_mag = q_b
-        else:
-            halves = dataset.minibatches(half, seed=seed, drop_last=True)
-            q_dir, q_mag = (
-                build_quadratic(mlp, theta, halves[i], cfg.curvature, cfg.beta, cfg.delta,
-                                batch_id=name, fisher_mode=cfg.fisher_mode,
-                                rng=Rng(seed).split(2 + i))
-                for i, name in enumerate(("dir", "mag"))
-            )
+            q_b = batch_quadratic(seed, single, 0, 1)
+            return q_b, q_b
+        halves = dataset.first_minibatches(2, half, seed)
+        return tuple(batch_quadratic(seed, halves[i], name, 2 + i)
+                     for i, name in enumerate(("dir", "mag")))
+
+    # each quadratic is an argument of its solver call alone, so it is freed
+    # when the solver returns, before the trajectory is scored
+    for seed in cfg.seeds:
+        single = dataset.first_minibatches(1, single_size, seed)[0]
+        score("single", seed, cg_minimize(batch_quadratic(seed, single, 0, 1), cg_cfg))
         # the direction trace (first of the pair) is dropped unscored
-        q_vals_d = score("debiased", seed, debiased_cg(q_dir, q_mag, cg_cfg)[1])
+        q_vals_d = score("debiased", seed, debiased_cg(*debiased_pair(seed, single), cg_cfg)[1])
         stable[f"debiased_s{seed}"] = bool(max(q_vals_d) <= q_anchor + 1e-12)
 
     write_csv(out_dir / "cg_compare.csv", header, rows, cfg.digest)
@@ -353,16 +353,16 @@ def _predictive_metrics(probs, labels, n_test):
 def _laplace_fits(cfg, dataset, mlp, theta, single_size, half) -> list:
     """(method, seed, K-FAC factors, predictive seed) in row order; seed -1
     marks the full-batch factors. Built in a frame of its own, so that the
-    minibatch lists are freed before the sweep runs."""
+    minibatches are freed before the sweep runs."""
     fits = [("fullbatch", -1, accumulate_kfac(mlp, theta, dataset.train_batch(),
                                               cfg.fisher_mode, Rng(0).split(50),
                                               cfg.chunk_size), 1000)]
     for seed in cfg.seeds:
-        batch = dataset.minibatches(single_size, seed=seed, drop_last=True)[0]
+        batch = dataset.first_minibatches(1, single_size, seed)[0]
         fits.append(("single", seed, mlp.kfac_factors(
             theta, batch, cfg.fisher_mode, Rng(seed).split(11)), 2000 + seed))
     for seed in cfg.seeds:
-        halves = dataset.minibatches(half, seed=seed, drop_last=True)
+        halves = dataset.first_minibatches(2, half, seed)
         blocks_dir = mlp.kfac_factors(theta, halves[0], cfg.fisher_mode,
                                       Rng(seed).split(12))
         blocks_mag = mlp.kfac_factors(theta, halves[1], cfg.fisher_mode,
@@ -383,8 +383,7 @@ def _fit_metrics(post, grid, s_samples, seed, labels, lin, n_test) -> list:
 
 
 def _run_laplace_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    dataset, mlp, checkpoints = _prepare(cfg)
-    theta = checkpoints[-1].params
+    dataset, mlp, theta = _prepare(cfg)
     single_size = cfg.batch_sizes[0]
     half = _half(single_size)
     fits = _laplace_fits(cfg, dataset, mlp, theta, single_size, half)
@@ -449,12 +448,13 @@ def _run_scan_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """One scan per (label, n_params, mlp, theta) point: every checkpoint of
     one training (bias-over-training, label = epoch) or the last checkpoint
     of one training per width (size-sweep); one CSV, one plot, one trend."""
+    dataset = _dataset(cfg)
     if cfg.kind == "bias-over-training":
-        dataset, mlp, checkpoints = _prepare(cfg)
         axis, stem, title = "epoch", "bias_over_training", "curvature bias over training"
-        points = [(c.epoch, c.params.n_params, mlp, c.params) for c in checkpoints]
+        mlp = Mlp(cfg.arch)
+        points = [(c.epoch, c.params.n_params, mlp, c.params)
+                  for c in train(cfg.arch, dataset, cfg.train)]
     else:
-        dataset = _dataset(cfg)
         axis, stem, title = "width", "size_sweep", "curvature bias vs parameter count"
         points = _width_points(cfg, dataset)
     batch_size, seed = cfg.batch_sizes[0], cfg.seeds[0]

@@ -92,6 +92,8 @@ class DenseSymMatrix:
         m = np.asarray(self.entries, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+        if m.size == 0:
+            raise ValidationError(f"expected a matrix with rows, got shape {m.shape}")
         check_symmetric(m)
         object.__setattr__(self, "entries", m)
 

@@ -10,6 +10,7 @@ the one-point product-and-dot reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, starmap
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -160,13 +161,14 @@ def _quadratic(stage: str, mlp: Mlp, theta0: ParamVector, traces: Callable[[], I
     grad = np.zeros(theta0.n_params)
     for w, lin in traces():
         l_part, g_part = mlp.loss_and_grad(theta0, lin, 0.0)
+        del lin  # before the walk builds the next trace
         loss += w * l_part
         grad += w * g_part
     loss = add_weight_decay(theta0, beta, loss, grad)
     require_finite(stage, loss=loss, gradient=grad)
 
-    def summed(term):
-        return lambda vs: sum(w * term(lin, vs) for w, lin in traces())
+    def summed(term):  # starmap drops each trace before it takes the next
+        return lambda vs: sum(starmap(lambda w, lin: w * term(lin, vs), traces()))
 
     if kind == "kfac":
         raw, gram = _kfac_product(kfac(), theta0), None
@@ -332,7 +334,9 @@ def subspace_eval(
 def _traces(mlp: Mlp, theta: ParamVector, data: Batch, chunk_size: int) -> Iterator:
     """(share of rows, Linearization at theta) pairs of fixed-order slices of
     a dataset, the last maybe ragged, each linearized when the walk reaches
-    it; the dataset and chunk_size are checked at the call, not at the walk."""
+    it; the dataset and chunk_size are checked at the call, not at the walk.
+    A consumer drops each trace before it takes the next, so that one chunk's
+    trace is held at a time."""
     n = data.size
     if n == 0:
         raise ValidationError("dataset is empty")
@@ -356,9 +360,11 @@ def accumulate_kfac(
     the K-FAC of the union batch). Chunk i samples from ``rng.split(i)``; its
     factors are added to running sums from 0, so one chunk's are held at a time."""
     sums = [[0, 0] for _ in range(mlp.arch.n_layers)]
-    for i, (w, lin) in enumerate(_traces(mlp, theta_star, data, chunk_size)):
-        blocks = mlp.kfac_factors(theta_star, lin, fisher_mode,
-                                  rng.split(i) if rng is not None else None)
+    streams = (rng.split(i) if rng is not None else None for i in count())
+    # not enumerate, whose reused result tuple holds a trace until the next is built
+    for w, lin in _traces(mlp, theta_star, data, chunk_size):
+        blocks = mlp.kfac_factors(theta_star, lin, fisher_mode, next(streams))
+        del lin
         for s, blk in zip(sums, blocks):
             s[0] += w * blk.factor_a.entries
             s[1] += w * blk.factor_b.entries

@@ -231,6 +231,47 @@ def test_as_integers_bool_entry_is_not_read_as_one(values):
         as_integers("x", values)
 
 
+@pytest.mark.parametrize("values,got", [
+    (np.array([True, 2], dtype=object), "True"),
+    (np.array([1.5, 2], dtype=object), "1.5"),
+    (np.array(["a", 1], dtype=object), r"\['a' 1\]"),
+    (["1", "2"], "a <U1 array"),
+], ids=["object_bool", "object_fraction", "object_string", "strings"])
+def test_as_integers_non_number_entry_raises_naming_the_argument(values, got):
+    with pytest.raises(ValidationError, match=f"^x must be whole numbers, got {got}$"):
+        as_integers("x", values)
+
+
+@pytest.mark.parametrize("values,got", [
+    ([1e30], "1e\\+30"),
+    ([-1e19], "-1e\\+19"),
+    (np.array([2**64 - 1], dtype=np.uint64), str(2**64 - 1)),
+    ([2**63], str(2**63)),
+    (np.array([2**70, 1], dtype=object), str(2**70)),
+], ids=["float", "negative_float", "uint64", "int", "object_int"])
+def test_as_integers_outside_int64_raises_naming_the_argument(values, got):
+    # the int64 cast would wrap each of these without an error
+    with pytest.raises(ValidationError,
+                       match=rf"^x must be whole numbers in \[-2\*\*63, 2\*\*63\), got {got}$"):
+        as_integers("x", values)
+
+
+def test_as_integers_keeps_the_int64_bounds():
+    for values in ([-2**63, 2**63 - 1], np.array([-2**63, 2**63 - 1], dtype=object),
+                   np.array([2**63 - 1], dtype=np.uint64)):
+        out = as_integers("x", values)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, np.asarray(values, dtype=object).astype(np.int64))
+
+
+@pytest.mark.parametrize("value,got", [("1", "'1'"), (None, "None"),
+                                       (np.ones(2), r"array\(\[1\., 1\.\]\)")],
+                         ids=["string", "none", "array"])
+def test_nonnegative_non_number_raises_naming_the_argument(value, got):
+    with pytest.raises(ValidationError, match=f"^beta must be >= 0 and finite, got {got}$"):
+        CurvatureOperator(3, lambda vs: vs, beta=value)
+
+
 def _short_checkpoint(tmp_path):
     arch = MlpArchitecture((2, 3, 2))
     path = tmp_path / "short.ckpt"
@@ -261,6 +302,8 @@ INPUT_SITES = [
      r"^vector shape \(4,\) != \(3,\)$"),
     ("DenseSymMatrix", lambda _: DenseSymMatrix(np.ones((2, 3))),
      r"^expected a square matrix, got shape \(2, 3\)$"),
+    ("sym_eigh empty", lambda _: sym_eigh(np.zeros((0, 0))),
+     r"^expected a matrix with rows, got shape \(0, 0\)$"),
     ("ParamVector", lambda _: ParamVector(np.ones(3), ParamVector.from_values(np.ones(2)).layout),
      r"^values length \(3,\) does not match layout size 2$"),
     ("Batch", lambda _: Batch(np.zeros((2, 1)), np.eye(3)),

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from contextlib import redirect_stderr
 from dataclasses import replace
 from pathlib import Path
@@ -266,6 +267,19 @@ class TestDatasets:
             want = model.Batch(ds.train_inputs[pos], targets[pos])
             assert b.inputs.tobytes() == want.inputs.tobytes()
             assert b.targets.tobytes() == want.targets.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_minibatches_are_the_leading_minibatches(self, n):
+        spec = DatasetSpec(generator="gaussian_blobs", n=50, d=3, c=2, seed=6,
+                           train_frac=1.0)
+        ds = generate_dataset(spec)
+        want = ds.minibatches(16, seed=3, drop_last=True)[:n]
+        got = ds.first_minibatches(n, 16, 3)
+        assert len(got) == n
+        for b, w in zip(got, want):
+            assert b.inputs.tobytes() == w.inputs.tobytes()
+            assert b.targets.tobytes() == w.targets.tobytes()
+
 
 class TestTraining:
     def _dataset(self):
@@ -991,6 +1005,36 @@ class TestExperiments:
                 assert q[-1] <= anchor
         assert summary["debiased_never_above_anchor"] == stable
         assert not all(stable.values())
+
+    @pytest.mark.parametrize("force", ["false", "true"])
+    def test_cg_compare_scores_with_only_the_full_batch_quadratic_alive(self, tmp_path,
+                                                                       monkeypatch, force):
+        # each CG quadratic is freed when its solver returns, so while a
+        # trajectory is scored the full-batch quadratic is the only one alive
+        from quadbias import quadratic
+        from quadbias.harness import experiments
+
+        refs, others = [], []
+        real_init = quadratic.QuadraticModel.__init__
+        real_values = experiments.trajectory_values
+
+        def init(self, *args, **kwargs):
+            refs.append(weakref.ref(self))
+            real_init(self, *args, **kwargs)
+
+        def values(q, *args):
+            assert q.batch_id == "FULL"
+            others.append(sum(ref() is not None and ref() is not q for ref in refs))
+            return real_values(q, *args)
+
+        monkeypatch.setattr(quadratic.QuadraticModel, "__init__", init)
+        monkeypatch.setattr(experiments, "trajectory_values", values)
+        extra = {**self._TINY["cg-compare"][0], "force_same_batch": force}
+        run_experiment(self._config(tmp_path, kind="cg-compare", extra=extra), tmp_path / "r")
+        assert others == [0] * 4  # two seeds, two trajectories each
+        # the full-batch quadratic, then per seed the single-batch one and
+        # the pair: two half batches', or the single-batch one rebuilt
+        assert len(refs) == 1 + 2 * (2 if force == "true" else 3)
 
     def test_cg_compare_holds_at_most_two_direction_blocks(self, tmp_path, monkeypatch):
         # after training, cg-compare's CG runs and trajectory scoring hold at

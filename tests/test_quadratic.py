@@ -1,16 +1,21 @@
 """Quadratic models: construction, directional derivatives, subspace
 evaluation, chunked full-batch accumulation."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadbias.diagnostics import eigendirection_scan
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import DenseSymMatrix, Rng, kron_matvec
-from quadbias.model import Batch, KfacBlock, LayoutEntry, Mlp, MlpArchitecture, ParamVector
+from quadbias.model import (Batch, KfacBlock, LayoutEntry, Linearization, Mlp, MlpArchitecture,
+                            ParamVector)
 from quadbias.quadratic import (
     CurvatureOperator,
+    accumulate_kfac,
     build_quadratic,
     directional_curvature,
     directional_curvatures,
@@ -602,3 +607,40 @@ class TestFullbatch:
         empty = Batch(np.zeros((0, 5)), np.zeros((0, 4)))
         with pytest.raises(ValidationError):
             fullbatch_quadratic(mlp, p, empty, "ggn")
+
+
+# each consumer of the chunk walk, called on 12 rows in chunks of 4 with the
+# full-batch quadratics of the same walk built beforehand
+CHUNK_WALKS = {
+    "fullbatch loss": lambda mlp, p, data, q, vs: fullbatch_quadratic(
+        mlp, p, data, "hessian", chunk_size=4),
+    "hessian product": lambda mlp, p, data, q, vs: q["hessian"].curvature.matmat(vs),
+    "ggn product": lambda mlp, p, data, q, vs: q["ggn"].curvature.matmat(vs),
+    "ggn gram": lambda mlp, p, data, q, vs: q["ggn"].curvature.gram(vs),
+    "accumulate_kfac": lambda mlp, p, data, q, vs: accumulate_kfac(
+        mlp, p, data, "mc_sample", Rng(3), chunk_size=4),
+    **{f"row scan {kind}": lambda mlp, p, data, q, vs, kind=kind: eigendirection_scan(
+        mlp, p, data, [np.arange(6), np.arange(6, 12)], 2, kind, rng=Rng(4), chunk_size=4,
+        n_sources=1) for kind in ("ggn", "kfac")},
+}
+
+
+@pytest.mark.parametrize("walk", CHUNK_WALKS.values(), ids=CHUNK_WALKS.keys())
+def test_chunk_walk_holds_one_trace_at_a_time(walk, monkeypatch):
+    # when a trace is built, no trace built earlier in the call is alive
+    mlp, p, data = small_problem(seed=60, n=12)
+    q = {kind: fullbatch_quadratic(mlp, p, data, kind, beta=0.1, chunk_size=4)
+         for kind in ("hessian", "ggn")}
+    vs = Rng(5).normal(2 * p.n_params).reshape(p.n_params, 2)
+    refs, alive = [], []
+    real_init = Linearization.__init__
+
+    def init(self, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(self))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Linearization, "__init__", init)
+    walk(mlp, p, data, q, vs)
+    assert len(alive) >= 3  # every walk takes the three chunks
+    assert alive == [0] * len(alive)

@@ -138,8 +138,8 @@ MUTANTS = (
            "the operator's beta term acts on the biases too",
            ("tests/test_quadratic.py",)),
     Mutant("src/quadbias/quadratic.py",
-           "sum(w * term(lin, vs) for w, lin in traces())",
-           "sum(term(lin, vs) for w, lin in traces())",
+           "lambda w, lin: w * term(lin, vs)",
+           "lambda w, lin: term(lin, vs)",
            "full-batch products and grams sum the chunks without their row shares",
            ("tests/test_quadratic.py",)),
     Mutant("src/quadbias/linalg.py",
@@ -435,8 +435,8 @@ MUTANTS = (
            "a bool passes as a count or a seed",
            ("tests/test_errors.py", "-k", "bool")),
     Mutant("src/quadbias/errors.py",
-           'if a.dtype.kind == "b":',
-           "if False:",
+           'if a.dtype.kind not in "iufO":',
+           'if a.dtype.kind not in "biufO":',
            "as_integers reads a bool mask as the integers 1 and 0",
            ("tests/test_errors.py", "-k", "bool_array")),
     Mutant("src/quadbias/errors.py",
@@ -479,6 +479,37 @@ MUTANTS = (
            "    if False:\n",
            "in_span takes coefficients that do not fit its directions",
            ("tests/test_quadratic.py", "-k", "coefficient")),
+    Mutant("src/quadbias/harness/experiments.py",
+           '        score("single", seed, cg_minimize(batch_quadratic(seed, single, 0, 1), cg_cfg))\n',
+           "        q_b = batch_quadratic(seed, single, 0, 1)\n"
+           '        score("single", seed, cg_minimize(q_b, cg_cfg))\n',
+           "cg-compare keeps the single-batch quadratic bound while it scores",
+           ("tests/test_harness.py", "-k", "only_the_full_batch_quadratic")),
+    Mutant("src/quadbias/quadratic.py",
+           "        del lin  # before the walk builds the next trace\n",
+           "",
+           "the full-batch loss walk keeps the previous chunk's trace",
+           ("tests/test_quadratic.py", "-k", "one_trace")),
+    Mutant("src/quadbias/harness/datasets.py",
+           "drop_last=True)[:n]]",
+           "drop_last=True)]",
+           "first_minibatches returns every minibatch, not the first n",
+           ("tests/test_harness.py", "-k", "first_minibatches")),
+    Mutant("src/quadbias/errors.py",
+           "    if wide.any():\n",
+           "    if False:\n",
+           "as_integers wraps an entry outside int64",
+           ("tests/test_errors.py", "-k", "outside_int64")),
+    Mutant("src/quadbias/errors.py",
+           'not isinstance(values, np.ndarray) or a.dtype.kind == "O"',
+           "not isinstance(values, np.ndarray)",
+           "as_integers reads a bool entry of an object array as the integer 1",
+           ("tests/test_errors.py", "-k", "non_number_entry")),
+    Mutant("src/quadbias/errors.py",
+           "isinstance(value, numbers.Real) and 0 <= value",
+           "0 <= value",
+           "check_nonnegative compares a string, None or an array with 0",
+           ("tests/test_errors.py", "-k", "nonnegative_non_number")),
 )
 
 
