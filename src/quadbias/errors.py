@@ -57,9 +57,13 @@ def as_integers(name: str, values) -> np.ndarray:
     """values as an int64 array. A bool array, a bool entry among numbers
     (which numpy would cast to 1 or 0), an entry that is not a whole number
     (which the cast would truncate) or lies outside [-2**63, 2**63) (which it
-    would wrap), and entries that are not numbers raise ValidationError
-    naming the argument."""
-    a = np.asarray(values)
+    would wrap), entries that are not numbers and a ragged nest raise
+    ValidationError naming the argument."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValidationError(f"{name} must be whole numbers in an array of one shape, "
+                              f"got {values!r}") from None
     if a.dtype.kind not in "iufO":
         raise ValidationError(f"{name} must be whole numbers, got a {a.dtype} array")
     if not isinstance(values, np.ndarray) or a.dtype.kind == "O":  # else no bool entry
@@ -82,7 +86,12 @@ def as_integers(name: str, values) -> np.ndarray:
 
 
 def as_block(vs, dim: int) -> np.ndarray:
-    """vs as a float (dim, k >= 1) block; another shape raises ValidationError."""
+    """vs as a float (dim, k >= 1) block; another shape, or a complex
+    block, whose imaginary part the float cast would drop, raises
+    ValidationError."""
+    vs = np.asarray(vs)
+    if vs.dtype.kind == "c":
+        raise ValidationError(f"block must be real, got a {vs.dtype} array")
     vs = np.asarray(vs, dtype=np.float64)
     if vs.ndim != 2 or vs.shape[0] != dim or vs.shape[1] < 1:
         raise ValidationError(f"block shape {vs.shape} != ({dim}, k >= 1)")

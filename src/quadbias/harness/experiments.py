@@ -240,17 +240,18 @@ def _run_overlap(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 # -- cg-compare -------------------------------------------------------------------
 
-def _trajectory_metrics(mlp, dataset, q_full, trace):
+def _trajectory_metrics(mlp, dataset, q_full, trace, chunk_size):
     """q_full and the test accuracy at every iterate of a trace that starts
     at q_full's anchor: the values from one gram of the trace's directions,
-    the accuracies from its iterates, rebuilt one at a time."""
+    the accuracies from its iterates, rebuilt one at a time, each walking
+    the test split chunk_size rows at a time."""
     q_vals = trajectory_values(q_full, trace.directions, trace.magnitudes).tolist()
     if dataset.test_inputs.shape[0] == 0:
         return q_vals, [float("nan")] * len(q_vals)
     test_acc = []
     for th in trace.iterates():
-        logits = mlp.forward(q_full.theta0.with_values(th), dataset.test_inputs)
-        preds = np.argmax(logits, axis=1)
+        preds = mlp.predicted_labels(q_full.theta0.with_values(th), dataset.test_inputs,
+                                     chunk_size)
         test_acc.append(float(np.mean(preds == dataset.test_labels)))
     return q_vals, test_acc
 
@@ -277,7 +278,7 @@ def _run_cg_compare(cfg: ExperimentConfig, out_dir: Path) -> dict:
         """Rows, plot series, termination and final value of one trajectory;
         the trace is not kept, so its direction block is freed before the
         next one runs."""
-        q_vals, acc = _trajectory_metrics(mlp, dataset, q_full, trace)
+        q_vals, acc = _trajectory_metrics(mlp, dataset, q_full, trace, cfg.chunk_size)
         rows.extend([method, seed, i, qv, a] for i, (qv, a) in enumerate(zip(q_vals, acc)))
         series[f"{method} s{seed}"] = (list(range(len(q_vals))), q_vals)
         terminations[f"{method}_s{seed}"] = trace.termination

@@ -70,12 +70,12 @@ def train(arch: MlpArchitecture, dataset: Dataset, config: TrainConfig) -> list:
     velocity = np.zeros(params.n_params)
     ckpt_at = set(checkpoint_epochs(config.epochs))
     checkpoints = []
+    data = dataset.train_batch()  # checked once; each step copies its own rows
 
     for epoch in range(1, config.epochs + 1):
-        batches = dataset.minibatches(config.batch_size, seed=rng.split(epoch))
         stage = f"training diverged at epoch {epoch}"
-        for batch in batches:
-            loss, grad = mlp.loss_and_grad(params, batch, config.beta)
+        for pos in dataset.partition(config.batch_size, seed=rng.split(epoch)):
+            loss, grad = mlp.loss_and_grad(params, data.rows(pos), config.beta)
             require_finite(stage, loss=loss)
             velocity *= config.momentum
             velocity += grad

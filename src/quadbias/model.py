@@ -25,8 +25,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import (ValidationError, as_block, as_integers, check_domains, check_nonnegative,
-                     is_count, require_finite)
+from .errors import (ValidationError, as_block, as_integers, check_counts, check_domains,
+                     check_nonnegative, is_count, require_finite)
 from .linalg import DenseSymMatrix, Rng, _sym
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -42,10 +42,10 @@ BLOCK_BUDGET = 512
 # draws at once was slower and took 5 MiB more.
 DRAW_BUDGET = 4096
 # Rows x columns x parameters, about the multiply-adds of one pass, from which
-# a second thread takes alternate passes (see _pass_worker): smaller passes do
-# not pay for the handoff. A pass of the toy nets (P <= 1,562) stays below it
-# up to 2,685 rows; a 512-row pass of the 77k-parameter medium net is 9x
-# above it.
+# a second thread takes alternate passes (see _run_halves): smaller passes do
+# not pay for the handoff. A chunk of predicted_labels is a one-column pass. A
+# pass of the toy nets (P <= 1,562) stays below it up to 2,685 rows; a 512-row
+# pass of the 77k-parameter medium net is 9x above it.
 SPLIT_WORK = 1 << 22
 # The variables each BLAS reads its thread count from, in its own order of
 # precedence; any other BLAS is taken to read OMP_NUM_THREADS.
@@ -88,6 +88,27 @@ def _pass_worker():
 
 if hasattr(os, "register_at_fork"):  # a forked child has no copy of the thread
     os.register_at_fork(after_in_child=_pass_worker.cache_clear)
+
+
+def _run_halves(items, run, work: float) -> None:
+    """run(items), or, when there are two or more items of at least
+    SPLIT_WORK work each and a second thread helps (``_pass_worker``),
+    run(items[1::2]) on that thread while this one runs run(items[::2]).
+    An error of either half is raised once both halves are done. The worker
+    must run private code only: bench/tracer.py wraps the public methods and
+    keeps one span stack for every thread."""
+    worker = None
+    if len(items) > 1 and work >= SPLIT_WORK:
+        worker = _pass_worker()
+    if worker is None:
+        run(items)
+        return
+    odd = worker.submit(run, items[1::2])
+    try:
+        run(items[::2])
+    finally:
+        odd.exception()  # waits for the odd half, however the even half ends
+    odd.result()
 
 
 @dataclass(frozen=True)
@@ -350,33 +371,19 @@ class Linearization:
 
     def _by_pass(self, vs: np.ndarray, tail: tuple, one_pass) -> np.ndarray:
         """one_pass over column groups of vs, each written whole into its own
-        slice of the (k,) + tail output. When there are several passes of at
-        least SPLIT_WORK and a second thread helps (``_pass_worker``), that
-        thread runs the odd passes while this one runs the even ones; nothing
-        is summed across passes, so the output is the same bytes either way.
-        An error of either half is raised once both halves are done."""
+        slice of the (k,) + tail output, the odd passes on a second thread
+        when it helps (``_run_halves``); nothing is summed across passes, so
+        the output is the same bytes either way."""
         vs = as_block(vs, self.mlp.n_params)
         out = np.empty((vs.shape[1],) + tail)
         step = self.cols_per_pass
-        starts = range(0, vs.shape[1], step)
 
         def run(part):
             for start in part:
                 out[start : start + step] = one_pass(
                     np.ascontiguousarray(vs[:, start : start + step].T))
 
-        worker = None
-        if len(starts) > 1 and step * self.size * self.mlp.n_params >= SPLIT_WORK:
-            worker = _pass_worker()
-        if worker is None:
-            run(starts)
-            return out
-        odd = worker.submit(run, starts[1::2])
-        try:
-            run(starts[::2])
-        finally:
-            odd.exception()  # waits for the odd half, however the even half ends
-        odd.result()
+        _run_halves(range(0, vs.shape[1], step), run, step * self.size * self.mlp.n_params)
         return out
 
     def _split(self, flat: np.ndarray, l: int):
@@ -584,6 +591,24 @@ class Mlp:
     def forward(self, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
         """Logits for a batch of inputs (rows); deterministic."""
         return self._walk(self._unpack(params), self._inputs(inputs))
+
+    def predicted_labels(self, params: ParamVector, inputs: np.ndarray,
+                         chunk_size: int) -> np.ndarray:
+        """The argmax of the logits of every row of inputs, computed
+        chunk_size rows at a time, so no more than one chunk's layer outputs
+        are held per thread; alternate chunks run on a second thread when it
+        helps (``_run_halves``)."""
+        check_counts(chunk_size=chunk_size)
+        wb, x = self._unpack(params), self._inputs(inputs)
+        out = np.empty(x.shape[0], dtype=np.intp)
+
+        def run(part):
+            for start in part:
+                rows = slice(start, start + chunk_size)
+                out[rows] = np.argmax(self._walk(wb, x[rows]), axis=1)
+
+        _run_halves(range(0, x.shape[0], chunk_size), run, chunk_size * self.n_params)
+        return out
 
     def _walk(self, wb: list, x: np.ndarray, acts: list | None = None) -> np.ndarray:
         """The logits Z_L of the layers wb at inputs x, appending each layer's

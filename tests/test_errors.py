@@ -12,7 +12,7 @@ import pytest
 from quadbias.cg import CgConfig, cg_minimize
 from quadbias.diagnostics import (OverlapMatrix, _checked_parts, above_floor,
                                   source_eigenbases, spectral_transfer)
-from quadbias.errors import NumericalError, ValidationError, as_integers
+from quadbias.errors import NumericalError, ValidationError, as_block, as_integers
 from quadbias.harness import DatasetSpec, TrainConfig, generate_dataset, train
 from quadbias.harness.config import parse_experiment_config, read_config_text
 from quadbias.harness.training import Checkpoint, load_checkpoint, save_checkpoint
@@ -70,6 +70,9 @@ COUNT_SITES = [
      LIBRARY.format("n_bins")),
     ("fullbatch_quadratic chunk_size", 1, None,
      lambda v: fullbatch_quadratic(_fit().mlp, _fit().p, _fit().batch, chunk_size=v),
+     LIBRARY.format("chunk_size")),
+    ("Mlp.predicted_labels chunk_size", 1, None,
+     lambda v: _fit().mlp.predicted_labels(_fit().p, _fit().batch.inputs, v),
      LIBRARY.format("chunk_size")),
     ("MlpArchitecture layers", 1, None, lambda v: MlpArchitecture((2, v, 2)),
      CONFIG.format("layers")),
@@ -264,6 +267,14 @@ def test_as_integers_keeps_the_int64_bounds():
         np.testing.assert_array_equal(out, np.asarray(values, dtype=object).astype(np.int64))
 
 
+@pytest.mark.parametrize("values", [[[1], [1, 2]], [[0], 1]], ids=["rows", "row_and_entry"])
+def test_as_integers_ragged_nest_raises_naming_the_argument(values):
+    # numpy itself raises a bare ValueError ("inhomogeneous shape")
+    with pytest.raises(ValidationError, match=r"^x must be whole numbers in an array of one "
+                                              r"shape, got \["):
+        as_integers("x", values)
+
+
 @pytest.mark.parametrize("value,got", [("1", "'1'"), (None, "None"),
                                        (np.ones(2), r"array\(\[1\., 1\.\]\)")],
                          ids=["string", "none", "array"])
@@ -300,6 +311,13 @@ INPUT_SITES = [
     ("CurvatureOperator.matvec",
      lambda _: CurvatureOperator.from_dense(np.eye(3)).matvec(np.ones(4)),
      r"^vector shape \(4,\) != \(3,\)$"),
+    ("as_block complex", lambda _: as_block(np.ones((3, 1)) * (1 + 2j), 3),
+     r"^block must be real, got a complex128 array$"),
+    ("CurvatureOperator.matmat complex",
+     lambda _: CurvatureOperator.from_dense(np.eye(3)).matmat(np.ones((3, 2), dtype=complex)),
+     r"^block must be real, got a complex128 array$"),
+    ("one_hot ragged", lambda _: one_hot([[0], [0, 1]], 2),
+     r"^labels must be whole numbers in an array of one shape, got \[\[0\], \[0, 1\]\]$"),
     ("DenseSymMatrix", lambda _: DenseSymMatrix(np.ones((2, 3))),
      r"^expected a square matrix, got shape \(2, 3\)$"),
     ("sym_eigh empty", lambda _: sym_eigh(np.zeros((0, 0))),

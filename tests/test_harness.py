@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 import weakref
 from contextlib import redirect_stderr
@@ -364,6 +365,29 @@ class TestTraining:
         got = {c.epoch: hashlib.sha256(c.params.values.tobytes()).hexdigest()
                for c in train(arch, self._dataset(), cfg)}
         assert got == self.RECORDED[name]
+
+    @pytest.mark.parametrize("arch,cfg", [
+        (MlpArchitecture((4, 6, 5, 3), "relu", "cross_entropy"),
+         TrainConfig(lr=0.05, momentum=0.9, epochs=5, batch_size=24, beta=5e-4, seed=9)),
+        (MlpArchitecture((4, 6, 3), "tanh", "mse"),
+         TrainConfig(lr=0.02, momentum=0.5, epochs=3, batch_size=128, beta=0.0, seed=2)),
+    ], ids=["ragged", "one_batch"])
+    def test_checkpoints_are_those_of_the_minibatches_loop(self, arch, cfg):
+        # the loop train ran before it read each step's rows from one table
+        ds, mlp = self._dataset(), Mlp(arch)
+        rng = Rng(cfg.seed)
+        params = mlp.init_params(rng.split(0))
+        velocity = np.zeros(params.n_params)
+        want = {}
+        for epoch in range(1, cfg.epochs + 1):
+            for batch in ds.minibatches(cfg.batch_size, seed=rng.split(epoch)):
+                velocity = cfg.momentum * velocity + mlp.loss_and_grad(params, batch, cfg.beta)[1]
+                params.values -= cfg.lr * velocity
+            want[epoch] = params.values.tobytes()
+        got = train(arch, ds, cfg)
+        assert [c.epoch for c in got] == checkpoint_epochs(cfg.epochs)
+        for c in got:
+            assert c.params.values.tobytes() == want[c.epoch], c.epoch
 
     def test_deterministic_given_seed(self):
         ds = self._dataset()
@@ -1035,6 +1059,76 @@ class TestExperiments:
         # the full-batch quadratic, then per seed the single-batch one and
         # the pair: two half batches', or the single-batch one rebuilt
         assert len(refs) == 1 + 2 * (2 if force == "true" else 3)
+
+    def _test_walks(self, monkeypatch):
+        """(rows, thread name) of every walk of the network over test rows
+        of the run's dataset, and (name, thread name) of every public Mlp
+        call, recorded as they run."""
+        from quadbias.harness import experiments
+
+        walks, calls, made = [], [], []
+        real_dataset, real_walk = experiments.generate_dataset, Mlp._walk
+
+        def dataset(spec):
+            made.append(real_dataset(spec))
+            return made[-1]
+
+        def walk(self, wb, x, acts=None):
+            if np.shares_memory(x, made[-1].test_inputs):
+                walks.append((x.shape[0], threading.current_thread().name))
+            return real_walk(self, wb, x, acts)
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                calls.append((name, threading.current_thread().name))
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(experiments, "generate_dataset", dataset)
+        monkeypatch.setattr(Mlp, "_walk", walk)
+        for name, fn in vars(Mlp).items():
+            if not name.startswith("_") and callable(fn):
+                monkeypatch.setattr(Mlp, name, recorded(name, fn))
+        return walks, calls
+
+    def _cg_chunks(self, tmp_path, chunk_size, name):
+        extra = {**self._TINY["cg-compare"][0], "chunk_size": str(chunk_size)}
+        cfg = self._config(tmp_path, kind="cg-compare", extra=extra,
+                           dataset={"train_frac": "0.75"})
+        return read_csv(run_experiment(cfg, tmp_path / name) / "cg_compare.csv")[2]
+
+    def test_cg_compare_test_accuracy_walks_chunk_size_rows(self, tmp_path, monkeypatch):
+        # 32 test rows in chunks of 5: six full chunks and a ragged one per
+        # iterate, the rows of every iterate walked once
+        walks, _ = self._test_walks(monkeypatch)
+        rows = self._cg_chunks(tmp_path, 5, "r")
+        assert walks and max(n for n, _ in walks) <= 5
+        assert sum(n for n, _ in walks) == 32 * len(rows)
+
+    def test_cg_compare_worker_runs_no_public_mlp_method(self, tmp_path, monkeypatch,
+                                                        pass_split):
+        # the worker takes the odd chunks of every test walk, and each of
+        # them runs the network's private walk; the benchmark's tracer
+        # wraps the public methods and keeps one span stack for all threads
+        force, _ = pass_split
+        force(True)
+        walks, calls = self._test_walks(monkeypatch)
+        self._cg_chunks(tmp_path, 5, "r")
+        threads = {thread for _, thread in walks}
+        assert "MainThread" in threads and any(t.startswith("test-pass") for t in threads)
+        assert calls and {thread for _, thread in calls} == {"MainThread"}
+
+    def test_cg_compare_test_accuracy_does_not_depend_on_chunk_size(self, tmp_path,
+                                                                    pass_split):
+        # only the accuracy column: the full-batch values sum the chunks in
+        # an order that depends on chunk_size
+        force, _ = pass_split
+        force(True)
+        split = self._cg_chunks(tmp_path, 5, "split")
+        force(False)
+        whole = self._cg_chunks(tmp_path, 64, "whole")
+        assert len(split) == len(whole) > 0
+        assert [r[:3] + r[4:] for r in split] == [r[:3] + r[4:] for r in whole]
 
     def test_cg_compare_holds_at_most_two_direction_blocks(self, tmp_path, monkeypatch):
         # after training, cg-compare's CG runs and trajectory scoring hold at

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadbias import model
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng
 from quadbias.model import (BLOCK_BUDGET, Batch, Mlp, MlpArchitecture, ParamVector,
@@ -745,6 +746,20 @@ class TestPassSplit:
             lin._by_pass(np.ones((p.n_params, 5)), (p.n_params,), main_fails)
         assert ran == [1, 1]
 
+    def test_halves_split_only_from_the_work_gate(self, pass_split, monkeypatch):
+        # the worker is there, but only work of at least SPLIT_WORK per item
+        # and two or more items are handed to it
+        _, pool = pass_split
+        monkeypatch.setattr(model, "_pass_worker", lambda: pool)
+        ran = []
+        for items, work in ((range(4), model.SPLIT_WORK - 1), (range(1), model.SPLIT_WORK),
+                            (range(4), model.SPLIT_WORK)):
+            ran.clear()
+            model._run_halves(items, lambda part: ran.extend((i, _on_worker()) for i in part),
+                              work)
+            assert sorted(ran) == [(i, work >= model.SPLIT_WORK and i % 2 == 1) for i in items]
+        assert pool.submits == 1
+
     @pytest.mark.parametrize("environ, cores, blas, helps", [
         ({}, 2, "scipy-openblas", False),
         ({"OPENBLAS_NUM_THREADS": "1"}, 2, "scipy-openblas", True),
@@ -807,3 +822,45 @@ class TestBatchValidation:
         np.testing.assert_array_equal(np.argmax(y, axis=1), [2, 0, 1])
         with pytest.raises(ValidationError):
             one_hot(np.array([3]), 3)
+
+
+class TestPredictedLabels:
+    N = 40
+
+    def _walks(self, monkeypatch, x):
+        """(first row, rows, on the worker) of every walk of the network over
+        rows of x, recorded as they run."""
+        walks = []
+        real_walk = Mlp._walk
+        row_bytes = x.strides[0]
+
+        def walk(self, wb, rows, acts=None):
+            if np.shares_memory(rows, x):
+                offset = rows.__array_interface__["data"][0] - x.__array_interface__["data"][0]
+                walks.append((offset // row_bytes, rows.shape[0], _on_worker()))
+            return real_walk(self, wb, rows, acts)
+
+        monkeypatch.setattr(Mlp, "_walk", walk)
+        return walks
+
+    @pytest.mark.parametrize("chunk", [1, 7, N - 1, N, 2 * N])
+    @pytest.mark.parametrize("split", [True, False], ids=["split", "serial"])
+    def test_labels_are_the_argmax_of_one_forward(self, chunk, split, pass_split, monkeypatch):
+        force, pool = pass_split
+        arch = MlpArchitecture((5, 9, 7, 6), "tanh", "cross_entropy")
+        mlp, p, batch = small_problem(seed=56, n=self.N, arch=arch)
+        want = np.argmax(mlp.forward(p, batch.inputs), axis=1)
+        walks = self._walks(monkeypatch, batch.inputs)
+        force(split)
+        got = mlp.predicted_labels(p, batch.inputs, chunk)
+        np.testing.assert_array_equal(got, want)
+        starts = range(0, self.N, chunk)
+        # every chunk walked once, the last one ragged, the odd ones on the
+        # worker when the walk is split; they go to it as one task
+        assert sorted(walks) == [(s, min(chunk, self.N - s), split and i % 2 == 1)
+                                 for i, s in enumerate(starts)]
+        assert pool.submits == (split and len(starts) > 1)
+
+    def test_no_rows(self):
+        mlp, p, _ = small_problem(seed=57)
+        assert mlp.predicted_labels(p, np.zeros((0, 5)), 4).shape == (0,)

@@ -318,13 +318,28 @@ MUTANTS = (
            "forward-mode pass drops the previous layer's R[A] W term",
            ("tests/test_model.py",)),
     Mutant("src/quadbias/model.py",
-           "odd = worker.submit(run, starts[1::2])",
-           "odd = worker.submit(run, starts[:0])",
+           "odd = worker.submit(run, items[1::2])",
+           "odd = worker.submit(run, items[:0])",
            "second thread of block passes drops its half of the passes",
            ("tests/test_model.py", "-k", "split_bit_equal_to_serial")),
     Mutant("src/quadbias/model.py",
-           "            odd.exception()  # waits for the odd half, however the even half ends\n",
-           "            pass\n",
+           "if len(items) > 1 and work >= SPLIT_WORK:",
+           "if len(items) > 1:",
+           "the second thread takes items of any size, below its work gate too",
+           ("tests/test_model.py", "-k", "work_gate")),
+    Mutant("src/quadbias/model.py",
+           "_run_halves(range(0, x.shape[0], chunk_size), run,",
+           "_run_halves(range(0, x.shape[0] - chunk_size + 1, chunk_size), run,",
+           "the label walk drops the ragged last chunk",
+           ("tests/test_model.py", "-k", "PredictedLabels")),
+    Mutant("src/quadbias/model.py",
+           "                out[rows] = np.argmax(",
+           "                out[start - start % (2 * chunk_size):][:chunk_size] = np.argmax(",
+           "the label walk writes each odd chunk's labels into the even chunk's slots",
+           ("tests/test_model.py", "-k", "PredictedLabels")),
+    Mutant("src/quadbias/model.py",
+           "        odd.exception()  # waits for the odd half, however the even half ends\n",
+           "        pass\n",
            "block passes raise before the second thread's half is done",
            ("tests/test_model.py", "-k", "PassSplit")),
     Mutant("src/quadbias/linalg.py",
@@ -505,6 +520,16 @@ MUTANTS = (
            "not isinstance(values, np.ndarray)",
            "as_integers reads a bool entry of an object array as the integer 1",
            ("tests/test_errors.py", "-k", "non_number_entry")),
+    Mutant("src/quadbias/errors.py",
+           'except ValueError:  # numpy\'s "inhomogeneous shape"',
+           'except TypeError:  # numpy\'s "inhomogeneous shape"',
+           "as_integers lets numpy's bare ValueError of a ragged nest through",
+           ("tests/test_errors.py", "-k", "ragged")),
+    Mutant("src/quadbias/errors.py",
+           '    if vs.dtype.kind == "c":\n',
+           "    if False:\n",
+           "as_block drops a complex block's imaginary part",
+           ("tests/test_errors.py", "-k", "complex")),
     Mutant("src/quadbias/errors.py",
            "isinstance(value, numbers.Real) and 0 <= value",
            "0 <= value",
