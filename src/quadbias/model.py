@@ -33,19 +33,14 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 LOSSES = ("cross_entropy", "mse")
 FISHER_MODES = ("mc_sample", "empirical")
 
-# Rows x columns one block pass of a Linearization may hold. A single-vector
-# pass over one 512-row chunk held this much before block products existed;
-# passes of max(1, BLOCK_BUDGET // rows) columns keep peak memory there.
-BLOCK_BUDGET = 512
 # Rows x draws of one group of the Laplace predictive, whose logit and
 # softmax blocks hold C times this many doubles: 4 draws at 820 rows. All 40
 # draws at once was slower and took 5 MiB more.
 DRAW_BUDGET = 4096
-# Rows x columns x parameters, about the multiply-adds of one pass, from which
-# a second thread takes alternate passes (see _run_halves): smaller passes do
-# not pay for the handoff. A chunk of predicted_labels is a one-column pass. A
-# pass of the toy nets (P <= 1,562) stays below it up to 2,685 rows; a 512-row
-# pass of the 77k-parameter medium net is 9x above it.
+# Rows x parameters, about the multiply-adds of one pass, from which a second
+# thread takes alternate passes (see _run_halves): smaller passes do not pay
+# for the handoff. A pass of the toy nets (P <= 1,562) stays below it up to
+# 2,685 rows; a 512-row pass of the 77k-parameter medium net is 9x above it.
 SPLIT_WORK = 1 << 22
 # The variables each BLAS reads its thread count from, in its own order of
 # precedence; any other BLAS is taken to read OMP_NUM_THREADS.
@@ -328,12 +323,11 @@ class Linearization:
     Every product, the mean loss, its gradient and the K-FAC factors reuse
     them; all but the loss walk back through the network by one recursion,
     ``_layer_grads``, which the Hessian product seeds with per-layer terms.
-    Products take (P, k) blocks of parameter directions and run in
-    passes of at most ``max(1, BLOCK_BUDGET // rows)`` columns; a pass is a
-    few matrix products per layer over all of its columns at once, with
-    R-quantities laid out (columns, rows, width), and large passes are
-    shared with a second thread (``_by_pass``). Targets, when given, are the
-    shape of the logits; what reads them raises ValidationError without them.
+    Products take (P, k) blocks of parameter directions and walk the network
+    once per column; a pass holds one column's (rows, width) R-quantities,
+    and large passes are shared with a second thread (``_by_pass``). Targets,
+    when given, are the shape of the logits; what reads them raises
+    ValidationError without them.
     """
 
     def __init__(self, mlp: "Mlp", params: ParamVector, inputs: np.ndarray,
@@ -351,7 +345,6 @@ class Linearization:
         # the softmax, and the shift and sum that _loss takes its log-partition from
         self.probs, self._shift, self._exp_sum = (
             _softmax_parts(self.logits) if mlp.arch.loss == "cross_entropy" else (None,) * 3)
-        self.cols_per_pass = max(1, BLOCK_BUDGET // max(1, self.size))
 
     @property
     def size(self) -> int:
@@ -370,20 +363,18 @@ class Linearization:
     # -- shared passes ---------------------------------------------------------
 
     def _by_pass(self, vs: np.ndarray, tail: tuple, one_pass) -> np.ndarray:
-        """one_pass over column groups of vs, each written whole into its own
-        slice of the (k,) + tail output, the odd passes on a second thread
-        when it helps (``_run_halves``); nothing is summed across passes, so
-        the output is the same bytes either way."""
+        """one_pass over each (P,) column j of vs, written whole into out[j]
+        of the (k,) + tail output, the odd columns on a second thread when it
+        helps (``_run_halves``); nothing is summed across passes, so the
+        output is the same bytes either way."""
         vs = as_block(vs, self.mlp.n_params)
         out = np.empty((vs.shape[1],) + tail)
-        step = self.cols_per_pass
 
         def run(part):
-            for start in part:
-                out[start : start + step] = one_pass(
-                    np.ascontiguousarray(vs[:, start : start + step].T))
+            for j in part:
+                out[j] = one_pass(np.ascontiguousarray(vs[:, j]))
 
-        _run_halves(range(0, vs.shape[1], step), run, step * self.size * self.mlp.n_params)
+        _run_halves(range(vs.shape[1]), run, self.size * self.mlp.n_params)
         return out
 
     def _split(self, flat: np.ndarray, l: int):
@@ -393,20 +384,21 @@ class Linearization:
         ew, eb = self.mlp.layout[2 * l], self.mlp.layout[2 * l + 1]
         return ew.part(flat), eb.part(flat)
 
-    def _r_forward(self, vt: np.ndarray, second: bool = False, every: bool = False):
-        """Forward-mode pass: R[Z_L], or with every the list of R[Z_l] of
+    def _r_forward(self, v: np.ndarray, second: bool = False, every: bool = False):
+        """Forward-mode pass along one (P,) direction v, each R-quantity
+        (rows, width): R[Z_L], or with every the list of R[Z_l] of
         every layer (R[A_0] = 0). With second, also the second-order R2[Z_L]
         (Pearlmutter 1994), from R2[Z_l] = 2 R[A_{l-1}] V_l + R2[A_{l-1}] W_l,
         R2[Z_1] = 0, and R2[A_l] = act''(Z_l) R[Z_l]^2 + act'(Z_l) R2[Z_l]."""
         r_pre, r_a, r2_a, r2_z = [], None, None, 0.0
         for l, (w, _) in enumerate(self.wb):
-            vw, vb = self._split(vt, l)
+            vw, vb = self._split(v, l)
             r_z = self.acts[l] @ vw
             if r_a is not None:
                 r_z += r_a @ w
                 if second:
                     r2_z = 2.0 * (r_a @ vw) + r2_a @ w
-            r_z += vb[:, None, :]
+            r_z += vb
             if every:
                 r_pre.append(r_z)
             if l < len(self.wb) - 1:
@@ -419,8 +411,8 @@ class Linearization:
         return (out, r2_z) if second else out
 
     def _layer_grads(self, g: np.ndarray, extra: list | None = None) -> list:
-        """Gradient at every Z_l from a logits-side seed g, (rows, C) or
-        (k, rows, C): g_L = g and g_{l-1} = (g_l W_l^T) * act'(Z_{l-1}),
+        """Gradient at every Z_l from a logits-side seed g, (rows, C):
+        g_L = g and g_{l-1} = (g_l W_l^T) * act'(Z_{l-1}),
         plus extra[l] for l >= 1 when per-layer terms are given."""
         gs = [g]
         for l in range(len(self.wb) - 1, 0, -1):
@@ -430,14 +422,13 @@ class Linearization:
         return gs[::-1]
 
     def _backprop(self, g: np.ndarray, extra: list | None = None) -> np.ndarray:
-        """Parameter gradient from a logits-side seed g, (rows, C) or
-        (k, rows, C), and optional per-layer terms (see ``_layer_grads``);
-        the result is (P,) or (k, P)."""
-        out = np.empty(g.shape[:-2] + (self.mlp.n_params,))
+        """Parameter gradient (P,) from a logits-side seed g, (rows, C), and
+        optional per-layer terms (see ``_layer_grads``)."""
+        out = np.empty(self.mlp.n_params)
         for l, g_l in enumerate(self._layer_grads(g, extra)):
             out_w, out_b = self._split(out, l)
             out_w[...] = self.acts[l].T @ g_l
-            out_b[...] = g_l.sum(axis=-2)
+            out_b[...] = g_l.sum(axis=0)
         return out
 
     def loss_grad_rows(self) -> np.ndarray:
@@ -489,8 +480,8 @@ class Linearization:
         J v (forward mode), the loss Hessian at the logits, then J^T (reverse
         mode); the per-sample Jacobians are never materialized.
         """
-        def one_pass(vt):
-            jv = self._r_forward(vt)
+        def one_pass(v):
+            jv = self._r_forward(v)
             return self._backprop(self._loss_hessian(jv) / self.size)
 
         return self._by_pass(vs, (self.mlp.n_params,), one_pass).T
@@ -512,12 +503,12 @@ class Linearization:
         column is 0 and never computed. Forward mode only."""
         r = self.loss_grad_rows()
 
-        def one_pass(vt):
-            jv, r2 = self._r_forward(vt, True) if hessian else (self._r_forward(vt), None)
-            slope = np.einsum("krc,rc->kr", jv, r)
+        def one_pass(v):
+            jv, r2 = self._r_forward(v, True) if hessian else (self._r_forward(v), None)
+            slope = np.einsum("rc,rc->r", jv, r)
             if not curvature:
                 return np.stack([slope, np.zeros_like(slope)], axis=-1)
-            curv = np.einsum("krc,krc->kr", jv, self._loss_hessian(jv))
+            curv = np.einsum("rc,rc->r", jv, self._loss_hessian(jv))
             if hessian:
                 curv += (r2 * r).sum(axis=-1)
             return np.stack([slope, curv], axis=-1)
@@ -535,18 +526,17 @@ class Linearization:
         gs, s_d2 = self._backward_trace
         hidden = range(1, len(self.wb))
 
-        def one_pass(vt):
-            r_pre = self._r_forward(vt, every=True)
-            extra = [None] + [
-                (gs[l] @ self._split(vt, l)[0].transpose(0, 2, 1)) * self.d1[l - 1]
-                for l in hidden]
+        def one_pass(v):
+            r_pre = self._r_forward(v, every=True)
+            extra = [None] + [(gs[l] @ self._split(v, l)[0].T) * self.d1[l - 1]
+                              for l in hidden]
             if s_d2 is not None:
                 for l in hidden:
                     extra[l] += s_d2[l] * r_pre[l - 1]
             out = self._backprop(self._loss_hessian(r_pre[-1]) / self.size, extra)
             for l in hidden:
                 out_w = self._split(out, l)[0]
-                out_w += (self.d1[l - 1] * r_pre[l - 1]).transpose(0, 2, 1) @ gs[l]
+                out_w += (self.d1[l - 1] * r_pre[l - 1]).T @ gs[l]
             return out
 
         return self._by_pass(vs, (self.mlp.n_params,), one_pass).T

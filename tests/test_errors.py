@@ -1,23 +1,31 @@
 """The shared checks of quadbias.errors at every site that calls them: counts
-and seeds, non-finite values, and integer arrays; and the shape and argument
-checks that no other test reaches."""
+and seeds, non-finite values, and integer arrays; the shape and argument
+checks that no other test reaches; and properties of every helper of
+quadbias.errors over inputs of every kind."""
 
+import numbers
+import warnings
 from dataclasses import replace
 from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quadbias.cg import CgConfig, cg_minimize
 from quadbias.diagnostics import (OverlapMatrix, _checked_parts, above_floor,
                                   source_eigenbases, spectral_transfer)
-from quadbias.errors import NumericalError, ValidationError, as_block, as_integers
+from quadbias.errors import (NumericalError, ValidationError, as_block, as_integers,
+                             check_counts, check_nonnegative, check_orthonormal, is_count,
+                             is_nonnegative, is_seed, require_finite)
 from quadbias.harness import DatasetSpec, TrainConfig, generate_dataset, train
 from quadbias.harness.config import parse_experiment_config, read_config_text
 from quadbias.harness.training import Checkpoint, load_checkpoint, save_checkpoint
 from quadbias.laplace import build_posterior, clamped_eigh, debias_kfac, draw_noise, predictive
-from quadbias.linalg import DenseSymMatrix, Rng, sym_eigh, top_k_eigenpairs
+from quadbias.linalg import DenseSymMatrix, EigenDecomposition, Rng, sym_eigh, top_k_eigenpairs
 from quadbias.metrics import ProbTable, auroc, ece
 from quadbias.model import Batch, Mlp, MlpArchitecture, ParamVector, one_hot
 from quadbias.quadratic import (CurvatureOperator, build_quadratic, fullbatch_quadratic,
@@ -239,7 +247,8 @@ def test_as_integers_bool_entry_is_not_read_as_one(values):
     (np.array([1.5, 2], dtype=object), "1.5"),
     (np.array(["a", 1], dtype=object), r"\['a' 1\]"),
     (["1", "2"], "a <U1 array"),
-], ids=["object_bool", "object_fraction", "object_string", "strings"])
+    (np.array([np.complex64(1j), 2], dtype=object), "1j"),
+], ids=["object_bool", "object_fraction", "object_string", "strings", "object_complex"])
 def test_as_integers_non_number_entry_raises_naming_the_argument(values, got):
     with pytest.raises(ValidationError, match=f"^x must be whole numbers, got {got}$"):
         as_integers("x", values)
@@ -251,7 +260,8 @@ def test_as_integers_non_number_entry_raises_naming_the_argument(values, got):
     (np.array([2**64 - 1], dtype=np.uint64), str(2**64 - 1)),
     ([2**63], str(2**63)),
     (np.array([2**70, 1], dtype=object), str(2**70)),
-], ids=["float", "negative_float", "uint64", "int", "object_int"])
+    ([1, -2**2000], str(-2**2000)),
+], ids=["float", "negative_float", "uint64", "int", "object_int", "beyond_float"])
 def test_as_integers_outside_int64_raises_naming_the_argument(values, got):
     # the int64 cast would wrap each of these without an error
     with pytest.raises(ValidationError,
@@ -276,8 +286,9 @@ def test_as_integers_ragged_nest_raises_naming_the_argument(values):
 
 
 @pytest.mark.parametrize("value,got", [("1", "'1'"), (None, "None"),
-                                       (np.ones(2), r"array\(\[1\., 1\.\]\)")],
-                         ids=["string", "none", "array"])
+                                       (np.ones(2), r"array\(\[1\., 1\.\]\)"),
+                                       (True, "True")],
+                         ids=["string", "none", "array", "bool"])
 def test_nonnegative_non_number_raises_naming_the_argument(value, got):
     with pytest.raises(ValidationError, match=f"^beta must be >= 0 and finite, got {got}$"):
         CurvatureOperator(3, lambda vs: vs, beta=value)
@@ -313,6 +324,8 @@ INPUT_SITES = [
      r"^vector shape \(4,\) != \(3,\)$"),
     ("as_block complex", lambda _: as_block(np.ones((3, 1)) * (1 + 2j), 3),
      r"^block must be real, got a complex128 array$"),
+    ("as_block ragged", lambda _: as_block([[1], [2, 3]], 2),
+     r"^block must be real numbers in an array of one shape, got \[\[1\], \[2, 3\]\]$"),
     ("CurvatureOperator.matmat complex",
      lambda _: CurvatureOperator.from_dense(np.eye(3)).matmat(np.ones((3, 2), dtype=complex)),
      r"^block must be real, got a complex128 array$"),
@@ -340,3 +353,171 @@ INPUT_SITES = [
 def test_bad_input_is_validation_error(call, pattern, tmp_path):
     with pytest.raises(ValidationError, match=pattern):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("values,got", [
+    (np.array([["1"]]), "a <U1 array"),
+    (np.array([[b"1"]]), "a |S1 array"),
+    ([["a"]], "a <U1 array"),
+    ([[None]], "None"),
+    ([[True]], "a bool array"),
+    ([[True, 1.5]], "True"),
+], ids=["string_array", "bytes_array", "string", "none", "bool", "bool_among_floats"])
+def test_as_block_non_number_entry_raises_naming_the_block(values, got):
+    # the float cast would parse the strings, read None as NaN and True as 1
+    with pytest.raises(ValidationError, match=rf"^block must be real numbers, got {got}$"):
+        as_block(values, 1)
+
+
+@pytest.mark.parametrize("value", [None, "a", [1, None]], ids=["none", "string", "none_entry"])
+def test_require_finite_non_number_is_validation_error(value):
+    # not a numerical failure: the value is not numbers at all
+    with pytest.raises(ValidationError, match=r"^stage: x must be numbers, got "):
+        require_finite("stage", x=value)
+
+
+def test_basis_of_no_columns_is_orthonormal():
+    # |D^T D - I| has no entry, so none is outside 1e-8
+    check_orthonormal("d", np.zeros((3, 0)))
+    assert EigenDecomposition(np.zeros((3, 0)), np.zeros(0)).k == 0
+
+
+# -- properties of every helper over inputs of every kind ---------------------
+
+NUMPY_SCALAR_DTYPES = [np.dtype(t) for t in (
+    "bool", "int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64",
+    "float16", "float32", "float64", "complex64", "complex128")]
+
+
+def _object_array(entries):
+    out = np.empty(len(entries), dtype=object)
+    out[:] = entries
+    return out
+
+
+SCALARS = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=2), st.binary(max_size=2),
+    st.integers(-2**70, 2**70),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63 - 1, 2**2000, -2**2000]),
+    st.floats(), st.complex_numbers(),
+    # numpy scalars of every width, inf and NaN among them
+    st.sampled_from(NUMPY_SCALAR_DTYPES).flatmap(lambda t: hnp.from_dtype(t).map(t.type)),
+    st.floats(allow_nan=False).map(np.longdouble),
+)
+VALUES = st.one_of(
+    SCALARS,
+    # arrays of every dtype above and of strings and bytes, 0-d ones included
+    hnp.arrays(st.sampled_from(NUMPY_SCALAR_DTYPES + [np.dtype("U2"), np.dtype("S2")]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)),
+    st.lists(SCALARS, max_size=4).map(_object_array),
+    # nests of one shape, and ragged ones
+    st.integers(1, 3).flatmap(lambda k: st.lists(st.lists(SCALARS, min_size=k, max_size=k),
+                                                 min_size=1, max_size=3)),
+    st.tuples(SCALARS, SCALARS).map(lambda t: [[t[0]], [t[0], t[1]]]),
+    SCALARS.map(lambda x: [[x], x]),
+    # orthonormal bases, of no columns too
+    st.tuples(st.integers(1, 4), st.integers(0, 4), st.sampled_from(["float64", "int64", "bool"]))
+    .map(lambda t: np.eye(t[0], min(t[:2])).astype(t[2])),
+)
+
+
+def _outcome(call, *allowed):
+    """What call returns, or the exception of an allowed type it raises; any
+    other exception, or a RuntimeWarning, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return call()
+        except allowed as exc:
+            return exc
+
+
+def _real_entries(value) -> bool:
+    """True when every entry of value is a real number and not a bool."""
+    return all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+               for v in np.asarray(value, dtype=object).flat)
+
+
+def _check_predicates(value):
+    for name, got in (("is_count", _outcome(lambda: is_count(value, -2, 2**64))),
+                      ("is_seed", _outcome(lambda: is_seed(value))),
+                      ("is_nonnegative", _outcome(lambda: is_nonnegative(value)))):
+        assert isinstance(got, (bool, np.bool_)), name
+    if is_count(value, -2, 2**64):
+        assert isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        assert -2 <= int(value) < 2**64
+    if is_seed(value):
+        assert is_count(value, 0) and int(value) < 2**64
+    if is_nonnegative(value):
+        assert _real_entries(value) and np.ndim(value) == 0 and 0 <= value < float("inf")
+
+
+def _check_counts(value):
+    got = _outcome(lambda: check_counts(0, x=value), ValidationError)
+    assert got is None if is_count(value, 0) else str(got).startswith("x must be ")
+    got = _outcome(lambda: check_nonnegative(x=value), ValidationError)
+    assert got is None if is_nonnegative(value) else str(got).startswith("x must be ")
+
+
+def _check_as_integers(value):
+    got = _outcome(lambda: as_integers("x", value), ValidationError)
+    if isinstance(got, ValidationError):
+        assert str(got).startswith("x must be whole numbers")
+        return
+    # neither wrapped, truncated nor read from a bool
+    assert got.dtype == np.int64 and _real_entries(value)
+    assert [int(v) for v in got.flat] == list(np.asarray(value, dtype=object).flat)
+
+
+def _check_as_block(value):
+    dim = len(value) if isinstance(value, list) or getattr(value, "ndim", 0) else 1
+    got = _outcome(lambda: as_block(value, dim), ValidationError)
+    if isinstance(got, ValidationError):
+        assert str(got).startswith("block ")
+        return
+    assert got.dtype == np.float64 and got.ndim == 2 and got.shape[0] == dim
+    assert got.shape[1] >= 1 and _real_entries(value)
+
+
+def _check_require_finite(value):
+    for error in (NumericalError, ValidationError):
+        got = _outcome(lambda: require_finite("stage", error, x=value),
+                       NumericalError, ValidationError)
+        if got is None:
+            assert np.isfinite(value).all()
+        elif str(got).startswith("stage: non-finite x"):
+            assert type(got) is error and not np.isfinite(value).all()
+        else:
+            assert type(got) is ValidationError
+            assert str(got).startswith("stage: x must be numbers")
+
+
+def _check_orthonormal(value):
+    got = _outcome(lambda: check_orthonormal("d", value), ValidationError)
+    if isinstance(got, ValidationError):
+        assert str(got).startswith("d must be ")
+        return
+    assert got is None and np.ndim(value) == 2 and _real_entries(value)
+    d = np.asarray(value, dtype=np.float64)
+    assert np.all(np.abs(d.T @ d - np.eye(d.shape[1])) <= 1e-8)
+
+
+@pytest.mark.parametrize("check", [_check_predicates, _check_counts, _check_as_integers,
+                                   _check_as_block, _check_require_finite, _check_orthonormal],
+                         ids=lambda f: f.__name__[len("_check_"):])
+@settings(max_examples=60, deadline=None)
+@given(value=VALUES)
+# a float16 against the int64 bounds, a NaN and a complex object entry, an
+# int beyond the float range, a bool, a basis of no columns, one whose gram
+# overflows and a vector
+@example(value=np.float16(1.0))
+@example(value=_object_array([np.nan]))
+@example(value=_object_array([np.complex64(1j)]))
+@example(value=[[2**2000]])
+@example(value=True)
+@example(value=np.zeros((3, 0)))
+@example(value=np.array([[1e200]]))
+@example(value=np.ones(3))
+def test_helper_returns_its_domain_or_raises_validation_error(check, value):
+    # require_finite's default raises NumericalError for a non-finite number
+    check(value)

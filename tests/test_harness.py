@@ -914,12 +914,10 @@ class TestExperiments:
         assert json.loads((out1 / "summary.json").read_text())["kind"] == kind
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
-    def test_outputs_byte_identical_with_passes_split(self, tmp_path, kind, pass_split,
-                                                      monkeypatch):
+    def test_outputs_byte_identical_with_passes_split(self, tmp_path, kind, pass_split):
         # the second thread of block passes never changes a byte of output;
-        # one column per pass, so every block product of two columns splits
+        # every block product of two columns splits
         force, pool = pass_split
-        monkeypatch.setattr(model, "BLOCK_BUDGET", 1)
         extra, _ = self._TINY[kind]
         cfg = self._config(tmp_path, kind=kind, extra=extra,
                            dataset={"train_frac": "0.75", "ood_translation": "3.0"})
@@ -1148,8 +1146,8 @@ class TestExperiments:
 
         monkeypatch.setattr(experiments, "train", train_then_trace)
         sections = read_config_text(CONFIG_TEXT)
-        # P = 67,843: wide enough that one forward-mode pass (at most
-        # BLOCK_BUDGET rows x columns) is small against a block
+        # P = 67,843: wide enough that one forward-mode pass (one column's
+        # rows x width tangents) is small against a block
         sections["model"]["layers"] = "4,256,256,3"
         sections["dataset"]["train_frac"] = "0.75"
         sections["experiment"].update(kind="cg-compare", cg_iterations="30",

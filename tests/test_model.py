@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from quadbias import model
 from quadbias.errors import NumericalError, ValidationError
 from quadbias.linalg import Rng
-from quadbias.model import (BLOCK_BUDGET, Batch, Mlp, MlpArchitecture, ParamVector,
-                            _second_thread_helps, one_hot, softmax)
+from quadbias.model import (Batch, Mlp, MlpArchitecture, ParamVector, _second_thread_helps,
+                            one_hot, softmax)
 from quadbias.quadratic import build_quadratic
 
 import curvature_oracle as oracle
@@ -543,13 +543,11 @@ class TestLinearization:
     @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
     @pytest.mark.parametrize("n", [3, 70, 600])
     def test_block_products_match_per_vector_loops(self, activation, loss, n):
-        # n = 70 runs 7 columns per pass, n = 600 one column per pass
         arch = MlpArchitecture((5, 7, 6, 3), activation, loss)
         mlp, p, batch = small_problem(seed=44, n=n, arch=arch)
         k = 9
         vs = Rng(45).normal(p.n_params * k).reshape(p.n_params, k)
         lin = mlp.linearize(p, batch.inputs, batch.targets)
-        assert lin.cols_per_pass == max(1, BLOCK_BUDGET // n)
         ggn, hess, jvp = lin.ggn_mm(vs), lin.hvp_mm(vs), lin.jvp_mm(vs)
         assert ggn.shape == hess.shape == (p.n_params, k)
         assert jvp.shape == (k, n, 3)
@@ -653,11 +651,11 @@ class TestLinearization:
         arch = MlpArchitecture((5, 7, 6, 3), activation)
         mlp, p, batch = small_problem(seed=54, arch=arch)
         lin = mlp.linearize(p, batch.inputs, batch.targets)
-        vt = Rng(55).normal(2 * p.n_params).reshape(2, p.n_params)
-        every = lin._r_forward(vt, every=True)
+        v = Rng(55).normal(p.n_params)
+        every = lin._r_forward(v, every=True)
         assert len(every) == 3
-        assert lin._r_forward(vt).tobytes() == every[-1].tobytes()
-        last, r2 = lin._r_forward(vt, second=True)
+        assert lin._r_forward(v).tobytes() == every[-1].tobytes()
+        last, r2 = lin._r_forward(v, second=True)
         assert last.tobytes() == every[-1].tobytes() and r2.shape == last.shape
 
     def test_loss_and_grad_on_linearization_equals_batch(self):
@@ -702,8 +700,6 @@ class TestPassSplit:
     ], ids=["jvp_mm", "ggn_mm", "hvp_mm", "row_terms", "row_terms_hessian", "ggn_gram"])
     @pytest.mark.parametrize("k", [1, 10, 13])
     def test_split_bit_equal_to_serial(self, product, args, k, pass_split):
-        # 100 rows: 5 columns per pass, so k = 10 is two whole passes and
-        # k = 13 three, the last of 3 columns
         force, pool = pass_split
         arch = MlpArchitecture((5, 7, 6, 3), "tanh", "cross_entropy")
         mlp, p, batch = small_problem(seed=52, n=100, arch=arch)
@@ -711,7 +707,7 @@ class TestPassSplit:
         vs = Rng(53).normal(p.n_params * k).reshape(p.n_params, k)
         force(True)
         split = getattr(lin, product)(vs, *args)
-        assert pool.submits == (k > lin.cols_per_pass)
+        assert pool.submits == (k > 1)
         force(False)
         serial = getattr(lin, product)(vs, *args)
         assert split.shape == serial.shape
@@ -720,31 +716,31 @@ class TestPassSplit:
     def test_errors_raised_once_both_halves_are_done(self, pass_split):
         force, _ = pass_split
         force(True)
-        mlp, p, batch = small_problem(seed=54, n=600)  # one column per pass
+        mlp, p, batch = small_problem(seed=54, n=600)
         lin = mlp.linearize(p, batch.inputs)
         ran = []
 
-        def worker_fails(vt):
+        def worker_fails(v):
             ran.append(_on_worker())
             if _on_worker():
                 raise NumericalError("pass on the worker")
-            return vt
+            return v
 
         with pytest.raises(NumericalError, match="pass on the worker"):
             lin._by_pass(np.ones((p.n_params, 5)), (p.n_params,), worker_fails)
         assert sorted(ran) == [False] * 3 + [True]  # the worker stops at its first
 
-        def main_fails(vt):
+        def main_fails(v):
             if not _on_worker():
                 raise NumericalError("pass on the main thread")
             time.sleep(0.05)
-            ran.append(vt.shape[0])
-            return vt
+            ran.append(_on_worker())
+            return v
 
         ran.clear()
         with pytest.raises(NumericalError, match="pass on the main thread"):
             lin._by_pass(np.ones((p.n_params, 5)), (p.n_params,), main_fails)
-        assert ran == [1, 1]
+        assert ran == [True, True]  # both of the worker's passes, after the main one fails
 
     def test_halves_split_only_from_the_work_gate(self, pass_split, monkeypatch):
         # the worker is there, but only work of at least SPLIT_WORK per item

@@ -58,8 +58,7 @@ OPERATOR_CASES = given(
 
 def operator_problem(kind, activation, loss, n, chunk, k, seed):
     """A quadratic of one operator kind with beta, delta > 0, and a (P, k)
-    block. n up to 300 rows runs blocks in passes of 1 to 9 columns; chunk
-    sizes that do not divide n leave a ragged last chunk."""
+    block. Chunk sizes that do not divide n leave a ragged last chunk."""
     arch = MlpArchitecture((5, 8, 4), activation, loss)
     mlp, p, batch = small_problem(seed=seed, n=n, arch=arch)
     if kind == "dense":

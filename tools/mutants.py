@@ -5,7 +5,9 @@ script copies src/, tests/ and the workload configs of bench/ to a temporary
 directory and first runs that unmutated copy once over every test file some
 mutant names. Then, for every mutant, it makes a fresh copy, applies the
 replacement there, runs the mutant's test subset with ``pytest -x`` and
-records whether a test failed (killed) or all passed (survived); two
+records whether pytest failed (killed: a test failed, or the mutated
+copy failed to import) or all tests passed (survived); a subset that
+selects no test kills nothing and fails the run. Two
 mutated copies are tested at a time, and the table lists them in the order
 of ``MUTANTS`` with each one's own seconds. Every run,
 the unmutated one included, uses the ``mutants`` hypothesis profile of
@@ -14,8 +16,8 @@ it. The working tree is never modified.
 
     python3 tools/mutants.py
 
-Exit status 0 when every mutant is killed. It is 1 when a mutant survives,
-when the unmutated copy fails, when a mutant's old text no longer occurs
+Exit status 0 when every mutant is killed. It is 1 when a mutant survives
+or its subset selects no test, when the unmutated copy fails, when a mutant's old text no longer occurs
 exactly once in its file (a refactor must then update the entry, never drop
 it), or when a module of src/quadbias other than an ``__init__.py`` has no
 mutant.
@@ -36,6 +38,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 # mutated copies tested at once; each is one pytest process
 PARALLEL_RUNS = 2
+# a mutant's result by pytest's exit status, other than "killed": 5 is a
+# subset that selects no test, which kills nothing
+NOT_KILLED = {0: "SURVIVED", 5: "NO TESTS"}
 
 
 class Mutant(NamedTuple):
@@ -415,8 +420,8 @@ MUTANTS = (
            "orthonormality check reads only the column norms",
            ("tests/test_quadratic.py", "-k", "orthonormal")),
     Mutant("src/quadbias/errors.py",
-           "if not np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-8:",
-           "if np.max(np.abs(gram - np.eye(len(gram)))) > 1e-8:",
+           "if not np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) <= 1e-8:",
+           "if np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) > 1e-8:",
            "check_orthonormal lets a NaN basis through",
            ("tests/test_linalg.py", "tests/test_quadratic.py", "-k", "non_finite_basis or nan")),
     Mutant("src/quadbias/linalg.py",
@@ -450,13 +455,13 @@ MUTANTS = (
            "a bool passes as a count or a seed",
            ("tests/test_errors.py", "-k", "bool")),
     Mutant("src/quadbias/errors.py",
-           'if a.dtype.kind not in "iufO":',
-           'if a.dtype.kind not in "biufO":',
+           'if a.dtype.kind not in "iufO":\n        raise ValidationError(f"{name} must be whole',
+           'if a.dtype.kind not in "biufO":\n        raise ValidationError(f"{name} must be whole',
            "as_integers reads a bool mask as the integers 1 and 0",
            ("tests/test_errors.py", "-k", "bool_array")),
     Mutant("src/quadbias/errors.py",
-           "    for name, value in values.items():\n        finite = np.isfinite(value)\n",
-           "    for name, value in list(values.items())[:1]:\n        finite = np.isfinite(value)\n",
+           "    for name, value in values.items():\n        try:\n",
+           "    for name, value in list(values.items())[:1]:\n        try:\n",
            "require_finite checks only its first value",
            ("tests/test_errors.py", "-k", "non_finite_value")),
     Mutant("src/quadbias/linalg.py",
@@ -475,7 +480,7 @@ MUTANTS = (
            "batch_sizes and widths accept a repeated entry",
            ("tests/test_harness.py", "-k", "repeated_entry")),
     Mutant("src/quadbias/errors.py",
-           "        if flags:\n",
+           "        if odd:\n",
            "        if False:\n",
            "as_integers reads a bool entry among numbers as the integer 1",
            ("tests/test_errors.py", "-k", "bool_entry")),
@@ -516,8 +521,8 @@ MUTANTS = (
            "as_integers wraps an entry outside int64",
            ("tests/test_errors.py", "-k", "outside_int64")),
     Mutant("src/quadbias/errors.py",
-           'not isinstance(values, np.ndarray) or a.dtype.kind == "O"',
-           "not isinstance(values, np.ndarray)",
+           'not isinstance(values, np.ndarray) or a.dtype.kind == "O":  # else no bool or complex',
+           'not isinstance(values, np.ndarray):  # else no bool or complex',
            "as_integers reads a bool entry of an object array as the integer 1",
            ("tests/test_errors.py", "-k", "non_number_entry")),
     Mutant("src/quadbias/errors.py",
@@ -526,13 +531,79 @@ MUTANTS = (
            "as_integers lets numpy's bare ValueError of a ragged nest through",
            ("tests/test_errors.py", "-k", "ragged")),
     Mutant("src/quadbias/errors.py",
-           '    if vs.dtype.kind == "c":\n',
+           '    if a.dtype.kind == "c":\n',
            "    if False:\n",
            "as_block drops a complex block's imaginary part",
            ("tests/test_errors.py", "-k", "complex")),
+    Mutant("src/quadbias/model.py",
+           "                out[j] = one_pass(",
+           "                out[j - 1] = one_pass(",
+           "block products write each column's pass into the previous column's slot",
+           ("tests/test_model.py", "-k", "block_products_match_per_vector_loops")),
     Mutant("src/quadbias/errors.py",
-           "isinstance(value, numbers.Real) and 0 <= value",
-           "0 <= value",
+           "    except ValueError:  # a ragged nest\n",
+           "    except TypeError:  # a ragged nest\n",
+           "as_block lets numpy's bare ValueError of a ragged nest through",
+           ("tests/test_errors.py", "-k", "as_block and ragged")),
+    Mutant("src/quadbias/errors.py",
+           'if a.dtype.kind not in "iufO":\n        raise ValidationError(f"{name} must be real',
+           'if a.dtype.kind not in "iufOSU":\n        raise ValidationError(f"{name} must be real',
+           "as_block parses a string or bytes block as numbers",
+           ("tests/test_errors.py", "-k", "as_block_non_number")),
+    Mutant("src/quadbias/errors.py",
+           "if isinstance(v, bool) or not isinstance(v, numbers.Real)]",
+           "if isinstance(v, bool)]",
+           "as_block reads a None entry as NaN",
+           ("tests/test_errors.py", "-k", "as_block_non_number")),
+    Mutant("src/quadbias/errors.py",
+           "    except (FloatingPointError, OverflowError):",
+           "    except FloatingPointError:",
+           "as_block lets the OverflowError of an int beyond the float range through",
+           ("tests/test_errors.py", "-k", "helper_returns and as_block")),
+    Mutant("src/quadbias/errors.py",
+           "        except (TypeError, ValueError):\n            raise ValidationError(f\"{stage}",
+           "        except ValueError:\n            raise ValidationError(f\"{stage}",
+           "require_finite lets numpy's TypeError for None or a string through",
+           ("tests/test_errors.py", "-k", "require_finite_non_number")),
+    Mutant("src/quadbias/errors.py",
+           ", initial=0.0) <= 1e-8:",
+           ") <= 1e-8:",
+           "check_orthonormal fails on a basis of no columns",
+           ("tests/test_errors.py", "-k", "no_columns")),
+    Mutant("src/quadbias/errors.py",
+           'with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN gram',
+           'with np.errstate():  # an inf or NaN gram',
+           "check_orthonormal warns on a gram that overflows",
+           ("tests/test_errors.py", "-k", "helper_returns and orthonormal")),
+    Mutant("src/quadbias/errors.py",
+           "    if d.ndim != 2:\n",
+           "    if False:\n",
+           "check_orthonormal takes a vector and fails inside numpy",
+           ("tests/test_errors.py", "-k", "helper_returns and orthonormal")),
+    Mutant("src/quadbias/errors.py",
+           "numbers.Real) and not isinstance(value, bool)\n",
+           "numbers.Real)\n",
+           "check_nonnegative takes True as 1",
+           ("tests/test_errors.py", "-k", "nonnegative_non_number")),
+    Mutant("src/quadbias/errors.py",
+           "(bool, np.bool_, complex, np.complexfloating)",
+           "(bool, np.bool_)",
+           "as_integers drops the imaginary part of a complex object entry",
+           ("tests/test_errors.py", "-k", "non_number_entry")),
+    Mutant("src/quadbias/errors.py",
+           "        f = np.where(wide, 0.0, a).astype(np.float64)\n",
+           "        raise\n",
+           "as_integers lets the OverflowError of an int beyond the float range through",
+           ("tests/test_errors.py", "-k", "outside_int64")),
+    Mutant("src/quadbias/errors.py",
+           '        with np.errstate(invalid="ignore", over="ignore"):\n',
+           "        with np.errstate():\n",
+           "as_integers warns comparing a float16 or a NaN object entry with the int64 bounds",
+           ("tests/test_errors.py", "-k", "helper_returns and as_integers")),
+    Mutant("src/quadbias/errors.py",
+           "(isinstance(value, numbers.Real) and not isinstance(value, bool)\n"
+           "            and 0 <= value",
+           "(0 <= value",
            "check_nonnegative compares a string, None or an array with 0",
            ("tests/test_errors.py", "-k", "nonnegative_non_number")),
 )
@@ -601,19 +672,20 @@ def main() -> int:
             run = _pytest(copy, m.tests)
             secs = time.perf_counter() - start
             shutil.rmtree(copy)
-            return m, run.returncode != 0, secs
+            return m, run.returncode, secs
 
         # the threads only wait on their pytest processes; map keeps the
         # rows in MUTANTS order
         with ThreadPoolExecutor(PARALLEL_RUNS) as pool:
             rows = list(pool.map(run_mutant, range(len(MUTANTS)), MUTANTS))
 
-    width = max(len(m.description) for m, _, _ in rows)
+    results = [(m, NOT_KILLED.get(code, "killed"), secs) for m, code, secs in rows]
+    width = max(len(m.description) for m, _, _ in results)
     print(f"{'mutant':<{width}}  {'file':<36} result    seconds")
-    for m, killed, secs in rows:
+    for m, result, secs in results:
         print(f"{m.description:<{width}}  {m.path[len('src/'):]:<36} "
-              f"{'killed' if killed else 'SURVIVED'}  {secs:7.1f}")
-    survivors = sum(not killed for _, killed, _ in rows)
+              f"{result:<8}  {secs:7.1f}")
+    survivors = sum(result != "killed" for _, result, _ in results)
     print(f"{len(rows) - survivors} of {len(rows)} mutants killed; unmutated run "
           f"{clean_secs:.0f} s, total {time.perf_counter() - started:.0f} s")
     return 1 if survivors else 0
